@@ -21,7 +21,8 @@ fn bench_keyword(c: &mut Criterion) {
         for (label, with_indexes) in [("indexed", true), ("scan", false)] {
             let xq = build_enzyme_warehouse(&data, ShreddingStrategy::Interval, with_indexes);
             let outcome = xq.query(query).expect("runs");
-            let uses = xq.db().plan(&outcome.sql).expect("plans").plan.uses_index();
+            let plan = xq.db().query(&outcome.sql).planned().expect("plans");
+            let uses = plan.plan.uses_index();
             assert_eq!(uses, with_indexes, "access path mismatch for {label}");
             group.bench_with_input(BenchmarkId::new(label, scale), &scale, |b, _| {
                 b.iter(|| {

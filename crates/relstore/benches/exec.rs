@@ -229,7 +229,9 @@ fn bench_exec(_c: &mut Criterion) {
     // queries — a multi-way join with a pile of predicates — which is the
     // workload plan caching exists for. A hit must skip parsing and
     // planning entirely, so with XOMATIQ_BENCH_ENFORCE it must be >= 100x
-    // faster. (Plan-only on both sides: nothing below executes it.)
+    // faster. (Plan-only on both sides: nothing below executes it. The
+    // cold side is the same `planned()` call against an identical database
+    // whose cache is disabled, so every call pays a full miss.)
     let cached_sql = "SELECT b1.a, b2.b, b3.s, b4.a, f.v, f2.v, d.name, d2.name \
                       FROM big b1, big b2, big b3, big b4, \
                       facts f, facts f2, dims d, dims d2 \
@@ -242,9 +244,23 @@ fn bench_exec(_c: &mut Criterion) {
     // Both sides are nanosecond-to-microsecond scale (no data touched),
     // so they need far more samples than the row-crunching benches above.
     let samples = std::mem::replace(&mut rec.samples, 3_000);
-    let cold = rec.bench("plan_cache/cold_parse_plan", || {
-        db.plan(cached_sql).unwrap().plan.uses_index()
-    });
+    let cold = {
+        let uncached = build_db_opts(
+            n,
+            DatabaseOptions {
+                plan_cache_capacity: 0,
+                ..DatabaseOptions::default()
+            },
+        );
+        rec.bench("plan_cache/cold_parse_plan", || {
+            uncached
+                .query(cached_sql)
+                .planned()
+                .unwrap()
+                .plan
+                .uses_index()
+        })
+    };
     let prepared = db.prepare(cached_sql).unwrap();
     db.query_prepared(&prepared).planned().unwrap(); // warm the cache entry
     let warm = rec.bench("plan_cache/warm_hit", || {

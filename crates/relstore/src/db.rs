@@ -44,9 +44,7 @@ use parking_lot::{Mutex, MutexGuard, RwLock, RwLockWriteGuard};
 use xomatiq_obs::trace;
 
 use crate::error::{RelError, RelResult};
-use crate::exec::{
-    execute_plan_profiled, execute_plan_with_stats, format_ns, ExecStats, OpProfile,
-};
+use crate::exec::{run_plan, ExecStats, PlanRun};
 use crate::exec_parallel;
 use crate::expr::{eval, eval_predicate, RowSchema};
 use crate::index::BTreeIndex;
@@ -54,7 +52,7 @@ use crate::metrics;
 use crate::plan::PlannedQuery;
 use crate::planner::plan_select;
 use crate::pool::{StopSignal, WorkerPool};
-use crate::query::PlanCache;
+use crate::query::{ExecMode, PlanCache, QueryOutcome};
 use crate::recorder::FlightRecorder;
 use crate::schema::{Catalog, Column, IndexDef, TableSchema};
 use crate::sql::ast::{SelectStmt, Statement};
@@ -653,7 +651,7 @@ impl ResultSet {
 
     /// Wraps rendered plan text as a one-column result set (one row per
     /// line), the shape `EXPLAIN [ANALYZE]` statements return.
-    fn plan_text(text: &str) -> Self {
+    pub(crate) fn plan_text(text: &str) -> Self {
         ResultSet {
             columns: vec!["plan".to_string()],
             rows: text
@@ -747,40 +745,6 @@ impl ResultSet {
         sep(&mut out);
         out.push_str(&format!("({} rows)\n", self.rows.len()));
         out
-    }
-}
-
-/// The structured output of `EXPLAIN ANALYZE`: the per-operator profile
-/// tree, the executor counters, the measured total execution time, and
-/// the query's actual results (an analyzed query really runs).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnalyzedQuery {
-    /// Per-operator rows/time profile, mirroring the plan tree.
-    pub profile: OpProfile,
-    /// Executor counters for the run.
-    pub stats: ExecStats,
-    /// Total execution wall-time in nanoseconds (root pull loop,
-    /// excluding parse/plan time).
-    pub total_ns: u64,
-    /// The rows the query produced.
-    pub result: ResultSet,
-}
-
-impl AnalyzedQuery {
-    /// Renders the annotated plan tree plus a summary footer.
-    pub fn render(&self) -> String {
-        format!(
-            "{}(total: {}, rows scanned: {}, rows emitted: {}, buffered peak: {}, \
-             index probes: {}, keyword postings read: {}, segments pruned: {})\n",
-            self.profile.render(),
-            format_ns(self.total_ns),
-            self.stats.rows_scanned,
-            self.stats.rows_emitted,
-            self.stats.buffered_peak,
-            self.stats.index_probes,
-            self.stats.keyword_postings_read,
-            self.stats.segments_pruned,
-        )
     }
 }
 
@@ -1383,30 +1347,13 @@ impl Database {
         ))
     }
 
-    /// Parses and executes one SQL statement.
-    #[deprecated(note = "use `db.query(sql).run()` (the `Query` builder)")]
-    pub fn execute(&self, sql: &str) -> RelResult<ResultSet> {
-        Ok(self.query(sql).run()?.rows)
-    }
-
     /// Executes a pre-parsed statement.
     pub fn execute_statement(&self, stmt: Statement) -> RelResult<ResultSet> {
         match stmt {
-            Statement::Select(select) => {
-                let (rs, _) = self.run_select(&select)?;
-                Ok(rs)
-            }
-            Statement::Explain { analyze, inner } => {
-                let Statement::Select(select) = *inner else {
-                    return Err(RelError::Parse("EXPLAIN supports SELECT only".into()));
-                };
-                let text = if analyze {
-                    let snap = self.storage_for_select(&self.snapshot(), &select)?;
-                    self.analyze_select(&snap, &select)?.render()
-                } else {
-                    self.explain_select(&select)?
-                };
-                Ok(ResultSet::plan_text(&text))
+            // SELECT and EXPLAIN have exactly one way to run: the `Query`
+            // path (resolve, execute, record).
+            stmt @ (Statement::Select(_) | Statement::Explain { .. }) => {
+                Ok(self.query_statement(stmt).run()?.rows)
             }
             Statement::CreateTable { name, columns } => {
                 self.reject_system_write(&name, "create table")?;
@@ -2285,24 +2232,6 @@ impl Database {
         Ok(())
     }
 
-    /// Returns the textual plan for a `SELECT` — the engine's `EXPLAIN`.
-    /// The final `parallel=N` line reports how many workers the plan
-    /// would use (`1` for shapes that must run sequentially to keep the
-    /// documented row-order contract).
-    #[deprecated(note = "use `db.query(sql).explain()` (the typed `PlanExplain` tree)")]
-    pub fn explain(&self, sql: &str) -> RelResult<String> {
-        match parse_statement(sql)? {
-            Statement::Select(select) => self.explain_select(&select),
-            _ => Err(RelError::Parse("EXPLAIN supports SELECT only".into())),
-        }
-    }
-
-    pub(crate) fn explain_select(&self, select: &SelectStmt) -> RelResult<String> {
-        let storage = self.storage_for_select(&self.snapshot(), select)?;
-        let planned = plan_select(select, &storage.catalog, &storage.stats)?;
-        Ok(self.plan_explain_tree(&planned).render())
-    }
-
     /// Builds the typed explain tree for an already-planned query,
     /// annotating the worker count the morsel-parallel executor would use
     /// for this plan shape.
@@ -2313,28 +2242,6 @@ impl Database {
             1
         };
         crate::plan::PlanExplain::from_planned(planned, workers)
-    }
-
-    /// Plans a `SELECT` without executing it (used by tests and benches to
-    /// assert access paths).
-    pub fn plan(&self, sql: &str) -> RelResult<PlannedQuery> {
-        match parse_statement(sql)? {
-            Statement::Select(select) => {
-                let storage = self.storage_for_select(&self.snapshot(), &select)?;
-                plan_select(&select, &storage.catalog, &storage.stats)
-            }
-            _ => Err(RelError::Parse("only SELECT can be planned".into())),
-        }
-    }
-
-    /// Executes a `SELECT` and returns its results together with the
-    /// executor's counters — rows scanned, peak buffered rows, rows
-    /// emitted. This is the hook tests and benches use to assert that
-    /// `LIMIT`/Top-K queries materialize O(k) rows, not the whole input.
-    #[deprecated(note = "use `db.query(sql).with_stats().run()` (the `Query` builder)")]
-    pub fn query_with_stats(&self, sql: &str) -> RelResult<(ResultSet, ExecStats)> {
-        let out = self.query(sql).with_stats().run()?;
-        Ok((out.rows, out.stats.expect("with_stats was requested")))
     }
 
     /// Plans one `SELECT` against a pinned snapshot, publishing plan
@@ -2355,138 +2262,72 @@ impl Database {
         result
     }
 
-    /// Executes a planned `SELECT` against a pinned snapshot, dispatching
-    /// parallel-eligible shapes across the worker pool when `workers > 1`,
-    /// and publishing per-query aggregates (row counters, exec latency)
-    /// to the metrics registry.
+    /// Executes a planned `SELECT` against a pinned snapshot in the given
+    /// mode — across the worker pool when the mode asks for more than one
+    /// worker and the plan shape and size allow it, under the
+    /// per-operator profiler, or on the reference interpreter — and
+    /// publishes per-query aggregates (row counters, exec latency) to the
+    /// metrics registry. The outcome always carries the counters; the
+    /// caller decides whether the user asked to see them.
     pub(crate) fn run_planned_query(
         &self,
         storage: &Storage,
         planned: &PlannedQuery,
-        workers: usize,
-    ) -> RelResult<(ResultSet, ExecStats)> {
+        mode: ExecMode,
+    ) -> RelResult<QueryOutcome> {
         let m = metrics::engine();
         let _t = trace::span("relstore.query.exec");
+        let plan = &planned.plan;
         let result = (|| {
             let exec_start = Instant::now();
-            let parallel = if workers > 1 {
-                exec_parallel::execute_plan_parallel(
-                    &planned.plan,
+            let mut run = match mode {
+                ExecMode::Workers(workers) => match exec_parallel::execute_plan_parallel(
+                    plan,
                     storage,
                     &self.pool,
                     workers,
                     self.options.morsel_size,
                     planned.estimate.cost,
-                )
-            } else {
-                None
-            };
-            let (schema, rows, stats) = match parallel {
-                Some(run) => {
-                    m.parallel_workers.add(workers as u64);
-                    run?
+                ) {
+                    Some(run) => {
+                        m.parallel_workers.add(workers as u64);
+                        run?
+                    }
+                    None => run_plan(plan, storage, false)?,
+                },
+                ExecMode::Profiled => run_plan(plan, storage, true)?,
+                ExecMode::Reference => {
+                    let (schema, rows) = crate::exec_reference::execute_plan(plan, storage)?;
+                    // The oracle keeps no counters beyond what it returned.
+                    let stats = ExecStats {
+                        rows_emitted: rows.len() as u64,
+                        ..ExecStats::default()
+                    };
+                    PlanRun {
+                        schema,
+                        rows,
+                        stats,
+                        profile: None,
+                    }
                 }
-                None => execute_plan_with_stats(&planned.plan, storage)?,
             };
-            m.exec_ns.record(metrics::elapsed_ns(exec_start));
-            Ok((select_result(planned.visible, &schema, rows), stats))
-        })();
-        match &result {
-            Ok((_, stats)) => m.observe_query(stats),
-            Err(_) => m.errors.inc(),
-        }
-        result
-    }
-
-    /// Plans and executes one `SELECT` with the database's default worker
-    /// count against the current snapshot.
-    fn run_select(&self, select: &SelectStmt) -> RelResult<(ResultSet, ExecStats)> {
-        let storage = self.storage_for_select(&self.snapshot(), select)?;
-        let planned = self.plan_select_stmt(&storage, select)?;
-        self.run_planned_query(&storage, &planned, self.options.workers)
-    }
-
-    /// Runs a `SELECT` (or an `EXPLAIN [ANALYZE] SELECT`) under the
-    /// per-operator profiler and renders the annotated plan tree — the
-    /// string form of `EXPLAIN ANALYZE`.
-    pub fn explain_analyze(&self, sql: &str) -> RelResult<String> {
-        Ok(self.analyze_sql(sql)?.render())
-    }
-
-    /// Like [`Database::explain_analyze`], but returns the structured
-    /// [`AnalyzedQuery`] (profile tree, counters, total time, results)
-    /// instead of rendered text.
-    #[deprecated(note = "use `db.query(sql).with_profile().run()` (the `Query` builder)")]
-    pub fn explain_analyze_query(&self, sql: &str) -> RelResult<AnalyzedQuery> {
-        self.analyze_sql(sql)
-    }
-
-    fn analyze_sql(&self, sql: &str) -> RelResult<AnalyzedQuery> {
-        let select = match parse_statement(sql)? {
-            Statement::Select(select) => select,
-            Statement::Explain { inner, .. } => match *inner {
-                Statement::Select(select) => select,
-                _ => return Err(RelError::Parse("EXPLAIN supports SELECT only".into())),
-            },
-            _ => return Err(RelError::Parse("only SELECT can be analyzed".into())),
-        };
-        let snap = self.storage_for_select(&self.snapshot(), &select)?;
-        self.analyze_select(&snap, &select)
-    }
-
-    pub(crate) fn analyze_select(
-        &self,
-        storage: &Storage,
-        select: &SelectStmt,
-    ) -> RelResult<AnalyzedQuery> {
-        let m = metrics::engine();
-        let result = (|| {
-            let plan_start = Instant::now();
-            let planned = {
-                let _t = trace::span("relstore.query.plan");
-                plan_select(select, &storage.catalog, &storage.stats)?
-            };
-            m.plan_ns.record(metrics::elapsed_ns(plan_start));
-            let _t = trace::span("relstore.query.exec");
-            let exec_start = Instant::now();
-            let (schema, rows, stats, mut profile) = execute_plan_profiled(&planned.plan, storage)?;
-            let total_ns = metrics::elapsed_ns(exec_start);
-            m.exec_ns.record(total_ns);
-            profile.annotate_estimates(&planned.estimate);
-            Ok(AnalyzedQuery {
-                profile,
-                stats,
-                total_ns,
-                result: select_result(planned.visible, &schema, rows),
+            let exec_ns = metrics::elapsed_ns(exec_start);
+            m.exec_ns.record(exec_ns);
+            if let Some(profile) = &mut run.profile {
+                profile.annotate_estimates(&planned.estimate);
+            }
+            m.observe_query(&run.stats);
+            Ok(QueryOutcome {
+                rows: select_result(planned.visible, &run.schema, run.rows),
+                stats: Some(run.stats),
+                profile: run.profile,
+                exec_ns: Some(exec_ns),
             })
         })();
-        match &result {
-            Ok(analyzed) => m.observe_query(&analyzed.stats),
-            Err(_) => m.errors.inc(),
+        if result.is_err() {
+            m.errors.inc();
         }
         result
-    }
-
-    /// Executes a `SELECT` through the materializing reference interpreter
-    /// ([`crate::exec_reference`]) instead of the streaming executor.
-    /// The property suite runs randomized queries through both paths and
-    /// requires row-for-row identical results.
-    #[deprecated(note = "use `db.query(sql).via_reference().run()` (the `Query` builder)")]
-    pub fn query_reference(&self, sql: &str) -> RelResult<ResultSet> {
-        Ok(self.query(sql).via_reference().run()?.rows)
-    }
-
-    /// Runs a pre-parsed `SELECT` on the reference interpreter against a
-    /// pinned snapshot.
-    pub(crate) fn run_select_reference(
-        &self,
-        storage: &Storage,
-        select: &SelectStmt,
-    ) -> RelResult<ResultSet> {
-        let PlannedQuery { plan, visible, .. } =
-            plan_select(select, &storage.catalog, &storage.stats)?;
-        let (schema, rows) = crate::exec_reference::execute_plan(&plan, storage)?;
-        Ok(select_result(visible, &schema, rows))
     }
 
     /// Number of rows currently in `table` (as of the latest snapshot).
@@ -2576,42 +2417,12 @@ fn load_checkpoint_image(image: &[u8]) -> Result<(Storage, u64), String> {
 fn validate_expr_columns(expr: &crate::sql::ast::Expr, schema: &RowSchema) -> RelResult<()> {
     use crate::sql::ast::Expr as E;
     match expr {
-        E::Column { table, name } => {
-            schema.resolve(table.as_deref(), name)?;
-            Ok(())
-        }
-        E::Literal(_) | E::Param(_) => Ok(()),
-        E::Binary { left, right, .. } => {
-            validate_expr_columns(left, schema)?;
-            validate_expr_columns(right, schema)
-        }
-        E::Not(e) | E::Neg(e) => validate_expr_columns(e, schema),
-        E::IsNull { expr, .. } => validate_expr_columns(expr, schema),
-        E::Like { expr, pattern, .. } => {
-            validate_expr_columns(expr, schema)?;
-            validate_expr_columns(pattern, schema)
-        }
-        E::InList { expr, list, .. } => {
-            validate_expr_columns(expr, schema)?;
-            list.iter()
-                .try_for_each(|e| validate_expr_columns(e, schema))
-        }
-        E::Between {
-            expr, low, high, ..
-        } => {
-            validate_expr_columns(expr, schema)?;
-            validate_expr_columns(low, schema)?;
-            validate_expr_columns(high, schema)
-        }
-        E::Contains { column, keyword } => {
-            validate_expr_columns(column, schema)?;
-            validate_expr_columns(keyword, schema)
-        }
-        E::Matches { column, pattern } => {
-            validate_expr_columns(column, schema)?;
-            validate_expr_columns(pattern, schema)
-        }
+        E::Column { table, name } => schema.resolve(table.as_deref(), name).map(|_| ()),
         E::Aggregate { .. } => Err(RelError::Eval("aggregate in DML predicate".into())),
+        other => other
+            .children()
+            .into_iter()
+            .try_for_each(|e| validate_expr_columns(e, schema)),
     }
 }
 

@@ -15,6 +15,13 @@
 //! which is how tests pin the O(k) memory bound of `LIMIT`/Top-K
 //! pushdown.
 //!
+//! This is the engine's only implementation of each operator. The
+//! morsel driver in [`crate::exec_parallel`] runs the *same* cursor tree
+//! once per morsel: the [`ExecCtx`] it opens the tree under restricts the
+//! scan leaf to one slot [`Span`] and hands hash joins a build side the
+//! driver built once, so sequential execution is simply the case of one
+//! worker whose span is the whole table.
+//!
 //! The retained materialize-everything interpreter lives on in
 //! [`crate::exec_reference`] as the oracle the property tests compare
 //! against, row for row.
@@ -23,7 +30,9 @@ use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::ops::Range;
 use std::rc::Rc;
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::colstore::ColStore;
@@ -65,7 +74,7 @@ pub struct ExecStats {
 
 /// Shared mutable counters threaded through every cursor of one execution.
 #[derive(Debug, Default)]
-struct StatsCell {
+pub(crate) struct StatsCell {
     scanned: Cell<u64>,
     buffered: Cell<u64>,
     buffered_peak: Cell<u64>,
@@ -106,6 +115,27 @@ impl StatsCell {
     fn postings_read(&self, n: u64) {
         self.keyword_postings.set(self.keyword_postings.get() + n);
     }
+
+    /// Folds one finished morsel's counters into the driver's cell. What
+    /// a worker still buffers when it finishes (its share of the
+    /// aggregation groups) stays held until the merge, so its peak counts
+    /// as live buffer here; the shared join build side was charged once,
+    /// by the driver, and never shows up in a worker's cell.
+    pub(crate) fn absorb(&self, morsel: &ExecStats) {
+        self.scan_n(morsel.rows_scanned);
+        self.buffer_grow(morsel.buffered_peak);
+    }
+
+    fn snapshot(&self, rows_emitted: usize) -> ExecStats {
+        ExecStats {
+            rows_scanned: self.scanned.get(),
+            buffered_peak: self.buffered_peak.get(),
+            rows_emitted: rows_emitted as u64,
+            index_probes: self.index_probes.get(),
+            keyword_postings_read: self.keyword_postings.get(),
+            segments_pruned: self.segments_pruned.get(),
+        }
+    }
 }
 
 /// A pull-based operator: yields owned rows (materialized out of the
@@ -118,7 +148,7 @@ trait Cursor<'a> {
 type BoxCursor<'a> = Box<dyn Cursor<'a> + 'a>;
 
 /// Per-operator runtime profile produced by profiled execution
-/// ([`execute_plan_profiled`] / `Database::explain_analyze`).
+/// ([`run_plan`] with `profile` set — `EXPLAIN ANALYZE`).
 ///
 /// `elapsed_ns` is *self* (exclusive) time: the operator's inclusive
 /// wall-time minus its children's, so summing `elapsed_ns` over a whole
@@ -265,67 +295,171 @@ impl<'a> Cursor<'a> for ProfiledCursor<'a> {
     }
 }
 
-/// Execution context threaded through [`open`]: the shared stat cells plus
-/// whether to wrap every operator in a [`ProfiledCursor`].
+/// A contiguous slot range within one column-store segment: what a scan
+/// leaf walks, and the unit of work (a *morsel*) the parallel driver
+/// hands to a worker.
+pub(crate) type Span = (usize, Range<usize>);
+
+/// Execution context threaded through [`open`]: the shared stat cells,
+/// whether to wrap every operator in a [`ProfiledCursor`], and — for a
+/// morsel worker — which part of the plan's input this execution covers.
+#[derive(Default)]
 struct ExecCtx {
     stats: Rc<StatsCell>,
     profile: bool,
+    /// When set, the scan leaf opened under this context walks only this
+    /// span instead of pruning and walking its whole table. The morsel
+    /// driver only runs plans that open exactly one scan leaf this way
+    /// (a join's other input arrives pre-built in `build`).
+    morsel: Option<Span>,
+    /// A hash join's build side, built once by the morsel driver and
+    /// probed by every worker instead of re-opening the right input.
+    build: Option<Arc<BuildSide>>,
 }
 
-/// Executes a plan against storage, materializing the full result.
-pub fn execute_plan(plan: &Plan, storage: &Storage) -> RelResult<(RowSchema, Vec<Row>)> {
-    let (schema, rows, _) = execute_plan_with_stats(plan, storage)?;
-    Ok((schema, rows))
+/// What one execution of a plan produced.
+#[derive(Debug)]
+pub struct PlanRun {
+    /// Output schema (hidden sort-key columns included).
+    pub schema: RowSchema,
+    /// The materialized result.
+    pub rows: Vec<Row>,
+    /// Execution counters.
+    pub stats: ExecStats,
+    /// Per-operator profile tree, when profiling was requested.
+    pub profile: Option<OpProfile>,
 }
 
-/// Like [`execute_plan`], but also reports the execution counters.
-pub fn execute_plan_with_stats(
-    plan: &Plan,
-    storage: &Storage,
-) -> RelResult<(RowSchema, Vec<Row>, ExecStats)> {
-    let (schema, rows, stats, _) = run_plan(plan, storage, false)?;
-    Ok((schema, rows, stats))
-}
-
-/// Like [`execute_plan_with_stats`], but additionally wraps every operator
-/// in a timing/row-counting shim and returns the per-operator profile
-/// tree. This is the engine behind `EXPLAIN ANALYZE`.
-pub fn execute_plan_profiled(
-    plan: &Plan,
-    storage: &Storage,
-) -> RelResult<(RowSchema, Vec<Row>, ExecStats, OpProfile)> {
-    let (schema, rows, stats, profile) = run_plan(plan, storage, true)?;
-    Ok((
-        schema,
-        rows,
-        stats,
-        profile.expect("profiling was requested"),
-    ))
-}
-
-fn run_plan(
-    plan: &Plan,
-    storage: &Storage,
-    profile: bool,
-) -> RelResult<(RowSchema, Vec<Row>, ExecStats, Option<OpProfile>)> {
+/// Executes a plan against storage on the calling thread, materializing
+/// the full result. With `profile`, every operator is wrapped in a
+/// timing/row-counting shim and the per-operator tree is returned too —
+/// the engine behind `EXPLAIN ANALYZE`.
+pub fn run_plan(plan: &Plan, storage: &Storage, profile: bool) -> RelResult<PlanRun> {
     let ctx = ExecCtx {
-        stats: Rc::new(StatsCell::default()),
         profile,
+        ..ExecCtx::default()
     };
-    let (schema, mut cursor, root) = open(plan, storage, &ctx)?;
+    run_under(plan, storage, &ctx)
+}
+
+fn run_under(plan: &Plan, storage: &Storage, ctx: &ExecCtx) -> RelResult<PlanRun> {
+    let (schema, cursor, root) = open(plan, storage, ctx)?;
+    let rows = drain(cursor)?;
+    Ok(PlanRun {
+        schema,
+        stats: ctx.stats.snapshot(rows.len()),
+        rows,
+        profile: root.map(|n| n.to_profile()),
+    })
+}
+
+fn drain(mut cursor: BoxCursor<'_>) -> RelResult<Vec<Row>> {
     let mut rows = Vec::new();
     while let Some(row) = cursor.next_row()? {
         rows.push(row);
     }
-    let stats = ExecStats {
-        rows_scanned: ctx.stats.scanned.get(),
-        buffered_peak: ctx.stats.buffered_peak.get(),
-        rows_emitted: rows.len() as u64,
-        index_probes: ctx.stats.index_probes.get(),
-        keyword_postings_read: ctx.stats.keyword_postings.get(),
-        segments_pruned: ctx.stats.segments_pruned.get(),
+    Ok(rows)
+}
+
+// --- the morsel driver's hooks (see `exec_parallel`) ---
+
+/// The spans `access` — a `Scan`, or a `Filter` directly over one — walks
+/// after zone-map pruning, one per surviving segment, for the morsel
+/// driver to carve up; the prunes are charged to the driver's `stats`.
+pub(crate) fn access_spans(
+    access: &Plan,
+    storage: &Storage,
+    stats: &Rc<StatsCell>,
+) -> RelResult<Vec<Span>> {
+    let ctx = ExecCtx {
+        stats: Rc::clone(stats),
+        ..ExecCtx::default()
     };
-    Ok((schema, rows, stats, root.map(|n| n.to_profile())))
+    let bound = bind_access(access, storage)?.expect("the driving leaf is an access path");
+    Ok(leaf_spans(bound.table.store(), &bound.sargs, storage, &ctx))
+}
+
+/// Opens and drains a hash join's `right` input into the build side
+/// every morsel worker will probe, charging its scan and buffer counters
+/// to the driver's `stats`.
+pub(crate) fn build_side(
+    right: &Plan,
+    right_keys: &[Expr],
+    semi: bool,
+    storage: &Storage,
+    stats: &Rc<StatsCell>,
+) -> RelResult<Arc<BuildSide>> {
+    let ctx = ExecCtx {
+        stats: Rc::clone(stats),
+        ..ExecCtx::default()
+    };
+    let (schema, input, _) = open(right, storage, &ctx)?;
+    BuildSide::build(schema, right_keys, semi, input, stats).map(Arc::new)
+}
+
+/// Runs `plan` over one morsel of its driving scan: the same cursor tree
+/// [`run_plan`] opens, restricted to `morsel` and probing `build`.
+pub(crate) fn run_morsel(
+    plan: &Plan,
+    storage: &Storage,
+    morsel: Span,
+    build: Option<&Arc<BuildSide>>,
+) -> RelResult<PlanRun> {
+    let ctx = ExecCtx {
+        morsel: Some(morsel),
+        build: build.cloned(),
+        ..ExecCtx::default()
+    };
+    run_under(plan, storage, &ctx)
+}
+
+/// The grouping half of an `Aggregate` over one morsel of its input: the
+/// morsel's rows grouped by key (plus the input schema the aggregate
+/// items evaluate against). The driver merges the per-morsel groups in
+/// morsel order and finishes them with [`Groups::finish`].
+pub(crate) fn group_morsel(
+    input: &Plan,
+    group_by: &[Expr],
+    items: &[ProjectItem],
+    storage: &Storage,
+    morsel: Span,
+) -> RelResult<(RowSchema, Groups, ExecStats)> {
+    let ctx = ExecCtx {
+        morsel: Some(morsel),
+        ..ExecCtx::default()
+    };
+    let (schema, input) =
+        open_aggregate_input(input, group_by, items, storage, &ctx, &mut Vec::new())?;
+    let groups = group_rows(input, &schema, group_by, &ctx.stats)?;
+    Ok((schema, groups, ctx.stats.snapshot(0)))
+}
+
+/// Emits the merged morsel outputs through whatever sits above the
+/// parallel part of the plan (an optional `Distinct` over the first
+/// `distinct` columns) on the calling thread, and closes the driver's
+/// counters. `buffered` marks rows still charged to an operator buffer
+/// (aggregate output), which drains as they are emitted.
+pub(crate) fn emit_merged(
+    rows: Vec<Row>,
+    buffered: bool,
+    distinct: Option<usize>,
+    stats: Rc<StatsCell>,
+) -> RelResult<(Vec<Row>, ExecStats)> {
+    let mut cursor: BoxCursor<'_> = Box::new(RowsCursor {
+        rows: rows.into_iter(),
+        buffered: buffered.then(|| Rc::clone(&stats)),
+    });
+    if let Some(visible) = distinct {
+        cursor = Box::new(DistinctCursor {
+            input: cursor,
+            visible,
+            seen: HashSet::new(),
+            stats: Rc::clone(&stats),
+        });
+    }
+    let rows = drain(cursor)?;
+    let stats = stats.snapshot(rows.len());
+    Ok((rows, stats))
 }
 
 /// Opens `plan` as a child operator, collecting its profile node (if
@@ -462,41 +596,35 @@ fn open<'a>(plan: &'a Plan, storage: &'a Storage, ctx: &ExecCtx) -> RelResult<Op
             semi,
         } => {
             let (ls, lcur) = open_child(left, storage, ctx, &mut kids)?;
-            let (rs, rcur) = open_child(right, storage, ctx, &mut kids)?;
-            if *semi {
-                // Existence-only: emit each matching left row once; the
-                // right side's columns are dropped (planner guaranteed
-                // nothing downstream references them).
-                (
-                    ls.clone(),
-                    Box::new(SemiJoinCursor {
-                        left: lcur,
-                        left_schema: ls,
-                        left_keys,
-                        build: None,
-                        right_input: Some((rs, rcur)),
-                        right_keys,
-                        stats: Rc::clone(stats),
-                    }),
-                )
-            } else {
-                let schema = ls.join(&rs);
-                (
-                    schema.clone(),
-                    Box::new(HashJoinCursor {
-                        left: lcur,
-                        left_schema: ls,
-                        schema,
-                        left_keys,
-                        residual: residual.as_ref(),
-                        build: None,
-                        right_input: Some((rs, rcur)),
-                        right_keys,
-                        probe: None,
-                        stats: Rc::clone(stats),
-                    }),
-                )
-            }
+            // A semi join is existence-only: each matching left row passes
+            // through once and the right side's columns are dropped (the
+            // planner guaranteed nothing downstream references them).
+            let joined = |rs: &RowSchema| if *semi { ls.clone() } else { ls.join(rs) };
+            // A morsel worker probes the side the driver already built
+            // instead of opening (and re-scanning) the right input.
+            let (schema, build, right_input) = match &ctx.build {
+                Some(shared) => (joined(&shared.schema), Some(Arc::clone(shared)), None),
+                None => {
+                    let right = open_child(right, storage, ctx, &mut kids)?;
+                    (joined(&right.0), None, Some(right))
+                }
+            };
+            (
+                schema.clone(),
+                Box::new(HashJoinCursor {
+                    left: lcur,
+                    left_schema: ls,
+                    schema,
+                    left_keys,
+                    residual: residual.as_ref(),
+                    semi: *semi,
+                    build,
+                    right_input,
+                    right_keys,
+                    probe: None,
+                    stats: Rc::clone(stats),
+                }),
+            )
         }
         Plan::Project { input, items, .. } => {
             if !ctx.profile {
@@ -517,7 +645,7 @@ fn open<'a>(plan: &'a Plan, storage: &'a Storage, ctx: &ExecCtx) -> RelResult<Op
             (
                 projected_schema(items),
                 Box::new(ProjectCursor {
-                    cols: column_fast_paths(items.iter().map(|i| &i.expr), &schema),
+                    cols: column_fast_paths(items, &schema),
                     input,
                     schema,
                     items,
@@ -530,17 +658,8 @@ fn open<'a>(plan: &'a Plan, storage: &'a Storage, ctx: &ExecCtx) -> RelResult<Op
             items,
             ..
         } => {
-            let needed: Vec<&Expr> = group_by
-                .iter()
-                .chain(items.iter().map(|i| &i.expr))
-                .collect();
-            let (schema, input) = match open_access(input, storage, ctx, Some(&needed))? {
-                Some((schema, cursor, node)) => {
-                    kids.extend(node);
-                    (schema, cursor)
-                }
-                None => open_child(input, storage, ctx, &mut kids)?,
-            };
+            let (schema, input) =
+                open_aggregate_input(input, group_by, items, storage, ctx, &mut kids)?;
             (
                 projected_schema(items),
                 Box::new(AggregateCursor {
@@ -612,20 +731,77 @@ fn open<'a>(plan: &'a Plan, storage: &'a Storage, ctx: &ExecCtx) -> RelResult<Op
             )
         }
     };
-    if !ctx.profile {
-        return Ok((schema, cursor, None));
+    let (cursor, node) = maybe_profile(cursor, plan, ctx, kids);
+    Ok((schema, cursor, node))
+}
+
+/// A storage-level access path — a bare `Scan`, or a `Filter` directly
+/// over one — bound to its table, with the filter's sargable conjuncts
+/// compiled for the zone maps and the vectorized kernels.
+struct BoundAccess<'a> {
+    /// The `Scan` node itself (the profile label of the leaf).
+    scan: &'a Plan,
+    table: &'a Table,
+    schema: RowSchema,
+    filter: Option<&'a Expr>,
+    /// Compiled only when the *entire* filter predicate is infallible
+    /// (see [`open_access`]); empty otherwise.
+    sargs: Vec<SimplePred>,
+    /// True when the sargs are non-empty and cover the whole predicate:
+    /// the kernels enforce it row-exactly.
+    covered: bool,
+}
+
+/// Binds `plan` as an access path; `None` for any other plan shape.
+fn bind_access<'a>(plan: &'a Plan, storage: &'a Storage) -> RelResult<Option<BoundAccess<'a>>> {
+    let (scan, filter) = match plan {
+        Plan::Scan { .. } => (plan, None),
+        Plan::Filter { input, predicate } => (&**input, Some(predicate)),
+        _ => return Ok(None),
+    };
+    let Plan::Scan { table, alias } = scan else {
+        return Ok(None);
+    };
+    let table = storage.table(table)?;
+    let schema = RowSchema::for_table(alias, table.schema().columns.iter().map(|c| c.name.clone()));
+    let (sargs, covered) = match filter {
+        Some(pred) if expr_infallible(pred, &schema) => compile_sargs(pred, &schema),
+        _ => (Vec::new(), false),
+    };
+    Ok(Some(BoundAccess {
+        scan,
+        table,
+        schema,
+        filter,
+        covered: covered && !sargs.is_empty(),
+        sargs,
+    }))
+}
+
+/// The spans a scan leaf opened under `ctx` walks: the worker's morsel,
+/// or one full-segment span per segment whose zone maps admit `sargs`
+/// (every non-empty segment when pruning is off or there is nothing to
+/// prune with), charging the prunes to this execution.
+fn leaf_spans(
+    store: &ColStore,
+    sargs: &[SimplePred],
+    storage: &Storage,
+    ctx: &ExecCtx,
+) -> Vec<Span> {
+    if let Some(morsel) = &ctx.morsel {
+        return vec![morsel.clone()];
     }
-    let node = Rc::new(ProfNode {
-        label: plan.describe(),
-        rows_out: Cell::new(0),
-        elapsed_ns: Cell::new(0),
-        children: kids,
-    });
-    let cursor = Box::new(ProfiledCursor {
-        inner: cursor,
-        node: Rc::clone(&node),
-    });
-    Ok((schema, cursor, Some(node)))
+    let prune_with: &[SimplePred] = if storage.zone_map_pruning() {
+        sargs
+    } else {
+        &[]
+    };
+    let (visited, pruned) = store.prune_segments(prune_with);
+    ctx.stats.prune_n(pruned);
+    visited
+        .into_iter()
+        .map(|i| (i, 0..store.segments()[i].len()))
+        .collect()
 }
 
 /// Opens a storage-level access path — a bare `Scan`, or a `Filter`
@@ -653,55 +829,41 @@ fn open_access<'a>(
     ctx: &ExecCtx,
     needed: Option<&[&'a Expr]>,
 ) -> RelResult<Option<OpenedCursor<'a>>> {
-    let (scan_plan, filter) = match plan {
-        Plan::Scan { .. } => (plan, None),
-        Plan::Filter { input, predicate } if matches!(&**input, Plan::Scan { .. }) => {
-            (&**input, Some(predicate))
-        }
-        _ => return Ok(None),
+    let Some(BoundAccess {
+        scan,
+        table,
+        schema,
+        filter,
+        sargs,
+        covered,
+    }) = bind_access(plan, storage)?
+    else {
+        return Ok(None);
     };
-    let Plan::Scan { table, alias } = scan_plan else {
-        unreachable!("matched above");
-    };
-    let t = storage.table(table)?;
-    let schema = RowSchema::for_table(alias, t.schema().columns.iter().map(|c| c.name.clone()));
     let mask = needed
         .and_then(|exprs| column_mask(exprs.iter().copied().chain(filter), &schema, schema.len()));
-    let (sargs, covered) = match filter {
-        Some(pred) if expr_infallible(pred, &schema) => compile_sargs(pred, &schema),
-        _ => (Vec::new(), false),
-    };
-    // Re-evaluation is skippable only when the kernels actually run
-    // (non-empty sargs) and they cover the whole predicate.
-    let pre_applied = covered && !sargs.is_empty();
-    let store = t.store();
+    let store = table.store();
     let stats = &ctx.stats;
-    let scan: BoxCursor<'a> = if sargs.is_empty() {
+    let spans = leaf_spans(store, &sargs, storage, ctx).into_iter();
+    let leaf: BoxCursor<'a> = if sargs.is_empty() {
         Box::new(ScanCursor {
             store,
-            seg: 0,
-            slot: 0,
+            spans,
+            current: None,
             mask,
             stats: Rc::clone(stats),
         })
     } else {
-        let prune_with: &[SimplePred] = if storage.zone_map_pruning() {
-            &sargs
-        } else {
-            &[]
-        };
-        let (visited, pruned) = store.prune_segments(prune_with);
-        stats.prune_n(pruned);
         Box::new(SegScanCursor {
             store,
-            visited: visited.into_iter(),
+            spans,
             sargs,
             mask,
             current: None,
             stats: Rc::clone(stats),
         })
     };
-    let (cursor, node) = maybe_profile(scan, scan_plan, ctx, Vec::new());
+    let (cursor, node) = maybe_profile(leaf, scan, ctx, Vec::new());
     let Some(predicate) = filter else {
         return Ok(Some((schema, cursor, node)));
     };
@@ -709,7 +871,7 @@ fn open_access<'a>(
         input: cursor,
         schema: schema.clone(),
         predicate,
-        pre_applied,
+        pre_applied: covered,
     });
     let (cursor, node) = maybe_profile(filtered, plan, ctx, node.into_iter().collect());
     Ok(Some((schema, cursor, node)))
@@ -726,47 +888,57 @@ fn open_fused<'a>(
     storage: &'a Storage,
     ctx: &ExecCtx,
 ) -> RelResult<Option<BoxCursor<'a>>> {
-    let Plan::Filter { input, predicate } = plan else {
-        return Ok(None);
-    };
-    let Plan::Scan { table, alias } = &**input else {
-        return Ok(None);
-    };
-    let t = storage.table(table)?;
-    let schema = RowSchema::for_table(alias, t.schema().columns.iter().map(|c| c.name.clone()));
-    if !expr_infallible(predicate, &schema) {
+    if !matches!(plan, Plan::Filter { .. }) {
         return Ok(None);
     }
-    let (sargs, covered) = compile_sargs(predicate, &schema);
-    if !covered || sargs.is_empty() {
+    let Some(access) = bind_access(plan, storage)? else {
+        return Ok(None);
+    };
+    if !access.covered {
         return Ok(None);
     }
     let mut cols = Vec::with_capacity(items.len());
     for item in items {
         match &item.expr {
-            Expr::Column { table, name } => match schema.resolve(table.as_deref(), name) {
+            Expr::Column { table, name } => match access.schema.resolve(table.as_deref(), name) {
                 Ok(i) => cols.push(i),
                 Err(_) => return Ok(None),
             },
             _ => return Ok(None),
         }
     }
-    let store = t.store();
-    let prune_with: &[SimplePred] = if storage.zone_map_pruning() {
-        &sargs
-    } else {
-        &[]
-    };
-    let (visited, pruned) = store.prune_segments(prune_with);
-    ctx.stats.prune_n(pruned);
+    let store = access.table.store();
     Ok(Some(Box::new(FusedScanCursor {
         store,
-        visited: visited.into_iter(),
-        sargs,
+        spans: leaf_spans(store, &access.sargs, storage, ctx).into_iter(),
+        sargs: access.sargs,
         cols,
         batch: Vec::new().into_iter(),
         stats: Rc::clone(&ctx.stats),
     })))
+}
+
+/// Opens the input of an `Aggregate`, telling a columnar access path
+/// which columns the grouping keys and aggregate arguments read.
+fn open_aggregate_input<'a>(
+    input: &'a Plan,
+    group_by: &'a [Expr],
+    items: &'a [ProjectItem],
+    storage: &'a Storage,
+    ctx: &ExecCtx,
+    kids: &mut Vec<Rc<ProfNode>>,
+) -> RelResult<(RowSchema, BoxCursor<'a>)> {
+    let needed: Vec<&Expr> = group_by
+        .iter()
+        .chain(items.iter().map(|i| &i.expr))
+        .collect();
+    match open_access(input, storage, ctx, Some(&needed))? {
+        Some((schema, cursor, node)) => {
+            kids.extend(node);
+            Ok((schema, cursor))
+        }
+        None => open_child(input, storage, ctx, kids),
+    }
 }
 
 /// Wraps `cursor` in a [`ProfiledCursor`] when profiling is on.
@@ -795,7 +967,7 @@ fn maybe_profile<'a>(
 /// Resolves every column reference in `exprs` into a materialization
 /// mask. `None` (materialize everything) when a reference fails to
 /// resolve — evaluation will surface that error on full rows.
-pub(crate) fn column_mask<'e>(
+fn column_mask<'e>(
     exprs: impl Iterator<Item = &'e Expr>,
     schema: &RowSchema,
     arity: usize,
@@ -818,32 +990,10 @@ fn mark_columns(expr: &Expr, schema: &RowSchema, mask: &mut [bool]) -> bool {
             }
             Err(_) => false,
         },
-        Expr::Literal(_) | Expr::Param(_) => true,
-        Expr::Binary { left, right, .. } => {
-            mark_columns(left, schema, mask) && mark_columns(right, schema, mask)
-        }
-        Expr::Not(e) | Expr::Neg(e) => mark_columns(e, schema, mask),
-        Expr::IsNull { expr, .. } => mark_columns(expr, schema, mask),
-        Expr::Like { expr, pattern, .. } => {
-            mark_columns(expr, schema, mask) && mark_columns(pattern, schema, mask)
-        }
-        Expr::InList { expr, list, .. } => {
-            mark_columns(expr, schema, mask) && list.iter().all(|e| mark_columns(e, schema, mask))
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            mark_columns(expr, schema, mask)
-                && mark_columns(low, schema, mask)
-                && mark_columns(high, schema, mask)
-        }
-        Expr::Contains { column, keyword } => {
-            mark_columns(column, schema, mask) && mark_columns(keyword, schema, mask)
-        }
-        Expr::Matches { column, pattern } => {
-            mark_columns(column, schema, mask) && mark_columns(pattern, schema, mask)
-        }
-        Expr::Aggregate { arg, .. } => arg.as_deref().is_none_or(|e| mark_columns(e, schema, mask)),
+        other => other
+            .children()
+            .into_iter()
+            .all(|e| mark_columns(e, schema, mask)),
     }
 }
 
@@ -854,7 +1004,7 @@ fn mark_columns(expr: &Expr, schema: &RowSchema, mask: &mut [bool]) -> bool {
 /// are all fallible. Only an infallible predicate may be pushed below
 /// the row-at-a-time filter: early-dropping a row must not suppress an
 /// error the reference executor would raise.
-pub(crate) fn expr_infallible(expr: &Expr, schema: &RowSchema) -> bool {
+fn expr_infallible(expr: &Expr, schema: &RowSchema) -> bool {
     match expr {
         Expr::Literal(_) => true,
         Expr::Column { table, name } => schema.resolve(table.as_deref(), name).is_ok(),
@@ -892,7 +1042,7 @@ pub(crate) fn expr_infallible(expr: &Expr, schema: &RowSchema) -> bool {
 /// three-valued logic drops false-or-unknown), so a covered predicate
 /// needs no per-row re-evaluation: every kernel survivor passes, every
 /// kernel drop would have been dropped by the WHERE clause.
-pub(crate) fn compile_sargs(expr: &Expr, schema: &RowSchema) -> (Vec<SimplePred>, bool) {
+fn compile_sargs(expr: &Expr, schema: &RowSchema) -> (Vec<SimplePred>, bool) {
     let mut out = Vec::new();
     let covered = collect_sargs(expr, schema, &mut out);
     (out, covered)
@@ -990,46 +1140,66 @@ impl CmpOp {
     }
 }
 
-/// Full-table scan materializing rows in insertion (document) order,
-/// segment by segment. Counts each live row as it is yielded, so `LIMIT`
-/// over a scan stays O(k) in `rows_scanned`.
+/// Table scan materializing rows in insertion (document) order, span by
+/// span. Counts each live row as it is yielded, so `LIMIT` over a scan
+/// stays O(k) in `rows_scanned`.
 struct ScanCursor<'a> {
     store: &'a ColStore,
-    seg: usize,
-    slot: usize,
+    spans: std::vec::IntoIter<Span>,
+    /// The span being walked: `(segment, slots still to visit)`.
+    current: Option<Span>,
     mask: Option<Vec<bool>>,
     stats: Rc<StatsCell>,
 }
 
 impl<'a> Cursor<'a> for ScanCursor<'a> {
     fn next_row(&mut self) -> RelResult<Option<Row>> {
-        while let Some(seg) = self.store.segments().get(self.seg) {
-            while self.slot < seg.len() {
-                let slot = self.slot;
-                self.slot += 1;
-                if seg.is_live(slot) {
-                    self.stats.scan_one();
-                    let mut row = Vec::new();
-                    seg.row_into(slot, self.mask.as_deref(), &mut row);
-                    return Ok(Some(row));
+        loop {
+            if let Some((seg_idx, slots)) = &mut self.current {
+                let seg = &self.store.segments()[*seg_idx];
+                for slot in slots.by_ref() {
+                    if seg.is_live(slot) {
+                        self.stats.scan_one();
+                        let mut row = Vec::new();
+                        seg.row_into(slot, self.mask.as_deref(), &mut row);
+                        return Ok(Some(row));
+                    }
                 }
             }
-            self.seg += 1;
-            self.slot = 0;
+            self.current = self.spans.next();
+            if self.current.is_none() {
+                return Ok(None);
+            }
         }
-        Ok(None)
     }
 }
 
-/// Predicate-pushdown scan: visits only the segments whose zone maps
-/// admit the sargs, evaluates the sargs with the vectorized kernels into
-/// a selection vector, and materializes surviving slots. `rows_scanned`
-/// counts the live rows of each *visited* segment (pruned segments show
-/// up in `segments_pruned` instead), charged when the segment is entered
-/// — segment granularity, still lazy under `LIMIT`.
+/// The live slots of `span` that survive `sargs`, evaluated with the
+/// vectorized kernels into a selection vector. `rows_scanned` is charged
+/// with the span's live rows as it is entered (pruned segments show up in
+/// `segments_pruned` instead) — span granularity, still lazy under `LIMIT`.
+fn select_span(store: &ColStore, span: &Span, sargs: &[SimplePred], stats: &StatsCell) -> Vec<u32> {
+    let (seg_idx, slots) = span;
+    let seg = &store.segments()[*seg_idx];
+    let mut sel = Vec::with_capacity(slots.len());
+    seg.live_slots(slots.clone(), &mut sel);
+    stats.scan_n(sel.len() as u64);
+    for pred in sargs {
+        if sel.is_empty() {
+            break;
+        }
+        seg.apply_pred(pred, &mut sel);
+    }
+    sel
+}
+
+/// Predicate-pushdown scan: visits only the spans handed to it (the
+/// segments whose zone maps admit the sargs, or a worker's morsel),
+/// selects each span's survivors with [`select_span`], and materializes
+/// them.
 struct SegScanCursor<'a> {
     store: &'a ColStore,
-    visited: std::vec::IntoIter<usize>,
+    spans: std::vec::IntoIter<Span>,
     sargs: Vec<SimplePred>,
     mask: Option<Vec<bool>>,
     current: Option<(usize, std::vec::IntoIter<u32>)>,
@@ -1048,31 +1218,24 @@ impl<'a> Cursor<'a> for SegScanCursor<'a> {
                 }
                 self.current = None;
             }
-            let Some(seg_idx) = self.visited.next() else {
+            let Some(span) = self.spans.next() else {
                 return Ok(None);
             };
-            let seg = &self.store.segments()[seg_idx];
-            self.stats.scan_n(seg.live_count() as u64);
-            let mut sel = Vec::with_capacity(seg.live_count());
-            seg.live_slots(0..seg.len(), &mut sel);
-            for pred in &self.sargs {
-                seg.apply_pred(pred, &mut sel);
-            }
-            self.current = Some((seg_idx, sel.into_iter()));
+            let sel = select_span(self.store, &span, &self.sargs, &self.stats);
+            self.current = Some((span.0, sel.into_iter()));
         }
     }
 }
 
 /// Fully fused `Project(Filter(Scan))`: the kernels enforce the entire
 /// predicate (every conjunct compiled to a sarg) and every projection
-/// item is a bare column, so each segment's survivors materialize
-/// directly in projected layout — one columnar gather per projected
-/// column per segment, no intermediate full-width row, and no filter or
-/// projection operator above. Stats match [`SegScanCursor`]:
-/// segment-granular `rows_scanned`, zone-map prunes charged at open.
+/// item is a bare column, so each span's survivors materialize directly
+/// in projected layout — one columnar gather per projected column per
+/// span, no intermediate full-width row, and no filter or projection
+/// operator above. Stats match [`SegScanCursor`].
 struct FusedScanCursor<'a> {
     store: &'a ColStore,
-    visited: std::vec::IntoIter<usize>,
+    spans: std::vec::IntoIter<Span>,
     sargs: Vec<SimplePred>,
     /// Projected column positions, in output order.
     cols: Vec<usize>,
@@ -1086,25 +1249,38 @@ impl<'a> Cursor<'a> for FusedScanCursor<'a> {
             if let Some(row) = self.batch.next() {
                 return Ok(Some(row));
             }
-            let Some(seg_idx) = self.visited.next() else {
+            let Some(span) = self.spans.next() else {
                 return Ok(None);
             };
-            let seg = &self.store.segments()[seg_idx];
-            self.stats.scan_n(seg.live_count() as u64);
-            let mut sel = Vec::with_capacity(seg.live_count());
-            seg.live_slots(0..seg.len(), &mut sel);
-            for pred in &self.sargs {
-                seg.apply_pred(pred, &mut sel);
-            }
+            let sel = select_span(self.store, &span, &self.sargs, &self.stats);
             let mut batch: Vec<Row> = sel
                 .iter()
                 .map(|_| Vec::with_capacity(self.cols.len()))
                 .collect();
+            let seg = &self.store.segments()[span.0];
             for &col in &self.cols {
                 seg.gather_column(col, &sel, &mut batch);
             }
             self.batch = batch.into_iter();
         }
+    }
+}
+
+/// Yields rows computed elsewhere — the merged output of the morsel
+/// workers. When the rows are still charged to an operator buffer, each
+/// one releases its share as it is emitted.
+struct RowsCursor {
+    rows: std::vec::IntoIter<Row>,
+    buffered: Option<Rc<StatsCell>>,
+}
+
+impl<'a> Cursor<'a> for RowsCursor {
+    fn next_row(&mut self) -> RelResult<Option<Row>> {
+        let row = self.rows.next();
+        if let (Some(_), Some(stats)) = (&row, &self.buffered) {
+            stats.buffer_shrink(1);
+        }
+        Ok(row)
     }
 }
 
@@ -1164,12 +1340,10 @@ struct ProjectCursor<'a> {
 
 /// Resolves each projection item that is a bare column reference to its
 /// row position.
-pub(crate) fn column_fast_paths(
-    items: impl Iterator<Item = impl std::borrow::Borrow<Expr>>,
-    schema: &RowSchema,
-) -> Vec<Option<usize>> {
+fn column_fast_paths(items: &[ProjectItem], schema: &RowSchema) -> Vec<Option<usize>> {
     items
-        .map(|item| match item.borrow() {
+        .iter()
+        .map(|item| match &item.expr {
             Expr::Column { table, name } => schema.resolve(table.as_deref(), name).ok(),
             _ => None,
         })
@@ -1244,7 +1418,7 @@ impl<'a> Cursor<'a> for NestedLoopCursor<'a> {
 }
 
 /// Evaluates join key expressions; any NULL key disqualifies the row.
-pub(crate) fn eval_join_keys(
+fn eval_join_keys(
     keys: &[Expr],
     schema: &RowSchema,
     row: &[Value],
@@ -1260,9 +1434,14 @@ pub(crate) fn eval_join_keys(
     })
 }
 
-/// The buffered build side of a hash join.
-struct BuildSide {
+/// The buffered build side of a hash join: built lazily by the join
+/// cursor on its first pull, or once by the morsel driver and shared by
+/// every worker.
+pub(crate) struct BuildSide {
+    schema: RowSchema,
     rows: Vec<Row>,
+    /// Key → positions in `rows`, in arrival order. A semi join only asks
+    /// whether a key exists, so it keeps the key set and no rows.
     index: HashMap<Vec<Value>, Vec<usize>>,
 }
 
@@ -1270,28 +1449,41 @@ impl BuildSide {
     /// Drains `input`, keeping only rows with fully non-NULL keys (rows
     /// with a NULL key can never join).
     fn build(
-        schema: &RowSchema,
+        schema: RowSchema,
         keys: &[Expr],
+        semi: bool,
         mut input: BoxCursor<'_>,
         stats: &StatsCell,
     ) -> RelResult<BuildSide> {
-        let mut side = BuildSide {
-            rows: Vec::new(),
-            index: HashMap::new(),
-        };
+        let mut rows = Vec::new();
+        let mut index: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
         while let Some(row) = input.next_row()? {
-            if let Some(key) = eval_join_keys(keys, schema, &row)? {
+            let Some(key) = eval_join_keys(keys, &schema, &row)? else {
+                continue;
+            };
+            if semi {
+                if let Entry::Vacant(slot) = index.entry(key) {
+                    stats.buffer_grow(1);
+                    slot.insert(Vec::new());
+                }
+            } else {
                 stats.buffer_grow(1);
-                side.index.entry(key).or_default().push(side.rows.len());
-                side.rows.push(row);
+                index.entry(key).or_default().push(rows.len());
+                rows.push(row);
             }
         }
-        Ok(side)
+        Ok(BuildSide {
+            schema,
+            rows,
+            index,
+        })
     }
 }
 
 /// Hash join: the right side is the build side, the left side streams as
-/// the probe. Output rows are left-columns-then-right, in probe order.
+/// the probe. Output rows are left-columns-then-right, in probe order; a
+/// semi join instead passes each matching left row through unchanged,
+/// once.
 ///
 /// Buffering the right side unconditionally is safe because the planner
 /// only ever places a single table's access path there (left-deep join
@@ -1305,7 +1497,9 @@ struct HashJoinCursor<'a> {
     schema: RowSchema,
     left_keys: &'a [Expr],
     residual: Option<&'a Expr>,
-    build: Option<BuildSide>,
+    semi: bool,
+    build: Option<Arc<BuildSide>>,
+    /// Right input, drained into `build` on the first pull.
     right_input: Option<(RowSchema, BoxCursor<'a>)>,
     right_keys: &'a [Expr],
     /// The probe row currently being expanded: `(row, matches, position)`.
@@ -1316,7 +1510,8 @@ struct HashJoinCursor<'a> {
 impl<'a> Cursor<'a> for HashJoinCursor<'a> {
     fn next_row(&mut self) -> RelResult<Option<Row>> {
         if let Some((rs, rcur)) = self.right_input.take() {
-            self.build = Some(BuildSide::build(&rs, self.right_keys, rcur, &self.stats)?);
+            let built = BuildSide::build(rs, self.right_keys, self.semi, rcur, &self.stats)?;
+            self.build = Some(Arc::new(built));
         }
         let build = self.build.as_ref().expect("built above");
         loop {
@@ -1342,48 +1537,117 @@ impl<'a> Cursor<'a> for HashJoinCursor<'a> {
             let Some(key) = eval_join_keys(self.left_keys, &self.left_schema, &lrow)? else {
                 continue;
             };
-            if let Some(matches) = build.index.get(&key) {
-                self.probe = Some((lrow, matches.clone(), 0));
+            match build.index.get(&key) {
+                Some(_) if self.semi => return Ok(Some(lrow)),
+                Some(matches) => self.probe = Some((lrow, matches.clone(), 0)),
+                None => {}
             }
         }
     }
 }
 
-/// Hash semi-join: the right side collapses to a key set, each matching
-/// left row passes through unchanged (and unclowned).
-struct SemiJoinCursor<'a> {
-    left: BoxCursor<'a>,
-    left_schema: RowSchema,
-    left_keys: &'a [Expr],
-    build: Option<HashSet<Vec<Value>>>,
-    right_input: Option<(RowSchema, BoxCursor<'a>)>,
-    right_keys: &'a [Expr],
-    stats: Rc<StatsCell>,
+/// One aggregation group: its key and its input rows, in arrival order.
+type Group = (Vec<Value>, Vec<Row>);
+
+/// Input rows grouped by key, groups in first-seen order.
+#[derive(Default)]
+pub(crate) struct Groups {
+    groups: Vec<Group>,
+    index: HashMap<Vec<Value>, usize>,
 }
 
-impl<'a> Cursor<'a> for SemiJoinCursor<'a> {
-    fn next_row(&mut self) -> RelResult<Option<Row>> {
-        if let Some((rs, mut rcur)) = self.right_input.take() {
-            let mut keys = HashSet::new();
-            while let Some(row) = rcur.next_row()? {
-                if let Some(key) = eval_join_keys(self.right_keys, &rs, &row)? {
-                    if keys.insert(key) {
-                        self.stats.buffer_grow(1);
-                    }
-                }
+impl Groups {
+    /// The rows of `key`'s group, opening the group if it is new.
+    fn rows_of(&mut self, key: Vec<Value>) -> &mut Vec<Row> {
+        let i = match self.index.entry(key) {
+            Entry::Occupied(slot) => *slot.get(),
+            Entry::Vacant(slot) => {
+                let i = self.groups.len();
+                self.groups.push((slot.key().clone(), Vec::new()));
+                slot.insert(i);
+                i
             }
-            self.build = Some(keys);
-        }
-        let keys = self.build.as_ref().expect("built above");
-        while let Some(lrow) = self.left.next_row()? {
-            if let Some(key) = eval_join_keys(self.left_keys, &self.left_schema, &lrow)? {
-                if keys.contains(&key) {
-                    return Ok(Some(lrow));
-                }
-            }
-        }
-        Ok(None)
+        };
+        &mut self.groups[i].1
     }
+
+    /// Appends the groups of a *later* stretch of the same input. Folding
+    /// per-morsel groups in morsel order reproduces both the global
+    /// first-seen group order and each group's row order.
+    pub(crate) fn absorb(&mut self, later: Groups) {
+        for (key, rows) in later.groups {
+            self.rows_of(key).extend(rows);
+        }
+    }
+
+    /// Turns the groups into one output row each, in group order.
+    /// `aggregate` evaluates a slice of groups with [`aggregate_groups`] —
+    /// in place for the sequential cursor, fanned across the pool in
+    /// contiguous chunks by the morsel driver. The grouped rows leave the
+    /// operator's buffer here and the output rows enter it.
+    pub(crate) fn finish(
+        mut self,
+        group_by: &[Expr],
+        stats: &StatsCell,
+        aggregate: impl FnOnce(&[Group]) -> RelResult<Vec<Row>>,
+    ) -> RelResult<Vec<Row>> {
+        if self.groups.is_empty() && group_by.is_empty() {
+            // Global aggregate over empty input yields one row.
+            self.groups.push((Vec::new(), Vec::new()));
+        }
+        let out = aggregate(&self.groups)?;
+        let grouped: usize = self.groups.iter().map(|(_, rows)| rows.len()).sum();
+        stats.buffer_shrink(grouped as u64);
+        stats.buffer_grow(out.len() as u64);
+        Ok(out)
+    }
+}
+
+/// Groups `input` by the `group_by` keys; with no `GROUP BY` everything
+/// is one global group.
+fn group_rows(
+    mut input: BoxCursor<'_>,
+    schema: &RowSchema,
+    group_by: &[Expr],
+    stats: &StatsCell,
+) -> RelResult<Groups> {
+    let mut groups = Groups::default();
+    while let Some(row) = input.next_row()? {
+        let key: Vec<Value> = group_by
+            .iter()
+            .map(|e| eval(e, schema, &row))
+            .collect::<RelResult<_>>()?;
+        stats.buffer_grow(1);
+        groups.rows_of(key).push(row);
+    }
+    Ok(groups)
+}
+
+/// Evaluates the aggregate select `items` over each group, yielding one
+/// row per group. `schema` is the aggregate's *input* schema.
+pub(crate) fn aggregate_groups(
+    groups: &[Group],
+    schema: &RowSchema,
+    items: &[ProjectItem],
+) -> RelResult<Vec<Row>> {
+    let mut out = Vec::with_capacity(groups.len());
+    for (_, group_rows) in groups {
+        let null_row;
+        let representative: &[Value] = match group_rows.first() {
+            Some(r) => r,
+            None => {
+                null_row = vec![Value::Null; schema.len()];
+                &null_row
+            }
+        };
+        let mut result_row = Vec::with_capacity(items.len());
+        for item in items {
+            let materialized = materialize_aggregates(&item.expr, schema, group_rows)?;
+            result_row.push(eval(&materialized, schema, representative)?);
+        }
+        out.push(result_row);
+    }
+    Ok(out)
 }
 
 /// Grouped aggregation: a pipeline breaker that buffers each group's rows
@@ -1399,51 +1663,11 @@ struct AggregateCursor<'a> {
 
 impl<'a> Cursor<'a> for AggregateCursor<'a> {
     fn next_row(&mut self) -> RelResult<Option<Row>> {
-        if let Some(mut input) = self.input.take() {
-            // Group rows; with no GROUP BY everything is one global group.
-            let mut groups: Vec<(Vec<Value>, Vec<Row>)> = Vec::new();
-            let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-            while let Some(row) = input.next_row()? {
-                let key: Vec<Value> = self
-                    .group_by
-                    .iter()
-                    .map(|e| eval(e, &self.schema, &row))
-                    .collect::<RelResult<_>>()?;
-                self.stats.buffer_grow(1);
-                match index.entry(key.clone()) {
-                    Entry::Occupied(slot) => groups[*slot.get()].1.push(row),
-                    Entry::Vacant(slot) => {
-                        slot.insert(groups.len());
-                        groups.push((key, vec![row]));
-                    }
-                }
-            }
-            if groups.is_empty() && self.group_by.is_empty() {
-                // Global aggregate over empty input yields one row.
-                groups.push((Vec::new(), Vec::new()));
-            }
-            let mut out = Vec::with_capacity(groups.len());
-            for (_, group_rows) in &groups {
-                let null_row;
-                let representative: &[Value] = match group_rows.first() {
-                    Some(r) => r,
-                    None => {
-                        null_row = vec![Value::Null; self.schema.len()];
-                        &null_row
-                    }
-                };
-                let mut result_row = Vec::with_capacity(self.items.len());
-                for item in self.items {
-                    let materialized =
-                        materialize_aggregates(&item.expr, &self.schema, group_rows)?;
-                    result_row.push(eval(&materialized, &self.schema, representative)?);
-                }
-                out.push(result_row);
-            }
-            for (_, group_rows) in &groups {
-                self.stats.buffer_shrink(group_rows.len() as u64);
-            }
-            self.stats.buffer_grow(out.len() as u64);
+        if let Some(input) = self.input.take() {
+            let groups = group_rows(input, &self.schema, self.group_by, &self.stats)?;
+            let out = groups.finish(self.group_by, &self.stats, |groups| {
+                aggregate_groups(groups, &self.schema, self.items)
+            })?;
             self.output = out.into_iter();
         }
         if let Some(row) = self.output.next() {
@@ -1661,74 +1885,17 @@ pub(crate) fn materialize_aggregates<R: AsRef<[Value]>>(
     schema: &RowSchema,
     rows: &[R],
 ) -> RelResult<Expr> {
-    Ok(match expr {
+    match expr {
         Expr::Aggregate {
             func,
             arg,
             distinct,
-        } => Expr::Literal(compute_aggregate(
-            *func,
-            arg.as_deref(),
-            *distinct,
-            schema,
-            rows,
-        )?),
-        Expr::Literal(_) | Expr::Param(_) | Expr::Column { .. } => expr.clone(),
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op: *op,
-            left: Box::new(materialize_aggregates(left, schema, rows)?),
-            right: Box::new(materialize_aggregates(right, schema, rows)?),
-        },
-        Expr::Not(e) => Expr::Not(Box::new(materialize_aggregates(e, schema, rows)?)),
-        Expr::Neg(e) => Expr::Neg(Box::new(materialize_aggregates(e, schema, rows)?)),
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(materialize_aggregates(expr, schema, rows)?),
-            negated: *negated,
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(materialize_aggregates(expr, schema, rows)?),
-            pattern: Box::new(materialize_aggregates(pattern, schema, rows)?),
-            negated: *negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(materialize_aggregates(expr, schema, rows)?),
-            list: list
-                .iter()
-                .map(|e| materialize_aggregates(e, schema, rows))
-                .collect::<RelResult<_>>()?,
-            negated: *negated,
-        },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(materialize_aggregates(expr, schema, rows)?),
-            low: Box::new(materialize_aggregates(low, schema, rows)?),
-            high: Box::new(materialize_aggregates(high, schema, rows)?),
-            negated: *negated,
-        },
-        Expr::Contains { column, keyword } => Expr::Contains {
-            column: Box::new(materialize_aggregates(column, schema, rows)?),
-            keyword: Box::new(materialize_aggregates(keyword, schema, rows)?),
-        },
-        Expr::Matches { column, pattern } => Expr::Matches {
-            column: Box::new(materialize_aggregates(column, schema, rows)?),
-            pattern: Box::new(materialize_aggregates(pattern, schema, rows)?),
-        },
-    })
+        } => compute_aggregate(*func, arg.as_deref(), *distinct, schema, rows).map(Expr::Literal),
+        other => other.try_map_children(|e| materialize_aggregates(e, schema, rows)),
+    }
 }
 
-pub(crate) fn compute_aggregate<R: AsRef<[Value]>>(
+fn compute_aggregate<R: AsRef<[Value]>>(
     func: AggFunc,
     arg: Option<&Expr>,
     distinct: bool,

@@ -1,182 +1,110 @@
-//! Morsel-driven parallel execution over the segmented column store.
+//! Morsel-driven parallel execution: the driver around the one operator
+//! core in [`crate::exec`].
 //!
-//! Table scans are split into *segment-aligned* morsels — slot ranges
-//! within a single column-store segment — so a worker touches one
-//! segment's column vectors at a time and no per-morsel row
-//! materialization happens up front. Zone maps prune non-matching
-//! segments before any morsel is formed, the sargable conjuncts of the
-//! innermost filter run as vectorized kernels over each morsel's
-//! selection vector, and only surviving slots are materialized (through
-//! the same column mask the streaming access path uses). A reusable
-//! [`WorkerPool`] fans the morsels across workers and the per-morsel
-//! outputs are reassembled in morsel order, which makes every parallel
-//! plan produce byte-identical rows — and identical [`ExecStats`],
-//! including `segments_pruned` — to the streaming executor in `exec.rs`.
+//! This module implements no operator. It decides *whether* a plan may be
+//! split ([`parallel_eligible`], [`should_parallelize`]), carves the
+//! driving scan's zone-map-surviving segments into *segment-aligned*
+//! morsels — slot ranges within a single column-store segment — and fans
+//! them across a reusable [`WorkerPool`]. Every worker opens the same
+//! cursor tree the sequential executor would, restricted to its morsel
+//! (and, for a hash join, probing the build side the driver built once),
+//! with its own counters. The per-morsel outputs are then merged in
+//! morsel order — rows concatenated, aggregation groups folded in
+//! first-seen order — and emitted through the optional `Distinct` on the
+//! calling thread. That makes every parallel plan produce byte-identical
+//! rows — and identical [`ExecStats`](crate::exec::ExecStats) — to the
+//! sequential run.
+//!
 //! Only plan shapes whose output order is a pure function of morsel order
-//! are eligible (see [`parallel_eligible`]); anything else (sorts, limits,
-//! nested-loop joins, index access paths) falls back to the sequential
-//! streaming executor, a decision the planner surfaces as the
-//! `parallel=N` line of `EXPLAIN`. Tables too small to amortize the
+//! are eligible; anything else (sorts, limits, nested-loop joins, index
+//! access paths) runs sequentially, a decision the planner surfaces as
+//! the `parallel=N` line of `EXPLAIN`. Tables too small to amortize the
 //! hand-off (fewer than two morsels' worth of rows) also run
-//! sequentially; see [`should_parallelize`].
+//! sequentially.
 //!
-//! Error semantics match streaming exactly: the streaming executor stops
-//! at the first failing row in scan order, so workers here track the
+//! Error semantics match sequential execution exactly: that stops at the
+//! first failing row in scan order, so workers here track the
 //! lowest-numbered morsel that failed, keep processing *earlier* morsels
 //! (one of them may fail even earlier), skip later ones, and report the
-//! error from the lowest morsel index — which is the error the sequential
-//! executor would have raised.
+//! error from the lowest morsel index.
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
 use std::ops::Range;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::colstore::ColStore;
 use crate::db::Storage;
 use crate::error::{RelError, RelResult};
 use crate::exec::{
-    column_fast_paths, column_mask, compile_sargs, eval_join_keys, expr_infallible,
-    materialize_aggregates, projected_schema, ExecStats,
+    access_spans, aggregate_groups, build_side, emit_merged, group_morsel, projected_schema,
+    run_morsel, Groups, PlanRun, Span, StatsCell,
 };
-use crate::expr::{eval, eval_predicate, RowSchema};
-use crate::plan::{Plan, ProjectItem};
+use crate::plan::Plan;
 use crate::pool::WorkerPool;
-use crate::segment::SimplePred;
-use crate::sql::ast::Expr;
-use crate::table::Row;
-use crate::value::Value;
 
-/// A parallel-eligible access chain: `Filter*(Scan)`.
-struct ChainShape<'p> {
-    table: &'p str,
-    alias: &'p str,
-    /// Filter predicates in evaluation (innermost-first) order.
-    predicates: Vec<&'p Expr>,
-}
-
-/// A hash join whose both sides are chains: left probes, right builds.
-struct JoinShape<'p> {
-    probe: ChainShape<'p>,
-    build: ChainShape<'p>,
-    left_keys: &'p [Expr],
-    right_keys: &'p [Expr],
-    residual: Option<&'p Expr>,
-    semi: bool,
-}
-
-/// The parallel-eligible plan grammar.
-enum Shape<'p> {
-    Chain(ChainShape<'p>),
-    Project {
-        chain: ChainShape<'p>,
-        items: &'p [ProjectItem],
-    },
-    Join {
-        join: JoinShape<'p>,
-        /// Projection applied on top of the join output, if any.
-        items: Option<&'p [ProjectItem]>,
-    },
-    Aggregate {
-        chain: ChainShape<'p>,
-        group_by: &'p [Expr],
-        items: &'p [ProjectItem],
-    },
-}
-
-/// A parsed eligible plan: a shape, optionally under a `Distinct` that is
-/// applied as an order-preserving post-merge pass.
-struct Parsed<'p> {
-    shape: Shape<'p>,
+/// A parsed parallel-eligible plan:
+/// `[Distinct] ( Chain | Project(Chain) | [Project] HashJoin(Chain, Chain) | Aggregate(Chain) )`
+/// where `Chain = Filter* (Scan)`.
+struct Shape<'p> {
+    /// Width of the `Distinct` on top, if any; it runs after the merge.
     distinct: Option<usize>,
+    /// The plan below the optional `Distinct`: what each worker runs
+    /// over its morsel.
+    body: &'p Plan,
+    /// The driving access path — the `Scan` of the (probe) chain, or the
+    /// `Filter` directly over it — whose segments become the morsels.
+    leaf: &'p Plan,
+    /// The hash join in `body`, whose right side the driver builds once.
+    join: Option<&'p Plan>,
+    /// Every table the shape scans, for the small-input cutover.
+    tables: Vec<&'p str>,
 }
 
-fn parse_chain(plan: &Plan) -> Option<ChainShape<'_>> {
-    let mut predicates = Vec::new();
-    let mut node = plan;
-    loop {
-        match node {
-            Plan::Filter { input, predicate } => {
-                predicates.push(predicate);
-                node = input;
-            }
-            Plan::Scan { table, alias } => {
-                // Collected outermost-first; evaluation is innermost-first.
-                predicates.reverse();
-                return Some(ChainShape {
-                    table,
-                    alias,
-                    predicates,
-                });
-            }
-            _ => return None,
-        }
+/// The access path and table at the bottom of a `Filter* (Scan)` chain.
+fn chain_leaf(plan: &Plan) -> Option<(&Plan, &str)> {
+    match plan {
+        Plan::Scan { table, .. } => Some((plan, table)),
+        Plan::Filter { input, .. } => match &**input {
+            Plan::Scan { table, .. } => Some((plan, table)),
+            inner => chain_leaf(inner),
+        },
+        _ => None,
     }
 }
 
-fn parse_join(plan: &Plan) -> Option<JoinShape<'_>> {
-    let Plan::HashJoin {
-        left,
-        right,
-        left_keys,
-        right_keys,
-        residual,
-        semi,
-    } = plan
-    else {
-        return None;
-    };
-    Some(JoinShape {
-        probe: parse_chain(left)?,
-        build: parse_chain(right)?,
-        left_keys,
-        right_keys,
-        residual: residual.as_ref(),
-        semi: *semi,
-    })
-}
-
-fn parse_shape(plan: &Plan) -> Option<Parsed<'_>> {
-    let (inner, distinct) = match plan {
+fn parse_shape(plan: &Plan) -> Option<Shape<'_>> {
+    let (body, distinct) = match plan {
         Plan::Distinct { input, visible } => (&**input, Some(*visible)),
         other => (other, None),
     };
-    let shape = match inner {
-        Plan::Scan { .. } | Plan::Filter { .. } => Shape::Chain(parse_chain(inner)?),
-        Plan::Project { input, items, .. } => match &**input {
-            Plan::HashJoin { .. } => Shape::Join {
-                join: parse_join(input)?,
-                items: Some(items),
-            },
-            _ => Shape::Project {
-                chain: parse_chain(input)?,
-                items,
-            },
-        },
-        Plan::HashJoin { .. } => Shape::Join {
-            join: parse_join(inner)?,
-            items: None,
-        },
-        Plan::Aggregate {
-            input,
-            group_by,
-            items,
-            ..
-        } => Shape::Aggregate {
-            chain: parse_chain(input)?,
-            group_by,
-            items,
-        },
-        _ => return None,
+    let (below, may_join) = match body {
+        Plan::Project { input, .. } => (&**input, true),
+        Plan::Aggregate { input, .. } => (&**input, false),
+        other => (other, true),
     };
-    Some(Parsed { shape, distinct })
+    let (leaf, join, tables) = match below {
+        Plan::HashJoin { left, right, .. } if may_join => {
+            let (leaf, probe) = chain_leaf(left)?;
+            let (_, build) = chain_leaf(right)?;
+            (leaf, Some(below), vec![probe, build])
+        }
+        chain => {
+            let (leaf, table) = chain_leaf(chain)?;
+            (leaf, None, vec![table])
+        }
+    };
+    Some(Shape {
+        distinct,
+        body,
+        leaf,
+        join,
+        tables,
+    })
 }
 
-/// Whether the plan can run on the morsel-parallel executor while
-/// preserving the engine's documented row order. This is the single
-/// source of truth for both the execution dispatch and the `parallel=N`
-/// line `EXPLAIN` prints.
+/// Whether the plan can run morsel-parallel while preserving the engine's
+/// documented row order. This is the single source of truth for both the
+/// execution dispatch and the `parallel=N` line `EXPLAIN` prints.
 pub(crate) fn parallel_eligible(plan: &Plan) -> bool {
     parse_shape(plan).is_some()
 }
@@ -189,31 +117,18 @@ pub(crate) fn should_parallelize(cost: f64, workers: usize, morsel_size: usize) 
     workers >= 2 && cost >= 2.0 * morsel_size as f64
 }
 
-/// Total live rows the shape will scan, used by the small-table fallback.
-/// Unknown tables report `usize::MAX` so the parallel path (not the
-/// heuristic) surfaces the error — identically to the sequential one.
-fn shape_rows(shape: &Shape<'_>, storage: &Storage) -> usize {
-    let table_len = |name: &str| storage.table(name).map(|t| t.len()).unwrap_or(usize::MAX);
-    match shape {
-        Shape::Chain(c) | Shape::Project { chain: c, .. } | Shape::Aggregate { chain: c, .. } => {
-            table_len(c.table)
-        }
-        Shape::Join { join, .. } => {
-            table_len(join.probe.table).saturating_add(table_len(join.build.table))
-        }
-    }
-}
-
 /// Executes an eligible plan across the pool, or returns `None` when the
 /// plan is not eligible (or fewer than two workers were requested, or the
-/// work is too small for parallelism to pay for itself), in which case
-/// the caller falls back to the streaming executor.
+/// work is too small for parallelism to pay for itself, or pruning left
+/// nothing to fan out), in which case the caller runs it sequentially.
 ///
 /// The cutover uses the planner's estimated cost when available, floored
 /// by the snapshot's exact input row count: a query whose estimated work
 /// (joins, filters) exceeds the raw scan size parallelizes even when its
 /// base table alone would not, while a stale (low) cached estimate can
-/// never suppress parallelism the input size already justifies.
+/// never suppress parallelism the input size already justifies. Unknown
+/// tables count as `usize::MAX` rows so the parallel path (not the
+/// heuristic) surfaces the error — identically to the sequential one.
 pub(crate) fn execute_plan_parallel(
     plan: &Plan,
     storage: &Storage,
@@ -221,476 +136,118 @@ pub(crate) fn execute_plan_parallel(
     workers: usize,
     morsel_size: usize,
     est_cost: Option<f64>,
-) -> Option<RelResult<(RowSchema, Vec<Row>, ExecStats)>> {
+) -> Option<RelResult<PlanRun>> {
     if workers < 2 {
         return None;
     }
-    let parsed = parse_shape(plan)?;
+    let shape = parse_shape(plan)?;
     let morsel_size = morsel_size.max(1);
-    let input_rows = shape_rows(&parsed.shape, storage) as f64;
+    let input_rows = shape
+        .tables
+        .iter()
+        .map(|t| storage.table(t).map_or(usize::MAX, |t| t.len()))
+        .fold(0usize, usize::saturating_add) as f64;
     let cost = est_cost.map_or(input_rows, |c| c.max(input_rows));
     if !should_parallelize(cost, workers, morsel_size) {
         return None;
     }
-    Some(run_parsed(&parsed, storage, pool, workers, morsel_size))
+    run_shape(&shape, storage, pool, workers, morsel_size).transpose()
 }
 
-/// A chain bound to the table's segment store: segment-aligned morsels
-/// over the zone-map-surviving segments, the compiled sargable conjuncts,
-/// the materialization column mask, and the filter predicates.
-struct BoundChain<'a> {
-    store: &'a ColStore,
-    schema: RowSchema,
-    predicates: Vec<&'a Expr>,
-    /// Sargable conjuncts of the innermost predicate (compiled only when
-    /// the whole predicate is infallible), mirroring the streaming access
-    /// path's kernel pre-filter.
-    sargs: Vec<SimplePred>,
-    /// True when the sargs fully cover the innermost predicate: the
-    /// kernels enforce it row-exactly, so [`Self::passes`] skips its
-    /// re-evaluation (same rule as the streaming `FilterCursor`).
-    sargs_cover_first: bool,
-    /// Columns the consumer reads; `None` materializes every column.
-    mask: Option<Vec<bool>>,
-    /// Segment-aligned morsels: `(segment index, slot range)`, in scan
-    /// (document) order.
-    morsels: Vec<(usize, Range<usize>)>,
-    /// Live rows in visited segments — the chain's `rows_scanned`.
-    rows_scanned: u64,
-    segments_pruned: u64,
-}
-
-impl BoundChain<'_> {
-    fn passes(&self, row: &[Value]) -> RelResult<bool> {
-        let skip = usize::from(self.sargs_cover_first);
-        for p in &self.predicates[skip..] {
-            if !eval_predicate(p, &self.schema, row)? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
-    /// Runs `f` over every surviving row of morsel `i`: live slots,
-    /// vectorized kernel pre-filter, masked materialization, then the
-    /// full predicate re-evaluation (kernels only cover the sargable
-    /// conjuncts of the innermost filter).
-    fn for_each_row<F>(&self, i: usize, mut f: F) -> RelResult<()>
-    where
-        F: FnMut(Row) -> RelResult<()>,
-    {
-        let (seg_idx, range) = &self.morsels[i];
-        let seg = &self.store.segments()[*seg_idx];
-        let mut sel = Vec::new();
-        seg.live_slots(range.clone(), &mut sel);
-        for pred in &self.sargs {
-            if sel.is_empty() {
-                break;
-            }
-            seg.apply_pred(pred, &mut sel);
-        }
-        for &slot in &sel {
-            let mut row = Vec::new();
-            seg.row_into(slot as usize, self.mask.as_deref(), &mut row);
-            if !self.passes(&row)? {
-                continue;
-            }
-            f(row)?;
-        }
-        Ok(())
-    }
-}
-
-/// Binds a chain to its table's segment store: compiles sargs from the
-/// innermost predicate, prunes segments through their zone maps (when
-/// enabled), and carves the survivors into `morsel_size`-slot morsels.
-/// `needed` lists the consumer's expressions for column masking; `None`
-/// materializes full rows (chain output, join sides).
-fn bind_chain<'a>(
-    chain: &ChainShape<'a>,
-    storage: &'a Storage,
-    morsel_size: usize,
-    needed: Option<&[&Expr]>,
-) -> RelResult<BoundChain<'a>> {
-    let t = storage.table(chain.table)?;
-    let schema = RowSchema::for_table(
-        chain.alias,
-        t.schema().columns.iter().map(|c| c.name.clone()),
-    );
-    let mask = needed.and_then(|exprs| {
-        column_mask(
-            exprs
-                .iter()
-                .copied()
-                .chain(chain.predicates.iter().copied()),
-            &schema,
-            schema.len(),
-        )
-    });
-    let (sargs, covered) = match chain.predicates.first() {
-        Some(p) if expr_infallible(p, &schema) => compile_sargs(p, &schema),
-        _ => (Vec::new(), false),
-    };
-    let sargs_cover_first = covered && !sargs.is_empty();
-    let store = t.store();
-    let prune_with: &[SimplePred] = if sargs.is_empty() || !storage.zone_map_pruning() {
-        &[]
-    } else {
-        &sargs
-    };
-    let (visited, segments_pruned) = store.prune_segments(prune_with);
+/// Splits each surviving segment span into `morsel_size`-slot morsels, in
+/// scan (document) order.
+fn carve(spans: Vec<Span>, morsel_size: usize) -> Vec<Span> {
     let mut morsels = Vec::new();
-    let mut rows_scanned = 0u64;
-    for seg_idx in visited {
-        let seg = &store.segments()[seg_idx];
-        rows_scanned += seg.live_count() as u64;
-        let mut lo = 0;
-        while lo < seg.len() {
-            let hi = (lo + morsel_size).min(seg.len());
-            morsels.push((seg_idx, lo..hi));
+    for (seg, slots) in spans {
+        let mut lo = slots.start;
+        while lo < slots.end {
+            let hi = (lo + morsel_size).min(slots.end);
+            morsels.push((seg, lo..hi));
             lo = hi;
         }
     }
-    Ok(BoundChain {
-        store,
-        schema,
-        predicates: chain.predicates.clone(),
-        sargs,
-        sargs_cover_first,
-        mask,
-        morsels,
-        rows_scanned,
-        segments_pruned,
-    })
+    morsels
 }
 
-fn run_parsed(
-    parsed: &Parsed<'_>,
+fn run_shape(
+    shape: &Shape<'_>,
     storage: &Storage,
     pool: &WorkerPool,
     workers: usize,
     morsel_size: usize,
-) -> RelResult<(RowSchema, Vec<Row>, ExecStats)> {
-    let (schema, mut rows, mut stats) = match &parsed.shape {
-        Shape::Chain(chain) => run_chain(chain, None, storage, pool, workers, morsel_size)?,
-        Shape::Project { chain, items } => {
-            run_chain(chain, Some(items), storage, pool, workers, morsel_size)?
-        }
-        Shape::Join { join, items } => run_join(join, *items, storage, pool, workers, morsel_size)?,
-        Shape::Aggregate {
-            chain,
-            group_by,
-            items,
-        } => run_aggregate(chain, group_by, items, storage, pool, workers, morsel_size)?,
-    };
-    if let Some(visible) = parsed.distinct {
-        let mut seen: HashSet<Vec<Value>> = HashSet::new();
-        rows.retain(|row| {
-            // Probe with the borrowed prefix; allocate the owned key only
-            // for rows seen for the first time.
-            let key = &row[..visible.min(row.len())];
-            if seen.contains(key) {
-                false
-            } else {
-                seen.insert(key.to_vec());
-                true
-            }
-        });
-        // The streaming DistinctCursor retains one buffered row per
-        // distinct key and never shrinks; under an Aggregate child the
-        // aggregate's output buffer drains exactly as Distinct fills, so
-        // the peak does not move.
-        if !matches!(parsed.shape, Shape::Aggregate { .. }) {
-            stats.buffered_peak += rows.len() as u64;
-        }
-        stats.rows_emitted = rows.len() as u64;
+) -> RelResult<Option<PlanRun>> {
+    // The driver's own counters: what it does itself (pruning, the join
+    // build, the final emit) plus every morsel's, absorbed in order.
+    let stats = Rc::new(StatsCell::default());
+    let morsels = carve(access_spans(shape.leaf, storage, &stats)?, morsel_size);
+    if morsels.is_empty() {
+        // Nothing survived pruning: no worker would report a schema (or
+        // the one row a global aggregate owes an empty input).
+        return Ok(None);
     }
-    Ok((schema, rows, stats))
-}
 
-/// `Scan`/`Filter` chain, optionally with a projection on top.
-fn run_chain(
-    chain: &ChainShape<'_>,
-    items: Option<&[ProjectItem]>,
-    storage: &Storage,
-    pool: &WorkerPool,
-    workers: usize,
-    morsel_size: usize,
-) -> RelResult<(RowSchema, Vec<Row>, ExecStats)> {
-    let needed: Option<Vec<&Expr>> = items.map(|items| items.iter().map(|it| &it.expr).collect());
-    let bc = bind_chain(chain, storage, morsel_size, needed.as_deref())?;
-    // Same per-item column fast path as the streaming ProjectCursor.
-    let cols = items.map(|items| column_fast_paths(items.iter().map(|it| &it.expr), &bc.schema));
-    let parts = morsel_map(pool, workers, 1, bc.morsels.len(), |range| {
-        let mut out: Vec<Row> = Vec::new();
-        for i in range {
-            bc.for_each_row(i, |row| {
-                match (items, &cols) {
-                    (Some(items), Some(cols)) => out.push(
-                        items
-                            .iter()
-                            .zip(cols)
-                            .map(|(it, col)| match col {
-                                Some(i) => Ok(row[*i].clone()),
-                                None => eval(&it.expr, &bc.schema, &row),
-                            })
-                            .collect::<RelResult<_>>()?,
-                    ),
-                    _ => out.push(row),
-                }
-                Ok(())
-            })?;
-        }
-        Ok(out)
-    })?;
-    let rows = parts.concat();
-    let stats = ExecStats {
-        rows_scanned: bc.rows_scanned,
-        buffered_peak: 0,
-        rows_emitted: rows.len() as u64,
-        segments_pruned: bc.segments_pruned,
-        ..ExecStats::default()
-    };
-    let schema = match items {
-        Some(items) => projected_schema(items),
-        None => bc.schema,
-    };
-    Ok((schema, rows, stats))
-}
-
-fn run_join(
-    join: &JoinShape<'_>,
-    items: Option<&[ProjectItem]>,
-    storage: &Storage,
-    pool: &WorkerPool,
-    workers: usize,
-    morsel_size: usize,
-) -> RelResult<(RowSchema, Vec<Row>, ExecStats)> {
-    // Join sides feed key evaluation, residuals and projections over the
-    // combined schema, so both chains materialize full rows (no mask).
-    let probe = bind_chain(&join.probe, storage, morsel_size, None)?;
-    let build = bind_chain(&join.build, storage, morsel_size, None)?;
-    let scanned = probe.rows_scanned + build.rows_scanned;
-    let pruned = probe.segments_pruned + build.segments_pruned;
-
-    // Build phase: evaluate keys morsel-parallel, then merge in morsel
-    // order so match lists enumerate build rows in arrival order, exactly
-    // like the streaming `BuildSide`.
-    let built = morsel_map(pool, workers, 1, build.morsels.len(), |range| {
-        let mut out: Vec<(Vec<Value>, Row)> = Vec::new();
-        for i in range {
-            build.for_each_row(i, |row| {
-                if let Some(key) = eval_join_keys(join.right_keys, &build.schema, &row)? {
-                    out.push((key, row));
-                }
-                Ok(())
-            })?;
-        }
-        Ok(out)
-    })?;
-
-    if join.semi {
-        let mut keys: HashSet<Vec<Value>> = HashSet::new();
-        for part in built {
-            for (key, _) in part {
-                keys.insert(key);
-            }
-        }
-        let buffered = keys.len() as u64;
-        let out_schema = match items {
-            Some(items) => projected_schema(items),
-            None => probe.schema.clone(),
-        };
-        let parts = morsel_map(pool, workers, 1, probe.morsels.len(), |range| {
-            let mut out: Vec<Row> = Vec::new();
-            for i in range {
-                probe.for_each_row(i, |lrow| {
-                    let Some(key) = eval_join_keys(join.left_keys, &probe.schema, &lrow)? else {
-                        return Ok(());
-                    };
-                    if !keys.contains(&key) {
-                        return Ok(());
-                    }
-                    match items {
-                        Some(items) => out.push(
-                            items
-                                .iter()
-                                .map(|it| eval(&it.expr, &probe.schema, &lrow))
-                                .collect::<RelResult<_>>()?,
-                        ),
-                        None => out.push(lrow),
-                    }
-                    Ok(())
-                })?;
-            }
-            Ok(out)
+    let (schema, rows, buffered) = if let Plan::Aggregate {
+        input,
+        group_by,
+        items,
+        ..
+    } = shape.body
+    {
+        let parts = morsel_map(pool, workers, 1, morsels.len(), |i| {
+            group_morsel(input, group_by, items, storage, morsels[i.start].clone())
         })?;
-        let rows = parts.concat();
-        let stats = ExecStats {
-            rows_scanned: scanned,
-            buffered_peak: buffered,
-            rows_emitted: rows.len() as u64,
-            segments_pruned: pruned,
-            ..ExecStats::default()
+        let mut input_schema = None;
+        let mut groups = Groups::default();
+        for (schema, part, part_stats) in parts {
+            stats.absorb(&part_stats);
+            groups.absorb(part);
+            input_schema.get_or_insert(schema);
+        }
+        let input_schema = input_schema.expect("at least one morsel ran");
+        // Finish the groups fanned across workers in contiguous chunks,
+        // so the first erroring group in group order still wins.
+        let out = groups.finish(group_by, &stats, |groups| {
+            let chunk = groups.len().div_ceil(workers.min(groups.len()).max(1));
+            let parts = morsel_map(pool, workers, chunk.max(1), groups.len(), |range| {
+                aggregate_groups(&groups[range], &input_schema, items)
+            })?;
+            Ok(parts.concat())
+        })?;
+        (projected_schema(items), out, true)
+    } else {
+        let build = match shape.join {
+            Some(Plan::HashJoin {
+                right,
+                right_keys,
+                semi,
+                ..
+            }) => Some(build_side(right, right_keys, *semi, storage, &stats)?),
+            _ => None,
         };
-        return Ok((out_schema, rows, stats));
-    }
-
-    let mut build_rows: Vec<Row> = Vec::new();
-    let mut index: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-    for part in built {
-        for (key, row) in part {
-            index.entry(key).or_default().push(build_rows.len());
-            build_rows.push(row);
+        let parts = morsel_map(pool, workers, 1, morsels.len(), |i| {
+            run_morsel(
+                shape.body,
+                storage,
+                morsels[i.start].clone(),
+                build.as_ref(),
+            )
+        })?;
+        let mut out_schema = None;
+        let mut rows = Vec::new();
+        for part in parts {
+            stats.absorb(&part.stats);
+            rows.extend(part.rows);
+            out_schema.get_or_insert(part.schema);
         }
-    }
-    let buffered = build_rows.len() as u64;
-    let combined = probe.schema.join(&build.schema);
-    let out_schema = match items {
-        Some(items) => projected_schema(items),
-        None => combined.clone(),
+        (out_schema.expect("at least one morsel ran"), rows, false)
     };
-    let parts = morsel_map(pool, workers, 1, probe.morsels.len(), |range| {
-        let mut out: Vec<Row> = Vec::new();
-        for i in range {
-            probe.for_each_row(i, |lrow| {
-                let Some(key) = eval_join_keys(join.left_keys, &probe.schema, &lrow)? else {
-                    return Ok(());
-                };
-                let Some(matches) = index.get(&key) else {
-                    return Ok(());
-                };
-                for &m in matches {
-                    let mut row = lrow.clone();
-                    row.extend(build_rows[m].iter().cloned());
-                    if let Some(res) = join.residual {
-                        if !eval_predicate(res, &combined, &row)? {
-                            continue;
-                        }
-                    }
-                    match items {
-                        Some(items) => out.push(
-                            items
-                                .iter()
-                                .map(|it| eval(&it.expr, &combined, &row))
-                                .collect::<RelResult<_>>()?,
-                        ),
-                        None => out.push(row),
-                    }
-                }
-                Ok(())
-            })?;
-        }
-        Ok(out)
-    })?;
-    let rows = parts.concat();
-    let stats = ExecStats {
-        rows_scanned: scanned,
-        buffered_peak: buffered,
-        rows_emitted: rows.len() as u64,
-        segments_pruned: pruned,
-        ..ExecStats::default()
-    };
-    Ok((out_schema, rows, stats))
-}
-
-/// Two-phase parallel aggregation.
-///
-/// Phase 1 groups each morsel independently (keys in first-seen order);
-/// the sequential merge concatenates per-group row lists in morsel order,
-/// which reproduces the streaming executor's global first-seen group
-/// order *and* each group's row order. Phase 2 evaluates the aggregate
-/// items per group, fanned across workers in contiguous group chunks, so
-/// the first erroring group in group order still wins.
-fn run_aggregate(
-    chain: &ChainShape<'_>,
-    group_by: &[Expr],
-    items: &[ProjectItem],
-    storage: &Storage,
-    pool: &WorkerPool,
-    workers: usize,
-    morsel_size: usize,
-) -> RelResult<(RowSchema, Vec<Row>, ExecStats)> {
-    let needed: Vec<&Expr> = group_by
-        .iter()
-        .chain(items.iter().map(|it| &it.expr))
-        .collect();
-    let bc = bind_chain(chain, storage, morsel_size, Some(&needed))?;
-    type MorselGroups = Vec<(Vec<Value>, Vec<Row>)>;
-    let parts: Vec<MorselGroups> = morsel_map(pool, workers, 1, bc.morsels.len(), |range| {
-        let mut groups: MorselGroups = Vec::new();
-        let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-        for i in range {
-            bc.for_each_row(i, |row| {
-                let key: Vec<Value> = group_by
-                    .iter()
-                    .map(|e| eval(e, &bc.schema, &row))
-                    .collect::<RelResult<_>>()?;
-                match index.entry(key.clone()) {
-                    Entry::Occupied(slot) => groups[*slot.get()].1.push(row),
-                    Entry::Vacant(slot) => {
-                        slot.insert(groups.len());
-                        groups.push((key, vec![row]));
-                    }
-                }
-                Ok(())
-            })?;
-        }
-        Ok(groups)
-    })?;
-
-    let mut groups: MorselGroups = Vec::new();
-    let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-    for part in parts {
-        for (key, rows) in part {
-            match index.entry(key.clone()) {
-                Entry::Occupied(slot) => groups[*slot.get()].1.extend(rows),
-                Entry::Vacant(slot) => {
-                    slot.insert(groups.len());
-                    groups.push((key, rows));
-                }
-            }
-        }
-    }
-    let surviving: u64 = groups.iter().map(|g| g.1.len() as u64).sum();
-    if groups.is_empty() && group_by.is_empty() {
-        // Global aggregate over empty input yields one row.
-        groups.push((Vec::new(), Vec::new()));
-    }
-
-    let chunk = groups
-        .len()
-        .div_ceil(workers.min(groups.len()).max(1))
-        .max(1);
-    let parts = morsel_map(pool, workers, chunk, groups.len(), |range| {
-        let mut out: Vec<Row> = Vec::with_capacity(range.len());
-        for (_, group_rows) in &groups[range] {
-            let null_row;
-            let representative: &[Value] = match group_rows.first() {
-                Some(r) => r,
-                None => {
-                    null_row = vec![Value::Null; bc.schema.len()];
-                    &null_row
-                }
-            };
-            let mut result_row = Vec::with_capacity(items.len());
-            for item in items {
-                let materialized = materialize_aggregates(&item.expr, &bc.schema, group_rows)?;
-                result_row.push(eval(&materialized, &bc.schema, representative)?);
-            }
-            out.push(result_row);
-        }
-        Ok(out)
-    })?;
-    let rows = parts.concat();
-    let stats = ExecStats {
-        rows_scanned: bc.rows_scanned,
-        buffered_peak: surviving.max(rows.len() as u64),
-        rows_emitted: rows.len() as u64,
-        segments_pruned: bc.segments_pruned,
-        ..ExecStats::default()
-    };
-    Ok((projected_schema(items), rows, stats))
+    let (rows, stats) = emit_merged(rows, buffered, shape.distinct, stats)?;
+    Ok(Some(PlanRun {
+        schema,
+        rows,
+        stats,
+        profile: None,
+    }))
 }
 
 /// Fans `work` over `total` items split into `morsel_size`-sized ranges,

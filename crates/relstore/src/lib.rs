@@ -93,7 +93,7 @@ pub(crate) mod view;
 pub mod vtab;
 pub mod wal;
 
-pub use db::{AnalyzedQuery, Database, DatabaseOptions, ResultSet};
+pub use db::{Database, DatabaseOptions, ResultSet};
 pub use error::{RelError, RelResult};
 pub use exec::{format_ns, ExecStats, OpProfile};
 pub use plan::{PlanEstimate, PlanExplain, PlanExplainNode, PlannedQuery};

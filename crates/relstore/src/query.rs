@@ -1,9 +1,10 @@
 //! The unified query API: the [`Query`] builder, prepared statements, the
 //! plan cache, and typed row access.
 //!
-//! One entry point replaces the old pile of `Database` methods
-//! (`execute`, `query_with_stats`, `explain_analyze_query`,
-//! `query_reference` — all now thin deprecated wrappers):
+//! One entry point runs every statement, and every `SELECT` takes the
+//! same two steps inside it — resolve (normalize, plan-cache lookup,
+//! parse, plan, cache insert) and execute in one mode (N workers,
+//! profiled, or the reference oracle):
 //!
 //! ```
 //! use xomatiq_relstore::Database;
@@ -34,7 +35,7 @@ use xomatiq_obs::trace;
 
 use crate::db::{Database, ResultSet};
 use crate::error::{RelError, RelResult};
-use crate::exec::{execute_plan_profiled, ExecStats, OpProfile};
+use crate::exec::{format_ns, run_plan, ExecStats, OpProfile};
 use crate::metrics;
 use crate::plan::PlannedQuery;
 use crate::recorder::QueryRecord;
@@ -268,80 +269,17 @@ fn check_count(expected: usize, got: usize) -> RelResult<()> {
 }
 
 fn subst_expr(expr: &Expr, params: &[Value], lenient: bool) -> RelResult<Expr> {
-    Ok(match expr {
+    match expr {
         Expr::Param(i) => match params.get(*i) {
-            Some(v) => Expr::Literal(v.clone()),
+            Some(v) => Ok(Expr::Literal(v.clone())),
             // Lenient mode (EXPLAIN of a prepared statement with unbound
             // placeholders): keep the `?` in place so the planner can
             // estimate with placeholder selectivities instead of erroring.
-            None if lenient => Expr::Param(*i),
-            None => return Err(bind_missing(*i)),
+            None if lenient => Ok(Expr::Param(*i)),
+            None => Err(bind_missing(*i)),
         },
-        Expr::Literal(_) | Expr::Column { .. } => expr.clone(),
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op: *op,
-            left: Box::new(subst_expr(left, params, lenient)?),
-            right: Box::new(subst_expr(right, params, lenient)?),
-        },
-        Expr::Not(e) => Expr::Not(Box::new(subst_expr(e, params, lenient)?)),
-        Expr::Neg(e) => Expr::Neg(Box::new(subst_expr(e, params, lenient)?)),
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(subst_expr(expr, params, lenient)?),
-            negated: *negated,
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(subst_expr(expr, params, lenient)?),
-            pattern: Box::new(subst_expr(pattern, params, lenient)?),
-            negated: *negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(subst_expr(expr, params, lenient)?),
-            list: list
-                .iter()
-                .map(|e| subst_expr(e, params, lenient))
-                .collect::<RelResult<_>>()?,
-            negated: *negated,
-        },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(subst_expr(expr, params, lenient)?),
-            low: Box::new(subst_expr(low, params, lenient)?),
-            high: Box::new(subst_expr(high, params, lenient)?),
-            negated: *negated,
-        },
-        Expr::Contains { column, keyword } => Expr::Contains {
-            column: Box::new(subst_expr(column, params, lenient)?),
-            keyword: Box::new(subst_expr(keyword, params, lenient)?),
-        },
-        Expr::Matches { column, pattern } => Expr::Matches {
-            column: Box::new(subst_expr(column, params, lenient)?),
-            pattern: Box::new(subst_expr(pattern, params, lenient)?),
-        },
-        Expr::Aggregate {
-            func,
-            arg,
-            distinct,
-        } => Expr::Aggregate {
-            func: *func,
-            arg: match arg {
-                Some(a) => Some(Box::new(subst_expr(a, params, lenient)?)),
-                None => None,
-            },
-            distinct: *distinct,
-        },
-    })
+        other => other.try_map_children(|e| subst_expr(e, params, lenient)),
+    }
 }
 
 fn subst_select(s: &SelectStmt, params: &[Value], lenient: bool) -> RelResult<SelectStmt> {
@@ -397,23 +335,12 @@ fn subst_select(s: &SelectStmt, params: &[Value], lenient: bool) -> RelResult<Se
 }
 
 /// Replaces every `?` placeholder with its bound value as a literal —
-/// done *before* planning, so bound parameters stay sargable.
-pub(crate) fn substitute_params(stmt: &Statement, params: &[Value]) -> RelResult<Statement> {
-    substitute_params_with(stmt, params, false)
-}
-
-/// Like [`substitute_params`], but an *unbound* placeholder stays an
-/// [`Expr::Param`] instead of erroring. Used by [`Query::explain`]: a
-/// prepared statement can be explained before any values are bound, and
-/// the planner costs the remaining `?`s with placeholder selectivities.
-pub(crate) fn substitute_params_lenient(
-    stmt: &Statement,
-    params: &[Value],
-) -> RelResult<Statement> {
-    substitute_params_with(stmt, params, true)
-}
-
-fn substitute_params_with(
+/// done *before* planning, so bound parameters stay sargable. With
+/// `lenient`, an *unbound* placeholder stays an [`Expr::Param`] instead of
+/// erroring: [`Query::explain`] can explain a prepared statement before
+/// any values are bound, and the planner costs the remaining `?`s with
+/// placeholder selectivities.
+pub(crate) fn substitute_params(
     stmt: &Statement,
     params: &[Value],
     lenient: bool,
@@ -422,7 +349,7 @@ fn substitute_params_with(
         Statement::Select(s) => Statement::Select(subst_select(s, params, lenient)?),
         Statement::Explain { analyze, inner } => Statement::Explain {
             analyze: *analyze,
-            inner: Box::new(substitute_params_with(inner, params, lenient)?),
+            inner: Box::new(substitute_params(inner, params, lenient)?),
         },
         Statement::Insert { table, rows } => Statement::Insert {
             table: table.clone(),
@@ -663,6 +590,23 @@ impl Prepared {
 enum QuerySource<'a> {
     Sql(&'a str),
     Prepared(&'a Prepared),
+    /// An already-parsed statement ([`Database::execute_statement`]):
+    /// there is no SQL text to key the plan cache with.
+    Parsed(Box<Statement>),
+}
+
+/// How a resolved `SELECT` plan is executed — the one knob
+/// [`Query::with_workers`], [`Query::with_profile`] and
+/// [`Query::via_reference`] each set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ExecMode {
+    /// The streaming executor, fanned over up to this many morsel workers
+    /// when the plan shape and size allow it (`1`: always sequential).
+    Workers(usize),
+    /// Sequential, every operator wrapped in the profiler.
+    Profiled,
+    /// The materializing reference interpreter.
+    Reference,
 }
 
 /// A fluent, single entry point for executing statements:
@@ -671,7 +615,10 @@ enum QuerySource<'a> {
 /// `SELECT`s resolved through the builder use the plan cache and, when
 /// the plan shape allows it, the morsel-parallel executor. Profiled runs
 /// ([`Query::with_profile`]) and reference runs ([`Query::via_reference`])
-/// always execute sequentially.
+/// always execute sequentially; those two and [`Query::with_workers`]
+/// choose *how* the plan runs, so at most one of the three may be set —
+/// [`Query::run`] rejects a combination with [`RelError::Bind`] rather
+/// than silently honouring one of them.
 pub struct Query<'a> {
     db: &'a Database,
     /// The MVCC snapshot this query is pinned to, captured when the
@@ -681,9 +628,10 @@ pub struct Query<'a> {
     source: QuerySource<'a>,
     params: Vec<Value>,
     with_stats: bool,
-    with_profile: bool,
-    reference: bool,
-    workers: Option<usize>,
+    /// `None` runs with [`DatabaseOptions::workers`](crate::db::DatabaseOptions::workers).
+    mode: Option<ExecMode>,
+    /// Set when two different kinds of execution mode were requested.
+    mode_conflict: bool,
 }
 
 /// What one [`Query::run`] produced.
@@ -692,11 +640,53 @@ pub struct QueryOutcome {
     /// The statement's result rows (or DML affected-count).
     pub rows: ResultSet,
     /// Executor counters, present when [`Query::with_stats`] or
-    /// [`Query::with_profile`] was requested (SELECT only).
+    /// [`Query::with_profile`] was requested (SELECT only; the reference
+    /// interpreter keeps none).
     pub stats: Option<ExecStats>,
     /// Per-operator profile, present when [`Query::with_profile`] was
     /// requested (SELECT only).
     pub profile: Option<OpProfile>,
+    /// Plan execution wall-time in nanoseconds (excluding parse and plan
+    /// time), present whenever a `SELECT` plan was executed.
+    pub exec_ns: Option<u64>,
+}
+
+impl QueryOutcome {
+    /// Renders a profiled run as `EXPLAIN ANALYZE` prints it: the
+    /// annotated operator tree plus a summary footer. `None` unless the
+    /// run was profiled.
+    pub fn render_analysis(&self) -> Option<String> {
+        let (profile, stats) = (self.profile.as_ref()?, self.stats.as_ref()?);
+        Some(format!(
+            "{}(total: {}, rows scanned: {}, rows emitted: {}, buffered peak: {}, \
+             index probes: {}, keyword postings read: {}, segments pruned: {})\n",
+            profile.render(),
+            format_ns(self.exec_ns?),
+            stats.rows_scanned,
+            stats.rows_emitted,
+            stats.buffered_peak,
+            stats.index_probes,
+            stats.keyword_postings_read,
+            stats.segments_pruned,
+        ))
+    }
+}
+
+/// A statement resolved to the point where it can run.
+enum Resolved {
+    /// A `SELECT` — bare, or the subject of an `EXPLAIN [ANALYZE]` — with
+    /// its plan and the storage the plan must run against.
+    Select {
+        planned: Arc<PlannedQuery>,
+        /// The pinned snapshot, overlaid with any system virtual tables
+        /// the statement references.
+        storage: Arc<crate::db::Storage>,
+        cache_hit: bool,
+        /// `Some(analyze)` when the statement was an `EXPLAIN [ANALYZE]`.
+        explain: Option<bool>,
+    },
+    /// Anything else (DML, DDL), parameters substituted.
+    Other(Box<Statement>),
 }
 
 impl<'a> Query<'a> {
@@ -718,41 +708,48 @@ impl<'a> Query<'a> {
         self
     }
 
-    /// Requests a per-operator runtime profile (SELECT only; forces the
-    /// sequential streaming executor, as `EXPLAIN ANALYZE` does).
-    pub fn with_profile(mut self) -> Self {
-        self.with_profile = true;
+    fn with_mode(mut self, mode: ExecMode) -> Self {
+        if let Some(prev) = self.mode {
+            self.mode_conflict |= std::mem::discriminant(&prev) != std::mem::discriminant(&mode);
+        }
+        self.mode = Some(mode);
         self
     }
 
+    /// Requests a per-operator runtime profile (SELECT only; runs on the
+    /// sequential streaming executor, as `EXPLAIN ANALYZE` does).
+    pub fn with_profile(self) -> Self {
+        self.with_mode(ExecMode::Profiled)
+    }
+
     /// Runs the statement on the materializing reference interpreter
-    /// instead of the streaming/parallel executors (SELECT only) — the
-    /// oracle the property suite compares against.
-    pub fn via_reference(mut self) -> Self {
-        self.reference = true;
-        self
+    /// instead of the streaming executor (SELECT only) — the oracle the
+    /// property suite compares against. It keeps no executor counters.
+    pub fn via_reference(self) -> Self {
+        self.with_mode(ExecMode::Reference)
     }
 
     /// Overrides the worker count for this query only (capped below by 1;
     /// `1` forces sequential execution). Defaults to
     /// [`DatabaseOptions::workers`](crate::db::DatabaseOptions::workers).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers.max(1));
-        self
+    pub fn with_workers(self, workers: usize) -> Self {
+        self.with_mode(ExecMode::Workers(workers.max(1)))
     }
 
-    fn effective_workers(&self) -> usize {
-        self.workers.unwrap_or(self.db.options.workers).max(1)
-    }
-
-    /// The normalized-SQL cache key prefix plus the (coerced) parameters.
-    /// A prepared source borrows its precomputed normalization — the hit
-    /// path must not copy the SQL text.
-    fn norm_and_params(&self) -> RelResult<(Cow<'a, str>, Vec<Value>)> {
-        match self.source {
-            QuerySource::Sql(sql) => Ok((Cow::Owned(normalize_sql(sql)), self.params.clone())),
+    /// The normalized-SQL cache key prefix (when the source has SQL text)
+    /// plus the (coerced) parameters. A prepared source borrows its
+    /// precomputed normalization — the hit path must not copy the SQL text.
+    /// `lenient` tolerates a short parameter list (see [`Query::explain`]).
+    fn norm_and_params(&self, lenient: bool) -> RelResult<(Option<Cow<'a, str>>, Vec<Value>)> {
+        match &self.source {
+            QuerySource::Sql(sql) => {
+                Ok((Some(Cow::Owned(normalize_sql(sql))), self.params.clone()))
+            }
+            QuerySource::Parsed(_) => Ok((None, self.params.clone())),
             QuerySource::Prepared(p) => {
-                check_count(p.param_count, self.params.len())?;
+                if !lenient {
+                    check_count(p.param_count, self.params.len())?;
+                }
                 let coerced = self
                     .params
                     .iter()
@@ -768,120 +765,138 @@ impl<'a> Query<'a> {
                         None => Ok(v.clone()),
                     })
                     .collect::<RelResult<Vec<_>>>()?;
-                Ok((Cow::Borrowed(p.sql_norm.as_str()), coerced))
+                Ok((Some(Cow::Borrowed(p.sql_norm.as_str())), coerced))
             }
         }
     }
 
     /// Parses (if needed) and substitutes parameters into the statement.
-    fn statement(&self, params: &[Value]) -> RelResult<Statement> {
-        match self.source {
+    /// `lenient` leaves unbound `?`s in place (see [`Query::explain`]).
+    fn statement(&self, params: &[Value], lenient: bool) -> RelResult<Statement> {
+        let parsed;
+        let stmt = match &self.source {
             QuerySource::Sql(sql) => {
                 let (stmt, count) = parse_statement_with_params(sql)?;
-                check_count(count, params.len())?;
-                substitute_params(&stmt, params)
+                if !lenient {
+                    check_count(count, params.len())?;
+                }
+                parsed = stmt;
+                &parsed
             }
-            QuerySource::Prepared(p) => substitute_params(&p.stmt, params),
-        }
+            QuerySource::Prepared(p) => &p.stmt,
+            QuerySource::Parsed(stmt) => stmt,
+        };
+        substitute_params(stmt, params, lenient)
     }
 
-    /// Resolves the query's plan through the plan cache without executing
-    /// it (SELECT only). A warm cache makes this skip parse and plan
-    /// entirely — the path the bench's ≥100× cache-hit gate measures.
-    /// Statements referencing system virtual tables bypass the cache in
-    /// both directions: their table contents change per query, so a
-    /// cached plan would pin dead snapshot state.
-    pub fn planned(&self) -> RelResult<Arc<PlannedQuery>> {
+    /// The one way a statement becomes runnable: normalize → plan-cache
+    /// lookup → parse and substitute parameters → plan → cache insert.
+    /// Returns the normalized SQL (for the flight recorder) alongside.
+    ///
+    /// A warm cache skips parse and plan entirely. The cache is bypassed,
+    /// in both directions, by statements that reference system virtual
+    /// tables (their contents change per query, so a cached plan would
+    /// pin dead snapshot state), by `lenient` resolution (a plan with
+    /// unbound `?`s must never serve a real run), and by sources without
+    /// SQL text; an `EXPLAIN` is looked up (it never hits) but not
+    /// inserted, so its key can never serve the statement it explains.
+    fn resolve(&self, lenient: bool) -> RelResult<(Option<Cow<'a, str>>, Resolved)> {
         let m = metrics::engine();
-        let (norm, params) = self.norm_and_params()?;
-        let sys = may_reference_system(&norm);
-        let key = cache_key(norm, &params);
+        let (norm, params) = self.norm_and_params(lenient)?;
+        let key = norm
+            .as_deref()
+            .filter(|norm| !lenient && !may_reference_system(norm))
+            .map(|norm| cache_key(Cow::Borrowed(norm), &params));
         let generation = self.snapshot.stats.generation;
-        if !sys {
-            if let Some(planned) = self.db.plan_cache.lock().get(key.as_ref(), generation) {
+        if let Some(key) = &key {
+            let cached = self.db.plan_cache.lock().get(key, generation);
+            if let Some(planned) = cached {
                 m.cache_hit.inc();
-                return Ok(planned);
+                trace_mark("relstore.query.cache_hit");
+                let resolved = Resolved::Select {
+                    planned,
+                    storage: Arc::clone(&self.snapshot),
+                    cache_hit: true,
+                    explain: None,
+                };
+                return Ok((norm, resolved));
             }
         }
-        let stmt = self.statement(&params)?;
-        let Statement::Select(select) = stmt else {
-            return Err(RelError::Parse("only SELECT can be planned".into()));
+        let stmt = {
+            let _t = trace::span("relstore.query.parse");
+            self.statement(&params, lenient)?
+        };
+        let (select, explain) = match stmt {
+            Statement::Select(select) => (select, None),
+            Statement::Explain { analyze, inner } => match *inner {
+                Statement::Select(select) => (select, Some(analyze)),
+                _ => return Err(RelError::Parse("EXPLAIN supports SELECT only".into())),
+            },
+            other => return Ok((norm, Resolved::Other(Box::new(other)))),
         };
         m.cache_miss.inc();
-        let storage = if sys {
-            self.db.storage_for_select(&self.snapshot, &select)?
-        } else {
-            Arc::clone(&self.snapshot)
-        };
+        trace_mark("relstore.query.cache_miss");
+        let storage = self.db.storage_for_select(&self.snapshot, &select)?;
         let planned = Arc::new(self.db.plan_select_stmt(&storage, &select)?);
-        if !sys {
+        if let (Some(key), None) = (key, explain) {
             self.db
                 .plan_cache
                 .lock()
                 .insert(key.into_owned(), Arc::clone(&planned), generation);
         }
-        Ok(planned)
+        let resolved = Resolved::Select {
+            planned,
+            storage,
+            cache_hit: false,
+            explain,
+        };
+        Ok((norm, resolved))
+    }
+
+    /// Resolves the query's plan through the plan cache without executing
+    /// it (SELECT only). A warm cache makes this skip parse and plan
+    /// entirely — the path the bench's ≥100× cache-hit gate measures.
+    pub fn planned(&self) -> RelResult<Arc<PlannedQuery>> {
+        match self.resolve(false)?.1 {
+            Resolved::Select {
+                planned,
+                explain: None,
+                ..
+            } => Ok(planned),
+            _ => Err(RelError::Parse("only SELECT can be planned".into())),
+        }
     }
 
     /// Plans the statement (without executing it) and returns the typed
     /// [`PlanExplain`](crate::plan::PlanExplain) tree — estimated rows per
-    /// operator, plus the worker count the parallel cutover would use.
-    /// This is the typed successor to the deprecated string-returning
-    /// `Database::explain`; call [`render`](crate::plan::PlanExplain::render)
-    /// for the classic indented text form.
+    /// operator, plus the worker count the parallel cutover would use;
+    /// call [`render`](crate::plan::PlanExplain::render) for the classic
+    /// indented text form. Accepts both a bare `SELECT` and an
+    /// `EXPLAIN [ANALYZE] SELECT` wrapper.
     ///
     /// Unbound `?` placeholders are allowed here: they stay in the plan
     /// and are costed with placeholder (default) selectivities, so a
     /// prepared statement can be explained before any values are bound.
     pub fn explain(&self) -> RelResult<crate::plan::PlanExplain> {
-        let select = self.explain_select()?;
-        let storage = self.db.storage_for_select(&self.snapshot, &select)?;
-        let planned = self.db.plan_select_stmt(&storage, &select)?;
-        Ok(self.db.plan_explain_tree(&planned))
+        match self.resolve(true)?.1 {
+            Resolved::Select { planned, .. } => Ok(self.db.plan_explain_tree(&planned)),
+            Resolved::Other(_) => Err(RelError::Parse("only SELECT can be explained".into())),
+        }
     }
 
-    /// Executes the statement on the profiling executor and returns the
-    /// typed [`PlanExplain`](crate::plan::PlanExplain) tree with *both*
+    /// Executes the statement under the profiler and returns the typed
+    /// [`PlanExplain`](crate::plan::PlanExplain) tree with *both*
     /// estimated and actual rows (plus per-operator self time) — the
     /// typed form of `EXPLAIN ANALYZE`. All placeholders must be bound,
-    /// since the statement really runs.
+    /// since the statement really runs (and is recorded like any other
+    /// run); the profile is attached to the tree of the plan that ran.
     pub fn explain_analyzed(&self) -> RelResult<crate::plan::PlanExplain> {
-        let (_, params) = self.norm_and_params()?;
-        let select = match self.statement(&params)? {
-            Statement::Select(select) => select,
-            Statement::Explain { inner, .. } => match *inner {
-                Statement::Select(select) => select,
-                _ => return Err(RelError::Parse("EXPLAIN supports SELECT only".into())),
-            },
-            _ => return Err(RelError::Parse("only SELECT can be analyzed".into())),
-        };
-        let storage = self.db.storage_for_select(&self.snapshot, &select)?;
-        let planned = self.db.plan_select_stmt(&storage, &select)?;
-        let analyzed = self.db.analyze_select(&storage, &select)?;
+        let (outcome, planned) = self.run_as(Some(ExecMode::Profiled))?;
+        let planned = planned.expect("a profiled run is a SELECT");
+        let profile = outcome.profile.expect("profiled mode profiles");
         let mut tree = self.db.plan_explain_tree(&planned);
-        tree.attach_profile(&analyzed.profile);
+        tree.attach_profile(&profile);
         Ok(tree)
-    }
-
-    /// Extracts the `SELECT` to explain, substituting bound parameters
-    /// leniently (unbound `?`s survive as placeholders). Accepts both a
-    /// bare `SELECT` and an `EXPLAIN [ANALYZE] SELECT` wrapper.
-    fn explain_select(&self) -> RelResult<SelectStmt> {
-        let stmt = match self.source {
-            QuerySource::Sql(sql) => {
-                let (stmt, _) = parse_statement_with_params(sql)?;
-                substitute_params_lenient(&stmt, &self.params)?
-            }
-            QuerySource::Prepared(p) => substitute_params_lenient(&p.stmt, &self.params)?,
-        };
-        match stmt {
-            Statement::Select(select) => Ok(select),
-            Statement::Explain { inner, .. } => match *inner {
-                Statement::Select(select) => Ok(select),
-                _ => Err(RelError::Parse("EXPLAIN supports SELECT only".into())),
-            },
-            _ => Err(RelError::Parse("only SELECT can be explained".into())),
-        }
     }
 
     /// Executes the statement. Every run carries a trace context — the
@@ -889,176 +904,96 @@ impl<'a> Query<'a> {
     /// client-supplied trace id) or a fresh root — and deposits one
     /// record in the flight recorder on completion.
     pub fn run(self) -> RelResult<QueryOutcome> {
-        if self.with_profile {
-            return self.run_profiled();
+        if self.mode_conflict {
+            return Err(RelError::Bind(
+                "with_workers, with_profile and via_reference are mutually exclusive".into(),
+            ));
         }
-        if self.reference {
-            return self.run_reference();
-        }
-        let (_root, trace_id) = ensure_trace();
-        let _qspan = trace::span("relstore.query");
-        let started = Instant::now();
-        let m = metrics::engine();
-        let (norm, params) = self.norm_and_params()?;
-        let sys = may_reference_system(&norm);
-        let sql_norm = self
-            .db
-            .flight_recorder()
-            .enabled()
-            .then(|| norm.clone().into_owned());
-        let key = cache_key(norm, &params);
-        let generation = self.snapshot.stats.generation;
-        if !sys {
-            let cached = self.db.plan_cache.lock().get(key.as_ref(), generation);
-            if let Some(planned) = cached {
-                m.cache_hit.inc();
-                trace_mark("relstore.query.cache_hit");
-                let workers = self.effective_workers();
-                let (rows, stats) = self
-                    .db
-                    .run_planned_query(&self.snapshot, &planned, workers)?;
-                record_statement(RecordArgs {
-                    db: self.db,
-                    trace_id,
-                    sql_norm,
-                    rows: rows.len() as u64,
-                    started,
-                    cache_hit: true,
-                    workers,
-                    stats: Some(&stats),
-                    profile_source: Some((&planned, self.snapshot.as_ref())),
-                    profile: None,
-                });
-                return Ok(QueryOutcome {
-                    rows,
-                    stats: self.with_stats.then_some(stats),
-                    profile: None,
-                });
-            }
-        }
-        let stmt = {
-            let _t = trace::span("relstore.query.parse");
-            self.statement(&params)?
-        };
-        match stmt {
-            Statement::Select(select) => {
-                m.cache_miss.inc();
-                trace_mark("relstore.query.cache_miss");
-                let storage = if sys {
-                    self.db.storage_for_select(&self.snapshot, &select)?
-                } else {
-                    Arc::clone(&self.snapshot)
-                };
-                let planned = Arc::new(self.db.plan_select_stmt(&storage, &select)?);
-                if !sys {
-                    self.db.plan_cache.lock().insert(
-                        key.into_owned(),
-                        Arc::clone(&planned),
-                        generation,
-                    );
-                }
-                let workers = self.effective_workers();
-                let (rows, stats) = self.db.run_planned_query(&storage, &planned, workers)?;
-                record_statement(RecordArgs {
-                    db: self.db,
-                    trace_id,
-                    sql_norm,
-                    rows: rows.len() as u64,
-                    started,
-                    cache_hit: false,
-                    workers,
-                    stats: Some(&stats),
-                    profile_source: Some((&planned, storage.as_ref())),
-                    profile: None,
-                });
-                Ok(QueryOutcome {
-                    rows,
-                    stats: self.with_stats.then_some(stats),
-                    profile: None,
-                })
-            }
-            other => {
-                if self.with_stats {
-                    return Err(RelError::Parse("only SELECT reports exec stats".into()));
-                }
-                let rows = self.db.execute_statement(other)?;
-                record_statement(RecordArgs {
-                    db: self.db,
-                    trace_id,
-                    sql_norm,
-                    rows: rows.affected() as u64,
-                    started,
-                    cache_hit: false,
-                    workers: 1,
-                    stats: None,
-                    profile_source: None,
-                    profile: None,
-                });
-                Ok(QueryOutcome {
-                    rows,
-                    stats: None,
-                    profile: None,
-                })
-            }
-        }
+        Ok(self.run_as(self.mode)?.0)
     }
 
-    fn run_profiled(self) -> RelResult<QueryOutcome> {
+    /// Resolves, executes in `mode` (`None`: the database's default
+    /// worker count) and records the statement; also hands back the plan
+    /// a `SELECT` ran.
+    fn run_as(
+        &self,
+        mode: Option<ExecMode>,
+    ) -> RelResult<(QueryOutcome, Option<Arc<PlannedQuery>>)> {
         let (_root, trace_id) = ensure_trace();
         let _qspan = trace::span("relstore.query");
         let started = Instant::now();
-        let (norm, params) = self.norm_and_params()?;
-        let sql_norm = self
-            .db
-            .flight_recorder()
-            .enabled()
-            .then(|| norm.into_owned());
-        let select = match self.statement(&params)? {
-            Statement::Select(select) => select,
-            Statement::Explain { inner, .. } => match *inner {
-                Statement::Select(select) => select,
-                _ => return Err(RelError::Parse("EXPLAIN supports SELECT only".into())),
-            },
-            _ => return Err(RelError::Parse("only SELECT can be analyzed".into())),
-        };
-        let storage = self.db.storage_for_select(&self.snapshot, &select)?;
-        let analyzed = self.db.analyze_select(&storage, &select)?;
-        record_statement(RecordArgs {
+        let (norm, resolved) = self.resolve(false)?;
+        let mut record = RecordArgs {
             db: self.db,
             trace_id,
-            sql_norm,
-            rows: analyzed.result.len() as u64,
+            sql_norm: self
+                .db
+                .flight_recorder()
+                .enabled()
+                .then(|| norm.map(Cow::into_owned).unwrap_or_default()),
             started,
+            rows: 0,
             cache_hit: false,
             workers: 1,
-            stats: Some(&analyzed.stats),
-            profile_source: None,
-            profile: Some(analyzed.profile.clone()),
-        });
-        Ok(QueryOutcome {
-            rows: analyzed.result,
-            stats: Some(analyzed.stats),
-            profile: Some(analyzed.profile),
-        })
-    }
-
-    /// The reference interpreter stays a pure oracle: no tracing, no
-    /// flight-recorder writes — the property suite compares its rows
-    /// against the streaming executor's, nothing else.
-    fn run_reference(self) -> RelResult<QueryOutcome> {
-        let (_, params) = self.norm_and_params()?;
-        let Statement::Select(select) = self.statement(&params)? else {
-            return Err(RelError::Parse(
-                "only SELECT runs on the reference executor".into(),
-            ));
+            select: None,
         };
-        let storage = self.db.storage_for_select(&self.snapshot, &select)?;
-        let rows = self.db.run_select_reference(&storage, &select)?;
-        Ok(QueryOutcome {
+        let text_outcome = |rows| QueryOutcome {
             rows,
             stats: None,
             profile: None,
-        })
+            exec_ns: None,
+        };
+        let (planned, storage, cache_hit, explain) = match resolved {
+            Resolved::Select {
+                planned,
+                storage,
+                cache_hit,
+                explain,
+            } => (planned, storage, cache_hit, explain),
+            Resolved::Other(stmt) => {
+                if self.with_stats || matches!(mode, Some(ExecMode::Profiled | ExecMode::Reference))
+                {
+                    return Err(RelError::Parse(
+                        "only SELECT takes with_stats, with_profile or via_reference".into(),
+                    ));
+                }
+                let rows = self.db.execute_statement(*stmt)?;
+                record.rows = rows.affected() as u64;
+                record_statement(record);
+                return Ok((text_outcome(rows), None));
+            }
+        };
+        // An explicit profile request runs an `EXPLAIN`-wrapped SELECT as
+        // the SELECT itself; otherwise `EXPLAIN ANALYZE` runs profiled and
+        // returns the rendered analysis, and a plain `EXPLAIN` renders the
+        // plan without running it.
+        let explain = explain.filter(|_| mode != Some(ExecMode::Profiled));
+        if explain == Some(false) {
+            let text = self.db.plan_explain_tree(&planned).render();
+            record_statement(record);
+            return Ok((text_outcome(ResultSet::plan_text(&text)), Some(planned)));
+        }
+        let mode = match explain {
+            Some(_) => ExecMode::Profiled,
+            None => mode.unwrap_or(ExecMode::Workers(self.db.options.workers.max(1))),
+        };
+        let mut outcome = self.db.run_planned_query(&storage, &planned, mode)?;
+        record.rows = outcome.rows.len() as u64;
+        record.cache_hit = cache_hit;
+        if let ExecMode::Workers(workers) = mode {
+            record.workers = workers;
+        }
+        record.select = Some((&outcome, &planned, &storage));
+        record_statement(record);
+        // The reference oracle keeps no counters worth reporting.
+        if mode == ExecMode::Reference || !(self.with_stats || outcome.profile.is_some()) {
+            outcome.stats = None;
+        }
+        if explain.is_some() {
+            let text = outcome.render_analysis().expect("the run was profiled");
+            outcome.rows = ResultSet::plan_text(&text);
+        }
+        Ok((outcome, Some(planned)))
     }
 }
 
@@ -1107,16 +1042,14 @@ struct RecordArgs<'a> {
     trace_id: u64,
     /// `None` when the recorder is disabled (spares the allocation).
     sql_norm: Option<String>,
-    rows: u64,
     started: Instant,
+    rows: u64,
     cache_hit: bool,
     workers: usize,
-    stats: Option<&'a ExecStats>,
-    /// Plan + pinned snapshot, for re-profiling a statement that turns
-    /// out slow (MVCC guarantees the re-run sees identical rows).
-    profile_source: Option<(&'a PlannedQuery, &'a crate::db::Storage)>,
-    /// A profile the run already produced (`with_profile` path).
-    profile: Option<OpProfile>,
+    /// An executed `SELECT`: its outcome (counters, any profile), plus the
+    /// plan and pinned snapshot for re-profiling it should it turn out
+    /// slow (MVCC guarantees the re-run sees identical rows).
+    select: Option<(&'a QueryOutcome, &'a PlannedQuery, &'a crate::db::Storage)>,
 }
 
 /// Deposits one completed statement into the flight recorder. Statements
@@ -1131,19 +1064,21 @@ fn record_statement(args: RecordArgs<'_>) {
     }
     let latency_ns = u64::try_from(args.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
     let slow = latency_ns >= rec.slow_ns();
-    let mut profile = slow.then_some(args.profile).flatten();
-    if slow && profile.is_none() {
-        if let Some((planned, storage)) = args.profile_source {
-            profile = execute_plan_profiled(&planned.plan, storage)
-                .ok()
-                .map(|(_, _, _, p)| p);
-        }
-    }
+    let profile = args
+        .select
+        .filter(|_| slow)
+        .and_then(|(ran, planned, storage)| {
+            ran.profile.clone().or_else(|| {
+                let rerun = run_plan(&planned.plan, storage, true).ok()?;
+                rerun.profile
+            })
+        });
     if let Some(p) = profile.as_ref() {
         if let Some(ctx) = trace::current() {
             emit_profile_spans(p, ctx.trace_id, ctx.span_id);
         }
     }
+    let stats = args.select.and_then(|(ran, ..)| ran.stats);
     rec.record(QueryRecord {
         query_id: rec.next_query_id(),
         trace_id: args.trace_id,
@@ -1152,7 +1087,7 @@ fn record_statement(args: RecordArgs<'_>) {
         latency_ns,
         cache_hit: args.cache_hit,
         workers: u32::try_from(args.workers).unwrap_or(u32::MAX),
-        segments_pruned: args.stats.map_or(0, |s| s.segments_pruned),
+        segments_pruned: stats.map_or(0, |s| s.segments_pruned),
         slow,
         profile,
     });
@@ -1162,16 +1097,7 @@ impl Database {
     /// Starts a [`Query`] builder over one SQL statement — the unified
     /// entry point for every statement kind (SELECT, DML, DDL, EXPLAIN).
     pub fn query<'a>(&'a self, sql: &'a str) -> Query<'a> {
-        Query {
-            db: self,
-            snapshot: self.snapshot(),
-            source: QuerySource::Sql(sql),
-            params: Vec::new(),
-            with_stats: false,
-            with_profile: false,
-            reference: false,
-            workers: None,
-        }
+        self.query_source(QuerySource::Sql(sql))
     }
 
     /// Parses `sql` once into a reusable [`Prepared`] handle, inferring a
@@ -1192,15 +1118,23 @@ impl Database {
 
     /// Starts a [`Query`] builder over a prepared statement.
     pub fn query_prepared<'a>(&'a self, prepared: &'a Prepared) -> Query<'a> {
+        self.query_source(QuerySource::Prepared(prepared))
+    }
+
+    /// Starts a [`Query`] builder over an already-parsed statement.
+    pub(crate) fn query_statement(&self, stmt: Statement) -> Query<'_> {
+        self.query_source(QuerySource::Parsed(Box::new(stmt)))
+    }
+
+    fn query_source<'a>(&'a self, source: QuerySource<'a>) -> Query<'a> {
         Query {
             db: self,
             snapshot: self.snapshot(),
-            source: QuerySource::Prepared(prepared),
+            source,
             params: Vec::new(),
             with_stats: false,
-            with_profile: false,
-            reference: false,
-            workers: None,
+            mode: None,
+            mode_conflict: false,
         }
     }
 }

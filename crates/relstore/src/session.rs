@@ -146,7 +146,8 @@ impl Session {
     /// tree from [`crate::query::Query::explain`].
     pub fn explain(&self, sql: &str, analyze: bool) -> RelResult<String> {
         if analyze {
-            self.db.explain_analyze(sql)
+            let out = self.db.query(sql).with_profile().run()?;
+            Ok(out.render_analysis().expect("a profiled run has a profile"))
         } else {
             Ok(self.db.query(sql).explain()?.render())
         }

@@ -117,24 +117,108 @@ impl Expr {
         }
     }
 
-    /// Whether the expression (sub)tree contains an aggregate call.
-    pub fn has_aggregate(&self) -> bool {
+    /// Rebuilds this node with every direct child replaced by `f(child)`
+    /// (leaves come back unchanged) — the recursion step of an
+    /// expression rewriter, which matches the nodes it rewrites itself
+    /// and hands every other node here.
+    pub fn try_map_children<E>(
+        &self,
+        mut f: impl FnMut(&Expr) -> Result<Expr, E>,
+    ) -> Result<Expr, E> {
+        let mut boxed = |e: &Expr| f(e).map(Box::new);
+        Ok(match self {
+            Expr::Literal(_) | Expr::Param(_) | Expr::Column { .. } => self.clone(),
+            Expr::Binary { op, left, right } => Expr::Binary {
+                op: *op,
+                left: boxed(left)?,
+                right: boxed(right)?,
+            },
+            Expr::Not(e) => Expr::Not(boxed(e)?),
+            Expr::Neg(e) => Expr::Neg(boxed(e)?),
+            Expr::IsNull { expr, negated } => Expr::IsNull {
+                expr: boxed(expr)?,
+                negated: *negated,
+            },
+            Expr::Like {
+                expr,
+                pattern,
+                negated,
+            } => Expr::Like {
+                expr: boxed(expr)?,
+                pattern: boxed(pattern)?,
+                negated: *negated,
+            },
+            Expr::InList {
+                expr,
+                list,
+                negated,
+            } => Expr::InList {
+                expr: boxed(expr)?,
+                list: list
+                    .iter()
+                    .map(|e| boxed(e).map(|b| *b))
+                    .collect::<Result<_, E>>()?,
+                negated: *negated,
+            },
+            Expr::Between {
+                expr,
+                low,
+                high,
+                negated,
+            } => Expr::Between {
+                expr: boxed(expr)?,
+                low: boxed(low)?,
+                high: boxed(high)?,
+                negated: *negated,
+            },
+            Expr::Contains { column, keyword } => Expr::Contains {
+                column: boxed(column)?,
+                keyword: boxed(keyword)?,
+            },
+            Expr::Matches { column, pattern } => Expr::Matches {
+                column: boxed(column)?,
+                pattern: boxed(pattern)?,
+            },
+            Expr::Aggregate {
+                func,
+                arg,
+                distinct,
+            } => Expr::Aggregate {
+                func: *func,
+                arg: arg.as_deref().map(&mut boxed).transpose()?,
+                distinct: *distinct,
+            },
+        })
+    }
+
+    /// The node's direct sub-expressions, in evaluation order.
+    pub fn children(&self) -> Vec<&Expr> {
         match self {
-            Expr::Aggregate { .. } => true,
-            Expr::Literal(_) | Expr::Param(_) | Expr::Column { .. } => false,
-            Expr::Binary { left, right, .. } => left.has_aggregate() || right.has_aggregate(),
-            Expr::Not(e) | Expr::Neg(e) => e.has_aggregate(),
-            Expr::IsNull { expr, .. } => expr.has_aggregate(),
-            Expr::Like { expr, pattern, .. } => expr.has_aggregate() || pattern.has_aggregate(),
-            Expr::InList { expr, list, .. } => {
-                expr.has_aggregate() || list.iter().any(Expr::has_aggregate)
+            Expr::Literal(_) | Expr::Param(_) | Expr::Column { .. } => Vec::new(),
+            Expr::Binary { left, right, .. } => vec![left, right],
+            Expr::Not(e) | Expr::Neg(e) | Expr::IsNull { expr: e, .. } => vec![e],
+            Expr::Like {
+                expr, pattern: b, ..
             }
+            | Expr::Contains {
+                column: expr,
+                keyword: b,
+            }
+            | Expr::Matches {
+                column: expr,
+                pattern: b,
+            } => vec![expr, b],
+            Expr::InList { expr, list, .. } => std::iter::once(&**expr).chain(list).collect(),
             Expr::Between {
                 expr, low, high, ..
-            } => expr.has_aggregate() || low.has_aggregate() || high.has_aggregate(),
-            Expr::Contains { column, keyword } => column.has_aggregate() || keyword.has_aggregate(),
-            Expr::Matches { column, pattern } => column.has_aggregate() || pattern.has_aggregate(),
+            } => vec![expr, low, high],
+            Expr::Aggregate { arg, .. } => arg.as_deref().into_iter().collect(),
         }
+    }
+
+    /// Whether the expression (sub)tree contains an aggregate call.
+    pub fn has_aggregate(&self) -> bool {
+        matches!(self, Expr::Aggregate { .. }) || self.children().iter().any(|e| e.has_aggregate())
     }
 }
 

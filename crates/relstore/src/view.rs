@@ -629,95 +629,26 @@ pub(crate) fn analyze_view(
 /// columns. Resolution makes later syntactic comparisons (groundedness,
 /// equi-key detection) semantic.
 fn resolve_expr(expr: &Expr, schema: &RowSchema) -> RelResult<Expr> {
-    Ok(match expr {
-        Expr::Literal(v) => Expr::Literal(v.clone()),
-        Expr::Param(_) => {
-            return Err(RelError::Eval(
-                "materialized view definitions cannot contain parameters".into(),
-            ))
-        }
+    match expr {
+        Expr::Param(_) => Err(RelError::Eval(
+            "materialized view definitions cannot contain parameters".into(),
+        )),
         Expr::Column { table, name } => {
             let i = schema.resolve(table.as_deref(), name)?;
             let b = &schema.columns()[i];
-            Expr::Column {
+            Ok(Expr::Column {
                 table: Some(b.table.clone()),
                 name: b.name.clone(),
-            }
+            })
         }
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op: *op,
-            left: Box::new(resolve_expr(left, schema)?),
-            right: Box::new(resolve_expr(right, schema)?),
-        },
-        Expr::Not(e) => Expr::Not(Box::new(resolve_expr(e, schema)?)),
-        Expr::Neg(e) => Expr::Neg(Box::new(resolve_expr(e, schema)?)),
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(resolve_expr(expr, schema)?),
-            negated: *negated,
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(resolve_expr(expr, schema)?),
-            pattern: Box::new(resolve_expr(pattern, schema)?),
-            negated: *negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(resolve_expr(expr, schema)?),
-            list: list
-                .iter()
-                .map(|e| resolve_expr(e, schema))
-                .collect::<RelResult<_>>()?,
-            negated: *negated,
-        },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(resolve_expr(expr, schema)?),
-            low: Box::new(resolve_expr(low, schema)?),
-            high: Box::new(resolve_expr(high, schema)?),
-            negated: *negated,
-        },
-        Expr::Contains { column, keyword } => Expr::Contains {
-            column: Box::new(resolve_expr(column, schema)?),
-            keyword: Box::new(resolve_expr(keyword, schema)?),
-        },
-        Expr::Matches { column, pattern } => Expr::Matches {
-            column: Box::new(resolve_expr(column, schema)?),
-            pattern: Box::new(resolve_expr(pattern, schema)?),
-        },
-        Expr::Aggregate {
-            func,
-            arg,
-            distinct,
-        } => {
-            if *distinct {
-                return Err(RelError::Eval(
-                    "materialized views do not support DISTINCT aggregates".into(),
-                ));
-            }
-            if arg.as_deref().is_some_and(Expr::has_aggregate) {
-                return Err(RelError::Eval("nested aggregates are not allowed".into()));
-            }
-            Expr::Aggregate {
-                func: *func,
-                arg: match arg {
-                    Some(a) => Some(Box::new(resolve_expr(a, schema)?)),
-                    None => None,
-                },
-                distinct: false,
-            }
+        Expr::Aggregate { distinct: true, .. } => Err(RelError::Eval(
+            "materialized views do not support DISTINCT aggregates".into(),
+        )),
+        Expr::Aggregate { arg, .. } if arg.as_deref().is_some_and(Expr::has_aggregate) => {
+            Err(RelError::Eval("nested aggregates are not allowed".into()))
         }
-    })
+        other => other.try_map_children(|e| resolve_expr(e, schema)),
+    }
 }
 
 /// Output name derivation, mirroring the planner so a view's columns are
@@ -1204,67 +1135,13 @@ fn project(a: &ViewAnalysis, row: &[Value]) -> RelResult<Row> {
 
 /// Substitutes each aggregate slot's computed value into `expr`, mirroring
 /// the executor's `materialize_aggregates`.
-fn substitute_aggs(expr: &Expr, aggs: &[AggSpec], computed: &[Value]) -> Expr {
-    if matches!(expr, Expr::Aggregate { .. }) {
-        if let Some(i) = aggs.iter().position(|s| &s.expr == expr) {
-            return Expr::Literal(computed[i].clone());
-        }
-    }
+fn substitute_aggs(expr: &Expr, aggs: &[AggSpec], computed: &[Value]) -> RelResult<Expr> {
     match expr {
-        Expr::Literal(_) | Expr::Param(_) | Expr::Column { .. } | Expr::Aggregate { .. } => {
-            expr.clone()
-        }
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op: *op,
-            left: Box::new(substitute_aggs(left, aggs, computed)),
-            right: Box::new(substitute_aggs(right, aggs, computed)),
-        },
-        Expr::Not(e) => Expr::Not(Box::new(substitute_aggs(e, aggs, computed))),
-        Expr::Neg(e) => Expr::Neg(Box::new(substitute_aggs(e, aggs, computed))),
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(substitute_aggs(expr, aggs, computed)),
-            negated: *negated,
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(substitute_aggs(expr, aggs, computed)),
-            pattern: Box::new(substitute_aggs(pattern, aggs, computed)),
-            negated: *negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(substitute_aggs(expr, aggs, computed)),
-            list: list
-                .iter()
-                .map(|e| substitute_aggs(e, aggs, computed))
-                .collect(),
-            negated: *negated,
-        },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(substitute_aggs(expr, aggs, computed)),
-            low: Box::new(substitute_aggs(low, aggs, computed)),
-            high: Box::new(substitute_aggs(high, aggs, computed)),
-            negated: *negated,
-        },
-        Expr::Contains { column, keyword } => Expr::Contains {
-            column: Box::new(substitute_aggs(column, aggs, computed)),
-            keyword: Box::new(substitute_aggs(keyword, aggs, computed)),
-        },
-        Expr::Matches { column, pattern } => Expr::Matches {
-            column: Box::new(substitute_aggs(column, aggs, computed)),
-            pattern: Box::new(substitute_aggs(pattern, aggs, computed)),
-        },
+        Expr::Aggregate { .. } => Ok(match aggs.iter().position(|s| &s.expr == expr) {
+            Some(i) => Expr::Literal(computed[i].clone()),
+            None => expr.clone(),
+        }),
+        other => other.try_map_children(|e| substitute_aggs(e, aggs, computed)),
     }
 }
 
@@ -1288,7 +1165,7 @@ fn emit_group(a: &ViewAnalysis, g: &GroupState) -> RelResult<Row> {
         .iter()
         .map(|it| {
             eval(
-                &substitute_aggs(&it.expr, &a.aggs, &computed),
+                &substitute_aggs(&it.expr, &a.aggs, &computed)?,
                 &a.schema,
                 rep,
             )

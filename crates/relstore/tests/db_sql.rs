@@ -1,12 +1,11 @@
 //! End-to-end SQL tests against the [`Database`] facade.
 
-#![allow(deprecated)] // exercises the legacy wrappers on purpose
-
 use xomatiq_relstore::{Database, Value};
 
 fn seeded() -> Database {
     let db = Database::in_memory();
-    db.execute("CREATE TABLE enzymes (ec TEXT, description TEXT, sites INT, mass FLOAT)")
+    db.query("CREATE TABLE enzymes (ec TEXT, description TEXT, sites INT, mass FLOAT)")
+        .run()
         .unwrap();
     let rows = [
         ("1.1.1.1", "Alcohol dehydrogenase", 4, 141.0),
@@ -16,9 +15,10 @@ fn seeded() -> Database {
         ("4.2.1.1", "Carbonic anhydrase ketone group", 3, 29.0),
     ];
     for (ec, d, s, m) in rows {
-        db.execute(&format!(
+        db.query(&format!(
             "INSERT INTO enzymes VALUES ('{ec}', '{d}', {s}, {m})"
         ))
+        .run()
         .unwrap();
     }
     db
@@ -28,8 +28,10 @@ fn seeded() -> Database {
 fn select_with_predicates() {
     let db = seeded();
     let rs = db
-        .execute("SELECT ec FROM enzymes WHERE sites > 2 ORDER BY ec")
-        .unwrap();
+        .query("SELECT ec FROM enzymes WHERE sites > 2 ORDER BY ec")
+        .run()
+        .unwrap()
+        .rows;
     let ecs: Vec<&str> = rs.rows().iter().map(|r| r[0].as_text().unwrap()).collect();
     assert_eq!(ecs, vec!["1.1.1.1", "2.7.7.7", "4.2.1.1"]);
 }
@@ -38,8 +40,10 @@ fn select_with_predicates() {
 fn projection_names_and_aliases() {
     let db = seeded();
     let rs = db
-        .execute("SELECT ec AS enzyme_commission, sites * 2 AS doubled FROM enzymes LIMIT 1")
-        .unwrap();
+        .query("SELECT ec AS enzyme_commission, sites * 2 AS doubled FROM enzymes LIMIT 1")
+        .run()
+        .unwrap()
+        .rows;
     assert_eq!(
         rs.columns(),
         &["enzyme_commission".to_string(), "doubled".to_string()]
@@ -51,8 +55,10 @@ fn projection_names_and_aliases() {
 fn contains_without_index_falls_back_to_scan() {
     let db = seeded();
     let rs = db
-        .execute("SELECT ec FROM enzymes WHERE CONTAINS(description, 'ketone') ORDER BY ec")
-        .unwrap();
+        .query("SELECT ec FROM enzymes WHERE CONTAINS(description, 'ketone') ORDER BY ec")
+        .run()
+        .unwrap()
+        .rows;
     assert_eq!(rs.rows().len(), 2);
 }
 
@@ -60,16 +66,22 @@ fn contains_without_index_falls_back_to_scan() {
 fn contains_with_keyword_index_matches_scan_results() {
     let db = seeded();
     let scan = db
-        .execute("SELECT ec FROM enzymes WHERE CONTAINS(description, 'ketone') ORDER BY ec")
-        .unwrap();
-    db.execute("CREATE KEYWORD INDEX kw_desc ON enzymes (description)")
+        .query("SELECT ec FROM enzymes WHERE CONTAINS(description, 'ketone') ORDER BY ec")
+        .run()
+        .unwrap()
+        .rows;
+    db.query("CREATE KEYWORD INDEX kw_desc ON enzymes (description)")
+        .run()
         .unwrap();
     let indexed = db
-        .execute("SELECT ec FROM enzymes WHERE CONTAINS(description, 'ketone') ORDER BY ec")
-        .unwrap();
+        .query("SELECT ec FROM enzymes WHERE CONTAINS(description, 'ketone') ORDER BY ec")
+        .run()
+        .unwrap()
+        .rows;
     assert_eq!(scan.rows(), indexed.rows());
     let plan = db
-        .plan("SELECT ec FROM enzymes WHERE CONTAINS(description, 'ketone')")
+        .query("SELECT ec FROM enzymes WHERE CONTAINS(description, 'ketone')")
+        .planned()
         .unwrap();
     assert!(plan.plan.uses_index(), "{}", plan.plan.explain());
 }
@@ -77,19 +89,25 @@ fn contains_with_keyword_index_matches_scan_results() {
 #[test]
 fn btree_index_equality_and_range() {
     let db = seeded();
-    db.execute("CREATE INDEX idx_sites ON enzymes (sites)")
+    db.query("CREATE INDEX idx_sites ON enzymes (sites)")
+        .run()
         .unwrap();
     let rs = db
-        .execute("SELECT ec FROM enzymes WHERE sites = 10")
-        .unwrap();
+        .query("SELECT ec FROM enzymes WHERE sites = 10")
+        .run()
+        .unwrap()
+        .rows;
     assert_eq!(rs.rows().len(), 1);
     assert_eq!(rs.rows()[0][0], Value::Text("2.7.7.7".into()));
     let range = db
-        .execute("SELECT ec FROM enzymes WHERE sites BETWEEN 2 AND 4 ORDER BY sites")
-        .unwrap();
+        .query("SELECT ec FROM enzymes WHERE sites BETWEEN 2 AND 4 ORDER BY sites")
+        .run()
+        .unwrap()
+        .rows;
     assert_eq!(range.rows().len(), 3);
     assert!(db
-        .plan("SELECT ec FROM enzymes WHERE sites = 10")
+        .query("SELECT ec FROM enzymes WHERE sites = 10")
+        .planned()
         .unwrap()
         .plan
         .uses_index());
@@ -98,19 +116,23 @@ fn btree_index_equality_and_range() {
 #[test]
 fn join_across_tables() {
     let db = seeded();
-    db.execute("CREATE TABLE refs (ec TEXT, db_name TEXT, acc TEXT)")
+    db.query("CREATE TABLE refs (ec TEXT, db_name TEXT, acc TEXT)")
+        .run()
         .unwrap();
-    db.execute(
+    db.query(
         "INSERT INTO refs VALUES ('1.14.17.3', 'SWISSPROT', 'P10731'), \
          ('1.14.17.3', 'PROSITE', 'PDOC00080'), ('2.7.7.7', 'SWISSPROT', 'P00001')",
     )
+    .run()
     .unwrap();
     let rs = db
-        .execute(
+        .query(
             "SELECT e.description, r.acc FROM enzymes e JOIN refs r ON e.ec = r.ec \
              WHERE r.db_name = 'SWISSPROT' ORDER BY r.acc",
         )
-        .unwrap();
+        .run()
+        .unwrap()
+        .rows;
     assert_eq!(rs.rows().len(), 2);
     assert_eq!(rs.rows()[0][1], Value::Text("P00001".into()));
     assert_eq!(
@@ -122,18 +144,22 @@ fn join_across_tables() {
 #[test]
 fn three_way_join() {
     let db = seeded();
-    db.execute("CREATE TABLE a (k INT, v TEXT)").unwrap();
-    db.execute("CREATE TABLE b (k INT, w TEXT)").unwrap();
-    db.execute("INSERT INTO a VALUES (1, 'x'), (2, 'y')")
+    db.query("CREATE TABLE a (k INT, v TEXT)").run().unwrap();
+    db.query("CREATE TABLE b (k INT, w TEXT)").run().unwrap();
+    db.query("INSERT INTO a VALUES (1, 'x'), (2, 'y')")
+        .run()
         .unwrap();
-    db.execute("INSERT INTO b VALUES (1, 'p'), (1, 'q'), (2, 'r')")
+    db.query("INSERT INTO b VALUES (1, 'p'), (1, 'q'), (2, 'r')")
+        .run()
         .unwrap();
     let rs = db
-        .execute(
+        .query(
             "SELECT a.v, b.w, e.ec FROM a, b, enzymes e \
              WHERE a.k = b.k AND e.sites = a.k ORDER BY b.w",
         )
-        .unwrap();
+        .run()
+        .unwrap()
+        .rows;
     // a.k=1 joins b rows p,q; enzymes with sites=1 → 3.1.1.1. a.k=2 joins r; sites=2 → 1.14.17.3.
     assert_eq!(rs.rows().len(), 3);
 }
@@ -142,8 +168,10 @@ fn three_way_join() {
 fn aggregates_and_group_by() {
     let db = seeded();
     let rs = db
-        .execute("SELECT COUNT(*), SUM(sites), MIN(mass), MAX(mass), AVG(sites) FROM enzymes")
-        .unwrap();
+        .query("SELECT COUNT(*), SUM(sites), MIN(mass), MAX(mass), AVG(sites) FROM enzymes")
+        .run()
+        .unwrap()
+        .rows;
     let row = &rs.rows()[0];
     assert_eq!(row[0], Value::Int(5));
     assert_eq!(row[1], Value::Int(20));
@@ -151,13 +179,17 @@ fn aggregates_and_group_by() {
     assert_eq!(row[3], Value::Float(141.0));
     assert_eq!(row[4], Value::Float(4.0));
 
-    db.execute("CREATE TABLE refs (ec TEXT, db_name TEXT)")
+    db.query("CREATE TABLE refs (ec TEXT, db_name TEXT)")
+        .run()
         .unwrap();
-    db.execute("INSERT INTO refs VALUES ('a', 'SP'), ('b', 'SP'), ('c', 'PROSITE')")
+    db.query("INSERT INTO refs VALUES ('a', 'SP'), ('b', 'SP'), ('c', 'PROSITE')")
+        .run()
         .unwrap();
     let grouped = db
-        .execute("SELECT db_name, COUNT(*) AS n FROM refs GROUP BY db_name ORDER BY n DESC")
-        .unwrap();
+        .query("SELECT db_name, COUNT(*) AS n FROM refs GROUP BY db_name ORDER BY n DESC")
+        .run()
+        .unwrap()
+        .rows;
     assert_eq!(grouped.rows()[0][0], Value::Text("SP".into()));
     assert_eq!(grouped.rows()[0][1], Value::Int(2));
     assert_eq!(grouped.rows()[1][1], Value::Int(1));
@@ -167,8 +199,10 @@ fn aggregates_and_group_by() {
 fn aggregate_over_empty_input() {
     let db = seeded();
     let rs = db
-        .execute("SELECT COUNT(*), SUM(sites) FROM enzymes WHERE sites > 999")
-        .unwrap();
+        .query("SELECT COUNT(*), SUM(sites) FROM enzymes WHERE sites > 999")
+        .run()
+        .unwrap()
+        .rows;
     assert_eq!(rs.rows().len(), 1);
     assert_eq!(rs.rows()[0][0], Value::Int(0));
     assert_eq!(rs.rows()[0][1], Value::Null);
@@ -177,14 +211,21 @@ fn aggregate_over_empty_input() {
 #[test]
 fn distinct_limit_offset() {
     let db = seeded();
-    db.execute("CREATE TABLE t (x INT)").unwrap();
-    db.execute("INSERT INTO t VALUES (1), (2), (2), (3), (3), (3)")
+    db.query("CREATE TABLE t (x INT)").run().unwrap();
+    db.query("INSERT INTO t VALUES (1), (2), (2), (3), (3), (3)")
+        .run()
         .unwrap();
-    let rs = db.execute("SELECT DISTINCT x FROM t ORDER BY x").unwrap();
+    let rs = db
+        .query("SELECT DISTINCT x FROM t ORDER BY x")
+        .run()
+        .unwrap()
+        .rows;
     assert_eq!(rs.rows().len(), 3);
     let page = db
-        .execute("SELECT DISTINCT x FROM t ORDER BY x LIMIT 1 OFFSET 1")
-        .unwrap();
+        .query("SELECT DISTINCT x FROM t ORDER BY x LIMIT 1 OFFSET 1")
+        .run()
+        .unwrap()
+        .rows;
     assert_eq!(page.rows(), &[vec![Value::Int(2)]]);
 }
 
@@ -192,17 +233,23 @@ fn distinct_limit_offset() {
 fn update_and_delete() {
     let db = seeded();
     let n = db
-        .execute("UPDATE enzymes SET sites = sites + 100 WHERE mass < 100")
+        .query("UPDATE enzymes SET sites = sites + 100 WHERE mass < 100")
+        .run()
         .unwrap()
+        .rows
         .affected();
     assert_eq!(n, 2);
     let rs = db
-        .execute("SELECT COUNT(*) FROM enzymes WHERE sites > 100")
-        .unwrap();
+        .query("SELECT COUNT(*) FROM enzymes WHERE sites > 100")
+        .run()
+        .unwrap()
+        .rows;
     assert_eq!(rs.rows()[0][0], Value::Int(2));
     let deleted = db
-        .execute("DELETE FROM enzymes WHERE sites > 100")
+        .query("DELETE FROM enzymes WHERE sites > 100")
+        .run()
         .unwrap()
+        .rows
         .affected();
     assert_eq!(deleted, 2);
     assert_eq!(db.row_count("enzymes").unwrap(), 3);
@@ -211,30 +258,40 @@ fn update_and_delete() {
 #[test]
 fn update_maintains_indexes() {
     let db = seeded();
-    db.execute("CREATE INDEX idx_sites ON enzymes (sites)")
+    db.query("CREATE INDEX idx_sites ON enzymes (sites)")
+        .run()
         .unwrap();
-    db.execute("UPDATE enzymes SET sites = 77 WHERE ec = '1.1.1.1'")
+    db.query("UPDATE enzymes SET sites = 77 WHERE ec = '1.1.1.1'")
+        .run()
         .unwrap();
     let rs = db
-        .execute("SELECT ec FROM enzymes WHERE sites = 77")
-        .unwrap();
+        .query("SELECT ec FROM enzymes WHERE sites = 77")
+        .run()
+        .unwrap()
+        .rows;
     assert_eq!(rs.rows().len(), 1);
     let old = db
-        .execute("SELECT ec FROM enzymes WHERE sites = 4")
-        .unwrap();
+        .query("SELECT ec FROM enzymes WHERE sites = 4")
+        .run()
+        .unwrap()
+        .rows;
     assert!(old.rows().is_empty());
 }
 
 #[test]
 fn delete_maintains_keyword_index() {
     let db = seeded();
-    db.execute("CREATE KEYWORD INDEX kw ON enzymes (description)")
+    db.query("CREATE KEYWORD INDEX kw ON enzymes (description)")
+        .run()
         .unwrap();
-    db.execute("DELETE FROM enzymes WHERE ec = '3.1.1.1'")
+    db.query("DELETE FROM enzymes WHERE ec = '3.1.1.1'")
+        .run()
         .unwrap();
     let rs = db
-        .execute("SELECT ec FROM enzymes WHERE CONTAINS(description, 'ketone')")
-        .unwrap();
+        .query("SELECT ec FROM enzymes WHERE CONTAINS(description, 'ketone')")
+        .run()
+        .unwrap()
+        .rows;
     assert_eq!(rs.rows().len(), 1);
     assert_eq!(rs.rows()[0][0], Value::Text("4.2.1.1".into()));
 }
@@ -242,27 +299,33 @@ fn delete_maintains_keyword_index() {
 #[test]
 fn error_paths() {
     let db = seeded();
-    assert!(db.execute("SELECT * FROM missing").is_err());
-    assert!(db.execute("SELECT nope FROM enzymes").is_err());
-    assert!(db.execute("INSERT INTO enzymes VALUES (1)").is_err());
-    assert!(db.execute("CREATE TABLE enzymes (x INT)").is_err());
-    assert!(db.execute("DELETE FROM enzymes WHERE nope = 1").is_err());
-    assert!(db.execute("UPDATE enzymes SET nope = 1").is_err());
-    assert!(db.execute("garbage statement").is_err());
+    assert!(db.query("SELECT * FROM missing").run().is_err());
+    assert!(db.query("SELECT nope FROM enzymes").run().is_err());
+    assert!(db.query("INSERT INTO enzymes VALUES (1)").run().is_err());
+    assert!(db.query("CREATE TABLE enzymes (x INT)").run().is_err());
+    assert!(db
+        .query("DELETE FROM enzymes WHERE nope = 1")
+        .run()
+        .is_err());
+    assert!(db.query("UPDATE enzymes SET nope = 1").run().is_err());
+    assert!(db.query("garbage statement").run().is_err());
 }
 
 #[test]
 fn explain_shows_access_path() {
     let db = seeded();
-    let before = db
-        .explain("SELECT ec FROM enzymes WHERE sites = 4")
-        .unwrap();
+    let explain = || {
+        db.query("SELECT ec FROM enzymes WHERE sites = 4")
+            .explain()
+            .unwrap()
+            .render()
+    };
+    let before = explain();
     assert!(before.contains("Scan enzymes"), "{before}");
-    db.execute("CREATE INDEX idx_sites ON enzymes (sites)")
+    db.query("CREATE INDEX idx_sites ON enzymes (sites)")
+        .run()
         .unwrap();
-    let after = db
-        .explain("SELECT ec FROM enzymes WHERE sites = 4")
-        .unwrap();
+    let after = explain();
     assert!(after.contains("IndexScan enzymes"), "{after}");
     assert!(after.contains("idx_sites"), "{after}");
 }
@@ -271,8 +334,10 @@ fn explain_shows_access_path() {
 fn result_set_table_rendering() {
     let db = seeded();
     let rs = db
-        .execute("SELECT ec, sites FROM enzymes WHERE sites = 10")
-        .unwrap();
+        .query("SELECT ec, sites FROM enzymes WHERE sites = 10")
+        .run()
+        .unwrap()
+        .rows;
     let table = rs.to_table();
     assert!(table.contains("| ec "), "{table}");
     assert!(table.contains("2.7.7.7"), "{table}");
@@ -310,44 +375,55 @@ fn batch_rejects_ddl() {
 #[test]
 fn null_handling_in_queries() {
     let db = Database::in_memory();
-    db.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
-    db.execute("INSERT INTO t VALUES (1, 'x'), (NULL, 'y'), (3, NULL)")
+    db.query("CREATE TABLE t (a INT, b TEXT)").run().unwrap();
+    db.query("INSERT INTO t VALUES (1, 'x'), (NULL, 'y'), (3, NULL)")
+        .run()
         .unwrap();
     assert_eq!(
-        db.execute("SELECT b FROM t WHERE a IS NULL")
+        db.query("SELECT b FROM t WHERE a IS NULL")
+            .run()
             .unwrap()
+            .rows
             .rows()
             .len(),
         1
     );
     assert_eq!(
-        db.execute("SELECT b FROM t WHERE a IS NOT NULL")
+        db.query("SELECT b FROM t WHERE a IS NOT NULL")
+            .run()
             .unwrap()
+            .rows
             .rows()
             .len(),
         2
     );
     // NULL never equals anything.
     assert_eq!(
-        db.execute("SELECT b FROM t WHERE a = NULL")
+        db.query("SELECT b FROM t WHERE a = NULL")
+            .run()
             .unwrap()
+            .rows
             .rows()
             .len(),
         0
     );
     // NULLs sort first under the engine's total order.
-    let rs = db.execute("SELECT a FROM t ORDER BY a").unwrap();
+    let rs = db.query("SELECT a FROM t ORDER BY a").run().unwrap().rows;
     assert_eq!(rs.rows()[0][0], Value::Null);
 }
 
 #[test]
 fn join_skips_null_keys() {
     let db = Database::in_memory();
-    db.execute("CREATE TABLE l (k INT)").unwrap();
-    db.execute("CREATE TABLE r (k INT)").unwrap();
-    db.execute("INSERT INTO l VALUES (1), (NULL)").unwrap();
-    db.execute("INSERT INTO r VALUES (1), (NULL)").unwrap();
-    let rs = db.execute("SELECT l.k FROM l JOIN r ON l.k = r.k").unwrap();
+    db.query("CREATE TABLE l (k INT)").run().unwrap();
+    db.query("CREATE TABLE r (k INT)").run().unwrap();
+    db.query("INSERT INTO l VALUES (1), (NULL)").run().unwrap();
+    db.query("INSERT INTO r VALUES (1), (NULL)").run().unwrap();
+    let rs = db
+        .query("SELECT l.k FROM l JOIN r ON l.k = r.k")
+        .run()
+        .unwrap()
+        .rows;
     assert_eq!(rs.rows().len(), 1);
     assert_eq!(rs.rows()[0][0], Value::Int(1));
 }
@@ -356,24 +432,31 @@ fn join_skips_null_keys() {
 fn like_and_in_queries() {
     let db = seeded();
     let rs = db
-        .execute("SELECT ec FROM enzymes WHERE description LIKE '%anhydrase%'")
-        .unwrap();
+        .query("SELECT ec FROM enzymes WHERE description LIKE '%anhydrase%'")
+        .run()
+        .unwrap()
+        .rows;
     assert_eq!(rs.rows().len(), 1);
     let rs2 = db
-        .execute("SELECT ec FROM enzymes WHERE ec IN ('1.1.1.1', '2.7.7.7') ORDER BY ec")
-        .unwrap();
+        .query("SELECT ec FROM enzymes WHERE ec IN ('1.1.1.1', '2.7.7.7') ORDER BY ec")
+        .run()
+        .unwrap()
+        .rows;
     assert_eq!(rs2.rows().len(), 2);
 }
 
 #[test]
 fn count_distinct() {
     let db = Database::in_memory();
-    db.execute("CREATE TABLE t (x INT)").unwrap();
-    db.execute("INSERT INTO t VALUES (1), (1), (2), (NULL)")
+    db.query("CREATE TABLE t (x INT)").run().unwrap();
+    db.query("INSERT INTO t VALUES (1), (1), (2), (NULL)")
+        .run()
         .unwrap();
     let rs = db
-        .execute("SELECT COUNT(DISTINCT x), COUNT(x), COUNT(*) FROM t")
-        .unwrap();
+        .query("SELECT COUNT(DISTINCT x), COUNT(x), COUNT(*) FROM t")
+        .run()
+        .unwrap()
+        .rows;
     assert_eq!(
         rs.rows()[0],
         vec![Value::Int(2), Value::Int(3), Value::Int(4)]
@@ -383,65 +466,80 @@ fn count_distinct() {
 #[test]
 fn drop_table_and_index() {
     let db = seeded();
-    db.execute("CREATE INDEX idx ON enzymes (ec)").unwrap();
-    db.execute("DROP INDEX idx").unwrap();
-    assert!(db.execute("DROP INDEX idx").is_err());
-    db.execute("DROP TABLE enzymes").unwrap();
-    assert!(db.execute("SELECT * FROM enzymes").is_err());
+    db.query("CREATE INDEX idx ON enzymes (ec)").run().unwrap();
+    db.query("DROP INDEX idx").run().unwrap();
+    assert!(db.query("DROP INDEX idx").run().is_err());
+    db.query("DROP TABLE enzymes").run().unwrap();
+    assert!(db.query("SELECT * FROM enzymes").run().is_err());
 }
 
 #[test]
 fn matches_regular_expressions() {
     let db = Database::in_memory();
-    db.execute("CREATE TABLE seqs (acc TEXT, seq TEXT)")
+    db.query("CREATE TABLE seqs (acc TEXT, seq TEXT)")
+        .run()
         .unwrap();
-    db.execute(
+    db.query(
         "INSERT INTO seqs VALUES \
          ('P1', 'MKNVTLAGRA'), ('P2', 'MKNPTLAGRA'), ('P3', 'GGTATAAAGG')",
     )
+    .run()
     .unwrap();
     // N-glycosylation-style motif: N, not P, then S/T.
     let rs = db
-        .execute("SELECT acc FROM seqs WHERE MATCHES(seq, 'N[^P][ST]')")
-        .unwrap();
+        .query("SELECT acc FROM seqs WHERE MATCHES(seq, 'N[^P][ST]')")
+        .run()
+        .unwrap()
+        .rows;
     assert_eq!(rs.rows().len(), 1);
     assert_eq!(rs.rows()[0][0], Value::Text("P1".into()));
     // TATA box.
     let tata = db
-        .execute("SELECT acc FROM seqs WHERE MATCHES(seq, 'TATA[AT]A')")
-        .unwrap();
+        .query("SELECT acc FROM seqs WHERE MATCHES(seq, 'TATA[AT]A')")
+        .run()
+        .unwrap()
+        .rows;
     assert_eq!(tata.rows()[0][0], Value::Text("P3".into()));
     // Anchors and alternation.
     let both = db
-        .execute("SELECT COUNT(*) FROM seqs WHERE MATCHES(seq, '^MK(N|G)')")
-        .unwrap();
+        .query("SELECT COUNT(*) FROM seqs WHERE MATCHES(seq, '^MK(N|G)')")
+        .run()
+        .unwrap()
+        .rows;
     assert_eq!(both.rows()[0][0], Value::Int(2));
     // Bad pattern surfaces as an error.
     assert!(db
-        .execute("SELECT acc FROM seqs WHERE MATCHES(seq, '(')")
+        .query("SELECT acc FROM seqs WHERE MATCHES(seq, '(')")
+        .run()
         .is_err());
 }
 
 #[test]
 fn semi_join_matches_plain_distinct_results() {
     let db = Database::in_memory();
-    db.execute("CREATE TABLE docs (id INT, name TEXT)").unwrap();
-    db.execute("CREATE TABLE words (doc INT, w TEXT)").unwrap();
-    db.execute("INSERT INTO docs VALUES (1, 'a'), (2, 'b'), (3, 'c')")
+    db.query("CREATE TABLE docs (id INT, name TEXT)")
+        .run()
+        .unwrap();
+    db.query("CREATE TABLE words (doc INT, w TEXT)")
+        .run()
+        .unwrap();
+    db.query("INSERT INTO docs VALUES (1, 'a'), (2, 'b'), (3, 'c')")
+        .run()
         .unwrap();
     // doc 1 has three matching words (would multiply without semi-join),
     // doc 2 has one, doc 3 has none.
-    db.execute("INSERT INTO words VALUES (1, 'x'), (1, 'x'), (1, 'x'), (2, 'x'), (3, 'y')")
+    db.query("INSERT INTO words VALUES (1, 'x'), (1, 'x'), (1, 'x'), (2, 'x'), (3, 'y')")
+        .run()
         .unwrap();
     let sql = "SELECT DISTINCT d.name FROM docs d, words w \
                WHERE d.id = w.doc AND w.w = 'x' ORDER BY d.name";
-    let plan = db.plan(sql).unwrap();
+    let plan = db.query(sql).planned().unwrap();
     assert!(
         plan.plan.explain().contains("HashSemiJoin"),
         "{}",
         plan.plan.explain()
     );
-    let rs = db.execute(sql).unwrap();
+    let rs = db.query(sql).run().unwrap().rows;
     let names: Vec<&str> = rs.rows().iter().map(|r| r[0].as_text().unwrap()).collect();
     assert_eq!(names, vec!["a", "b"]);
 }
@@ -449,12 +547,15 @@ fn semi_join_matches_plain_distinct_results() {
 #[test]
 fn order_by_multiple_keys_and_directions() {
     let db = Database::in_memory();
-    db.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
-    db.execute("INSERT INTO t VALUES (1, 'z'), (1, 'a'), (2, 'm'), (2, 'b')")
+    db.query("CREATE TABLE t (a INT, b TEXT)").run().unwrap();
+    db.query("INSERT INTO t VALUES (1, 'z'), (1, 'a'), (2, 'm'), (2, 'b')")
+        .run()
         .unwrap();
     let rs = db
-        .execute("SELECT a, b FROM t ORDER BY a DESC, b ASC")
-        .unwrap();
+        .query("SELECT a, b FROM t ORDER BY a DESC, b ASC")
+        .run()
+        .unwrap()
+        .rows;
     let got: Vec<(i64, &str)> = rs
         .rows()
         .iter()
@@ -466,54 +567,73 @@ fn order_by_multiple_keys_and_directions() {
 #[test]
 fn limit_and_offset_edges() {
     let db = Database::in_memory();
-    db.execute("CREATE TABLE t (a INT)").unwrap();
-    db.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
+    db.query("CREATE TABLE t (a INT)").run().unwrap();
+    db.query("INSERT INTO t VALUES (1), (2), (3)")
+        .run()
+        .unwrap();
     assert!(db
-        .execute("SELECT a FROM t LIMIT 0")
+        .query("SELECT a FROM t LIMIT 0")
+        .run()
         .unwrap()
+        .rows
         .rows()
         .is_empty());
     assert_eq!(
-        db.execute("SELECT a FROM t LIMIT 99").unwrap().rows().len(),
+        db.query("SELECT a FROM t LIMIT 99")
+            .run()
+            .unwrap()
+            .rows
+            .rows()
+            .len(),
         3
     );
     assert!(db
-        .execute("SELECT a FROM t ORDER BY a OFFSET 5")
+        .query("SELECT a FROM t ORDER BY a OFFSET 5")
+        .run()
         .unwrap()
+        .rows
         .rows()
         .is_empty());
     let page = db
-        .execute("SELECT a FROM t ORDER BY a LIMIT 1 OFFSET 2")
-        .unwrap();
+        .query("SELECT a FROM t ORDER BY a LIMIT 1 OFFSET 2")
+        .run()
+        .unwrap()
+        .rows;
     assert_eq!(page.rows()[0][0], Value::Int(3));
 }
 
 #[test]
 fn min_max_over_text_and_avg_of_ints() {
     let db = Database::in_memory();
-    db.execute("CREATE TABLE t (name TEXT, n INT)").unwrap();
-    db.execute("INSERT INTO t VALUES ('beta', 1), ('alpha', 2), ('gamma', 4)")
+    db.query("CREATE TABLE t (name TEXT, n INT)").run().unwrap();
+    db.query("INSERT INTO t VALUES ('beta', 1), ('alpha', 2), ('gamma', 4)")
+        .run()
         .unwrap();
     let rs = db
-        .execute("SELECT MIN(name), MAX(name), AVG(n) FROM t")
-        .unwrap();
+        .query("SELECT MIN(name), MAX(name), AVG(n) FROM t")
+        .run()
+        .unwrap()
+        .rows;
     assert_eq!(rs.rows()[0][0], Value::Text("alpha".into()));
     assert_eq!(rs.rows()[0][1], Value::Text("gamma".into()));
     assert_eq!(rs.rows()[0][2], Value::Float(7.0 / 3.0));
     // SUM over text errors out rather than silently coercing.
-    assert!(db.execute("SELECT SUM(name) FROM t").is_err());
+    assert!(db.query("SELECT SUM(name) FROM t").run().is_err());
 }
 
 #[test]
 fn group_by_with_having_like_filter_via_nested_semantics() {
     // No HAVING in the subset; the equivalent is filtering rows first.
     let db = Database::in_memory();
-    db.execute("CREATE TABLE t (k TEXT, v INT)").unwrap();
-    db.execute("INSERT INTO t VALUES ('a', 1), ('a', 5), ('b', 2), ('b', 3), ('c', 10)")
+    db.query("CREATE TABLE t (k TEXT, v INT)").run().unwrap();
+    db.query("INSERT INTO t VALUES ('a', 1), ('a', 5), ('b', 2), ('b', 3), ('c', 10)")
+        .run()
         .unwrap();
     let rs = db
-        .execute("SELECT k, SUM(v) AS total FROM t WHERE v < 10 GROUP BY k ORDER BY k")
-        .unwrap();
+        .query("SELECT k, SUM(v) AS total FROM t WHERE v < 10 GROUP BY k ORDER BY k")
+        .run()
+        .unwrap()
+        .rows;
     assert_eq!(rs.rows().len(), 2);
     assert_eq!(rs.rows()[0], vec![Value::Text("a".into()), Value::Int(6)]);
     assert_eq!(rs.rows()[1], vec![Value::Text("b".into()), Value::Int(5)]);
@@ -522,36 +642,43 @@ fn group_by_with_having_like_filter_via_nested_semantics() {
 #[test]
 fn update_with_swapped_column_references() {
     let db = Database::in_memory();
-    db.execute("CREATE TABLE t (a INT, b INT)").unwrap();
-    db.execute("INSERT INTO t VALUES (1, 10)").unwrap();
+    db.query("CREATE TABLE t (a INT, b INT)").run().unwrap();
+    db.query("INSERT INTO t VALUES (1, 10)").run().unwrap();
     // Assignments all read the PRE-update row.
-    db.execute("UPDATE t SET a = b, b = a").unwrap();
-    let rs = db.execute("SELECT a, b FROM t").unwrap();
+    db.query("UPDATE t SET a = b, b = a").run().unwrap();
+    let rs = db.query("SELECT a, b FROM t").run().unwrap().rows;
     assert_eq!(rs.rows()[0], vec![Value::Int(10), Value::Int(1)]);
 }
 
 #[test]
 fn composite_index_prefix_and_range_consistency() {
     let db = Database::in_memory();
-    db.execute("CREATE TABLE t (p TEXT, o INT, v TEXT)")
+    db.query("CREATE TABLE t (p TEXT, o INT, v TEXT)")
+        .run()
         .unwrap();
     for p in ["x", "y"] {
         for o in 0..20 {
-            db.execute(&format!("INSERT INTO t VALUES ('{p}', {o}, '{p}{o}')"))
+            db.query(&format!("INSERT INTO t VALUES ('{p}', {o}, '{p}{o}')"))
+                .run()
                 .unwrap();
         }
     }
     let baseline = db
-        .execute("SELECT v FROM t WHERE p = 'x' AND o BETWEEN 5 AND 9 ORDER BY o")
-        .unwrap();
-    db.execute("CREATE INDEX i ON t (p, o)").unwrap();
+        .query("SELECT v FROM t WHERE p = 'x' AND o BETWEEN 5 AND 9 ORDER BY o")
+        .run()
+        .unwrap()
+        .rows;
+    db.query("CREATE INDEX i ON t (p, o)").run().unwrap();
     let indexed = db
-        .execute("SELECT v FROM t WHERE p = 'x' AND o BETWEEN 5 AND 9 ORDER BY o")
-        .unwrap();
+        .query("SELECT v FROM t WHERE p = 'x' AND o BETWEEN 5 AND 9 ORDER BY o")
+        .run()
+        .unwrap()
+        .rows;
     assert_eq!(baseline.rows(), indexed.rows());
     assert_eq!(indexed.rows().len(), 5);
     assert!(db
-        .plan("SELECT v FROM t WHERE p = 'x' AND o BETWEEN 5 AND 9")
+        .query("SELECT v FROM t WHERE p = 'x' AND o BETWEEN 5 AND 9")
+        .planned()
         .unwrap()
         .plan
         .uses_index());
@@ -560,18 +687,21 @@ fn composite_index_prefix_and_range_consistency() {
 #[test]
 fn dml_uses_indexes_for_sargable_filters() {
     let db = Database::in_memory();
-    db.execute("CREATE TABLE t (doc INT, v TEXT)").unwrap();
+    db.query("CREATE TABLE t (doc INT, v TEXT)").run().unwrap();
     for d in 0..50 {
         for i in 0..4 {
-            db.execute(&format!("INSERT INTO t VALUES ({d}, 'd{d}i{i}')"))
+            db.query(&format!("INSERT INTO t VALUES ({d}, 'd{d}i{i}')"))
+                .run()
                 .unwrap();
         }
     }
-    db.execute("CREATE INDEX idx_doc ON t (doc)").unwrap();
+    db.query("CREATE INDEX idx_doc ON t (doc)").run().unwrap();
     // Indexed DELETE removes exactly the matching rows.
     assert_eq!(
-        db.execute("DELETE FROM t WHERE doc = 7")
+        db.query("DELETE FROM t WHERE doc = 7")
+            .run()
             .unwrap()
+            .rows
             .affected(),
         4
     );
@@ -579,26 +709,36 @@ fn dml_uses_indexes_for_sargable_filters() {
     // Indexed UPDATE touches exactly the matching rows and maintains the
     // index (a follow-up indexed SELECT sees the change).
     assert_eq!(
-        db.execute("UPDATE t SET v = 'changed' WHERE doc = 9")
+        db.query("UPDATE t SET v = 'changed' WHERE doc = 9")
+            .run()
             .unwrap()
+            .rows
             .affected(),
         4
     );
-    let rs = db.execute("SELECT v FROM t WHERE doc = 9").unwrap();
+    let rs = db
+        .query("SELECT v FROM t WHERE doc = 9")
+        .run()
+        .unwrap()
+        .rows;
     assert!(rs
         .rows()
         .iter()
         .all(|r| r[0] == Value::Text("changed".into())));
     // Residual (non-sargable) parts of the filter still apply.
     assert_eq!(
-        db.execute("DELETE FROM t WHERE doc = 9 AND v LIKE 'nope%'")
+        db.query("DELETE FROM t WHERE doc = 9 AND v LIKE 'nope%'")
+            .run()
             .unwrap()
+            .rows
             .affected(),
         0
     );
     assert_eq!(
-        db.execute("DELETE FROM t WHERE doc = 9 AND v = 'changed'")
+        db.query("DELETE FROM t WHERE doc = 9 AND v = 'changed'")
+            .run()
             .unwrap()
+            .rows
             .affected(),
         4
     );

@@ -1,14 +1,26 @@
 //! `EXPLAIN ANALYZE` behaviour: golden profile tree over a known plan,
 //! per-operator row accounting, the self-time-sums-to-total invariant the
-//! issue pins at ±10%, and the SQL-level `EXPLAIN [ANALYZE]` statements.
+//! issue pins at ±10%, the SQL-level `EXPLAIN [ANALYZE]` statements, and
+//! the plans-exactly-once regression.
 
-#![allow(deprecated)] // exercises the legacy wrappers on purpose
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 
-use xomatiq_relstore::{Database, Value};
+use xomatiq_obs::trace::{self, TraceCtx};
+use xomatiq_obs::MemoryTraceSink;
+use xomatiq_relstore::{Database, PlanExplainNode, Value};
+
+/// The metrics registry is process-global and every test here plans
+/// queries. Tests hold this shared; the one test that asserts an exact
+/// `relstore.plan.latency` delta holds it exclusively.
+static PLANNING: RwLock<()> = RwLock::new(());
+
+fn planning() -> RwLockReadGuard<'static, ()> {
+    PLANNING.read().unwrap_or_else(|e| e.into_inner())
+}
 
 fn big_db(n: i64) -> Database {
     let db = Database::in_memory();
-    db.execute("CREATE TABLE big (a INT, b TEXT)").unwrap();
+    db.query("CREATE TABLE big (a INT, b TEXT)").run().unwrap();
     let stmts: Vec<String> = (0..n)
         .map(|i| format!("INSERT INTO big VALUES ({i}, 'row{i}')"))
         .collect();
@@ -33,12 +45,16 @@ fn normalize(rendered: &str) -> String {
 
 #[test]
 fn golden_profile_over_three_operator_plan() {
+    let _planning = planning();
     let db = big_db(1_000);
     let analyzed = db
-        .explain_analyze_query("SELECT a FROM big WHERE a < 3")
+        .query("SELECT a FROM big WHERE a < 3")
+        .with_profile()
+        .run()
         .unwrap();
-    assert_eq!(analyzed.result.rows().len(), 3);
-    let got = normalize(&analyzed.render());
+    assert_eq!(analyzed.rows.rows().len(), 3);
+    let rendered = analyzed.render_analysis().unwrap();
+    let got = normalize(&rendered);
     // `a < 3` is sargable, so the vectorized kernel drops non-matching
     // rows inside the scan: the Scan node emits the 3 survivors and the
     // Filter merely re-confirms them. The true scan volume (and the
@@ -49,47 +65,46 @@ Project [a]  [rows_in=3 rows_out=3 self=_]
     Scan big AS big  [rows_in=3 rows_out=3 self=_]";
     assert_eq!(got, want);
     // The footer carries the executor counters.
-    assert!(
-        analyzed.render().contains("rows scanned: 1000"),
-        "{}",
-        analyzed.render()
-    );
-    assert!(
-        analyzed.render().contains("segments pruned: 0"),
-        "{}",
-        analyzed.render()
-    );
+    assert!(rendered.contains("rows scanned: 1000"), "{rendered}");
+    assert!(rendered.contains("segments pruned: 0"), "{rendered}");
 }
 
 #[test]
 fn filter_join_topk_times_sum_to_total_within_ten_percent() {
+    let _planning = planning();
     // The acceptance-criteria query shape: filter + hash join + Top-K.
     let db = Database::in_memory();
-    db.execute("CREATE TABLE facts (id INT, v INT)").unwrap();
-    db.execute("CREATE TABLE dims (id INT, name TEXT)").unwrap();
+    db.query("CREATE TABLE facts (id INT, v INT)")
+        .run()
+        .unwrap();
+    db.query("CREATE TABLE dims (id INT, name TEXT)")
+        .run()
+        .unwrap();
     let stmts: Vec<String> = (0..20_000)
         .map(|i| format!("INSERT INTO facts VALUES ({}, {i})", i % 64))
         .collect();
     let refs: Vec<&str> = stmts.iter().map(|s| s.as_str()).collect();
     db.execute_batch(&refs).unwrap();
     for i in 0..64 {
-        db.execute(&format!("INSERT INTO dims VALUES ({i}, 'n{i}')"))
+        db.query(&format!("INSERT INTO dims VALUES ({i}, 'n{i}')"))
+            .run()
             .unwrap();
     }
     let sql = "SELECT f.v, d.name FROM facts f, dims d \
                WHERE f.id = d.id AND f.v < 10000 \
                ORDER BY f.v DESC LIMIT 5";
-    let analyzed = db.explain_analyze_query(sql).unwrap();
-    assert_eq!(analyzed.result.rows().len(), 5);
-    assert_eq!(analyzed.result.rows()[0][0], Value::Int(9999));
+    let analyzed = db.query(sql).with_profile().run().unwrap();
+    assert_eq!(analyzed.rows.rows().len(), 5);
+    assert_eq!(analyzed.rows.rows()[0][0], Value::Int(9999));
+    let profile = analyzed.profile.as_ref().unwrap();
 
     // The profile tree contains the three interesting operators, each
     // with rows-in/rows-out accounted.
-    let rendered = analyzed.render();
+    let rendered = analyzed.render_analysis().unwrap();
     assert!(rendered.contains("TopK 5 OFFSET 0"), "{rendered}");
     assert!(rendered.contains("HashJoin"), "{rendered}");
     assert!(rendered.contains("Filter"), "{rendered}");
-    let mut stack = vec![&analyzed.profile];
+    let mut stack = vec![profile];
     let mut ops = 0usize;
     while let Some(node) = stack.pop() {
         ops += 1;
@@ -109,8 +124,8 @@ fn filter_join_topk_times_sum_to_total_within_ten_percent() {
 
     // Exclusive per-operator times must sum (within ±10%) to the total
     // measured execution time.
-    let sum = analyzed.profile.tree_elapsed_ns() as f64;
-    let total = analyzed.total_ns as f64;
+    let sum = profile.tree_elapsed_ns() as f64;
+    let total = analyzed.exec_ns.unwrap() as f64;
     assert!(
         (sum - total).abs() <= total * 0.10,
         "per-operator sum {sum}ns vs total {total}ns drifts more than 10%:\n{rendered}"
@@ -118,9 +133,14 @@ fn filter_join_topk_times_sum_to_total_within_ten_percent() {
 }
 
 #[test]
-fn explain_statement_matches_database_explain() {
+fn explain_statement_matches_query_explain() {
+    let _planning = planning();
     let db = big_db(10);
-    let rs = db.execute("EXPLAIN SELECT a FROM big LIMIT 2").unwrap();
+    let rs = db
+        .query("EXPLAIN SELECT a FROM big LIMIT 2")
+        .run()
+        .unwrap()
+        .rows;
     assert_eq!(rs.columns(), ["plan"]);
     let lines: Vec<String> = rs
         .rows()
@@ -130,47 +150,145 @@ fn explain_statement_matches_database_explain() {
             other => panic!("{other:?}"),
         })
         .collect();
-    let explain = db.explain("SELECT a FROM big LIMIT 2").unwrap();
+    let explain = db
+        .query("SELECT a FROM big LIMIT 2")
+        .explain()
+        .unwrap()
+        .render();
     let want: Vec<&str> = explain.lines().collect();
     assert_eq!(lines, want);
 }
 
 #[test]
 fn explain_analyze_statement_reports_rows_and_total() {
+    let _planning = planning();
     let db = big_db(100);
     let rs = db
-        .execute("EXPLAIN ANALYZE SELECT a FROM big WHERE a >= 90")
-        .unwrap();
+        .query("EXPLAIN ANALYZE SELECT a FROM big WHERE a >= 90")
+        .run()
+        .unwrap()
+        .rows;
     let text: Vec<String> = rs.rows().iter().map(|r| r[0].to_string()).collect();
     let joined = text.join("\n");
     assert!(joined.contains("rows_out=10"), "{joined}");
     assert!(joined.contains("(total:"), "{joined}");
     // EXPLAIN ANALYZE of DML is rejected at parse time.
-    let err = db.execute("EXPLAIN ANALYZE DELETE FROM big").unwrap_err();
+    let err = db
+        .query("EXPLAIN ANALYZE DELETE FROM big")
+        .run()
+        .unwrap_err();
     assert!(err.to_string().contains("SELECT"), "{err}");
 }
 
 #[test]
 fn analyze_reports_index_and_keyword_counters() {
+    let _planning = planning();
     let db = Database::in_memory();
-    db.execute("CREATE TABLE t (a INT, s TEXT)").unwrap();
-    db.execute("CREATE INDEX idx_a ON t (a)").unwrap();
-    db.execute("CREATE KEYWORD INDEX kw_s ON t (s)").unwrap();
+    db.query("CREATE TABLE t (a INT, s TEXT)").run().unwrap();
+    db.query("CREATE INDEX idx_a ON t (a)").run().unwrap();
+    db.query("CREATE KEYWORD INDEX kw_s ON t (s)")
+        .run()
+        .unwrap();
     for i in 0..100 {
         let s = if i % 10 == 0 { "needle here" } else { "hay" };
-        db.execute(&format!("INSERT INTO t VALUES ({i}, '{s}')"))
+        db.query(&format!("INSERT INTO t VALUES ({i}, '{s}')"))
+            .run()
             .unwrap();
     }
     let analyzed = db
-        .explain_analyze_query("SELECT a FROM t WHERE a = 42")
+        .query("SELECT a FROM t WHERE a = 42")
+        .with_profile()
+        .run()
         .unwrap();
-    assert_eq!(analyzed.stats.index_probes, 1);
-    assert_eq!(analyzed.stats.rows_scanned, 1);
-    assert!(analyzed.render().contains("index probes: 1"));
+    let stats = analyzed.stats.unwrap();
+    assert_eq!(stats.index_probes, 1);
+    assert_eq!(stats.rows_scanned, 1);
+    assert!(analyzed
+        .render_analysis()
+        .unwrap()
+        .contains("index probes: 1"));
 
     let analyzed = db
-        .explain_analyze_query("SELECT a FROM t WHERE CONTAINS(s, 'needle')")
+        .query("SELECT a FROM t WHERE CONTAINS(s, 'needle')")
+        .with_profile()
+        .run()
         .unwrap();
-    assert_eq!(analyzed.stats.index_probes, 1);
-    assert_eq!(analyzed.stats.keyword_postings_read, 10);
+    let stats = analyzed.stats.unwrap();
+    assert_eq!(stats.index_probes, 1);
+    assert_eq!(stats.keyword_postings_read, 10);
+}
+
+/// Regression: `explain_analyzed` used to plan the statement twice — once
+/// for the tree it returned and once more inside the profiled run — so a
+/// single call recorded two plan latency samples and two plan spans, and
+/// could annotate a tree built from a different plan than the one that
+/// ran.
+#[test]
+fn explain_analyzed_plans_once_and_annotates_the_plan_that_ran() {
+    let _exclusive = PLANNING.write().unwrap_or_else(|e| e.into_inner());
+    let db = big_db(200);
+    let sql = "SELECT a FROM big WHERE a < 50 ORDER BY a DESC LIMIT 7";
+    let plan_latency = xomatiq_obs::global().histogram("relstore.plan.latency");
+    let sink = Arc::new(MemoryTraceSink::new());
+    trace::set_trace_sink(Some(sink.clone()));
+    let trace_id = 0x51de_c0de_u64;
+    let before = plan_latency.count();
+    let tree = {
+        let _scope = trace::scope(TraceCtx::with_trace_id(trace_id));
+        db.query(sql).explain_analyzed().unwrap()
+    };
+    let planned = plan_latency.count() - before;
+    trace::set_trace_sink(None);
+    assert_eq!(planned, 1, "one call must record one plan latency sample");
+    let plan_spans = sink
+        .trace(trace_id)
+        .iter()
+        .filter(|s| s.name == "relstore.query.plan")
+        .count();
+    assert_eq!(plan_spans, 1, "one call must emit one plan span");
+
+    // The tree is the executed plan's: running the same statement under
+    // the profiler yields the same operator labels, node for node, and
+    // every node of the tree carries the observed row count.
+    fn labels(node: &PlanExplainNode, out: &mut Vec<String>) {
+        assert!(node.actual_rows.is_some(), "{} has no actuals", node.op);
+        out.push(node.op.clone());
+        node.children.iter().for_each(|c| labels(c, out));
+    }
+    let mut tree_labels = Vec::new();
+    labels(&tree.root, &mut tree_labels);
+    let profile = db.query(sql).with_profile().run().unwrap().profile.unwrap();
+    let mut profile_labels = Vec::new();
+    let mut stack = vec![&profile];
+    while let Some(node) = stack.pop() {
+        profile_labels.push(node.op.clone());
+        stack.extend(node.children.iter().rev());
+    }
+    assert_eq!(tree_labels, profile_labels);
+    assert_eq!(tree.root.actual_rows, Some(7));
+}
+
+/// `with_workers`, `with_profile` and `via_reference` each choose how the
+/// plan runs; asking for two of them is a typed bind error, not a silent
+/// preference for one.
+#[test]
+fn conflicting_execution_modes_are_rejected() {
+    let _planning = planning();
+    let db = big_db(10);
+    let sql = "SELECT a FROM big";
+    for conflicted in [
+        db.query(sql).with_profile().via_reference(),
+        db.query(sql).via_reference().with_profile(),
+        db.query(sql).with_profile().with_workers(4),
+        db.query(sql).with_workers(4).via_reference(),
+    ] {
+        let err = conflicted.run().unwrap_err();
+        assert_eq!(err.code(), "bind", "{err}");
+        assert!(err.to_string().contains("mutually exclusive"), "{err}");
+    }
+    // Repeating one kind is not a conflict: the last value wins.
+    let out = db.query(sql).with_workers(4).with_workers(1).run().unwrap();
+    assert_eq!(out.rows.len(), 10);
+    // And a conflicted builder leaves nothing half-done behind it.
+    assert_eq!(db.query(sql).run().unwrap().rows.len(), 10);
 }

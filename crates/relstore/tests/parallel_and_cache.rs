@@ -3,29 +3,42 @@
 //! The parallel executor is an optimization, never a semantic change: the
 //! differential property test below requires the morsel-parallel, streaming
 //! and reference executors to agree row for row — same rows, same order,
-//! same duplicates — at 1, 2 and 4 workers, with a tiny morsel size so
-//! multi-morsel paths get exercised even on small generated tables. The
+//! same duplicates — at 1, 2 and 4 workers, and the morsel-parallel and
+//! sequential runs to report field-for-field identical `ExecStats`, with
+//! tiny morsels (1–8 rows) so multi-morsel paths get exercised even on
+//! small generated tables, plus one shared three-segment table so morsels
+//! straddle segment boundaries and zone maps (on and off) have segments to
+//! prune. The
 //! plan cache likewise must be observable only as speed: hits return the
 //! identical `Arc`'d plan, DDL invalidates it, the LRU bound evicts, and
 //! bad parameter bindings fail with typed `bind` errors before execution.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 use xomatiq_relstore::{Database, DatabaseOptions, RelError};
 
 /// A database whose parallel executor kicks in aggressively: 4 workers and
-/// 8-row morsels, so even ~50-row proptest tables span several morsels.
-fn parallel_options() -> DatabaseOptions {
+/// `morsel_size`-row morsels, so even ~50-row proptest tables span several
+/// morsels.
+fn parallel_options(morsel_size: usize) -> DatabaseOptions {
     DatabaseOptions {
         workers: 4,
-        morsel_size: 8,
+        morsel_size,
         ..DatabaseOptions::default()
     }
 }
 
 fn build_db(t_rows: &[(i64, i64, String)], u_rows: &[(i64, String)]) -> Database {
-    let db = Database::in_memory_with_options(parallel_options());
+    build_db_with(8, t_rows, u_rows)
+}
+
+fn build_db_with(
+    morsel_size: usize,
+    t_rows: &[(i64, i64, String)],
+    u_rows: &[(i64, String)],
+) -> Database {
+    let db = Database::in_memory_with_options(parallel_options(morsel_size));
     db.query("CREATE TABLE t (a INT, b INT, s TEXT)")
         .run()
         .unwrap();
@@ -79,12 +92,58 @@ fn u_row_strategy() -> impl Strategy<Value = (i64, String)> {
     )
 }
 
+/// A three-segment `w(k INT, g INT, s TEXT)` (2 500 rows, `k` ascending so
+/// zone maps can prune on it; a deleted stretch leaves dead slots inside
+/// the first segment) plus a small `v(g INT, name TEXT)` to join against,
+/// with 100-row morsels: the last morsel of every segment is ragged.
+/// Built once; only `parallel_matches_streaming_and_reference` touches it
+/// (it toggles the database-wide pruning switch).
+fn segmented_db() -> &'static Database {
+    static DB: OnceLock<Database> = OnceLock::new();
+    DB.get_or_init(|| {
+        let db = Database::in_memory_with_options(parallel_options(100));
+        db.query("CREATE TABLE w (k INT, g INT, s TEXT)")
+            .run()
+            .unwrap();
+        db.query("CREATE TABLE v (g INT, name TEXT)").run().unwrap();
+        let mut stmts: Vec<String> = (0..2_500)
+            .map(|k| format!("INSERT INTO w VALUES ({k}, {}, 'row {k}')", k % 7))
+            .collect();
+        stmts.extend((0..5).map(|g| format!("INSERT INTO v VALUES ({g}, 'g{g}')")));
+        let refs: Vec<&str> = stmts.iter().map(|s| s.as_str()).collect();
+        db.execute_batch(&refs).unwrap();
+        db.query("DELETE FROM w WHERE k >= 150 AND k < 420")
+            .run()
+            .unwrap();
+        db
+    })
+}
+
 /// Same SQL at 1, 2 and 4 workers plus the reference interpreter:
-/// identical ordered output everywhere.
+/// identical ordered output everywhere, and identical executor counters
+/// between the sequential and every morsel-parallel run.
 fn assert_all_agree(db: &Database, sql: &str) -> Result<(), TestCaseError> {
-    let sequential = db.query(sql).with_workers(1).run().unwrap().rows;
+    let run = |workers: usize| {
+        let out = db
+            .query(sql)
+            .with_workers(workers)
+            .with_stats()
+            .run()
+            .unwrap();
+        (out.rows, out.stats.unwrap())
+    };
+    let (sequential, seq_stats) = run(1);
     for workers in [2usize, 4] {
-        let parallel = db.query(sql).with_workers(workers).run().unwrap().rows;
+        let (parallel, par_stats) = run(workers);
+        // `ExecStats` is plain counters: struct equality is equality of
+        // every field, and the failure message prints both sides.
+        prop_assert_eq!(
+            seq_stats,
+            par_stats,
+            "stats diverged at {} workers on {}",
+            workers,
+            sql
+        );
         prop_assert_eq!(
             sequential.columns(),
             parallel.columns(),
@@ -140,8 +199,13 @@ proptest! {
         u_rows in prop::collection::vec(u_row_strategy(), 0..20),
         point in 0i64..12,
         limit in 0u64..15,
+        morsel_size in 1usize..=8,
+        pruning in any::<bool>(),
+        lo in 0i64..2_500,
+        width in 0i64..1_500,
     ) {
-        let db = build_db(&t_rows, &u_rows);
+        let db = build_db_with(morsel_size, &t_rows, &u_rows);
+        db.set_zone_map_pruning(pruning);
         let queries = [
             // Parallel-eligible shapes: scan, filter chains, projection.
             "SELECT a, b, s FROM t".to_string(),
@@ -149,6 +213,12 @@ proptest! {
             format!("SELECT a + b, s FROM t WHERE a >= {point} AND b < 4"),
             "SELECT a FROM t WHERE CONTAINS(s, 'beta')".to_string(),
             "SELECT DISTINCT b FROM t".to_string(),
+            // Fused project-filter-scan (bare columns, fully sargable
+            // predicate), a partly sargable chain, and both under DISTINCT.
+            format!("SELECT a, b FROM t WHERE b < 4 AND a >= {point}"),
+            format!("SELECT DISTINCT a, b FROM t WHERE b < 4 AND a >= {point}"),
+            format!("SELECT a, s FROM t WHERE a >= {point} AND s LIKE '%beta%'"),
+            format!("SELECT DISTINCT a + b FROM t WHERE a >= {point}"),
             // Escaped-quote literal predicates through the parallel path.
             "SELECT a, b FROM t WHERE s = 'o''hara beta'".to_string(),
             "SELECT a FROM t WHERE s = '5''-utr region'".to_string(),
@@ -156,9 +226,14 @@ proptest! {
             "SELECT t.a, t.b, u.name FROM t, u WHERE t.a = u.a".to_string(),
             "SELECT DISTINCT t.s FROM t, u WHERE t.a = u.a".to_string(),
             "SELECT t.a, u.name FROM t, u WHERE t.a = u.a AND t.b > 2".to_string(),
+            "SELECT DISTINCT t.b, u.name FROM t, u WHERE t.a = u.a".to_string(),
             // Partial-aggregate trees, grouped and global.
             "SELECT a, COUNT(*), SUM(b) FROM t GROUP BY a ORDER BY a".to_string(),
             "SELECT COUNT(*), MIN(a), MAX(b), AVG(b) FROM t".to_string(),
+            "SELECT b, COUNT(*), SUM(a) FROM t GROUP BY b".to_string(),
+            format!("SELECT COUNT(*), MAX(a) FROM t WHERE a < {point}"),
+            "SELECT DISTINCT COUNT(*) FROM t GROUP BY a".to_string(),
+            "SELECT DISTINCT MIN(b) FROM t".to_string(),
             // Order-requiring plans: the planner must fall back to the
             // sequential executor and still agree everywhere.
             format!("SELECT a, b FROM t ORDER BY b DESC, a LIMIT {limit}"),
@@ -167,6 +242,27 @@ proptest! {
         ];
         for sql in &queries {
             assert_all_agree(&db, sql)?;
+        }
+
+        // The same shapes over three segments: a range on the clustered
+        // key prunes whole segments (or none, with pruning off), morsels
+        // straddle segment ends, and some morsels hold only dead slots.
+        let wide = segmented_db();
+        wide.set_zone_map_pruning(pruning);
+        let hi = lo + width;
+        let wide_queries = [
+            format!("SELECT k, s FROM w WHERE k >= {lo} AND k < {hi}"),
+            format!("SELECT k + g, s FROM w WHERE k >= {lo} AND k < {hi} AND s LIKE '%7%'"),
+            format!("SELECT DISTINCT g FROM w WHERE k >= {lo} AND k < {hi}"),
+            format!("SELECT w.k, v.name FROM w, v WHERE w.g = v.g AND w.k >= {lo} AND w.k < {hi}"),
+            format!("SELECT DISTINCT w.g FROM w, v WHERE w.g = v.g AND w.k >= {lo} AND w.k < {hi}"),
+            format!("SELECT g, COUNT(*), SUM(k) FROM w WHERE k >= {lo} AND k < {hi} GROUP BY g"),
+            format!("SELECT COUNT(*), MIN(k), MAX(k) FROM w WHERE k >= {lo} AND k < {hi}"),
+            format!("SELECT DISTINCT COUNT(*) FROM w WHERE k >= {lo} AND k < {hi} GROUP BY g"),
+            "SELECT g, COUNT(*) FROM w GROUP BY g".to_string(),
+        ];
+        for sql in &wide_queries {
+            assert_all_agree(wide, sql)?;
         }
     }
 
@@ -177,7 +273,7 @@ proptest! {
         // The ±2^53 fix must hold identically on the morsel-parallel
         // executor (which runs the vectorized segment kernels) as on the
         // streaming and reference paths.
-        let db = Database::in_memory_with_options(parallel_options());
+        let db = Database::in_memory_with_options(parallel_options(8));
         db.query("CREATE TABLE big (v INT)").run().unwrap();
         let insert = db.prepare("INSERT INTO big VALUES (?)").unwrap();
         for v in &vals {
@@ -196,24 +292,73 @@ proptest! {
     #[test]
     fn parallel_matches_on_errors(
         t_rows in prop::collection::vec(t_row_strategy(), 1..30),
+        filler in prop::collection::vec(t_row_strategy(), 24..60),
+        early in prop::option::of(0usize..8),
+        late in 0usize..8,
     ) {
         // Runtime errors (e.g. SUM over text) must surface identically —
         // and deterministically — no matter how many workers raced.
         let db = build_db(&t_rows, &[]);
         for sql in ["SELECT SUM(s) FROM t", "SELECT a + s FROM t"] {
-            let sequential = db.query(sql).with_workers(1).run();
-            let parallel = db.query(sql).with_workers(4).run();
-            prop_assert_eq!(sequential.is_err(), parallel.is_err(), "{}", sql);
-            if let (Err(s), Err(p)) = (sequential, parallel) {
-                prop_assert_eq!(s.to_string(), p.to_string(), "{}", sql);
-            }
+            prop_assert!(assert_same_outcome(&db, sql)?.is_err(), "{}", sql);
+        }
+
+        // Position matters: `a + b` overflows only on poisoned rows, and
+        // the message names the row's `a`. One poisoned row always sits in
+        // the last morsel (a = 2); optionally another in the first
+        // (a = 1). The sequential run stops at the first in scan order —
+        // the late one only when it is alone — and so must every parallel
+        // run, whichever worker hits its failure first.
+        let mut rows = filler;
+        let late_at = rows.len() - 1 - late;
+        rows[late_at] = (2, i64::MAX, "late".to_string());
+        if let Some(early_at) = early {
+            rows[early_at] = (1, i64::MAX, "early".to_string());
+        }
+        let db = build_db(&rows, &[(1, "x".to_string()), (2, "y".to_string())]);
+        let first_bad = if early.is_some() { "1 Add" } else { "2 Add" };
+        for sql in [
+            "SELECT a + b FROM t",
+            "SELECT s FROM t WHERE a + b > 0",
+            "SELECT a + b, COUNT(*) FROM t GROUP BY a + b",
+            "SELECT DISTINCT a + b FROM t",
+            "SELECT t.a + t.b, u.name FROM t, u WHERE t.a = u.a",
+        ] {
+            let err = assert_same_outcome(&db, sql)?.expect_err("a poisoned row overflows");
+            prop_assert!(err.contains(first_bad), "{}: {}", sql, err);
         }
     }
 }
 
+/// Same SQL sequentially and at 2 and 4 workers: the same rows, or the
+/// same error. Returns the (shared) outcome.
+fn assert_same_outcome(
+    db: &Database,
+    sql: &str,
+) -> Result<Result<xomatiq_relstore::ResultSet, String>, TestCaseError> {
+    let run = |workers: usize| {
+        db.query(sql)
+            .with_workers(workers)
+            .run()
+            .map(|out| out.rows)
+            .map_err(|e| e.to_string())
+    };
+    let sequential = run(1);
+    for workers in [2usize, 4] {
+        prop_assert_eq!(
+            &sequential,
+            &run(workers),
+            "{} workers diverged on {}",
+            workers,
+            sql
+        );
+    }
+    Ok(sequential)
+}
+
 #[test]
 fn explain_reports_parallelism() {
-    let db = Database::in_memory_with_options(parallel_options());
+    let db = Database::in_memory_with_options(parallel_options(8));
     db.query("CREATE TABLE t (a INT, b INT)").run().unwrap();
     let explain = |sql: &str| db.query(sql).explain().unwrap().render();
     // Scan/filter/aggregate shapes fan out across the configured workers.
@@ -233,7 +378,7 @@ fn explain_reports_parallelism() {
 
 #[test]
 fn parallel_execution_counts_workers() {
-    let db = Database::in_memory_with_options(parallel_options());
+    let db = Database::in_memory_with_options(parallel_options(8));
     db.query("CREATE TABLE t (a INT)").run().unwrap();
     let stmts: Vec<String> = (0..100)
         .map(|i| format!("INSERT INTO t VALUES ({i})"))

@@ -4,8 +4,6 @@
 //! optimization, never a semantic change — indexed and unindexed executions
 //! of the same query over the same data return identical row multisets.
 
-#![allow(deprecated)] // exercises the legacy wrappers on purpose
-
 use proptest::prelude::*;
 use xomatiq_relstore::{Database, Value};
 
@@ -14,23 +12,29 @@ fn twin_dbs(rows: &[(i64, i64, String)]) -> (Database, Database) {
     let plain = Database::in_memory();
     let indexed = Database::in_memory();
     for db in [&plain, &indexed] {
-        db.execute("CREATE TABLE t (a INT, b INT, s TEXT)").unwrap();
+        db.query("CREATE TABLE t (a INT, b INT, s TEXT)")
+            .run()
+            .unwrap();
     }
-    indexed.execute("CREATE INDEX idx_a ON t (a)").unwrap();
-    indexed.execute("CREATE INDEX idx_ab ON t (a, b)").unwrap();
+    indexed.query("CREATE INDEX idx_a ON t (a)").run().unwrap();
     indexed
-        .execute("CREATE KEYWORD INDEX kw_s ON t (s)")
+        .query("CREATE INDEX idx_ab ON t (a, b)")
+        .run()
+        .unwrap();
+    indexed
+        .query("CREATE KEYWORD INDEX kw_s ON t (s)")
+        .run()
         .unwrap();
     for (a, b, s) in rows {
         let sql = format!("INSERT INTO t VALUES ({a}, {b}, '{s}')");
-        plain.execute(&sql).unwrap();
-        indexed.execute(&sql).unwrap();
+        plain.query(&sql).run().unwrap();
+        indexed.query(&sql).run().unwrap();
     }
     (plain, indexed)
 }
 
 fn sorted_rows(db: &Database, sql: &str) -> Vec<Vec<Value>> {
-    let mut rows = db.execute(sql).unwrap().into_rows();
+    let mut rows = db.query(sql).run().unwrap().rows.into_rows();
     rows.sort_by(|x, y| {
         for (a, b) in x.iter().zip(y.iter()) {
             let ord = a.total_cmp(b);
@@ -93,14 +97,14 @@ proptest! {
         }
         // And the indexed side actually used an index for the point query.
         let point_sql = format!("SELECT a FROM t WHERE a = {point}");
-        let used_index = indexed.plan(&point_sql).unwrap().plan.uses_index();
+        let used_index = indexed.query(&point_sql).planned().unwrap().plan.uses_index();
         prop_assert!(used_index);
     }
 
     #[test]
     fn order_by_sorts_totally(rows in prop::collection::vec(row_strategy(), 0..60)) {
         let (db, _) = twin_dbs(&rows);
-        let rs = db.execute("SELECT a, b FROM t ORDER BY a, b DESC").unwrap();
+        let rs = db.query("SELECT a, b FROM t ORDER BY a, b DESC").run().unwrap().rows;
         let out = rs.rows();
         for w in out.windows(2) {
             let (x, y) = (&w[0], &w[1]);
@@ -115,14 +119,14 @@ proptest! {
     #[test]
     fn count_matches_row_count(rows in prop::collection::vec(row_strategy(), 0..60)) {
         let (db, _) = twin_dbs(&rows);
-        let rs = db.execute("SELECT COUNT(*) FROM t").unwrap();
+        let rs = db.query("SELECT COUNT(*) FROM t").run().unwrap().rows;
         prop_assert_eq!(rs.rows()[0][0].clone(), Value::Int(rows.len() as i64));
     }
 
     #[test]
     fn distinct_is_a_set(rows in prop::collection::vec(row_strategy(), 0..60)) {
         let (db, _) = twin_dbs(&rows);
-        let rs = db.execute("SELECT DISTINCT a FROM t").unwrap();
+        let rs = db.query("SELECT DISTINCT a FROM t").run().unwrap().rows;
         let mut seen = std::collections::HashSet::new();
         for row in rs.rows() {
             prop_assert!(seen.insert(row[0].clone()), "duplicate in DISTINCT output");
@@ -134,7 +138,7 @@ proptest! {
     #[test]
     fn group_by_partitions_rows(rows in prop::collection::vec(row_strategy(), 1..60)) {
         let (db, _) = twin_dbs(&rows);
-        let rs = db.execute("SELECT a, COUNT(*) FROM t GROUP BY a").unwrap();
+        let rs = db.query("SELECT a, COUNT(*) FROM t GROUP BY a").run().unwrap().rows;
         let total: i64 = rs.rows().iter().map(|r| r[1].as_int().unwrap()).sum();
         prop_assert_eq!(total, rows.len() as i64);
     }
@@ -146,12 +150,12 @@ proptest! {
     ) {
         let (_, db) = twin_dbs(&rows);
         let expect_remaining = rows.iter().filter(|r| r.0 >= cut).count();
-        db.execute(&format!("DELETE FROM t WHERE a < {cut}")).unwrap();
+        db.query(&format!("DELETE FROM t WHERE a < {cut}")).run().unwrap();
         prop_assert_eq!(db.row_count("t").unwrap(), expect_remaining);
         // Index agrees with the table after the deletes.
         let via_index = db
-            .execute(&format!("SELECT COUNT(*) FROM t WHERE a = {cut}"))
-            .unwrap();
+            .query(&format!("SELECT COUNT(*) FROM t WHERE a = {cut}")).run()
+            .unwrap().rows;
         let expected = rows.iter().filter(|r| r.0 == cut).count() as i64;
         prop_assert_eq!(via_index.rows()[0][0].clone(), Value::Int(expected));
     }

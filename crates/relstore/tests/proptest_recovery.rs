@@ -6,8 +6,6 @@
 //! never a torn write, never a half-applied transaction, and always a
 //! prefix (no committed statement disappears while a later one survives).
 
-#![allow(deprecated)] // exercises the legacy wrappers on purpose
-
 use proptest::prelude::*;
 use xomatiq_relstore::{Database, FaultConfig, FaultyIo, Value};
 
@@ -42,7 +40,11 @@ impl Op {
 
 /// The observable state: sorted (a, b) pairs.
 fn state_of(db: &Database) -> Vec<(i64, String)> {
-    let rs = db.execute("SELECT a, b FROM t ORDER BY a, b").unwrap();
+    let rs = db
+        .query("SELECT a, b FROM t ORDER BY a, b")
+        .run()
+        .unwrap()
+        .rows;
     rs.rows()
         .iter()
         .map(|r| {
@@ -87,19 +89,19 @@ proptest! {
         let _ = std::fs::remove_file(&path);
         {
             let db = Database::open(&path).unwrap();
-            db.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
+            db.query("CREATE TABLE t (a INT, b TEXT)").run().unwrap();
             for op in &ops {
-                db.execute(&op.sql()).unwrap();
+                db.query(&op.sql()).run().unwrap();
             }
         }
         // All possible prefix states (computed on fresh in-memory engines).
         let mut prefix_states = Vec::with_capacity(ops.len() + 1);
         {
             let oracle = Database::in_memory();
-            oracle.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
+            oracle.query("CREATE TABLE t (a INT, b TEXT)").run().unwrap();
             prefix_states.push(state_of(&oracle));
             for op in &ops {
-                oracle.execute(&op.sql()).unwrap();
+                oracle.query(&op.sql()).run().unwrap();
                 prefix_states.push(state_of(&oracle));
             }
         }
@@ -124,7 +126,7 @@ proptest! {
             "recovered state is not a committed prefix: {got:?}"
         );
         // And the database remains writable after recovery.
-        recovered.execute("INSERT INTO t VALUES (999, 'post')").unwrap();
+        recovered.query("INSERT INTO t VALUES (999, 'post')").run().unwrap();
         let _ = std::fs::remove_file(&path);
     }
 
@@ -138,9 +140,9 @@ proptest! {
         let _ = std::fs::remove_file(&path);
         let expected = {
             let db = Database::open(&path).unwrap();
-            db.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
+            db.query("CREATE TABLE t (a INT, b TEXT)").run().unwrap();
             for op in &ops {
-                db.execute(&op.sql()).unwrap();
+                db.query(&op.sql()).run().unwrap();
             }
             state_of(&db)
         };
@@ -159,9 +161,9 @@ proptest! {
         let _ = std::fs::remove_file(&path);
         let expected = {
             let db = Database::open(&path).unwrap();
-            db.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
+            db.query("CREATE TABLE t (a INT, b TEXT)").run().unwrap();
             for op in &ops {
-                db.execute(&op.sql()).unwrap();
+                db.query(&op.sql()).run().unwrap();
             }
             db.compact().unwrap();
             state_of(&db)
@@ -200,14 +202,14 @@ proptest! {
         let io = FaultyIo::new(seed, FaultConfig::none());
         let (db, report) = Database::open_with_io(Box::new(io.clone())).unwrap();
         prop_assert!(report.is_clean());
-        db.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
+        db.query("CREATE TABLE t (a INT, b TEXT)").run().unwrap();
         io.set_config(cfg);
 
         let mut acked = Vec::new();
         let mut acked_mutations = 0usize;
         let mut failed = false;
         for op in &ops {
-            match db.execute(&op.sql()) {
+            match db.query(&op.sql()).run().map(|o| o.rows) {
                 Ok(rs) => {
                     // A no-op DML (zero rows matched) writes nothing and
                     // may legitimately succeed on a poisoned log; any
@@ -234,11 +236,11 @@ proptest! {
 
         // Every state reachable by a prefix of the acked statements.
         let oracle = Database::in_memory();
-        oracle.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
+        oracle.query("CREATE TABLE t (a INT, b TEXT)").run().unwrap();
         let mut prefix_states = Vec::with_capacity(acked.len() + 1);
         prefix_states.push(state_of(&oracle));
         for op in &acked {
-            oracle.execute(&op.sql()).unwrap();
+            oracle.query(&op.sql()).run().unwrap();
             prefix_states.push(state_of(&oracle));
         }
         let got = state_of(&recovered);
@@ -257,6 +259,6 @@ proptest! {
             "acked transactions unaccounted for: {report:?}"
         );
         // And the recovered database is immediately writable.
-        recovered.execute("INSERT INTO t VALUES (999, 'post')").unwrap();
+        recovered.query("INSERT INTO t VALUES (999, 'post')").run().unwrap();
     }
 }

@@ -6,8 +6,6 @@
 //! ([`xomatiq_relstore::exec_reference`]) row for row, *including order* —
 //! same rows, same duplicates, same tie-breaking under Top-K.
 
-#![allow(deprecated)] // exercises the legacy wrappers on purpose
-
 use proptest::prelude::*;
 use xomatiq_relstore::{Database, Value};
 
@@ -15,19 +13,25 @@ use xomatiq_relstore::{Database, Value};
 /// (dimension-like), optionally indexed so index scans get exercised too.
 fn build_db(t_rows: &[(i64, i64, String)], u_rows: &[(i64, String)]) -> Database {
     let db = Database::in_memory();
-    db.execute("CREATE TABLE t (a INT, b INT, s TEXT)").unwrap();
-    db.execute("CREATE TABLE u (a INT, name TEXT)").unwrap();
-    db.execute("CREATE INDEX idx_t_a ON t (a)").unwrap();
-    db.execute("CREATE KEYWORD INDEX kw_t_s ON t (s)").unwrap();
+    db.query("CREATE TABLE t (a INT, b INT, s TEXT)")
+        .run()
+        .unwrap();
+    db.query("CREATE TABLE u (a INT, name TEXT)").run().unwrap();
+    db.query("CREATE INDEX idx_t_a ON t (a)").run().unwrap();
+    db.query("CREATE KEYWORD INDEX kw_t_s ON t (s)")
+        .run()
+        .unwrap();
     for (a, b, s) in t_rows {
         // The pool includes strings containing single quotes, so the
         // SQL-literal path ('' escaping) is exercised on every insert.
         let lit = s.replace('\'', "''");
-        db.execute(&format!("INSERT INTO t VALUES ({a}, {b}, '{lit}')"))
+        db.query(&format!("INSERT INTO t VALUES ({a}, {b}, '{lit}')"))
+            .run()
             .unwrap();
     }
     for (a, name) in u_rows {
-        db.execute(&format!("INSERT INTO u VALUES ({a}, '{name}')"))
+        db.query(&format!("INSERT INTO u VALUES ({a}, '{name}')"))
+            .run()
             .unwrap();
     }
     db
@@ -67,8 +71,8 @@ fn u_row_strategy() -> impl Strategy<Value = (i64, String)> {
 
 /// Both executors, same SQL, same database: identical ordered output.
 fn assert_same(db: &Database, sql: &str) -> Result<(), TestCaseError> {
-    let streaming = db.execute(sql).unwrap();
-    let reference = db.query_reference(sql).unwrap();
+    let streaming = db.query(sql).run().unwrap().rows;
+    let reference = db.query(sql).via_reference().run().unwrap().rows;
     prop_assert_eq!(
         streaming.columns(),
         reference.columns(),
@@ -175,8 +179,8 @@ proptest! {
         // Both executors must also fail identically (e.g. SUM over text).
         let db = build_db(&t_rows, &[]);
         for sql in ["SELECT SUM(s) FROM t", "SELECT a + s FROM t"] {
-            let streaming = db.execute(sql);
-            let reference = db.query_reference(sql);
+            let streaming = db.query(sql).run();
+            let reference = db.query(sql).via_reference().run();
             prop_assert_eq!(streaming.is_err(), reference.is_err(), "{}", sql);
         }
     }
@@ -191,7 +195,7 @@ proptest! {
         // scans) must all perform the exact comparison now — and agree
         // with the reference interpreter on every executor-visible shape.
         let db = Database::in_memory();
-        db.execute("CREATE TABLE big (v INT)").unwrap();
+        db.query("CREATE TABLE big (v INT)").run().unwrap();
         for v in &vals {
             db.query("INSERT INTO big VALUES (?)").bind(*v).run().unwrap();
         }
@@ -221,11 +225,11 @@ proptest! {
         // agree with materializing the full sorted output and slicing it.
         let db = build_db(&t_rows, &[]);
         let fused = db
-            .execute(&format!("SELECT a, b FROM t ORDER BY a, b DESC LIMIT {limit} OFFSET {offset}"))
-            .unwrap();
+            .query(&format!("SELECT a, b FROM t ORDER BY a, b DESC LIMIT {limit} OFFSET {offset}")).run()
+            .unwrap().rows;
         let full = db
-            .execute("SELECT a, b FROM t ORDER BY a, b DESC")
-            .unwrap();
+            .query("SELECT a, b FROM t ORDER BY a, b DESC").run()
+            .unwrap().rows;
         let expect: Vec<Vec<Value>> = full
             .rows()
             .iter()

@@ -5,16 +5,16 @@
 //! prefix of the committed (acknowledged) sequence — never a phantom
 //! row, never a half-applied batch, never a hole.
 
-#![allow(deprecated)] // uses the terse legacy `execute` in oracles
-
 use std::sync::{Arc, Barrier};
 
 use proptest::prelude::*;
 use xomatiq_relstore::{Database, FaultConfig, FaultyIo};
 
 fn recovered_keys(db: &Database) -> Vec<i64> {
-    db.execute("SELECT a FROM t ORDER BY a")
+    db.query("SELECT a FROM t ORDER BY a")
+        .run()
         .unwrap()
+        .rows
         .rows()
         .iter()
         .map(|r| r[0].as_int().unwrap())
@@ -58,7 +58,7 @@ proptest! {
         };
         let io = FaultyIo::new(seed, FaultConfig::none());
         let (db, _) = Database::open_with_io(Box::new(io.clone())).unwrap();
-        db.execute("CREATE TABLE t (a INT)").unwrap();
+        db.query("CREATE TABLE t (a INT)").run().unwrap();
         io.set_config(cfg);
         let db = Arc::new(db);
 
@@ -72,7 +72,7 @@ proptest! {
                     let mut acked = Vec::new();
                     for i in 0..per_thread {
                         let key = (t as i64) * 1000 + i as i64;
-                        match db.execute(&format!("INSERT INTO t VALUES ({key})")) {
+                        match db.query(&format!("INSERT INTO t VALUES ({key})")).run() {
                             Ok(_) => acked.push(key),
                             // Poison is sticky; later attempts keep
                             // failing, which the prefix oracle absorbs.
@@ -120,7 +120,7 @@ proptest! {
             let (t, i) = ((k / 1000) as usize, (k % 1000) as usize);
             prop_assert!(t < threads && i < per_thread, "phantom key {k}");
         }
-        recovered.execute("INSERT INTO t VALUES (999999)").unwrap();
+        recovered.query("INSERT INTO t VALUES (999999)").run().unwrap();
     }
 
     /// A checkpoint whose side-file write fails is a non-event: the
@@ -134,9 +134,9 @@ proptest! {
     ) {
         let io = FaultyIo::new(seed, FaultConfig::none());
         let (db, _) = Database::open_with_io(Box::new(io.clone())).unwrap();
-        db.execute("CREATE TABLE t (a INT)").unwrap();
+        db.query("CREATE TABLE t (a INT)").run().unwrap();
         for i in 0..before {
-            db.execute(&format!("INSERT INTO t VALUES ({i})")).unwrap();
+            db.query(&format!("INSERT INTO t VALUES ({i})")).run().unwrap();
         }
         // Every durability op fails for the duration of the checkpoint:
         // its first fsync (the side-image write) errors out.
@@ -145,7 +145,7 @@ proptest! {
         io.set_config(FaultConfig::none());
         // The failure did not poison the handle: commits keep working.
         for i in before..(before + after) {
-            db.execute(&format!("INSERT INTO t VALUES ({i})")).unwrap();
+            db.query(&format!("INSERT INTO t VALUES ({i})")).run().unwrap();
         }
         drop(db);
 
@@ -176,16 +176,16 @@ proptest! {
     ) {
         let io = FaultyIo::new(seed, FaultConfig::none());
         let (db, _) = Database::open_with_io(Box::new(io.clone())).unwrap();
-        db.execute("CREATE TABLE t (a INT)").unwrap();
+        db.query("CREATE TABLE t (a INT)").run().unwrap();
         let mut model: Vec<i64> = Vec::new();
         for op in &plan {
             match op {
                 MaintOp::Insert(k) => {
-                    db.execute(&format!("INSERT INTO t VALUES ({k})")).unwrap();
+                    db.query(&format!("INSERT INTO t VALUES ({k})")).run().unwrap();
                     model.push(*k);
                 }
                 MaintOp::Delete(k) => {
-                    db.execute(&format!("DELETE FROM t WHERE a = {k}")).unwrap();
+                    db.query(&format!("DELETE FROM t WHERE a = {k}")).run().unwrap();
                     model.retain(|m| m != k);
                 }
                 MaintOp::Checkpoint => db.checkpoint().unwrap(),
@@ -205,7 +205,7 @@ proptest! {
             keys, want,
             "maintenance + crash changed the acked state\nreport {:?}", report
         );
-        recovered.execute("INSERT INTO t VALUES (999999)").unwrap();
+        recovered.query("INSERT INTO t VALUES (999999)").run().unwrap();
     }
 }
 

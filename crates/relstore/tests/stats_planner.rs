@@ -216,7 +216,11 @@ fn explain_analyze_shows_estimated_and_actual_rows() {
 
     // The classic string surface gains an `est=` annotation per operator.
     let text = db
-        .explain_analyze("SELECT COUNT(*) FROM facts WHERE sid < 5")
+        .query("SELECT COUNT(*) FROM facts WHERE sid < 5")
+        .with_profile()
+        .run()
+        .unwrap()
+        .render_analysis()
         .unwrap();
     assert!(text.contains("est="), "{text}");
     assert!(text.contains("rows_out="), "{text}");

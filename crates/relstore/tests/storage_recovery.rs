@@ -8,8 +8,6 @@
 //! agree row for row), and zone maps rebuilt from replayed data must keep
 //! pruning correctly.
 
-#![allow(deprecated)] // exercises the legacy wrappers on purpose
-
 use proptest::prelude::*;
 use xomatiq_relstore::{Database, FaultConfig, FaultyIo, Value};
 
@@ -94,12 +92,12 @@ proptest! {
         let io = FaultyIo::new(seed, FaultConfig::none());
         let (db, report) = Database::open_with_io(Box::new(io.clone())).unwrap();
         prop_assert!(report.is_clean());
-        db.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
+        db.query("CREATE TABLE t (a INT, b TEXT)").run().unwrap();
         io.set_config(cfg);
 
         let mut acked = Vec::new();
         for op in &ops {
-            if db.execute(&op.sql()).is_ok() {
+            if db.query(&op.sql()).run().is_ok() {
                 acked.push(op.clone());
             }
         }
@@ -113,11 +111,11 @@ proptest! {
         // rebuilt store must match one of them *in order*, which pins the
         // splice/revive logic of replay, not just row content.
         let oracle = Database::in_memory();
-        oracle.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
+        oracle.query("CREATE TABLE t (a INT, b TEXT)").run().unwrap();
         let mut prefix_states = Vec::with_capacity(acked.len() + 1);
         prefix_states.push(doc_order_state(&oracle));
         for op in &acked {
-            oracle.execute(&op.sql()).unwrap();
+            oracle.query(&op.sql()).run().unwrap();
             prefix_states.push(doc_order_state(&oracle));
         }
         prop_assert!(
@@ -143,15 +141,17 @@ fn replay_across_segment_boundaries_keeps_order_and_zone_maps() {
 
     let before = {
         let db = Database::open(&path).unwrap();
-        db.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
+        db.query("CREATE TABLE t (a INT, b TEXT)").run().unwrap();
         let stmts: Vec<String> = (0..2_600)
             .map(|i| format!("INSERT INTO t VALUES ({i}, 'row{i}')"))
             .collect();
         let refs: Vec<&str> = stmts.iter().map(|s| s.as_str()).collect();
         db.execute_batch(&refs).unwrap();
-        db.execute("DELETE FROM t WHERE a >= 1100 AND a < 1300")
+        db.query("DELETE FROM t WHERE a >= 1100 AND a < 1300")
+            .run()
             .unwrap();
-        db.execute("UPDATE t SET b = 'patched' WHERE a >= 2048 AND a < 2060")
+        db.query("UPDATE t SET b = 'patched' WHERE a >= 2048 AND a < 2060")
+            .run()
             .unwrap();
         doc_order_state(&db)
     };
@@ -161,14 +161,16 @@ fn replay_across_segment_boundaries_keeps_order_and_zone_maps() {
 
     // Zone maps are rebuilt during replay: a selective range over the
     // first segment must prune the later ones.
-    let analyzed = recovered
-        .explain_analyze_query("SELECT a FROM t WHERE a BETWEEN 10 AND 20")
+    let out = recovered
+        .query("SELECT a FROM t WHERE a BETWEEN 10 AND 20")
+        .with_stats()
+        .run()
         .unwrap();
-    assert_eq!(analyzed.result.rows().len(), 11);
+    assert_eq!(out.rows.rows().len(), 11);
+    let stats = out.stats.unwrap();
     assert!(
-        analyzed.stats.segments_pruned >= 1,
-        "expected replayed zone maps to prune segments: {:?}",
-        analyzed.stats
+        stats.segments_pruned >= 1,
+        "expected replayed zone maps to prune segments: {stats:?}"
     );
     let _ = std::fs::remove_file(&path);
 }

@@ -2,8 +2,6 @@
 //! tails do not; compaction preserves state; concurrent readers see
 //! consistent snapshots during writes.
 
-#![allow(deprecated)] // exercises the legacy wrappers on purpose
-
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -19,9 +17,10 @@ fn wal_path(name: &str) -> PathBuf {
 }
 
 fn seed(db: &Database) {
-    db.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
-    db.execute("CREATE INDEX idx_a ON t (a)").unwrap();
-    db.execute("INSERT INTO t VALUES (1, 'one'), (2, 'two'), (3, 'three')")
+    db.query("CREATE TABLE t (a INT, b TEXT)").run().unwrap();
+    db.query("CREATE INDEX idx_a ON t (a)").run().unwrap();
+    db.query("INSERT INTO t VALUES (1, 'one'), (2, 'two'), (3, 'three')")
+        .run()
         .unwrap();
 }
 
@@ -31,11 +30,17 @@ fn committed_data_survives_reopen() {
     {
         let db = Database::open(&path).unwrap();
         seed(&db);
-        db.execute("UPDATE t SET b = 'TWO' WHERE a = 2").unwrap();
-        db.execute("DELETE FROM t WHERE a = 3").unwrap();
+        db.query("UPDATE t SET b = 'TWO' WHERE a = 2")
+            .run()
+            .unwrap();
+        db.query("DELETE FROM t WHERE a = 3").run().unwrap();
     } // drop = process exit
     let db = Database::open(&path).unwrap();
-    let rs = db.execute("SELECT a, b FROM t ORDER BY a").unwrap();
+    let rs = db
+        .query("SELECT a, b FROM t ORDER BY a")
+        .run()
+        .unwrap()
+        .rows;
     assert_eq!(
         rs.rows(),
         &[
@@ -45,11 +50,12 @@ fn committed_data_survives_reopen() {
     );
     // Indexes are rebuilt and used after recovery.
     assert!(db
-        .plan("SELECT b FROM t WHERE a = 1")
+        .query("SELECT b FROM t WHERE a = 1")
+        .planned()
         .unwrap()
         .plan
         .uses_index());
-    let via_index = db.execute("SELECT b FROM t WHERE a = 1").unwrap();
+    let via_index = db.query("SELECT b FROM t WHERE a = 1").run().unwrap().rows;
     assert_eq!(via_index.rows()[0][0], Value::Text("one".into()));
 }
 
@@ -59,15 +65,19 @@ fn ddl_survives_reopen() {
     {
         let db = Database::open(&path).unwrap();
         seed(&db);
-        db.execute("CREATE KEYWORD INDEX kw_b ON t (b)").unwrap();
-        db.execute("CREATE TABLE gone (x INT)").unwrap();
-        db.execute("DROP TABLE gone").unwrap();
+        db.query("CREATE KEYWORD INDEX kw_b ON t (b)")
+            .run()
+            .unwrap();
+        db.query("CREATE TABLE gone (x INT)").run().unwrap();
+        db.query("DROP TABLE gone").run().unwrap();
     }
     let db = Database::open(&path).unwrap();
     assert_eq!(db.table_names(), vec!["t".to_string()]);
     let rs = db
-        .execute("SELECT a FROM t WHERE CONTAINS(b, 'two')")
-        .unwrap();
+        .query("SELECT a FROM t WHERE CONTAINS(b, 'two')")
+        .run()
+        .unwrap()
+        .rows;
     assert_eq!(rs.rows().len(), 1);
 }
 
@@ -77,7 +87,7 @@ fn torn_tail_loses_only_the_last_transaction() {
     {
         let db = Database::open(&path).unwrap();
         seed(&db);
-        db.execute("INSERT INTO t VALUES (99, 'late')").unwrap();
+        db.query("INSERT INTO t VALUES (99, 'late')").run().unwrap();
     }
     // Corrupt the last few bytes, as if the machine died mid-append.
     let bytes = std::fs::read(&path).unwrap();
@@ -85,7 +95,7 @@ fn torn_tail_loses_only_the_last_transaction() {
     let db = Database::open(&path).unwrap();
     // The torn commit record kills transaction 99's insert; earlier commits
     // are intact.
-    let rs = db.execute("SELECT COUNT(*) FROM t").unwrap();
+    let rs = db.query("SELECT COUNT(*) FROM t").run().unwrap().rows;
     assert_eq!(rs.rows()[0][0], Value::Int(3));
 }
 
@@ -106,14 +116,18 @@ fn failed_batch_leaves_no_trace_after_reopen() {
     }
     let db = Database::open(&path).unwrap();
     assert_eq!(
-        db.execute("SELECT COUNT(*) FROM t WHERE a = 50")
+        db.query("SELECT COUNT(*) FROM t WHERE a = 50")
+            .run()
             .unwrap()
+            .rows
             .rows()[0][0],
         Value::Int(0)
     );
     assert_eq!(
-        db.execute("SELECT COUNT(*) FROM t WHERE a = 60")
+        db.query("SELECT COUNT(*) FROM t WHERE a = 60")
+            .run()
             .unwrap()
+            .rows
             .rows()[0][0],
         Value::Int(1)
     );
@@ -127,7 +141,8 @@ fn compaction_preserves_state_and_shrinks_log() {
         seed(&db);
         // Churn: many updates that compaction should collapse.
         for i in 0..50 {
-            db.execute(&format!("UPDATE t SET b = 'v{i}' WHERE a = 1"))
+            db.query(&format!("UPDATE t SET b = 'v{i}' WHERE a = 1"))
+                .run()
                 .unwrap();
         }
         let before = std::fs::metadata(&path).unwrap().len();
@@ -139,11 +154,11 @@ fn compaction_preserves_state_and_shrinks_log() {
         );
     }
     let db = Database::open(&path).unwrap();
-    let rs = db.execute("SELECT b FROM t WHERE a = 1").unwrap();
+    let rs = db.query("SELECT b FROM t WHERE a = 1").run().unwrap().rows;
     assert_eq!(rs.rows()[0][0], Value::Text("v49".into()));
     assert_eq!(db.row_count("t").unwrap(), 3);
     // Writes continue to work after compaction + reopen.
-    db.execute("INSERT INTO t VALUES (4, 'four')").unwrap();
+    db.query("INSERT INTO t VALUES (4, 'four')").run().unwrap();
     assert_eq!(db.row_count("t").unwrap(), 4);
 }
 
@@ -152,32 +167,34 @@ fn row_ids_do_not_collide_after_recovery() {
     let path = wal_path("rowids");
     {
         let db = Database::open(&path).unwrap();
-        db.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
-        db.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y')")
+        db.query("CREATE TABLE t (a INT, b TEXT)").run().unwrap();
+        db.query("INSERT INTO t VALUES (1, 'x'), (2, 'y')")
+            .run()
             .unwrap();
-        db.execute("DELETE FROM t WHERE a = 1").unwrap();
+        db.query("DELETE FROM t WHERE a = 1").run().unwrap();
     }
     let db = Database::open(&path).unwrap();
-    db.execute("INSERT INTO t VALUES (3, 'z')").unwrap();
-    let rs = db.execute("SELECT a FROM t ORDER BY a").unwrap();
+    db.query("INSERT INTO t VALUES (3, 'z')").run().unwrap();
+    let rs = db.query("SELECT a FROM t ORDER BY a").run().unwrap().rows;
     assert_eq!(rs.rows().len(), 2);
 }
 
 #[test]
 fn concurrent_readers_during_writes() {
     let db = Arc::new(Database::in_memory());
-    db.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
-    db.execute("INSERT INTO t VALUES (0, 'seed')").unwrap();
+    db.query("CREATE TABLE t (a INT, b TEXT)").run().unwrap();
+    db.query("INSERT INTO t VALUES (0, 'seed')").run().unwrap();
 
     let writers: Vec<_> = (0..4)
         .map(|w| {
             let db = Arc::clone(&db);
             std::thread::spawn(move || {
                 for i in 0..50 {
-                    db.execute(&format!(
+                    db.query(&format!(
                         "INSERT INTO t VALUES ({}, 'w{w}i{i}')",
                         w * 1000 + i
                     ))
+                    .run()
                     .unwrap();
                 }
             })
@@ -188,7 +205,11 @@ fn concurrent_readers_during_writes() {
             let db = Arc::clone(&db);
             std::thread::spawn(move || {
                 for _ in 0..100 {
-                    let rs = db.execute("SELECT COUNT(*), MIN(a) FROM t").unwrap();
+                    let rs = db
+                        .query("SELECT COUNT(*), MIN(a) FROM t")
+                        .run()
+                        .unwrap()
+                        .rows;
                     // The seed row is always visible; counts only grow.
                     assert_eq!(rs.rows()[0][1], Value::Int(0));
                 }
@@ -247,7 +268,11 @@ fn interleaved_transactions_replay_only_the_committed_one() {
     drop(wal);
 
     let (db, report) = Database::open_with_report(&path).unwrap();
-    let rs = db.execute("SELECT a, b FROM t ORDER BY a").unwrap();
+    let rs = db
+        .query("SELECT a, b FROM t ORDER BY a")
+        .run()
+        .unwrap()
+        .rows;
     assert_eq!(
         rs.rows(),
         &[
@@ -301,7 +326,7 @@ fn interleaved_commits_apply_in_commit_order() {
     drop(wal);
 
     let (db, report) = Database::open_with_report(&path).unwrap();
-    let rs = db.execute("SELECT b FROM t WHERE a = 1").unwrap();
+    let rs = db.query("SELECT b FROM t WHERE a = 1").run().unwrap().rows;
     assert_eq!(rs.rows()[0][0], Value::Text("second commit".into()));
     assert_eq!(report.transactions_applied, 2);
     assert!(report.transactions_dropped.is_empty());
@@ -313,8 +338,8 @@ fn mid_log_corruption_recovers_the_prefix_and_reports_it() {
     {
         let db = Database::open(&path).unwrap();
         seed(&db);
-        db.execute("INSERT INTO t VALUES (4, 'four')").unwrap();
-        db.execute("INSERT INTO t VALUES (5, 'five')").unwrap();
+        db.query("INSERT INTO t VALUES (4, 'four')").run().unwrap();
+        db.query("INSERT INTO t VALUES (5, 'five')").run().unwrap();
     }
     let bytes = std::fs::read(&path).unwrap();
     // Flip a byte 60% of the way in: inside the tail transactions but
@@ -329,13 +354,20 @@ fn mid_log_corruption_recovers_the_prefix_and_reports_it() {
     assert!(report_corruption.offset <= at as u64);
     assert!(report.truncated_bytes > 0);
     // The surviving rows are a prefix of the committed history.
-    let n = db.execute("SELECT COUNT(*) FROM t").unwrap().rows()[0][0]
+    let n = db
+        .query("SELECT COUNT(*) FROM t")
+        .run()
+        .unwrap()
+        .rows
+        .rows()[0][0]
         .as_int()
         .unwrap();
     assert!((0..=5).contains(&n), "unexpected row count {n}");
     // The database stays writable, and the repair is durable: reopening
     // again reports a clean log.
-    db.execute("INSERT INTO t VALUES (100, 'after')").unwrap();
+    db.query("INSERT INTO t VALUES (100, 'after')")
+        .run()
+        .unwrap();
     drop(db);
     let (_, second) = Database::open_with_report(&path).unwrap();
     assert!(second.corruption.is_none());
@@ -346,15 +378,16 @@ fn fsync_failure_poisons_the_database_until_reopen() {
     let io = FaultyIo::new(11, FaultConfig::none());
     let (db, report) = Database::open_with_io(Box::new(io.clone())).unwrap();
     assert!(report.is_clean());
-    db.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
-    db.execute("INSERT INTO t VALUES (1, 'acked')").unwrap();
+    db.query("CREATE TABLE t (a INT, b TEXT)").run().unwrap();
+    db.query("INSERT INTO t VALUES (1, 'acked')").run().unwrap();
 
     io.set_config(FaultConfig {
         fsync_fail_in: 1,
         ..FaultConfig::none()
     });
     let err = db
-        .execute("INSERT INTO t VALUES (2, 'lost')")
+        .query("INSERT INTO t VALUES (2, 'lost')")
+        .run()
         .expect_err("fsync failure must surface");
     assert!(err.to_string().contains("poisoned"), "{err}");
     // The failed insert is also rolled back in memory: memory and log
@@ -363,11 +396,12 @@ fn fsync_failure_poisons_the_database_until_reopen() {
     // Fail-fast from now on, even though the disk recovered.
     io.set_config(FaultConfig::none());
     assert!(db
-        .execute("INSERT INTO t VALUES (3, 'still-poisoned')")
+        .query("INSERT INTO t VALUES (3, 'still-poisoned')")
+        .run()
         .is_err());
     // Reads are unaffected.
     assert_eq!(
-        db.execute("SELECT b FROM t").unwrap().rows()[0][0],
+        db.query("SELECT b FROM t").run().unwrap().rows.rows()[0][0],
         Value::Text("acked".into())
     );
 
@@ -376,7 +410,9 @@ fn fsync_failure_poisons_the_database_until_reopen() {
     let (db2, report2) = Database::open_with_io(Box::new(io)).unwrap();
     assert_eq!(db2.row_count("t").unwrap(), 1);
     // Recovery repaired whatever partial bytes the failed fsync left.
-    db2.execute("INSERT INTO t VALUES (4, 'fresh')").unwrap();
+    db2.query("INSERT INTO t VALUES (4, 'fresh')")
+        .run()
+        .unwrap();
     assert_eq!(db2.row_count("t").unwrap(), 2);
     let _ = report2;
 }
@@ -387,7 +423,8 @@ fn compaction_works_over_a_custom_io_backend() {
     let (db, _) = Database::open_with_io(Box::new(io.clone())).unwrap();
     seed(&db);
     for i in 0..20 {
-        db.execute(&format!("UPDATE t SET b = 'v{i}' WHERE a = 1"))
+        db.query(&format!("UPDATE t SET b = 'v{i}' WHERE a = 1"))
+            .run()
             .unwrap();
     }
     let before = io.len();
@@ -397,7 +434,11 @@ fn compaction_works_over_a_custom_io_backend() {
     let (db2, report) = Database::open_with_io(Box::new(io)).unwrap();
     assert!(report.is_clean());
     assert_eq!(
-        db2.execute("SELECT b FROM t WHERE a = 1").unwrap().rows()[0][0],
+        db2.query("SELECT b FROM t WHERE a = 1")
+            .run()
+            .unwrap()
+            .rows
+            .rows()[0][0],
         Value::Text("v19".into())
     );
     assert_eq!(db2.row_count("t").unwrap(), 3);

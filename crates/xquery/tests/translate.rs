@@ -315,7 +315,7 @@ fn generated_sql_uses_indexes() {
     let w = build(ShreddingStrategy::Interval);
     let q = parse_query(FIGURE9).unwrap();
     let t = translate(&q, &w.catalog).unwrap();
-    let plan = w.db.plan(&t.sql).unwrap();
+    let plan = w.db.query(&t.sql).planned().unwrap();
     assert!(
         plan.plan.uses_index(),
         "plan should use an index:\n{}",

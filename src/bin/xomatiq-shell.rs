@@ -238,7 +238,11 @@ fn main() {
                     .next()
                     .is_some_and(|w| w.eq_ignore_ascii_case("analyze"));
                 let result = if analyze {
-                    xq.db().explain_analyze(rest["analyze".len()..].trim())
+                    xq.db()
+                        .query(rest["analyze".len()..].trim())
+                        .with_profile()
+                        .run()
+                        .map(|out| out.render_analysis().expect("a profiled run has a profile"))
                 } else {
                     xq.db().query(rest).explain().map(|tree| tree.render())
                 };

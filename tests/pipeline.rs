@@ -208,8 +208,14 @@ fn load_without_indexes_still_answers_correctly() {
     let b = bare.query(q).unwrap();
     assert_eq!(a.rows, b.rows);
     // Only the indexed warehouse's plan uses an index.
-    assert!(indexed.db().plan(&a.sql).unwrap().plan.uses_index());
-    assert!(!bare.db().plan(&b.sql).unwrap().plan.uses_index());
+    assert!(indexed
+        .db()
+        .query(&a.sql)
+        .planned()
+        .unwrap()
+        .plan
+        .uses_index());
+    assert!(!bare.db().query(&b.sql).planned().unwrap().plan.uses_index());
 }
 
 #[test]
