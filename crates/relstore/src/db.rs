@@ -37,16 +37,18 @@
 
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Weak};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockWriteGuard};
 use xomatiq_obs::trace;
 
+use crate::bind::{bind_expr, RowSchema};
 use crate::error::{RelError, RelResult};
-use crate::exec::{run_plan, ExecStats, PlanRun};
+use crate::exec::{index_leaf_ids, run_plan, ExecStats, PlanRun};
 use crate::exec_parallel;
-use crate::expr::{eval, eval_predicate, RowSchema};
+use crate::expr::{eval, eval_predicate};
 use crate::index::BTreeIndex;
 use crate::metrics;
 use crate::plan::PlannedQuery;
@@ -55,7 +57,7 @@ use crate::pool::{StopSignal, WorkerPool};
 use crate::query::{ExecMode, PlanCache, QueryOutcome};
 use crate::recorder::FlightRecorder;
 use crate::schema::{Catalog, Column, IndexDef, TableSchema};
-use crate::sql::ast::{SelectStmt, Statement};
+use crate::sql::ast::{Expr, SelectStmt, Statement, TableRef};
 use crate::sql::parser::parse_statement;
 use crate::stats::StatsCatalog;
 use crate::table::{Row, RowId, Table};
@@ -68,6 +70,16 @@ use crate::wal::{frame_into, RecoveryReport, Wal, WalIo, WalRecord};
 /// Segments whose dead-slot fraction exceeds this are rewritten by the
 /// background compactor.
 const COMPACT_DEAD_RATIO: f64 = 0.3;
+
+/// A fresh [`Storage::generation`]: process-unique, so no two distinct
+/// (catalog, statistics) states — of any snapshot of any database — can
+/// ever carry the same tag.
+fn next_generation() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    // Relaxed: the counter only hands out distinct numbers; the states
+    // they tag are published through the storage locks.
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
 
 /// In-memory state: catalog, tables and index structures.
 ///
@@ -94,6 +106,12 @@ pub struct Storage {
     /// the snapshot: a pinned reader plans against the statistics of its
     /// own state, never a later `ANALYZE`'s.
     pub(crate) stats: StatsCatalog,
+    /// Identity of everything a plan depends on: re-drawn whenever the
+    /// catalog (tables, indexes, materialized views) or the column
+    /// statistics change. Cached plans are tagged with it, so a plan is
+    /// only ever served to a snapshot with the state it was bound and
+    /// costed against.
+    pub(crate) generation: u64,
     /// Materialized views, keyed like `tables` (each view also owns a
     /// backing entry in `tables`/`catalog` under the same key). Part of
     /// the snapshot: a pinned reader sees the view contents of its CSN.
@@ -110,6 +128,7 @@ impl Default for Storage {
             csn: 0,
             zone_map_pruning: true,
             stats: StatsCatalog::default(),
+            generation: 0,
             views: BTreeMap::new(),
         }
     }
@@ -192,6 +211,7 @@ impl Storage {
         // Start row-count tracking immediately; column statistics wait
         // for an ANALYZE.
         *self.stats.table_mut(&name) = crate::stats::TableStats::default();
+        self.generation = next_generation();
         Ok(())
     }
 
@@ -210,6 +230,7 @@ impl Storage {
             self.btree.remove(&idx);
             self.keyword.remove(&idx);
         }
+        self.generation = next_generation();
         Ok(())
     }
 
@@ -243,6 +264,7 @@ impl Storage {
             }
             self.btree.insert(key(&def.name), Arc::new(idx));
         }
+        self.generation = next_generation();
         Ok(())
     }
 
@@ -250,6 +272,7 @@ impl Storage {
         self.catalog.drop_index(name)?;
         self.btree.remove(&key(name));
         self.keyword.remove(&key(name));
+        self.generation = next_generation();
         Ok(())
     }
 
@@ -314,7 +337,7 @@ impl Storage {
         }
     }
 
-    /// Rescans `table` into its statistics entry and bumps the stats
+    /// Rescans `table` into its statistics entry and draws a new
     /// generation (invalidating cached plans).
     pub(crate) fn rebuild_stats(&mut self, table: &str) {
         let Ok(t) = self.table(table) else { return };
@@ -322,8 +345,17 @@ impl Storage {
         let rows: Vec<Row> = t.scan().map(|(_, row)| row).collect();
         if let Some(stats) = self.stats.existing_mut(table) {
             stats.rescan(&schema, rows.into_iter());
-            self.stats.generation += 1;
+            self.generation = next_generation();
         }
+    }
+
+    /// Replaces this snapshot's column statistics in place (how `ANALYZE`
+    /// reaches already-published snapshots). The snapshot may lag the
+    /// state the statistics came from, so the combination is a new state
+    /// and gets a generation of its own.
+    fn patch_stats(&mut self, stats: StatsCatalog) {
+        self.stats = stats;
+        self.generation = next_generation();
     }
 
     fn index_insert(&mut self, table: &str, id: RowId, row: &[Value]) {
@@ -368,69 +400,35 @@ impl Storage {
     /// matching rows instead of scanning the table — which is what makes
     /// the Data Hounds' per-entry incremental updates cheaper than a full
     /// reload.
-    fn matching_rows(
-        &self,
-        table: &str,
-        filter: Option<&crate::sql::ast::Expr>,
-    ) -> RelResult<Vec<RowId>> {
-        use crate::plan::{IndexAccess, Plan};
+    fn matching_rows(&self, table: &str, filter: Option<&Expr>) -> RelResult<Vec<RowId>> {
+        use crate::plan::Plan;
         let t = self.table(table)?;
-        let schema = RowSchema::for_table(table, t.schema().columns.iter().map(|c| c.name.clone()));
+        let Some(filter) = filter else {
+            return Ok(t.scan().map(|(id, _)| id).collect());
+        };
+        if filter.has_aggregate() {
+            return Err(RelError::Eval("aggregate in DML predicate".into()));
+        }
+        let filter = bind_expr(filter, &dml_schema(t))?;
         // Candidate row ids from the best index, else a full scan.
-        let candidates: Vec<RowId> = match filter {
-            Some(f) => {
-                let mut conjuncts = Vec::new();
-                crate::planner::split_conjuncts(f.clone(), &mut conjuncts);
-                let table_ref = crate::sql::ast::TableRef {
-                    table: table.to_string(),
-                    alias: table.to_string(),
-                };
-                match crate::planner::choose_access_path(
-                    &table_ref,
-                    &conjuncts,
-                    &self.catalog,
-                    &self.stats,
-                ) {
-                    Plan::IndexScan { index, access, .. } => {
-                        let idx = self.btree_index(&index)?;
-                        let mut ids = match &access {
-                            IndexAccess::Exact(values) => {
-                                if values.len() == idx.key_columns().len() {
-                                    idx.lookup(values)
-                                } else {
-                                    idx.lookup_prefix(values)
-                                }
-                            }
-                            IndexAccess::Range {
-                                prefix,
-                                lower,
-                                upper,
-                            } => idx.range(prefix, bound_as_ref(lower), bound_as_ref(upper)),
-                        };
-                        ids.sort();
-                        ids
-                    }
-                    Plan::KeywordScan { index, keyword, .. } => {
-                        let idx = self.keyword_index(&index)?;
-                        let mut ids = idx.lookup(&keyword);
-                        ids.sort();
-                        ids
-                    }
-                    _ => t.scan().map(|(id, _)| id).collect(),
-                }
-            }
-            None => t.scan().map(|(id, _)| id).collect(),
+        let mut conjuncts = Vec::new();
+        crate::planner::split_conjuncts(filter.clone(), &mut conjuncts);
+        let table_ref = TableRef {
+            table: table.to_string(),
+            alias: table.to_string(),
+        };
+        let access =
+            crate::planner::choose_access_path(&table_ref, &conjuncts, &self.catalog, &self.stats);
+        let candidates: Vec<RowId> = match access {
+            Plan::Scan { .. } => t.scan().map(|(id, _)| id).collect(),
+            leaf => index_leaf_ids(&leaf, self)?,
         };
         // The full filter is re-checked on every candidate (index access
         // only covers the sargable prefix).
         let mut ids = Vec::with_capacity(candidates.len());
         for id in candidates {
             let Some(row) = t.get(id) else { continue };
-            let keep = match filter {
-                Some(f) => eval_predicate(f, &schema, &row)?,
-                None => true,
-            };
-            if keep {
+            if eval_predicate(&filter, &row)? {
                 ids.push(id);
             }
         }
@@ -607,13 +605,8 @@ fn maintain_views(
 
 /// Shapes executor output into a [`ResultSet`], dropping the hidden
 /// sort-key columns the planner appended after the first `visible` items.
-fn select_result(visible: usize, schema: &RowSchema, rows: Vec<Row>) -> ResultSet {
-    let columns: Vec<String> = schema
-        .columns()
-        .iter()
-        .take(visible)
-        .map(|b| b.name.clone())
-        .collect();
+fn select_result(planned: &PlannedQuery, rows: Vec<Row>) -> ResultSet {
+    let visible = planned.visible;
     let rows = rows
         .into_iter()
         .map(|mut r| {
@@ -621,7 +614,7 @@ fn select_result(visible: usize, schema: &RowSchema, rows: Vec<Row>) -> ResultSe
             r
         })
         .collect();
-    ResultSet::query(columns, rows)
+    ResultSet::query(planned.columns.clone(), rows)
 }
 
 /// The result of executing a statement.
@@ -1366,7 +1359,6 @@ impl Database {
                 );
                 let mut storage = self.storage.write();
                 storage.create_table(schema.clone())?;
-                self.plan_cache.lock().clear();
                 self.finish_ddl(storage, WalRecord::CreateTable { schema })
             }
             Statement::DropTable { name } => {
@@ -1385,7 +1377,6 @@ impl Database {
                     )));
                 }
                 storage.drop_table(&name)?;
-                self.plan_cache.lock().clear();
                 self.finish_ddl(storage, WalRecord::DropTable { name })
             }
             Statement::CreateIndex {
@@ -1413,13 +1404,11 @@ impl Database {
                     )));
                 }
                 storage.create_index(def.clone())?;
-                self.plan_cache.lock().clear();
                 self.finish_ddl(storage, WalRecord::CreateIndex { def })
             }
             Statement::DropIndex { name } => {
                 let mut storage = self.storage.write();
                 storage.drop_index(&name)?;
-                self.plan_cache.lock().clear();
                 self.finish_ddl(storage, WalRecord::DropIndex { name })
             }
             stmt @ (Statement::Insert { .. }
@@ -1451,7 +1440,6 @@ impl Database {
                 }
                 storage.views.remove(&key(&name));
                 storage.drop_table(&name)?;
-                self.plan_cache.lock().clear();
                 self.finish_ddl(storage, WalRecord::DropView { name })
             }
             Statement::RefreshMaterializedView { name, full } => {
@@ -1515,7 +1503,6 @@ impl Database {
         if let Some(rt) = storage.views.get_mut(&key(name)) {
             rt.last_refresh_csn = csn;
         }
-        self.plan_cache.lock().clear();
         self.finish_ddl(
             storage,
             WalRecord::CreateView {
@@ -1615,7 +1602,7 @@ impl Database {
     }
 
     /// `ANALYZE [TABLE <t>]`: scans the named table (or every table) into
-    /// fresh column statistics, bumps the stats generation (invalidating
+    /// fresh column statistics, draws a new generation (invalidating
     /// cached plans) and publishes the statistics to current readers.
     ///
     /// Statistics are memory-only engine state, not data: they are never
@@ -1639,20 +1626,19 @@ impl Database {
                 .table_mut(name)
                 .rescan(&schema, rows.into_iter());
         }
-        storage.stats.generation += 1;
+        storage.generation = next_generation();
         let stats = storage.stats.clone();
-        self.plan_cache.lock().clear();
         // Publish like `set_zone_map_pruning`: patch any pending snapshot
         // and the published snapshot in place rather than republishing the
         // master state, which may hold applied-but-not-durable commits.
         if let Some(d) = &self.durability {
             let mut q = d.queue.lock();
             if let Some(snap) = &mut q.pending_snapshot {
-                Arc::make_mut(snap).stats = stats.clone();
+                Arc::make_mut(snap).patch_stats(stats.clone());
             }
         }
         let mut snap = self.snapshot.lock();
-        Arc::make_mut(&mut snap).stats = stats;
+        Arc::make_mut(&mut snap).patch_stats(stats);
         Ok(ResultSet::dml(names.len()))
     }
 
@@ -1672,18 +1658,6 @@ impl Database {
                      maintained from its base tables"
                 )));
             }
-            _ => {}
-        }
-        match &stmt {
-            Statement::Delete {
-                table,
-                filter: Some(f),
-            }
-            | Statement::Update {
-                table,
-                filter: Some(f),
-                ..
-            } => self.validate_filter(&storage, table, f)?,
             _ => {}
         }
         let tx = self.begin_tx();
@@ -2152,84 +2126,12 @@ impl Database {
     }
 
     /// Compacts the durable log so recovery time becomes proportional to
-    /// live data rather than history: a checkpoint + rotation on backends
-    /// that support it, an in-place snapshot rewrite otherwise.
+    /// live data rather than history. This *is* [`Database::checkpoint`]
+    /// (image + rotation); a backend without a side store and rotation
+    /// reports that as the checkpoint's `Unsupported` error. A no-op in
+    /// memory-only mode.
     pub fn compact(&self) -> RelResult<()> {
-        let Some(d) = &self.durability else {
-            return Ok(()); // nothing to compact in memory-only mode
-        };
-        if d.wal.lock().supports_rotation() {
-            return self.checkpoint();
-        }
-        let storage = self.storage.write();
-        let mut q = d.queue.lock();
-        while q.flushing {
-            q = cond_wait(&d.cond, q);
-        }
-        if let Some(msg) = &q.poisoned {
-            return Err(poison_error(msg));
-        }
-        if !q.buf.is_empty() {
-            // Same drain as checkpoint: the snapshot below includes these
-            // frames' effects, but their committers have not been acked.
-            let buf = std::mem::take(&mut q.buf);
-            let top = q.queued_csn;
-            let snap = q.pending_snapshot.take();
-            let res = d.wal.lock().write_frames(&buf);
-            let outcome = self.apply_flush_outcome(&mut q, res, top, buf.len(), snap);
-            d.cond.notify_all();
-            outcome?;
-        }
-        let mut snapshot = Vec::new();
-        // Same shape as the checkpoint image: base tables + rows, then
-        // view definitions (contents are rebuilt from the bases).
-        for schema in storage.catalog.tables() {
-            if storage.is_view(&schema.name) {
-                continue;
-            }
-            snapshot.push(WalRecord::CreateTable {
-                schema: schema.clone(),
-            });
-        }
-        for def in storage.catalog.indexes() {
-            snapshot.push(WalRecord::CreateIndex { def: def.clone() });
-        }
-        for schema in storage.catalog.tables() {
-            if storage.is_view(&schema.name) {
-                continue;
-            }
-            let table = storage.table(&schema.name)?;
-            for (id, row) in table.scan() {
-                snapshot.push(WalRecord::Insert {
-                    tx: 0,
-                    table: schema.name.clone(),
-                    row_id: id,
-                    row,
-                });
-            }
-        }
-        for rt in storage.views.values() {
-            snapshot.push(WalRecord::CreateView {
-                name: rt.def.name.clone(),
-                refresh_on_commit: rt.def.refresh_on_commit,
-                select_sql: rt.def.select_sql.clone(),
-            });
-        }
-        let mut wal = d.wal.lock();
-        if let Err(e) = wal.rewrite(&snapshot) {
-            q.poisoned = Some(e.to_string());
-            d.cond.notify_all();
-            return Err(e);
-        }
-        let mut framed = Vec::new();
-        for r in &snapshot {
-            frame_into(&mut framed, r);
-        }
-        q.log_bytes = framed.len() as u64;
-        metrics::engine()
-            .wal_bytes
-            .set(i64::try_from(q.log_bytes).unwrap_or(i64::MAX));
-        Ok(())
+        self.checkpoint()
     }
 
     /// Builds the typed explain tree for an already-planned query,
@@ -2297,14 +2199,13 @@ impl Database {
                 },
                 ExecMode::Profiled => run_plan(plan, storage, true)?,
                 ExecMode::Reference => {
-                    let (schema, rows) = crate::exec_reference::execute_plan(plan, storage)?;
+                    let rows = crate::exec_reference::execute_plan(plan, storage)?;
                     // The oracle keeps no counters beyond what it returned.
                     let stats = ExecStats {
                         rows_emitted: rows.len() as u64,
                         ..ExecStats::default()
                     };
                     PlanRun {
-                        schema,
                         rows,
                         stats,
                         profile: None,
@@ -2318,7 +2219,7 @@ impl Database {
             }
             m.observe_query(&run.stats);
             Ok(QueryOutcome {
-                rows: select_result(planned.visible, &run.schema, run.rows),
+                rows: select_result(planned, run.rows),
                 stats: Some(run.stats),
                 profile: run.profile,
                 exec_ns: Some(exec_ns),
@@ -2342,19 +2243,6 @@ impl Database {
             .tables()
             .map(|t| t.name.clone())
             .collect()
-    }
-
-    fn validate_filter(
-        &self,
-        storage: &Storage,
-        table: &str,
-        filter: &crate::sql::ast::Expr,
-    ) -> RelResult<()> {
-        // DELETE/UPDATE predicates see the bare table as its own alias.
-        let schema = storage.table(table)?.schema();
-        let row_schema = RowSchema::for_table(table, schema.columns.iter().map(|c| c.name.clone()));
-        // Validate references eagerly so errors carry good messages.
-        validate_expr_columns(filter, &row_schema)
     }
 }
 
@@ -2413,26 +2301,11 @@ fn load_checkpoint_image(image: &[u8]) -> Result<(Storage, u64), String> {
     Ok((storage, k))
 }
 
-/// Validates that every column an expression mentions resolves.
-fn validate_expr_columns(expr: &crate::sql::ast::Expr, schema: &RowSchema) -> RelResult<()> {
-    use crate::sql::ast::Expr as E;
-    match expr {
-        E::Column { table, name } => schema.resolve(table.as_deref(), name).map(|_| ()),
-        E::Aggregate { .. } => Err(RelError::Eval("aggregate in DML predicate".into())),
-        other => other
-            .children()
-            .into_iter()
-            .try_for_each(|e| validate_expr_columns(e, schema)),
-    }
-}
-
-/// `Bound<Value>` → `Bound<&Value>`.
-fn bound_as_ref(b: &std::ops::Bound<Value>) -> std::ops::Bound<&Value> {
-    match b {
-        std::ops::Bound::Included(v) => std::ops::Bound::Included(v),
-        std::ops::Bound::Excluded(v) => std::ops::Bound::Excluded(v),
-        std::ops::Bound::Unbounded => std::ops::Bound::Unbounded,
-    }
+/// The row schema DML expressions bind against: the bare table as its
+/// own alias.
+fn dml_schema(t: &Table) -> RowSchema {
+    let schema = t.schema();
+    RowSchema::for_table(&schema.name, schema.columns.iter().map(|c| c.name.clone()))
 }
 
 /// Applies one replayed DML record, recording its inverse in `undo`.
@@ -2555,12 +2428,17 @@ fn apply_batch_statement(
     match stmt {
         Statement::Insert { table, rows } => {
             let capture = storage.views_watch(&table);
+            // VALUES sees no row: any column reference fails to bind.
             let empty = RowSchema::default();
             let count = rows.len();
             for row in rows {
                 let values: Row = row
-                    .iter()
-                    .map(|e| eval(e, &empty, &[]))
+                    .into_iter()
+                    .map(|e| match e {
+                        // The common case needs neither binding nor a copy.
+                        Expr::Literal(v) => Ok(v),
+                        e => eval(&bind_expr(&e, &empty)?, &[]),
+                    })
                     .collect::<RelResult<_>>()?;
                 let (id, stored) = storage.insert(&table, values)?;
                 if capture {
@@ -2613,31 +2491,25 @@ fn apply_batch_statement(
             assignments,
             filter,
         } => {
-            let columns: Vec<String> = storage
-                .table(&table)?
-                .schema()
-                .columns
-                .iter()
-                .map(|c| c.name.clone())
-                .collect();
-            let row_schema = RowSchema::for_table(&table, columns);
-            let mut positions = Vec::with_capacity(assignments.len());
-            for (col, _) in &assignments {
-                positions.push(
-                    storage
-                        .table(&table)?
-                        .schema()
-                        .column_index(col)
-                        .ok_or_else(|| RelError::UnknownColumn(format!("{table}.{col}")))?,
-                );
+            // Each assignment as (target position, bound value expression),
+            // all reading the pre-update row.
+            let t = storage.table(&table)?;
+            let row_schema = dml_schema(t);
+            let mut sets = Vec::with_capacity(assignments.len());
+            for (col, expr) in &assignments {
+                let pos = t
+                    .schema()
+                    .column_index(col)
+                    .ok_or_else(|| RelError::UnknownColumn(format!("{table}.{col}")))?;
+                sets.push((pos, bind_expr(expr, &row_schema)?));
             }
             let capture = storage.views_watch(&table);
             let ids = storage.matching_rows(&table, filter.as_ref())?;
             for id in &ids {
                 let current = storage.table(&table)?.get(*id).expect("matched");
                 let mut next = current.clone();
-                for ((_, expr), pos) in assignments.iter().zip(&positions) {
-                    next[*pos] = eval(expr, &row_schema, &current)?;
+                for (pos, expr) in &sets {
+                    next[*pos] = eval(expr, &current)?;
                 }
                 let old = storage.update(&table, *id, next)?;
                 let stored = storage.table(&table)?.get(*id).expect("updated");

@@ -38,7 +38,7 @@ use std::time::Instant;
 use crate::colstore::ColStore;
 use crate::db::Storage;
 use crate::error::{RelError, RelResult};
-use crate::expr::{eval, eval_predicate, RowSchema};
+use crate::expr::{eval, eval_predicate};
 use crate::plan::{IndexAccess, Plan, ProjectItem, SortKey};
 use crate::segment::{CmpOp, SimplePred};
 use crate::sql::ast::{AggFunc, BinOp, Expr};
@@ -320,9 +320,7 @@ struct ExecCtx {
 /// What one execution of a plan produced.
 #[derive(Debug)]
 pub struct PlanRun {
-    /// Output schema (hidden sort-key columns included).
-    pub schema: RowSchema,
-    /// The materialized result.
+    /// The materialized result (hidden sort-key columns included).
     pub rows: Vec<Row>,
     /// Execution counters.
     pub stats: ExecStats,
@@ -343,10 +341,9 @@ pub fn run_plan(plan: &Plan, storage: &Storage, profile: bool) -> RelResult<Plan
 }
 
 fn run_under(plan: &Plan, storage: &Storage, ctx: &ExecCtx) -> RelResult<PlanRun> {
-    let (schema, cursor, root) = open(plan, storage, ctx)?;
+    let (cursor, root) = open(plan, storage, ctx)?;
     let rows = drain(cursor)?;
     Ok(PlanRun {
-        schema,
         stats: ctx.stats.snapshot(rows.len()),
         rows,
         profile: root.map(|n| n.to_profile()),
@@ -393,8 +390,8 @@ pub(crate) fn build_side(
         stats: Rc::clone(stats),
         ..ExecCtx::default()
     };
-    let (schema, input, _) = open(right, storage, &ctx)?;
-    BuildSide::build(schema, right_keys, semi, input, stats).map(Arc::new)
+    let (input, _) = open(right, storage, &ctx)?;
+    BuildSide::build(right_keys, semi, input, stats).map(Arc::new)
 }
 
 /// Runs `plan` over one morsel of its driving scan: the same cursor tree
@@ -414,24 +411,22 @@ pub(crate) fn run_morsel(
 }
 
 /// The grouping half of an `Aggregate` over one morsel of its input: the
-/// morsel's rows grouped by key (plus the input schema the aggregate
-/// items evaluate against). The driver merges the per-morsel groups in
-/// morsel order and finishes them with [`Groups::finish`].
+/// morsel's rows grouped by key. The driver merges the per-morsel groups
+/// in morsel order and finishes them with [`Groups::finish`].
 pub(crate) fn group_morsel(
     input: &Plan,
     group_by: &[Expr],
     items: &[ProjectItem],
     storage: &Storage,
     morsel: Span,
-) -> RelResult<(RowSchema, Groups, ExecStats)> {
+) -> RelResult<(Groups, ExecStats)> {
     let ctx = ExecCtx {
         morsel: Some(morsel),
         ..ExecCtx::default()
     };
-    let (schema, input) =
-        open_aggregate_input(input, group_by, items, storage, &ctx, &mut Vec::new())?;
-    let groups = group_rows(input, &schema, group_by, &ctx.stats)?;
-    Ok((schema, groups, ctx.stats.snapshot(0)))
+    let input = open_aggregate_input(input, group_by, items, storage, &ctx, &mut Vec::new())?;
+    let groups = group_rows(input, group_by, &ctx.stats)?;
+    Ok((groups, ctx.stats.snapshot(0)))
 }
 
 /// Emits the merged morsel outputs through whatever sits above the
@@ -469,20 +464,18 @@ fn open_child<'a>(
     storage: &'a Storage,
     ctx: &ExecCtx,
     children: &mut Vec<Rc<ProfNode>>,
-) -> RelResult<(RowSchema, BoxCursor<'a>)> {
-    let (schema, cursor, node) = open(plan, storage, ctx)?;
-    if let Some(node) = node {
-        children.push(node);
-    }
-    Ok((schema, cursor))
+) -> RelResult<BoxCursor<'a>> {
+    let (cursor, node) = open(plan, storage, ctx)?;
+    children.extend(node);
+    Ok(cursor)
 }
 
-/// An opened operator: output schema, cursor, and its profile node when
-/// the context asks for profiling.
-type OpenedCursor<'a> = (RowSchema, BoxCursor<'a>, Option<Rc<ProfNode>>);
+/// An opened operator: its cursor, and its profile node when the context
+/// asks for profiling.
+type OpenedCursor<'a> = (BoxCursor<'a>, Option<Rc<ProfNode>>);
 
-/// Compiles a plan operator into its output schema and a cursor (plus a
-/// profile node when the context asks for profiling).
+/// Compiles a plan operator into a cursor (plus a profile node when the
+/// context asks for profiling).
 fn open<'a>(plan: &'a Plan, storage: &'a Storage, ctx: &ExecCtx) -> RelResult<OpenedCursor<'a>> {
     // Columnar access paths — a bare `Scan`, or a `Filter` directly over
     // one — are compiled against the segment store (zone-map pruning,
@@ -492,101 +485,39 @@ fn open<'a>(plan: &'a Plan, storage: &'a Storage, ctx: &ExecCtx) -> RelResult<Op
     }
     let stats = &ctx.stats;
     let mut kids: Vec<Rc<ProfNode>> = Vec::new();
-    let (schema, cursor): (RowSchema, BoxCursor<'a>) = match plan {
+    let cursor: BoxCursor<'a> = match plan {
         Plan::Scan { .. } => unreachable!("base scans are opened by open_access"),
-        Plan::IndexScan {
-            table,
-            alias,
-            index,
-            access,
-        } => {
-            let t = storage.table(table)?;
-            let idx = storage.btree_index(index)?;
+        Plan::IndexScan { table, .. } | Plan::KeywordScan { table, .. } => {
+            let table = storage.table(table)?;
+            let ids = index_leaf_ids(plan, storage)?;
             stats.index_probe();
-            let mut ids = match access {
-                IndexAccess::Exact(values) => {
-                    if values.len() == idx.key_columns().len() {
-                        idx.lookup(values)
-                    } else {
-                        idx.lookup_prefix(values)
-                    }
-                }
-                IndexAccess::Range {
-                    prefix,
-                    lower,
-                    upper,
-                } => idx.range(prefix, bound_ref(lower), bound_ref(upper)),
-            };
-            // Return rows in insertion (document) order, matching Scan.
-            ids.sort();
-            let schema =
-                RowSchema::for_table(alias, t.schema().columns.iter().map(|c| c.name.clone()));
-            (
-                schema,
-                Box::new(IdListCursor {
-                    table: t,
-                    ids: ids.into_iter(),
-                    stats: Rc::clone(stats),
-                }),
-            )
+            if matches!(plan, Plan::KeywordScan { .. }) {
+                stats.postings_read(ids.len() as u64);
+            }
+            Box::new(IdListCursor {
+                table,
+                ids: ids.into_iter(),
+                stats: Rc::clone(stats),
+            })
         }
-        Plan::KeywordScan {
-            table,
-            alias,
-            index,
-            keyword,
-        } => {
-            let t = storage.table(table)?;
-            let idx = storage.keyword_index(index)?;
-            stats.index_probe();
-            let mut ids = idx.lookup(keyword);
-            stats.postings_read(ids.len() as u64);
-            ids.sort();
-            let schema =
-                RowSchema::for_table(alias, t.schema().columns.iter().map(|c| c.name.clone()));
-            (
-                schema,
-                Box::new(IdListCursor {
-                    table: t,
-                    ids: ids.into_iter(),
-                    stats: Rc::clone(stats),
-                }),
-            )
-        }
-        Plan::Filter { input, predicate } => {
-            let (schema, input) = open_child(input, storage, ctx, &mut kids)?;
-            (
-                schema.clone(),
-                Box::new(FilterCursor {
-                    input,
-                    schema,
-                    predicate,
-                    pre_applied: false,
-                }),
-            )
-        }
+        Plan::Filter { input, predicate } => Box::new(FilterCursor {
+            input: open_child(input, storage, ctx, &mut kids)?,
+            predicate,
+            pre_applied: false,
+        }),
         Plan::NestedLoopJoin {
             left,
             right,
             condition,
-        } => {
-            let (ls, lcur) = open_child(left, storage, ctx, &mut kids)?;
-            let (rs, rcur) = open_child(right, storage, ctx, &mut kids)?;
-            let schema = ls.join(&rs);
-            (
-                schema.clone(),
-                Box::new(NestedLoopCursor {
-                    left: lcur,
-                    right_input: Some(rcur),
-                    right: Vec::new(),
-                    schema,
-                    condition: condition.as_ref(),
-                    current_left: None,
-                    right_pos: 0,
-                    stats: Rc::clone(stats),
-                }),
-            )
-        }
+        } => Box::new(NestedLoopCursor {
+            left: open_child(left, storage, ctx, &mut kids)?,
+            right_input: Some(open_child(right, storage, ctx, &mut kids)?),
+            right: Vec::new(),
+            condition: condition.as_ref(),
+            current_left: None,
+            right_pos: 0,
+            stats: Rc::clone(stats),
+        }),
         Plan::HashJoin {
             left,
             right,
@@ -595,144 +526,126 @@ fn open<'a>(plan: &'a Plan, storage: &'a Storage, ctx: &ExecCtx) -> RelResult<Op
             residual,
             semi,
         } => {
-            let (ls, lcur) = open_child(left, storage, ctx, &mut kids)?;
+            let left = open_child(left, storage, ctx, &mut kids)?;
+            // A morsel worker probes the side the driver already built
+            // instead of opening (and re-scanning) the right input.
+            let right_input = match &ctx.build {
+                Some(_) => None,
+                None => Some(open_child(right, storage, ctx, &mut kids)?),
+            };
             // A semi join is existence-only: each matching left row passes
             // through once and the right side's columns are dropped (the
             // planner guaranteed nothing downstream references them).
-            let joined = |rs: &RowSchema| if *semi { ls.clone() } else { ls.join(rs) };
-            // A morsel worker probes the side the driver already built
-            // instead of opening (and re-scanning) the right input.
-            let (schema, build, right_input) = match &ctx.build {
-                Some(shared) => (joined(&shared.schema), Some(Arc::clone(shared)), None),
-                None => {
-                    let right = open_child(right, storage, ctx, &mut kids)?;
-                    (joined(&right.0), None, Some(right))
-                }
-            };
-            (
-                schema.clone(),
-                Box::new(HashJoinCursor {
-                    left: lcur,
-                    left_schema: ls,
-                    schema,
-                    left_keys,
-                    residual: residual.as_ref(),
-                    semi: *semi,
-                    build,
-                    right_input,
-                    right_keys,
-                    probe: None,
-                    stats: Rc::clone(stats),
-                }),
-            )
+            Box::new(HashJoinCursor {
+                left,
+                left_keys,
+                residual: residual.as_ref(),
+                semi: *semi,
+                build: ctx.build.clone(),
+                right_input,
+                right_keys,
+                probe: None,
+                stats: Rc::clone(stats),
+            })
         }
         Plan::Project { input, items, .. } => {
             if !ctx.profile {
                 if let Some(cursor) = open_fused(input, items, storage, ctx)? {
-                    return Ok((projected_schema(items), cursor, None));
+                    return Ok((cursor, None));
                 }
             }
             // Tell a columnar access path which columns the projection
             // reads, so it skips materializing the rest (notably text).
             let needed: Vec<&Expr> = items.iter().map(|i| &i.expr).collect();
-            let (schema, input) = match open_access(input, storage, ctx, Some(&needed))? {
-                Some((schema, cursor, node)) => {
+            let input = match open_access(input, storage, ctx, Some(&needed))? {
+                Some((cursor, node)) => {
                     kids.extend(node);
-                    (schema, cursor)
+                    cursor
                 }
                 None => open_child(input, storage, ctx, &mut kids)?,
             };
-            (
-                projected_schema(items),
-                Box::new(ProjectCursor {
-                    cols: column_fast_paths(items, &schema),
-                    input,
-                    schema,
-                    items,
-                }),
-            )
+            Box::new(ProjectCursor { input, items })
         }
         Plan::Aggregate {
             input,
             group_by,
             items,
             ..
-        } => {
-            let (schema, input) =
-                open_aggregate_input(input, group_by, items, storage, ctx, &mut kids)?;
-            (
-                projected_schema(items),
-                Box::new(AggregateCursor {
-                    input: Some(input),
-                    schema,
-                    group_by,
-                    items,
-                    output: Vec::new().into_iter(),
-                    stats: Rc::clone(stats),
-                }),
-            )
-        }
-        Plan::Sort { input, keys } => {
-            let (schema, input) = open_child(input, storage, ctx, &mut kids)?;
-            (
-                schema,
-                Box::new(SortCursor {
-                    input: Some(input),
-                    keys,
-                    sorted: Vec::new().into_iter(),
-                    stats: Rc::clone(stats),
-                }),
-            )
-        }
+        } => Box::new(AggregateCursor {
+            input: Some(open_aggregate_input(
+                input, group_by, items, storage, ctx, &mut kids,
+            )?),
+            group_by,
+            items,
+            output: Vec::new().into_iter(),
+            stats: Rc::clone(stats),
+        }),
+        Plan::Sort { input, keys } => Box::new(SortCursor {
+            input: Some(open_child(input, storage, ctx, &mut kids)?),
+            keys,
+            sorted: Vec::new().into_iter(),
+            stats: Rc::clone(stats),
+        }),
         Plan::TopK {
             input,
             keys,
             limit,
             offset,
-        } => {
-            let (schema, input) = open_child(input, storage, ctx, &mut kids)?;
-            (
-                schema,
-                Box::new(TopKCursor {
-                    input: Some(input),
-                    keys,
-                    limit: *limit,
-                    offset: *offset,
-                    output: Vec::new().into_iter(),
-                    stats: Rc::clone(stats),
-                }),
-            )
-        }
-        Plan::Distinct { input, visible } => {
-            let (schema, input) = open_child(input, storage, ctx, &mut kids)?;
-            (
-                schema,
-                Box::new(DistinctCursor {
-                    input,
-                    visible: *visible,
-                    seen: HashSet::new(),
-                    stats: Rc::clone(stats),
-                }),
-            )
-        }
+        } => Box::new(TopKCursor {
+            input: Some(open_child(input, storage, ctx, &mut kids)?),
+            keys,
+            limit: *limit,
+            offset: *offset,
+            output: Vec::new().into_iter(),
+            stats: Rc::clone(stats),
+        }),
+        Plan::Distinct { input, visible } => Box::new(DistinctCursor {
+            input: open_child(input, storage, ctx, &mut kids)?,
+            visible: *visible,
+            seen: HashSet::new(),
+            stats: Rc::clone(stats),
+        }),
         Plan::Limit {
             input,
             limit,
             offset,
-        } => {
-            let (schema, input) = open_child(input, storage, ctx, &mut kids)?;
-            (
-                schema,
-                Box::new(LimitCursor {
-                    input,
-                    to_skip: *offset,
-                    remaining: *limit,
-                }),
-            )
+        } => Box::new(LimitCursor {
+            input: open_child(input, storage, ctx, &mut kids)?,
+            to_skip: *offset,
+            remaining: *limit,
+        }),
+    };
+    Ok(maybe_profile(cursor, plan, ctx, kids))
+}
+
+/// The rows an index leaf (`IndexScan`/`KeywordScan`) selects, as row ids
+/// in insertion (document) order — the order a `Scan` would yield them.
+pub(crate) fn index_leaf_ids(leaf: &Plan, storage: &Storage) -> RelResult<Vec<RowId>> {
+    let mut ids = match leaf {
+        Plan::IndexScan { index, access, .. } => {
+            let idx = storage.btree_index(index)?;
+            match access {
+                IndexAccess::Exact(values) if values.len() == idx.key_columns().len() => {
+                    idx.lookup(values)
+                }
+                IndexAccess::Exact(values) => idx.lookup_prefix(values),
+                IndexAccess::Range {
+                    prefix,
+                    lower,
+                    upper,
+                } => idx.range(prefix, lower.as_ref(), upper.as_ref()),
+            }
+        }
+        Plan::KeywordScan { index, keyword, .. } => storage.keyword_index(index)?.lookup(keyword),
+        other => {
+            return Err(RelError::Internal(format!(
+                "{} is not an index access path",
+                other.describe()
+            )))
         }
     };
-    let (cursor, node) = maybe_profile(cursor, plan, ctx, kids);
-    Ok((schema, cursor, node))
+    ids.sort();
+    Ok(ids)
 }
 
 /// A storage-level access path — a bare `Scan`, or a `Filter` directly
@@ -742,7 +655,6 @@ struct BoundAccess<'a> {
     /// The `Scan` node itself (the profile label of the leaf).
     scan: &'a Plan,
     table: &'a Table,
-    schema: RowSchema,
     filter: Option<&'a Expr>,
     /// Compiled only when the *entire* filter predicate is infallible
     /// (see [`open_access`]); empty otherwise.
@@ -759,19 +671,17 @@ fn bind_access<'a>(plan: &'a Plan, storage: &'a Storage) -> RelResult<Option<Bou
         Plan::Filter { input, predicate } => (&**input, Some(predicate)),
         _ => return Ok(None),
     };
-    let Plan::Scan { table, alias } = scan else {
+    let Plan::Scan { table, .. } = scan else {
         return Ok(None);
     };
     let table = storage.table(table)?;
-    let schema = RowSchema::for_table(alias, table.schema().columns.iter().map(|c| c.name.clone()));
     let (sargs, covered) = match filter {
-        Some(pred) if expr_infallible(pred, &schema) => compile_sargs(pred, &schema),
+        Some(pred) if expr_infallible(pred) => compile_sargs(pred),
         _ => (Vec::new(), false),
     };
     Ok(Some(BoundAccess {
         scan,
         table,
-        schema,
         filter,
         covered: covered && !sargs.is_empty(),
         sargs,
@@ -832,7 +742,6 @@ fn open_access<'a>(
     let Some(BoundAccess {
         scan,
         table,
-        schema,
         filter,
         sargs,
         covered,
@@ -840,8 +749,13 @@ fn open_access<'a>(
     else {
         return Ok(None);
     };
-    let mask = needed
-        .and_then(|exprs| column_mask(exprs.iter().copied().chain(filter), &schema, schema.len()));
+    let mask = needed.map(|exprs| {
+        let mut mask = vec![false; table.schema().arity()];
+        for expr in exprs.iter().copied().chain(filter) {
+            mark_columns(expr, &mut mask);
+        }
+        mask
+    });
     let store = table.store();
     let stats = &ctx.stats;
     let spans = leaf_spans(store, &sargs, storage, ctx).into_iter();
@@ -865,22 +779,25 @@ fn open_access<'a>(
     };
     let (cursor, node) = maybe_profile(leaf, scan, ctx, Vec::new());
     let Some(predicate) = filter else {
-        return Ok(Some((schema, cursor, node)));
+        return Ok(Some((cursor, node)));
     };
     let filtered: BoxCursor<'a> = Box::new(FilterCursor {
         input: cursor,
-        schema: schema.clone(),
         predicate,
         pre_applied: covered,
     });
-    let (cursor, node) = maybe_profile(filtered, plan, ctx, node.into_iter().collect());
-    Ok(Some((schema, cursor, node)))
+    Ok(Some(maybe_profile(
+        filtered,
+        plan,
+        ctx,
+        node.into_iter().collect(),
+    )))
 }
 
 /// Attempts the fully fused `Project(Filter(Scan))` access path: every
 /// conjunct of the predicate must compile to a sarg (so the kernels
 /// enforce it row-exactly) and every projection item must be a bare
-/// resolvable column. Returns `None` for any other shape. Kept off the
+/// column. Returns `None` for any other shape. Kept off the
 /// profiling path so EXPLAIN ANALYZE still shows the per-operator tree.
 fn open_fused<'a>(
     plan: &'a Plan,
@@ -900,10 +817,9 @@ fn open_fused<'a>(
     let mut cols = Vec::with_capacity(items.len());
     for item in items {
         match &item.expr {
-            Expr::Column { table, name } => match access.schema.resolve(table.as_deref(), name) {
-                Ok(i) => cols.push(i),
-                Err(_) => return Ok(None),
-            },
+            Expr::Column {
+                ordinal: Some(i), ..
+            } => cols.push(*i),
             _ => return Ok(None),
         }
     }
@@ -927,15 +843,15 @@ fn open_aggregate_input<'a>(
     storage: &'a Storage,
     ctx: &ExecCtx,
     kids: &mut Vec<Rc<ProfNode>>,
-) -> RelResult<(RowSchema, BoxCursor<'a>)> {
+) -> RelResult<BoxCursor<'a>> {
     let needed: Vec<&Expr> = group_by
         .iter()
         .chain(items.iter().map(|i| &i.expr))
         .collect();
     match open_access(input, storage, ctx, Some(&needed))? {
-        Some((schema, cursor, node)) => {
+        Some((cursor, node)) => {
             kids.extend(node);
-            Ok((schema, cursor))
+            Ok(cursor)
         }
         None => open_child(input, storage, ctx, kids),
     }
@@ -964,67 +880,40 @@ fn maybe_profile<'a>(
     (cursor, Some(node))
 }
 
-/// Resolves every column reference in `exprs` into a materialization
-/// mask. `None` (materialize everything) when a reference fails to
-/// resolve — evaluation will surface that error on full rows.
-fn column_mask<'e>(
-    exprs: impl Iterator<Item = &'e Expr>,
-    schema: &RowSchema,
-    arity: usize,
-) -> Option<Vec<bool>> {
-    let mut mask = vec![false; arity];
-    for expr in exprs {
-        if !mark_columns(expr, schema, &mut mask) {
-            return None;
-        }
-    }
-    Some(mask)
-}
-
-fn mark_columns(expr: &Expr, schema: &RowSchema, mask: &mut [bool]) -> bool {
+/// Marks every row position `expr` reads in the materialization mask.
+fn mark_columns(expr: &Expr, mask: &mut [bool]) {
     match expr {
-        Expr::Column { table, name } => match schema.resolve(table.as_deref(), name) {
-            Ok(i) => {
-                mask[i] = true;
-                true
-            }
-            Err(_) => false,
-        },
+        Expr::Column {
+            ordinal: Some(i), ..
+        } => mask[*i] = true,
         other => other
             .children()
             .into_iter()
-            .all(|e| mark_columns(e, schema, mask)),
+            .for_each(|e| mark_columns(e, mask)),
     }
 }
 
 /// Whether evaluating `expr` can never return an error: only literals,
-/// resolvable column references, comparisons, `AND`/`OR`/`NOT`,
+/// bound column references, comparisons, `AND`/`OR`/`NOT`,
 /// `IS NULL`, `IN` and `BETWEEN`. Arithmetic (overflow, division),
 /// `LIKE`/`CONTAINS`/`MATCHES` (type errors), parameters and aggregates
 /// are all fallible. Only an infallible predicate may be pushed below
 /// the row-at-a-time filter: early-dropping a row must not suppress an
 /// error the reference executor would raise.
-fn expr_infallible(expr: &Expr, schema: &RowSchema) -> bool {
+fn expr_infallible(expr: &Expr) -> bool {
     match expr {
         Expr::Literal(_) => true,
-        Expr::Column { table, name } => schema.resolve(table.as_deref(), name).is_ok(),
-        Expr::Binary { op, left, right } => {
-            (op.is_comparison() || matches!(op, BinOp::And | BinOp::Or))
-                && expr_infallible(left, schema)
-                && expr_infallible(right, schema)
+        Expr::Column { ordinal, .. } => ordinal.is_some(),
+        Expr::Binary { op, .. }
+            if !(op.is_comparison() || matches!(op, BinOp::And | BinOp::Or)) =>
+        {
+            false
         }
-        Expr::Not(e) => expr_infallible(e, schema),
-        Expr::IsNull { expr, .. } => expr_infallible(expr, schema),
-        Expr::InList { expr, list, .. } => {
-            expr_infallible(expr, schema) && list.iter().all(|e| expr_infallible(e, schema))
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            expr_infallible(expr, schema)
-                && expr_infallible(low, schema)
-                && expr_infallible(high, schema)
-        }
+        Expr::Binary { .. }
+        | Expr::Not(_)
+        | Expr::IsNull { .. }
+        | Expr::InList { .. }
+        | Expr::Between { .. } => expr.children().into_iter().all(expr_infallible),
         _ => false,
     }
 }
@@ -1042,13 +931,19 @@ fn expr_infallible(expr: &Expr, schema: &RowSchema) -> bool {
 /// three-valued logic drops false-or-unknown), so a covered predicate
 /// needs no per-row re-evaluation: every kernel survivor passes, every
 /// kernel drop would have been dropped by the WHERE clause.
-fn compile_sargs(expr: &Expr, schema: &RowSchema) -> (Vec<SimplePred>, bool) {
+fn compile_sargs(expr: &Expr) -> (Vec<SimplePred>, bool) {
     let mut out = Vec::new();
-    let covered = collect_sargs(expr, schema, &mut out);
+    let covered = collect_sargs(expr, &mut out);
     (out, covered)
 }
 
-fn collect_sargs(expr: &Expr, schema: &RowSchema, out: &mut Vec<SimplePred>) -> bool {
+fn collect_sargs(expr: &Expr, out: &mut Vec<SimplePred>) -> bool {
+    fn bound(e: &Expr) -> Option<usize> {
+        match e {
+            Expr::Column { ordinal, .. } => *ordinal,
+            _ => None,
+        }
+    }
     match expr {
         Expr::Binary {
             op: BinOp::And,
@@ -1056,33 +951,23 @@ fn collect_sargs(expr: &Expr, schema: &RowSchema, out: &mut Vec<SimplePred>) -> 
             right,
         } => {
             // No short-circuit: both sides must still contribute sargs.
-            let l = collect_sargs(left, schema, out);
-            let r = collect_sargs(right, schema, out);
+            let l = collect_sargs(left, out);
+            let r = collect_sargs(right, out);
             l && r
         }
         Expr::Binary { op, left, right } if op.is_comparison() => {
             let (col, lit, op) = match (&**left, &**right) {
-                (Expr::Column { table, name }, Expr::Literal(lit)) => {
-                    (schema.resolve(table.as_deref(), name), lit, cmp_op(*op))
-                }
-                (Expr::Literal(lit), Expr::Column { table, name }) => (
-                    schema.resolve(table.as_deref(), name),
-                    lit,
-                    cmp_op(*op).flip(),
-                ),
+                (col, Expr::Literal(lit)) => (bound(col), lit, cmp_op(*op)),
+                (Expr::Literal(lit), col) => (bound(col), lit, cmp_op(*op).flip()),
                 _ => return false,
             };
-            match col {
-                Ok(col) => {
-                    out.push(SimplePred {
-                        col,
-                        op,
-                        lit: lit.clone(),
-                    });
-                    true
-                }
-                Err(_) => false,
-            }
+            let Some(col) = col else { return false };
+            out.push(SimplePred {
+                col,
+                op,
+                lit: lit.clone(),
+            });
+            true
         }
         Expr::Between {
             expr,
@@ -1090,24 +975,21 @@ fn collect_sargs(expr: &Expr, schema: &RowSchema, out: &mut Vec<SimplePred>) -> 
             high,
             negated: false,
         } => {
-            if let (Expr::Column { table, name }, Expr::Literal(lo), Expr::Literal(hi)) =
-                (&**expr, &**low, &**high)
-            {
-                if let Ok(col) = schema.resolve(table.as_deref(), name) {
-                    out.push(SimplePred {
-                        col,
-                        op: CmpOp::Ge,
-                        lit: lo.clone(),
-                    });
-                    out.push(SimplePred {
-                        col,
-                        op: CmpOp::Le,
-                        lit: hi.clone(),
-                    });
-                    return true;
-                }
-            }
-            false
+            let (Some(col), Expr::Literal(lo), Expr::Literal(hi)) = (bound(expr), &**low, &**high)
+            else {
+                return false;
+            };
+            out.push(SimplePred {
+                col,
+                op: CmpOp::Ge,
+                lit: lo.clone(),
+            });
+            out.push(SimplePred {
+                col,
+                op: CmpOp::Le,
+                lit: hi.clone(),
+            });
+            true
         }
         _ => false,
     }
@@ -1306,7 +1188,6 @@ impl<'a> Cursor<'a> for IdListCursor<'a> {
 /// Streaming predicate filter.
 struct FilterCursor<'a> {
     input: BoxCursor<'a>,
-    schema: RowSchema,
     predicate: &'a Expr,
     /// True when the scan kernels below already enforce the *entire*
     /// predicate (every conjunct compiled to a sarg): survivors are
@@ -1317,7 +1198,7 @@ struct FilterCursor<'a> {
 impl<'a> Cursor<'a> for FilterCursor<'a> {
     fn next_row(&mut self) -> RelResult<Option<Row>> {
         while let Some(row) = self.input.next_row()? {
-            if self.pre_applied || eval_predicate(self.predicate, &self.schema, &row)? {
+            if self.pre_applied || eval_predicate(self.predicate, &row)? {
                 return Ok(Some(row));
             }
         }
@@ -1328,26 +1209,7 @@ impl<'a> Cursor<'a> for FilterCursor<'a> {
 /// Streaming projection.
 struct ProjectCursor<'a> {
     input: BoxCursor<'a>,
-    schema: RowSchema,
     items: &'a [ProjectItem],
-    /// Per-item fast path, resolved once at open: `Some(i)` when the
-    /// item is a plain column reference, which is then copied straight
-    /// out of the row instead of walking name resolution per row. Items
-    /// that fail to resolve stay `None` so `eval` raises the identical
-    /// error on the first row.
-    cols: Vec<Option<usize>>,
-}
-
-/// Resolves each projection item that is a bare column reference to its
-/// row position.
-fn column_fast_paths(items: &[ProjectItem], schema: &RowSchema) -> Vec<Option<usize>> {
-    items
-        .iter()
-        .map(|item| match &item.expr {
-            Expr::Column { table, name } => schema.resolve(table.as_deref(), name).ok(),
-            _ => None,
-        })
-        .collect()
 }
 
 impl<'a> Cursor<'a> for ProjectCursor<'a> {
@@ -1358,11 +1220,7 @@ impl<'a> Cursor<'a> for ProjectCursor<'a> {
         let projected: Row = self
             .items
             .iter()
-            .zip(&self.cols)
-            .map(|(item, col)| match col {
-                Some(i) => Ok(row[*i].clone()),
-                None => eval(&item.expr, &self.schema, &row),
-            })
+            .map(|item| eval(&item.expr, &row))
             .collect::<RelResult<_>>()?;
         Ok(Some(projected))
     }
@@ -1375,7 +1233,6 @@ struct NestedLoopCursor<'a> {
     /// Right input, consumed into `right` on the first pull.
     right_input: Option<BoxCursor<'a>>,
     right: Vec<Row>,
-    schema: RowSchema,
     condition: Option<&'a Expr>,
     current_left: Option<Row>,
     right_pos: usize,
@@ -1405,7 +1262,7 @@ impl<'a> Cursor<'a> for NestedLoopCursor<'a> {
                 let mut combined = lrow.clone();
                 combined.extend(rrow.iter().cloned());
                 let keep = match self.condition {
-                    Some(cond) => eval_predicate(cond, &self.schema, &combined)?,
+                    Some(cond) => eval_predicate(cond, &combined)?,
                     None => true,
                 };
                 if keep {
@@ -1418,14 +1275,10 @@ impl<'a> Cursor<'a> for NestedLoopCursor<'a> {
 }
 
 /// Evaluates join key expressions; any NULL key disqualifies the row.
-fn eval_join_keys(
-    keys: &[Expr],
-    schema: &RowSchema,
-    row: &[Value],
-) -> RelResult<Option<Vec<Value>>> {
+fn eval_join_keys(keys: &[Expr], row: &[Value]) -> RelResult<Option<Vec<Value>>> {
     let key: Vec<Value> = keys
         .iter()
-        .map(|k| eval(k, schema, row))
+        .map(|k| eval(k, row))
         .collect::<RelResult<_>>()?;
     Ok(if key.iter().any(Value::is_null) {
         None
@@ -1438,7 +1291,6 @@ fn eval_join_keys(
 /// cursor on its first pull, or once by the morsel driver and shared by
 /// every worker.
 pub(crate) struct BuildSide {
-    schema: RowSchema,
     rows: Vec<Row>,
     /// Key → positions in `rows`, in arrival order. A semi join only asks
     /// whether a key exists, so it keeps the key set and no rows.
@@ -1449,7 +1301,6 @@ impl BuildSide {
     /// Drains `input`, keeping only rows with fully non-NULL keys (rows
     /// with a NULL key can never join).
     fn build(
-        schema: RowSchema,
         keys: &[Expr],
         semi: bool,
         mut input: BoxCursor<'_>,
@@ -1458,7 +1309,7 @@ impl BuildSide {
         let mut rows = Vec::new();
         let mut index: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
         while let Some(row) = input.next_row()? {
-            let Some(key) = eval_join_keys(keys, &schema, &row)? else {
+            let Some(key) = eval_join_keys(keys, &row)? else {
                 continue;
             };
             if semi {
@@ -1472,11 +1323,7 @@ impl BuildSide {
                 rows.push(row);
             }
         }
-        Ok(BuildSide {
-            schema,
-            rows,
-            index,
-        })
+        Ok(BuildSide { rows, index })
     }
 }
 
@@ -1493,14 +1340,12 @@ impl BuildSide {
 /// catalog does not carry yet.
 struct HashJoinCursor<'a> {
     left: BoxCursor<'a>,
-    left_schema: RowSchema,
-    schema: RowSchema,
     left_keys: &'a [Expr],
     residual: Option<&'a Expr>,
     semi: bool,
     build: Option<Arc<BuildSide>>,
     /// Right input, drained into `build` on the first pull.
-    right_input: Option<(RowSchema, BoxCursor<'a>)>,
+    right_input: Option<BoxCursor<'a>>,
     right_keys: &'a [Expr],
     /// The probe row currently being expanded: `(row, matches, position)`.
     probe: Option<(Row, Vec<usize>, usize)>,
@@ -1509,8 +1354,8 @@ struct HashJoinCursor<'a> {
 
 impl<'a> Cursor<'a> for HashJoinCursor<'a> {
     fn next_row(&mut self) -> RelResult<Option<Row>> {
-        if let Some((rs, rcur)) = self.right_input.take() {
-            let built = BuildSide::build(rs, self.right_keys, self.semi, rcur, &self.stats)?;
+        if let Some(rcur) = self.right_input.take() {
+            let built = BuildSide::build(self.right_keys, self.semi, rcur, &self.stats)?;
             self.build = Some(Arc::new(built));
         }
         let build = self.build.as_ref().expect("built above");
@@ -1522,7 +1367,7 @@ impl<'a> Cursor<'a> for HashJoinCursor<'a> {
                     let mut combined = lrow.clone();
                     combined.extend(rrow.iter().cloned());
                     let keep = match self.residual {
-                        Some(cond) => eval_predicate(cond, &self.schema, &combined)?,
+                        Some(cond) => eval_predicate(cond, &combined)?,
                         None => true,
                     };
                     if keep {
@@ -1534,7 +1379,7 @@ impl<'a> Cursor<'a> for HashJoinCursor<'a> {
             let Some(lrow) = self.left.next_row()? else {
                 return Ok(None);
             };
-            let Some(key) = eval_join_keys(self.left_keys, &self.left_schema, &lrow)? else {
+            let Some(key) = eval_join_keys(self.left_keys, &lrow)? else {
                 continue;
             };
             match build.index.get(&key) {
@@ -1605,17 +1450,12 @@ impl Groups {
 
 /// Groups `input` by the `group_by` keys; with no `GROUP BY` everything
 /// is one global group.
-fn group_rows(
-    mut input: BoxCursor<'_>,
-    schema: &RowSchema,
-    group_by: &[Expr],
-    stats: &StatsCell,
-) -> RelResult<Groups> {
+fn group_rows(mut input: BoxCursor<'_>, group_by: &[Expr], stats: &StatsCell) -> RelResult<Groups> {
     let mut groups = Groups::default();
     while let Some(row) = input.next_row()? {
         let key: Vec<Value> = group_by
             .iter()
-            .map(|e| eval(e, schema, &row))
+            .map(|e| eval(e, &row))
             .collect::<RelResult<_>>()?;
         stats.buffer_grow(1);
         groups.rows_of(key).push(row);
@@ -1624,26 +1464,15 @@ fn group_rows(
 }
 
 /// Evaluates the aggregate select `items` over each group, yielding one
-/// row per group. `schema` is the aggregate's *input* schema.
-pub(crate) fn aggregate_groups(
-    groups: &[Group],
-    schema: &RowSchema,
-    items: &[ProjectItem],
-) -> RelResult<Vec<Row>> {
+/// row per group. Non-aggregate parts read the group's first row.
+pub(crate) fn aggregate_groups(groups: &[Group], items: &[ProjectItem]) -> RelResult<Vec<Row>> {
     let mut out = Vec::with_capacity(groups.len());
     for (_, group_rows) in groups {
-        let null_row;
-        let representative: &[Value] = match group_rows.first() {
-            Some(r) => r,
-            None => {
-                null_row = vec![Value::Null; schema.len()];
-                &null_row
-            }
-        };
+        let representative: &[Value] = group_rows.first().map_or(&[], |r| r);
         let mut result_row = Vec::with_capacity(items.len());
         for item in items {
-            let materialized = materialize_aggregates(&item.expr, schema, group_rows)?;
-            result_row.push(eval(&materialized, schema, representative)?);
+            let materialized = materialize_aggregates(&item.expr, group_rows)?;
+            result_row.push(eval(&materialized, representative)?);
         }
         out.push(result_row);
     }
@@ -1654,7 +1483,6 @@ pub(crate) fn aggregate_groups(
 /// until the input is exhausted, then streams the per-group results.
 struct AggregateCursor<'a> {
     input: Option<BoxCursor<'a>>,
-    schema: RowSchema,
     group_by: &'a [Expr],
     items: &'a [ProjectItem],
     output: std::vec::IntoIter<Row>,
@@ -1664,9 +1492,9 @@ struct AggregateCursor<'a> {
 impl<'a> Cursor<'a> for AggregateCursor<'a> {
     fn next_row(&mut self) -> RelResult<Option<Row>> {
         if let Some(input) = self.input.take() {
-            let groups = group_rows(input, &self.schema, self.group_by, &self.stats)?;
+            let groups = group_rows(input, self.group_by, &self.stats)?;
             let out = groups.finish(self.group_by, &self.stats, |groups| {
-                aggregate_groups(groups, &self.schema, self.items)
+                aggregate_groups(groups, self.items)
             })?;
             self.output = out.into_iter();
         }
@@ -1846,26 +1674,6 @@ impl<'a> Cursor<'a> for LimitCursor<'a> {
     }
 }
 
-pub(crate) fn bound_ref(b: &std::ops::Bound<Value>) -> std::ops::Bound<&Value> {
-    match b {
-        std::ops::Bound::Included(v) => std::ops::Bound::Included(v),
-        std::ops::Bound::Excluded(v) => std::ops::Bound::Excluded(v),
-        std::ops::Bound::Unbounded => std::ops::Bound::Unbounded,
-    }
-}
-
-pub(crate) fn projected_schema(items: &[ProjectItem]) -> RowSchema {
-    RowSchema::new(
-        items
-            .iter()
-            .map(|i| crate::expr::ColumnBinding {
-                table: String::new(),
-                name: i.name.clone(),
-            })
-            .collect(),
-    )
-}
-
 pub(crate) fn compare_rows(a: &[Value], b: &[Value], keys: &[SortKey]) -> Ordering {
     for key in keys {
         let ord = a[key.column].total_cmp(&b[key.column]);
@@ -1879,10 +1687,10 @@ pub(crate) fn compare_rows(a: &[Value], b: &[Value], keys: &[SortKey]) -> Orderi
 
 /// Replaces every `Aggregate` subexpression with the literal computed over
 /// the group's rows, leaving a plain expression to evaluate against the
-/// group's representative row.
+/// group's representative row. The empty global group has no such row:
+/// its column references become NULL here instead.
 pub(crate) fn materialize_aggregates<R: AsRef<[Value]>>(
     expr: &Expr,
-    schema: &RowSchema,
     rows: &[R],
 ) -> RelResult<Expr> {
     match expr {
@@ -1890,8 +1698,9 @@ pub(crate) fn materialize_aggregates<R: AsRef<[Value]>>(
             func,
             arg,
             distinct,
-        } => compute_aggregate(*func, arg.as_deref(), *distinct, schema, rows).map(Expr::Literal),
-        other => other.try_map_children(|e| materialize_aggregates(e, schema, rows)),
+        } => compute_aggregate(*func, arg.as_deref(), *distinct, rows).map(Expr::Literal),
+        Expr::Column { .. } if rows.is_empty() => Ok(Expr::Literal(Value::Null)),
+        other => other.try_map_children(|e| materialize_aggregates(e, rows)),
     }
 }
 
@@ -1899,7 +1708,6 @@ fn compute_aggregate<R: AsRef<[Value]>>(
     func: AggFunc,
     arg: Option<&Expr>,
     distinct: bool,
-    schema: &RowSchema,
     rows: &[R],
 ) -> RelResult<Value> {
     // Collect the (non-null) argument values.
@@ -1907,7 +1715,7 @@ fn compute_aggregate<R: AsRef<[Value]>>(
     for row in rows {
         match arg {
             Some(e) => {
-                let v = eval(e, schema, row.as_ref())?;
+                let v = eval(e, row.as_ref())?;
                 if !v.is_null() {
                     values.push(v);
                 }

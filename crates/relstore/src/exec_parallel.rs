@@ -36,8 +36,8 @@ use std::sync::Mutex;
 use crate::db::Storage;
 use crate::error::{RelError, RelResult};
 use crate::exec::{
-    access_spans, aggregate_groups, build_side, emit_merged, group_morsel, projected_schema,
-    run_morsel, Groups, PlanRun, Span, StatsCell,
+    access_spans, aggregate_groups, build_side, emit_merged, group_morsel, run_morsel, Groups,
+    PlanRun, Span, StatsCell,
 };
 use crate::plan::Plan;
 use crate::pool::WorkerPool;
@@ -181,12 +181,12 @@ fn run_shape(
     let stats = Rc::new(StatsCell::default());
     let morsels = carve(access_spans(shape.leaf, storage, &stats)?, morsel_size);
     if morsels.is_empty() {
-        // Nothing survived pruning: no worker would report a schema (or
-        // the one row a global aggregate owes an empty input).
+        // Nothing survived pruning: no worker would report the one row a
+        // global aggregate owes an empty input.
         return Ok(None);
     }
 
-    let (schema, rows, buffered) = if let Plan::Aggregate {
+    let (rows, buffered) = if let Plan::Aggregate {
         input,
         group_by,
         items,
@@ -196,24 +196,21 @@ fn run_shape(
         let parts = morsel_map(pool, workers, 1, morsels.len(), |i| {
             group_morsel(input, group_by, items, storage, morsels[i.start].clone())
         })?;
-        let mut input_schema = None;
         let mut groups = Groups::default();
-        for (schema, part, part_stats) in parts {
+        for (part, part_stats) in parts {
             stats.absorb(&part_stats);
             groups.absorb(part);
-            input_schema.get_or_insert(schema);
         }
-        let input_schema = input_schema.expect("at least one morsel ran");
         // Finish the groups fanned across workers in contiguous chunks,
         // so the first erroring group in group order still wins.
         let out = groups.finish(group_by, &stats, |groups| {
             let chunk = groups.len().div_ceil(workers.min(groups.len()).max(1));
             let parts = morsel_map(pool, workers, chunk.max(1), groups.len(), |range| {
-                aggregate_groups(&groups[range], &input_schema, items)
+                aggregate_groups(&groups[range], items)
             })?;
             Ok(parts.concat())
         })?;
-        (projected_schema(items), out, true)
+        (out, true)
     } else {
         let build = match shape.join {
             Some(Plan::HashJoin {
@@ -232,18 +229,15 @@ fn run_shape(
                 build.as_ref(),
             )
         })?;
-        let mut out_schema = None;
         let mut rows = Vec::new();
         for part in parts {
             stats.absorb(&part.stats);
             rows.extend(part.rows);
-            out_schema.get_or_insert(part.schema);
         }
-        (out_schema.expect("at least one morsel ran"), rows, false)
+        (rows, false)
     };
     let (rows, stats) = emit_merged(rows, buffered, shape.distinct, stats)?;
     Ok(Some(PlanRun {
-        schema,
         rows,
         stats,
         profile: None,

@@ -2,98 +2,51 @@
 //!
 //! The seed engine's pull-everything executor, retained as the semantic
 //! oracle for the streaming executor in [`crate::exec`]: every operator
-//! produces a fully materialized `(schema, rows)` pair with the simplest
-//! possible implementation. The property tests run randomized queries
-//! through both executors and require row-for-row identical output,
-//! including order — so the hash join here always builds on the right
-//! input and probes with the left, matching the streaming executor's
-//! deterministic left-major output order, and `TopK` is spelled as the
-//! sort/skip/take it fuses.
+//! produces its fully materialized rows with the simplest possible
+//! implementation, over the same bound plan. The property tests run
+//! randomized queries through both executors and require row-for-row
+//! identical output, including order — so the hash join here always
+//! builds on the right input and probes with the left, matching the
+//! streaming executor's deterministic left-major output order, and `TopK`
+//! is spelled as the sort/skip/take it fuses.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
 use crate::db::Storage;
 use crate::error::RelResult;
-use crate::exec::{bound_ref, compare_rows, materialize_aggregates, projected_schema};
-use crate::expr::{eval, eval_predicate, RowSchema};
-use crate::plan::{IndexAccess, Plan};
+use crate::exec::{compare_rows, index_leaf_ids, materialize_aggregates};
+use crate::expr::{eval, eval_predicate};
+use crate::plan::Plan;
 use crate::sql::ast::Expr;
 use crate::table::Row;
 use crate::value::Value;
 
 /// Executes a plan by materializing every operator's full output.
-pub fn execute_plan(plan: &Plan, storage: &Storage) -> RelResult<(RowSchema, Vec<Row>)> {
+pub fn execute_plan(plan: &Plan, storage: &Storage) -> RelResult<Vec<Row>> {
     match plan {
-        Plan::Scan { table, alias } => {
+        Plan::Scan { table, .. } => Ok(storage.table(table)?.scan().map(|(_, r)| r).collect()),
+        Plan::IndexScan { table, .. } | Plan::KeywordScan { table, .. } => {
             let t = storage.table(table)?;
-            let schema =
-                RowSchema::for_table(alias, t.schema().columns.iter().map(|c| c.name.clone()));
-            let rows = t.scan().map(|(_, r)| r).collect();
-            Ok((schema, rows))
-        }
-        Plan::IndexScan {
-            table,
-            alias,
-            index,
-            access,
-        } => {
-            let t = storage.table(table)?;
-            let idx = storage.btree_index(index)?;
-            let mut ids = match access {
-                IndexAccess::Exact(values) => {
-                    if values.len() == idx.key_columns().len() {
-                        idx.lookup(values)
-                    } else {
-                        idx.lookup_prefix(values)
-                    }
-                }
-                IndexAccess::Range {
-                    prefix,
-                    lower,
-                    upper,
-                } => idx.range(prefix, bound_ref(lower), bound_ref(upper)),
-            };
-            // Return rows in insertion (document) order, matching Scan.
-            ids.sort();
-            let schema =
-                RowSchema::for_table(alias, t.schema().columns.iter().map(|c| c.name.clone()));
-            let rows = ids.into_iter().filter_map(|id| t.get(id)).collect();
-            Ok((schema, rows))
-        }
-        Plan::KeywordScan {
-            table,
-            alias,
-            index,
-            keyword,
-        } => {
-            let t = storage.table(table)?;
-            let idx = storage.keyword_index(index)?;
-            let mut ids = idx.lookup(keyword);
-            ids.sort();
-            let schema =
-                RowSchema::for_table(alias, t.schema().columns.iter().map(|c| c.name.clone()));
-            let rows = ids.into_iter().filter_map(|id| t.get(id)).collect();
-            Ok((schema, rows))
+            let ids = index_leaf_ids(plan, storage)?;
+            Ok(ids.into_iter().filter_map(|id| t.get(id)).collect())
         }
         Plan::Filter { input, predicate } => {
-            let (schema, rows) = execute_plan(input, storage)?;
             let mut out = Vec::new();
-            for row in rows {
-                if eval_predicate(predicate, &schema, &row)? {
+            for row in execute_plan(input, storage)? {
+                if eval_predicate(predicate, &row)? {
                     out.push(row);
                 }
             }
-            Ok((schema, out))
+            Ok(out)
         }
         Plan::NestedLoopJoin {
             left,
             right,
             condition,
         } => {
-            let (ls, lrows) = execute_plan(left, storage)?;
-            let (rs, rrows) = execute_plan(right, storage)?;
-            let schema = ls.join(&rs);
+            let lrows = execute_plan(left, storage)?;
+            let rrows = execute_plan(right, storage)?;
             let mut out = Vec::new();
             for lrow in &lrows {
                 for rrow in &rrows {
@@ -101,7 +54,7 @@ pub fn execute_plan(plan: &Plan, storage: &Storage) -> RelResult<(RowSchema, Vec
                     combined.extend(rrow.iter().cloned());
                     match condition {
                         Some(cond) => {
-                            if eval_predicate(cond, &schema, &combined)? {
+                            if eval_predicate(cond, &combined)? {
                                 out.push(combined);
                             }
                         }
@@ -109,7 +62,7 @@ pub fn execute_plan(plan: &Plan, storage: &Storage) -> RelResult<(RowSchema, Vec
                     }
                 }
             }
-            Ok((schema, out))
+            Ok(out)
         }
         Plan::HashJoin {
             left,
@@ -119,53 +72,51 @@ pub fn execute_plan(plan: &Plan, storage: &Storage) -> RelResult<(RowSchema, Vec
             residual,
             semi,
         } => {
-            let (ls, lrows) = execute_plan(left, storage)?;
-            let (rs, rrows) = execute_plan(right, storage)?;
+            let lrows = execute_plan(left, storage)?;
+            let rrows = execute_plan(right, storage)?;
             // Keys are evaluated once per row; NULL keys never join.
-            let eval_keys =
-                |keys: &[Expr], schema: &RowSchema, row: &Row| -> RelResult<Option<Vec<Value>>> {
-                    let key: Vec<Value> = keys
-                        .iter()
-                        .map(|k| eval(k, schema, row))
-                        .collect::<RelResult<_>>()?;
-                    Ok(if key.iter().any(Value::is_null) {
-                        None
-                    } else {
-                        Some(key)
-                    })
-                };
+            let eval_keys = |keys: &[Expr], row: &Row| -> RelResult<Option<Vec<Value>>> {
+                let key: Vec<Value> = keys
+                    .iter()
+                    .map(|k| eval(k, row))
+                    .collect::<RelResult<_>>()?;
+                Ok(if key.iter().any(Value::is_null) {
+                    None
+                } else {
+                    Some(key)
+                })
+            };
             if *semi {
                 // Existence-only: emit each left row at most once and drop
                 // the right side's columns (planner guaranteed nothing
                 // downstream references them and the query is DISTINCT).
                 let mut table: HashSet<Vec<Value>> = HashSet::new();
                 for rrow in &rrows {
-                    if let Some(key) = eval_keys(right_keys, &rs, rrow)? {
+                    if let Some(key) = eval_keys(right_keys, rrow)? {
                         table.insert(key);
                     }
                 }
                 let mut out = Vec::new();
                 for lrow in lrows {
-                    if let Some(key) = eval_keys(left_keys, &ls, &lrow)? {
+                    if let Some(key) = eval_keys(left_keys, &lrow)? {
                         if table.contains(&key) {
                             out.push(lrow);
                         }
                     }
                 }
-                return Ok((ls, out));
+                return Ok(out);
             }
-            let schema = ls.join(&rs);
             // Build on the right, probe with the left, so output order is
             // left-major — identical to the streaming executor.
             let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
             for (i, rrow) in rrows.iter().enumerate() {
-                if let Some(key) = eval_keys(right_keys, &rs, rrow)? {
+                if let Some(key) = eval_keys(right_keys, rrow)? {
                     table.entry(key).or_default().push(i);
                 }
             }
             let mut out = Vec::new();
             for lrow in &lrows {
-                let Some(key) = eval_keys(left_keys, &ls, lrow)? else {
+                let Some(key) = eval_keys(left_keys, lrow)? else {
                     continue;
                 };
                 if let Some(matches) = table.get(&key) {
@@ -174,7 +125,7 @@ pub fn execute_plan(plan: &Plan, storage: &Storage) -> RelResult<(RowSchema, Vec
                         combined.extend(rrows[i].iter().cloned());
                         match residual {
                             Some(cond) => {
-                                if eval_predicate(cond, &schema, &combined)? {
+                                if eval_predicate(cond, &combined)? {
                                     out.push(combined);
                                 }
                             }
@@ -183,20 +134,19 @@ pub fn execute_plan(plan: &Plan, storage: &Storage) -> RelResult<(RowSchema, Vec
                     }
                 }
             }
-            Ok((schema, out))
+            Ok(out)
         }
         Plan::Project { input, items, .. } => {
-            let (schema, rows) = execute_plan(input, storage)?;
-            let out_schema = projected_schema(items);
+            let rows = execute_plan(input, storage)?;
             let mut out = Vec::with_capacity(rows.len());
             for row in rows {
                 let projected: Row = items
                     .iter()
-                    .map(|item| eval(&item.expr, &schema, &row))
+                    .map(|item| eval(&item.expr, &row))
                     .collect::<RelResult<_>>()?;
                 out.push(projected);
             }
-            Ok((out_schema, out))
+            Ok(out)
         }
         Plan::Aggregate {
             input,
@@ -204,15 +154,13 @@ pub fn execute_plan(plan: &Plan, storage: &Storage) -> RelResult<(RowSchema, Vec
             items,
             ..
         } => {
-            let (schema, rows) = execute_plan(input, storage)?;
-            let out_schema = projected_schema(items);
             // Group rows; with no GROUP BY everything is one global group.
             let mut groups: Vec<(Vec<Value>, Vec<Row>)> = Vec::new();
             let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-            for row in rows {
+            for row in execute_plan(input, storage)? {
                 let key: Vec<Value> = group_by
                     .iter()
-                    .map(|e| eval(e, &schema, &row))
+                    .map(|e| eval(e, &row))
                     .collect::<RelResult<_>>()?;
                 match index.entry(key.clone()) {
                     Entry::Occupied(slot) => groups[*slot.get()].1.push(row),
@@ -228,27 +176,22 @@ pub fn execute_plan(plan: &Plan, storage: &Storage) -> RelResult<(RowSchema, Vec
             }
             let mut out = Vec::with_capacity(groups.len());
             for (_, group_rows) in &groups {
-                let null_row;
-                let representative: &Row = match group_rows.first() {
-                    Some(r) => r,
-                    None => {
-                        null_row = vec![Value::Null; schema.len()];
-                        &null_row
-                    }
-                };
+                // The empty global group has no representative row;
+                // `materialize_aggregates` nulls its column references.
+                let representative: &[Value] = group_rows.first().map_or(&[], |r| r);
                 let mut result_row = Vec::with_capacity(items.len());
                 for item in items {
-                    let materialized = materialize_aggregates(&item.expr, &schema, group_rows)?;
-                    result_row.push(eval(&materialized, &schema, representative)?);
+                    let materialized = materialize_aggregates(&item.expr, group_rows)?;
+                    result_row.push(eval(&materialized, representative)?);
                 }
                 out.push(result_row);
             }
-            Ok((out_schema, out))
+            Ok(out)
         }
         Plan::Sort { input, keys } => {
-            let (schema, mut rows) = execute_plan(input, storage)?;
+            let mut rows = execute_plan(input, storage)?;
             rows.sort_by(|a, b| compare_rows(a, b, keys));
-            Ok((schema, rows))
+            Ok(rows)
         }
         Plan::TopK {
             input,
@@ -257,39 +200,33 @@ pub fn execute_plan(plan: &Plan, storage: &Storage) -> RelResult<(RowSchema, Vec
             offset,
         } => {
             // The unfused spelling: full sort, then skip/take.
-            let (schema, mut rows) = execute_plan(input, storage)?;
+            let mut rows = execute_plan(input, storage)?;
             rows.sort_by(|a, b| compare_rows(a, b, keys));
-            let out = rows
+            Ok(rows
                 .into_iter()
                 .skip(*offset as usize)
                 .take(*limit as usize)
-                .collect();
-            Ok((schema, out))
+                .collect())
         }
         Plan::Distinct { input, visible } => {
-            let (schema, rows) = execute_plan(input, storage)?;
             let mut seen: HashSet<Vec<Value>> = HashSet::new();
             let mut out = Vec::new();
-            for row in rows {
+            for row in execute_plan(input, storage)? {
                 let key: Vec<Value> = row.iter().take(*visible).cloned().collect();
                 if seen.insert(key) {
                     out.push(row);
                 }
             }
-            Ok((schema, out))
+            Ok(out)
         }
         Plan::Limit {
             input,
             limit,
             offset,
-        } => {
-            let (schema, rows) = execute_plan(input, storage)?;
-            let out = rows
-                .into_iter()
-                .skip(*offset as usize)
-                .take(limit.map(|l| l as usize).unwrap_or(usize::MAX))
-                .collect();
-            Ok((schema, out))
-        }
+        } => Ok(execute_plan(input, storage)?
+            .into_iter()
+            .skip(*offset as usize)
+            .take(limit.map(|l| l as usize).unwrap_or(usize::MAX))
+            .collect()),
     }
 }

@@ -1,16 +1,22 @@
 //! Expression evaluation.
 //!
-//! Expressions are evaluated against a [`RowSchema`] (the named columns an
-//! operator produces) and a row of values. SQL three-valued logic is
-//! honoured: comparisons involving NULL yield NULL, `AND`/`OR` short-
-//! circuit around NULL per the standard truth tables, and a WHERE clause
-//! accepts a row only when its predicate is *true* (not NULL).
+//! Expressions are evaluated against a row of values; column references
+//! must already carry the row position the bind stage ([`crate::bind`])
+//! assigned them. SQL three-valued logic is honoured: comparisons
+//! involving NULL yield NULL, `AND`/`OR` short-circuit around NULL per the
+//! standard truth tables, and a WHERE clause accepts a row only when its
+//! predicate is *true* (not NULL).
 
 use crate::error::{RelError, RelResult};
 use crate::regex::Pattern;
 use crate::sql::ast::{BinOp, Expr};
 use crate::text::tokenize;
 use crate::value::Value;
+
+/// Compiled patterns a thread keeps before starting over. A query uses a
+/// handful; the bound is for long-lived threads (embedded callers, morsel
+/// workers) that would otherwise hold every pattern they ever saw.
+const PATTERN_CACHE_CAP: usize = 64;
 
 thread_local! {
     /// Compiled-pattern cache for `MATCHES`: a query evaluates the same
@@ -24,6 +30,9 @@ pub fn regex_match(pattern: &str, text: &str) -> RelResult<bool> {
     PATTERN_CACHE.with(|cache| {
         let mut cache = cache.borrow_mut();
         if !cache.contains_key(pattern) {
+            if cache.len() >= PATTERN_CACHE_CAP {
+                cache.clear();
+            }
             let compiled = Pattern::compile(pattern).map_err(|e| RelError::Eval(e.to_string()))?;
             cache.insert(pattern.to_string(), compiled);
         }
@@ -31,102 +40,26 @@ pub fn regex_match(pattern: &str, text: &str) -> RelResult<bool> {
     })
 }
 
-/// A named column in an operator's output: `(binding alias, column name)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ColumnBinding {
-    /// The table alias this column came from.
-    pub table: String,
-    /// The column name.
-    pub name: String,
-}
-
-/// The schema of rows flowing through the executor.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RowSchema {
-    columns: Vec<ColumnBinding>,
-}
-
-impl RowSchema {
-    /// Creates a schema from bindings.
-    pub fn new(columns: Vec<ColumnBinding>) -> Self {
-        RowSchema { columns }
-    }
-
-    /// Builds a schema for a base table bound under `alias`.
-    pub fn for_table(alias: &str, column_names: impl IntoIterator<Item = String>) -> Self {
-        RowSchema {
-            columns: column_names
-                .into_iter()
-                .map(|name| ColumnBinding {
-                    table: alias.to_string(),
-                    name,
-                })
-                .collect(),
-        }
-    }
-
-    /// The bindings.
-    pub fn columns(&self) -> &[ColumnBinding] {
-        &self.columns
-    }
-
-    /// Number of columns.
-    pub fn len(&self) -> usize {
-        self.columns.len()
-    }
-
-    /// Whether the schema is empty.
-    pub fn is_empty(&self) -> bool {
-        self.columns.is_empty()
-    }
-
-    /// Concatenates two schemas (join output).
-    pub fn join(&self, other: &RowSchema) -> RowSchema {
-        let mut columns = self.columns.clone();
-        columns.extend(other.columns.iter().cloned());
-        RowSchema { columns }
-    }
-
-    /// Resolves a possibly-qualified column reference to its position.
-    pub fn resolve(&self, table: Option<&str>, name: &str) -> RelResult<usize> {
-        let mut found = None;
-        for (i, binding) in self.columns.iter().enumerate() {
-            let table_ok = table.is_none_or(|t| binding.table.eq_ignore_ascii_case(t));
-            if table_ok && binding.name.eq_ignore_ascii_case(name) {
-                if found.is_some() {
-                    let full = match table {
-                        Some(t) => format!("{t}.{name}"),
-                        None => name.to_string(),
-                    };
-                    return Err(RelError::AmbiguousColumn(full));
-                }
-                found = Some(i);
-            }
-        }
-        found.ok_or_else(|| {
-            let full = match table {
-                Some(t) => format!("{t}.{name}"),
-                None => name.to_string(),
-            };
-            RelError::UnknownColumn(full)
-        })
-    }
-}
-
 /// Evaluates `expr` against one row.
-pub fn eval(expr: &Expr, schema: &RowSchema, row: &[Value]) -> RelResult<Value> {
+pub fn eval(expr: &Expr, row: &[Value]) -> RelResult<Value> {
     match expr {
         Expr::Literal(v) => Ok(v.clone()),
-        Expr::Column { table, name } => {
-            let i = schema.resolve(table.as_deref(), name)?;
-            Ok(row[i].clone())
-        }
+        Expr::Column {
+            table,
+            name,
+            ordinal,
+        } => ordinal.and_then(|i| row.get(i)).cloned().ok_or_else(|| {
+            let alias = table.as_deref().unwrap_or("?");
+            RelError::Internal(format!(
+                "column {alias}.{name} is not bound to a position in this row"
+            ))
+        }),
         Expr::Binary { op, left, right } => {
             if matches!(op, BinOp::And | BinOp::Or) {
-                return eval_logic(*op, left, right, schema, row);
+                return eval_logic(*op, left, right, row);
             }
-            let l = eval(left, schema, row)?;
-            let r = eval(right, schema, row)?;
+            let l = eval(left, row)?;
+            let r = eval(right, row)?;
             if op.is_comparison() {
                 return Ok(match l.compare(&r) {
                     None => Value::Null,
@@ -147,14 +80,14 @@ pub fn eval(expr: &Expr, schema: &RowSchema, row: &[Value]) -> RelResult<Value> 
             eval_arith(*op, &l, &r)
         }
         Expr::Not(inner) => {
-            let v = eval(inner, schema, row)?;
+            let v = eval(inner, row)?;
             Ok(match truth(&v) {
                 None => Value::Null,
                 Some(b) => bool_value(!b),
             })
         }
         Expr::Neg(inner) => {
-            let v = eval(inner, schema, row)?;
+            let v = eval(inner, row)?;
             match v {
                 Value::Null => Ok(Value::Null),
                 Value::Int(i) => i
@@ -166,7 +99,7 @@ pub fn eval(expr: &Expr, schema: &RowSchema, row: &[Value]) -> RelResult<Value> 
             }
         }
         Expr::IsNull { expr, negated } => {
-            let v = eval(expr, schema, row)?;
+            let v = eval(expr, row)?;
             Ok(bool_value(v.is_null() != *negated))
         }
         Expr::Like {
@@ -174,8 +107,8 @@ pub fn eval(expr: &Expr, schema: &RowSchema, row: &[Value]) -> RelResult<Value> 
             pattern,
             negated,
         } => {
-            let v = eval(expr, schema, row)?;
-            let p = eval(pattern, schema, row)?;
+            let v = eval(expr, row)?;
+            let p = eval(pattern, row)?;
             match (&v, &p) {
                 (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
                 (Value::Text(text), Value::Text(pattern)) => {
@@ -189,13 +122,13 @@ pub fn eval(expr: &Expr, schema: &RowSchema, row: &[Value]) -> RelResult<Value> 
             list,
             negated,
         } => {
-            let v = eval(expr, schema, row)?;
+            let v = eval(expr, row)?;
             if v.is_null() {
                 return Ok(Value::Null);
             }
             let mut saw_null = false;
             for item in list {
-                let candidate = eval(item, schema, row)?;
+                let candidate = eval(item, row)?;
                 match v.compare(&candidate) {
                     Some(ord) if ord.is_eq() => return Ok(bool_value(!*negated)),
                     None if candidate.is_null() => saw_null = true,
@@ -214,17 +147,17 @@ pub fn eval(expr: &Expr, schema: &RowSchema, row: &[Value]) -> RelResult<Value> 
             high,
             negated,
         } => {
-            let v = eval(expr, schema, row)?;
-            let lo = eval(low, schema, row)?;
-            let hi = eval(high, schema, row)?;
+            let v = eval(expr, row)?;
+            let lo = eval(low, row)?;
+            let hi = eval(high, row)?;
             match (v.compare(&lo), v.compare(&hi)) {
                 (Some(a), Some(b)) => Ok(bool_value((a.is_ge() && b.is_le()) != *negated)),
                 _ => Ok(Value::Null),
             }
         }
         Expr::Contains { column, keyword } => {
-            let v = eval(column, schema, row)?;
-            let k = eval(keyword, schema, row)?;
+            let v = eval(column, row)?;
+            let k = eval(keyword, row)?;
             match (&v, &k) {
                 (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
                 (Value::Text(text), Value::Text(keyword)) => {
@@ -234,8 +167,8 @@ pub fn eval(expr: &Expr, schema: &RowSchema, row: &[Value]) -> RelResult<Value> 
             }
         }
         Expr::Matches { column, pattern } => {
-            let v = eval(column, schema, row)?;
-            let p = eval(pattern, schema, row)?;
+            let v = eval(column, row)?;
+            let p = eval(pattern, row)?;
             match (&v, &p) {
                 (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
                 (Value::Text(text), Value::Text(pattern)) => {
@@ -252,25 +185,19 @@ pub fn eval(expr: &Expr, schema: &RowSchema, row: &[Value]) -> RelResult<Value> 
 }
 
 /// Evaluates a predicate for filtering: true ⇢ keep, false/NULL ⇢ drop.
-pub fn eval_predicate(expr: &Expr, schema: &RowSchema, row: &[Value]) -> RelResult<bool> {
-    Ok(truth(&eval(expr, schema, row)?).unwrap_or(false))
+pub fn eval_predicate(expr: &Expr, row: &[Value]) -> RelResult<bool> {
+    Ok(truth(&eval(expr, row)?).unwrap_or(false))
 }
 
-fn eval_logic(
-    op: BinOp,
-    left: &Expr,
-    right: &Expr,
-    schema: &RowSchema,
-    row: &[Value],
-) -> RelResult<Value> {
-    let l = truth(&eval(left, schema, row)?);
+fn eval_logic(op: BinOp, left: &Expr, right: &Expr, row: &[Value]) -> RelResult<Value> {
+    let l = truth(&eval(left, row)?);
     // Short-circuit per three-valued logic.
     match (op, l) {
         (BinOp::And, Some(false)) => return Ok(bool_value(false)),
         (BinOp::Or, Some(true)) => return Ok(bool_value(true)),
         _ => {}
     }
-    let r = truth(&eval(right, schema, row)?);
+    let r = truth(&eval(right, row)?);
     Ok(match op {
         BinOp::And => match (l, r) {
             (Some(true), Some(true)) => bool_value(true),
@@ -400,6 +327,7 @@ pub fn contains_keywords(text: &str, keyword: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bind::{bind_expr, RowSchema};
     use crate::sql::ast::Statement;
     use crate::sql::parser::parse_statement;
 
@@ -407,15 +335,16 @@ mod tests {
         RowSchema::for_table("t", vec!["a".into(), "b".into(), "txt".into()])
     }
 
+    /// The predicate `sql`, bound against [`schema`].
     fn filter_of(sql: &str) -> Expr {
         match parse_statement(&format!("SELECT * FROM t WHERE {sql}")).unwrap() {
-            Statement::Select(s) => s.filter.unwrap(),
+            Statement::Select(s) => bind_expr(&s.filter.unwrap(), &schema()).unwrap(),
             _ => unreachable!(),
         }
     }
 
     fn run(pred: &str, row: &[Value]) -> bool {
-        eval_predicate(&filter_of(pred), &schema(), row).unwrap()
+        eval_predicate(&filter_of(pred), row).unwrap()
     }
 
     fn row(a: i64, b: f64, txt: &str) -> Vec<Value> {
@@ -457,7 +386,7 @@ mod tests {
         assert!(run("a / 3 = 3", &r)); // integer division
         assert!(run("b * 4 = 2.0", &r));
         assert!(run("-a = -10", &r));
-        let err = eval(&filter_of("a / 0"), &schema(), &r).unwrap_err();
+        let err = eval(&filter_of("a / 0"), &r).unwrap_err();
         assert!(matches!(err, RelError::Eval(_)));
     }
 
@@ -585,7 +514,6 @@ mod tests {
     fn integer_overflow_is_an_error_not_a_wrap() {
         // Seed regression: wrapping_add/sub/mul returned wrong answers
         // silently; i64::MIN / -1 panicked.
-        let s = schema();
         let r = row(0, 0.0, "");
         let max = i64::MAX;
         // i64::MIN has no SQL literal spelling (its magnitude overflows
@@ -598,7 +526,7 @@ mod tests {
             format!("a + ({min} / -1)"),
             format!("a + (-{min})"),
         ] {
-            let err = eval(&filter_of(&sql), &s, &r).unwrap_err();
+            let err = eval(&filter_of(&sql), &r).unwrap_err();
             match err {
                 RelError::Eval(msg) => {
                     assert!(
@@ -654,37 +582,36 @@ mod tests {
         let n = vec![Value::Int(0), Value::Float(0.0), Value::Null];
         assert!(!run("MATCHES(txt, 'x')", &n));
         // Bad pattern is an error.
-        assert!(eval(&filter_of("MATCHES(txt, '[')"), &schema(), &r).is_err());
+        assert!(eval(&filter_of("MATCHES(txt, '[')"), &r).is_err());
         // Non-text operand is an error.
-        assert!(eval(&filter_of("MATCHES(a, 'x')"), &schema(), &r).is_err());
-    }
-
-    #[test]
-    fn column_resolution() {
-        let s = RowSchema::for_table("a", vec!["x".into()])
-            .join(&RowSchema::for_table("b", vec!["x".into(), "y".into()]));
-        assert_eq!(s.resolve(Some("a"), "x").unwrap(), 0);
-        assert_eq!(s.resolve(Some("b"), "x").unwrap(), 1);
-        assert_eq!(s.resolve(None, "y").unwrap(), 2);
-        assert!(matches!(
-            s.resolve(None, "x"),
-            Err(RelError::AmbiguousColumn(_))
-        ));
-        assert!(matches!(
-            s.resolve(None, "zz"),
-            Err(RelError::UnknownColumn(_))
-        ));
-        assert!(matches!(
-            s.resolve(Some("c"), "x"),
-            Err(RelError::UnknownColumn(_))
-        ));
+        assert!(eval(&filter_of("MATCHES(a, 'x')"), &r).is_err());
     }
 
     #[test]
     fn case_insensitive_resolution() {
-        let s = schema();
         let r = row(1, 2.0, "t");
         assert!(run("T.A = 1", &r));
-        assert_eq!(s.resolve(Some("T"), "TXT").unwrap(), 2);
+        assert!(run("t.TXT = 't'", &r));
+    }
+
+    #[test]
+    fn unbound_column_is_an_internal_error() {
+        let unbound = Expr::col(Some("t"), "a");
+        let err = eval(&unbound, &row(1, 2.0, "t")).unwrap_err();
+        assert!(matches!(err, RelError::Internal(_)), "{err:?}");
+    }
+
+    #[test]
+    fn pattern_cache_is_bounded() {
+        // Cap + 1 distinct patterns on this thread: the cache never holds
+        // more than the cap, and a pattern evicted along the way still
+        // answers correctly (it is simply compiled again).
+        for i in 0..=PATTERN_CACHE_CAP {
+            assert!(regex_match(&format!("^p{i}$"), &format!("p{i}")).unwrap());
+            let held = PATTERN_CACHE.with(|c| c.borrow().len());
+            assert!(held <= PATTERN_CACHE_CAP, "{held} patterns cached");
+        }
+        assert!(regex_match("^p0$", "p0").unwrap());
+        assert!(!regex_match("^p0$", "p1").unwrap());
     }
 }

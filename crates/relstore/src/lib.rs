@@ -26,8 +26,9 @@
 //! * [`sql`] — a SQL subset (lexer, parser, AST) covering everything the
 //!   XQ2SQL translator emits: `SELECT` (joins, `WHERE`, `ORDER BY`,
 //!   `LIMIT`, `DISTINCT`, aggregates), DML and DDL.
-//! * [`expr`], [`plan`], [`planner`], [`exec`] — expression evaluation,
-//!   logical plans, an index-selecting planner, and the executor
+//! * [`expr`], [`plan`], [`planner`], [`bind`], [`exec`] — expression
+//!   evaluation, logical plans, an index-selecting planner whose last
+//!   stage binds every column name to a row position, and the executor
 //!   (filtered scans, index scans, nested-loop and hash joins, sort).
 //! * [`wal`] / [`db`] — a write-ahead log with crash recovery, and the
 //!   [`Database`] facade combining all of the above behind reader/writer
@@ -66,6 +67,7 @@
 //! }
 //! ```
 
+pub mod bind;
 pub mod colstore;
 pub mod db;
 pub mod error;

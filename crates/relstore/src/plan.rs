@@ -321,13 +321,16 @@ impl PlanEstimate {
     }
 }
 
-/// The planner's output: a plan plus the visible column count.
+/// The planner's output: a bound plan (see [`crate::bind`]) plus its
+/// result header.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlannedQuery {
     /// The operator tree.
     pub plan: Plan,
     /// The number of user-visible output columns (hidden sort keys follow).
     pub visible: usize,
+    /// The names of those `visible` columns — the result set's header.
+    pub columns: Vec<String>,
     /// Estimated cardinality per operator, parallel to `plan`.
     pub estimate: PlanEstimate,
 }

@@ -1,8 +1,9 @@
 //! The query planner.
 //!
-//! Compiles a parsed [`SelectStmt`] into a [`PlannedQuery`]. Planning
-//! mirrors the paper's workflow of shaping indexes until the optimizer
-//! picks them (§3.2):
+//! Compiles a parsed [`SelectStmt`] into a [`PlannedQuery`] in four
+//! stages — **qualify** (step 1), **order / access path** (steps 2–4),
+//! **build** (step 5) and **bind** (step 6). Planning mirrors the paper's
+//! workflow of shaping indexes until the optimizer picks them (§3.2):
 //!
 //! 1. every unqualified column reference is resolved to its table alias;
 //! 2. the `WHERE` clause and all `ON` conditions are split into conjuncts;
@@ -20,7 +21,10 @@
 //!    join's build side. Without statistics the original greedy
 //!    connectivity order is kept;
 //! 5. aggregation, projection (with hidden sort-key columns), sorting,
-//!    `DISTINCT` and `LIMIT` complete the tree.
+//!    `DISTINCT` and `LIMIT` complete the tree;
+//! 6. [`bind_plan`] rewrites every column reference the finished tree
+//!    carries into a position in its operator's input row — past this
+//!    point nothing looks a column up by name.
 //!
 //! Alongside the operator tree, the planner emits a [`PlanEstimate`] for
 //! every node — cardinalities derived from the [`StatsCatalog`]'s row
@@ -32,6 +36,7 @@
 use std::collections::{BTreeMap, HashSet};
 use std::ops::Bound;
 
+use crate::bind::bind_plan;
 use crate::error::{RelError, RelResult};
 use crate::plan::{IndexAccess, Plan, PlanEstimate, PlannedQuery, ProjectItem, SortKey};
 use crate::schema::Catalog;
@@ -73,10 +78,10 @@ pub fn plan_select(
     // Gather and resolve all conjuncts from WHERE and ON clauses.
     let mut conjuncts: Vec<Expr> = Vec::new();
     if let Some(filter) = &stmt.filter {
-        split_conjuncts(resolver.resolve_expr(filter.clone())?, &mut conjuncts);
+        split_conjuncts(resolver.resolve_expr(filter)?, &mut conjuncts);
     }
     for join in &stmt.joins {
-        split_conjuncts(resolver.resolve_expr(join.on.clone())?, &mut conjuncts);
+        split_conjuncts(resolver.resolve_expr(&join.on)?, &mut conjuncts);
     }
 
     // Partition conjuncts by the set of aliases they touch.
@@ -132,7 +137,7 @@ pub fn plan_select(
                 push_table_columns(&mut items, t, catalog)?;
             }
             SelectItem::Expr { expr, alias } => {
-                let resolved = resolver.resolve_expr(expr.clone())?;
+                let resolved = resolver.resolve_expr(expr)?;
                 let name = alias
                     .clone()
                     .unwrap_or_else(|| derive_name(&resolved, items.len()));
@@ -144,11 +149,12 @@ pub fn plan_select(
         }
     }
     let visible = items.len();
+    let columns = items.iter().map(|i| i.name.clone()).collect();
 
     let group_by: Vec<Expr> = stmt
         .group_by
         .iter()
-        .map(|e| resolver.resolve_expr(e.clone()))
+        .map(|e| resolver.resolve_expr(e))
         .collect::<RelResult<_>>()?;
     let is_aggregate = !group_by.is_empty() || items.iter().any(|i| i.expr.has_aggregate());
 
@@ -156,13 +162,15 @@ pub fn plan_select(
     // otherwise append a hidden item.
     let mut sort_keys: Vec<SortKey> = Vec::new();
     for key in &stmt.order_by {
-        let resolved = match resolver.resolve_expr(key.expr.clone()) {
+        let resolved = match resolver.resolve_expr(&key.expr) {
             Ok(e) => e,
             // An ORDER BY name may reference a select alias rather than a
             // real column; fall back to name matching below.
             Err(err) => {
                 let name = match &key.expr {
-                    Expr::Column { table: None, name } => name.clone(),
+                    Expr::Column {
+                        table: None, name, ..
+                    } => name.clone(),
                     _ => return Err(err),
                 };
                 let pos = items
@@ -387,9 +395,11 @@ pub fn plan_select(
         }
     }
     let estimate = estimator.estimate(&plan);
+    bind_plan(&mut plan, catalog)?;
     Ok(PlannedQuery {
         plan,
         visible,
+        columns,
         estimate,
     })
 }
@@ -484,49 +494,11 @@ fn connected_components(inputs: Vec<(String, Plan)>, multi: &[Expr]) -> Vec<Vec<
 /// The lowercase aliases referenced by an expression.
 fn aliases_in(expr: &Expr) -> HashSet<String> {
     fn walk(expr: &Expr, out: &mut HashSet<String>) {
-        match expr {
-            Expr::Column { table, .. } => {
-                if let Some(t) = table {
-                    out.insert(t.to_ascii_lowercase());
-                }
-            }
-            Expr::Literal(_) | Expr::Param(_) => {}
-            Expr::Binary { left, right, .. } => {
-                walk(left, out);
-                walk(right, out);
-            }
-            Expr::Not(e) | Expr::Neg(e) => walk(e, out),
-            Expr::IsNull { expr, .. } => walk(expr, out),
-            Expr::Like { expr, pattern, .. } => {
-                walk(expr, out);
-                walk(pattern, out);
-            }
-            Expr::InList { expr, list, .. } => {
-                walk(expr, out);
-                for e in list {
-                    walk(e, out);
-                }
-            }
-            Expr::Between {
-                expr, low, high, ..
-            } => {
-                walk(expr, out);
-                walk(low, out);
-                walk(high, out);
-            }
-            Expr::Contains { column, keyword } => {
-                walk(column, out);
-                walk(keyword, out);
-            }
-            Expr::Matches { column, pattern } => {
-                walk(column, out);
-                walk(pattern, out);
-            }
-            Expr::Aggregate { arg, .. } => {
-                if let Some(a) = arg {
-                    walk(a, out);
-                }
-            }
+        if let Expr::Column { table: Some(t), .. } = expr {
+            out.insert(t.to_ascii_lowercase());
+        }
+        for child in expr.children() {
+            walk(child, out);
         }
     }
     let mut out = HashSet::new();
@@ -608,6 +580,7 @@ impl Estimator<'_> {
         let Expr::Column {
             table: Some(alias),
             name,
+            ..
         } = e
         else {
             return None;
@@ -812,6 +785,7 @@ impl Estimator<'_> {
                 .find(|(_, t)| t.eq_ignore_ascii_case(table))
                 .map(|(a, _)| a.clone()),
             name: name.to_string(),
+            ordinal: None,
         };
         let (values, range) = match access {
             IndexAccess::Exact(values) => (values.as_slice(), None),
@@ -1056,111 +1030,41 @@ struct Resolver<'a> {
 }
 
 impl Resolver<'_> {
-    fn resolve_column(&self, table: Option<String>, name: String) -> RelResult<Expr> {
+    fn resolve_column(&self, table: Option<&str>, name: &str) -> RelResult<Expr> {
         if let Some(alias) = table {
             // Verify the alias exists and carries the column.
             let t = self
                 .tables
                 .iter()
-                .find(|t| t.alias.eq_ignore_ascii_case(&alias))
-                .ok_or_else(|| RelError::UnknownTable(alias.clone()))?;
+                .find(|t| t.alias.eq_ignore_ascii_case(alias))
+                .ok_or_else(|| RelError::UnknownTable(alias.to_string()))?;
             let schema = self.catalog.table(&t.table)?;
-            if schema.column_index(&name).is_none() {
+            if schema.column_index(name).is_none() {
                 return Err(RelError::UnknownColumn(format!("{alias}.{name}")));
             }
-            return Ok(Expr::Column {
-                table: Some(t.alias.clone()),
-                name,
-            });
+            return Ok(Expr::col(Some(&t.alias), name));
         }
         let mut owner = None;
         for t in self.tables {
             let schema = self.catalog.table(&t.table)?;
-            if schema.column_index(&name).is_some() {
+            if schema.column_index(name).is_some() {
                 if owner.is_some() {
-                    return Err(RelError::AmbiguousColumn(name));
+                    return Err(RelError::AmbiguousColumn(name.to_string()));
                 }
-                owner = Some(t.alias.clone());
+                owner = Some(&t.alias);
             }
         }
         match owner {
-            Some(alias) => Ok(Expr::Column {
-                table: Some(alias),
-                name,
-            }),
-            None => Err(RelError::UnknownColumn(name)),
+            Some(alias) => Ok(Expr::col(Some(alias), name)),
+            None => Err(RelError::UnknownColumn(name.to_string())),
         }
     }
 
-    fn resolve_expr(&self, expr: Expr) -> RelResult<Expr> {
-        Ok(match expr {
-            Expr::Column { table, name } => self.resolve_column(table, name)?,
-            Expr::Literal(v) => Expr::Literal(v),
-            Expr::Param(i) => Expr::Param(i),
-            Expr::Binary { op, left, right } => Expr::Binary {
-                op,
-                left: Box::new(self.resolve_expr(*left)?),
-                right: Box::new(self.resolve_expr(*right)?),
-            },
-            Expr::Not(e) => Expr::Not(Box::new(self.resolve_expr(*e)?)),
-            Expr::Neg(e) => Expr::Neg(Box::new(self.resolve_expr(*e)?)),
-            Expr::IsNull { expr, negated } => Expr::IsNull {
-                expr: Box::new(self.resolve_expr(*expr)?),
-                negated,
-            },
-            Expr::Like {
-                expr,
-                pattern,
-                negated,
-            } => Expr::Like {
-                expr: Box::new(self.resolve_expr(*expr)?),
-                pattern: Box::new(self.resolve_expr(*pattern)?),
-                negated,
-            },
-            Expr::InList {
-                expr,
-                list,
-                negated,
-            } => Expr::InList {
-                expr: Box::new(self.resolve_expr(*expr)?),
-                list: list
-                    .into_iter()
-                    .map(|e| self.resolve_expr(e))
-                    .collect::<RelResult<_>>()?,
-                negated,
-            },
-            Expr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => Expr::Between {
-                expr: Box::new(self.resolve_expr(*expr)?),
-                low: Box::new(self.resolve_expr(*low)?),
-                high: Box::new(self.resolve_expr(*high)?),
-                negated,
-            },
-            Expr::Contains { column, keyword } => Expr::Contains {
-                column: Box::new(self.resolve_expr(*column)?),
-                keyword: Box::new(self.resolve_expr(*keyword)?),
-            },
-            Expr::Matches { column, pattern } => Expr::Matches {
-                column: Box::new(self.resolve_expr(*column)?),
-                pattern: Box::new(self.resolve_expr(*pattern)?),
-            },
-            Expr::Aggregate {
-                func,
-                arg,
-                distinct,
-            } => Expr::Aggregate {
-                func,
-                arg: match arg {
-                    Some(a) => Some(Box::new(self.resolve_expr(*a)?)),
-                    None => None,
-                },
-                distinct,
-            },
-        })
+    fn resolve_expr(&self, expr: &Expr) -> RelResult<Expr> {
+        match expr {
+            Expr::Column { table, name, .. } => self.resolve_column(table.as_deref(), name),
+            other => other.try_map_children(|e| self.resolve_expr(e)),
+        }
     }
 }
 

@@ -79,22 +79,22 @@ impl std::hash::Hasher for FxHasher {
 
 type FxMap<V> = HashMap<String, V, std::hash::BuildHasherDefault<FxHasher>>;
 
-/// One cached plan plus the statistics generation it was costed against.
+/// One cached plan plus the storage generation it was planned against.
 struct CachedPlan {
     plan: Arc<PlannedQuery>,
-    /// Stats generation of the snapshot the plan was built from. A lookup
-    /// from a snapshot with a *different* generation misses (and evicts
-    /// the entry), so `ANALYZE` provably invalidates every stale plan —
-    /// even one inserted by a reader pinned to a pre-`ANALYZE` snapshot
-    /// after the explicit cache clear ran.
+    /// [`Storage::generation`](crate::db::Storage) of the snapshot the
+    /// plan was built from. A lookup from a snapshot with a *different*
+    /// generation misses (and evicts the entry), so DDL and `ANALYZE`
+    /// provably invalidate every stale plan — even one inserted afterwards
+    /// by a reader still pinned to the older snapshot.
     generation: u64,
     stamp: u64,
 }
 
 /// A capacity-bounded LRU cache of planned `SELECT`s, keyed by
-/// [`cache_key`]. Owned by [`Database`] behind a mutex; cleared on DDL
-/// and on `ANALYZE`, and cross-checked against the statistics generation
-/// on every lookup.
+/// [`cache_key`]. Owned by [`Database`] behind a mutex; every lookup is
+/// checked against the querying snapshot's storage generation, which is
+/// the cache's only invalidation mechanism.
 pub(crate) struct PlanCache {
     capacity: usize,
     stamp: u64,
@@ -111,8 +111,8 @@ impl PlanCache {
     }
 
     /// Looks up a plan, refreshing its LRU stamp on a hit. An entry built
-    /// under a different stats generation is treated as a miss and
-    /// dropped — its costing no longer reflects the querying snapshot.
+    /// under a different generation is treated as a miss and dropped — its
+    /// catalog, column positions or costing may not be the snapshot's.
     pub(crate) fn get(&mut self, key: &str, generation: u64) -> Option<Arc<PlannedQuery>> {
         self.stamp += 1;
         let stamp = self.stamp;
@@ -154,11 +154,6 @@ impl PlanCache {
                 stamp: self.stamp,
             },
         );
-    }
-
-    /// Drops every cached plan (the DDL invalidation hook).
-    pub(crate) fn clear(&mut self) {
-        self.entries.clear();
     }
 
     /// Number of cached plans (used by tests).
@@ -482,8 +477,8 @@ where
         Expr::Binary { op, left, right } => {
             if op.is_comparison() {
                 match (&**left, &**right) {
-                    (Expr::Column { table, name }, Expr::Param(i))
-                    | (Expr::Param(i), Expr::Column { table, name }) => note(*i, table, name),
+                    (Expr::Column { table, name, .. }, Expr::Param(i))
+                    | (Expr::Param(i), Expr::Column { table, name, .. }) => note(*i, table, name),
                     _ => {}
                 }
             }
@@ -493,7 +488,7 @@ where
         Expr::Between {
             expr: e, low, high, ..
         } => {
-            if let Expr::Column { table, name } = &**e {
+            if let Expr::Column { table, name, .. } = &**e {
                 for bound in [&**low, &**high] {
                     if let Expr::Param(i) = bound {
                         note(*i, table, name);
@@ -505,7 +500,7 @@ where
             infer_expr(high, col_ty, types);
         }
         Expr::InList { expr: e, list, .. } => {
-            if let Expr::Column { table, name } = &**e {
+            if let Expr::Column { table, name, .. } = &**e {
                 for item in list {
                     if let Expr::Param(i) = item {
                         note(*i, table, name);
@@ -807,7 +802,7 @@ impl<'a> Query<'a> {
             .as_deref()
             .filter(|norm| !lenient && !may_reference_system(norm))
             .map(|norm| cache_key(Cow::Borrowed(norm), &params));
-        let generation = self.snapshot.stats.generation;
+        let generation = self.snapshot.generation;
         if let Some(key) = &key {
             let cached = self.db.plan_cache.lock().get(key, generation);
             if let Some(planned) = cached {
@@ -1421,6 +1416,7 @@ mod tests {
         Arc::new(PlannedQuery {
             plan,
             visible: 1,
+            columns: vec!["a".into()],
             estimate,
         })
     }

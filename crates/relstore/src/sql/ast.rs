@@ -17,6 +17,10 @@ pub enum Expr {
         table: Option<String>,
         /// Column name.
         name: String,
+        /// Position in the row the expression is evaluated against: `None`
+        /// as parsed, filled in by [`crate::bind::bind_expr`] — the only
+        /// form [`crate::expr::eval`] accepts.
+        ordinal: Option<usize>,
     },
     /// Binary operation.
     Binary {
@@ -100,6 +104,7 @@ impl Expr {
         Expr::Column {
             table: table.map(str::to_string),
             name: name.to_string(),
+            ordinal: None,
         }
     }
 

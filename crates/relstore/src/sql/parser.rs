@@ -647,9 +647,14 @@ impl SqlParser {
                     return Ok(Expr::Column {
                         table: Some(name),
                         name: col,
+                        ordinal: None,
                     });
                 }
-                Ok(Expr::Column { table: None, name })
+                Ok(Expr::Column {
+                    table: None,
+                    name,
+                    ordinal: None,
+                })
             }
             other => Err(RelError::Parse(format!("unexpected token {other:?}"))),
         }

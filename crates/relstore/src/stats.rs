@@ -13,11 +13,11 @@
 //! Column-level statistics are collected by `ANALYZE [TABLE <t>]` and are
 //! rebuilt lazily: mutations only bump a staleness counter, and once the
 //! churn since the last scan crosses [`REBUILD_FRACTION`] of the analyzed
-//! row count the next mutation rescans that table and bumps the stats
-//! generation. The whole catalog lives on the MVCC `Storage` root, so a
-//! pinned query always plans against the statistics of *its* snapshot,
-//! and the plan cache tags entries with [`StatsCatalog::generation`] so
-//! `ANALYZE` invalidates stale plans.
+//! row count the next mutation rescans that table and draws a new
+//! storage generation. The whole catalog lives on the MVCC `Storage`
+//! root, so a pinned query always plans against the statistics of *its*
+//! snapshot, and the plan cache tags entries with the root's generation
+//! so `ANALYZE` invalidates stale plans.
 
 use std::collections::BTreeMap;
 
@@ -243,15 +243,10 @@ impl TableStats {
     }
 }
 
-/// All table statistics of one `Storage` snapshot, plus the generation
-/// counter the plan cache keys off.
+/// All table statistics of one `Storage` snapshot.
 #[derive(Clone, Debug, Default)]
 pub struct StatsCatalog {
     tables: BTreeMap<String, TableStats>,
-    /// Bumped whenever column statistics change (ANALYZE, lazy rebuild,
-    /// DROP TABLE of an analyzed table): cached plans made under an older
-    /// generation are discarded on lookup.
-    pub generation: u64,
 }
 
 impl StatsCatalog {
@@ -272,11 +267,7 @@ impl StatsCatalog {
     }
 
     pub(crate) fn remove(&mut self, table: &str) {
-        if let Some(stats) = self.tables.remove(&table.to_ascii_lowercase()) {
-            if stats.analyzed() {
-                self.generation += 1;
-            }
-        }
+        self.tables.remove(&table.to_ascii_lowercase());
     }
 
     /// Tables with collected statistics, in name order.

@@ -34,8 +34,9 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
+use crate::bind::{bind_expr, RowSchema};
 use crate::error::{RelError, RelResult};
-use crate::expr::{eval, RowSchema};
+use crate::expr::eval;
 use crate::schema::{Catalog, Column, TableSchema};
 use crate::sql::ast::{AggFunc, BinOp, Expr, SelectItem, SelectStmt};
 use crate::table::{Row, RowId, Table};
@@ -99,10 +100,10 @@ pub(crate) struct SourceRef {
     pub(crate) alias: String,
 }
 
-/// One resolved output column of a view.
+/// One bound output column of a view.
 #[derive(Debug, Clone)]
 pub(crate) struct OutItem {
-    /// Resolved (alias-qualified) projection expression.
+    /// Projection expression, bound to the concatenated source row.
     pub(crate) expr: Expr,
     /// Output column name.
     pub(crate) name: String,
@@ -113,34 +114,36 @@ pub(crate) struct OutItem {
 /// One aggregate call appearing in the select list.
 #[derive(Debug, Clone)]
 pub(crate) struct AggSpec {
-    /// The full resolved `Expr::Aggregate` node (substitution key).
+    /// The full bound `Expr::Aggregate` node (substitution key).
     pub(crate) expr: Expr,
     /// The function.
     pub(crate) func: AggFunc,
-    /// The resolved argument (`None` for `COUNT(*)`).
+    /// The bound argument (`None` for `COUNT(*)`).
     pub(crate) arg: Option<Expr>,
 }
 
-/// The analyzed, resolved form of a view definition — everything the
+/// The analyzed, bound form of a view definition — everything the
 /// maintenance pipeline needs, derived deterministically from the query
-/// and the catalog at creation (and again on recovery).
+/// and the catalog at creation (and again on recovery). Every expression
+/// is bound ([`bind_expr`]) to the *source row*: the one table's row, or
+/// the left row followed by the right row of a join.
 #[derive(Debug, Clone)]
 pub(crate) struct ViewAnalysis {
     /// Source tables (one or two).
     pub(crate) sources: Vec<SourceRef>,
-    /// Per-source row schemas.
-    pub(crate) side_schemas: Vec<RowSchema>,
-    /// Concatenated source schema the resolved expressions evaluate in.
-    pub(crate) schema: RowSchema,
+    /// Width of the source row.
+    pub(crate) arity: usize,
     /// Conjuncts of (every `JOIN ... ON` plus `WHERE`), in evaluation
     /// order; a source row qualifies iff all are true.
     pub(crate) predicate: Vec<Expr>,
     /// Equi-join key pair `(left key, right key)` when one conjunct is
-    /// `left_expr = right_expr` across the two sources.
+    /// `left_expr = right_expr` across the two sources. Unlike everything
+    /// else here, each key is bound to *its own side's* row, because the
+    /// probe scans evaluate it before any joined row exists.
     pub(crate) equi: Option<(Expr, Expr)>,
     /// Expanded output items.
     pub(crate) items: Vec<OutItem>,
-    /// Resolved `GROUP BY` expressions.
+    /// Bound `GROUP BY` expressions.
     pub(crate) group_by: Vec<Expr>,
     /// Distinct aggregate calls in the select list.
     pub(crate) aggs: Vec<AggSpec>,
@@ -414,8 +417,8 @@ impl AggAcc {
 
 // ---- analysis --------------------------------------------------------------
 
-/// Validates and resolves a view definition against the catalog,
-/// returning the analysis and the backing table's schema.
+/// Validates and binds a view definition against the catalog, returning
+/// the analysis and the backing table's schema.
 pub(crate) fn analyze_view(
     name: &str,
     query: &SelectStmt,
@@ -474,18 +477,23 @@ pub(crate) fn analyze_view(
     }
     let schema = match side_schemas.as_slice() {
         [one] => one.clone(),
-        [l, r] => l.join(r),
+        [l, r] => l.clone().join(r.clone()),
         _ => unreachable!("1 or 2 sources"),
     };
 
-    // Predicate: every JOIN ... ON conjunct, then WHERE, resolved and in
+    // Binding canonicalizes every column reference, which makes the
+    // syntactic comparisons below (groundedness, equi-key detection,
+    // aggregate slots) semantic.
+    let bind = |e: &Expr| check_supported(e).and_then(|()| bind_expr(e, &schema));
+
+    // Predicate: every JOIN ... ON conjunct, then WHERE, bound and in
     // left-to-right order so short-circuit behaviour matches the executor.
     let mut predicate = Vec::new();
     for j in &query.joins {
-        split_conjuncts(&resolve_expr(&j.on, &schema)?, &mut predicate);
+        split_conjuncts(&bind(&j.on)?, &mut predicate);
     }
     if let Some(f) = &query.filter {
-        split_conjuncts(&resolve_expr(f, &schema)?, &mut predicate);
+        split_conjuncts(&bind(f)?, &mut predicate);
     }
     for p in &predicate {
         if p.has_aggregate() {
@@ -493,14 +501,16 @@ pub(crate) fn analyze_view(
         }
     }
 
-    // Equi-join key for the probe scans.
-    let equi = if sources.len() == 2 {
-        find_equi_key(&predicate, &sources)
-    } else {
-        None
+    // Equi-join key for the probe scans, each side re-bound to its own row.
+    let equi = match find_equi_key(&predicate, &sources) {
+        Some((l, r)) => Some((
+            bind_expr(&l, &side_schemas[0])?,
+            bind_expr(&r, &side_schemas[1])?,
+        )),
+        None => None,
     };
 
-    // Output items: expand wildcards, derive names, resolve, infer types.
+    // Output items: expand wildcards, derive names, bind, infer types.
     let mut items: Vec<OutItem> = Vec::new();
     let mut any_aggregate = false;
     for (pos, item) in query.items.iter().enumerate() {
@@ -508,10 +518,7 @@ pub(crate) fn analyze_view(
             SelectItem::Wildcard => {
                 for b in schema.columns() {
                     items.push(OutItem {
-                        expr: Expr::Column {
-                            table: Some(b.table.clone()),
-                            name: b.name.clone(),
-                        },
+                        expr: bind(&Expr::col(Some(&b.table), &b.name))?,
                         name: b.name.clone(),
                         ty: DataType::Int, // fixed up below
                     });
@@ -527,10 +534,7 @@ pub(crate) fn analyze_view(
                     .filter(|b| b.table.eq_ignore_ascii_case(alias))
                 {
                     items.push(OutItem {
-                        expr: Expr::Column {
-                            table: Some(b.table.clone()),
-                            name: b.name.clone(),
-                        },
+                        expr: bind(&Expr::col(Some(&b.table), &b.name))?,
                         name: b.name.clone(),
                         ty: DataType::Int,
                     });
@@ -538,10 +542,9 @@ pub(crate) fn analyze_view(
             }
             SelectItem::Expr { expr, alias } => {
                 any_aggregate |= expr.has_aggregate();
-                let resolved = resolve_expr(expr, &schema)?;
                 let name = alias.clone().unwrap_or_else(|| derive_name(expr, pos));
                 items.push(OutItem {
-                    expr: resolved,
+                    expr: bind(expr)?,
                     name,
                     ty: DataType::Int,
                 });
@@ -549,7 +552,7 @@ pub(crate) fn analyze_view(
         }
     }
     for it in &mut items {
-        it.ty = infer_type(&it.expr, &schema, &col_types);
+        it.ty = infer_type(&it.expr, &col_types);
     }
     let mut seen = HashSet::new();
     for it in &items {
@@ -569,7 +572,7 @@ pub(crate) fn analyze_view(
             if e.has_aggregate() {
                 Err(unsupported("aggregates in GROUP BY"))
             } else {
-                resolve_expr(e, &schema)
+                bind(e)
             }
         })
         .collect::<RelResult<Vec<_>>>()?;
@@ -590,7 +593,7 @@ pub(crate) fn analyze_view(
             match a.func {
                 AggFunc::Sum | AggFunc::Avg => {
                     let arg = a.arg.as_ref().expect("SUM/AVG always has an argument");
-                    if infer_type(arg, &schema, &col_types) != DataType::Int {
+                    if infer_type(arg, &col_types) != DataType::Int {
                         return Err(unsupported(
                             "SUM/AVG over non-integer expressions (float accumulation is \
                              order-sensitive)",
@@ -604,8 +607,7 @@ pub(crate) fn analyze_view(
 
     let analysis = ViewAnalysis {
         sources,
-        side_schemas,
-        schema,
+        arity: schema.len(),
         predicate,
         equi,
         items,
@@ -624,30 +626,20 @@ pub(crate) fn analyze_view(
     Ok((analysis, backing))
 }
 
-/// Resolves every column reference in `expr` to its canonical
-/// alias-qualified form, rejecting parameters and unknown/ambiguous
-/// columns. Resolution makes later syntactic comparisons (groundedness,
-/// equi-key detection) semantic.
-fn resolve_expr(expr: &Expr, schema: &RowSchema) -> RelResult<Expr> {
+/// Rejects what a view definition may not contain anywhere in `expr`:
+/// parameters, `DISTINCT` aggregates and nested aggregates.
+fn check_supported(expr: &Expr) -> RelResult<()> {
     match expr {
         Expr::Param(_) => Err(RelError::Eval(
             "materialized view definitions cannot contain parameters".into(),
         )),
-        Expr::Column { table, name } => {
-            let i = schema.resolve(table.as_deref(), name)?;
-            let b = &schema.columns()[i];
-            Ok(Expr::Column {
-                table: Some(b.table.clone()),
-                name: b.name.clone(),
-            })
-        }
         Expr::Aggregate { distinct: true, .. } => Err(RelError::Eval(
             "materialized views do not support DISTINCT aggregates".into(),
         )),
         Expr::Aggregate { arg, .. } if arg.as_deref().is_some_and(Expr::has_aggregate) => {
             Err(RelError::Eval("nested aggregates are not allowed".into()))
         }
-        other => other.try_map_children(|e| resolve_expr(e, schema)),
+        other => other.children().into_iter().try_for_each(check_supported),
     }
 }
 
@@ -676,7 +668,7 @@ fn split_conjuncts(expr: &Expr, out: &mut Vec<Expr>) {
     }
 }
 
-/// Which source slots a resolved expression reads, plus whether it reads
+/// Which source slots a bound expression reads, plus whether it reads
 /// any column at all.
 fn sides(expr: &Expr, sources: &[SourceRef], acc: &mut (HashSet<usize>, bool)) {
     match expr {
@@ -837,24 +829,22 @@ fn collect_aggs(expr: &Expr, out: &mut Vec<AggSpec>) -> RelResult<()> {
     }
 }
 
-/// Static type of a resolved expression over representation-uniform
+/// Static type of a bound expression over representation-uniform
 /// columns. Sound for the supported operator set: evaluation of an
 /// `Int`-typed expression only ever yields `Int` or NULL, etc., which is
 /// what makes backing-table coercion the identity.
-fn infer_type(expr: &Expr, schema: &RowSchema, col_types: &[DataType]) -> DataType {
+fn infer_type(expr: &Expr, col_types: &[DataType]) -> DataType {
     match expr {
         Expr::Literal(v) => v.data_type().unwrap_or(DataType::Int),
-        Expr::Column { table, name } => schema
-            .resolve(table.as_deref(), name)
-            .ok()
+        Expr::Column { ordinal, .. } => ordinal
             .and_then(|i| col_types.get(i).copied())
             .unwrap_or(DataType::Int),
         Expr::Binary { op, left, right } => {
             if op.is_comparison() || matches!(op, BinOp::And | BinOp::Or) {
                 DataType::Int
             } else {
-                let l = infer_type(left, schema, col_types);
-                let r = infer_type(right, schema, col_types);
+                let l = infer_type(left, col_types);
+                let r = infer_type(right, col_types);
                 if l == DataType::Float || r == DataType::Float {
                     DataType::Float
                 } else {
@@ -862,7 +852,7 @@ fn infer_type(expr: &Expr, schema: &RowSchema, col_types: &[DataType]) -> DataTy
                 }
             }
         }
-        Expr::Neg(e) => match infer_type(e, schema, col_types) {
+        Expr::Neg(e) => match infer_type(e, col_types) {
             DataType::Float => DataType::Float,
             _ => DataType::Int,
         },
@@ -880,7 +870,7 @@ fn infer_type(expr: &Expr, schema: &RowSchema, col_types: &[DataType]) -> DataTy
             AggFunc::Avg => DataType::Float,
             AggFunc::Min | AggFunc::Max => arg
                 .as_deref()
-                .map(|a| infer_type(a, schema, col_types))
+                .map(|a| infer_type(a, col_types))
                 .unwrap_or(DataType::Int),
         },
     }
@@ -1018,7 +1008,7 @@ fn render_expr(expr: &Expr) -> RelResult<String> {
                 "materialized view definitions cannot contain parameters".into(),
             ))
         }
-        Expr::Column { table, name } => match table {
+        Expr::Column { table, name, .. } => match table {
             Some(t) => format!("{t}.{name}"),
             None => name.clone(),
         },
@@ -1116,9 +1106,9 @@ fn render_expr(expr: &Expr) -> RelResult<String> {
 
 /// Whether a source row passes every predicate conjunct (left to right,
 /// stopping at the first false/NULL like `AND` short-circuiting).
-fn passes(predicate: &[Expr], schema: &RowSchema, row: &[Value]) -> RelResult<bool> {
+fn passes(predicate: &[Expr], row: &[Value]) -> RelResult<bool> {
     for p in predicate {
-        if !crate::expr::eval_predicate(p, schema, row)? {
+        if !crate::expr::eval_predicate(p, row)? {
             return Ok(false);
         }
     }
@@ -1127,10 +1117,7 @@ fn passes(predicate: &[Expr], schema: &RowSchema, row: &[Value]) -> RelResult<bo
 
 /// Projects one qualifying source row through the output items.
 fn project(a: &ViewAnalysis, row: &[Value]) -> RelResult<Row> {
-    a.items
-        .iter()
-        .map(|it| eval(&it.expr, &a.schema, row))
-        .collect()
+    a.items.iter().map(|it| eval(&it.expr, row)).collect()
 }
 
 /// Substitutes each aggregate slot's computed value into `expr`, mirroring
@@ -1156,20 +1143,14 @@ fn emit_group(a: &ViewAnalysis, g: &GroupState) -> RelResult<Row> {
         .collect::<RelResult<_>>()?;
     let null_row;
     let rep: &[Value] = if g.rows == 0 {
-        null_row = vec![Value::Null; a.schema.len()];
+        null_row = vec![Value::Null; a.arity];
         &null_row
     } else {
         &g.rep
     };
     a.items
         .iter()
-        .map(|it| {
-            eval(
-                &substitute_aggs(&it.expr, &a.aggs, &computed)?,
-                &a.schema,
-                rep,
-            )
-        })
+        .map(|it| eval(&substitute_aggs(&it.expr, &a.aggs, &computed)?, rep))
         .collect()
 }
 
@@ -1190,7 +1171,7 @@ fn for_each_source_row(
         1 => {
             let t = base_table(tables, &a.sources[0].table)?;
             for (id, row) in t.scan() {
-                if passes(&a.predicate, &a.schema, &row)? {
+                if passes(&a.predicate, &row)? {
                     f(id.0, None, &row)?;
                 }
             }
@@ -1203,13 +1184,13 @@ fn for_each_source_row(
                 // Hash the right side on the equi key, probe with the left.
                 let mut build: HashMap<Value, Vec<(u64, Row)>> = HashMap::new();
                 for (rid, rrow) in right.scan() {
-                    let k = eval(rkey, &a.side_schemas[1], &rrow)?;
+                    let k = eval(rkey, &rrow)?;
                     if !k.is_null() {
                         build.entry(k).or_default().push((rid.0, rrow));
                     }
                 }
                 for (lid, lrow) in left.scan() {
-                    let k = eval(lkey, &a.side_schemas[0], &lrow)?;
+                    let k = eval(lkey, &lrow)?;
                     if k.is_null() {
                         continue;
                     }
@@ -1217,7 +1198,7 @@ fn for_each_source_row(
                         for (rid, rrow) in matches {
                             let mut joined = lrow.clone();
                             joined.extend(rrow.iter().cloned());
-                            if passes(&a.predicate, &a.schema, &joined)? {
+                            if passes(&a.predicate, &joined)? {
                                 f(lid.0, Some(*rid), &joined)?;
                             }
                         }
@@ -1228,7 +1209,7 @@ fn for_each_source_row(
                     for (rid, rrow) in right.scan() {
                         let mut joined = lrow.clone();
                         joined.extend(rrow);
-                        if passes(&a.predicate, &a.schema, &joined)? {
+                        if passes(&a.predicate, &joined)? {
                             f(lid.0, Some(rid.0), &joined)?;
                         }
                     }
@@ -1277,7 +1258,7 @@ pub(crate) fn full_build(
             let key: Vec<Value> = a
                 .group_by
                 .iter()
-                .map(|e| eval(e, &a.schema, row))
+                .map(|e| eval(e, row))
                 .collect::<RelResult<_>>()?;
             let g = groups.entry(key.clone()).or_insert_with(|| {
                 order.push(key);
@@ -1357,7 +1338,7 @@ fn apply_row_to_group(
     }
     for (acc, spec) in g.accs.iter_mut().zip(&a.aggs) {
         let v = match &spec.arg {
-            Some(arg) => eval(arg, &a.schema, row)?,
+            Some(arg) => eval(arg, row)?,
             None => Value::Int(1),
         };
         acc.apply(v, sign)?;
@@ -1419,7 +1400,7 @@ fn apply_map_deltas(
                 }
             }
             DeltaEvent::Insert { id, row, .. } => {
-                if passes(&a.predicate, &a.schema, row)? {
+                if passes(&a.predicate, row)? {
                     let out = project(a, row)?;
                     let vid = view_table.insert(out)?.0;
                     rows.insert(id.0, vid);
@@ -1480,7 +1461,7 @@ fn apply_join_deltas(
         let mut probe: HashMap<Value, Vec<u64>> = HashMap::new();
         for lid in &touched_left {
             if let Some(lrow) = left.get(RowId(*lid)) {
-                let k = eval(lkey, &a.side_schemas[0], &lrow)?;
+                let k = eval(lkey, &lrow)?;
                 if !k.is_null() {
                     probe.entry(k).or_default().push(*lid);
                 }
@@ -1488,7 +1469,7 @@ fn apply_join_deltas(
         }
         if !probe.is_empty() {
             for (rid, rrow) in right.scan() {
-                let k = eval(rkey, &a.side_schemas[1], &rrow)?;
+                let k = eval(rkey, &rrow)?;
                 if let Some(lids) = probe.get(&k) {
                     touched.extend(lids.iter().map(|lid| (*lid, rid.0)));
                 }
@@ -1497,7 +1478,7 @@ fn apply_join_deltas(
         let mut probe: HashMap<Value, Vec<u64>> = HashMap::new();
         for rid in &touched_right {
             if let Some(rrow) = right.get(RowId(*rid)) {
-                let k = eval(rkey, &a.side_schemas[1], &rrow)?;
+                let k = eval(rkey, &rrow)?;
                 if !k.is_null() {
                     probe.entry(k).or_default().push(*rid);
                 }
@@ -1505,7 +1486,7 @@ fn apply_join_deltas(
         }
         if !probe.is_empty() {
             for (lid, lrow) in left.scan() {
-                let k = eval(lkey, &a.side_schemas[0], &lrow)?;
+                let k = eval(lkey, &lrow)?;
                 if let Some(rids) = probe.get(&k) {
                     touched.extend(rids.iter().map(|rid| (lid.0, *rid)));
                 }
@@ -1539,7 +1520,7 @@ fn apply_join_deltas(
         let joined = match (left.get(RowId(lid)), right.get(RowId(rid))) {
             (Some(mut l), Some(r)) => {
                 l.extend(r);
-                if passes(&a.predicate, &a.schema, &l)? {
+                if passes(&a.predicate, &l)? {
                     Some(l)
                 } else {
                     None
@@ -1596,7 +1577,7 @@ fn signed_source_deltas(
                 DeltaEvent::Insert { row, .. } => (1, row),
                 DeltaEvent::Delete { row, .. } => (-1, row),
             };
-            if passes(&a.predicate, &a.schema, row)? {
+            if passes(&a.predicate, row)? {
                 signed.push((sign, row.clone()));
             }
         }
@@ -1653,11 +1634,6 @@ fn join_delta_side(
     if delta.is_empty() {
         return Ok(());
     }
-    let (delta_schema, other_schema) = if delta_on_left {
-        (&a.side_schemas[0], &a.side_schemas[1])
-    } else {
-        (&a.side_schemas[1], &a.side_schemas[0])
-    };
     let (delta_key, other_key) = match &a.equi {
         Some((l, r)) if delta_on_left => (Some(l), Some(r)),
         Some((l, r)) => (Some(r), Some(l)),
@@ -1676,7 +1652,7 @@ fn join_delta_side(
         } else {
             orow.iter().chain(drow.iter()).cloned().collect()
         };
-        if passes(&a.predicate, &a.schema, &joined)? {
+        if passes(&a.predicate, &joined)? {
             signed.push((sign, joined));
         }
         Ok(())
@@ -1685,13 +1661,13 @@ fn join_delta_side(
         (Some(dk), Some(ok)) => {
             let mut probe: HashMap<Value, Vec<(i64, &Row)>> = HashMap::new();
             for (sign, row) in &events {
-                let k = eval(dk, delta_schema, row)?;
+                let k = eval(dk, row)?;
                 if !k.is_null() {
                     probe.entry(k).or_default().push((*sign, row));
                 }
             }
             let mut scan_other = |orow: &Row| -> RelResult<()> {
-                let k = eval(ok, other_schema, orow)?;
+                let k = eval(ok, orow)?;
                 if let Some(hits) = probe.get(&k) {
                     for (sign, drow) in hits {
                         emit(*sign, drow, orow)?;
@@ -1747,7 +1723,7 @@ fn apply_agg_deltas(
         let key: Vec<Value> = a
             .group_by
             .iter()
-            .map(|e| eval(e, &a.schema, &row))
+            .map(|e| eval(e, &row))
             .collect::<RelResult<_>>()?;
         let g = match groups.get_mut(&key) {
             Some(g) => g,
@@ -1795,7 +1771,7 @@ fn apply_agg_deltas(
             let key: Vec<Value> = a
                 .group_by
                 .iter()
-                .map(|e| eval(e, &a.schema, row))
+                .map(|e| eval(e, row))
                 .collect::<RelResult<_>>()?;
             if rescan.contains(&key) {
                 let g = groups.get_mut(&key).expect("flagged group exists");
@@ -1886,6 +1862,27 @@ mod tests {
         assert_eq!(a.predicate.len(), 2);
         let (a2, _) = analyze("SELECT t.a, u.name FROM t, u WHERE u.id = t.b").unwrap();
         assert!(a2.equi.is_some());
+    }
+
+    #[test]
+    fn equi_keys_bind_to_their_own_side() {
+        fn ordinal(e: &Expr) -> Option<usize> {
+            match e {
+                Expr::Column { ordinal, .. } => *ordinal,
+                _ => None,
+            }
+        }
+        // `u.id` is column 0 of a `u` row but column 4 of a joined row
+        // (`t` has four columns): the probe key must carry the former,
+        // the predicate conjunct the latter.
+        let (a, _) = analyze("SELECT t.a, u.name FROM t JOIN u ON u.id = t.b").unwrap();
+        let (lkey, rkey) = a.equi.as_ref().unwrap();
+        assert_eq!((ordinal(lkey), ordinal(rkey)), (Some(1), Some(0)));
+        let Expr::Binary { left, right, .. } = &a.predicate[0] else {
+            panic!("{:?}", a.predicate)
+        };
+        assert_eq!((ordinal(left), ordinal(right)), (Some(4), Some(1)));
+        assert_eq!(a.arity, 6);
     }
 
     #[test]

@@ -384,7 +384,7 @@ impl VirtualTableProvider for SysTableStats {
     /// Tables never `ANALYZE`d contribute no rows.
     fn rows(&self, db: &Database) -> Vec<Row> {
         let storage = db.snapshot();
-        let generation = storage.stats.generation;
+        let generation = storage.generation;
         let mut rows = Vec::new();
         for (table, stats) in storage.stats.analyzed_tables() {
             for col in &stats.columns {

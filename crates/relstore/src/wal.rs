@@ -456,14 +456,6 @@ pub trait WalIo: Send + std::fmt::Debug {
     /// Discards every byte past `len` (corrupt-tail repair).
     fn truncate_to(&mut self, len: u64) -> io::Result<()>;
 
-    /// Whether this backend supports the checkpoint side store and log
-    /// rotation ([`WalIo::put_side`] / [`WalIo::get_side`] /
-    /// [`WalIo::rotate`]). Backends that return `false` fall back to
-    /// in-place log rewriting for compaction.
-    fn supports_rotation(&self) -> bool {
-        false
-    }
-
     /// Atomically replaces the checkpoint side store with `bytes`:
     /// after a success the next [`WalIo::get_side`] returns exactly
     /// `bytes`; after a failure it returns whatever it returned before
@@ -553,10 +545,6 @@ impl WalIo for StdFileIo {
 
     fn truncate_to(&mut self, len: u64) -> io::Result<()> {
         self.file.set_len(len)
-    }
-
-    fn supports_rotation(&self) -> bool {
-        true
     }
 
     fn put_side(&mut self, bytes: &[u8]) -> io::Result<()> {
@@ -794,10 +782,6 @@ impl WalIo for FaultyIo {
         Ok(())
     }
 
-    fn supports_rotation(&self) -> bool {
-        true
-    }
-
     fn put_side(&mut self, bytes: &[u8]) -> io::Result<()> {
         let mut s = self.lock();
         let s = &mut *s;
@@ -867,10 +851,6 @@ impl WalIo for SlowIo {
 
     fn truncate_to(&mut self, len: u64) -> io::Result<()> {
         self.inner.truncate_to(len)
-    }
-
-    fn supports_rotation(&self) -> bool {
-        self.inner.supports_rotation()
     }
 
     fn put_side(&mut self, bytes: &[u8]) -> io::Result<()> {
@@ -1112,11 +1092,6 @@ impl Wal {
         Ok(())
     }
 
-    /// Whether the backend supports checkpoint side stores and rotation.
-    pub(crate) fn supports_rotation(&self) -> bool {
-        self.io.supports_rotation()
-    }
-
     /// Atomically replaces the checkpoint side store. A failure leaves
     /// the previous image (and the active log) fully intact, so it does
     /// *not* poison the handle.
@@ -1160,31 +1135,6 @@ impl Wal {
                 .map_err(|e| RelError::Wal(format!("truncate corrupt tail: {e}")))?;
         }
         Ok(scan)
-    }
-
-    /// Atomically-ish replaces the log contents with `records` (used by
-    /// compaction on non-file backends, where rename is unavailable).
-    pub fn rewrite(&mut self, records: &[WalRecord]) -> RelResult<()> {
-        if self.poisoned {
-            return Err(RelError::Wal(
-                "log poisoned by an earlier I/O failure; reopen the database".into(),
-            ));
-        }
-        let mut buf = Vec::new();
-        for r in records {
-            frame_into(&mut buf, r);
-        }
-        let result = self
-            .io
-            .truncate_to(0)
-            .and_then(|()| self.io.append(&buf))
-            .and_then(|()| self.io.fsync());
-        if let Err(e) = result {
-            self.poisoned = true;
-            return Err(RelError::Wal(format!("rewrite: {e} (log poisoned)")));
-        }
-        self.pending.clear();
-        Ok(())
     }
 }
 
@@ -1406,7 +1356,6 @@ mod tests {
     fn std_file_io_side_store_round_trips_atomically() {
         let path = tmp("side");
         let mut io = StdFileIo::open(&path).unwrap();
-        assert!(io.supports_rotation());
         assert_eq!(io.get_side().unwrap(), None);
         io.put_side(b"image-one").unwrap();
         assert_eq!(io.get_side().unwrap().unwrap(), b"image-one");
@@ -1470,7 +1419,6 @@ mod tests {
             Box::new(faulty.clone()),
             std::time::Duration::from_millis(1),
         );
-        assert!(io.supports_rotation());
         io.append(b"abc").unwrap();
         io.fsync().unwrap();
         assert_eq!(io.read_all().unwrap(), b"abc");

@@ -16,7 +16,7 @@
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
-use xomatiq_relstore::{Database, DatabaseOptions, RelError};
+use xomatiq_relstore::{Database, DatabaseOptions, RelError, Value};
 
 /// A database whose parallel executor kicks in aggressively: 4 workers and
 /// `morsel_size`-row morsels, so even ~50-row proptest tables span several
@@ -490,6 +490,43 @@ fn ddl_invalidates_plan_cache() {
         fresh.plan.uses_index(),
         "replanned query must use the index"
     );
+}
+
+#[test]
+fn stale_builder_cannot_reinsert_a_plan_over_a_dropped_index() {
+    // A `Query` pins its snapshot when it is built. Run after a DROP INDEX,
+    // it still (correctly) plans and runs against the pre-drop snapshot —
+    // but the plan it caches must never serve a post-drop snapshot.
+    let db = Database::in_memory();
+    db.query("CREATE TABLE t (a INT, b INT)").run().unwrap();
+    db.query("CREATE INDEX t_a ON t (a)").run().unwrap();
+    db.query("INSERT INTO t VALUES (7, 70), (8, 80)")
+        .run()
+        .unwrap();
+    let sql = "SELECT b FROM t WHERE a = 7";
+    let stale = db.query(sql);
+    db.query("DROP INDEX t_a").run().unwrap();
+    assert_eq!(stale.run().unwrap().rows.rows(), [[Value::Int(70)]]);
+    let fresh = db.query(sql).run();
+    assert_eq!(fresh.unwrap().rows.rows(), [[Value::Int(70)]]);
+    assert!(!db.query(sql).planned().unwrap().plan.uses_index());
+}
+
+#[test]
+fn stale_builder_cannot_reinsert_a_plan_over_a_reshaped_table() {
+    // Same race, with the table recreated under swapped column positions:
+    // a cached plan carries positions, so serving the stale one would read
+    // column `b`'s slot for `a`.
+    let db = Database::in_memory();
+    db.query("CREATE TABLE t (a INT, b INT)").run().unwrap();
+    db.query("INSERT INTO t VALUES (1, 2)").run().unwrap();
+    let sql = "SELECT a FROM t";
+    let stale = db.query(sql);
+    db.query("DROP TABLE t").run().unwrap();
+    db.query("CREATE TABLE t (b INT, a INT)").run().unwrap();
+    db.query("INSERT INTO t VALUES (10, 20)").run().unwrap();
+    assert_eq!(stale.run().unwrap().rows.rows(), [[Value::Int(1)]]);
+    assert_eq!(db.query(sql).run().unwrap().rows.rows(), [[Value::Int(20)]]);
 }
 
 #[test]
