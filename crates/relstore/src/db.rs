@@ -63,9 +63,9 @@ use crate::stats::StatsCatalog;
 use crate::table::{Row, RowId, Table};
 use crate::text::KeywordIndex;
 use crate::value::Value;
-use crate::view::{self, DeltaEvent, ViewDef, ViewRuntime, VIEW_DELTA_LOG_CAP};
+use crate::view::{self, ViewDef, ViewRuntime};
 use crate::vtab::{VirtualTableProvider, VirtualTables, SYS_PREFIX};
-use crate::wal::{frame_into, RecoveryReport, Wal, WalIo, WalRecord};
+use crate::wal::{frame_change, frame_into, RecoveryReport, Wal, WalIo, WalRecord};
 
 /// Segments whose dead-slot fraction exceeds this are rewritten by the
 /// background compactor.
@@ -101,7 +101,7 @@ pub struct Storage {
     pub(crate) csn: u64,
     /// Whether scans may skip segments via zone maps (on by default;
     /// benches turn it off to measure the pruning win).
-    zone_map_pruning: bool,
+    pub(crate) zone_map_pruning: bool,
     /// Planner statistics (row counts, min/max, NDV sketches). Part of
     /// the snapshot: a pinned reader plans against the statistics of its
     /// own state, never a later `ANALYZE`'s.
@@ -138,6 +138,23 @@ fn key(name: &str) -> String {
     name.to_ascii_lowercase()
 }
 
+/// One row write of a transaction: the row at `id` of `table` went from
+/// `before` to `after` (`None` = no row there). The ordered list of these
+/// is all a transaction keeps: its WAL frames are encoded from it,
+/// rollback walks it backwards, and view maintenance reads it as its
+/// delta (an update retracts `before` and asserts `after`).
+#[derive(Debug, Clone)]
+pub(crate) struct Change {
+    /// Table name, as the statement (or log record) spelled it.
+    pub(crate) table: String,
+    /// The row written.
+    pub(crate) id: RowId,
+    /// The row's content before the write.
+    pub(crate) before: Option<Row>,
+    /// The row's content after the write.
+    pub(crate) after: Option<Row>,
+}
+
 impl Storage {
     /// Borrows a table.
     pub fn table(&self, name: &str) -> RelResult<&Table> {
@@ -146,7 +163,7 @@ impl Storage {
             .ok_or_else(|| RelError::UnknownTable(name.to_string()))
     }
 
-    fn table_mut(&mut self, name: &str) -> RelResult<&mut Table> {
+    pub(crate) fn table_mut(&mut self, name: &str) -> RelResult<&mut Table> {
         self.tables
             .get_mut(&key(name))
             .ok_or_else(|| RelError::UnknownTable(name.to_string()))
@@ -198,7 +215,7 @@ impl Storage {
             }
             overlay.create_table(schema)?;
             for row in rows {
-                overlay.insert(&name, row)?;
+                overlay.insert(&name, None, row)?;
             }
         }
         Ok(overlay)
@@ -215,7 +232,7 @@ impl Storage {
         Ok(())
     }
 
-    fn drop_table(&mut self, name: &str) -> RelResult<()> {
+    pub(crate) fn drop_table(&mut self, name: &str) -> RelResult<()> {
         // Record which indexes will disappear before mutating the catalog.
         let dropped: Vec<String> = self
             .catalog
@@ -276,39 +293,67 @@ impl Storage {
         Ok(())
     }
 
-    fn insert(&mut self, table: &str, row: Row) -> RelResult<(RowId, Row)> {
+    /// Applies one DDL record — the only place a create or drop reaches
+    /// the catalog. Live DDL, log replay and checkpoint-image load all
+    /// come through here. `CreateView` registers the definition and an
+    /// empty backing table; contents are derived state the caller builds
+    /// ([`Storage::rebuild_view`]) once the base tables are in place.
+    pub(crate) fn apply_ddl(&mut self, record: &WalRecord) -> RelResult<()> {
+        match record {
+            WalRecord::CreateTable { schema } => self.create_table(schema.clone()),
+            WalRecord::DropTable { name } => self.drop_table(name),
+            WalRecord::CreateIndex { def } => self.create_index(def.clone()),
+            WalRecord::DropIndex { name } => self.drop_index(name),
+            WalRecord::CreateView {
+                name,
+                refresh_on_commit,
+                select_sql,
+            } => self.install_view(name, *refresh_on_commit, select_sql),
+            WalRecord::DropView { name } => {
+                self.views.remove(&key(name));
+                self.drop_table(name)
+            }
+            other => Err(RelError::Wal(format!("not a DDL record: {other:?}"))),
+        }
+    }
+
+    /// Writes `row` into `table` — at `at` when replay or rollback
+    /// addresses the slot, else at a fresh id.
+    fn insert(&mut self, table: &str, at: Option<RowId>, row: Row) -> RelResult<Change> {
         let stamp = self.csn + 1;
         let t = self.table_mut(table)?;
         t.set_stamp(stamp);
-        let id = t.insert(row)?;
+        let id = match at {
+            Some(id) => t.insert_at(id, row).map(|()| id)?,
+            None => t.insert(row)?,
+        };
         let stored = t.get(id).expect("just inserted");
         self.index_insert(table, id, &stored);
         self.note_mutation(table, 1);
-        Ok((id, stored))
+        Ok(Change {
+            table: table.to_string(),
+            id,
+            before: None,
+            after: Some(stored),
+        })
     }
 
-    fn insert_at(&mut self, table: &str, id: RowId, row: Row) -> RelResult<()> {
-        let stamp = self.csn + 1;
-        let t = self.table_mut(table)?;
-        t.set_stamp(stamp);
-        t.insert_at(id, row)?;
-        let stored = t.get(id).expect("just inserted");
-        self.index_insert(table, id, &stored);
-        self.note_mutation(table, 1);
-        Ok(())
-    }
-
-    fn delete(&mut self, table: &str, id: RowId) -> RelResult<Row> {
+    fn delete(&mut self, table: &str, id: RowId) -> RelResult<Change> {
         let stamp = self.csn + 1;
         let t = self.table_mut(table)?;
         t.set_stamp(stamp);
         let old = t.delete(id)?;
         self.index_remove(table, id, &old);
         self.note_mutation(table, -1);
-        Ok(old)
+        Ok(Change {
+            table: table.to_string(),
+            id,
+            before: Some(old),
+            after: None,
+        })
     }
 
-    fn update(&mut self, table: &str, id: RowId, row: Row) -> RelResult<Row> {
+    fn update(&mut self, table: &str, id: RowId, row: Row) -> RelResult<Change> {
         let stamp = self.csn + 1;
         let t = self.table_mut(table)?;
         t.set_stamp(stamp);
@@ -317,7 +362,114 @@ impl Storage {
         self.index_remove(table, id, &old);
         self.index_insert(table, id, &new);
         self.note_mutation(table, 0);
-        Ok(old)
+        Ok(Change {
+            table: table.to_string(),
+            id,
+            before: Some(old),
+            after: Some(new),
+        })
+    }
+
+    /// Applies one replayed row record (it addresses its slot by id).
+    pub(crate) fn apply_row(&mut self, record: WalRecord) -> RelResult<Change> {
+        match record {
+            WalRecord::Insert {
+                table, row_id, row, ..
+            } => self.insert(&table, Some(row_id), row),
+            WalRecord::Delete { table, row_id, .. } => self.delete(&table, row_id),
+            WalRecord::Update {
+                table, row_id, row, ..
+            } => self.update(&table, row_id, row),
+            other => Err(RelError::Wal(format!("not a row record: {other:?}"))),
+        }
+    }
+
+    /// Applies one DML statement, appending its row writes to the
+    /// transaction's change list; returns the rows affected. A failure
+    /// partway leaves the writes made so far in `changes` for the
+    /// caller's [`Storage::rollback`].
+    pub(crate) fn apply_statement(
+        &mut self,
+        stmt: Statement,
+        changes: &mut Vec<Change>,
+    ) -> RelResult<usize> {
+        let Some(target) = stmt.dml_target() else {
+            return Err(RelError::Internal(
+                "execute_batch accepts DML statements only".into(),
+            ));
+        };
+        if self.is_view(target) {
+            return Err(RelError::ReadOnly(format!(
+                "cannot modify materialized view {target:?}: its contents are \
+                 maintained from its base tables"
+            )));
+        }
+        let start = changes.len();
+        match stmt {
+            Statement::Insert { table, rows } => {
+                // VALUES sees no row: any column reference fails to bind.
+                let empty = RowSchema::default();
+                for row in rows {
+                    let values: Row = row
+                        .into_iter()
+                        .map(|e| match e {
+                            // The common case needs neither binding nor a copy.
+                            Expr::Literal(v) => Ok(v),
+                            e => eval(&bind_expr(&e, &empty)?, &[]),
+                        })
+                        .collect::<RelResult<_>>()?;
+                    changes.push(self.insert(&table, None, values)?);
+                }
+            }
+            Statement::Delete { table, filter } => {
+                for id in self.matching_rows(&table, filter.as_ref())? {
+                    changes.push(self.delete(&table, id)?);
+                }
+            }
+            Statement::Update {
+                table,
+                assignments,
+                filter,
+            } => {
+                // Each assignment as (target position, bound value expression),
+                // all reading the pre-update row.
+                let t = self.table(&table)?;
+                let row_schema = dml_schema(t);
+                let mut sets = Vec::with_capacity(assignments.len());
+                for (col, expr) in &assignments {
+                    let pos = t
+                        .schema()
+                        .column_index(col)
+                        .ok_or_else(|| RelError::UnknownColumn(format!("{table}.{col}")))?;
+                    sets.push((pos, bind_expr(expr, &row_schema)?));
+                }
+                for id in self.matching_rows(&table, filter.as_ref())? {
+                    let current = self.table(&table)?.get(id).expect("matched");
+                    let mut next = current.clone();
+                    for (pos, expr) in &sets {
+                        next[*pos] = eval(expr, &current)?;
+                    }
+                    changes.push(self.update(&table, id, next)?);
+                }
+            }
+            _ => unreachable!("checked above"),
+        }
+        Ok(changes.len() - start)
+    }
+
+    /// Best-effort reverse walk of a change list: every row goes back to
+    /// its `before`.
+    pub(crate) fn rollback(&mut self, changes: &[Change]) {
+        for c in changes.iter().rev() {
+            // Each step inverts a write that succeeded, so failure here is
+            // unreachable in practice; ignoring it keeps rollback total
+            // (it must never panic or abort halfway).
+            let _ = match (&c.before, &c.after) {
+                (Some(row), Some(_)) => self.update(&c.table, c.id, row.clone()),
+                (Some(row), None) => self.insert(&c.table, Some(c.id), row.clone()),
+                (None, _) => self.delete(&c.table, c.id),
+            };
+        }
     }
 
     /// Tracks one row mutation against the planner statistics: the row
@@ -353,7 +505,7 @@ impl Storage {
     /// reaches already-published snapshots). The snapshot may lag the
     /// state the statistics came from, so the combination is a new state
     /// and gets a generation of its own.
-    fn patch_stats(&mut self, stats: StatsCatalog) {
+    pub(crate) fn patch_stats(&mut self, stats: StatsCatalog) {
         self.stats = stats;
         self.generation = next_generation();
     }
@@ -440,23 +592,26 @@ impl Storage {
         self.views.contains_key(&key(name))
     }
 
-    /// Whether any materialized view reads `table` — the signal DML paths
-    /// use to decide whether capturing delta events is worth the clones.
-    fn views_watch(&self, table: &str) -> bool {
-        let k = key(table);
-        self.views
-            .values()
-            .any(|rt| rt.source_tables().any(|s| s == k))
-    }
-
     /// Names of materialized views that read `table`.
-    fn view_dependents(&self, table: &str) -> Vec<String> {
-        let k = key(table);
+    pub(crate) fn view_dependents(&self, table: &str) -> Vec<String> {
         self.views
             .iter()
-            .filter(|(_, rt)| rt.source_tables().any(|s| s == k))
+            .filter(|(_, rt)| rt.reads(table))
             .map(|(n, _)| n.clone())
             .collect()
+    }
+
+    /// Fails unless `name` is a materialized view.
+    pub(crate) fn require_view(&self, name: &str) -> RelResult<()> {
+        if self.is_view(name) {
+            Ok(())
+        } else if self.catalog.has_table(name) {
+            Err(RelError::Eval(format!(
+                "{name:?} is a table, not a materialized view"
+            )))
+        } else {
+            Err(RelError::UnknownTable(name.to_string()))
+        }
     }
 
     /// Registers a materialized view from its durable definition: parses
@@ -499,13 +654,15 @@ impl Storage {
 
     /// From-scratch rebuild of one view's contents and state (creation,
     /// `REFRESH ... FULL`, overflow fallback, recovery). The backing
-    /// table is replaced wholesale; `stamp` becomes the new rows' CSN.
-    fn rebuild_view(&mut self, name: &str, stamp: u64) -> RelResult<()> {
+    /// table is replaced wholesale; `stamp` becomes the new rows' CSN. On
+    /// failure the previous table and runtime stay in place.
+    pub(crate) fn rebuild_view(&mut self, name: &str, stamp: u64) -> RelResult<()> {
         let k = key(name);
         let mut rt = self
             .views
-            .remove(&k)
-            .ok_or_else(|| RelError::Internal(format!("view {name:?} not registered")))?;
+            .get(&k)
+            .ok_or_else(|| RelError::Internal(format!("view {name:?} not registered")))?
+            .clone();
         let schema = self
             .catalog
             .table(name)
@@ -513,94 +670,147 @@ impl Storage {
             .clone();
         let mut fresh = Table::new(schema);
         fresh.set_stamp(stamp);
-        let result = view::full_build(&rt.analysis, &self.tables, &mut fresh);
-        match result {
-            Ok(state) => {
-                rt.state = Arc::new(state);
-                let rows = fresh.len() as u64;
-                self.tables.insert(k.clone(), fresh);
-                if let Some(s) = self.stats.existing_mut(&k) {
-                    s.row_count = rows;
-                }
-                self.views.insert(k, rt);
-                Ok(())
-            }
-            Err(e) => {
-                // Leave the previous table and runtime in place.
-                self.views.insert(k, rt);
-                Err(e)
-            }
-        }
+        rt.state = Arc::new(view::full_build(&rt.analysis, &self.tables, &mut fresh)?);
+        rt.last_refresh_csn = stamp;
+        self.put_view(&k, fresh, rt);
+        Ok(())
     }
-}
 
-/// Applies one committed batch of delta events to every affected view,
-/// appending [`UndoOp::RestoreView`] entries so both failure paths —
-/// maintenance error here, flush failure later — restore the views along
-/// with the base tables. `csn` is the committing transaction's CSN.
-fn maintain_views(
-    storage: &mut Storage,
-    deltas: &[DeltaEvent],
-    csn: u64,
-    undo: &mut Vec<UndoOp>,
-) -> RelResult<()> {
-    let affected: Vec<String> = storage
-        .views
-        .iter()
-        .filter(|(_, rt)| rt.affected_by(deltas))
-        .map(|(n, _)| n.clone())
-        .collect();
-    for name in affected {
-        let mut rt = storage.views.remove(&name).expect("listed above");
-        if rt.def.refresh_on_commit {
-            let mut vt = storage
-                .tables
-                .remove(&name)
-                .expect("view backing table exists");
-            undo.push(UndoOp::RestoreView {
-                name: name.clone(),
-                table: Box::new(vt.clone()),
-                runtime: Box::new(rt.clone()),
-            });
-            vt.set_stamp(csn);
-            let res = view::apply_deltas(&mut rt, &mut vt, &storage.tables, deltas);
-            let rows = vt.len() as u64;
-            // Reinsert before surfacing any error so the caller's
-            // rollback finds the entries to restore over.
-            storage.tables.insert(name.clone(), vt);
-            if let Some(s) = storage.stats.existing_mut(&name) {
-                s.row_count = rows;
-            }
-            rt.last_refresh_csn = csn;
-            rt.incremental_refreshes += 1;
-            storage.views.insert(name, rt);
-            res?;
-        } else {
-            undo.push(UndoOp::RestoreView {
-                name: name.clone(),
-                table: Box::new(storage.tables.get(&name).expect("view table").clone()),
-                runtime: Box::new(rt.clone()),
-            });
-            let relevant: Vec<DeltaEvent> = deltas
-                .iter()
-                .filter(|d: &&DeltaEvent| rt.affected_by(std::slice::from_ref(*d)))
-                .cloned()
-                .collect();
-            if !rt.overflowed {
-                let pending = Arc::make_mut(&mut rt.pending);
-                if pending.len() + relevant.len() > VIEW_DELTA_LOG_CAP {
-                    // Bounded log: beyond the cap the deltas are dropped
-                    // and the next REFRESH falls back to a full rebuild.
-                    pending.clear();
-                    rt.overflowed = true;
-                } else {
-                    pending.extend(relevant);
-                }
-            }
-            storage.views.insert(name, rt);
+    /// Installs a view's backing table and runtime under key `k`, keeping
+    /// the tracked row count exact (view maintenance bypasses the counting
+    /// row primitives).
+    fn put_view(&mut self, k: &str, table: Table, rt: ViewRuntime) {
+        if let Some(s) = self.stats.existing_mut(k) {
+            s.row_count = table.len() as u64;
+        }
+        self.tables.insert(k.to_string(), table);
+        self.views.insert(k.to_string(), rt);
+    }
+
+    /// Copies view `name` — contents, runtime, row count — from `from`:
+    /// how a `REFRESH`, which takes no CSN, reaches snapshots that are
+    /// already cut.
+    pub(crate) fn adopt_view(&mut self, from: &Storage, name: &str) {
+        let k = key(name);
+        if let (Some(table), Some(rt)) = (from.tables.get(&k), from.views.get(&k)) {
+            self.put_view(&k, table.clone(), rt.clone());
         }
     }
-    Ok(())
+
+    /// Runs `f`; if it fails, puts the views keyed `names` back exactly as
+    /// they were (cheap COW clones taken up front).
+    fn restoring_views_on_error(
+        &mut self,
+        names: &[String],
+        f: impl FnOnce(&mut Storage) -> RelResult<()>,
+    ) -> RelResult<()> {
+        let saved: Vec<(Table, ViewRuntime)> = names
+            .iter()
+            .map(|k| (self.tables[k].clone(), self.views[k].clone()))
+            .collect();
+        let result = f(self);
+        if result.is_err() {
+            for (k, (table, rt)) in names.iter().zip(saved) {
+                self.put_view(k, table, rt);
+            }
+        }
+        result
+    }
+
+    /// Runs `changes` through view `k`'s delta pipeline, stamping the view
+    /// rows it touches `stamp`.
+    fn apply_view_deltas(&mut self, k: &str, changes: &[Change], stamp: u64) -> RelResult<()> {
+        let mut rt = self.views.remove(k).expect("registered view");
+        let mut vt = self.tables.remove(k).expect("view backing table");
+        vt.set_stamp(stamp);
+        let result = view::apply_deltas(&mut rt, &mut vt, &self.tables, changes);
+        rt.last_refresh_csn = stamp;
+        rt.incremental_refreshes += 1;
+        // Reinstall before surfacing any error, so the caller's restore
+        // finds the entries to replace.
+        self.put_view(k, vt, rt);
+        result
+    }
+
+    /// Feeds a transaction's change list to every view that reads a
+    /// changed table: `REFRESH ON COMMIT` views are maintained now (a
+    /// failure fails the whole commit — synchronous refresh is part of
+    /// the transaction's contract — and leaves every view untouched),
+    /// deferred views append to their pending logs. `csn` is the
+    /// committing transaction's CSN.
+    pub(crate) fn maintain_views(&mut self, changes: &[Change], csn: u64) -> RelResult<()> {
+        let affected: Vec<String> = self
+            .views
+            .iter()
+            .filter(|(_, rt)| changes.iter().any(|c| rt.reads(&c.table)))
+            .map(|(k, _)| k.clone())
+            .collect();
+        self.restoring_views_on_error(&affected, |s| {
+            for k in &affected {
+                let rt = s.views.get_mut(k).expect("listed above");
+                if rt.def.refresh_on_commit {
+                    s.apply_view_deltas(k, changes, csn)?;
+                } else {
+                    rt.defer(changes);
+                }
+            }
+            Ok(())
+        })
+    }
+
+    /// `REFRESH MATERIALIZED VIEW [FULL]`: drains a deferred view's
+    /// pending log through the delta pipeline — or, with `full` (or after
+    /// the log overflowed), recomputes from scratch. Returns the row
+    /// images drained (rows rebuilt), `None` when there was nothing to do.
+    pub(crate) fn refresh_view(&mut self, name: &str, full: bool) -> RelResult<Option<usize>> {
+        self.require_view(name)?;
+        let k = key(name);
+        let csn = self.csn;
+        let rt = &self.views[&k];
+        let (pending, images) = (Arc::clone(&rt.pending), rt.pending_images());
+        let refreshed = if full || rt.overflowed {
+            self.rebuild_view(name, csn)?;
+            self.views
+                .get_mut(&k)
+                .expect("just rebuilt")
+                .fallback_refreshes += 1;
+            self.tables[&k].len()
+        } else if images == 0 {
+            return Ok(None);
+        } else {
+            // A maintenance error (say, an evaluation error on a pending
+            // row) leaves the view and its log intact.
+            self.restoring_views_on_error(std::slice::from_ref(&k), |s| {
+                s.apply_view_deltas(&k, &pending, csn)
+            })?;
+            images
+        };
+        let rt = self.views.get_mut(&k).expect("refreshed above");
+        rt.pending = Arc::new(Vec::new());
+        rt.overflowed = false;
+        Ok(Some(refreshed))
+    }
+
+    /// `ANALYZE [TABLE <t>]`: rescans the named table (or every table)
+    /// into fresh column statistics and draws a new generation
+    /// (invalidating cached plans). Returns the number of tables scanned.
+    pub(crate) fn analyze(&mut self, table: Option<&str>) -> RelResult<usize> {
+        let names: Vec<String> = match table {
+            Some(t) => {
+                self.table(t)?; // fail with UnknownTable before mutating
+                vec![t.to_string()]
+            }
+            None => self.catalog.tables().map(|s| s.name.clone()).collect(),
+        };
+        for name in &names {
+            let t = self.table(name)?;
+            let schema = t.schema().clone();
+            let rows: Vec<Row> = t.scan().map(|(_, row)| row).collect();
+            self.stats.table_mut(name).rescan(&schema, rows.into_iter());
+        }
+        self.generation = next_generation();
+        Ok(names.len())
+    }
 }
 
 /// Shapes executor output into a [`ResultSet`], dropping the hidden
@@ -743,7 +953,7 @@ impl ResultSet {
 
 /// Shared state of the group-commit queue, guarded by
 /// [`Durability::queue`].
-struct CommitQueue {
+pub(crate) struct CommitQueue {
     /// Framed `Begin .. Commit` bytes enqueued and awaiting flush.
     buf: Vec<u8>,
     /// Highest CSN whose frames have been enqueued (or already flushed).
@@ -772,15 +982,45 @@ struct CommitQueue {
     waiting_traces: Vec<trace::TraceCtx>,
 }
 
+/// What one commit makes durable.
+pub(crate) enum Work {
+    /// A DML transaction's row writes, framed `Begin .. Commit`.
+    Rows(Vec<Change>),
+    /// One autocommitted DDL record.
+    Ddl(WalRecord),
+}
+
 /// Durable-mode machinery: the log plus the group-commit queue.
 ///
 /// Lock order: the flush leader never holds the queue lock while taking
 /// the wal lock (it drops one before the other); [`Database::checkpoint`]
 /// nests queue → wal, which is safe because nothing nests wal → queue.
-struct Durability {
+pub(crate) struct Durability {
     wal: Mutex<Wal>,
     queue: Mutex<CommitQueue>,
     cond: Condvar,
+}
+
+impl Durability {
+    /// The machinery over a recovered log: everything up to `csn` is
+    /// durable, `log_bytes` of it in the active log.
+    pub(crate) fn new(wal: Wal, csn: u64, next_tx: u64, log_bytes: u64) -> Durability {
+        Durability {
+            wal: Mutex::new(wal),
+            queue: Mutex::new(CommitQueue {
+                buf: Vec::new(),
+                queued_csn: csn,
+                durable_csn: csn,
+                flushing: false,
+                poisoned: None,
+                pending_snapshot: None,
+                next_tx,
+                log_bytes,
+                waiting_traces: Vec::new(),
+            }),
+            cond: Condvar::new(),
+        }
+    }
 }
 
 /// `Condvar::wait` with lock-poisoning flattened away (the engine holds
@@ -807,9 +1047,6 @@ pub struct DatabaseOptions {
     pub morsel_size: usize,
     /// Maximum number of cached `SELECT` plans (`0` disables the cache).
     pub plan_cache_capacity: usize,
-    /// Whether scans may skip segments via zone maps. On by default;
-    /// benches disable it to measure the unpruned baseline.
-    pub zone_map_pruning: bool,
     /// Statements at or above this latency are flagged slow in the
     /// flight recorder and re-profiled against their own snapshot to
     /// capture a per-operator profile (`sys_profiles`). The default
@@ -836,7 +1073,6 @@ impl Default for DatabaseOptions {
             workers,
             morsel_size: 1024,
             plan_cache_capacity: 128,
-            zone_map_pruning: true,
             slow_query_ns: u64::MAX,
             flight_recorder_capacity: 512,
         }
@@ -872,8 +1108,8 @@ pub struct Database {
     pub(crate) storage: RwLock<Storage>,
     /// The latest committed-and-durable state, served to readers without
     /// touching the storage write lock.
-    snapshot: Mutex<Arc<Storage>>,
-    durability: Option<Durability>,
+    pub(crate) snapshot: Mutex<Arc<Storage>>,
+    pub(crate) durability: Option<Durability>,
     pub(crate) options: DatabaseOptions,
     pub(crate) pool: WorkerPool,
     pub(crate) plan_cache: Mutex<PlanCache>,
@@ -888,12 +1124,11 @@ pub struct Database {
 }
 
 impl Database {
-    fn assemble(
-        mut storage: Storage,
+    pub(crate) fn assemble(
+        storage: Storage,
         durability: Option<Durability>,
         options: DatabaseOptions,
     ) -> Database {
-        storage.zone_map_pruning = options.zone_map_pruning;
         let pool = WorkerPool::new(options.workers);
         let plan_cache = Mutex::new(PlanCache::new(options.plan_cache_capacity));
         let snapshot = Mutex::new(Arc::new(storage.clone()));
@@ -1034,7 +1269,7 @@ impl Database {
         Arc::clone(&self.snapshot.lock())
     }
 
-    fn publish(&self, snap: Arc<Storage>) {
+    pub(crate) fn publish(&self, snap: Arc<Storage>) {
         *self.snapshot.lock() = snap;
     }
 
@@ -1044,17 +1279,7 @@ impl Database {
     pub fn set_zone_map_pruning(&self, enabled: bool) {
         let mut storage = self.storage.write();
         storage.zone_map_pruning = enabled;
-        if let Some(d) = &self.durability {
-            let mut q = d.queue.lock();
-            if let Some(snap) = &mut q.pending_snapshot {
-                Arc::make_mut(snap).zone_map_pruning = enabled;
-            }
-        }
-        // Flip the flag on the published snapshot in place rather than
-        // republishing the master state, which may hold commits that are
-        // applied but not yet durable.
-        let mut snap = self.snapshot.lock();
-        Arc::make_mut(&mut snap).zone_map_pruning = enabled;
+        self.patch_snapshots(|s| s.zone_map_pruning = enabled);
     }
 
     /// Opens a durable database whose write-ahead log lives at `path`,
@@ -1076,7 +1301,7 @@ impl Database {
         Database::from_wal(Wal::with_io(io))
     }
 
-    fn from_wal(mut wal: Wal) -> RelResult<(Database, RecoveryReport)> {
+    pub(crate) fn from_wal(mut wal: Wal) -> RelResult<(Database, RecoveryReport)> {
         let mut report = RecoveryReport::default();
         let mut storage = Storage::default();
 
@@ -1154,7 +1379,7 @@ impl Database {
                     match open_txns.remove(&tx) {
                         Some(ops) => {
                             if !covered(replay_csn, base, &mut report) {
-                                match apply_txn(&mut storage, &ops) {
+                                match apply_txn(&mut storage, ops) {
                                     Ok(()) => {
                                         storage.csn = replay_csn;
                                         report.transactions_applied += 1;
@@ -1173,89 +1398,29 @@ impl Database {
                             .push(format!("Commit for unknown transaction {tx} ignored")),
                     }
                 }
-                WalRecord::CreateTable { schema } => {
-                    replay_csn += 1;
-                    if !covered(replay_csn, base, &mut report) {
-                        if let Err(e) = storage.create_table(schema) {
-                            report.replay_errors.push(format!("CREATE TABLE: {e}"));
-                        }
-                    }
-                }
-                WalRecord::DropTable { name } => {
-                    replay_csn += 1;
-                    if !covered(replay_csn, base, &mut report) {
-                        if let Err(e) = storage.drop_table(&name) {
-                            report.replay_errors.push(format!("DROP TABLE: {e}"));
-                        }
-                    }
-                }
-                WalRecord::CreateIndex { def } => {
-                    replay_csn += 1;
-                    if !covered(replay_csn, base, &mut report) {
-                        if let Err(e) = storage.create_index(def) {
-                            report.replay_errors.push(format!("CREATE INDEX: {e}"));
-                        }
-                    }
-                }
-                WalRecord::DropIndex { name } => {
-                    replay_csn += 1;
-                    if !covered(replay_csn, base, &mut report) {
-                        if let Err(e) = storage.drop_index(&name) {
-                            report.replay_errors.push(format!("DROP INDEX: {e}"));
-                        }
-                    }
-                }
-                WalRecord::CreateView {
-                    name,
-                    refresh_on_commit,
-                    select_sql,
-                } => {
-                    replay_csn += 1;
-                    if !covered(replay_csn, base, &mut report) {
-                        // Registers the definition and an empty backing
-                        // table; contents are rebuilt after replay.
-                        if let Err(e) = storage.install_view(&name, refresh_on_commit, &select_sql)
-                        {
+                other => match other.row_tx().map(|tx| open_txns.get_mut(&tx)) {
+                    Some(Some(ops)) => ops.push(other),
+                    // A row without a Begin comes from a compacted
+                    // snapshot; apply directly.
+                    Some(None) => {
+                        if let Err(e) = storage.apply_row(other) {
                             report
                                 .replay_errors
-                                .push(format!("CREATE MATERIALIZED VIEW: {e}"));
+                                .push(format!("snapshot record unapplicable: {e}"));
                         }
                     }
-                }
-                WalRecord::DropView { name } => {
-                    replay_csn += 1;
-                    if !covered(replay_csn, base, &mut report) {
-                        storage.views.remove(&key(&name));
-                        if let Err(e) = storage.drop_table(&name) {
-                            report
-                                .replay_errors
-                                .push(format!("DROP MATERIALIZED VIEW: {e}"));
-                        }
-                    }
-                }
-                dml @ (WalRecord::Insert { .. }
-                | WalRecord::Delete { .. }
-                | WalRecord::Update { .. }) => {
-                    let tx = match &dml {
-                        WalRecord::Insert { tx, .. }
-                        | WalRecord::Delete { tx, .. }
-                        | WalRecord::Update { tx, .. } => *tx,
-                        _ => unreachable!(),
-                    };
-                    match open_txns.get_mut(&tx) {
-                        Some(ops) => ops.push(dml),
-                        // An op without a Begin comes from a compacted
-                        // snapshot; apply directly.
-                        None => {
-                            let mut throwaway = Vec::new();
-                            if let Err(e) = apply_dml(&mut storage, &dml, &mut throwaway) {
-                                report
-                                    .replay_errors
-                                    .push(format!("snapshot record unapplicable: {e}"));
+                    // Everything else is autocommitted DDL, one CSN each.
+                    // A view record registers the definition and an empty
+                    // backing table; contents are rebuilt after replay.
+                    None => {
+                        replay_csn += 1;
+                        if !covered(replay_csn, base, &mut report) {
+                            if let Err(e) = storage.apply_ddl(&other) {
+                                report.replay_errors.push(format!("{other:?}: {e}"));
                             }
                         }
                     }
-                }
+                },
             }
         }
         // Whatever is still open never committed: the crash tail.
@@ -1274,9 +1439,11 @@ impl Database {
         for name in view_names {
             match storage.rebuild_view(&name, storage.csn) {
                 Ok(()) => {
-                    let rt = storage.views.get_mut(&name).expect("just rebuilt");
-                    rt.last_refresh_csn = storage.csn;
-                    rt.fallback_refreshes += 1;
+                    storage
+                        .views
+                        .get_mut(&name)
+                        .expect("just rebuilt")
+                        .fallback_refreshes += 1;
                 }
                 Err(e) => {
                     // A view whose bases did not survive replay (damaged
@@ -1308,32 +1475,14 @@ impl Database {
         // would count this log's commits from zero and wrongly skip them
         // as image-covered.
         if base > 0 && log_was_empty {
-            wal.append(&WalRecord::Checkpoint { csn: base });
-            wal.sync()?;
-            let mut marker = Vec::new();
-            frame_into(&mut marker, &WalRecord::Checkpoint { csn: base });
-            log_bytes = marker.len() as u64;
+            log_bytes = wal.write_marker(base)?;
         }
 
         metrics::observe_recovery(&report);
         metrics::engine()
             .wal_bytes
             .set(i64::try_from(log_bytes).unwrap_or(i64::MAX));
-        let durability = Durability {
-            wal: Mutex::new(wal),
-            queue: Mutex::new(CommitQueue {
-                buf: Vec::new(),
-                queued_csn: storage.csn,
-                durable_csn: storage.csn,
-                flushing: false,
-                poisoned: None,
-                pending_snapshot: None,
-                next_tx: max_tx + 1,
-                log_bytes,
-                waiting_traces: Vec::new(),
-            }),
-            cond: Condvar::new(),
-        };
+        let durability = Durability::new(wal, storage.csn, max_tx + 1, log_bytes);
         Ok((
             Database::assemble(storage, Some(durability), DatabaseOptions::default()),
             report,
@@ -1357,27 +1506,25 @@ impl Database {
                         .map(|(n, ty)| Column { name: n, ty })
                         .collect(),
                 );
-                let mut storage = self.storage.write();
-                storage.create_table(schema.clone())?;
-                self.finish_ddl(storage, WalRecord::CreateTable { schema })
+                self.execute_ddl(|_| Ok(WalRecord::CreateTable { schema }))
             }
             Statement::DropTable { name } => {
                 self.reject_system_write(&name, "drop table")?;
-                let mut storage = self.storage.write();
-                if storage.is_view(&name) {
-                    return Err(RelError::Eval(format!(
-                        "{name:?} is a materialized view: use DROP MATERIALIZED VIEW"
-                    )));
-                }
-                let dependents = storage.view_dependents(&name);
-                if !dependents.is_empty() {
-                    return Err(RelError::Eval(format!(
-                        "cannot drop table {name:?}: materialized view(s) {dependents:?} \
-                         read it (drop them first)"
-                    )));
-                }
-                storage.drop_table(&name)?;
-                self.finish_ddl(storage, WalRecord::DropTable { name })
+                self.execute_ddl(|storage| {
+                    if storage.is_view(&name) {
+                        return Err(RelError::Eval(format!(
+                            "{name:?} is a materialized view: use DROP MATERIALIZED VIEW"
+                        )));
+                    }
+                    let dependents = storage.view_dependents(&name);
+                    if !dependents.is_empty() {
+                        return Err(RelError::Eval(format!(
+                            "cannot drop table {name:?}: materialized view(s) {dependents:?} \
+                             read it (drop them first)"
+                        )));
+                    }
+                    Ok(WalRecord::DropTable { name })
+                })
             }
             Statement::CreateIndex {
                 name,
@@ -1386,472 +1533,242 @@ impl Database {
                 keyword,
             } => {
                 self.reject_system_write(&table, "index")?;
-                let def = IndexDef {
-                    name,
-                    table,
-                    columns,
-                    keyword,
-                };
-                let mut storage = self.storage.write();
-                if storage.is_view(&def.table) {
-                    // View maintenance writes the backing table directly,
-                    // bypassing the index-update hooks — an index would
-                    // silently go stale.
-                    return Err(RelError::Eval(format!(
-                        "cannot index materialized view {:?}: view scans already read \
-                         the materialized segments",
-                        def.table
-                    )));
-                }
-                storage.create_index(def.clone())?;
-                self.finish_ddl(storage, WalRecord::CreateIndex { def })
+                self.execute_ddl(|storage| {
+                    if storage.is_view(&table) {
+                        // View maintenance writes the backing table directly,
+                        // bypassing the index-update hooks — an index would
+                        // silently go stale.
+                        return Err(RelError::Eval(format!(
+                            "cannot index materialized view {table:?}: view scans already \
+                             read the materialized segments"
+                        )));
+                    }
+                    let def = IndexDef {
+                        name,
+                        table,
+                        columns,
+                        keyword,
+                    };
+                    Ok(WalRecord::CreateIndex { def })
+                })
             }
             Statement::DropIndex { name } => {
-                let mut storage = self.storage.write();
-                storage.drop_index(&name)?;
-                self.finish_ddl(storage, WalRecord::DropIndex { name })
+                self.execute_ddl(|_| Ok(WalRecord::DropIndex { name }))
             }
             stmt @ (Statement::Insert { .. }
             | Statement::Delete { .. }
             | Statement::Update { .. }) => {
-                let target = match &stmt {
-                    Statement::Insert { table, .. }
-                    | Statement::Delete { table, .. }
-                    | Statement::Update { table, .. } => table,
-                    _ => unreachable!(),
-                };
+                let target = stmt.dml_target().expect("matched as DML");
                 self.reject_system_write(target, "modify")?;
-                self.execute_dml(stmt)
+                self.execute_parsed_batch(vec![stmt]).map(ResultSet::dml)
             }
-            Statement::Analyze { table } => self.execute_analyze(table.as_deref()),
             Statement::CreateMaterializedView {
                 name,
                 refresh_on_commit,
                 query,
-            } => self.execute_create_view(&name, refresh_on_commit, query),
-            Statement::DropMaterializedView { name } => {
-                let mut storage = self.storage.write();
-                if !storage.views.contains_key(&key(&name)) {
-                    return Err(if storage.catalog.has_table(&name) {
-                        RelError::Eval(format!("{name:?} is a table, not a materialized view"))
-                    } else {
-                        RelError::UnknownTable(name.clone())
-                    });
-                }
-                storage.views.remove(&key(&name));
-                storage.drop_table(&name)?;
-                self.finish_ddl(storage, WalRecord::DropView { name })
-            }
-            Statement::RefreshMaterializedView { name, full } => {
-                self.execute_refresh_view(&name, full)
-            }
-        }
-    }
-
-    /// `CREATE MATERIALIZED VIEW`: validates and analyzes the definition,
-    /// materializes the initial contents, registers the maintenance
-    /// runtime, and logs the definition (contents are derived state and
-    /// are never logged — recovery rebuilds them from the base tables).
-    fn execute_create_view(
-        &self,
-        name: &str,
-        refresh_on_commit: bool,
-        query: SelectStmt,
-    ) -> RelResult<ResultSet> {
-        self.reject_system_write(name, "create materialized view")?;
-        let select_sql = view::render_select(&query)?;
-        let mut storage = self.storage.write();
-        for src in query
-            .from
-            .iter()
-            .chain(query.joins.iter().map(|j| &j.table))
-        {
-            if storage.is_view(&src.table) {
-                return Err(RelError::Eval(format!(
-                    "materialized view {name:?} cannot read materialized view {:?} \
-                     (views over views are not supported)",
-                    src.table
-                )));
-            }
-        }
-        let (analysis, backing) = view::analyze_view(name, &query, &storage.catalog)?;
-        storage.create_table(backing)?; // rejects name collisions
-        let state = view::empty_state(&analysis);
-        storage.views.insert(
-            key(name),
-            ViewRuntime {
-                def: ViewDef {
-                    name: name.to_string(),
-                    refresh_on_commit,
-                    select_sql: select_sql.clone(),
-                },
-                analysis,
-                state: Arc::new(state),
-                pending: Arc::new(Vec::new()),
-                overflowed: false,
-                last_refresh_csn: 0,
-                incremental_refreshes: 0,
-                fallback_refreshes: 0,
-            },
-        );
-        let csn = storage.csn + 1;
-        if let Err(e) = storage.rebuild_view(name, csn) {
-            storage.views.remove(&key(name));
-            let _ = storage.drop_table(name);
-            return Err(e);
-        }
-        if let Some(rt) = storage.views.get_mut(&key(name)) {
-            rt.last_refresh_csn = csn;
-        }
-        self.finish_ddl(
-            storage,
-            WalRecord::CreateView {
-                name: name.to_string(),
-                refresh_on_commit,
-                select_sql,
-            },
-        )
-    }
-
-    /// `REFRESH MATERIALIZED VIEW [FULL]`: drains a deferred view's
-    /// pending delta log through the maintenance pipeline — or, with
-    /// `FULL` (or after the log overflowed), recomputes from scratch.
-    ///
-    /// Like `ANALYZE`, a refresh takes no CSN and writes no WAL: view
-    /// contents are derived state, reconstructible from the definition.
-    /// Publication follows the same pattern — patch the pending and
-    /// published snapshots in place rather than republishing the master
-    /// state, which may hold applied-but-not-yet-durable commits.
-    fn execute_refresh_view(&self, name: &str, full: bool) -> RelResult<ResultSet> {
-        let mut storage = self.storage.write();
-        let k = key(name);
-        let Some(rt0) = storage.views.get(&k) else {
-            return Err(if storage.catalog.has_table(name) {
-                RelError::Eval(format!("{name:?} is a table, not a materialized view"))
-            } else {
-                RelError::UnknownTable(name.to_string())
-            });
-        };
-        let full_recompute = full || rt0.overflowed;
-        let pending_rows = rt0.pending.len();
-        if !full_recompute && pending_rows == 0 {
-            return Ok(ResultSet::dml(0)); // nothing to drain
-        }
-        let csn = storage.csn;
-        let affected;
-        if full_recompute {
-            storage.rebuild_view(name, csn)?;
-            let rt = storage.views.get_mut(&k).expect("just rebuilt");
-            rt.pending = Arc::new(Vec::new());
-            rt.overflowed = false;
-            rt.fallback_refreshes += 1;
-            rt.last_refresh_csn = csn;
-            affected = storage.table(name)?.len();
-        } else {
-            let mut rt = storage.views.remove(&k).expect("checked above");
-            let mut vt = storage.tables.remove(&k).expect("view backing table");
-            // Keep pre-drain clones so a maintenance error (e.g. an
-            // evaluation error in a pending row) leaves the view intact.
-            let vt_before = vt.clone();
-            let rt_before = rt.clone();
-            vt.set_stamp(csn);
-            let pending = Arc::clone(&rt.pending);
-            let res = view::apply_deltas(&mut rt, &mut vt, &storage.tables, &pending);
-            match res {
-                Ok(()) => {
-                    rt.pending = Arc::new(Vec::new());
-                    rt.incremental_refreshes += 1;
-                    rt.last_refresh_csn = csn;
-                    let rows = vt.len() as u64;
-                    storage.tables.insert(k.clone(), vt);
-                    if let Some(s) = storage.stats.existing_mut(&k) {
-                        s.row_count = rows;
+            } => {
+                self.reject_system_write(&name, "create materialized view")?;
+                // Only the definition is logged: contents are derived
+                // state, rebuilt from the base tables on recovery.
+                let select_sql = view::render_select(&query)?;
+                self.execute_ddl(|storage| {
+                    let sources = query
+                        .from
+                        .iter()
+                        .chain(query.joins.iter().map(|j| &j.table));
+                    for src in sources {
+                        if storage.is_view(&src.table) {
+                            return Err(RelError::Eval(format!(
+                                "materialized view {name:?} cannot read materialized view \
+                                 {:?} (views over views are not supported)",
+                                src.table
+                            )));
+                        }
                     }
-                    storage.views.insert(k.clone(), rt);
-                }
+                    Ok(WalRecord::CreateView {
+                        name,
+                        refresh_on_commit,
+                        select_sql,
+                    })
+                })
+            }
+            Statement::DropMaterializedView { name } => self.execute_ddl(|storage| {
+                storage.require_view(&name)?;
+                Ok(WalRecord::DropView { name })
+            }),
+            Statement::RefreshMaterializedView { name, full } => {
+                // Like ANALYZE, a refresh takes no CSN and writes no WAL
+                // (view contents are derived state), so it reaches readers
+                // the same way: patched into the snapshots already cut.
+                let mut storage = self.storage.write();
+                let Some(refreshed) = storage.refresh_view(&name, full)? else {
+                    return Ok(ResultSet::dml(0)); // nothing to drain
+                };
+                self.patch_snapshots(|s| s.adopt_view(&storage, &name));
+                Ok(ResultSet::dml(refreshed))
+            }
+            Statement::Analyze { table } => {
+                // Statistics are memory-only engine state, not data: never
+                // WAL-logged, no CSN. After recovery, row counts re-sync
+                // from the restored tables and column statistics wait for
+                // the next ANALYZE.
+                let mut storage = self.storage.write();
+                let analyzed = storage.analyze(table.as_deref())?;
+                let stats = storage.stats.clone();
+                self.patch_snapshots(|s| s.patch_stats(stats.clone()));
+                Ok(ResultSet::dml(analyzed))
+            }
+        }
+    }
+
+    /// One autocommitted DDL statement: `build` checks the statement
+    /// against the locked state and yields its log record, the record is
+    /// applied, and the commit takes a CSN like any transaction.
+    fn execute_ddl(
+        &self,
+        build: impl FnOnce(&Storage) -> RelResult<WalRecord>,
+    ) -> RelResult<ResultSet> {
+        let mut storage = self.begin_write()?;
+        let record = build(&storage)?;
+        // Applied to a copy-on-write clone that replaces the state only
+        // once it applied whole, so a DDL that fails halfway (a view whose
+        // first build hits an evaluation error) leaves nothing behind.
+        let mut next = storage.clone();
+        next.apply_ddl(&record)?;
+        if let WalRecord::CreateView { name, .. } = &record {
+            next.rebuild_view(name, next.csn + 1)?;
+        }
+        *storage = next;
+        self.commit(storage, Work::Ddl(record))?;
+        Ok(ResultSet::dml(0))
+    }
+
+    /// Runs DML statements as one transaction: either every statement
+    /// applies and one commit is made durable, or none do — a batch that
+    /// fails to apply is rolled back in memory before anything reaches
+    /// the log. Returns the rows affected.
+    fn execute_parsed_batch(&self, statements: Vec<Statement>) -> RelResult<usize> {
+        let mut storage = self.begin_write()?;
+        let mut changes = Vec::new();
+        let mut affected = 0;
+        for stmt in statements {
+            match storage.apply_statement(stmt, &mut changes) {
+                Ok(n) => affected += n,
                 Err(e) => {
-                    storage.tables.insert(k.clone(), vt_before);
-                    storage.views.insert(k.clone(), rt_before);
+                    storage.rollback(&changes);
                     return Err(e);
                 }
             }
-            affected = pending_rows;
         }
-        // Publish the refreshed view to readers without a CSN, exactly
-        // like ANALYZE publishes fresh statistics.
-        let new_table = storage.tables.get(&k).expect("view table").clone();
-        let new_rt = storage.views.get(&k).expect("view runtime").clone();
-        let new_stats = storage.stats.clone();
-        let patch = |snap: &mut Arc<Storage>| {
-            let s = Arc::make_mut(snap);
-            s.tables.insert(k.clone(), new_table.clone());
-            s.views.insert(k.clone(), new_rt.clone());
-            s.stats = new_stats.clone();
-        };
-        if let Some(d) = &self.durability {
-            let mut q = d.queue.lock();
-            if let Some(snap) = &mut q.pending_snapshot {
-                patch(snap);
-            }
-        }
-        {
-            let mut snap = self.snapshot.lock();
-            patch(&mut snap);
-        }
-        Ok(ResultSet::dml(affected))
-    }
-
-    /// `ANALYZE [TABLE <t>]`: scans the named table (or every table) into
-    /// fresh column statistics, draws a new generation (invalidating
-    /// cached plans) and publishes the statistics to current readers.
-    ///
-    /// Statistics are memory-only engine state, not data: they are never
-    /// WAL-logged. After recovery, row counts are re-synced from the
-    /// restored tables and column statistics wait for the next `ANALYZE`.
-    fn execute_analyze(&self, table: Option<&str>) -> RelResult<ResultSet> {
-        let mut storage = self.storage.write();
-        let names: Vec<String> = match table {
-            Some(t) => {
-                storage.table(t)?; // fail with UnknownTable before mutating
-                vec![t.to_string()]
-            }
-            None => storage.catalog.tables().map(|s| s.name.clone()).collect(),
-        };
-        for name in &names {
-            let t = storage.table(name)?;
-            let schema = t.schema().clone();
-            let rows: Vec<Row> = t.scan().map(|(_, row)| row).collect();
-            storage
-                .stats
-                .table_mut(name)
-                .rescan(&schema, rows.into_iter());
-        }
-        storage.generation = next_generation();
-        let stats = storage.stats.clone();
-        // Publish like `set_zone_map_pruning`: patch any pending snapshot
-        // and the published snapshot in place rather than republishing the
-        // master state, which may hold applied-but-not-durable commits.
-        if let Some(d) = &self.durability {
-            let mut q = d.queue.lock();
-            if let Some(snap) = &mut q.pending_snapshot {
-                Arc::make_mut(snap).patch_stats(stats.clone());
-            }
-        }
-        let mut snap = self.snapshot.lock();
-        Arc::make_mut(&mut snap).patch_stats(stats);
-        Ok(ResultSet::dml(names.len()))
-    }
-
-    /// Runs one DML statement as its own transaction. The in-memory state
-    /// and the log move together: if the commit cannot be made durable,
-    /// the in-memory mutation is rolled back before the error surfaces.
-    fn execute_dml(&self, stmt: Statement) -> RelResult<ResultSet> {
-        let mut storage = self.storage.write();
-        match &stmt {
-            Statement::Insert { table, .. }
-            | Statement::Delete { table, .. }
-            | Statement::Update { table, .. }
-                if storage.is_view(table) =>
-            {
-                return Err(RelError::ReadOnly(format!(
-                    "cannot modify materialized view {table:?}: its contents are \
-                     maintained from its base tables"
-                )));
-            }
-            _ => {}
-        }
-        let tx = self.begin_tx();
-        let mut records = Vec::new();
-        let mut undo = Vec::new();
-        let mut deltas = Vec::new();
-        let affected = match apply_batch_statement(
-            &mut storage,
-            stmt,
-            tx,
-            &mut records,
-            &mut undo,
-            &mut deltas,
-        ) {
-            Ok(n) => n,
-            Err(e) => {
-                rollback(&mut storage, undo);
-                return Err(e);
-            }
-        };
-        self.commit_applied(storage, tx, records, undo, deltas)
-            .map(|()| ResultSet::dml(affected))
+        self.commit(storage, Work::Rows(changes))?;
+        Ok(affected)
     }
 
     /// Executes a sequence of DML statements atomically: either every
     /// statement applies and a single commit record is fsynced, or none do.
     pub fn execute_batch(&self, statements: &[&str]) -> RelResult<usize> {
-        let parsed: Vec<Statement> = statements
+        let parsed = statements
             .iter()
             .map(|s| parse_statement(s))
             .collect::<RelResult<_>>()?;
-        for stmt in &parsed {
-            if !matches!(
-                stmt,
-                Statement::Insert { .. } | Statement::Delete { .. } | Statement::Update { .. }
-            ) {
-                return Err(RelError::Internal(
-                    "execute_batch accepts DML statements only".into(),
-                ));
-            }
-        }
-        let mut storage = self.storage.write();
-        for stmt in &parsed {
-            if let Statement::Insert { table, .. }
-            | Statement::Delete { table, .. }
-            | Statement::Update { table, .. } = stmt
-            {
-                if storage.is_view(table) {
-                    return Err(RelError::ReadOnly(format!(
-                        "cannot modify materialized view {table:?}: its contents are \
-                         maintained from its base tables"
-                    )));
-                }
-            }
-        }
-        let tx = self.begin_tx();
-        let mut records = Vec::new();
-        let mut undo: Vec<UndoOp> = Vec::new();
-        let mut deltas: Vec<DeltaEvent> = Vec::new();
-        let mut affected = 0usize;
-        let result = (|| -> RelResult<()> {
-            for stmt in parsed {
-                affected += apply_batch_statement(
-                    &mut storage,
-                    stmt,
-                    tx,
-                    &mut records,
-                    &mut undo,
-                    &mut deltas,
-                )?;
-            }
-            Ok(())
-        })();
-        // A batch that failed to apply is rolled back in memory before
-        // anything reaches the log: no half-applied document, no state
-        // the log does not have.
-        if let Err(e) = result {
-            rollback(&mut storage, undo);
-            return Err(e);
-        }
-        self.commit_applied(storage, tx, records, undo, deltas)
-            .map(|()| affected)
+        self.execute_parsed_batch(parsed)
     }
 
-    /// Completes an already-applied transaction: assigns its CSN and
-    /// enqueues its frames under the write lock, releases the lock, then
-    /// waits for a group-commit flush to cover it. On failure the
-    /// transaction's own effects are rolled back before the error
-    /// surfaces, so memory and log agree on what exists.
-    fn commit_applied(
+    /// Takes the storage write lock for a logged write, refusing up front
+    /// on a poisoned database — so a statement that can no longer commit
+    /// is answered with the poison error, never with whatever it would
+    /// have tripped over had it been applied.
+    pub(crate) fn begin_write(&self) -> RelResult<RwLockWriteGuard<'_, Storage>> {
+        let storage = self.storage.write();
+        if let Some(d) = &self.durability {
+            if let Some(msg) = &d.queue.lock().poisoned {
+                return Err(poison_error(msg));
+            }
+        }
+        Ok(storage)
+    }
+
+    /// Commits work already applied under `storage`'s write lock — the
+    /// one place a CSN is taken. Synchronous views are maintained from
+    /// the change list, the work is framed into the group-commit queue,
+    /// the CSN is stamped and the covering snapshot stashed, all under
+    /// the lock; then the lock is released and the commit waits for a
+    /// flush to cover it. A commit that cannot be made durable leaves no
+    /// trace in memory either.
+    pub(crate) fn commit(
         &self,
         mut storage: RwLockWriteGuard<'_, Storage>,
-        tx: u64,
-        records: Vec<WalRecord>,
-        mut undo: Vec<UndoOp>,
-        deltas: Vec<DeltaEvent>,
+        work: Work,
     ) -> RelResult<()> {
-        if records.is_empty() {
-            return Ok(()); // no-op DML: nothing to log, nothing to publish
-        }
         let csn = storage.csn + 1;
-        // Maintain materialized views before framing anything: the
-        // snapshot cloned below must already carry the maintained view
-        // contents, and a maintenance failure must fail the whole commit
-        // (REFRESH ON COMMIT is part of the transaction's contract).
-        // Deferred views only append to their pending delta logs here.
-        if !deltas.is_empty() && !storage.views.is_empty() {
-            if let Err(e) = maintain_views(&mut storage, &deltas, csn, &mut undo) {
-                rollback(&mut storage, undo);
+        if let Work::Rows(changes) = &work {
+            if changes.is_empty() {
+                return Ok(()); // no-op DML: nothing to log, nothing to publish
+            }
+            // Before the snapshot is cut: it must already carry the
+            // maintained view contents.
+            if let Err(e) = storage.maintain_views(changes, csn) {
+                storage.rollback(changes);
                 return Err(e);
             }
         }
+        storage.csn = csn;
+        let snap = Arc::new(storage.clone());
         let Some(d) = &self.durability else {
-            storage.csn = csn;
-            self.publish(Arc::new(storage.clone()));
+            self.publish(snap);
             return Ok(());
         };
         {
             let mut q = d.queue.lock();
-            if let Some(msg) = &q.poisoned {
-                let err = poison_error(msg);
-                drop(q);
-                rollback(&mut storage, undo);
-                return Err(err);
+            match &work {
+                Work::Ddl(record) => frame_into(&mut q.buf, record),
+                Work::Rows(changes) => {
+                    let tx = q.next_tx;
+                    q.next_tx += 1;
+                    frame_into(&mut q.buf, &WalRecord::Begin { tx });
+                    for change in changes {
+                        frame_change(&mut q.buf, tx, change);
+                    }
+                    frame_into(&mut q.buf, &WalRecord::Commit { tx });
+                }
             }
-            frame_into(&mut q.buf, &WalRecord::Begin { tx });
-            for r in &records {
-                frame_into(&mut q.buf, r);
-            }
-            frame_into(&mut q.buf, &WalRecord::Commit { tx });
-            storage.csn = csn;
             q.queued_csn = csn;
-            q.pending_snapshot = Some(Arc::new(storage.clone()));
+            // Readers see it only once its covering flush succeeds.
+            q.pending_snapshot = Some(snap);
             if let Some(ctx) = trace::current() {
                 q.waiting_traces.push(ctx);
             }
         }
         drop(storage);
-        let wait = {
+        drop(work);
+        let durable = {
             let _t = trace::span("relstore.wal.commit_wait");
-            self.wait_durable(csn)
+            self.wait_durable(d, csn)
         };
-        match wait {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                // Never acknowledged: revert this transaction's in-memory
-                // effects (best effort — the database is poisoned either
-                // way, and reads keep serving the last durable snapshot).
-                let mut storage = self.storage.write();
-                rollback(&mut storage, undo);
-                Err(e)
-            }
+        if durable.is_err() {
+            // Never acknowledged, and the database is now poisoned:
+            // nothing past the published snapshot can become durable any
+            // more, so the write side goes back to exactly that state —
+            // whatever this and any other doomed commit had applied.
+            let last_durable = Storage::clone(&self.snapshot());
+            *self.storage.write() = last_durable;
         }
+        durable
     }
 
-    /// Completes an autocommitted DDL statement, which occupies one CSN
-    /// just like a DML transaction (recovery counts it the same way).
-    fn finish_ddl(
-        &self,
-        mut storage: RwLockWriteGuard<'_, Storage>,
-        record: WalRecord,
-    ) -> RelResult<ResultSet> {
-        let csn = storage.csn + 1;
-        let Some(d) = &self.durability else {
-            storage.csn = csn;
-            self.publish(Arc::new(storage.clone()));
-            return Ok(ResultSet::dml(0));
-        };
-        {
-            let mut q = d.queue.lock();
-            if let Some(msg) = &q.poisoned {
-                return Err(poison_error(msg));
-            }
-            frame_into(&mut q.buf, &record);
-            storage.csn = csn;
-            q.queued_csn = csn;
-            q.pending_snapshot = Some(Arc::new(storage.clone()));
-            if let Some(ctx) = trace::current() {
-                q.waiting_traces.push(ctx);
-            }
-        }
-        drop(storage);
-        {
-            let _t = trace::span("relstore.wal.commit_wait");
-            self.wait_durable(csn)?;
-        }
-        Ok(ResultSet::dml(0))
+    /// Whether everything up to `csn` is durable (trivially so in
+    /// memory-only mode) and the log still healthy.
+    pub(crate) fn is_durable(&self, csn: u64) -> bool {
+        self.durability.as_ref().is_none_or(|d| {
+            let q = d.queue.lock();
+            q.poisoned.is_none() && q.durable_csn == csn
+        })
     }
 
     /// Blocks until `csn` is durable (or the log is poisoned). The first
     /// waiter to find no flush in flight becomes the leader and flushes
-    /// the whole queue with one append + fsync.
-    fn wait_durable(&self, csn: u64) -> RelResult<()> {
-        let d = self.durability.as_ref().expect("durable mode");
+    /// the whole queue.
+    fn wait_durable(&self, d: &Durability, csn: u64) -> RelResult<()> {
         let mut q = d.queue.lock();
         loop {
             if let Some(msg) = &q.poisoned {
@@ -1864,76 +1781,75 @@ impl Database {
                 q = cond_wait(&d.cond, q);
                 continue;
             }
-            // Leader: take the whole batch and flush it outside the queue
-            // lock, so later committers keep enqueueing into a fresh
-            // buffer while the disk works.
-            q.flushing = true;
-            let buf = std::mem::take(&mut q.buf);
-            let traces = std::mem::take(&mut q.waiting_traces);
-            let top = q.queued_csn;
-            let snap = q.pending_snapshot.take();
-            drop(q);
-            let start = Instant::now();
-            let res = d.wal.lock().write_frames(&buf);
-            let flush_ns = metrics::elapsed_ns(start);
-            metrics::engine().wal_commit_ns.record(flush_ns);
-            // One group-commit span per covered committer, attached to
-            // the committer's own trace. This thread may belong to a
-            // different session than most of `traces` — the whole point
-            // of group commit — so the spans are emitted against the
-            // captured contexts, not the thread-local one.
-            for ctx in traces {
-                trace::emit("relstore.wal.group_commit", ctx, flush_ns);
-            }
-            q = d.queue.lock();
-            q.flushing = false;
-            let outcome = self.apply_flush_outcome(&mut q, res, top, buf.len(), snap);
-            d.cond.notify_all();
+            let outcome;
+            (q, outcome) = self.flush_queue(d, q);
             outcome?;
         }
     }
 
-    /// Records a flush's result in the queue: on success advances the
-    /// durable horizon and publishes the covering snapshot; on failure
-    /// poisons the database.
-    fn apply_flush_outcome(
+    /// Makes everything queued durable with one append + fsync and
+    /// records the outcome: success advances the durable horizon and
+    /// publishes the covering snapshot, failure poisons the database.
+    /// The queue lock is released while the disk works, so later
+    /// committers keep enqueueing into a fresh buffer.
+    fn flush_queue<'a>(
         &self,
-        q: &mut CommitQueue,
-        res: RelResult<()>,
-        top: u64,
-        bytes: usize,
-        snap: Option<Arc<Storage>>,
-    ) -> RelResult<()> {
+        d: &'a Durability,
+        mut q: MutexGuard<'a, CommitQueue>,
+    ) -> (MutexGuard<'a, CommitQueue>, RelResult<()>) {
+        q.flushing = true;
+        let buf = std::mem::take(&mut q.buf);
+        let traces = std::mem::take(&mut q.waiting_traces);
+        let top = q.queued_csn;
+        let snap = q.pending_snapshot.take();
+        drop(q);
+        let start = Instant::now();
+        let res = d.wal.lock().write_frames(&buf);
+        let flush_ns = metrics::elapsed_ns(start);
         let m = metrics::engine();
-        match res {
+        m.wal_commit_ns.record(flush_ns);
+        // One group-commit span per covered committer, attached to the
+        // committer's own trace. This thread may belong to a different
+        // session than most of `traces` — the whole point of group commit
+        // — so the spans are emitted against the captured contexts, not
+        // the thread-local one.
+        for ctx in traces {
+            trace::emit("relstore.wal.group_commit", ctx, flush_ns);
+        }
+        let mut q = d.queue.lock();
+        q.flushing = false;
+        match &res {
             Ok(()) => {
                 q.durable_csn = q.durable_csn.max(top);
-                q.log_bytes += bytes as u64;
+                q.log_bytes += buf.len() as u64;
                 m.wal_bytes
                     .set(i64::try_from(q.log_bytes).unwrap_or(i64::MAX));
                 if let Some(s) = snap {
                     self.publish(s);
                 }
-                Ok(())
             }
             Err(e) => {
                 m.wal_fsync_failures.inc();
                 q.poisoned = Some(e.to_string());
-                Err(e)
             }
         }
+        d.cond.notify_all();
+        (q, res)
     }
 
-    fn begin_tx(&self) -> u64 {
-        match &self.durability {
-            Some(d) => {
-                let mut q = d.queue.lock();
-                let tx = q.next_tx;
-                q.next_tx += 1;
-                tx
+    /// Applies `patch` to the snapshots already cut from the write side —
+    /// the pending one awaiting its flush and the published one — for
+    /// state that takes no CSN (statistics, refreshed view contents, the
+    /// pruning flag). Republishing the write side instead would leak
+    /// commits that are applied but not yet durable. The caller holds the
+    /// storage write lock and has patched the write side itself.
+    pub(crate) fn patch_snapshots(&self, patch: impl Fn(&mut Storage)) {
+        if let Some(d) = &self.durability {
+            if let Some(snap) = &mut d.queue.lock().pending_snapshot {
+                patch(Arc::make_mut(snap));
             }
-            None => 0,
         }
+        patch(Arc::make_mut(&mut self.snapshot.lock()));
     }
 
     /// Checkpoints the database: writes a complete image of the current
@@ -1964,20 +1880,12 @@ impl Database {
             return Err(poison_error(msg));
         }
         if !q.buf.is_empty() {
-            // Drain the last queued frames inline. No new enqueuers can
+            // Drain the last queued frames first. No new enqueuers can
             // appear (they need the storage write lock held here), and
             // leaving them would fold unacknowledged commits into the
             // image while their committers wait forever.
-            let buf = std::mem::take(&mut q.buf);
-            let top = q.queued_csn;
-            let snap = q.pending_snapshot.take();
-            let start = Instant::now();
-            let res = d.wal.lock().write_frames(&buf);
-            metrics::engine()
-                .wal_commit_ns
-                .record(metrics::elapsed_ns(start));
-            let outcome = self.apply_flush_outcome(&mut q, res, top, buf.len(), snap);
-            d.cond.notify_all();
+            let outcome;
+            (q, outcome) = self.flush_queue(d, q);
             outcome?;
         }
         let k = storage.csn;
@@ -2043,14 +1951,14 @@ impl Database {
         }
         // Lead the fresh log with the marker so replay counts commits
         // from `k` instead of zero.
-        let mut marker = Vec::new();
-        frame_into(&mut marker, &WalRecord::Checkpoint { csn: k });
-        if let Err(e) = wal.write_frames(&marker) {
-            q.poisoned = Some(e.to_string());
-            d.cond.notify_all();
-            return Err(e);
+        match wal.write_marker(k) {
+            Ok(bytes) => q.log_bytes = bytes,
+            Err(e) => {
+                q.poisoned = Some(e.to_string());
+                d.cond.notify_all();
+                return Err(e);
+            }
         }
-        q.log_bytes = marker.len() as u64;
         let m = metrics::engine();
         m.wal_bytes
             .set(i64::try_from(q.log_bytes).unwrap_or(i64::MAX));
@@ -2073,20 +1981,11 @@ impl Database {
                 rewritten += t.compact_store(COMPACT_DEAD_RATIO);
             }
         }
-        if rewritten > 0 {
-            let publishable = match &self.durability {
-                None => true,
-                Some(d) => {
-                    let q = d.queue.lock();
-                    q.poisoned.is_none() && q.durable_csn == storage.csn
-                }
-            };
-            // An applied-but-unflushed commit must not leak into the
-            // published snapshot; in that window the compacted layout
-            // simply rides out with the next successful flush instead.
-            if publishable {
-                self.publish(Arc::new(storage.clone()));
-            }
+        // An applied-but-unflushed commit must not leak into the
+        // published snapshot; in that window the compacted layout simply
+        // rides out with the next successful flush instead.
+        if rewritten > 0 && self.is_durable(storage.csn) {
+            self.publish(Arc::new(storage.clone()));
         }
         rewritten
     }
@@ -2123,15 +2022,6 @@ impl Database {
             task.stop.stop();
             let _ = task.handle.join();
         }
-    }
-
-    /// Compacts the durable log so recovery time becomes proportional to
-    /// live data rather than history. This *is* [`Database::checkpoint`]
-    /// (image + rotation); a backend without a side store and rotation
-    /// reports that as the checkpoint's `Unsupported` error. A no-op in
-    /// memory-only mode.
-    pub fn compact(&self) -> RelResult<()> {
-        self.checkpoint()
     }
 
     /// Builds the typed explain tree for an already-planned query,
@@ -2262,43 +2152,31 @@ impl Drop for Database {
 /// footer. Any damage — truncation, bit-rot, a missing footer — is an
 /// error; the caller falls back to full log replay.
 fn load_checkpoint_image(image: &[u8]) -> Result<(Storage, u64), String> {
-    let scan = crate::wal::scan_log(image);
+    let mut scan = crate::wal::scan_log(image);
     if let Some(c) = &scan.corruption {
         return Err(format!("torn at byte {}: {}", c.offset, c.reason));
     }
-    let Some(WalRecord::Checkpoint { csn }) = scan.records.last() else {
+    let Some(WalRecord::Checkpoint { csn }) = scan.records.pop() else {
         return Err("missing its trailing completeness marker".into());
     };
-    let k = *csn;
     let mut storage = Storage::default();
-    for record in &scan.records[..scan.records.len() - 1] {
+    for record in scan.records {
         match record {
-            WalRecord::CreateTable { schema } => storage
-                .create_table(schema.clone())
-                .map_err(|e| format!("CREATE TABLE: {e}"))?,
-            WalRecord::CreateIndex { def } => storage
-                .create_index(def.clone())
-                .map_err(|e| format!("CREATE INDEX: {e}"))?,
-            WalRecord::Insert { .. } => {
-                let mut throwaway = Vec::new();
-                apply_dml(&mut storage, record, &mut throwaway).map_err(|e| format!("row: {e}"))?;
+            row @ WalRecord::Insert { .. } => {
+                storage.apply_row(row).map_err(|e| format!("row: {e}"))?;
             }
-            WalRecord::CreateView {
-                name,
-                refresh_on_commit,
-                select_sql,
-            } => {
-                // Definition only; the caller (recovery) rebuilds the
-                // contents from the restored base tables after replay.
-                storage
-                    .install_view(name, *refresh_on_commit, select_sql)
-                    .map_err(|e| format!("CREATE MATERIALIZED VIEW: {e}"))?;
-            }
+            // View records carry the definition only; the caller
+            // (recovery) rebuilds the contents after replay.
+            ddl @ (WalRecord::CreateTable { .. }
+            | WalRecord::CreateIndex { .. }
+            | WalRecord::CreateView { .. }) => storage
+                .apply_ddl(&ddl)
+                .map_err(|e| format!("{ddl:?}: {e}"))?,
             other => return Err(format!("unexpected record {other:?}")),
         }
     }
-    storage.csn = k;
-    Ok((storage, k))
+    storage.csn = csn;
+    Ok((storage, csn))
 }
 
 /// The row schema DML expressions bind against: the bare table as its
@@ -2308,239 +2186,19 @@ fn dml_schema(t: &Table) -> RowSchema {
     RowSchema::for_table(&schema.name, schema.columns.iter().map(|c| c.name.clone()))
 }
 
-/// Applies one replayed DML record, recording its inverse in `undo`.
-fn apply_dml(storage: &mut Storage, record: &WalRecord, undo: &mut Vec<UndoOp>) -> RelResult<()> {
-    match record {
-        WalRecord::Insert {
-            table, row_id, row, ..
-        } => {
-            storage.insert_at(table, *row_id, row.clone())?;
-            undo.push(UndoOp::DeleteInserted {
-                table: table.clone(),
-                id: *row_id,
-            });
-            Ok(())
-        }
-        WalRecord::Delete { table, row_id, .. } => {
-            let old = storage.delete(table, *row_id)?;
-            undo.push(UndoOp::ReinsertDeleted {
-                table: table.clone(),
-                id: *row_id,
-                row: old,
-            });
-            Ok(())
-        }
-        WalRecord::Update {
-            table, row_id, row, ..
-        } => {
-            let old = storage.update(table, *row_id, row.clone())?;
-            undo.push(UndoOp::RevertUpdated {
-                table: table.clone(),
-                id: *row_id,
-                row: old,
-            });
-            Ok(())
-        }
-        other => Err(RelError::Wal(format!("unexpected DML record {other:?}"))),
-    }
-}
-
-/// Applies one committed transaction's operations; on failure rolls back
+/// Applies one committed transaction's row records; on failure rolls back
 /// whatever part already applied, so a dropped transaction leaves no
 /// trace (all-or-nothing even during replay of a damaged log).
-fn apply_txn(storage: &mut Storage, ops: &[WalRecord]) -> RelResult<()> {
-    let mut undo = Vec::with_capacity(ops.len());
+fn apply_txn(storage: &mut Storage, ops: Vec<WalRecord>) -> RelResult<()> {
+    let mut changes = Vec::with_capacity(ops.len());
     for op in ops {
-        if let Err(e) = apply_dml(storage, op, &mut undo) {
-            rollback(storage, undo);
-            return Err(e);
+        match storage.apply_row(op) {
+            Ok(change) => changes.push(change),
+            Err(e) => {
+                storage.rollback(&changes);
+                return Err(e);
+            }
         }
     }
     Ok(())
-}
-
-/// Best-effort reverse replay of an undo log.
-fn rollback(storage: &mut Storage, undo: Vec<UndoOp>) {
-    for op in undo.into_iter().rev() {
-        // Each undo op inverts an operation that succeeded, so failure
-        // here is unreachable in practice; ignoring it keeps rollback
-        // total (it must never panic or abort halfway).
-        let _ = op.apply(storage);
-    }
-}
-
-/// Inverse operation recorded while applying a batch, replayed on failure.
-enum UndoOp {
-    DeleteInserted {
-        table: String,
-        id: RowId,
-    },
-    ReinsertDeleted {
-        table: String,
-        id: RowId,
-        row: Row,
-    },
-    RevertUpdated {
-        table: String,
-        id: RowId,
-        row: Row,
-    },
-    /// Pre-maintenance snapshot of a materialized view (cheap COW clones),
-    /// restored wholesale if the commit fails after maintenance ran.
-    RestoreView {
-        name: String,
-        table: Box<Table>,
-        runtime: Box<ViewRuntime>,
-    },
-}
-
-impl UndoOp {
-    fn apply(self, storage: &mut Storage) -> RelResult<()> {
-        match self {
-            UndoOp::DeleteInserted { table, id } => storage.delete(&table, id).map(|_| ()),
-            UndoOp::ReinsertDeleted { table, id, row } => storage.insert_at(&table, id, row),
-            UndoOp::RevertUpdated { table, id, row } => storage.update(&table, id, row).map(|_| ()),
-            UndoOp::RestoreView {
-                name,
-                table,
-                runtime,
-            } => {
-                let rows = table.len() as u64;
-                storage.tables.insert(name.clone(), *table);
-                storage.views.insert(name.clone(), *runtime);
-                if let Some(s) = storage.stats.existing_mut(&name) {
-                    s.row_count = rows;
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
-fn apply_batch_statement(
-    storage: &mut Storage,
-    stmt: Statement,
-    tx: u64,
-    records: &mut Vec<WalRecord>,
-    undo: &mut Vec<UndoOp>,
-    deltas: &mut Vec<DeltaEvent>,
-) -> RelResult<usize> {
-    match stmt {
-        Statement::Insert { table, rows } => {
-            let capture = storage.views_watch(&table);
-            // VALUES sees no row: any column reference fails to bind.
-            let empty = RowSchema::default();
-            let count = rows.len();
-            for row in rows {
-                let values: Row = row
-                    .into_iter()
-                    .map(|e| match e {
-                        // The common case needs neither binding nor a copy.
-                        Expr::Literal(v) => Ok(v),
-                        e => eval(&bind_expr(&e, &empty)?, &[]),
-                    })
-                    .collect::<RelResult<_>>()?;
-                let (id, stored) = storage.insert(&table, values)?;
-                if capture {
-                    deltas.push(DeltaEvent::Insert {
-                        table: key(&table),
-                        id,
-                        row: stored.clone(),
-                    });
-                }
-                records.push(WalRecord::Insert {
-                    tx,
-                    table: table.clone(),
-                    row_id: id,
-                    row: stored,
-                });
-                undo.push(UndoOp::DeleteInserted {
-                    table: table.clone(),
-                    id,
-                });
-            }
-            Ok(count)
-        }
-        Statement::Delete { table, filter } => {
-            let capture = storage.views_watch(&table);
-            let ids = storage.matching_rows(&table, filter.as_ref())?;
-            for id in &ids {
-                let old = storage.delete(&table, *id)?;
-                if capture {
-                    deltas.push(DeltaEvent::Delete {
-                        table: key(&table),
-                        id: *id,
-                        row: old.clone(),
-                    });
-                }
-                records.push(WalRecord::Delete {
-                    tx,
-                    table: table.clone(),
-                    row_id: *id,
-                });
-                undo.push(UndoOp::ReinsertDeleted {
-                    table: table.clone(),
-                    id: *id,
-                    row: old,
-                });
-            }
-            Ok(ids.len())
-        }
-        Statement::Update {
-            table,
-            assignments,
-            filter,
-        } => {
-            // Each assignment as (target position, bound value expression),
-            // all reading the pre-update row.
-            let t = storage.table(&table)?;
-            let row_schema = dml_schema(t);
-            let mut sets = Vec::with_capacity(assignments.len());
-            for (col, expr) in &assignments {
-                let pos = t
-                    .schema()
-                    .column_index(col)
-                    .ok_or_else(|| RelError::UnknownColumn(format!("{table}.{col}")))?;
-                sets.push((pos, bind_expr(expr, &row_schema)?));
-            }
-            let capture = storage.views_watch(&table);
-            let ids = storage.matching_rows(&table, filter.as_ref())?;
-            for id in &ids {
-                let current = storage.table(&table)?.get(*id).expect("matched");
-                let mut next = current.clone();
-                for (pos, expr) in &sets {
-                    next[*pos] = eval(expr, &current)?;
-                }
-                let old = storage.update(&table, *id, next)?;
-                let stored = storage.table(&table)?.get(*id).expect("updated");
-                if capture {
-                    // An update is a retraction of the old row plus an
-                    // assertion of the new one under the same id.
-                    deltas.push(DeltaEvent::Delete {
-                        table: key(&table),
-                        id: *id,
-                        row: old.clone(),
-                    });
-                    deltas.push(DeltaEvent::Insert {
-                        table: key(&table),
-                        id: *id,
-                        row: stored.clone(),
-                    });
-                }
-                records.push(WalRecord::Update {
-                    tx,
-                    table: table.clone(),
-                    row_id: *id,
-                    row: stored,
-                });
-                undo.push(UndoOp::RevertUpdated {
-                    table: table.clone(),
-                    id: *id,
-                    row: old,
-                });
-            }
-            Ok(ids.len())
-        }
-        _ => unreachable!("validated as DML"),
-    }
 }

@@ -419,7 +419,7 @@ fn push_table_columns(
     Ok(())
 }
 
-fn derive_name(expr: &Expr, position: usize) -> String {
+pub(crate) fn derive_name(expr: &Expr, position: usize) -> String {
     match expr {
         Expr::Column { name, .. } => name.clone(),
         Expr::Aggregate { func, .. } => format!("{func:?}").to_ascii_lowercase(),

@@ -447,6 +447,19 @@ pub enum Statement {
     },
 }
 
+impl Statement {
+    /// The table an `INSERT`/`DELETE`/`UPDATE` writes (`None` for every
+    /// other statement).
+    pub fn dml_target(&self) -> Option<&str> {
+        match self {
+            Statement::Insert { table, .. }
+            | Statement::Delete { table, .. }
+            | Statement::Update { table, .. } => Some(table),
+            _ => None,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

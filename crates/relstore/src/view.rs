@@ -35,49 +35,27 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use crate::bind::{bind_expr, RowSchema};
+use crate::db::Change;
 use crate::error::{RelError, RelResult};
 use crate::expr::eval;
+use crate::planner::{derive_name, split_conjuncts};
 use crate::schema::{Catalog, Column, TableSchema};
 use crate::sql::ast::{AggFunc, BinOp, Expr, SelectItem, SelectStmt};
 use crate::table::{Row, RowId, Table};
 use crate::value::{DataType, Value};
 
-/// Upper bound on a deferred view's pending delta log. Beyond this the
-/// log is dropped and the next `REFRESH` falls back to a full recompute
-/// (counted in `fallback_refreshes`), keeping per-commit memory bounded.
-pub(crate) const VIEW_DELTA_LOG_CAP: usize = 4096;
+/// Upper bound on a deferred view's pending delta log, in row images (an
+/// update holds two). Beyond this the log is dropped and the next
+/// `REFRESH` falls back to a full recompute (counted in
+/// `fallback_refreshes`), keeping per-commit memory bounded.
+const VIEW_DELTA_LOG_CAP: usize = 4096;
 
-/// One committed base-table mutation, as seen by view maintenance. An
-/// UPDATE contributes a `Delete` of the old row followed by an `Insert`
-/// of the new row under the same id.
-#[derive(Debug, Clone)]
-pub(crate) enum DeltaEvent {
-    /// A row inserted into `table`.
-    Insert {
-        /// Storage key (lowercased table name).
-        table: String,
-        /// The new row's id.
-        id: RowId,
-        /// The inserted row.
-        row: Row,
-    },
-    /// A row deleted from `table`.
-    Delete {
-        /// Storage key (lowercased table name).
-        table: String,
-        /// The removed row's id.
-        id: RowId,
-        /// The removed row's content.
-        row: Row,
-    },
-}
-
-impl DeltaEvent {
-    fn table(&self) -> &str {
-        match self {
-            DeltaEvent::Insert { table, .. } | DeltaEvent::Delete { table, .. } => table,
-        }
-    }
+/// Row images a change list carries.
+fn images(changes: &[Change]) -> usize {
+    changes
+        .iter()
+        .map(|c| usize::from(c.before.is_some()) + usize::from(c.after.is_some()))
+        .sum()
 }
 
 /// The durable definition of a materialized view.
@@ -162,8 +140,8 @@ pub(crate) struct ViewRuntime {
     pub(crate) analysis: ViewAnalysis,
     /// Operator state (row maps / pair maps / group accumulators).
     pub(crate) state: Arc<ViewState>,
-    /// Deferred views: committed deltas awaiting `REFRESH`.
-    pub(crate) pending: Arc<Vec<DeltaEvent>>,
+    /// Deferred views: committed changes awaiting `REFRESH`.
+    pub(crate) pending: Arc<Vec<Change>>,
     /// The pending log overflowed [`VIEW_DELTA_LOG_CAP`]; the next
     /// refresh must recompute from scratch.
     pub(crate) overflowed: bool,
@@ -181,11 +159,35 @@ impl ViewRuntime {
         self.analysis.sources.iter().map(|s| s.table.as_str())
     }
 
-    /// Whether any of `deltas` touches one of this view's sources.
-    pub(crate) fn affected_by(&self, deltas: &[DeltaEvent]) -> bool {
-        deltas
+    /// Whether this view reads `table` (spelled in any case).
+    pub(crate) fn reads(&self, table: &str) -> bool {
+        self.source_tables().any(|s| s.eq_ignore_ascii_case(table))
+    }
+
+    /// Row images in the pending log (`sys_views.pending_delta_rows`).
+    pub(crate) fn pending_images(&self) -> usize {
+        images(&self.pending)
+    }
+
+    /// Deferred maintenance: appends the part of a committed change list
+    /// that touches this view's sources to the pending log — or, past
+    /// [`VIEW_DELTA_LOG_CAP`], drops the log so the next `REFRESH`
+    /// recomputes from scratch.
+    pub(crate) fn defer(&mut self, changes: &[Change]) {
+        if self.overflowed {
+            return;
+        }
+        let relevant: Vec<Change> = changes
             .iter()
-            .any(|d| self.analysis.sources.iter().any(|s| s.table == d.table()))
+            .filter(|c| self.reads(&c.table))
+            .cloned()
+            .collect();
+        if self.pending_images() + images(&relevant) > VIEW_DELTA_LOG_CAP {
+            self.pending = Arc::new(Vec::new());
+            self.overflowed = true;
+        } else {
+            Arc::make_mut(&mut self.pending).extend(relevant);
+        }
     }
 }
 
@@ -490,10 +492,10 @@ pub(crate) fn analyze_view(
     // left-to-right order so short-circuit behaviour matches the executor.
     let mut predicate = Vec::new();
     for j in &query.joins {
-        split_conjuncts(&bind(&j.on)?, &mut predicate);
+        split_conjuncts(bind(&j.on)?, &mut predicate);
     }
     if let Some(f) = &query.filter {
-        split_conjuncts(&bind(f)?, &mut predicate);
+        split_conjuncts(bind(f)?, &mut predicate);
     }
     for p in &predicate {
         if p.has_aggregate() {
@@ -580,7 +582,7 @@ pub(crate) fn analyze_view(
     let mut aggs = Vec::new();
     if grouped {
         for it in &items {
-            collect_aggs(&it.expr, &mut aggs)?;
+            collect_aggs(&it.expr, &mut aggs);
             if !grounded(&it.expr, &group_by) {
                 return Err(RelError::Eval(format!(
                     "materialized view {name:?}: output column {:?} is neither aggregated nor \
@@ -643,83 +645,20 @@ fn check_supported(expr: &Expr) -> RelResult<()> {
     }
 }
 
-/// Output name derivation, mirroring the planner so a view's columns are
-/// named like the equivalent ad-hoc SELECT's.
-fn derive_name(expr: &Expr, position: usize) -> String {
-    match expr {
-        Expr::Column { name, .. } => name.clone(),
-        Expr::Aggregate { func, .. } => format!("{func:?}").to_ascii_lowercase(),
-        _ => format!("col{position}"),
-    }
-}
-
-/// In-order conjunct split of nested `AND`s.
-fn split_conjuncts(expr: &Expr, out: &mut Vec<Expr>) {
-    if let Expr::Binary {
-        op: BinOp::And,
-        left,
-        right,
-    } = expr
-    {
-        split_conjuncts(left, out);
-        split_conjuncts(right, out);
-    } else {
-        out.push(expr.clone());
-    }
-}
-
 /// Which source slots a bound expression reads, plus whether it reads
 /// any column at all.
 fn sides(expr: &Expr, sources: &[SourceRef], acc: &mut (HashSet<usize>, bool)) {
-    match expr {
-        Expr::Column { table, .. } => {
-            acc.1 = true;
-            if let Some(alias) = table {
-                if let Some(i) = sources
-                    .iter()
-                    .position(|s| s.alias.eq_ignore_ascii_case(alias))
-                {
-                    acc.0.insert(i);
-                }
-            }
-        }
-        Expr::Literal(_) | Expr::Param(_) => {}
-        Expr::Binary { left, right, .. } => {
-            sides(left, sources, acc);
-            sides(right, sources, acc);
-        }
-        Expr::Not(e) | Expr::Neg(e) => sides(e, sources, acc),
-        Expr::IsNull { expr, .. } => sides(expr, sources, acc),
-        Expr::Like { expr, pattern, .. } => {
-            sides(expr, sources, acc);
-            sides(pattern, sources, acc);
-        }
-        Expr::InList { expr, list, .. } => {
-            sides(expr, sources, acc);
-            for e in list {
-                sides(e, sources, acc);
-            }
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            sides(expr, sources, acc);
-            sides(low, sources, acc);
-            sides(high, sources, acc);
-        }
-        Expr::Contains { column, keyword } => {
-            sides(column, sources, acc);
-            sides(keyword, sources, acc);
-        }
-        Expr::Matches { column, pattern } => {
-            sides(column, sources, acc);
-            sides(pattern, sources, acc);
-        }
-        Expr::Aggregate { arg, .. } => {
-            if let Some(a) = arg {
-                sides(a, sources, acc);
-            }
-        }
+    if let Expr::Column { table, .. } = expr {
+        acc.1 = true;
+        let slot = table.as_ref().and_then(|alias| {
+            sources
+                .iter()
+                .position(|s| s.alias.eq_ignore_ascii_case(alias))
+        });
+        acc.0.extend(slot);
+    }
+    for child in expr.children() {
+        sides(child, sources, acc);
     }
 }
 
@@ -755,77 +694,28 @@ fn find_equi_key(predicate: &[Expr], sources: &[SourceRef]) -> Option<(Expr, Exp
 /// group key: syntactically equal to a `GROUP BY` expression, a literal,
 /// an aggregate (computed separately), or composed of grounded children.
 fn grounded(expr: &Expr, group_by: &[Expr]) -> bool {
-    if group_by.contains(expr) {
-        return true;
-    }
-    match expr {
-        Expr::Literal(_) | Expr::Aggregate { .. } => true,
-        Expr::Column { .. } | Expr::Param(_) => false,
-        Expr::Binary { left, right, .. } => grounded(left, group_by) && grounded(right, group_by),
-        Expr::Not(e) | Expr::Neg(e) => grounded(e, group_by),
-        Expr::IsNull { expr, .. } => grounded(expr, group_by),
-        Expr::Like { expr, pattern, .. } => grounded(expr, group_by) && grounded(pattern, group_by),
-        Expr::InList { expr, list, .. } => {
-            grounded(expr, group_by) && list.iter().all(|e| grounded(e, group_by))
+    group_by.contains(expr)
+        || match expr {
+            Expr::Literal(_) | Expr::Aggregate { .. } => true,
+            Expr::Column { .. } | Expr::Param(_) => false,
+            other => other.children().into_iter().all(|e| grounded(e, group_by)),
         }
-        Expr::Between {
-            expr, low, high, ..
-        } => grounded(expr, group_by) && grounded(low, group_by) && grounded(high, group_by),
-        Expr::Contains { column, keyword } => {
-            grounded(column, group_by) && grounded(keyword, group_by)
-        }
-        Expr::Matches { column, pattern } => {
-            grounded(column, group_by) && grounded(pattern, group_by)
-        }
-    }
 }
 
 /// Registers every distinct aggregate call in `expr` as a slot.
-fn collect_aggs(expr: &Expr, out: &mut Vec<AggSpec>) -> RelResult<()> {
-    match expr {
-        Expr::Aggregate { func, arg, .. } => {
-            if !out.iter().any(|s| &s.expr == expr) {
-                out.push(AggSpec {
-                    expr: expr.clone(),
-                    func: *func,
-                    arg: arg.as_deref().cloned(),
-                });
-            }
-            Ok(())
+fn collect_aggs(expr: &Expr, out: &mut Vec<AggSpec>) {
+    if let Expr::Aggregate { func, arg, .. } = expr {
+        if !out.iter().any(|s| &s.expr == expr) {
+            out.push(AggSpec {
+                expr: expr.clone(),
+                func: *func,
+                arg: arg.as_deref().cloned(),
+            });
         }
-        Expr::Literal(_) | Expr::Param(_) | Expr::Column { .. } => Ok(()),
-        Expr::Binary { left, right, .. } => {
-            collect_aggs(left, out)?;
-            collect_aggs(right, out)
-        }
-        Expr::Not(e) | Expr::Neg(e) => collect_aggs(e, out),
-        Expr::IsNull { expr, .. } => collect_aggs(expr, out),
-        Expr::Like { expr, pattern, .. } => {
-            collect_aggs(expr, out)?;
-            collect_aggs(pattern, out)
-        }
-        Expr::InList { expr, list, .. } => {
-            collect_aggs(expr, out)?;
-            for e in list {
-                collect_aggs(e, out)?;
-            }
-            Ok(())
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            collect_aggs(expr, out)?;
-            collect_aggs(low, out)?;
-            collect_aggs(high, out)
-        }
-        Expr::Contains { column, keyword } => {
-            collect_aggs(column, out)?;
-            collect_aggs(keyword, out)
-        }
-        Expr::Matches { column, pattern } => {
-            collect_aggs(column, out)?;
-            collect_aggs(pattern, out)
-        }
+        return;
+    }
+    for child in expr.children() {
+        collect_aggs(child, out);
     }
 }
 
@@ -1348,24 +1238,31 @@ fn apply_row_to_group(
 
 // ---- delta maintenance -----------------------------------------------------
 
-/// Applies one committed batch of base-table deltas to a view. `tables`
+/// A change as signed row images: the old row retracted, then the new
+/// row asserted (an update is both, under the same id).
+fn signed(c: &Change) -> impl Iterator<Item = (i64, &Row)> {
+    let retract = c.before.iter().map(|r| (-1, r));
+    retract.chain(c.after.iter().map(|r| (1, r)))
+}
+
+/// Applies one committed transaction's change list to a view. `tables`
 /// is the post-commit base state; the view's own backing table is passed
 /// detached so base lookups and view mutations can coexist.
 pub(crate) fn apply_deltas(
     rt: &mut ViewRuntime,
     view_table: &mut Table,
     tables: &BTreeMap<String, Table>,
-    deltas: &[DeltaEvent],
+    changes: &[Change],
 ) -> RelResult<()> {
     let a = &rt.analysis;
-    let d0: Vec<&DeltaEvent> = deltas
-        .iter()
-        .filter(|d| d.table() == a.sources[0].table)
-        .collect();
-    let d1: Vec<&DeltaEvent> = match a.sources.get(1) {
-        Some(s) => deltas.iter().filter(|d| d.table() == s.table).collect(),
-        None => Vec::new(),
+    let on_source = |slot: usize| -> Vec<&Change> {
+        let source = a.sources.get(slot);
+        changes
+            .iter()
+            .filter(|c| source.is_some_and(|s| s.table.eq_ignore_ascii_case(&c.table)))
+            .collect()
     };
+    let (d0, d1) = (on_source(0), on_source(1));
     if d0.is_empty() && d1.is_empty() {
         return Ok(());
     }
@@ -1378,8 +1275,8 @@ pub(crate) fn apply_deltas(
             by_right,
         } => apply_join_deltas(a, pairs, by_left, by_right, view_table, tables, &d0, &d1),
         ViewState::Agg { groups } => {
-            let signed = signed_source_deltas(a, tables, &d0, &d1)?;
-            apply_agg_deltas(a, groups, view_table, tables, signed)
+            let source_deltas = signed_source_deltas(a, tables, &d0, &d1)?;
+            apply_agg_deltas(a, groups, view_table, tables, source_deltas)
         }
     }
 }
@@ -1390,34 +1287,27 @@ fn apply_map_deltas(
     a: &ViewAnalysis,
     rows: &mut HashMap<u64, u64>,
     view_table: &mut Table,
-    d0: &[&DeltaEvent],
+    d0: &[&Change],
 ) -> RelResult<()> {
-    for ev in d0 {
-        match ev {
-            DeltaEvent::Delete { id, .. } => {
-                if let Some(vid) = rows.remove(&id.0) {
-                    view_table.delete(RowId(vid))?;
-                }
+    for c in d0 {
+        if c.before.is_some() {
+            if let Some(vid) = rows.remove(&c.id.0) {
+                view_table.delete(RowId(vid))?;
             }
-            DeltaEvent::Insert { id, row, .. } => {
-                if passes(&a.predicate, row)? {
-                    let out = project(a, row)?;
-                    let vid = view_table.insert(out)?.0;
-                    rows.insert(id.0, vid);
-                }
+        }
+        if let Some(row) = &c.after {
+            if passes(&a.predicate, row)? {
+                let out = project(a, row)?;
+                let vid = view_table.insert(out)?.0;
+                rows.insert(c.id.0, vid);
             }
         }
     }
     Ok(())
 }
 
-fn delta_ids(events: &[&DeltaEvent]) -> HashSet<u64> {
-    events
-        .iter()
-        .map(|e| match e {
-            DeltaEvent::Insert { id, .. } | DeltaEvent::Delete { id, .. } => id.0,
-        })
-        .collect()
+fn delta_ids(changes: &[&Change]) -> HashSet<u64> {
+    changes.iter().map(|c| c.id.0).collect()
 }
 
 /// Join maintenance: compute the set of `(left, right)` pairs a commit
@@ -1434,8 +1324,8 @@ fn apply_join_deltas(
     by_right: &mut HashMap<u64, Vec<u64>>,
     view_table: &mut Table,
     tables: &BTreeMap<String, Table>,
-    d0: &[&DeltaEvent],
-    d1: &[&DeltaEvent],
+    d0: &[&Change],
+    d1: &[&Change],
 ) -> RelResult<()> {
     let left = base_table(tables, &a.sources[0].table)?;
     let right = base_table(tables, &a.sources[1].table)?;
@@ -1561,55 +1451,37 @@ fn apply_join_deltas(
 }
 
 /// The commit's deltas as a signed multiset of qualifying source-schema
-/// rows, for the aggregate pipeline. Single table: the events themselves.
+/// rows, for the aggregate pipeline. Single table: the images themselves.
 /// Join: `ΔA ⋈ B_new ⊕ A_old ⋈ ΔB`, each term hashed on the equi key
 /// when available.
 fn signed_source_deltas(
     a: &ViewAnalysis,
     tables: &BTreeMap<String, Table>,
-    d0: &[&DeltaEvent],
-    d1: &[&DeltaEvent],
+    d0: &[&Change],
+    d1: &[&Change],
 ) -> RelResult<Vec<(i64, Row)>> {
-    let mut signed = Vec::new();
+    let mut out = Vec::new();
     if a.sources.len() == 1 {
-        for ev in d0 {
-            let (sign, row) = match ev {
-                DeltaEvent::Insert { row, .. } => (1, row),
-                DeltaEvent::Delete { row, .. } => (-1, row),
-            };
+        for (sign, row) in d0.iter().flat_map(|c| signed(c)) {
             if passes(&a.predicate, row)? {
-                signed.push((sign, row.clone()));
+                out.push((sign, row.clone()));
             }
         }
-        return Ok(signed);
+        return Ok(out);
     }
 
     let left = base_table(tables, &a.sources[0].table)?;
     let right = base_table(tables, &a.sources[1].table)?;
 
     // ΔA ⋈ B_new.
-    join_delta_side(
-        a,
-        d0,
-        right,
-        /* delta_on_left */ true,
-        None,
-        &mut signed,
-    )?;
+    join_delta_side(a, d0, right, /* delta_on_left */ true, None, &mut out)?;
     // A_old ⋈ ΔB: reconstruct the pre-commit left side from the current
     // one — skip every touched id, add back the pre-commit content of ids
-    // whose first event is a delete (an id whose first event is an insert
-    // did not exist before the commit).
+    // whose first change had a `before` (an id whose first change is an
+    // insert did not exist before the commit).
     let mut pre: HashMap<u64, Option<&Row>> = HashMap::new();
-    for ev in d0 {
-        match ev {
-            DeltaEvent::Insert { id, .. } => {
-                pre.entry(id.0).or_insert(None);
-            }
-            DeltaEvent::Delete { id, row, .. } => {
-                pre.entry(id.0).or_insert(Some(row));
-            }
-        }
+    for c in d0 {
+        pre.entry(c.id.0).or_insert(c.before.as_ref());
     }
     let old_left: Vec<Row> = left
         .scan()
@@ -1617,19 +1489,19 @@ fn signed_source_deltas(
         .map(|(_, row)| row)
         .chain(pre.values().flatten().map(|r| (*r).clone()))
         .collect();
-    join_delta_side(a, d1, left, false, Some(&old_left), &mut signed)?;
-    Ok(signed)
+    join_delta_side(a, d1, left, false, Some(&old_left), &mut out)?;
+    Ok(out)
 }
 
 /// One term of the join delta: `delta ⋈ other`, where `other` is either
 /// the live table or a reconstructed pre-commit row set.
 fn join_delta_side(
     a: &ViewAnalysis,
-    delta: &[&DeltaEvent],
+    delta: &[&Change],
     other: &Table,
     delta_on_left: bool,
     other_rows_override: Option<&[Row]>,
-    signed: &mut Vec<(i64, Row)>,
+    out: &mut Vec<(i64, Row)>,
 ) -> RelResult<()> {
     if delta.is_empty() {
         return Ok(());
@@ -1639,13 +1511,7 @@ fn join_delta_side(
         Some((l, r)) => (Some(r), Some(l)),
         None => (None, None),
     };
-    let events: Vec<(i64, &Row)> = delta
-        .iter()
-        .map(|ev| match ev {
-            DeltaEvent::Insert { row, .. } => (1i64, row),
-            DeltaEvent::Delete { row, .. } => (-1i64, row),
-        })
-        .collect();
+    let events: Vec<(i64, &Row)> = delta.iter().flat_map(|c| signed(c)).collect();
     let mut emit = |sign: i64, drow: &Row, orow: &Row| -> RelResult<()> {
         let joined: Row = if delta_on_left {
             drow.iter().chain(orow.iter()).cloned().collect()
@@ -1653,7 +1519,7 @@ fn join_delta_side(
             orow.iter().chain(drow.iter()).cloned().collect()
         };
         if passes(&a.predicate, &joined)? {
-            signed.push((sign, joined));
+            out.push((sign, joined));
         }
         Ok(())
     };

@@ -17,6 +17,7 @@ use std::sync::{Arc, Mutex};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
+use crate::db::Change;
 use crate::error::{RelError, RelResult};
 use crate::schema::{IndexDef, TableSchema};
 use crate::table::RowId;
@@ -212,6 +213,17 @@ fn get_row(buf: &mut Bytes) -> RelResult<Vec<Value>> {
     Ok(row)
 }
 
+/// The payload shared by the three row records (`Delete` carries no row).
+fn put_dml(buf: &mut BytesMut, tag: u8, tx: u64, table: &str, id: RowId, row: Option<&[Value]>) {
+    buf.put_u8(tag);
+    buf.put_u64(tx);
+    put_str(buf, table);
+    buf.put_u64(id.0);
+    if let Some(row) = row {
+        put_row(buf, row);
+    }
+}
+
 fn put_schema(buf: &mut BytesMut, schema: &TableSchema) {
     put_str(buf, &schema.name);
     buf.put_u32(schema.columns.len() as u32);
@@ -249,6 +261,17 @@ fn get_schema(buf: &mut Bytes) -> RelResult<TableSchema> {
 }
 
 impl WalRecord {
+    /// The owning transaction of a row record (`None` for every other
+    /// record).
+    pub(crate) fn row_tx(&self) -> Option<u64> {
+        match self {
+            WalRecord::Insert { tx, .. }
+            | WalRecord::Delete { tx, .. }
+            | WalRecord::Update { tx, .. } => Some(*tx),
+            _ => None,
+        }
+    }
+
     /// Serializes the record payload (without framing).
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(64);
@@ -306,31 +329,16 @@ impl WalRecord {
                 table,
                 row_id,
                 row,
-            } => {
-                buf.put_u8(TAG_INSERT);
-                buf.put_u64(*tx);
-                put_str(&mut buf, table);
-                buf.put_u64(row_id.0);
-                put_row(&mut buf, row);
-            }
+            } => put_dml(&mut buf, TAG_INSERT, *tx, table, *row_id, Some(row)),
             WalRecord::Delete { tx, table, row_id } => {
-                buf.put_u8(TAG_DELETE);
-                buf.put_u64(*tx);
-                put_str(&mut buf, table);
-                buf.put_u64(row_id.0);
+                put_dml(&mut buf, TAG_DELETE, *tx, table, *row_id, None)
             }
             WalRecord::Update {
                 tx,
                 table,
                 row_id,
                 row,
-            } => {
-                buf.put_u8(TAG_UPDATE);
-                buf.put_u64(*tx);
-                put_str(&mut buf, table);
-                buf.put_u64(row_id.0);
-                put_row(&mut buf, row);
-            }
+            } => put_dml(&mut buf, TAG_UPDATE, *tx, table, *row_id, Some(row)),
         }
         buf.freeze()
     }
@@ -982,12 +990,30 @@ pub fn scan_log(raw: &[u8]) -> LogScan {
     scan
 }
 
-pub(crate) fn frame_into(buf: &mut Vec<u8>, record: &WalRecord) {
-    let payload = record.encode();
+/// Framing: `len u32 | crc u32 | payload`.
+fn frame_payload(buf: &mut Vec<u8>, payload: &[u8]) {
     buf.reserve(8 + payload.len());
     buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    buf.extend_from_slice(&fnv1a(&payload).to_be_bytes());
-    buf.extend_from_slice(&payload);
+    buf.extend_from_slice(&fnv1a(payload).to_be_bytes());
+    buf.extend_from_slice(payload);
+}
+
+pub(crate) fn frame_into(buf: &mut Vec<u8>, record: &WalRecord) {
+    frame_payload(buf, &record.encode());
+}
+
+/// Frames one row write of transaction `tx` straight from the borrowed
+/// change — byte for byte the [`WalRecord::Insert`], [`WalRecord::Delete`]
+/// or [`WalRecord::Update`] it amounts to.
+pub(crate) fn frame_change(buf: &mut Vec<u8>, tx: u64, change: &Change) {
+    let (tag, row) = match (&change.before, &change.after) {
+        (None, after) => (TAG_INSERT, after.as_deref()),
+        (Some(_), None) => (TAG_DELETE, None),
+        (Some(_), Some(row)) => (TAG_UPDATE, Some(&row[..])),
+    };
+    let mut payload = BytesMut::with_capacity(64);
+    put_dml(&mut payload, tag, tx, &change.table, change.id, row);
+    frame_payload(buf, &payload);
 }
 
 /// An append-only write-ahead log over a [`WalIo`].
@@ -1038,31 +1064,16 @@ impl Wal {
         self.poisoned
     }
 
-    /// Buffers one record (framing: `len u32 | crc u32 | payload`).
+    /// Buffers one framed record until the next [`Wal::sync`].
     pub fn append(&mut self, record: &WalRecord) {
         frame_into(&mut self.pending, record);
     }
 
-    /// Writes buffered records and fsyncs — the durability point.
-    ///
-    /// On failure the handle is poisoned: the tail of the log may hold a
-    /// partial frame, and appending more would bury it mid-log.
+    /// Writes the buffered records and fsyncs ([`Wal::write_frames`] over
+    /// the buffer, which is consumed either way).
     pub fn sync(&mut self) -> RelResult<()> {
-        if self.poisoned {
-            return Err(RelError::Wal(
-                "log poisoned by an earlier I/O failure; reopen the database".into(),
-            ));
-        }
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        let result = self.io.append(&self.pending).and_then(|()| self.io.fsync());
-        if let Err(e) = result {
-            self.poisoned = true;
-            return Err(RelError::Wal(format!("sync: {e} (log poisoned)")));
-        }
-        self.pending.clear();
-        Ok(())
+        let pending = std::mem::take(&mut self.pending);
+        self.write_frames(&pending)
     }
 
     /// Discards buffered (unsynced) records — transaction rollback.
@@ -1070,11 +1081,12 @@ impl Wal {
         self.pending.clear();
     }
 
-    /// Writes pre-framed bytes and fsyncs — the group-commit durability
-    /// point. The caller (the flush leader) has already framed a whole
-    /// batch of transactions into `frames`; one append + one fsync makes
-    /// them all durable together. Poisons the handle on failure, exactly
-    /// like [`Wal::sync`].
+    /// Writes pre-framed bytes and fsyncs — the durability point. The
+    /// group-commit flush hands in a whole batch of framed transactions;
+    /// one append + one fsync makes them all durable together.
+    ///
+    /// On failure the handle is poisoned: the tail of the log may hold a
+    /// partial frame, and appending more would bury it mid-log.
     pub(crate) fn write_frames(&mut self, frames: &[u8]) -> RelResult<()> {
         if self.poisoned {
             return Err(RelError::Wal(
@@ -1090,6 +1102,16 @@ impl Wal {
             return Err(RelError::Wal(format!("sync: {e} (log poisoned)")));
         }
         Ok(())
+    }
+
+    /// Leads a fresh log — just rotated by a checkpoint, or found empty
+    /// beside a valid image by recovery — with the marker that tells
+    /// replay to count commits from `csn`. Returns the bytes written.
+    pub(crate) fn write_marker(&mut self, csn: u64) -> RelResult<u64> {
+        let mut marker = Vec::new();
+        frame_into(&mut marker, &WalRecord::Checkpoint { csn });
+        self.write_frames(&marker)?;
+        Ok(marker.len() as u64)
     }
 
     /// Atomically replaces the checkpoint side store. A failure leaves

@@ -329,6 +329,46 @@ fn delta_log_overflow_falls_back_to_full_recompute() {
     assert_eq!(info["incremental_refreshes"], "0");
 }
 
+/// The pending log and its cap count row images, not statements or
+/// rows touched: an UPDATE is a retraction plus an assertion.
+#[test]
+fn pending_delta_log_counts_row_images() {
+    let pending = |db: &Database| sys_views_row(db, "lazy")["pending_delta_rows"].clone();
+    let db = Database::in_memory();
+    db.query("CREATE TABLE t (id INT, v INT)").run().unwrap();
+    db.query("CREATE MATERIALIZED VIEW lazy AS SELECT id, v FROM t")
+        .run()
+        .unwrap();
+    db.query("INSERT INTO t VALUES (-1, 0), (-2, 0)")
+        .run()
+        .unwrap();
+    assert_eq!(pending(&db), "2");
+    db.query("UPDATE t SET v = 1 WHERE id = -1").run().unwrap();
+    assert_eq!(pending(&db), "4");
+    db.query("DELETE FROM t WHERE id = -2").run().unwrap();
+    assert_eq!(pending(&db), "5");
+    let drained = db.query("REFRESH MATERIALIZED VIEW lazy").run().unwrap();
+    assert_eq!(drained.rows.affected(), 5);
+
+    // 2 048 updated rows are exactly the 4 096 images the log holds...
+    let rows: Vec<String> = (0..2047).map(|i| format!("({i}, 0)")).collect();
+    db.query(&format!("INSERT INTO t VALUES {}", rows.join(", ")))
+        .run()
+        .unwrap();
+    db.query("REFRESH MATERIALIZED VIEW lazy").run().unwrap();
+    db.query("UPDATE t SET v = v + 1").run().unwrap();
+    let info = sys_views_row(&db, "lazy");
+    assert_eq!(info["pending_delta_rows"], "4096");
+    assert_eq!(info["delta_log_overflow"], "0");
+    // ...and one more image overflows it.
+    db.query("INSERT INTO t VALUES (5000, 0)").run().unwrap();
+    let info = sys_views_row(&db, "lazy");
+    assert_eq!(info["pending_delta_rows"], "0");
+    assert_eq!(info["delta_log_overflow"], "1");
+    db.query("REFRESH MATERIALIZED VIEW lazy").run().unwrap();
+    assert_view_matches(&db, "lazy", "SELECT id, v FROM t");
+}
+
 #[test]
 fn refresh_with_nothing_pending_is_a_noop() {
     let db = Database::in_memory();

@@ -165,7 +165,7 @@ proptest! {
             for op in &ops {
                 db.query(&op.sql()).run().unwrap();
             }
-            db.compact().unwrap();
+            db.checkpoint().unwrap();
             state_of(&db)
         };
         let recovered = Database::open(&path).unwrap();

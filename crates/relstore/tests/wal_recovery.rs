@@ -146,7 +146,7 @@ fn compaction_preserves_state_and_shrinks_log() {
                 .unwrap();
         }
         let before = std::fs::metadata(&path).unwrap().len();
-        db.compact().unwrap();
+        db.checkpoint().unwrap();
         let after = std::fs::metadata(&path).unwrap().len();
         assert!(
             after < before,
@@ -226,7 +226,7 @@ fn concurrent_readers_during_writes() {
 fn in_memory_mode_has_no_wal_side_effects() {
     let db = Database::in_memory();
     seed(&db);
-    db.compact().unwrap(); // no-op, must not fail
+    db.checkpoint().unwrap(); // no-op, must not fail
     assert_eq!(db.row_count("t").unwrap(), 3);
 }
 
@@ -417,6 +417,77 @@ fn fsync_failure_poisons_the_database_until_reopen() {
     let _ = report2;
 }
 
+/// A commit that cannot be made durable leaves no trace on the write
+/// side, whatever kind it was — so a retry is never answered out of the
+/// failed attempt's leftovers (`"u" already exists`, `unknown table "t"`):
+/// every later write gets the poison error, and readers keep the last
+/// durable state.
+#[test]
+fn a_failed_commit_of_any_kind_leaves_the_write_side_at_the_last_durable_state() {
+    let write = |db: &Database, stmts: &[&str]| match stmts {
+        [one] => db.query(one).run().map(|_| ()),
+        many => db.execute_batch(many).map(|_| ()),
+    };
+    let failing: [&[&str]; 5] = [
+        &["CREATE TABLE u (x INT)"],
+        &["DROP TABLE t"],
+        &["CREATE MATERIALIZED VIEW mv REFRESH ON COMMIT AS SELECT a FROM t"],
+        &["INSERT INTO t VALUES (4, 'four')"],
+        &[
+            "INSERT INTO t VALUES (4, 'four')",
+            "DELETE FROM t WHERE a = 1",
+        ],
+    ];
+    for first in failing {
+        let io = FaultyIo::new(11, FaultConfig::none());
+        let (db, _) = Database::open_with_io(Box::new(io.clone())).unwrap();
+        seed(&db);
+        io.set_config(FaultConfig {
+            fsync_fail_in: 1,
+            ..FaultConfig::none()
+        });
+        let err = write(&db, first).expect_err("fsync failure must surface");
+        assert!(err.to_string().contains("poisoned"), "{first:?}: {err}");
+        io.set_config(FaultConfig::none());
+
+        // Retries of the failed statement, statements naming what it
+        // would have created or dropped, and statements that would fail
+        // on their own merits: all refused the same way, twice over.
+        for _ in 0..2 {
+            for later in failing.iter().copied().chain([
+                &["CREATE TABLE v (x INT)"] as &[&str],
+                &["CREATE TABLE t (a INT)"],
+                &["INSERT INTO u VALUES (1)"],
+                &["INSERT INTO missing VALUES (1)"],
+                &["CREATE INDEX idx_b ON t (b)"],
+                &["DROP INDEX idx_a"],
+                &["DROP MATERIALIZED VIEW mv"],
+            ]) {
+                let err = write(&db, later).expect_err("poisoned database accepts no writes");
+                assert!(
+                    err.to_string().contains("poisoned"),
+                    "after failed {first:?}, {later:?} answered: {err}"
+                );
+            }
+        }
+        assert!(db.checkpoint().is_err());
+        assert_eq!(db.table_names(), vec!["t".to_string()], "{first:?}");
+        assert_eq!(db.row_count("t").unwrap(), 3, "{first:?}");
+        assert!(db
+            .query("SELECT b FROM t WHERE a = 1")
+            .planned()
+            .unwrap()
+            .plan
+            .uses_index());
+
+        io.crash();
+        let (db2, _) = Database::open_with_io(Box::new(io)).unwrap();
+        assert_eq!(db2.table_names(), vec!["t".to_string()], "{first:?}");
+        assert_eq!(db2.row_count("t").unwrap(), 3, "{first:?}");
+        db2.query("CREATE TABLE u (x INT)").run().unwrap();
+    }
+}
+
 #[test]
 fn compaction_works_over_a_custom_io_backend() {
     let io = FaultyIo::new(5, FaultConfig::none());
@@ -428,7 +499,7 @@ fn compaction_works_over_a_custom_io_backend() {
             .unwrap();
     }
     let before = io.len();
-    db.compact().unwrap();
+    db.checkpoint().unwrap();
     assert!(io.len() < before, "compaction should shrink the log");
     drop(db);
     let (db2, report) = Database::open_with_io(Box::new(io)).unwrap();

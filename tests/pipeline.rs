@@ -234,7 +234,7 @@ fn compaction_through_the_facade() {
             xq.update_source("c", &flat).unwrap();
         }
         let before = std::fs::metadata(&path).unwrap().len();
-        xq.db().compact().unwrap();
+        xq.db().checkpoint().unwrap();
         let after = std::fs::metadata(&path).unwrap().len();
         assert!(after < before, "{before} -> {after}");
     }
