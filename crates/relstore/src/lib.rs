@@ -69,6 +69,7 @@
 
 pub mod bind;
 pub mod colstore;
+pub(crate) mod commit;
 pub mod db;
 pub mod error;
 pub mod exec;
@@ -82,12 +83,14 @@ pub mod planner;
 pub(crate) mod pool;
 pub mod query;
 pub mod recorder;
+pub(crate) mod recovery;
 pub mod regex;
 pub mod schema;
 pub mod segment;
 pub mod session;
 pub mod sql;
 pub mod stats;
+pub mod storage;
 pub mod table;
 pub mod text;
 pub mod value;

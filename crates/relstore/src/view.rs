@@ -35,12 +35,12 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use crate::bind::{bind_expr, RowSchema};
-use crate::db::Change;
 use crate::error::{RelError, RelResult};
 use crate::expr::eval;
 use crate::planner::{derive_name, split_conjuncts};
 use crate::schema::{Catalog, Column, TableSchema};
 use crate::sql::ast::{AggFunc, BinOp, Expr, SelectItem, SelectStmt};
+use crate::storage::Change;
 use crate::table::{Row, RowId, Table};
 use crate::value::{DataType, Value};
 

@@ -17,9 +17,9 @@ use std::sync::{Arc, Mutex};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use crate::db::Change;
 use crate::error::{RelError, RelResult};
 use crate::schema::{IndexDef, TableSchema};
+use crate::storage::Change;
 use crate::table::RowId;
 use crate::value::{DataType, Value};
 
