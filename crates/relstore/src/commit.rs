@@ -55,9 +55,11 @@ pub(crate) enum Work {
 
 /// Durable-mode machinery: the log plus the group-commit queue.
 ///
-/// Lock order: the flush leader never holds the queue lock while taking
-/// the wal lock (it drops one before the other); [`Database::checkpoint`]
-/// nests queue → wal, which is safe because nothing nests wal → queue.
+/// Lock order: storage write lock → `queue` → (`wal` | published
+/// snapshot). [`Database::flush_queue`] drops the queue lock while it
+/// holds the wal lock; [`Database::checkpoint`] nests queue → wal, which
+/// is safe because nothing takes the queue lock while holding the wal
+/// lock, and nothing takes the storage lock while holding either.
 pub(crate) struct Durability {
     wal: Mutex<Wal>,
     queue: Mutex<CommitQueue>,
@@ -369,14 +371,10 @@ impl Database {
         // the database healthy rather than poisoned.
         wal.put_side(&image)
             .map_err(|e| RelError::Wal(format!("checkpoint image: {e}")))?;
-        if let Err(e) = wal.rotate() {
-            q.poisoned = Some(e.to_string());
-            d.cond.notify_all();
-            return Err(e);
-        }
-        // Lead the fresh log with the marker so replay counts commits
-        // from `k` instead of zero.
-        match wal.write_marker(k) {
+        // Past this point a failure poisons: the log's identity is in
+        // doubt. The fresh log leads with the marker so replay counts
+        // commits from `k` instead of zero.
+        match wal.rotate().and_then(|()| wal.write_marker(k)) {
             Ok(bytes) => q.log_bytes = bytes,
             Err(e) => {
                 q.poisoned = Some(e.to_string());

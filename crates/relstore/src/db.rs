@@ -1,13 +1,13 @@
-//! The database facade: storage, SQL entry point, durability, concurrency.
+//! The database facade: SQL entry point, options, result sets.
 //!
 //! [`Database`] is what the rest of the workspace talks to — the stand-in
-//! for the paper's Oracle 9i instance. It wraps [`Storage`] (catalog +
-//! tables + indexes) in a reader/writer lock for mutations, publishes an
-//! immutable copy-on-write snapshot of the committed state for readers,
-//! and threads every mutation through a group-committed write-ahead log
-//! before acknowledging it.
+//! for the paper's Oracle 9i instance. It holds the write side of
+//! [`Storage`] (catalog, tables, indexes, views: `storage.rs`) behind a
+//! reader/writer lock, publishes an immutable copy-on-write snapshot of
+//! the last durable state for readers, and sends every logged write down
+//! one path (`commit.rs`); `recovery.rs` rebuilds all of it from the log.
 //!
-//! # Transactions, snapshots and commit sequence numbers
+//! # Snapshots and commit sequence numbers
 //!
 //! Every committed unit of work — one DML statement, one
 //! [`Database::execute_batch`], or one autocommitted DDL statement — is
@@ -24,16 +24,34 @@
 //! sees that CSN's state for its whole lifetime, whatever writers do
 //! concurrently.
 //!
-//! # Group commit
+//! # The write path
 //!
-//! Committers enqueue their framed records into a shared buffer under the
-//! storage write lock, release it, and wait. The first waiter whose CSN
+//! A write statement takes the storage write lock (refused up front if
+//! the database is poisoned) and applies itself to the write side. DML
+//! yields the transaction's **change list** — one `Change { table, id,
+//! before, after }` per row written — which is all the transaction
+//! keeps: a statement that fails partway is undone by walking the list
+//! backwards, synchronous materialized views read it as their delta, and
+//! the WAL frames are encoded from it. DDL builds its log record first
+//! and applies *that* (the same `Storage::apply_ddl` replay uses) to a
+//! copy-on-write clone that replaces the write side only once it applied
+//! whole.
+//!
+//! Either way the work then goes through the one `commit`: maintain
+//! views, frame into the shared commit queue, stamp the CSN, stash the
+//! covering snapshot, release the lock, wait. The first waiter whose CSN
 //! is not yet durable becomes the **flush leader**: it takes the whole
-//! buffer and makes it durable with a single append + fsync, then wakes
-//! everyone. Concurrent committers therefore amortize one fsync across
-//! the batch. If the flush fails, *every* transaction in the batch
-//! observes the error, each rolls back its own in-memory effects, and the
-//! database is poisoned — it refuses further commits until reopened.
+//! queue and makes it durable with a single append + fsync, publishes the
+//! covering snapshot and wakes everyone, so concurrent committers
+//! amortize one fsync across the batch. If the flush fails, *every*
+//! transaction in the batch observes the error and the database is
+//! poisoned — it refuses further writes until reopened — and the write
+//! side is reset to the last published snapshot, the only state that can
+//! still be durable.
+//!
+//! State that takes no CSN — `ANALYZE` statistics, `REFRESH`ed view
+//! contents, the zone-map pruning flag — is patched into the snapshots
+//! already cut (`patch_snapshots`) instead of being republished.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -657,7 +675,7 @@ impl Database {
     }
 
     /// Rewrites segments whose dead-slot (tombstone) fraction exceeds
-    /// [`COMPACT_DEAD_RATIO`], reclaiming space and re-tightening the
+    /// `COMPACT_DEAD_RATIO`, reclaiming space and re-tightening the
     /// widen-only zone maps. Returns the number of segments rewritten or
     /// removed. Purely an in-memory reorganization: row ids, visible
     /// contents and the log are untouched, so a crash at any point during

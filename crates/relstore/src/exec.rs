@@ -1,6 +1,6 @@
 //! Plan execution.
 //!
-//! A streaming (pull-based iterator) executor: [`open`] compiles each
+//! A streaming (pull-based iterator) executor: `open` compiles each
 //! [`Plan`] operator into a cursor that yields one row at a time, so
 //! `Filter`, `Project`, `Limit`, `Distinct` and the probe side of
 //! `HashJoin` never materialize their inputs. Scan cursors read straight
@@ -16,9 +16,9 @@
 //! pushdown.
 //!
 //! This is the engine's only implementation of each operator. The
-//! morsel driver in [`crate::exec_parallel`] runs the *same* cursor tree
-//! once per morsel: the [`ExecCtx`] it opens the tree under restricts the
-//! scan leaf to one slot [`Span`] and hands hash joins a build side the
+//! morsel driver in `crate::exec_parallel` runs the *same* cursor tree
+//! once per morsel: the `ExecCtx` it opens the tree under restricts the
+//! scan leaf to one slot `Span` and hands hash joins a build side the
 //! driver built once, so sequential execution is simply the case of one
 //! worker whose span is the whole table.
 //!

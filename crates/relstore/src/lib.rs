@@ -90,7 +90,7 @@ pub mod segment;
 pub mod session;
 pub mod sql;
 pub mod stats;
-pub mod storage;
+pub(crate) mod storage;
 pub mod table;
 pub mod text;
 pub mod value;

@@ -29,7 +29,7 @@
 //! Alongside the operator tree, the planner emits a [`PlanEstimate`] for
 //! every node — cardinalities derived from the [`StatsCatalog`]'s row
 //! counts, min/max bounds, null fractions and NDV sketches (see
-//! [`Estimator`] for the selectivity model). Unbound `?` parameters get
+//! `Estimator` for the selectivity model). Unbound `?` parameters get
 //! placeholder selectivities, so prepared statements can be explained
 //! before binding.
 

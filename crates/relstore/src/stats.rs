@@ -12,7 +12,7 @@
 //!
 //! Column-level statistics are collected by `ANALYZE [TABLE <t>]` and are
 //! rebuilt lazily: mutations only bump a staleness counter, and once the
-//! churn since the last scan crosses [`REBUILD_FRACTION`] of the analyzed
+//! churn since the last scan crosses `REBUILD_FRACTION` of the analyzed
 //! row count the next mutation rescans that table and draws a new
 //! storage generation. The whole catalog lives on the MVCC `Storage`
 //! root, so a pinned query always plans against the statistics of *its*

@@ -272,12 +272,19 @@ impl Storage {
         }
     }
 
-    /// Writes `row` into `table` — at `at` when replay or rollback
-    /// addresses the slot, else at a fresh id.
-    fn insert(&mut self, table: &str, at: Option<RowId>, row: Row) -> RelResult<Change> {
+    /// `table`, set to stamp what is written next with the CSN the pending
+    /// commit will take.
+    fn stamped_mut(&mut self, table: &str) -> RelResult<&mut Table> {
         let stamp = self.csn + 1;
         let t = self.table_mut(table)?;
         t.set_stamp(stamp);
+        Ok(t)
+    }
+
+    /// Writes `row` into `table` — at `at` when replay or rollback
+    /// addresses the slot, else at a fresh id.
+    fn insert(&mut self, table: &str, at: Option<RowId>, row: Row) -> RelResult<Change> {
+        let t = self.stamped_mut(table)?;
         let id = match at {
             Some(id) => t.insert_at(id, row).map(|()| id)?,
             None => t.insert(row)?,
@@ -294,9 +301,7 @@ impl Storage {
     }
 
     fn delete(&mut self, table: &str, id: RowId) -> RelResult<Change> {
-        let stamp = self.csn + 1;
-        let t = self.table_mut(table)?;
-        t.set_stamp(stamp);
+        let t = self.stamped_mut(table)?;
         let old = t.delete(id)?;
         self.index_remove(table, id, &old);
         self.note_mutation(table, -1);
@@ -309,9 +314,7 @@ impl Storage {
     }
 
     fn update(&mut self, table: &str, id: RowId, row: Row) -> RelResult<Change> {
-        let stamp = self.csn + 1;
-        let t = self.table_mut(table)?;
-        t.set_stamp(stamp);
+        let t = self.stamped_mut(table)?;
         let old = t.update(id, row)?;
         let new = t.get(id).expect("just updated");
         self.index_remove(table, id, &old);

@@ -1069,7 +1069,7 @@ impl Wal {
         frame_into(&mut self.pending, record);
     }
 
-    /// Writes the buffered records and fsyncs ([`Wal::write_frames`] over
+    /// Writes the buffered records and fsyncs (`Wal::write_frames` over
     /// the buffer, which is consumed either way).
     pub fn sync(&mut self) -> RelResult<()> {
         let pending = std::mem::take(&mut self.pending);

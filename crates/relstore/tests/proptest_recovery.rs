@@ -59,10 +59,13 @@ fn state_of(db: &Database) -> Vec<(i64, String)> {
         .collect()
 }
 
-fn wal_path(tag: u64) -> std::path::PathBuf {
+/// A log path of `property`'s own: case `i` of every property draws the
+/// same `tag` (seeding is per case, not per test), and the properties
+/// run on parallel threads.
+fn wal_path(property: &str, tag: u64) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("xomatiq-recovery-prop");
     std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("case-{}-{tag}.wal", std::process::id()))
+    dir.join(format!("{property}-{}-{tag}.wal", std::process::id()))
 }
 
 /// Cases per property: the file's default, or `PROPTEST_CASES` when set
@@ -85,7 +88,7 @@ proptest! {
         cut_ratio in 0.0f64..1.0,
         tag in 0u64..u64::MAX,
     ) {
-        let path = wal_path(tag);
+        let path = wal_path("crash", tag);
         let _ = std::fs::remove_file(&path);
         {
             let db = Database::open(&path).unwrap();
@@ -136,7 +139,7 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..25),
         tag in 0u64..u64::MAX,
     ) {
-        let path = wal_path(tag);
+        let path = wal_path("reopen", tag);
         let _ = std::fs::remove_file(&path);
         let expected = {
             let db = Database::open(&path).unwrap();
@@ -157,7 +160,7 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..25),
         tag in 0u64..u64::MAX,
     ) {
-        let path = wal_path(tag);
+        let path = wal_path("checkpoint", tag);
         let _ = std::fs::remove_file(&path);
         let expected = {
             let db = Database::open(&path).unwrap();
