@@ -10,13 +10,14 @@
 //!
 //! What a bound plan promises the executor: every `Expr::Column` an
 //! operator carries has `ordinal: Some(i)`, where `i` indexes the row that
-//! operator evaluates the expression against — its input row for
-//! `Filter`/`Project`/`Aggregate`, the left (right) input row for a hash
-//! join's left (right) keys, and the concatenated left-then-right row for
-//! join conditions and residuals. No operator looks a name up again.
+//! operator evaluates the expression against — the table's own row for a
+//! leaf's predicate, its input row for `Filter`/`Project`/`Aggregate`, the
+//! left (right) input row for a hash join's left (right) keys, and the
+//! concatenated left-then-right row for join conditions and residuals. No
+//! operator looks a name up again.
 
 use crate::error::{RelError, RelResult};
-use crate::plan::{Plan, ProjectItem};
+use crate::plan::{LeafOutput, Plan, ProjectItem};
 use crate::schema::Catalog;
 use crate::sql::ast::Expr;
 
@@ -130,14 +131,18 @@ fn projected_schema(items: &[ProjectItem]) -> RowSchema {
 /// schema of the rows the plan produces (hidden sort-key columns included).
 pub fn bind_plan(plan: &mut Plan, catalog: &Catalog) -> RelResult<RowSchema> {
     match plan {
-        Plan::Scan { table, alias }
-        | Plan::IndexScan { table, alias, .. }
-        | Plan::KeywordScan { table, alias, .. } => {
-            let columns = &catalog.table(table)?.columns;
-            Ok(RowSchema::for_table(
-                alias,
-                columns.iter().map(|c| c.name.clone()),
-            ))
+        Plan::Access(access) => {
+            let columns = &catalog.table(&access.table)?.columns;
+            access.columns = columns.iter().map(|c| c.name.clone()).collect();
+            let mut schema = RowSchema::for_table(&access.alias, access.columns.iter().cloned());
+            rebind(
+                access.predicate.iter_mut().chain(&mut access.residual),
+                &schema,
+            )?;
+            if let LeafOutput::Projected(cols) = &access.output {
+                schema.columns = cols.iter().map(|&c| schema.columns[c].clone()).collect();
+            }
+            Ok(schema)
         }
         Plan::Filter { input, predicate } => {
             let schema = bind_plan(input, catalog)?;

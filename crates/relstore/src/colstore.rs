@@ -100,6 +100,20 @@ impl ColStore {
         Some((seg_idx, slot))
     }
 
+    /// Groups ascending row `ids` by owning segment, as `(segment index,
+    /// slots)` in scan order — an index probe's result in the shape a
+    /// scan walks. Ids this store does not hold are skipped.
+    pub fn slots_of(&self, ids: impl IntoIterator<Item = u64>) -> Vec<(usize, Vec<u32>)> {
+        let mut groups: Vec<(usize, Vec<u32>)> = Vec::new();
+        for (seg_idx, slot) in ids.into_iter().filter_map(|id| self.locate(id)) {
+            match groups.last_mut() {
+                Some((last, slots)) if *last == seg_idx => slots.push(slot as u32),
+                _ => groups.push((seg_idx, vec![slot as u32])),
+            }
+        }
+        groups
+    }
+
     /// Inserts `row` under `id`. An existing id (live or tombstoned) is
     /// overwritten in place; an unseen id below the high-water mark
     /// rebuilds the segment list to splice it in at document order.

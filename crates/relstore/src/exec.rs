@@ -1,26 +1,28 @@
 //! Plan execution.
 //!
-//! A streaming (pull-based iterator) executor: `open` compiles each
-//! [`Plan`] operator into a cursor that yields one row at a time, so
-//! `Filter`, `Project`, `Limit`, `Distinct` and the probe side of
-//! `HashJoin` never materialize their inputs. Scan cursors read straight
-//! out of the table's segmented column store: a base `Scan` (and a
-//! `Filter` directly above one) becomes a columnar access path that
-//! consults per-segment zone maps to skip whole segments
-//! ([`ExecStats::segments_pruned`]), evaluates sargable conjuncts with
-//! the vectorized kernels in [`crate::segment`], and materializes only
-//! the columns the operators above actually reference. The pipeline
+//! A streaming (pull-based iterator) executor: `open` is a plain match
+//! that compiles each [`Plan`] operator into one cursor yielding one row
+//! at a time, so `Filter`, `Project`, `Limit`, `Distinct` and the probe
+//! side of `HashJoin` never materialize their inputs. Every table is read
+//! by the same leaf cursor (`AccessCursor`), which does what the plan's
+//! [`Access`] leaf says and decides nothing: it walks the spans of the
+//! leaf's method (zone-map-surviving segments, a worker's morsel, or an
+//! index probe's id list), narrows each with the vectorized kernels in
+//! [`crate::segment`] for the pushed predicates, materializes only the
+//! leaf's output columns, and checks the residual. The pipeline
 //! breakers — `Sort`, `Aggregate`, `TopK` and the build side of joins —
 //! buffer the minimum they need and account for it in [`ExecStats`],
 //! which is how tests pin the O(k) memory bound of `LIMIT`/Top-K
 //! pushdown.
 //!
-//! This is the engine's only implementation of each operator. The
-//! morsel driver in `crate::exec_parallel` runs the *same* cursor tree
-//! once per morsel: the `ExecCtx` it opens the tree under restricts the
-//! scan leaf to one slot `Span` and hands hash joins a build side the
-//! driver built once, so sequential execution is simply the case of one
-//! worker whose span is the whole table.
+//! This is the engine's only implementation of each operator. Profiled
+//! runs wrap the same cursors; the morsel driver in `crate::exec_parallel`
+//! runs the *same* cursor tree once per morsel: the `ExecCtx` it opens the
+//! tree under restricts the scan leaf to one slot `Span` and hands hash
+//! joins a build side the driver built once, so sequential execution is
+//! simply the case of one worker whose span is the whole table; and
+//! `UPDATE`/`DELETE` find their target rows through the leaf cursor's
+//! row-id variant, `matching_ids`.
 //!
 //! The retained materialize-everything interpreter lives on in
 //! [`crate::exec_reference`] as the oracle the property tests compare
@@ -39,10 +41,10 @@ use crate::colstore::ColStore;
 use crate::db::Storage;
 use crate::error::{RelError, RelResult};
 use crate::expr::{eval, eval_predicate};
-use crate::plan::{IndexAccess, Plan, ProjectItem, SortKey};
-use crate::segment::{CmpOp, SimplePred};
-use crate::sql::ast::{AggFunc, BinOp, Expr};
-use crate::table::{Row, RowId, Table};
+use crate::plan::{Access, AccessMethod, IndexAccess, LeafOutput, Plan, ProjectItem, SortKey};
+use crate::segment::SimplePred;
+use crate::sql::ast::{AggFunc, Expr};
+use crate::table::{Row, RowId};
 use crate::value::Value;
 
 /// Counters published by one plan execution.
@@ -360,11 +362,11 @@ fn drain(mut cursor: BoxCursor<'_>) -> RelResult<Vec<Row>> {
 
 // --- the morsel driver's hooks (see `exec_parallel`) ---
 
-/// The spans `access` — a `Scan`, or a `Filter` directly over one — walks
-/// after zone-map pruning, one per surviving segment, for the morsel
-/// driver to carve up; the prunes are charged to the driver's `stats`.
+/// The spans a full-scan leaf walks after zone-map pruning, one per
+/// surviving segment, for the morsel driver to carve up; the prunes are
+/// charged to the driver's `stats`.
 pub(crate) fn access_spans(
-    access: &Plan,
+    access: &Access,
     storage: &Storage,
     stats: &Rc<StatsCell>,
 ) -> RelResult<Vec<Span>> {
@@ -372,8 +374,19 @@ pub(crate) fn access_spans(
         stats: Rc::clone(stats),
         ..ExecCtx::default()
     };
-    let bound = bind_access(access, storage)?.expect("the driving leaf is an access path");
-    Ok(leaf_spans(bound.table.store(), &bound.sargs, storage, &ctx))
+    let store = storage.table(&access.table)?.store();
+    Ok(leaf_spans(store, &access.pushed, storage, &ctx))
+}
+
+/// The ids of the rows `access` selects, in scan order: the leaf cursor's
+/// row-id variant, which `UPDATE`/`DELETE` find their target rows with.
+pub(crate) fn matching_ids(access: &Access, storage: &Storage) -> RelResult<Vec<RowId>> {
+    let mut cursor = AccessCursor::open(access, storage, &ExecCtx::default())?;
+    let mut ids = Vec::new();
+    while let Some((seg, slot, _)) = cursor.next_hit()? {
+        ids.push(RowId(cursor.store.segments()[seg].id_at(slot)));
+    }
+    Ok(ids)
 }
 
 /// Opens and drains a hash join's `right` input into the build side
@@ -416,7 +429,6 @@ pub(crate) fn run_morsel(
 pub(crate) fn group_morsel(
     input: &Plan,
     group_by: &[Expr],
-    items: &[ProjectItem],
     storage: &Storage,
     morsel: Span,
 ) -> RelResult<(Groups, ExecStats)> {
@@ -424,7 +436,7 @@ pub(crate) fn group_morsel(
         morsel: Some(morsel),
         ..ExecCtx::default()
     };
-    let input = open_aggregate_input(input, group_by, items, storage, &ctx, &mut Vec::new())?;
+    let (input, _) = open(input, storage, &ctx)?;
     let groups = group_rows(input, group_by, &ctx.stats)?;
     Ok((groups, ctx.stats.snapshot(0)))
 }
@@ -475,35 +487,15 @@ fn open_child<'a>(
 type OpenedCursor<'a> = (BoxCursor<'a>, Option<Rc<ProfNode>>);
 
 /// Compiles a plan operator into a cursor (plus a profile node when the
-/// context asks for profiling).
+/// context asks for profiling): one cursor per operator, whoever runs it.
 fn open<'a>(plan: &'a Plan, storage: &'a Storage, ctx: &ExecCtx) -> RelResult<OpenedCursor<'a>> {
-    // Columnar access paths — a bare `Scan`, or a `Filter` directly over
-    // one — are compiled against the segment store (zone-map pruning,
-    // vectorized conjunct kernels) instead of the generic operator match.
-    if let Some(access) = open_access(plan, storage, ctx, None)? {
-        return Ok(access);
-    }
     let stats = &ctx.stats;
     let mut kids: Vec<Rc<ProfNode>> = Vec::new();
     let cursor: BoxCursor<'a> = match plan {
-        Plan::Scan { .. } => unreachable!("base scans are opened by open_access"),
-        Plan::IndexScan { table, .. } | Plan::KeywordScan { table, .. } => {
-            let table = storage.table(table)?;
-            let ids = index_leaf_ids(plan, storage)?;
-            stats.index_probe();
-            if matches!(plan, Plan::KeywordScan { .. }) {
-                stats.postings_read(ids.len() as u64);
-            }
-            Box::new(IdListCursor {
-                table,
-                ids: ids.into_iter(),
-                stats: Rc::clone(stats),
-            })
-        }
+        Plan::Access(access) => Box::new(AccessCursor::open(access, storage, ctx)?),
         Plan::Filter { input, predicate } => Box::new(FilterCursor {
             input: open_child(input, storage, ctx, &mut kids)?,
             predicate,
-            pre_applied: false,
         }),
         Plan::NestedLoopJoin {
             left,
@@ -548,33 +540,17 @@ fn open<'a>(plan: &'a Plan, storage: &'a Storage, ctx: &ExecCtx) -> RelResult<Op
                 stats: Rc::clone(stats),
             })
         }
-        Plan::Project { input, items, .. } => {
-            if !ctx.profile {
-                if let Some(cursor) = open_fused(input, items, storage, ctx)? {
-                    return Ok((cursor, None));
-                }
-            }
-            // Tell a columnar access path which columns the projection
-            // reads, so it skips materializing the rest (notably text).
-            let needed: Vec<&Expr> = items.iter().map(|i| &i.expr).collect();
-            let input = match open_access(input, storage, ctx, Some(&needed))? {
-                Some((cursor, node)) => {
-                    kids.extend(node);
-                    cursor
-                }
-                None => open_child(input, storage, ctx, &mut kids)?,
-            };
-            Box::new(ProjectCursor { input, items })
-        }
+        Plan::Project { input, items, .. } => Box::new(ProjectCursor {
+            input: open_child(input, storage, ctx, &mut kids)?,
+            items,
+        }),
         Plan::Aggregate {
             input,
             group_by,
             items,
             ..
         } => Box::new(AggregateCursor {
-            input: Some(open_aggregate_input(
-                input, group_by, items, storage, ctx, &mut kids,
-            )?),
+            input: Some(open_child(input, storage, ctx, &mut kids)?),
             group_by,
             items,
             output: Vec::new().into_iter(),
@@ -618,11 +594,11 @@ fn open<'a>(plan: &'a Plan, storage: &'a Storage, ctx: &ExecCtx) -> RelResult<Op
     Ok(maybe_profile(cursor, plan, ctx, kids))
 }
 
-/// The rows an index leaf (`IndexScan`/`KeywordScan`) selects, as row ids
-/// in insertion (document) order — the order a `Scan` would yield them.
-pub(crate) fn index_leaf_ids(leaf: &Plan, storage: &Storage) -> RelResult<Vec<RowId>> {
-    let mut ids = match leaf {
-        Plan::IndexScan { index, access, .. } => {
+/// The rows an index or keyword method selects, as row ids in insertion
+/// (document) order — the order a full scan would yield them.
+pub(crate) fn index_leaf_ids(leaf: &Access, storage: &Storage) -> RelResult<Vec<RowId>> {
+    let mut ids = match &leaf.method {
+        AccessMethod::Index { index, access } => {
             let idx = storage.btree_index(index)?;
             match access {
                 IndexAccess::Exact(values) if values.len() == idx.key_columns().len() => {
@@ -636,11 +612,11 @@ pub(crate) fn index_leaf_ids(leaf: &Plan, storage: &Storage) -> RelResult<Vec<Ro
                 } => idx.range(prefix, lower.as_ref(), upper.as_ref()),
             }
         }
-        Plan::KeywordScan { index, keyword, .. } => storage.keyword_index(index)?.lookup(keyword),
-        other => {
+        AccessMethod::Keyword { index, keyword } => storage.keyword_index(index)?.lookup(keyword),
+        AccessMethod::Full => {
             return Err(RelError::Internal(format!(
-                "{} is not an index access path",
-                other.describe()
+                "a full scan of {} has no id list",
+                leaf.table
             )))
         }
     };
@@ -648,53 +624,15 @@ pub(crate) fn index_leaf_ids(leaf: &Plan, storage: &Storage) -> RelResult<Vec<Ro
     Ok(ids)
 }
 
-/// A storage-level access path — a bare `Scan`, or a `Filter` directly
-/// over one — bound to its table, with the filter's sargable conjuncts
-/// compiled for the zone maps and the vectorized kernels.
-struct BoundAccess<'a> {
-    /// The `Scan` node itself (the profile label of the leaf).
-    scan: &'a Plan,
-    table: &'a Table,
-    filter: Option<&'a Expr>,
-    /// Compiled only when the *entire* filter predicate is infallible
-    /// (see [`open_access`]); empty otherwise.
-    sargs: Vec<SimplePred>,
-    /// True when the sargs are non-empty and cover the whole predicate:
-    /// the kernels enforce it row-exactly.
-    covered: bool,
-}
-
-/// Binds `plan` as an access path; `None` for any other plan shape.
-fn bind_access<'a>(plan: &'a Plan, storage: &'a Storage) -> RelResult<Option<BoundAccess<'a>>> {
-    let (scan, filter) = match plan {
-        Plan::Scan { .. } => (plan, None),
-        Plan::Filter { input, predicate } => (&**input, Some(predicate)),
-        _ => return Ok(None),
-    };
-    let Plan::Scan { table, .. } = scan else {
-        return Ok(None);
-    };
-    let table = storage.table(table)?;
-    let (sargs, covered) = match filter {
-        Some(pred) if expr_infallible(pred) => compile_sargs(pred),
-        _ => (Vec::new(), false),
-    };
-    Ok(Some(BoundAccess {
-        scan,
-        table,
-        filter,
-        covered: covered && !sargs.is_empty(),
-        sargs,
-    }))
-}
-
-/// The spans a scan leaf opened under `ctx` walks: the worker's morsel,
-/// or one full-segment span per segment whose zone maps admit `sargs`
-/// (every non-empty segment when pruning is off or there is nothing to
-/// prune with), charging the prunes to this execution.
+/// The spans a full-scan leaf opened under `ctx` walks: the worker's
+/// morsel, or one full-segment span per segment whose zone maps admit the
+/// `pushed` predicates (every non-empty segment when pruning is off or
+/// there is nothing to prune with), charging the prunes to this execution.
+/// Pruning is an execution-time act — it reads the data's zone maps and a
+/// runtime toggle — over predicates the planner chose.
 fn leaf_spans(
     store: &ColStore,
-    sargs: &[SimplePred],
+    pushed: &[SimplePred],
     storage: &Storage,
     ctx: &ExecCtx,
 ) -> Vec<Span> {
@@ -702,7 +640,7 @@ fn leaf_spans(
         return vec![morsel.clone()];
     }
     let prune_with: &[SimplePred] = if storage.zone_map_pruning() {
-        sargs
+        pushed
     } else {
         &[]
     };
@@ -712,149 +650,6 @@ fn leaf_spans(
         .into_iter()
         .map(|i| (i, 0..store.segments()[i].len()))
         .collect()
-}
-
-/// Opens a storage-level access path — a bare `Scan`, or a `Filter`
-/// directly over one — against the segmented column store. Returns
-/// `None` for any other plan shape.
-///
-/// `needed` is the set of expressions the parent operator evaluates over
-/// the scanned rows (projection items, aggregate arguments); when given,
-/// only the columns those expressions (and the filter predicate)
-/// reference are materialized — the rest come out as `Null`, which is
-/// sound because nothing downstream reads them.
-///
-/// Predicate pushdown: when the *entire* filter predicate is infallible
-/// (pure comparisons/logic — can never raise an evaluation error), its
-/// sargable conjuncts are compiled into [`SimplePred`]s. Zone maps then
-/// skip whole segments, and the vectorized kernels pre-filter slots.
-/// A conjunct rejecting a row implies the full predicate rejects it, so
-/// early-dropping is observationally identical; the [`FilterCursor`] on
-/// top re-evaluates the full predicate on the survivors only when some
-/// conjunct did *not* compile to a sarg — a fully covered predicate is
-/// already enforced row-exactly by the kernels.
-fn open_access<'a>(
-    plan: &'a Plan,
-    storage: &'a Storage,
-    ctx: &ExecCtx,
-    needed: Option<&[&'a Expr]>,
-) -> RelResult<Option<OpenedCursor<'a>>> {
-    let Some(BoundAccess {
-        scan,
-        table,
-        filter,
-        sargs,
-        covered,
-    }) = bind_access(plan, storage)?
-    else {
-        return Ok(None);
-    };
-    let mask = needed.map(|exprs| {
-        let mut mask = vec![false; table.schema().arity()];
-        for expr in exprs.iter().copied().chain(filter) {
-            mark_columns(expr, &mut mask);
-        }
-        mask
-    });
-    let store = table.store();
-    let stats = &ctx.stats;
-    let spans = leaf_spans(store, &sargs, storage, ctx).into_iter();
-    let leaf: BoxCursor<'a> = if sargs.is_empty() {
-        Box::new(ScanCursor {
-            store,
-            spans,
-            current: None,
-            mask,
-            stats: Rc::clone(stats),
-        })
-    } else {
-        Box::new(SegScanCursor {
-            store,
-            spans,
-            sargs,
-            mask,
-            current: None,
-            stats: Rc::clone(stats),
-        })
-    };
-    let (cursor, node) = maybe_profile(leaf, scan, ctx, Vec::new());
-    let Some(predicate) = filter else {
-        return Ok(Some((cursor, node)));
-    };
-    let filtered: BoxCursor<'a> = Box::new(FilterCursor {
-        input: cursor,
-        predicate,
-        pre_applied: covered,
-    });
-    Ok(Some(maybe_profile(
-        filtered,
-        plan,
-        ctx,
-        node.into_iter().collect(),
-    )))
-}
-
-/// Attempts the fully fused `Project(Filter(Scan))` access path: every
-/// conjunct of the predicate must compile to a sarg (so the kernels
-/// enforce it row-exactly) and every projection item must be a bare
-/// column. Returns `None` for any other shape. Kept off the
-/// profiling path so EXPLAIN ANALYZE still shows the per-operator tree.
-fn open_fused<'a>(
-    plan: &'a Plan,
-    items: &'a [ProjectItem],
-    storage: &'a Storage,
-    ctx: &ExecCtx,
-) -> RelResult<Option<BoxCursor<'a>>> {
-    if !matches!(plan, Plan::Filter { .. }) {
-        return Ok(None);
-    }
-    let Some(access) = bind_access(plan, storage)? else {
-        return Ok(None);
-    };
-    if !access.covered {
-        return Ok(None);
-    }
-    let mut cols = Vec::with_capacity(items.len());
-    for item in items {
-        match &item.expr {
-            Expr::Column {
-                ordinal: Some(i), ..
-            } => cols.push(*i),
-            _ => return Ok(None),
-        }
-    }
-    let store = access.table.store();
-    Ok(Some(Box::new(FusedScanCursor {
-        store,
-        spans: leaf_spans(store, &access.sargs, storage, ctx).into_iter(),
-        sargs: access.sargs,
-        cols,
-        batch: Vec::new().into_iter(),
-        stats: Rc::clone(&ctx.stats),
-    })))
-}
-
-/// Opens the input of an `Aggregate`, telling a columnar access path
-/// which columns the grouping keys and aggregate arguments read.
-fn open_aggregate_input<'a>(
-    input: &'a Plan,
-    group_by: &'a [Expr],
-    items: &'a [ProjectItem],
-    storage: &'a Storage,
-    ctx: &ExecCtx,
-    kids: &mut Vec<Rc<ProfNode>>,
-) -> RelResult<BoxCursor<'a>> {
-    let needed: Vec<&Expr> = group_by
-        .iter()
-        .chain(items.iter().map(|i| &i.expr))
-        .collect();
-    match open_access(input, storage, ctx, Some(&needed))? {
-        Some((cursor, node)) => {
-            kids.extend(node);
-            Ok(cursor)
-        }
-        None => open_child(input, storage, ctx, kids),
-    }
 }
 
 /// Wraps `cursor` in a [`ProfiledCursor`] when profiling is on.
@@ -880,271 +675,202 @@ fn maybe_profile<'a>(
     (cursor, Some(node))
 }
 
-/// Marks every row position `expr` reads in the materialization mask.
-fn mark_columns(expr: &Expr, mask: &mut [bool]) {
-    match expr {
-        Expr::Column {
-            ordinal: Some(i), ..
-        } => mask[*i] = true,
-        other => other
-            .children()
-            .into_iter()
-            .for_each(|e| mark_columns(e, mask)),
-    }
+/// A leaf's candidate slots within one segment, ascending.
+enum Slots {
+    /// A contiguous run: a whole zone-map survivor, or a worker's morsel.
+    Range(Range<usize>),
+    /// Picked slots: an index probe's result, or a kernel selection.
+    List(std::vec::IntoIter<u32>),
 }
 
-/// Whether evaluating `expr` can never return an error: only literals,
-/// bound column references, comparisons, `AND`/`OR`/`NOT`,
-/// `IS NULL`, `IN` and `BETWEEN`. Arithmetic (overflow, division),
-/// `LIKE`/`CONTAINS`/`MATCHES` (type errors), parameters and aggregates
-/// are all fallible. Only an infallible predicate may be pushed below
-/// the row-at-a-time filter: early-dropping a row must not suppress an
-/// error the reference executor would raise.
-fn expr_infallible(expr: &Expr) -> bool {
-    match expr {
-        Expr::Literal(_) => true,
-        Expr::Column { ordinal, .. } => ordinal.is_some(),
-        Expr::Binary { op, .. }
-            if !(op.is_comparison() || matches!(op, BinOp::And | BinOp::Or)) =>
-        {
-            false
-        }
-        Expr::Binary { .. }
-        | Expr::Not(_)
-        | Expr::IsNull { .. }
-        | Expr::InList { .. }
-        | Expr::Between { .. } => expr.children().into_iter().all(expr_infallible),
-        _ => false,
-    }
-}
+impl Iterator for Slots {
+    type Item = usize;
 
-/// Extracts the sargable top-level conjuncts of `expr`:
-/// `column <cmp> literal` (either orientation) and non-negated
-/// `column BETWEEN literal AND literal` (as a `>=`/`<=` pair). Dropping
-/// a row on a false-or-unknown conjunct is exactly what the WHERE clause
-/// would do, so the kernels can apply these before full evaluation.
-///
-/// The returned flag is true when the sargs *fully cover* `expr` — the
-/// predicate is exactly an AND-tree of compiled conjuncts. The kernels
-/// mirror [`Value::compare`] for every column/literal type combination
-/// (cross-type and NULL comparisons drop everything, just like
-/// three-valued logic drops false-or-unknown), so a covered predicate
-/// needs no per-row re-evaluation: every kernel survivor passes, every
-/// kernel drop would have been dropped by the WHERE clause.
-fn compile_sargs(expr: &Expr) -> (Vec<SimplePred>, bool) {
-    let mut out = Vec::new();
-    let covered = collect_sargs(expr, &mut out);
-    (out, covered)
-}
-
-fn collect_sargs(expr: &Expr, out: &mut Vec<SimplePred>) -> bool {
-    fn bound(e: &Expr) -> Option<usize> {
-        match e {
-            Expr::Column { ordinal, .. } => *ordinal,
-            _ => None,
-        }
-    }
-    match expr {
-        Expr::Binary {
-            op: BinOp::And,
-            left,
-            right,
-        } => {
-            // No short-circuit: both sides must still contribute sargs.
-            let l = collect_sargs(left, out);
-            let r = collect_sargs(right, out);
-            l && r
-        }
-        Expr::Binary { op, left, right } if op.is_comparison() => {
-            let (col, lit, op) = match (&**left, &**right) {
-                (col, Expr::Literal(lit)) => (bound(col), lit, cmp_op(*op)),
-                (Expr::Literal(lit), col) => (bound(col), lit, cmp_op(*op).flip()),
-                _ => return false,
-            };
-            let Some(col) = col else { return false };
-            out.push(SimplePred {
-                col,
-                op,
-                lit: lit.clone(),
-            });
-            true
-        }
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated: false,
-        } => {
-            let (Some(col), Expr::Literal(lo), Expr::Literal(hi)) = (bound(expr), &**low, &**high)
-            else {
-                return false;
-            };
-            out.push(SimplePred {
-                col,
-                op: CmpOp::Ge,
-                lit: lo.clone(),
-            });
-            out.push(SimplePred {
-                col,
-                op: CmpOp::Le,
-                lit: hi.clone(),
-            });
-            true
-        }
-        _ => false,
-    }
-}
-
-fn cmp_op(op: BinOp) -> CmpOp {
-    match op {
-        BinOp::Eq => CmpOp::Eq,
-        BinOp::Ne => CmpOp::Ne,
-        BinOp::Lt => CmpOp::Lt,
-        BinOp::Le => CmpOp::Le,
-        BinOp::Gt => CmpOp::Gt,
-        BinOp::Ge => CmpOp::Ge,
-        other => unreachable!("{other:?} is not a comparison"),
-    }
-}
-
-impl CmpOp {
-    /// Mirrors the operator across the operands: `lit op col` ⇢
-    /// `col op.flip() lit`.
-    fn flip(self) -> CmpOp {
+    fn next(&mut self) -> Option<usize> {
         match self {
-            CmpOp::Eq => CmpOp::Eq,
-            CmpOp::Ne => CmpOp::Ne,
-            CmpOp::Lt => CmpOp::Gt,
-            CmpOp::Le => CmpOp::Ge,
-            CmpOp::Gt => CmpOp::Lt,
-            CmpOp::Ge => CmpOp::Le,
+            Slots::Range(range) => range.next(),
+            Slots::List(list) => list.next().map(|slot| slot as usize),
         }
     }
 }
 
-/// Table scan materializing rows in insertion (document) order, span by
-/// span. Counts each live row as it is yielded, so `LIMIT` over a scan
-/// stays O(k) in `rows_scanned`.
-struct ScanCursor<'a> {
+/// A row a leaf selected and where it lives: `(segment, slot, row)`.
+type Hit = (usize, usize, Row);
+
+/// The one leaf cursor: span source → kernel selection → gather →
+/// residual, all as the plan's [`Access`] leaf dictates.
+///
+/// The span source is fixed at open — the zone-map survivors (or the
+/// worker's morsel) of a full scan, or an index probe's sorted id list
+/// grouped by segment. With predicates pushed, entering a span runs their
+/// kernels over its live candidates into a selection vector, gathers the
+/// survivors' output columns a column at a time and keeps the rows the
+/// residual accepts: one batch per span, still lazy under `LIMIT` at
+/// span granularity. With nothing pushed there is nothing to do a span at
+/// a time, so candidates materialize one row per pull and a `LIMIT` stops
+/// the scan mid-span. Rows come out in insertion (document) order
+/// whatever the method.
+///
+/// `rows_scanned` counts what the leaf examined: a span's live candidates
+/// as the kernels enter it (pruned segments show up in `segments_pruned`
+/// instead), or, with nothing pushed, each live row as it is
+/// materialized — `LIMIT k` over an unfiltered scan reads exactly k.
+struct AccessCursor<'a> {
+    access: &'a Access,
     store: &'a ColStore,
-    spans: std::vec::IntoIter<Span>,
-    /// The span being walked: `(segment, slots still to visit)`.
-    current: Option<Span>,
-    mask: Option<Vec<bool>>,
+    /// Per position of the emitted row, the table column it carries;
+    /// `None` positions (columns nothing reads) stay `NULL`.
+    gather: Vec<Option<usize>>,
+    spans: std::vec::IntoIter<(usize, Slots)>,
+    /// The span being walked a row per pull (nothing pushed).
+    current: Option<(usize, Slots)>,
+    /// The span the kernels last entered: its segment, then the selected
+    /// slots and their gathered rows, in step.
+    ready: (usize, std::vec::IntoIter<u32>, std::vec::IntoIter<Row>),
     stats: Rc<StatsCell>,
 }
 
-impl<'a> Cursor<'a> for ScanCursor<'a> {
-    fn next_row(&mut self) -> RelResult<Option<Row>> {
+impl<'a> AccessCursor<'a> {
+    fn open(access: &'a Access, storage: &'a Storage, ctx: &ExecCtx) -> RelResult<Self> {
+        let table = storage.table(&access.table)?;
+        let store = table.store();
+        let arity = table.schema().arity();
+        let gather = match &access.output {
+            LeafOutput::All => (0..arity).map(Some).collect(),
+            LeafOutput::Pruned(cols) => {
+                (0..arity).map(|c| cols.contains(&c).then_some(c)).collect()
+            }
+            LeafOutput::Projected(cols) => cols.iter().copied().map(Some).collect(),
+        };
+        let spans: Vec<(usize, Slots)> = if access.method == AccessMethod::Full {
+            leaf_spans(store, &access.pushed, storage, ctx)
+                .into_iter()
+                .map(|(seg, slots)| (seg, Slots::Range(slots)))
+                .collect()
+        } else {
+            let ids = index_leaf_ids(access, storage)?;
+            ctx.stats.index_probe();
+            if matches!(access.method, AccessMethod::Keyword { .. }) {
+                ctx.stats.postings_read(ids.len() as u64);
+            }
+            store
+                .slots_of(ids.into_iter().map(|id| id.0))
+                .into_iter()
+                .map(|(seg, slots)| (seg, Slots::List(slots.into_iter())))
+                .collect()
+        };
+        Ok(AccessCursor {
+            access,
+            store,
+            gather,
+            spans: spans.into_iter(),
+            current: None,
+            ready: (0, Vec::new().into_iter(), Vec::new().into_iter()),
+            stats: Rc::clone(&ctx.stats),
+        })
+    }
+
+    /// The next row of the gathered batch.
+    fn next_ready(&mut self) -> Option<Hit> {
+        let (seg_idx, slots, rows) = &mut self.ready;
+        let (slot, row) = slots.next().zip(rows.next())?;
+        Some((*seg_idx, slot as usize, row))
+    }
+
+    /// The next row the leaf selects.
+    fn next_hit(&mut self) -> RelResult<Option<Hit>> {
+        match self.next_ready() {
+            Some(hit) => Ok(Some(hit)),
+            None => self.advance(),
+        }
+    }
+
+    /// Everything but handing out an already-gathered row. Kept out of
+    /// line, and the batch kept free of per-row bookkeeping: with either
+    /// folded into the per-row pull, a selective scan measured a quarter
+    /// slower (`scan_filter_selective` in the exec bench).
+    #[inline(never)]
+    fn advance(&mut self) -> RelResult<Option<Hit>> {
+        let Access {
+            pushed, residual, ..
+        } = self.access;
+        let keep = |row: &Row| match residual {
+            Some(residual) => eval_predicate(residual, row),
+            None => Ok(true),
+        };
         loop {
-            if let Some((seg_idx, slots)) = &mut self.current {
+            if let Some((seg_idx, candidates)) = &mut self.current {
                 let seg = &self.store.segments()[*seg_idx];
-                for slot in slots.by_ref() {
-                    if seg.is_live(slot) {
-                        self.stats.scan_one();
-                        let mut row = Vec::new();
-                        seg.row_into(slot, self.mask.as_deref(), &mut row);
-                        return Ok(Some(row));
+                for slot in candidates.by_ref().filter(|&slot| seg.is_live(slot)) {
+                    self.stats.scan_one();
+                    let row: Row = self
+                        .gather
+                        .iter()
+                        .map(|col| col.map_or(Value::Null, |c| seg.columns()[c].value(slot)))
+                        .collect();
+                    if keep(&row)? {
+                        return Ok(Some((*seg_idx, slot, row)));
                     }
                 }
             }
-            self.current = self.spans.next();
-            if self.current.is_none() {
+            let Some((seg_idx, candidates)) = self.spans.next() else {
                 return Ok(None);
+            };
+            if pushed.is_empty() {
+                self.current = Some((seg_idx, candidates));
+                continue;
             }
-        }
-    }
-}
-
-/// The live slots of `span` that survive `sargs`, evaluated with the
-/// vectorized kernels into a selection vector. `rows_scanned` is charged
-/// with the span's live rows as it is entered (pruned segments show up in
-/// `segments_pruned` instead) — span granularity, still lazy under `LIMIT`.
-fn select_span(store: &ColStore, span: &Span, sargs: &[SimplePred], stats: &StatsCell) -> Vec<u32> {
-    let (seg_idx, slots) = span;
-    let seg = &store.segments()[*seg_idx];
-    let mut sel = Vec::with_capacity(slots.len());
-    seg.live_slots(slots.clone(), &mut sel);
-    stats.scan_n(sel.len() as u64);
-    for pred in sargs {
-        if sel.is_empty() {
-            break;
-        }
-        seg.apply_pred(pred, &mut sel);
-    }
-    sel
-}
-
-/// Predicate-pushdown scan: visits only the spans handed to it (the
-/// segments whose zone maps admit the sargs, or a worker's morsel),
-/// selects each span's survivors with [`select_span`], and materializes
-/// them.
-struct SegScanCursor<'a> {
-    store: &'a ColStore,
-    spans: std::vec::IntoIter<Span>,
-    sargs: Vec<SimplePred>,
-    mask: Option<Vec<bool>>,
-    current: Option<(usize, std::vec::IntoIter<u32>)>,
-    stats: Rc<StatsCell>,
-}
-
-impl<'a> Cursor<'a> for SegScanCursor<'a> {
-    fn next_row(&mut self) -> RelResult<Option<Row>> {
-        loop {
-            if let Some((seg_idx, sel)) = &mut self.current {
-                if let Some(slot) = sel.next() {
-                    let seg = &self.store.segments()[*seg_idx];
-                    let mut row = Vec::new();
-                    seg.row_into(slot as usize, self.mask.as_deref(), &mut row);
-                    return Ok(Some(row));
+            let seg = &self.store.segments()[seg_idx];
+            let mut sel = Vec::new();
+            match candidates {
+                Slots::Range(range) => {
+                    sel.reserve(range.len());
+                    seg.live_slots(range, &mut sel);
                 }
-                self.current = None;
+                Slots::List(list) => sel.extend(list.filter(|&s| seg.is_live(s as usize))),
             }
-            let Some(span) = self.spans.next() else {
-                return Ok(None);
-            };
-            let sel = select_span(self.store, &span, &self.sargs, &self.stats);
-            self.current = Some((span.0, sel.into_iter()));
+            self.stats.scan_n(sel.len() as u64);
+            for pred in pushed {
+                if sel.is_empty() {
+                    break;
+                }
+                seg.apply_pred(pred, &mut sel);
+            }
+            if sel.is_empty() {
+                continue;
+            }
+            let mut rows: Vec<Row> = sel
+                .iter()
+                .map(|_| Vec::with_capacity(self.gather.len()))
+                .collect();
+            for col in &self.gather {
+                match col {
+                    Some(col) => seg.gather_column(*col, &sel, &mut rows),
+                    None => rows.iter_mut().for_each(|row| row.push(Value::Null)),
+                }
+            }
+            if residual.is_some() {
+                let gathered = std::mem::take(&mut sel)
+                    .into_iter()
+                    .zip(std::mem::take(&mut rows));
+                for (slot, row) in gathered {
+                    if keep(&row)? {
+                        sel.push(slot);
+                        rows.push(row);
+                    }
+                }
+            }
+            self.ready = (seg_idx, sel.into_iter(), rows.into_iter());
+            if let Some(hit) = self.next_ready() {
+                return Ok(Some(hit));
+            }
         }
     }
 }
 
-/// Fully fused `Project(Filter(Scan))`: the kernels enforce the entire
-/// predicate (every conjunct compiled to a sarg) and every projection
-/// item is a bare column, so each span's survivors materialize directly
-/// in projected layout — one columnar gather per projected column per
-/// span, no intermediate full-width row, and no filter or projection
-/// operator above. Stats match [`SegScanCursor`].
-struct FusedScanCursor<'a> {
-    store: &'a ColStore,
-    spans: std::vec::IntoIter<Span>,
-    sargs: Vec<SimplePred>,
-    /// Projected column positions, in output order.
-    cols: Vec<usize>,
-    batch: std::vec::IntoIter<Row>,
-    stats: Rc<StatsCell>,
-}
-
-impl<'a> Cursor<'a> for FusedScanCursor<'a> {
+impl<'a> Cursor<'a> for AccessCursor<'a> {
     fn next_row(&mut self) -> RelResult<Option<Row>> {
-        loop {
-            if let Some(row) = self.batch.next() {
-                return Ok(Some(row));
-            }
-            let Some(span) = self.spans.next() else {
-                return Ok(None);
-            };
-            let sel = select_span(self.store, &span, &self.sargs, &self.stats);
-            let mut batch: Vec<Row> = sel
-                .iter()
-                .map(|_| Vec::with_capacity(self.cols.len()))
-                .collect();
-            let seg = &self.store.segments()[span.0];
-            for &col in &self.cols {
-                seg.gather_column(col, &sel, &mut batch);
-            }
-            self.batch = batch.into_iter();
-        }
+        Ok(self.next_hit()?.map(|(_, _, row)| row))
     }
 }
 
@@ -1166,39 +892,16 @@ impl<'a> Cursor<'a> for RowsCursor {
     }
 }
 
-/// Index/keyword access: materializes a precomputed id list's rows.
-struct IdListCursor<'a> {
-    table: &'a Table,
-    ids: std::vec::IntoIter<RowId>,
-    stats: Rc<StatsCell>,
-}
-
-impl<'a> Cursor<'a> for IdListCursor<'a> {
-    fn next_row(&mut self) -> RelResult<Option<Row>> {
-        for id in self.ids.by_ref() {
-            if let Some(row) = self.table.get(id) {
-                self.stats.scan_one();
-                return Ok(Some(row));
-            }
-        }
-        Ok(None)
-    }
-}
-
 /// Streaming predicate filter.
 struct FilterCursor<'a> {
     input: BoxCursor<'a>,
     predicate: &'a Expr,
-    /// True when the scan kernels below already enforce the *entire*
-    /// predicate (every conjunct compiled to a sarg): survivors are
-    /// known to pass, so the per-row re-evaluation is skipped.
-    pre_applied: bool,
 }
 
 impl<'a> Cursor<'a> for FilterCursor<'a> {
     fn next_row(&mut self) -> RelResult<Option<Row>> {
         while let Some(row) = self.input.next_row()? {
-            if self.pre_applied || eval_predicate(self.predicate, &row)? {
+            if eval_predicate(self.predicate, &row)? {
                 return Ok(Some(row));
             }
         }
@@ -1780,5 +1483,49 @@ fn compute_aggregate<R: AsRef<[Value]>>(
             .into_iter()
             .max_by(|a, b| a.total_cmp(b))
             .unwrap_or(Value::Null)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::segment::CmpOp;
+    use crate::Database;
+
+    /// A leaf materializes the columns its plan lists and nothing else,
+    /// whether it gathers a kernel-selected batch or a row per pull.
+    #[test]
+    fn pruned_output_nulls_unlisted_columns() {
+        let db = Database::in_memory();
+        db.query("CREATE TABLE t (a INT, s TEXT)").run().unwrap();
+        db.query("INSERT INTO t VALUES (7, 'long string')")
+            .run()
+            .unwrap();
+        let storage = db.snapshot();
+        let lazy = Access {
+            output: LeafOutput::Pruned(vec![0]),
+            ..Access::new("t", "t", None)
+        };
+        let batched = Access {
+            pushed: vec![SimplePred {
+                col: 0,
+                op: CmpOp::Gt,
+                lit: Value::Int(0),
+            }],
+            ..lazy.clone()
+        };
+        let folded = Access {
+            output: LeafOutput::Projected(vec![1, 0]),
+            ..batched.clone()
+        };
+        let text = Value::Text("long string".into());
+        for (leaf, want) in [
+            (lazy, vec![Value::Int(7), Value::Null]),
+            (batched, vec![Value::Int(7), Value::Null]),
+            (folded, vec![text, Value::Int(7)]),
+        ] {
+            let run = run_plan(&Plan::from(leaf), &storage, false).unwrap();
+            assert_eq!(run.rows, vec![want]);
+        }
     }
 }

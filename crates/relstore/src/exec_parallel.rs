@@ -3,21 +3,24 @@
 //!
 //! This module implements no operator. It decides *whether* a plan may be
 //! split ([`parallel_eligible`], [`should_parallelize`]), carves the
-//! driving scan's zone-map-surviving segments into *segment-aligned*
+//! driving leaf's zone-map-surviving segments into *segment-aligned*
 //! morsels — slot ranges within a single column-store segment — and fans
 //! them across a reusable [`WorkerPool`]. Every worker opens the same
 //! cursor tree the sequential executor would, restricted to its morsel
 //! (and, for a hash join, probing the build side the driver built once),
-//! with its own counters. The per-morsel outputs are then merged in
-//! morsel order — rows concatenated, aggregation groups folded in
-//! first-seen order — and emitted through the optional `Distinct` on the
-//! calling thread. That makes every parallel plan produce byte-identical
-//! rows — and identical [`ExecStats`](crate::exec::ExecStats) — to the
-//! sequential run.
+//! with its own counters. What a worker opens is the plan as planned: the
+//! driving leaf ([`Access`]) already carries its pushed predicates,
+//! residual and column set, so nothing is compiled or chosen per morsel,
+//! and eligibility matches that leaf directly. The per-morsel outputs are
+//! then merged in morsel order — rows concatenated, aggregation groups
+//! folded in first-seen order — and emitted through the optional
+//! `Distinct` on the calling thread. That makes every parallel plan
+//! produce byte-identical rows — and identical
+//! [`ExecStats`](crate::exec::ExecStats) — to the sequential run.
 //!
 //! Only plan shapes whose output order is a pure function of morsel order
 //! are eligible; anything else (sorts, limits, nested-loop joins, index
-//! access paths) runs sequentially, a decision the planner surfaces as
+//! methods) runs sequentially, a decision the planner surfaces as
 //! the `parallel=N` line of `EXPLAIN`. Tables too small to amortize the
 //! hand-off (fewer than two morsels' worth of rows) also run
 //! sequentially.
@@ -39,35 +42,32 @@ use crate::exec::{
     access_spans, aggregate_groups, build_side, emit_merged, group_morsel, run_morsel, Groups,
     PlanRun, Span, StatsCell,
 };
-use crate::plan::Plan;
+use crate::plan::{Access, AccessMethod, Plan};
 use crate::pool::WorkerPool;
 
 /// A parsed parallel-eligible plan:
 /// `[Distinct] ( Chain | Project(Chain) | [Project] HashJoin(Chain, Chain) | Aggregate(Chain) )`
-/// where `Chain = Filter* (Scan)`.
+/// where `Chain = Filter* (full-scan leaf)`.
 struct Shape<'p> {
     /// Width of the `Distinct` on top, if any; it runs after the merge.
     distinct: Option<usize>,
     /// The plan below the optional `Distinct`: what each worker runs
     /// over its morsel.
     body: &'p Plan,
-    /// The driving access path — the `Scan` of the (probe) chain, or the
-    /// `Filter` directly over it — whose segments become the morsels.
-    leaf: &'p Plan,
+    /// The driving leaf — the full scan of the (probe) chain — whose
+    /// segments become the morsels.
+    leaf: &'p Access,
     /// The hash join in `body`, whose right side the driver builds once.
     join: Option<&'p Plan>,
     /// Every table the shape scans, for the small-input cutover.
     tables: Vec<&'p str>,
 }
 
-/// The access path and table at the bottom of a `Filter* (Scan)` chain.
-fn chain_leaf(plan: &Plan) -> Option<(&Plan, &str)> {
+/// The full-scan leaf at the bottom of a `Filter*` chain.
+fn chain_leaf(plan: &Plan) -> Option<&Access> {
     match plan {
-        Plan::Scan { table, .. } => Some((plan, table)),
-        Plan::Filter { input, .. } => match &**input {
-            Plan::Scan { table, .. } => Some((plan, table)),
-            inner => chain_leaf(inner),
-        },
+        Plan::Access(access) if access.method == AccessMethod::Full => Some(access),
+        Plan::Filter { input, .. } => chain_leaf(input),
         _ => None,
     }
 }
@@ -84,13 +84,12 @@ fn parse_shape(plan: &Plan) -> Option<Shape<'_>> {
     };
     let (leaf, join, tables) = match below {
         Plan::HashJoin { left, right, .. } if may_join => {
-            let (leaf, probe) = chain_leaf(left)?;
-            let (_, build) = chain_leaf(right)?;
-            (leaf, Some(below), vec![probe, build])
+            let (leaf, build) = (chain_leaf(left)?, chain_leaf(right)?);
+            (leaf, Some(below), vec![&*leaf.table, &*build.table])
         }
         chain => {
-            let (leaf, table) = chain_leaf(chain)?;
-            (leaf, None, vec![table])
+            let leaf = chain_leaf(chain)?;
+            (leaf, None, vec![&*leaf.table])
         }
     };
     Some(Shape {
@@ -194,7 +193,7 @@ fn run_shape(
     } = shape.body
     {
         let parts = morsel_map(pool, workers, 1, morsels.len(), |i| {
-            group_morsel(input, group_by, items, storage, morsels[i.start].clone())
+            group_morsel(input, group_by, storage, morsels[i.start].clone())
         })?;
         let mut groups = Groups::default();
         for (part, part_stats) in parts {

@@ -3,7 +3,11 @@
 //! The seed engine's pull-everything executor, retained as the semantic
 //! oracle for the streaming executor in [`crate::exec`]: every operator
 //! produces its fully materialized rows with the simplest possible
-//! implementation, over the same bound plan. The property tests run
+//! implementation, over the same bound plan. A leaf is read the obvious
+//! way — every row its method yields, kept when the leaf's *whole*
+//! predicate evaluates true under [`eval_predicate`] — so the oracle never
+//! touches a segment kernel and does not depend on how the planner split
+//! the predicate between kernels and residual. The property tests run
 //! randomized queries through both executors and require row-for-row
 //! identical output, including order — so the hash join here always
 //! builds on the right input and probes with the left, matching the
@@ -17,7 +21,7 @@ use crate::db::Storage;
 use crate::error::RelResult;
 use crate::exec::{compare_rows, index_leaf_ids, materialize_aggregates};
 use crate::expr::{eval, eval_predicate};
-use crate::plan::Plan;
+use crate::plan::{AccessMethod, LeafOutput, Plan};
 use crate::sql::ast::Expr;
 use crate::table::Row;
 use crate::value::Value;
@@ -25,11 +29,31 @@ use crate::value::Value;
 /// Executes a plan by materializing every operator's full output.
 pub fn execute_plan(plan: &Plan, storage: &Storage) -> RelResult<Vec<Row>> {
     match plan {
-        Plan::Scan { table, .. } => Ok(storage.table(table)?.scan().map(|(_, r)| r).collect()),
-        Plan::IndexScan { table, .. } | Plan::KeywordScan { table, .. } => {
-            let t = storage.table(table)?;
-            let ids = index_leaf_ids(plan, storage)?;
-            Ok(ids.into_iter().filter_map(|id| t.get(id)).collect())
+        Plan::Access(access) => {
+            let t = storage.table(&access.table)?;
+            let candidates: Vec<Row> = match access.method {
+                AccessMethod::Full => t.scan().map(|(_, r)| r).collect(),
+                _ => index_leaf_ids(access, storage)?
+                    .into_iter()
+                    .filter_map(|id| t.get(id))
+                    .collect(),
+            };
+            let mut out = Vec::new();
+            for row in candidates {
+                let keep = match &access.predicate {
+                    Some(predicate) => eval_predicate(predicate, &row)?,
+                    None => true,
+                };
+                if keep {
+                    out.push(match &access.output {
+                        LeafOutput::Projected(cols) => {
+                            cols.iter().map(|&c| row[c].clone()).collect()
+                        }
+                        _ => row,
+                    });
+                }
+            }
+            Ok(out)
         }
         Plan::Filter { input, predicate } => {
             let mut out = Vec::new();

@@ -1,13 +1,21 @@
-//! Logical query plans.
+//! Query plans.
 //!
 //! The planner compiles a parsed `SELECT` into a tree of these operators;
 //! the executor interprets the tree. The shapes mirror what the paper's
 //! §3.2 describes observing in Oracle's plans: index-driven access paths
 //! chosen "by meticulous analysis of the query plans", hash joins for the
 //! cross-database equi-joins of Figure 11, and filtered scans elsewhere.
+//!
+//! Every table is read by one leaf, [`Plan::Access`], and everything about
+//! *how* it is read is a field of that leaf, decided once by the planner:
+//! the method, which conjuncts the segment kernels enforce, which are left
+//! to a per-row residual, and which columns are materialized. The
+//! executors decide none of it again, and [`Plan::describe`] prints all of
+//! it — the plan `EXPLAIN` shows is the plan that runs.
 
 use std::ops::Bound;
 
+use crate::segment::{CmpOp, SimplePred};
 use crate::sql::ast::{Expr, OrderKey};
 use crate::value::Value;
 
@@ -27,6 +35,149 @@ pub enum IndexAccess {
     },
 }
 
+/// How an [`Access`] leaf finds its candidate rows.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub enum AccessMethod {
+    /// Every live row of the table, in insertion (document) order. At run
+    /// time zone maps may skip segments no pushed predicate can match.
+    #[default]
+    Full,
+    /// A B-tree index probe; the rows come back in insertion order.
+    Index {
+        /// Index name.
+        index: String,
+        /// How the index is probed.
+        access: IndexAccess,
+    },
+    /// An inverted keyword index lookup (serves `CONTAINS`).
+    Keyword {
+        /// Index name.
+        index: String,
+        /// The keyword(s) looked up.
+        keyword: String,
+    },
+}
+
+/// Which columns an [`Access`] leaf materializes, and in what layout.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub enum LeafOutput {
+    /// Table layout, every column — a leaf no pruning rule has visited.
+    #[default]
+    All,
+    /// Table layout with only these columns materialized (ascending table
+    /// positions); the rest come out `NULL`, which nothing above reads.
+    Pruned(Vec<usize>),
+    /// Exactly these columns, in this order: a bare-column `Project`
+    /// folded into the leaf.
+    Projected(Vec<usize>),
+}
+
+/// The one way a plan reads a table: method, predicate split and column
+/// set, all decided by the planner (`planner::choose_access` and
+/// `planner::prune_columns`).
+///
+/// Invariant: on the rows `method` yields, `pushed` ∧ `residual` accepts
+/// exactly the rows `predicate` accepts, and raises exactly the errors it
+/// raises. [`Access::new`] starts with the whole predicate as the
+/// residual, so a leaf no rule has visited already runs correctly.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Access {
+    /// Table name.
+    pub table: String,
+    /// Binding alias.
+    pub alias: String,
+    /// The table's column names in schema order, filled in by
+    /// [`crate::bind::bind_plan`]; what `describe` names columns by.
+    pub columns: Vec<String>,
+    /// How candidate rows are found.
+    pub method: AccessMethod,
+    /// The table's whole predicate, bound to table positions. The
+    /// reference interpreter evaluates this and nothing else, so the
+    /// oracle stays independent of the split below.
+    pub predicate: Option<Expr>,
+    /// Conjuncts the segment kernels (and zone maps) enforce row-exactly.
+    pub pushed: Vec<SimplePred>,
+    /// What is left to evaluate per surviving row.
+    pub residual: Option<Expr>,
+    /// The columns materialized, and their layout.
+    pub output: LeafOutput,
+}
+
+impl Access {
+    /// A full scan of `table` under `alias` keeping the rows `predicate`
+    /// accepts, before any planner rule has looked at it.
+    pub fn new(table: &str, alias: &str, predicate: Option<Expr>) -> Access {
+        Access {
+            table: table.to_string(),
+            alias: alias.to_string(),
+            residual: predicate.clone(),
+            predicate,
+            ..Access::default()
+        }
+    }
+
+    fn describe(&self) -> String {
+        let Access { table, alias, .. } = self;
+        let head = match &self.method {
+            AccessMethod::Full => format!("Scan {table} AS {alias}"),
+            AccessMethod::Index { index, access } => {
+                let how = match access {
+                    IndexAccess::Exact(values) => format!("exact({} cols)", values.len()),
+                    IndexAccess::Range { prefix, .. } => {
+                        format!("range(prefix {} cols)", prefix.len())
+                    }
+                };
+                format!("IndexScan {table} AS {alias} USING {index} {how}")
+            }
+            AccessMethod::Keyword { index, keyword } => {
+                format!("KeywordScan {table} AS {alias} USING {index} FOR {keyword:?}")
+            }
+        };
+        let name = |col: &usize| match self.columns.get(*col) {
+            Some(name) => name.clone(),
+            None => format!("#{col}"),
+        };
+        let names = |cols: &[usize]| cols.iter().map(name).collect::<Vec<_>>().join(", ");
+        let pushed: Vec<String> = self
+            .pushed
+            .iter()
+            .map(|p| {
+                let lit = match &p.lit {
+                    Value::Text(text) => format!("'{text}'"),
+                    other => other.to_string(),
+                };
+                format!("{alias}.{} {} {lit}", name(&p.col), p.op.symbol())
+            })
+            .collect();
+        let residual = self.residual.as_ref().map_or(String::new(), |expr| {
+            crate::view::render_expr(expr).unwrap_or_else(|_| "?".into())
+        });
+        let output = match &self.output {
+            LeafOutput::All => "cols=[*]".to_string(),
+            LeafOutput::Pruned(cols) => format!("cols=[{}]", names(cols)),
+            LeafOutput::Projected(cols) => format!("project=[{}]", names(cols)),
+        };
+        format!(
+            "{head} pushed=[{}] residual=[{residual}] {output}",
+            pushed.join(", ")
+        )
+    }
+}
+
+impl CmpOp {
+    /// The operator as SQL spells it.
+    fn symbol(self) -> &'static str {
+        match self {
+            CmpOp::Eq => "=",
+            CmpOp::Ne => "<>",
+            CmpOp::Lt => "<",
+            CmpOp::Le => "<=",
+            CmpOp::Gt => ">",
+            CmpOp::Ge => ">=",
+        }
+    }
+}
+
 /// One output column of a projection: expression plus output name.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProjectItem {
@@ -36,39 +187,12 @@ pub struct ProjectItem {
     pub name: String,
 }
 
-/// A logical plan operator.
+/// A plan operator.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Plan {
-    /// Full scan of a table bound under `alias`.
-    Scan {
-        /// Table name.
-        table: String,
-        /// Binding alias.
-        alias: String,
-    },
-    /// B-tree index scan.
-    IndexScan {
-        /// Table name.
-        table: String,
-        /// Binding alias.
-        alias: String,
-        /// Index name.
-        index: String,
-        /// How the index is probed.
-        access: IndexAccess,
-    },
-    /// Inverted keyword index scan (serves `CONTAINS`).
-    KeywordScan {
-        /// Table name.
-        table: String,
-        /// Binding alias.
-        alias: String,
-        /// Index name.
-        index: String,
-        /// The keyword(s) looked up.
-        keyword: String,
-    },
-    /// Predicate filter.
+    /// The leaf: one table read, with its single-table predicate.
+    Access(Box<Access>),
+    /// Predicate filter over a non-leaf input (a leaf carries its own).
     Filter {
         /// Input operator.
         input: Box<Plan>,
@@ -165,6 +289,12 @@ pub enum Plan {
     },
 }
 
+impl From<Access> for Plan {
+    fn from(access: Access) -> Plan {
+        Plan::Access(Box::new(access))
+    }
+}
+
 /// A sort key: projected column position plus direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SortKey {
@@ -197,27 +327,7 @@ impl Plan {
     /// rendering so both views stay in sync.
     pub fn describe(&self) -> String {
         match self {
-            Plan::Scan { table, alias } => format!("Scan {table} AS {alias}"),
-            Plan::IndexScan {
-                table,
-                alias,
-                index,
-                access,
-            } => {
-                let how = match access {
-                    IndexAccess::Exact(values) => format!("exact({} cols)", values.len()),
-                    IndexAccess::Range { prefix, .. } => {
-                        format!("range(prefix {} cols)", prefix.len())
-                    }
-                };
-                format!("IndexScan {table} AS {alias} USING {index} {how}")
-            }
-            Plan::KeywordScan {
-                table,
-                alias,
-                index,
-                keyword,
-            } => format!("KeywordScan {table} AS {alias} USING {index} FOR {keyword:?}"),
+            Plan::Access(access) => access.describe(),
             Plan::Filter { .. } => "Filter".to_string(),
             Plan::NestedLoopJoin { .. } => "NestedLoopJoin".to_string(),
             Plan::HashJoin {
@@ -270,7 +380,7 @@ impl Plan {
     /// This operator's inputs, in plan (and `explain`) order.
     pub fn children(&self) -> Vec<&Plan> {
         match self {
-            Plan::Scan { .. } | Plan::IndexScan { .. } | Plan::KeywordScan { .. } => Vec::new(),
+            Plan::Access(_) => Vec::new(),
             Plan::Filter { input, .. }
             | Plan::Project { input, .. }
             | Plan::Aggregate { input, .. }
@@ -288,7 +398,7 @@ impl Plan {
     /// used by tests and the index-ablation bench to assert access paths.
     pub fn uses_index(&self) -> bool {
         match self {
-            Plan::IndexScan { .. } | Plan::KeywordScan { .. } => true,
+            Plan::Access(access) => access.method != AccessMethod::Full,
             _ => self.children().into_iter().any(Plan::uses_index),
         }
     }
@@ -458,14 +568,15 @@ impl PlanExplainNode {
 mod tests {
     use super::*;
 
+    fn scan(table: &str) -> Plan {
+        Plan::from(Access::new(table, table, None))
+    }
+
     #[test]
     fn explain_renders_tree() {
         let plan = Plan::Limit {
             input: Box::new(Plan::Filter {
-                input: Box::new(Plan::Scan {
-                    table: "t".into(),
-                    alias: "t".into(),
-                }),
+                input: Box::new(scan("t")),
                 predicate: Expr::lit(1i64),
             }),
             limit: Some(5),
@@ -480,10 +591,7 @@ mod tests {
     #[test]
     fn explain_renders_topk() {
         let plan = Plan::TopK {
-            input: Box::new(Plan::Scan {
-                table: "t".into(),
-                alias: "t".into(),
-            }),
+            input: Box::new(scan("t")),
             keys: vec![SortKey {
                 column: 0,
                 descending: true,
@@ -499,23 +607,59 @@ mod tests {
 
     #[test]
     fn uses_index_detects_access_paths() {
-        let scan = Plan::Scan {
-            table: "t".into(),
-            alias: "t".into(),
-        };
-        assert!(!scan.uses_index());
-        let idx = Plan::IndexScan {
-            table: "t".into(),
-            alias: "t".into(),
-            index: "i".into(),
-            access: IndexAccess::Exact(vec![Value::Int(1)]),
-        };
+        assert!(!scan("t").uses_index());
+        let idx = Plan::from(Access {
+            method: AccessMethod::Index {
+                index: "i".into(),
+                access: IndexAccess::Exact(vec![Value::Int(1)]),
+            },
+            ..Access::new("t", "t", None)
+        });
         assert!(idx.uses_index());
         let join = Plan::NestedLoopJoin {
-            left: Box::new(scan),
+            left: Box::new(scan("t")),
             right: Box::new(idx),
             condition: None,
         };
         assert!(join.uses_index());
+    }
+
+    #[test]
+    fn the_leaf_label_says_what_went_where() {
+        let residual = Expr::Like {
+            expr: Box::new(Expr::col(Some("e"), "s")),
+            pattern: Box::new(Expr::lit("x%")),
+            negated: false,
+        };
+        let leaf = Access {
+            columns: vec!["a".into(), "b".into(), "s".into()],
+            method: AccessMethod::Index {
+                index: "i".into(),
+                access: IndexAccess::Exact(vec![Value::Int(1)]),
+            },
+            pushed: vec![SimplePred {
+                col: 1,
+                op: CmpOp::Lt,
+                lit: Value::Int(7),
+            }],
+            residual: Some(residual),
+            output: LeafOutput::Pruned(vec![0, 2]),
+            ..Access::new("t", "e", None)
+        };
+        assert_eq!(
+            Plan::from(leaf.clone()).describe(),
+            "IndexScan t AS e USING i exact(1 cols) pushed=[e.b < 7] \
+             residual=[(e.s LIKE 'x%')] cols=[a, s]"
+        );
+        let folded = Access {
+            method: AccessMethod::Full,
+            residual: None,
+            output: LeafOutput::Projected(vec![2, 0]),
+            ..leaf
+        };
+        assert_eq!(
+            Plan::from(folded).describe(),
+            "Scan t AS e pushed=[e.b < 7] residual=[] project=[s, a]"
+        );
     }
 }

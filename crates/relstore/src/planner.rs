@@ -1,17 +1,15 @@
 //! The query planner.
 //!
-//! Compiles a parsed [`SelectStmt`] into a [`PlannedQuery`] in four
-//! stages — **qualify** (step 1), **order / access path** (steps 2–4),
-//! **build** (step 5) and **bind** (step 6). Planning mirrors the paper's
-//! workflow of shaping indexes until the optimizer picks them (§3.2):
+//! Compiles a parsed [`SelectStmt`] into a [`PlannedQuery`] in five
+//! stages — **qualify** (step 1), **order** (steps 2–4), **build**
+//! (step 5), **bind** (step 6) and the **leaf rules** (steps 7–8).
+//! Planning mirrors the paper's workflow of shaping indexes until the
+//! optimizer picks them (§3.2):
 //!
 //! 1. every unqualified column reference is resolved to its table alias;
 //! 2. the `WHERE` clause and all `ON` conditions are split into conjuncts;
-//! 3. each table gets an access path — a B-tree [`Plan::IndexScan`] when a
-//!    catalog index's leading key columns are bound by equality (plus an
-//!    optional range on the next column), a [`Plan::KeywordScan`] when a
-//!    `CONTAINS` conjunct hits a keyword index, and a full [`Plan::Scan`]
-//!    otherwise — with the table's conjuncts re-applied as a filter;
+//! 3. each table becomes one leaf ([`Access`]) carrying the conjuncts that
+//!    mention only that table — a full scan for now;
 //! 4. tables join left-deep, preferring tables connected to the joined
 //!    set by an equi-join conjunct (hash join) so unrelated tables do not
 //!    cross-product early; nested loops otherwise. When every table in a
@@ -24,12 +22,29 @@
 //!    `DISTINCT` and `LIMIT` complete the tree;
 //! 6. [`bind_plan`] rewrites every column reference the finished tree
 //!    carries into a position in its operator's input row — past this
-//!    point nothing looks a column up by name.
+//!    point nothing looks a column up by name;
+//! 7. `choose_access` decides how each leaf is read: one classifier
+//!    (`sargs_of`) looks at each conjunct of the leaf's bound predicate,
+//!    and from that single reading the rule picks the method — a keyword
+//!    index for a `CONTAINS`, else the B-tree index with the longest
+//!    equality prefix (plus an optional range on the next column), else a
+//!    full scan — and splits the predicate into what the method already
+//!    guarantees (dropped), what the segment kernels enforce (`pushed`)
+//!    and what is left to evaluate per row (`residual`);
+//! 8. `prune_columns` walks the tree once from the root and gives every
+//!    leaf — under joins too — the set of columns anything above it
+//!    reads, folding a bare-column `Project` directly over a
+//!    residual-free leaf into the leaf's output layout.
+//!
+//! The executors take all of that as given: nothing downstream picks an
+//! index, compiles a predicate or computes a column mask.
 //!
 //! Alongside the operator tree, the planner emits a [`PlanEstimate`] for
 //! every node — cardinalities derived from the [`StatsCatalog`]'s row
 //! counts, min/max bounds, null fractions and NDV sketches (see
-//! `Estimator` for the selectivity model). Unbound `?` parameters get
+//! `Estimator` for the selectivity model). A leaf's predicate is counted
+//! once: `rows = table rows × selectivity(predicate)` whatever the method;
+//! the method only changes the cost. Unbound `?` parameters get
 //! placeholder selectivities, so prepared statements can be explained
 //! before binding.
 
@@ -38,8 +53,12 @@ use std::ops::Bound;
 
 use crate::bind::bind_plan;
 use crate::error::{RelError, RelResult};
-use crate::plan::{IndexAccess, Plan, PlanEstimate, PlannedQuery, ProjectItem, SortKey};
+use crate::plan::{
+    Access, AccessMethod, IndexAccess, LeafOutput, Plan, PlanEstimate, PlannedQuery, ProjectItem,
+    SortKey,
+};
 use crate::schema::Catalog;
+use crate::segment::{CmpOp, SimplePred};
 use crate::sql::ast::{BinOp, Expr, SelectItem, SelectStmt, TableRef};
 use crate::stats::StatsCatalog;
 use crate::value::Value;
@@ -97,22 +116,17 @@ pub fn plan_select(
         }
     }
 
-    // Access path per table.
+    // One leaf per table, carrying the table's own conjuncts.
     let mut inputs: Vec<(String, Plan)> = Vec::new();
     for t in &tables {
-        let own = single
-            .remove(&t.alias.to_ascii_lowercase())
-            .unwrap_or_default();
-        let scan = choose_access_path(t, &own, catalog, stats);
-        let plan = if own.is_empty() {
-            scan
-        } else {
-            Plan::Filter {
-                input: Box::new(scan),
-                predicate: and_all(own),
-            }
+        let alias = t.alias.to_ascii_lowercase();
+        // `choose_access` splits the predicate once it is bound; until
+        // then nothing runs this leaf, so it carries no residual copy.
+        let leaf = Access {
+            predicate: single.remove(&alias).map(and_all),
+            ..Access::new(&t.table, &t.alias, None)
         };
-        inputs.push((t.alias.to_ascii_lowercase(), plan));
+        inputs.push((alias, Plan::from(leaf)));
     }
 
     // Expand the select list into project items. This happens *before*
@@ -299,8 +313,8 @@ pub fn plan_select(
             } else {
                 // Build-side invariant: the executor buffers the *right*
                 // input of a HashJoin. Left-deep construction guarantees
-                // that input is always a single table's access path
-                // (possibly filtered), never an intermediate join result,
+                // that input is always a single table's leaf, never an
+                // intermediate join result,
                 // so build memory is bounded by one base table while the
                 // growing join product streams through as the probe.
                 // Within that bound the cost-based reorder above already
@@ -394,8 +408,10 @@ pub fn plan_select(
             }
         }
     }
-    let estimate = estimator.estimate(&plan);
     bind_plan(&mut plan, catalog)?;
+    let everything = vec![true; width(&plan)];
+    finish_leaves(&mut plan, everything, catalog, stats);
+    let estimate = estimator.estimate(&plan);
     Ok(PlannedQuery {
         plan,
         visible,
@@ -823,23 +839,23 @@ impl Estimator<'_> {
             .collect();
         let floor = |r: f64| r.max(1.0);
         let (rows, cost) = match plan {
-            Plan::Scan { table, .. } => {
-                let rows = self.table_rows(table);
-                (rows, rows)
-            }
-            Plan::IndexScan {
-                table,
-                index,
-                access,
-                ..
-            } => {
-                let sel = self.index_selectivity(table, index, access);
-                let rows = self.table_rows(table).map(|r| floor(r * sel));
-                (rows, rows)
-            }
-            Plan::KeywordScan { table, .. } => {
-                let rows = self.table_rows(table).map(|r| floor(r * KEYWORD_SEL));
-                (rows, rows)
+            Plan::Access(access) => {
+                // The predicate counts once, whatever enforces it; the
+                // method only decides how many rows are read to get there.
+                let table = self.table_rows(&access.table);
+                let rows = match &access.predicate {
+                    Some(predicate) => table.map(|r| floor(r * self.selectivity(predicate))),
+                    None => table,
+                };
+                let read = |fraction: f64| table.map(|r| floor(r * fraction));
+                let cost = match &access.method {
+                    AccessMethod::Full => table,
+                    AccessMethod::Index { index, access: how } => {
+                        read(self.index_selectivity(&access.table, index, how))
+                    }
+                    AccessMethod::Keyword { .. } => read(KEYWORD_SEL),
+                };
+                (rows, cost)
             }
             Plan::Filter { predicate, .. } => {
                 let input = &children[0];
@@ -1068,191 +1084,113 @@ impl Resolver<'_> {
     }
 }
 
-/// Chooses the cheapest access path for one table given its single-table
-/// conjuncts (already alias-resolved). When the table carries `ANALYZE`d
-/// statistics, a partially-bound index whose estimated selectivity would
-/// still return most of the table loses to a plain scan.
-pub(crate) fn choose_access_path(
-    t: &TableRef,
-    conjuncts: &[Expr],
+// ---------------------------------------------------------------------------
+// The leaf rules: access path and column set
+// ---------------------------------------------------------------------------
+
+/// Runs the planner's last two rules over a bound plan: every leaf gets
+/// its access path, then its column set, where `needed` marks the columns
+/// of `plan`'s own output that its consumer reads.
+fn finish_leaves(plan: &mut Plan, needed: Vec<bool>, catalog: &Catalog, stats: &StatsCatalog) {
+    fn each_leaf(plan: &mut Plan, rule: &mut dyn FnMut(&mut Access)) {
+        match plan {
+            Plan::Access(access) => rule(access),
+            Plan::Filter { input, .. }
+            | Plan::Project { input, .. }
+            | Plan::Aggregate { input, .. }
+            | Plan::Sort { input, .. }
+            | Plan::TopK { input, .. }
+            | Plan::Distinct { input, .. }
+            | Plan::Limit { input, .. } => each_leaf(input, rule),
+            Plan::NestedLoopJoin { left, right, .. } | Plan::HashJoin { left, right, .. } => {
+                each_leaf(left, rule);
+                each_leaf(right, rule);
+            }
+        }
+    }
+    each_leaf(plan, &mut |access| choose_access(access, catalog, stats));
+    prune_columns(plan, needed);
+}
+
+/// The leaf `UPDATE`/`DELETE` find their target rows with: `table`'s rows
+/// matching `filter`, planned by the same rules as a query's leaves and
+/// materializing only what its residual reads.
+pub(crate) fn plan_access(
+    table: &str,
+    filter: Option<&Expr>,
     catalog: &Catalog,
     stats: &StatsCatalog,
-) -> Plan {
-    // Collect sargable constraints per column (lowercase names).
-    let mut eq: BTreeMap<String, Value> = BTreeMap::new();
-    let mut ranges: BTreeMap<String, (Bound<Value>, Bound<Value>)> = BTreeMap::new();
-    let mut keywords: Vec<(String, String)> = Vec::new();
-    for c in conjuncts {
-        collect_sargs(c, &mut eq, &mut ranges, &mut keywords);
-    }
-
-    // Keyword index first: a CONTAINS hit through the inverted index is the
-    // paper's purpose-built fast path for keyword queries.
-    for (col, kw) in &keywords {
-        for def in catalog.indexes_on(&t.table) {
-            if def.keyword && def.columns[0].eq_ignore_ascii_case(col) {
-                return Plan::KeywordScan {
-                    table: t.table.clone(),
-                    alias: t.alias.clone(),
-                    index: def.name.clone(),
-                    keyword: kw.clone(),
-                };
-            }
-        }
-    }
-
-    // Best B-tree index: longest equality prefix, range extension breaks ties.
-    let mut best: Option<(usize, bool, Plan)> = None;
-    for def in catalog.indexes_on(&t.table) {
-        if def.keyword {
-            continue;
-        }
-        let mut values = Vec::new();
-        for col in &def.columns {
-            match eq.get(&col.to_ascii_lowercase()) {
-                Some(v) => values.push(v.clone()),
-                None => break,
-            }
-        }
-        let matched = values.len();
-        let range_col = def.columns.get(matched).map(|c| c.to_ascii_lowercase());
-        let range = range_col.as_ref().and_then(|c| ranges.get(c)).cloned();
-        let candidate = if matched == 0 && range.is_none() {
-            continue;
-        } else if let Some((lower, upper)) = range {
-            (
-                matched,
-                true,
-                Plan::IndexScan {
-                    table: t.table.clone(),
-                    alias: t.alias.clone(),
-                    index: def.name.clone(),
-                    access: IndexAccess::Range {
-                        prefix: values,
-                        lower,
-                        upper,
-                    },
-                },
-            )
-        } else {
-            (
-                matched,
-                false,
-                Plan::IndexScan {
-                    table: t.table.clone(),
-                    alias: t.alias.clone(),
-                    index: def.name.clone(),
-                    access: IndexAccess::Exact(values),
-                },
-            )
-        };
-        let better = match &best {
-            None => true,
-            Some((m, r, _)) => candidate.0 > *m || (candidate.0 == *m && candidate.1 && !r),
-        };
-        if better {
-            best = Some(candidate);
-        }
-    }
-    if let Some((_, _, plan)) = best {
-        // Index-vs-scan cost check: a partially-bound composite index can
-        // be less selective than it looks structurally. With statistics,
-        // estimate the fraction of the table it returns; chasing an index
-        // for more than half the table costs more than scanning it.
-        if let Plan::IndexScan { index, access, .. } = &plan {
-            let analyzed = stats
-                .table(&t.table)
-                .is_some_and(crate::stats::TableStats::analyzed);
-            if analyzed {
-                let aliases = BTreeMap::from([(t.alias.to_ascii_lowercase(), t.table.clone())]);
-                let est = Estimator {
-                    catalog,
-                    stats,
-                    aliases: &aliases,
-                };
-                if est.index_selectivity(&t.table, index, access) > 0.5 {
-                    return Plan::Scan {
-                        table: t.table.clone(),
-                        alias: t.alias.clone(),
-                    };
-                }
-            }
-        }
-        return plan;
-    }
-    Plan::Scan {
-        table: t.table.clone(),
-        alias: t.alias.clone(),
+) -> RelResult<Access> {
+    let mut plan = Plan::from(Access::new(table, table, filter.cloned()));
+    bind_plan(&mut plan, catalog)?;
+    let nothing = vec![false; width(&plan)];
+    finish_leaves(&mut plan, nothing, catalog, stats);
+    match plan {
+        Plan::Access(access) => Ok(*access),
+        _ => unreachable!("the rules keep a leaf a leaf"),
     }
 }
 
-/// Extracts index-usable constraints from one conjunct.
-fn collect_sargs(
-    c: &Expr,
-    eq: &mut BTreeMap<String, Value>,
-    ranges: &mut BTreeMap<String, (Bound<Value>, Bound<Value>)>,
-    keywords: &mut Vec<(String, String)>,
-) {
-    fn col_name(e: &Expr) -> Option<String> {
-        match e {
-            Expr::Column { name, .. } => Some(name.to_ascii_lowercase()),
-            _ => None,
+/// Whether evaluating `expr` can never return an error: only literals,
+/// bound column references, comparisons, `AND`/`OR`/`NOT`,
+/// `IS NULL`, `IN` and `BETWEEN`. Arithmetic (overflow, division),
+/// `LIKE`/`CONTAINS`/`MATCHES` (type errors), parameters and aggregates
+/// are all fallible. Kernels may pre-filter only under a predicate that is
+/// infallible as a whole: early-dropping a row must not suppress an error
+/// the reference executor would raise.
+fn expr_infallible(expr: &Expr) -> bool {
+    match expr {
+        Expr::Literal(_) => true,
+        Expr::Column { ordinal, .. } => ordinal.is_some(),
+        Expr::Binary { op, .. }
+            if !(op.is_comparison() || matches!(op, BinOp::And | BinOp::Or)) =>
+        {
+            false
         }
+        Expr::Binary { .. }
+        | Expr::Not(_)
+        | Expr::IsNull { .. }
+        | Expr::InList { .. }
+        | Expr::Between { .. } => expr.children().into_iter().all(expr_infallible),
+        _ => false,
     }
-    fn literal(e: &Expr) -> Option<Value> {
-        match e {
-            Expr::Literal(v) if !v.is_null() => Some(v.clone()),
-            _ => None,
-        }
-    }
-    match c {
+}
+
+/// The one conjunct classifier: what a conjunct of a leaf's bound
+/// predicate says in the only vocabulary kernels, zone maps and B-tree
+/// indexes share. `column <cmp> literal` (either orientation) is one
+/// [`SimplePred`]; a non-negated `column BETWEEN literal AND literal` is
+/// its `>=`/`<=` pair; anything else is `None`.
+///
+/// The kernels mirror [`Value::compare`] for every column/literal type
+/// combination (cross-type and NULL comparisons drop everything, just as
+/// three-valued logic drops false-or-unknown), so a conjunct that
+/// classifies is enforced row-exactly by its kernels and needs no
+/// re-evaluation.
+fn sargs_of(conjunct: &Expr) -> Option<Vec<SimplePred>> {
+    let column = |e: &Expr| match e {
+        Expr::Column { ordinal, .. } => *ordinal,
+        _ => None,
+    };
+    let pred = |col, op, lit: &Value| SimplePred {
+        col,
+        op,
+        lit: lit.clone(),
+    };
+    match conjunct {
         Expr::Binary { op, left, right } if op.is_comparison() => {
-            // Normalize to column-op-literal.
-            let (col, val, op) = match (col_name(left), literal(right)) {
-                (Some(c), Some(v)) => (c, v, *op),
-                _ => match (col_name(right), literal(left)) {
-                    (Some(c), Some(v)) => {
-                        let flipped = match op {
-                            BinOp::Lt => BinOp::Gt,
-                            BinOp::Le => BinOp::Ge,
-                            BinOp::Gt => BinOp::Lt,
-                            BinOp::Ge => BinOp::Le,
-                            other => *other,
-                        };
-                        (c, v, flipped)
-                    }
-                    _ => return,
-                },
+            let op = match op {
+                BinOp::Eq => CmpOp::Eq,
+                BinOp::Ne => CmpOp::Ne,
+                BinOp::Lt => CmpOp::Lt,
+                BinOp::Le => CmpOp::Le,
+                BinOp::Gt => CmpOp::Gt,
+                _ => CmpOp::Ge,
             };
-            match op {
-                BinOp::Eq => {
-                    eq.insert(col, val);
-                }
-                BinOp::Lt => {
-                    let r = ranges
-                        .entry(col)
-                        .or_insert((Bound::Unbounded, Bound::Unbounded));
-                    r.1 = Bound::Excluded(val);
-                }
-                BinOp::Le => {
-                    let r = ranges
-                        .entry(col)
-                        .or_insert((Bound::Unbounded, Bound::Unbounded));
-                    r.1 = Bound::Included(val);
-                }
-                BinOp::Gt => {
-                    let r = ranges
-                        .entry(col)
-                        .or_insert((Bound::Unbounded, Bound::Unbounded));
-                    r.0 = Bound::Excluded(val);
-                }
-                BinOp::Ge => {
-                    let r = ranges
-                        .entry(col)
-                        .or_insert((Bound::Unbounded, Bound::Unbounded));
-                    r.0 = Bound::Included(val);
-                }
-                _ => {}
+            match (&**left, &**right) {
+                (col, Expr::Literal(lit)) => Some(vec![pred(column(col)?, op, lit)]),
+                (Expr::Literal(lit), col) => Some(vec![pred(column(col)?, op.flip(), lit)]),
+                _ => None,
             }
         }
         Expr::Between {
@@ -1260,17 +1198,303 @@ fn collect_sargs(
             low,
             high,
             negated: false,
+        } => match (&**low, &**high) {
+            (Expr::Literal(lo), Expr::Literal(hi)) => {
+                let col = column(expr)?;
+                Some(vec![pred(col, CmpOp::Ge, lo), pred(col, CmpOp::Le, hi)])
+            }
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// Rule: the access path. Reads each conjunct of the leaf's bound
+/// predicate once ([`sargs_of`]), picks the method ([`choose_method`]),
+/// and splits the predicate three ways: conjuncts the method enforces by
+/// itself are dropped; the rest go to the kernels where they classify —
+/// and only if the predicate as a whole is infallible — and to the
+/// residual otherwise, in their original order.
+fn choose_access(access: &mut Access, catalog: &Catalog, stats: &StatsCatalog) {
+    let Some(predicate) = &access.predicate else {
+        return;
+    };
+    let pushable = expr_infallible(predicate);
+    let mut conjuncts = Vec::new();
+    split_conjuncts(predicate.clone(), &mut conjuncts);
+    let sargs: Vec<_> = conjuncts.iter().map(sargs_of).collect();
+    let (method, enforced) = choose_method(access, &conjuncts, &sargs, catalog, stats);
+    let mut residual = Vec::new();
+    access.pushed.clear();
+    for (i, (conjunct, sargs)) in conjuncts.into_iter().zip(sargs).enumerate() {
+        match sargs {
+            _ if enforced.contains(&i) => {}
+            Some(preds) if pushable => access.pushed.extend(preds),
+            _ => residual.push(conjunct),
+        }
+    }
+    access.method = method;
+    access.residual = (!residual.is_empty()).then(|| and_all(residual));
+}
+
+/// The cheapest method for a leaf, and the positions of the conjuncts it
+/// enforces by itself: the `column = literal` conjuncts whose literals
+/// became the key of an index probe. The index compares keys by
+/// [`Value::total_cmp`], which equates exactly what SQL `=` equates as
+/// long as the literal is neither NULL nor NaN, so those are never keys.
+/// Range conjuncts bound a probe but stay in the predicate.
+///
+/// When the table carries `ANALYZE`d statistics, a partially-bound index
+/// whose estimated selectivity would still return most of the table loses
+/// to a plain scan.
+fn choose_method(
+    access: &Access,
+    conjuncts: &[Expr],
+    sargs: &[Option<Vec<SimplePred>>],
+    catalog: &Catalog,
+    stats: &StatsCatalog,
+) -> (AccessMethod, Vec<usize>) {
+    let indexes = catalog.indexes_on(&access.table);
+    let position = |name: &String| {
+        access
+            .columns
+            .iter()
+            .position(|c| c.eq_ignore_ascii_case(name))
+    };
+
+    // Keyword index first: a CONTAINS hit through the inverted index is the
+    // paper's purpose-built fast path for keyword queries.
+    for conjunct in conjuncts {
+        let Expr::Contains { column, keyword } = conjunct else {
+            continue;
+        };
+        let (Expr::Column { ordinal, .. }, Expr::Literal(Value::Text(keyword))) =
+            (&**column, &**keyword)
+        else {
+            continue;
+        };
+        let on_column = indexes
+            .iter()
+            .find(|def| def.keyword && ordinal.is_some() && position(&def.columns[0]) == *ordinal);
+        if let Some(def) = on_column {
+            let method = AccessMethod::Keyword {
+                index: def.name.clone(),
+                keyword: keyword.clone(),
+            };
+            return (method, Vec::new());
+        }
+    }
+
+    // What an index can use, per column: the literal of the last `=` (and
+    // which conjunct supplied it), and the bounds of the range conjuncts,
+    // a later one overriding an earlier one on the same side.
+    let mut eq: BTreeMap<usize, (&Value, usize)> = BTreeMap::new();
+    let mut ranges: BTreeMap<usize, (Bound<Value>, Bound<Value>)> = BTreeMap::new();
+    for (i, preds) in sargs.iter().enumerate() {
+        for pred in preds.iter().flatten() {
+            if pred.lit.is_null() || matches!(pred.lit, Value::Float(f) if f.is_nan()) {
+                continue;
+            }
+            match pred.op {
+                CmpOp::Eq => {
+                    eq.insert(pred.col, (&pred.lit, i));
+                }
+                CmpOp::Ne => {}
+                op => {
+                    let range = ranges
+                        .entry(pred.col)
+                        .or_insert((Bound::Unbounded, Bound::Unbounded));
+                    let lit = pred.lit.clone();
+                    match op {
+                        CmpOp::Lt => range.1 = Bound::Excluded(lit),
+                        CmpOp::Le => range.1 = Bound::Included(lit),
+                        CmpOp::Gt => range.0 = Bound::Excluded(lit),
+                        _ => range.0 = Bound::Included(lit),
+                    }
+                }
+            }
+        }
+    }
+
+    // Best B-tree index: longest equality prefix, range extension breaks ties.
+    let mut best: Option<(usize, bool, &str, IndexAccess, Vec<usize>)> = None;
+    for def in indexes.iter().filter(|def| !def.keyword) {
+        let key: Vec<Option<usize>> = def.columns.iter().map(position).collect();
+        let (mut prefix, mut enforced) = (Vec::new(), Vec::new());
+        for (value, conjunct) in key.iter().map_while(|col| eq.get(&(*col)?)) {
+            prefix.push((*value).clone());
+            enforced.push(*conjunct);
+        }
+        let matched = prefix.len();
+        let range = key.get(matched).and_then(|col| ranges.get(&(*col)?));
+        if matched == 0 && range.is_none() {
+            continue;
+        }
+        let better = best.as_ref().is_none_or(|(m, ranged, ..)| {
+            matched > *m || (matched == *m && range.is_some() && !ranged)
+        });
+        if better {
+            let how = match range.cloned() {
+                Some((lower, upper)) => IndexAccess::Range {
+                    prefix,
+                    lower,
+                    upper,
+                },
+                None => IndexAccess::Exact(prefix),
+            };
+            best = Some((matched, range.is_some(), &def.name, how, enforced));
+        }
+    }
+    let Some((_, _, index, how, enforced)) = best else {
+        return (AccessMethod::Full, Vec::new());
+    };
+    // Index-vs-scan cost check: a partially-bound composite index can be
+    // less selective than it looks structurally. With statistics, estimate
+    // the fraction of the table it returns; chasing an index for more than
+    // half the table costs more than scanning it.
+    let analyzed = stats
+        .table(&access.table)
+        .is_some_and(crate::stats::TableStats::analyzed);
+    if analyzed {
+        let aliases = BTreeMap::from([(access.alias.to_ascii_lowercase(), access.table.clone())]);
+        let est = Estimator {
+            catalog,
+            stats,
+            aliases: &aliases,
+        };
+        if est.index_selectivity(&access.table, index, &how) > 0.5 {
+            return (AccessMethod::Full, Vec::new());
+        }
+    }
+    let method = AccessMethod::Index {
+        index: index.to_string(),
+        access: how,
+    };
+    (method, enforced)
+}
+
+/// The width of the rows `plan` emits.
+fn width(plan: &Plan) -> usize {
+    match plan {
+        Plan::Access(access) => match &access.output {
+            LeafOutput::Projected(cols) => cols.len(),
+            _ => access.columns.len(),
+        },
+        Plan::Project { items, .. } | Plan::Aggregate { items, .. } => items.len(),
+        Plan::HashJoin {
+            left, semi: true, ..
+        } => width(left),
+        Plan::NestedLoopJoin { left, right, .. } | Plan::HashJoin { left, right, .. } => {
+            width(left) + width(right)
+        }
+        Plan::Filter { input, .. }
+        | Plan::Sort { input, .. }
+        | Plan::TopK { input, .. }
+        | Plan::Distinct { input, .. }
+        | Plan::Limit { input, .. } => width(input),
+    }
+}
+
+/// Marks every row position `expr` reads.
+fn reads(expr: &Expr, needed: &mut [bool]) {
+    match expr {
+        Expr::Column {
+            ordinal: Some(i), ..
+        } => needed[*i] = true,
+        other => other.children().into_iter().for_each(|e| reads(e, needed)),
+    }
+}
+
+/// Rule: the column set. One pass from the root, carrying down which
+/// columns of each operator's output its consumer reads (`needed`); an
+/// operator adds what its own expressions read and splits the set between
+/// its inputs, so every leaf — under any number of joins — learns exactly
+/// the columns worth materializing. A `Project` of bare columns directly
+/// over a leaf with no residual folds into the leaf, which then emits
+/// rows in projected layout.
+fn prune_columns(plan: &mut Plan, mut needed: Vec<bool>) {
+    fn read_by<'e>(exprs: impl Iterator<Item = &'e Expr>, input: &Plan) -> Vec<bool> {
+        let mut needed = vec![false; width(input)];
+        exprs.for_each(|e| reads(e, &mut needed));
+        needed
+    }
+    match plan {
+        Plan::Access(access) => {
+            if let Some(residual) = &access.residual {
+                reads(residual, &mut needed);
+            }
+            let cols = (0..needed.len()).filter(|&c| needed[c]).collect();
+            access.output = LeafOutput::Pruned(cols);
+        }
+        Plan::Project { input, items, .. } => {
+            let bare: Option<Vec<usize>> = items
+                .iter()
+                .map(|item| match &item.expr {
+                    Expr::Column { ordinal, .. } => *ordinal,
+                    _ => None,
+                })
+                .collect();
+            if let (Plan::Access(access), Some(cols)) = (&mut **input, bare) {
+                if access.residual.is_none() {
+                    let mut access = std::mem::take(access);
+                    access.output = LeafOutput::Projected(cols);
+                    *plan = Plan::Access(access);
+                    return;
+                }
+            }
+            let needed = read_by(items.iter().map(|i| &i.expr), input);
+            prune_columns(input, needed);
+        }
+        Plan::Aggregate {
+            input,
+            group_by,
+            items,
+            ..
         } => {
-            if let (Some(col), Some(lo), Some(hi)) = (col_name(expr), literal(low), literal(high)) {
-                ranges.insert(col, (Bound::Included(lo), Bound::Included(hi)));
-            }
+            let exprs = group_by.iter().chain(items.iter().map(|i| &i.expr));
+            let needed = read_by(exprs, input);
+            prune_columns(input, needed);
         }
-        Expr::Contains { column, keyword } => {
-            if let (Some(col), Some(Value::Text(kw))) = (col_name(column), literal(keyword)) {
-                keywords.push((col, kw));
-            }
+        Plan::Filter { input, predicate } => {
+            reads(predicate, &mut needed);
+            prune_columns(input, needed);
         }
-        _ => {}
+        Plan::NestedLoopJoin {
+            left,
+            right,
+            condition,
+        } => {
+            if let Some(condition) = condition {
+                reads(condition, &mut needed);
+            }
+            let right_needed = needed.split_off(width(left));
+            prune_columns(left, needed);
+            prune_columns(right, right_needed);
+        }
+        Plan::HashJoin {
+            left,
+            right,
+            left_keys,
+            right_keys,
+            residual,
+            ..
+        } => {
+            let left_width = width(left);
+            // A semi join emits the left row only, but still reads both.
+            needed.resize(left_width + width(right), false);
+            if let Some(residual) = residual {
+                reads(residual, &mut needed);
+            }
+            let mut right_needed = needed.split_off(left_width);
+            left_keys.iter().for_each(|k| reads(k, &mut needed));
+            right_keys.iter().for_each(|k| reads(k, &mut right_needed));
+            prune_columns(left, needed);
+            prune_columns(right, right_needed);
+        }
+        Plan::Sort { input, .. }
+        | Plan::TopK { input, .. }
+        | Plan::Distinct { input, .. }
+        | Plan::Limit { input, .. } => prune_columns(input, needed),
     }
 }
 
@@ -1328,9 +1552,10 @@ mod tests {
         plan_select(&stmt, &catalog(), &StatsCatalog::default()).unwrap()
     }
 
-    fn find_scan(plan: &Plan) -> &Plan {
+    /// The leftmost leaf.
+    fn find_scan(plan: &Plan) -> &Access {
         match plan {
-            Plan::Scan { .. } | Plan::IndexScan { .. } | Plan::KeywordScan { .. } => plan,
+            Plan::Access(access) => access,
             Plan::Filter { input, .. }
             | Plan::Project { input, .. }
             | Plan::Aggregate { input, .. }
@@ -1345,31 +1570,40 @@ mod tests {
     #[test]
     fn full_scan_without_predicates() {
         let p = plan("SELECT val FROM elements");
-        assert!(matches!(find_scan(&p.plan), Plan::Scan { .. }));
+        assert_eq!(find_scan(&p.plan).method, AccessMethod::Full);
         assert_eq!(p.visible, 1);
     }
 
     #[test]
     fn equality_picks_index() {
         let p = plan("SELECT val FROM elements WHERE path = '/a/b'");
-        match find_scan(&p.plan) {
-            Plan::IndexScan {
+        let leaf = find_scan(&p.plan);
+        match &leaf.method {
+            AccessMethod::Index {
                 index,
                 access: IndexAccess::Exact(values),
-                ..
             } => {
                 assert_eq!(index, "idx_path");
                 assert_eq!(values, &vec![Value::Text("/a/b".into())]);
             }
             other => panic!("expected index scan, got {other:?}"),
         }
+        // The probe enforces the conjunct that supplied its key: nothing
+        // is left for the kernels or the residual, and the bare-column
+        // projection folds into the leaf.
+        assert!(
+            leaf.pushed.is_empty() && leaf.residual.is_none(),
+            "{leaf:?}"
+        );
+        assert_eq!(leaf.output, LeafOutput::Projected(vec![3]));
+        assert!(leaf.predicate.is_some());
     }
 
     #[test]
     fn composite_equality_uses_both_columns() {
         let p = plan("SELECT val FROM elements WHERE path = '/a' AND ord = 3");
-        match find_scan(&p.plan) {
-            Plan::IndexScan {
+        match &find_scan(&p.plan).method {
+            AccessMethod::Index {
                 access: IndexAccess::Exact(values),
                 ..
             } => {
@@ -1382,8 +1616,9 @@ mod tests {
     #[test]
     fn range_after_prefix() {
         let p = plan("SELECT val FROM elements WHERE path = '/a' AND ord BETWEEN 2 AND 9");
-        match find_scan(&p.plan) {
-            Plan::IndexScan {
+        let leaf = find_scan(&p.plan);
+        match &leaf.method {
+            AccessMethod::Index {
                 access:
                     IndexAccess::Range {
                         prefix,
@@ -1398,24 +1633,97 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+        // The range only bounds the probe; it stays with the kernels.
+        let pushed: Vec<_> = leaf.pushed.iter().map(|p| (p.col, p.op)).collect();
+        assert_eq!(pushed, [(2, CmpOp::Ge), (2, CmpOp::Le)]);
+        assert!(leaf.residual.is_none(), "{leaf:?}");
     }
 
     #[test]
     fn contains_picks_keyword_index() {
         let p = plan("SELECT val FROM elements WHERE CONTAINS(val, 'cdc6')");
-        match find_scan(&p.plan) {
-            Plan::KeywordScan { index, keyword, .. } => {
+        let leaf = find_scan(&p.plan);
+        match &leaf.method {
+            AccessMethod::Keyword { index, keyword } => {
                 assert_eq!(index, "kw_val");
                 assert_eq!(keyword, "cdc6");
             }
             other => panic!("{other:?}"),
         }
+        // CONTAINS is fallible and the index's tokens are not its
+        // definition: it is re-checked per row.
+        assert_eq!(leaf.residual, leaf.predicate);
+    }
+
+    #[test]
+    fn a_probe_drops_only_the_conjunct_that_supplied_its_key() {
+        let p = plan("SELECT val FROM elements WHERE path = '/a' AND path = '/b'");
+        let leaf = find_scan(&p.plan);
+        match &leaf.method {
+            AccessMethod::Index {
+                access: IndexAccess::Exact(values),
+                ..
+            } => assert_eq!(values, &vec![Value::Text("/b".into())]),
+            other => panic!("{other:?}"),
+        }
+        // The other `=` still has to hold: it goes to the kernels.
+        let pushed: Vec<_> = leaf.pushed.iter().map(|p| (p.col, &p.lit)).collect();
+        assert_eq!(pushed, [(1, &Value::Text("/a".into()))]);
+        assert!(leaf.residual.is_none(), "{leaf:?}");
+        // NULL equals itself as an index key but nothing under SQL `=`:
+        // it is never a key.
+        let p = plan("SELECT val FROM elements WHERE path = NULL");
+        assert_eq!(find_scan(&p.plan).method, AccessMethod::Full);
+    }
+
+    #[test]
+    fn a_fallible_predicate_pushes_nothing() {
+        let p = plan("SELECT val FROM elements WHERE path = '/a' AND ord > 2 AND val LIKE 'x%'");
+        let leaf = find_scan(&p.plan);
+        assert!(matches!(
+            &leaf.method,
+            AccessMethod::Index {
+                access: IndexAccess::Range { .. },
+                ..
+            }
+        ));
+        // `LIKE` can raise, so no kernel may drop a row early; the probe
+        // still enforces `path = '/a'`, and the rest is evaluated per row
+        // in its original order.
+        assert!(leaf.pushed.is_empty(), "{leaf:?}");
+        let mut rest = Vec::new();
+        split_conjuncts(leaf.residual.clone().unwrap(), &mut rest);
+        assert_eq!(rest.len(), 2, "{rest:?}");
+        assert!(matches!(rest[0], Expr::Binary { op: BinOp::Gt, .. }));
+        assert!(matches!(rest[1], Expr::Like { .. }));
+        assert_eq!(leaf.output, LeafOutput::Pruned(vec![2, 3]));
+    }
+
+    #[test]
+    fn every_leaf_under_a_join_learns_its_columns() {
+        let p = plan(
+            "SELECT e.val FROM elements e, attrs a WHERE e.doc_id = a.doc_id AND a.aname = 'x'",
+        );
+        let Plan::Project { input, .. } = &p.plan else {
+            panic!("{}", p.plan.explain());
+        };
+        let Plan::HashJoin { left, right, .. } = &**input else {
+            panic!("{}", p.plan.explain());
+        };
+        let (Plan::Access(e), Plan::Access(a)) = (&**left, &**right) else {
+            panic!("{}", p.plan.explain());
+        };
+        // `e` feeds the join key and the projection; `a` only the key —
+        // its `aname = 'x'` is checked by a kernel, never materialized.
+        assert_eq!(e.output, LeafOutput::Pruned(vec![0, 3]));
+        assert_eq!(a.output, LeafOutput::Pruned(vec![0]));
+        assert_eq!(a.pushed.len(), 1);
     }
 
     #[test]
     fn non_sargable_predicate_scans() {
         let p = plan("SELECT val FROM elements WHERE val LIKE '%x%'");
-        assert!(matches!(find_scan(&p.plan), Plan::Scan { .. }));
+        assert_eq!(find_scan(&p.plan).method, AccessMethod::Full);
         assert!(!p.plan.uses_index());
     }
 
@@ -1598,10 +1906,12 @@ mod tests {
             Plan::Sort { input, keys } => {
                 assert_eq!(keys[0].column, 1); // hidden key appended after `val`
                 assert!(keys[0].descending);
+                // Both items are bare columns, so the projection folded
+                // into the leaf: `val`, then the hidden `ord`.
                 match input.as_ref() {
-                    Plan::Project { items, visible, .. } => {
-                        assert_eq!(*visible, 1);
-                        assert_eq!(items.len(), 2);
+                    Plan::Access(leaf) => {
+                        assert_eq!(p2.visible, 1);
+                        assert_eq!(leaf.output, LeafOutput::Projected(vec![3, 2]));
                     }
                     other => panic!("{other:?}"),
                 }

@@ -1407,11 +1407,8 @@ mod tests {
     }
 
     fn scan_plan() -> Arc<PlannedQuery> {
-        use crate::plan::{Plan, PlanEstimate};
-        let plan = Plan::Scan {
-            table: "t".into(),
-            alias: "t".into(),
-        };
+        use crate::plan::{Access, Plan, PlanEstimate};
+        let plan = Plan::from(Access::new("t", "t", None));
         let estimate = PlanEstimate::unknown(&plan);
         Arc::new(PlannedQuery {
             plan,

@@ -57,6 +57,19 @@ impl CmpOp {
             CmpOp::Ge => ord.is_ge(),
         }
     }
+
+    /// Mirrors the operator across the operands: `lit op col` ⇢
+    /// `col op.flip() lit`.
+    pub fn flip(self) -> CmpOp {
+        match self {
+            CmpOp::Eq => CmpOp::Eq,
+            CmpOp::Ne => CmpOp::Ne,
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::Le => CmpOp::Ge,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::Ge => CmpOp::Le,
+        }
+    }
 }
 
 /// A sargable conjunct `column <op> literal`, extracted from a filter
@@ -399,27 +412,10 @@ impl Segment {
         self.cols.iter().map(|c| c.value(slot)).collect()
     }
 
-    /// Materializes the row at `slot` into `buf`, filling only the
-    /// columns selected by `mask` (others become `Null`). With no mask
-    /// every column is materialized.
-    pub fn row_into(&self, slot: usize, mask: Option<&[bool]>, buf: &mut Vec<Value>) {
-        buf.clear();
-        match mask {
-            None => buf.extend(self.cols.iter().map(|c| c.value(slot))),
-            Some(mask) => buf.extend(self.cols.iter().zip(mask).map(|(c, &keep)| {
-                if keep {
-                    c.value(slot)
-                } else {
-                    Value::Null
-                }
-            })),
-        }
-    }
-
     /// Materializes column `col` for every slot in `sel`, appending one
     /// value to `out[k]` for slot `sel[k]`. The `ColumnData` match is
     /// hoisted out of the per-slot loop: this is the columnar gather
-    /// backing the fused scan-project path, where an entire segment's
+    /// behind a leaf's kernel-selected batches, where an entire span's
     /// surviving slots materialize one column at a time.
     pub fn gather_column(&self, col: usize, sel: &[u32], out: &mut [Vec<Value>]) {
         let c = &self.cols[col];
@@ -743,14 +739,5 @@ mod tests {
         let (min, max) = seg.zone(0).bounds().unwrap();
         assert_eq!(min, &Value::Text("bb".into())); // old bound kept
         assert_eq!(max, &Value::Text("zz".into()));
-    }
-
-    #[test]
-    fn masked_materialization_nulls_unused_columns() {
-        let mut seg = Segment::new(&[DataType::Int, DataType::Text]);
-        seg.push(0, &[Value::Int(7), Value::Text("long string".into())], 0);
-        let mut buf = Vec::new();
-        seg.row_into(0, Some(&[true, false]), &mut buf);
-        assert_eq!(buf, vec![Value::Int(7), Value::Null]);
     }
 }

@@ -13,11 +13,11 @@ use std::sync::Arc;
 
 use crate::bind::{bind_expr, RowSchema};
 use crate::error::{RelError, RelResult};
-use crate::exec::index_leaf_ids;
-use crate::expr::{eval, eval_predicate};
+use crate::exec::matching_ids;
+use crate::expr::eval;
 use crate::index::BTreeIndex;
 use crate::schema::{Catalog, IndexDef, TableSchema};
-use crate::sql::ast::{Expr, Statement, TableRef};
+use crate::sql::ast::{Expr, Statement};
 use crate::sql::parser::parse_statement;
 use crate::stats::StatsCatalog;
 use crate::table::{Row, RowId, Table};
@@ -504,45 +504,19 @@ impl Storage {
 
     /// Rows of `table` matching `filter` (all rows when `None`).
     ///
-    /// DML gets the same index-driven access paths as queries: the
-    /// filter's sargable conjuncts go through the planner's access-path
-    /// selection, so `DELETE ... WHERE doc_id = 7` touches only the
-    /// matching rows instead of scanning the table — which is what makes
-    /// the Data Hounds' per-entry incremental updates cheaper than a full
-    /// reload.
+    /// DML reads its table exactly as a query would: the planner's leaf
+    /// rules pick the access path and split the filter, and the leaf
+    /// cursor selects the ids — so `DELETE ... WHERE doc_id = 7` touches
+    /// only the matching rows instead of scanning the table, which is what
+    /// makes the Data Hounds' per-entry incremental updates cheaper than a
+    /// full reload.
     fn matching_rows(&self, table: &str, filter: Option<&Expr>) -> RelResult<Vec<RowId>> {
-        use crate::plan::Plan;
-        let t = self.table(table)?;
-        let Some(filter) = filter else {
-            return Ok(t.scan().map(|(id, _)| id).collect());
-        };
-        if filter.has_aggregate() {
+        self.table(table)?;
+        if filter.is_some_and(Expr::has_aggregate) {
             return Err(RelError::Eval("aggregate in DML predicate".into()));
         }
-        let filter = bind_expr(filter, &dml_schema(t))?;
-        // Candidate row ids from the best index, else a full scan.
-        let mut conjuncts = Vec::new();
-        crate::planner::split_conjuncts(filter.clone(), &mut conjuncts);
-        let table_ref = TableRef {
-            table: table.to_string(),
-            alias: table.to_string(),
-        };
-        let access =
-            crate::planner::choose_access_path(&table_ref, &conjuncts, &self.catalog, &self.stats);
-        let candidates: Vec<RowId> = match access {
-            Plan::Scan { .. } => t.scan().map(|(id, _)| id).collect(),
-            leaf => index_leaf_ids(&leaf, self)?,
-        };
-        // The full filter is re-checked on every candidate (index access
-        // only covers the sargable prefix).
-        let mut ids = Vec::with_capacity(candidates.len());
-        for id in candidates {
-            let Some(row) = t.get(id) else { continue };
-            if eval_predicate(&filter, &row)? {
-                ids.push(id);
-            }
-        }
-        Ok(ids)
+        let access = crate::planner::plan_access(table, filter, &self.catalog, &self.stats)?;
+        matching_ids(&access, self)
     }
 
     /// Whether `name` is a materialized view's backing table.

@@ -77,6 +77,18 @@ pub(crate) fn cmp_int_float(i: i64, f: f64) -> Option<Ordering> {
     })
 }
 
+/// `-0.0` as `+0.0`: SQL `=` ([`Value::compare`]) equates the two zeros, so
+/// the identity of index keys, hash-join keys, group keys and `DISTINCT`
+/// ([`Value::total_cmp`], `Hash`) must too. Only the key changes; the
+/// stored (and logged) float keeps its sign.
+fn zero_as_one_key(f: f64) -> f64 {
+    if f == 0.0 {
+        0.0
+    } else {
+        f
+    }
+}
+
 impl Value {
     /// The value's runtime type, or `None` for NULL.
     pub fn data_type(&self) -> Option<DataType> {
@@ -154,7 +166,9 @@ impl Value {
     }
 
     /// A total order over all values, used for index keys and `ORDER BY`:
-    /// `NULL < numbers < text`; NaN sorts after all other floats.
+    /// `NULL < numbers < text`; NaN sorts after all other floats. The two
+    /// float zeros are one key (`zero_as_one_key`), so wherever
+    /// [`Value::compare`] says `Equal` this does too.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         fn rank(v: &Value) -> u8 {
             match v {
@@ -163,13 +177,12 @@ impl Value {
                 Value::Text(_) => 2,
             }
         }
-        // An Int against a NaN or negative-zero float has no exact answer;
-        // treat the integer as its +0.0/non-NaN self under f64::total_cmp
-        // (so -NaN < Int < +NaN, and Int(0) sorts after Float(-0.0)),
-        // which keeps this a total order agreeing with Float-vs-Float.
+        // An Int against a NaN float has no exact answer; treat the
+        // integer as its non-NaN self under f64::total_cmp (so
+        // -NaN < Int < +NaN), which keeps this a total order agreeing
+        // with Float-vs-Float.
         fn int_vs_float(i: i64, f: f64) -> Ordering {
             match cmp_int_float(i, f) {
-                Some(Ordering::Equal) if f == 0.0 && f.is_sign_negative() => Ordering::Greater,
                 Some(ord) => ord,
                 None if f.is_sign_positive() => Ordering::Less,
                 None => Ordering::Greater,
@@ -179,7 +192,9 @@ impl Value {
             (Value::Null, Value::Null) => Ordering::Equal,
             (Value::Int(a), Value::Int(b)) => a.cmp(b),
             (Value::Text(a), Value::Text(b)) => a.cmp(b),
-            (Value::Float(a), Value::Float(b)) => a.total_cmp(b),
+            (Value::Float(a), Value::Float(b)) => {
+                zero_as_one_key(*a).total_cmp(&zero_as_one_key(*b))
+            }
             (Value::Int(a), Value::Float(b)) => int_vs_float(*a, *b),
             (Value::Float(a), Value::Int(b)) => int_vs_float(*b, *a).reverse(),
             (a, b) => rank(a).cmp(&rank(b)),
@@ -209,7 +224,7 @@ impl std::hash::Hash for Value {
             // Hash every numeric through its f64 bits so Int(2) and
             // Float(2.0) — equal under total_cmp — hash identically.
             Value::Int(i) => (*i as f64).to_bits().hash(state),
-            Value::Float(f) => f.to_bits().hash(state),
+            Value::Float(f) => zero_as_one_key(*f).to_bits().hash(state),
             Value::Text(s) => s.hash(state),
         }
     }
@@ -382,6 +397,28 @@ mod tests {
         set.insert(Value::Int(2));
         assert!(set.contains(&Value::Float(2.0)));
         assert_eq!(Value::Int(2), Value::Float(2.0));
+    }
+
+    #[test]
+    fn the_two_zeros_are_one_key() {
+        use std::collections::HashSet;
+        let (neg, pos) = (Value::Float(-0.0), Value::Float(0.0));
+        assert_eq!(neg.compare(&pos), Some(Ordering::Equal));
+        assert_eq!(neg.total_cmp(&pos), Ordering::Equal);
+        assert_eq!(neg.total_cmp(&Value::Int(0)), Ordering::Equal);
+        assert_eq!(Value::Int(0).total_cmp(&neg), Ordering::Equal);
+        let set: HashSet<Value> = [neg.clone()].into();
+        assert!(set.contains(&pos) && set.contains(&Value::Int(0)));
+        // Still a total order around zero.
+        let below = Value::Float(-f64::MIN_POSITIVE);
+        assert_eq!(below.total_cmp(&neg), Ordering::Less);
+        assert_eq!(below.total_cmp(&pos), Ordering::Less);
+        assert_eq!(
+            neg.total_cmp(&Value::Float(f64::MIN_POSITIVE)),
+            Ordering::Less
+        );
+        // The stored float keeps its sign.
+        assert!(matches!(neg, Value::Float(f) if f.is_sign_negative()));
     }
 
     #[test]

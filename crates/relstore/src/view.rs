@@ -890,7 +890,7 @@ fn render_float(f: f64) -> String {
     }
 }
 
-fn render_expr(expr: &Expr) -> RelResult<String> {
+pub(crate) fn render_expr(expr: &Expr) -> RelResult<String> {
     Ok(match expr {
         Expr::Literal(v) => render_value(v)?,
         Expr::Param(_) => {

@@ -743,3 +743,47 @@ fn dml_uses_indexes_for_sargable_filters() {
         4
     );
 }
+
+/// SQL `=` equates `-0.0` and `0.0`, so everything keyed on values — a
+/// B-tree probe, a hash join (streaming and reference), `DISTINCT` and
+/// `GROUP BY` — must too: the answer cannot depend on whether an index
+/// exists or on which join operator the planner picked.
+#[test]
+fn the_two_float_zeros_are_one_key_everywhere() {
+    let db = Database::in_memory();
+    db.query("CREATE TABLE t (f FLOAT)").run().unwrap();
+    db.query("CREATE TABLE u (g FLOAT)").run().unwrap();
+    for zero in [-0.0f64, 0.0] {
+        db.query("INSERT INTO t VALUES (?)")
+            .bind(zero)
+            .run()
+            .unwrap();
+    }
+    db.query("INSERT INTO u VALUES (0.0)").run().unwrap();
+    let count = |sql: &str, reference: bool| {
+        let query = db.query(sql);
+        let query = if reference {
+            query.via_reference()
+        } else {
+            query
+        };
+        query.run().unwrap().rows.len()
+    };
+    // The float and the integer spelling of zero, by scan and by index.
+    let float_zero = "SELECT f FROM t WHERE f = 0.0";
+    let int_zero = "SELECT f FROM t WHERE f = 0";
+    assert_eq!((count(float_zero, false), count(int_zero, false)), (2, 2));
+    db.query("CREATE INDEX t_f ON t (f)").run().unwrap();
+    assert!(db.query(float_zero).planned().unwrap().plan.uses_index());
+    assert_eq!((count(float_zero, false), count(int_zero, false)), (2, 2));
+    // The same join as a hash join and as the equivalent nested loop.
+    let hash = "SELECT t.f FROM t, u WHERE t.f = u.g";
+    let nested = "SELECT t.f FROM t, u WHERE t.f <= u.g AND t.f >= u.g";
+    let explain = db.query(hash).explain().unwrap().render();
+    assert!(explain.contains("HashJoin"), "{explain}");
+    assert_eq!(count(nested, false), 2);
+    assert_eq!(count(hash, false), 2, "streaming hash join");
+    assert_eq!(count(hash, true), 2, "reference hash join");
+    assert_eq!(count("SELECT DISTINCT f FROM t", false), 1);
+    assert_eq!(count("SELECT COUNT(*) FROM t GROUP BY f", false), 1);
+}

@@ -7,7 +7,7 @@ use std::sync::{Arc, RwLock, RwLockReadGuard};
 
 use xomatiq_obs::trace::{self, TraceCtx};
 use xomatiq_obs::MemoryTraceSink;
-use xomatiq_relstore::{Database, PlanExplainNode, Value};
+use xomatiq_relstore::{Database, DatabaseOptions, OpProfile, PlanExplainNode, Value};
 
 /// The metrics registry is process-global and every test here plans
 /// queries. Tests hold this shared; the one test that asserts an exact
@@ -55,15 +55,27 @@ fn golden_profile_over_three_operator_plan() {
     assert_eq!(analyzed.rows.rows().len(), 3);
     let rendered = analyzed.render_analysis().unwrap();
     let got = normalize(&rendered);
-    // `a < 3` is sargable, so the vectorized kernel drops non-matching
-    // rows inside the scan: the Scan node emits the 3 survivors and the
-    // Filter merely re-confirms them. The true scan volume (and the
-    // zone-map outcome) lives in the footer counters.
-    let want = "\
-Project [a]  [rows_in=3 rows_out=3 self=_]
-  Filter  [rows_in=3 rows_out=3 self=_]
-    Scan big AS big  [rows_in=3 rows_out=3 self=_]";
+    // `a < 3` is sargable and the projection is a bare column, so the
+    // whole query is one leaf: the kernel enforces the predicate, nothing
+    // is left for a residual, and the survivors come out already
+    // projected. The true scan volume (and the zone-map outcome) lives in
+    // the footer counters.
+    let want = "Scan big AS big pushed=[big.a < 3] residual=[] project=[a]  \
+                [rows_in=3 rows_out=3 self=_]";
     assert_eq!(got, want);
+
+    // A predicate the kernels cannot take stays with the leaf as its
+    // residual, and a computed item keeps the Project above it.
+    let analyzed = db
+        .query("SELECT a + 1 FROM big WHERE a < 3 AND b LIKE 'row%'")
+        .with_profile()
+        .run()
+        .unwrap();
+    let want = "\
+Project [col0]  [rows_in=3 rows_out=3 self=_]
+  Scan big AS big pushed=[] residual=[((big.a < 3) AND (big.b LIKE 'row%'))] cols=[a, b]  \
+     [rows_in=3 rows_out=3 self=_]";
+    assert_eq!(normalize(&analyzed.render_analysis().unwrap()), want);
     // The footer carries the executor counters.
     assert!(rendered.contains("rows scanned: 1000"), "{rendered}");
     assert!(rendered.contains("segments pruned: 0"), "{rendered}");
@@ -103,7 +115,7 @@ fn filter_join_topk_times_sum_to_total_within_ten_percent() {
     let rendered = analyzed.render_analysis().unwrap();
     assert!(rendered.contains("TopK 5 OFFSET 0"), "{rendered}");
     assert!(rendered.contains("HashJoin"), "{rendered}");
-    assert!(rendered.contains("Filter"), "{rendered}");
+    assert!(rendered.contains("pushed=[f.v < 10000]"), "{rendered}");
     let mut stack = vec![profile];
     let mut ops = 0usize;
     while let Some(node) = stack.pop() {
@@ -216,6 +228,89 @@ fn analyze_reports_index_and_keyword_counters() {
     let stats = analyzed.stats.unwrap();
     assert_eq!(stats.index_probes, 1);
     assert_eq!(stats.keyword_postings_read, 10);
+}
+
+/// `EXPLAIN ANALYZE` is the run: a profiled execution opens the same
+/// cursors over the same plan as a plain one — sequential or
+/// morsel-parallel — so it reports the same rows and the same counters,
+/// and the leaf it prints is the leaf `EXPLAIN` prints. (Profiled runs
+/// used to skip the fused scan and print a `Filter` that "re-confirmed"
+/// rows a kernel had already selected.)
+#[test]
+fn a_profiled_run_is_the_plain_run() {
+    let _planning = planning();
+    // Morsels of 64 rows, so four workers really split these scans.
+    let db = Database::in_memory_with_options(DatabaseOptions {
+        morsel_size: 64,
+        ..DatabaseOptions::default()
+    });
+    db.query("CREATE TABLE big (a INT, b INT, s TEXT)")
+        .run()
+        .unwrap();
+    db.query("CREATE TABLE dims (id INT, name TEXT)")
+        .run()
+        .unwrap();
+    db.query("CREATE INDEX dims_id ON dims (id)").run().unwrap();
+    let mut stmts: Vec<String> = (0..3_000)
+        .map(|i| format!("INSERT INTO big VALUES ({i}, {}, 'row{i}')", i % 7))
+        .collect();
+    stmts.extend((0..7).map(|i| format!("INSERT INTO dims VALUES ({i}, 'dim{i}')")));
+    let refs: Vec<&str> = stmts.iter().map(|s| s.as_str()).collect();
+    db.execute_batch(&refs).unwrap();
+
+    fn explained_leaves(node: &PlanExplainNode, out: &mut Vec<String>) {
+        if node.children.is_empty() {
+            out.push(node.op.clone());
+        }
+        node.children.iter().for_each(|c| explained_leaves(c, out));
+    }
+    fn profiled_leaves(node: &OpProfile, out: &mut Vec<String>) {
+        if node.children.is_empty() {
+            out.push(node.op.clone());
+        }
+        node.children.iter().for_each(|c| profiled_leaves(c, out));
+    }
+    for (sql, leaf) in [
+        // Fused-eligible: kernels enforce everything, bare columns fold.
+        (
+            "SELECT a, b FROM big WHERE b = 3 AND a < 50",
+            "Scan big AS big pushed=[big.b = 3, big.a < 50] residual=[] project=[a, b]",
+        ),
+        // A conjunct no kernel takes: the whole predicate is the residual.
+        (
+            "SELECT a + 0, s FROM big WHERE a < 500 AND s LIKE '%7%'",
+            "Scan big AS big pushed=[] residual=[((big.a < 500) AND (big.s LIKE '%7%'))] \
+             cols=[a, s]",
+        ),
+        // An index leaf on the build side of a join.
+        (
+            "SELECT g.a, d.name FROM big g, dims d WHERE g.b = d.id AND d.id = 3",
+            "IndexScan dims AS d USING dims_id exact(1 cols) pushed=[] residual=[] \
+             cols=[id, name]",
+        ),
+        // A parallel-eligible aggregate.
+        (
+            "SELECT b, COUNT(*) FROM big GROUP BY b",
+            "Scan big AS big pushed=[] residual=[] cols=[b]",
+        ),
+    ] {
+        let profiled = db.query(sql).with_profile().run().unwrap();
+        for workers in [1, 4] {
+            let plain = db
+                .query(sql)
+                .with_stats()
+                .with_workers(workers)
+                .run()
+                .unwrap();
+            assert_eq!(plain.rows, profiled.rows, "{sql} at {workers} workers");
+            assert_eq!(plain.stats, profiled.stats, "{sql} at {workers} workers");
+        }
+        let (mut explained, mut ran) = (Vec::new(), Vec::new());
+        explained_leaves(&db.query(sql).explain().unwrap().root, &mut explained);
+        profiled_leaves(profiled.profile.as_ref().unwrap(), &mut ran);
+        assert_eq!(explained, ran, "{sql}");
+        assert!(ran.iter().any(|l| l == leaf), "{sql}: {ran:?}");
+    }
 }
 
 /// Regression: `explain_analyzed` used to plan the statement twice — once

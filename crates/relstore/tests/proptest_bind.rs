@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 use xomatiq_relstore::bind::{bind_expr, bind_plan, ColumnBinding, RowSchema};
 use xomatiq_relstore::expr::eval;
-use xomatiq_relstore::plan::{Plan, ProjectItem};
+use xomatiq_relstore::plan::{Access, Plan, ProjectItem};
 use xomatiq_relstore::schema::{Catalog, Column, TableSchema};
 use xomatiq_relstore::sql::ast::{AggFunc, BinOp, Expr};
 use xomatiq_relstore::{DataType, RelError, Value};
@@ -149,10 +149,7 @@ fn catalog() -> Catalog {
 }
 
 fn scan(table: &str) -> Box<Plan> {
-    Box::new(Plan::Scan {
-        table: table.into(),
-        alias: table.into(),
-    })
+    Box::new(Plan::from(Access::new(table, table, None)))
 }
 
 fn col(table: &str, name: &str) -> Expr {
@@ -191,6 +188,35 @@ fn filter_binds_to_its_input_row() {
     };
     assert_eq!(ordinals(predicate), [Some(1), Some(2)]);
     assert_eq!(names(&out), ["r.k", "r.b", "r.a"]);
+}
+
+#[test]
+fn leaf_predicate_binds_to_the_table_row_under_its_alias() {
+    let predicate = eq(Expr::col(None, "B"), col("X", "a"));
+    let mut plan = Plan::from(Access::new("r", "x", Some(predicate)));
+    let out = bind_plan(&mut plan, &catalog()).unwrap();
+    let Plan::Access(leaf) = &plan else {
+        unreachable!()
+    };
+    // The whole predicate and the not-yet-split residual are both bound,
+    // and the leaf now knows its table's column names.
+    assert_eq!(
+        ordinals(leaf.predicate.as_ref().unwrap()),
+        [Some(1), Some(2)]
+    );
+    assert_eq!(leaf.residual, leaf.predicate);
+    assert_eq!(leaf.columns, ["k", "b", "a"]);
+    assert_eq!(names(&out), ["x.k", "x.b", "x.a"]);
+    // The table's own name is not in scope once aliased.
+    let mut bad = Plan::from(Access::new(
+        "r",
+        "x",
+        Some(eq(col("r", "a"), col("x", "a"))),
+    ));
+    assert_eq!(
+        bind_plan(&mut bad, &catalog()),
+        Err(RelError::UnknownColumn("r.a".into()))
+    );
 }
 
 #[test]

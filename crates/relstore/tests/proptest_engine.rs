@@ -7,26 +7,30 @@
 use proptest::prelude::*;
 use xomatiq_relstore::{Database, Value};
 
+/// One generated row of `t (a INT, b INT, s TEXT, f FLOAT)`; `f` is
+/// already spelled as SQL (`NULL`, `-0.0`, `1.5`, ...).
+type TwinRow = (i64, i64, String, &'static str);
+
 /// Builds two databases with identical data; one fully indexed.
-fn twin_dbs(rows: &[(i64, i64, String)]) -> (Database, Database) {
+fn twin_dbs(rows: &[TwinRow]) -> (Database, Database) {
     let plain = Database::in_memory();
     let indexed = Database::in_memory();
     for db in [&plain, &indexed] {
-        db.query("CREATE TABLE t (a INT, b INT, s TEXT)")
+        db.query("CREATE TABLE t (a INT, b INT, s TEXT, f FLOAT)")
             .run()
             .unwrap();
     }
-    indexed.query("CREATE INDEX idx_a ON t (a)").run().unwrap();
-    indexed
-        .query("CREATE INDEX idx_ab ON t (a, b)")
-        .run()
-        .unwrap();
-    indexed
-        .query("CREATE KEYWORD INDEX kw_s ON t (s)")
-        .run()
-        .unwrap();
-    for (a, b, s) in rows {
-        let sql = format!("INSERT INTO t VALUES ({a}, {b}, '{s}')");
+    for ddl in [
+        "CREATE INDEX idx_a ON t (a)",
+        "CREATE INDEX idx_ab ON t (a, b)",
+        "CREATE KEYWORD INDEX kw_s ON t (s)",
+        "CREATE INDEX idx_f ON t (f)",
+        "CREATE INDEX idx_fb ON t (f, b)",
+    ] {
+        indexed.query(ddl).run().unwrap();
+    }
+    for (a, b, s, f) in rows {
+        let sql = format!("INSERT INTO t VALUES ({a}, {b}, '{s}', {f})");
         plain.query(&sql).run().unwrap();
         indexed.query(&sql).run().unwrap();
     }
@@ -47,7 +51,11 @@ fn sorted_rows(db: &Database, sql: &str) -> Vec<Vec<Value>> {
     rows
 }
 
-fn row_strategy() -> impl Strategy<Value = (i64, i64, String)> {
+/// The float spellings rows and literals draw from: both zeros, NULL, and
+/// values an integer literal can and cannot equal.
+const FLOATS: [&str; 8] = ["NULL", "-0.0", "0.0", "0.5", "1.0", "1.5", "2.0", "-1.0"];
+
+fn row_strategy() -> impl Strategy<Value = TwinRow> {
     (
         0i64..20,
         0i64..10,
@@ -58,7 +66,30 @@ fn row_strategy() -> impl Strategy<Value = (i64, i64, String)> {
             "ketone group".to_string(),
             "plain".to_string(),
         ]),
+        prop::sample::select(FLOATS.to_vec()),
     )
+}
+
+/// One conjunct over `a`, `b` or `f`: a comparison or a `BETWEEN` against
+/// integer and float literals alike, so conjunctions of them repeat and
+/// contradict each other on a column and mix Int/Float comparisons.
+fn conjunct_strategy() -> impl Strategy<Value = String> {
+    let literal = || {
+        prop_oneof![
+            (-1i64..6).prop_map(|i| i.to_string()),
+            prop::sample::select(FLOATS[1..].to_vec()).prop_map(str::to_string),
+        ]
+    };
+    (
+        prop::sample::select(vec!["a", "b", "f"]),
+        prop::sample::select(vec!["=", "<>", "<", "<=", ">", ">=", "BETWEEN"]),
+        literal(),
+        literal(),
+    )
+        .prop_map(|(col, op, x, y)| match op {
+            "BETWEEN" => format!("{col} BETWEEN {x} AND {y}"),
+            op => format!("{col} {op} {x}"),
+        })
 }
 
 /// Cases per property: the file's default, or `PROPTEST_CASES` when set
@@ -79,26 +110,69 @@ proptest! {
         point in 0i64..20,
         lo in 0i64..10,
         width in 0i64..10,
+        wheres in prop::collection::vec(prop::collection::vec(conjunct_strategy(), 1..4), 4),
     ) {
         let (plain, indexed) = twin_dbs(&rows);
-        let queries = [
-            format!("SELECT a, b, s FROM t WHERE a = {point}"),
-            format!("SELECT a, b, s FROM t WHERE a = {point} AND b BETWEEN {lo} AND {}", lo + width),
-            format!("SELECT a, b, s FROM t WHERE a >= {lo} AND a <= {}", lo + width),
-            "SELECT a, b, s FROM t WHERE CONTAINS(s, 'cdc6')".to_string(),
-            "SELECT a, b, s FROM t WHERE CONTAINS(s, 'beta gamma')".to_string(),
+        let hi = lo + width;
+        let mut queries = vec![
+            format!("a = {point}"),
+            format!("a = {point} AND b BETWEEN {lo} AND {hi}"),
+            format!("a >= {lo} AND a <= {hi}"),
+            "CONTAINS(s, 'cdc6')".to_string(),
+            "CONTAINS(s, 'beta gamma')".to_string(),
+            // What decides which conjuncts an index may enforce alone:
+            // repeated and contradictory conjuncts on one column ...
+            format!("a = {point} AND a = {lo}"),
+            format!("a = {lo} AND a = {lo} AND b = {width}"),
+            format!("a > {lo} AND a > {width}"),
+            format!("a BETWEEN {lo} AND {hi} AND a > {width}"),
+            // ... a composite index's prefix plus a range ...
+            format!("a = {point} AND b >= {lo} AND b < {hi}"),
+            format!("f = 1.0 AND b > {lo} AND b <= {hi}"),
+            // ... and float keys: both zeros, Int against Float, NULLs.
+            "f = 0.0".to_string(),
+            "f = 0".to_string(),
+            "f = -0.0".to_string(),
+            "f >= 0 AND f <= 0.0".to_string(),
+            format!("f = {width} AND b = {lo}"),
+            "f IS NULL AND a < 10".to_string(),
         ];
-        for sql in &queries {
+        queries.extend(wheres.iter().map(|conjuncts| conjuncts.join(" AND ")));
+        let compare = |filter: &str| {
+            let sql = format!("SELECT a, b, s, f FROM t WHERE {filter}");
+            let sql = sql.trim_end_matches(" WHERE ");
             prop_assert_eq!(
                 sorted_rows(&plain, sql),
                 sorted_rows(&indexed, sql),
                 "diverged on {}", sql
             );
+            Ok(())
+        };
+        for filter in &queries {
+            compare(filter)?;
         }
         // And the indexed side actually used an index for the point query.
         let point_sql = format!("SELECT a FROM t WHERE a = {point}");
         let used_index = indexed.query(&point_sql).planned().unwrap().plan.uses_index();
         prop_assert!(used_index);
+
+        // DML finds its rows through the same access paths: the same
+        // statements leave both twins (and the indexed twin's indexes)
+        // in the same state.
+        let dml = [
+            format!("UPDATE t SET b = b + 1, f = 0.0 WHERE {}", queries[queries.len() - 1]),
+            format!("DELETE FROM t WHERE {}", queries[queries.len() - 2]),
+            format!("UPDATE t SET a = a + 1 WHERE a = {point} AND b >= {lo}"),
+            "DELETE FROM t WHERE f = 0".to_string(),
+        ];
+        for sql in &dml {
+            let affected = |db: &Database| db.query(sql).run().unwrap().rows.affected();
+            prop_assert_eq!(affected(&plain), affected(&indexed), "diverged on {}", sql);
+            compare("")?;
+            for filter in &queries {
+                compare(filter)?;
+            }
+        }
     }
 
     #[test]
