@@ -507,12 +507,15 @@ fn bench_exec(_c: &mut Criterion) {
     }
     drop(multi_db);
 
-    // Incremental view maintenance vs full recompute. A deferred
-    // aggregate view over n base rows; each round touches ~1% of the
-    // rows, then refreshes. The incremental path folds the committed
-    // delta log (a few hundred events) into the accumulator state; the
-    // FULL path recomputes the aggregation over all n rows. With
-    // XOMATIQ_BENCH_ENFORCE (full scale) incremental must win >= 20x.
+    // Incremental view maintenance vs full recompute. Deferred views over
+    // n base rows; each round touches ~1% of the rows, then refreshes.
+    // The incremental path folds the committed delta log (a few hundred
+    // events) into the view; the FULL path recomputes it over all n rows.
+    // Three shapes: an aggregate over one table (`view_refresh/…`), and
+    // a row view and an aggregate over an equi-join of the same n rows
+    // with a 1 000-row dimension (`view_refresh/join_…`,
+    // `view_refresh/join_agg_…`). With XOMATIQ_BENCH_ENFORCE (full
+    // scale) incremental must win >= 20x on each.
     {
         let mv_db = Database::in_memory();
         mv_db
@@ -531,49 +534,52 @@ fn bench_exec(_c: &mut Criterion) {
             )
             .run()
             .unwrap();
-        let touched = (n / 100).max(1);
-        let rounds = if n > 1_000 { 10 } else { 3 };
-        // Touch a rotating 1% band so successive rounds hit fresh rows,
-        // then time only the refresh itself (the DML cost is identical
-        // on both sides and is not what this gate is about).
-        let mut refresh_ns = |full: bool, name: &str| {
-            let sql = if full {
-                "REFRESH MATERIALIZED VIEW mv_sums FULL"
-            } else {
-                "REFRESH MATERIALIZED VIEW mv_sums"
-            };
-            mv_db.query(sql).run().unwrap(); // warmup / drain
-            let mut total = 0f64;
-            for round in 0..rounds {
-                let start_id = (round * touched) % n;
-                mv_db
-                    .query(&format!(
-                        "UPDATE mv_base SET v = v + 1 \
-                         WHERE id >= {start_id} AND id < {}",
-                        start_id + touched
-                    ))
-                    .run()
-                    .unwrap();
-                let t = Instant::now();
-                mv_db.query(sql).run().unwrap();
-                total += t.elapsed().as_nanos() as f64;
-            }
-            let ns = total / rounds as f64;
-            println!("exec/{name}: {ns:.0} ns/refresh ({touched} of {n} rows touched)");
-            rec.results.push((name.to_string(), ns));
-            ns
-        };
-        let incremental = refresh_ns(false, "view_refresh/incremental");
-        let full = refresh_ns(true, "view_refresh/full_recompute");
-        let ratio = full / incremental;
-        println!("exec/view_refresh: incremental refresh is {ratio:.1}x faster than recompute");
-        if enforce && n >= 50_000 {
-            assert!(
-                ratio >= 20.0,
-                "incremental view refresh not effective: {incremental:.0} ns vs \
-                 full recompute {full:.0} ns — only {ratio:.1}x (need >= 20x)"
-            );
+        refresh_pair(&mut rec, &mv_db, "mv_base", "mv_sums", "", n, enforce);
+
+        let join_db = Database::in_memory();
+        join_db
+            .query("CREATE TABLE mv_fact (id INT, grp INT, v INT)")
+            .run()
+            .unwrap();
+        join_db
+            .query("CREATE TABLE mv_dim (grp INT, w INT)")
+            .run()
+            .unwrap();
+        let stmts: Vec<String> = (0..n)
+            .map(|i| format!("INSERT INTO mv_fact VALUES ({i}, {}, {i})", i % 1000))
+            .chain((0..1000).map(|g| format!("INSERT INTO mv_dim VALUES ({g}, {})", g % 64)))
+            .collect();
+        let refs: Vec<&str> = stmts.iter().map(|s| s.as_str()).collect();
+        join_db.execute_batch(&refs).unwrap();
+        for (view, def) in [
+            (
+                "mv_join",
+                "SELECT f.id, f.v, d.w FROM mv_fact f JOIN mv_dim d ON f.grp = d.grp \
+                 WHERE f.v >= 0",
+            ),
+            (
+                "mv_join_agg",
+                "SELECT d.w, COUNT(*) AS cnt, SUM(f.v) AS s \
+                 FROM mv_fact f JOIN mv_dim d ON f.grp = d.grp GROUP BY d.w",
+            ),
+        ] {
+            join_db
+                .query(&format!("CREATE MATERIALIZED VIEW {view} AS {def}"))
+                .run()
+                .unwrap();
         }
+        refresh_pair(
+            &mut rec, &join_db, "mv_fact", "mv_join", "join_", n, enforce,
+        );
+        refresh_pair(
+            &mut rec,
+            &join_db,
+            "mv_fact",
+            "mv_join_agg",
+            "join_agg_",
+            n,
+            enforce,
+        );
     }
 
     // Recovery after a checkpoint: reopen latency, with the replay length
@@ -614,6 +620,60 @@ fn bench_exec(_c: &mut Criterion) {
         .push(("recovery/reopen_after_checkpoint".to_string(), reopen_ns));
 
     rec.write_json(n, cores);
+}
+
+/// Times deferred view `view`'s incremental refresh, then its FULL
+/// refresh, as `view_refresh/{prefix}incremental` and
+/// `view_refresh/{prefix}full_recompute`. Each of a few rounds bumps `v`
+/// on a rotating 1% band of `table`'s `n` rows (so successive rounds hit
+/// fresh rows) and then times only the refresh: the DML cost is the same
+/// on both sides and is not what the gate is about.
+fn refresh_pair(
+    rec: &mut Recorder,
+    db: &Database,
+    table: &str,
+    view: &str,
+    prefix: &str,
+    n: usize,
+    enforce: bool,
+) {
+    let touched = (n / 100).max(1);
+    let rounds = if n > 1_000 { 10 } else { 3 };
+    let mut refresh_ns = |full: bool, name: &str| {
+        let sql = format!(
+            "REFRESH MATERIALIZED VIEW {view}{}",
+            if full { " FULL" } else { "" }
+        );
+        db.query(&sql).run().unwrap(); // warmup / drain
+        let mut total = 0f64;
+        for round in 0..rounds {
+            let start_id = (round * touched) % n;
+            db.query(&format!(
+                "UPDATE {table} SET v = v + 1 WHERE id >= {start_id} AND id < {}",
+                start_id + touched
+            ))
+            .run()
+            .unwrap();
+            let t = Instant::now();
+            db.query(&sql).run().unwrap();
+            total += t.elapsed().as_nanos() as f64;
+        }
+        let ns = total / rounds as f64;
+        println!("exec/{name}: {ns:.0} ns/refresh ({touched} of {n} rows touched)");
+        rec.results.push((name.to_string(), ns));
+        ns
+    };
+    let incremental = refresh_ns(false, &format!("view_refresh/{prefix}incremental"));
+    let full = refresh_ns(true, &format!("view_refresh/{prefix}full_recompute"));
+    let ratio = full / incremental;
+    println!("exec/view_refresh/{view}: incremental refresh is {ratio:.1}x faster than recompute");
+    if enforce && n >= 50_000 {
+        assert!(
+            ratio >= 20.0,
+            "incremental refresh of {view} not effective: {incremental:.0} ns vs \
+             full recompute {full:.0} ns — only {ratio:.1}x (need >= 20x)"
+        );
+    }
 }
 
 /// Interleaved min-of-batches measurement of `f` with metrics disabled

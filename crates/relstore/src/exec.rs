@@ -1477,11 +1477,11 @@ fn compute_aggregate<R: AsRef<[Value]>>(
         }
         AggFunc::Min => Ok(values
             .into_iter()
-            .min_by(|a, b| a.total_cmp(b))
+            .min_by(|a, b| a.extreme_cmp(b))
             .unwrap_or(Value::Null)),
         AggFunc::Max => Ok(values
             .into_iter()
-            .max_by(|a, b| a.total_cmp(b))
+            .max_by(|a, b| a.extreme_cmp(b))
             .unwrap_or(Value::Null)),
     }
 }

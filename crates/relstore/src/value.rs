@@ -201,6 +201,17 @@ impl Value {
         }
     }
 
+    /// The order `MIN`/`MAX` pick their extreme by: [`Value::total_cmp`],
+    /// except that the two float zeros (one key there) order
+    /// `-0.0 < +0.0`, so the extreme of a multiset does not depend on the
+    /// order its values arrive in.
+    pub(crate) fn extreme_cmp(&self, other: &Value) -> Ordering {
+        self.total_cmp(other).then_with(|| match (self, other) {
+            (Value::Float(a), Value::Float(b)) => a.total_cmp(b),
+            _ => Ordering::Equal,
+        })
+    }
+
     /// Equality under [`Value::compare`] semantics (NULL equals nothing).
     pub fn sql_eq(&self, other: &Value) -> bool {
         self.compare(other) == Some(Ordering::Equal)
@@ -268,6 +279,19 @@ impl From<String> for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn extreme_cmp_orders_the_zeros_and_nothing_else() {
+        let (neg, pos) = (Value::Float(-0.0), Value::Float(0.0));
+        assert_eq!(neg.total_cmp(&pos), Ordering::Equal); // still one key
+        assert_eq!(neg.extreme_cmp(&pos), Ordering::Less);
+        assert_eq!(pos.extreme_cmp(&neg), Ordering::Greater);
+        assert_eq!(Value::Int(0).extreme_cmp(&neg), Ordering::Equal);
+        assert_eq!(
+            Value::Int(1).extreme_cmp(&Value::Float(1.5)),
+            Ordering::Less
+        );
+    }
 
     #[test]
     fn compare_numeric_coercion() {

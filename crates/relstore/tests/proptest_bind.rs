@@ -8,8 +8,9 @@
 //! (duplicate column names across aliases, mixed case, qualified and
 //! unqualified references); the hand-written cases pin, per plan node
 //! that carries expressions, *which* row each expression is bound to.
-//! (A view's `JoinMap` right-side key is pinned in `view.rs`'s unit tests,
-//! next to the crate-private analysis it belongs to.)
+//! (A view's equi-join keys, each bound to its own side's row, are pinned
+//! by `equi_keys_bind_to_their_own_side` in `view.rs`'s unit tests, next
+//! to the crate-private analysis they belong to.)
 
 use proptest::prelude::*;
 use xomatiq_relstore::bind::{bind_expr, bind_plan, ColumnBinding, RowSchema};
