@@ -21,7 +21,8 @@ pub(crate) struct IngestMetrics {
     /// first (i.e. retried transient failures).
     pub retries: Counter,
     /// `datahounds.ingest.wal_txn` — wall-time of each per-entry atomic
-    /// WAL transaction (the `execute_batch` that lands one entry).
+    /// WAL transaction (the `execute_batch` that adds, replaces or
+    /// removes one entry).
     pub wal_txn_ns: Histogram,
 }
 

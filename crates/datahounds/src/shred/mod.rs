@@ -3,13 +3,20 @@
 //! The paper stores XML in a *generic* relational schema whose exact
 //! layout is proprietary; it cites the Edge-table and region-interval
 //! literature as its inspiration, so this module implements both and the
-//! benches ablate the choice:
+//! benches ablate the choice. The two are two ways to link the same node
+//! rows — one pre-order walk emits every row, and the strategy fills only
+//! the linkage columns:
 //!
-//! * [`edge`] — one row per node with `(parent_id, ord)` links, the
-//!   classic Edge approach;
-//! * [`interval`] — one row per node with `(start, stop, level)` region
-//!   encoding (Zhang et al. \[48]), making ancestor/descendant tests a
-//!   pair of integer comparisons.
+//! * **Edge** — `node_id` is the node's arena id and `parent_id` links it
+//!   to its parent (`ord` gives its place among the siblings). Descendant
+//!   navigation needs path information, because parent links go one level
+//!   at a time.
+//! * **Interval** — region encoding after Zhang et al. \[48]: each node
+//!   carries the `(start, stop)` of its region in the walk, and `node_id`
+//!   is its `start`. Descendant-or-self is then the pure-SQL test
+//!   `d.start > a.start AND d.start < a.stop AND d.doc_id = a.doc_id` — no
+//!   recursion, no path strings — which is why the paper's literature
+//!   favours it for ancestor/descendant-heavy workloads.
 //!
 //! Both strategies share the paper's §2.2 design points:
 //!
@@ -26,11 +33,10 @@
 //! self-join per text access); the discrete text rows still exist for
 //! reconstruction and mixed content.
 
-pub mod edge;
-pub mod interval;
+use std::collections::HashMap;
 
 use xomatiq_relstore::{Database, RelResult, Value};
-use xomatiq_xml::Document;
+use xomatiq_xml::{Document, NodeId, NodeKind};
 
 use crate::error::{HoundError, HoundResult};
 
@@ -157,19 +163,6 @@ pub fn create_collection_indexes(db: &Database, prefix: &str) -> RelResult<()> {
     Ok(())
 }
 
-/// Drops a collection's tables (used by full re-loads). The keyword
-/// summary view, when one was created, must go first — a base table with
-/// dependent materialized views refuses to drop.
-pub fn drop_collection_tables(db: &Database, prefix: &str) -> RelResult<()> {
-    let _ = db
-        .query(&format!("DROP MATERIALIZED VIEW {prefix}_kw_summary"))
-        .run();
-    for table in ["docs", "nodes", "attrs", "paths"] {
-        db.query(&format!("DROP TABLE {prefix}_{table}")).run()?;
-    }
-    Ok(())
-}
-
 /// Builds the SQL statements that shred one document into the collection
 /// under `prefix`, without executing them.
 ///
@@ -189,64 +182,38 @@ pub fn shred_statements(
     let root = doc
         .root_element()
         .ok_or_else(|| HoundError::Pipeline("cannot shred an empty document".into()))?;
-    let root_name = doc
-        .node(root)
-        .name()
-        .expect("root is an element")
-        .to_string();
+    let mut rows = Rows {
+        doc,
+        doc_id,
+        strategy,
+        counter: 0,
+        nodes: Vec::new(),
+        attrs: Vec::new(),
+        paths: Vec::new(),
+        stats: ShredStats {
+            documents: 1,
+            ..ShredStats::default()
+        },
+    };
+    rows.walk(root);
 
-    let mut statements: Vec<String> = Vec::new();
-    statements.push(format!(
+    let mut statements = vec![format!(
         "INSERT INTO {prefix}_docs VALUES ({doc_id}, '{}', '{}')",
         sql_quote(entry_key),
-        sql_quote(&root_name)
-    ));
-
-    let rows = match strategy {
-        ShreddingStrategy::Edge => edge::emit_rows(doc, doc_id),
-        ShreddingStrategy::Interval => interval::emit_rows(doc, doc_id),
-    };
-
-    let mut stats = ShredStats {
-        documents: 1,
-        ..ShredStats::default()
-    };
-    let mut node_values: Vec<String> = Vec::new();
-    let mut attr_values: Vec<String> = Vec::new();
-    let mut new_paths: Vec<String> = Vec::new();
-    for row in &rows.nodes {
-        match row.kind {
-            "elem" => stats.elements += 1,
-            "text" => stats.texts += 1,
-            _ => {}
+        sql_quote(doc.node(root).name().expect("root is an element"))
+    )];
+    for (table, values) in [("nodes", &rows.nodes), ("attrs", &rows.attrs)] {
+        if !values.is_empty() {
+            statements.push(format!(
+                "INSERT INTO {prefix}_{table} VALUES {}",
+                values.join(", ")
+            ));
         }
-        node_values.push(row.values_sql(doc_id));
-        if row.kind == "elem" {
-            new_paths.push(row.path.clone());
-        }
-    }
-    for attr in &rows.attrs {
-        stats.attributes += 1;
-        attr_values.push(attr.values_sql(doc_id));
-        new_paths.push(attr.path.clone());
-    }
-
-    if !node_values.is_empty() {
-        statements.push(format!(
-            "INSERT INTO {prefix}_nodes VALUES {}",
-            node_values.join(", ")
-        ));
-    }
-    if !attr_values.is_empty() {
-        statements.push(format!(
-            "INSERT INTO {prefix}_attrs VALUES {}",
-            attr_values.join(", ")
-        ));
     }
 
     // Register any paths not yet in the paths catalog.
-    new_paths.sort();
-    new_paths.dedup();
+    rows.paths.sort();
+    rows.paths.dedup();
     let known: std::collections::HashSet<String> = db
         .query(&format!("SELECT path FROM {prefix}_paths"))
         .run()?
@@ -254,22 +221,20 @@ pub fn shred_statements(
         .into_iter()
         .filter_map(|row| row.try_get::<String>("path").ok().flatten())
         .collect();
-    let fresh: Vec<String> = new_paths
-        .into_iter()
-        .filter(|p| !known.contains(p))
+    let fresh: Vec<String> = rows
+        .paths
+        .iter()
+        .filter(|p| !known.contains(*p))
+        .map(|p| format!("('{}')", sql_quote(p)))
         .collect();
     if !fresh.is_empty() {
-        let values: Vec<String> = fresh
-            .iter()
-            .map(|p| format!("('{}')", sql_quote(p)))
-            .collect();
         statements.push(format!(
             "INSERT INTO {prefix}_paths VALUES {}",
-            values.join(", ")
+            fresh.join(", ")
         ));
     }
 
-    Ok((statements, stats))
+    Ok((statements, rows.stats))
 }
 
 /// Shreds one document into the collection under `prefix`, executing all
@@ -298,93 +263,172 @@ pub fn delete_statements(prefix: &str, doc_id: u64) -> Vec<String> {
     ]
 }
 
-/// Deletes every tuple belonging to `doc_id` in the collection.
-pub fn delete_document(db: &Database, prefix: &str, doc_id: u64) -> HoundResult<()> {
-    let statements = delete_statements(prefix, doc_id);
-    let refs: Vec<&str> = statements.iter().map(String::as_str).collect();
-    db.execute_batch(&refs)?;
-    Ok(())
-}
-
 /// Reconstructs document `doc_id` from its tuples — the storage half of
 /// the Relation2XML-Transformer (§3.3).
-pub fn reconstruct_document(
-    db: &Database,
-    prefix: &str,
-    strategy: ShreddingStrategy,
+///
+/// The rows carry their own linkage, so one loop serves both strategies.
+/// They arrive in `node_id` order, which is document order (an Interval
+/// row's `node_id` is its `start`), so parents precede children. A row
+/// finds its parent through `parent_id` when it has one (Edge), or else as
+/// the innermost open region that contains its `start` (Interval).
+pub fn reconstruct_document(db: &Database, prefix: &str, doc_id: u64) -> HoundResult<Document> {
+    let rows = db
+        .query(&format!(
+            "SELECT node_id, parent_id, stop, kind, name, val FROM {prefix}_nodes \
+             WHERE doc_id = ? ORDER BY node_id"
+        ))
+        .bind(doc_id as i64)
+        .run()?
+        .rows;
+    if rows.rows().is_empty() {
+        return Err(HoundError::Pipeline(format!(
+            "document {doc_id} has no tuples in {prefix}_nodes"
+        )));
+    }
+    let attrs = db
+        .query(&format!(
+            "SELECT owner, aname, aval FROM {prefix}_attrs WHERE doc_id = ? ORDER BY owner"
+        ))
+        .bind(doc_id as i64)
+        .run()?
+        .rows;
+
+    let mut doc = Document::new();
+    // Stored node_id → rebuilt NodeId.
+    let mut id_map: HashMap<u64, NodeId> = HashMap::new();
+    // Open regions as (rebuilt id, stop); always empty under Edge.
+    let mut open: Vec<(NodeId, u64)> = Vec::new();
+    for row in rows.rows() {
+        let node_id = cell_u64(&row[0])?;
+        while open.last().is_some_and(|(_, stop)| node_id > *stop) {
+            open.pop();
+        }
+        let parent = if row[1].is_null() {
+            open.last().map_or(NodeId::DOCUMENT, |(id, _)| *id)
+        } else {
+            *id_map.get(&cell_u64(&row[1])?).ok_or_else(|| {
+                HoundError::Pipeline(format!("node {node_id} arrived before its parent"))
+            })?
+        };
+        let name = row[4].as_text().unwrap_or("");
+        let val = row[5].as_text().unwrap_or("");
+        let new_id = match row[3].as_text().unwrap_or("") {
+            "elem" => doc.append_element(parent, name)?,
+            "text" => doc.append_text(parent, val),
+            "comment" => doc.append_comment(parent, val),
+            "pi" => doc.append_pi(parent, name, val)?,
+            other => {
+                return Err(HoundError::Pipeline(format!("unknown node kind {other:?}")));
+            }
+        };
+        if !row[2].is_null() {
+            open.push((new_id, cell_u64(&row[2])?));
+        }
+        id_map.insert(node_id, new_id);
+    }
+    for row in attrs.rows() {
+        let owner = cell_u64(&row[0])?;
+        let target = id_map
+            .get(&owner)
+            .ok_or_else(|| HoundError::Pipeline(format!("attribute owner {owner} missing")))?;
+        doc.set_attribute(
+            *target,
+            row[1].as_text().unwrap_or(""),
+            row[2].as_text().unwrap_or(""),
+        )?;
+    }
+    Ok(doc)
+}
+
+/// The rows of one document being shredded: SQL `VALUES` tuples in
+/// document order, plus every element and attribute path they use.
+struct Rows<'d> {
+    doc: &'d Document,
     doc_id: u64,
-) -> HoundResult<Document> {
-    match strategy {
-        ShreddingStrategy::Edge => edge::reconstruct(db, prefix, doc_id),
-        ShreddingStrategy::Interval => interval::reconstruct(db, prefix, doc_id),
+    strategy: ShreddingStrategy,
+    /// Region boundary counter: a node takes its `start` on entry and its
+    /// `stop` on exit.
+    counter: u64,
+    nodes: Vec<String>,
+    attrs: Vec<String>,
+    paths: Vec<String>,
+    stats: ShredStats,
+}
+
+impl Rows<'_> {
+    /// Emits the rows of `id` and its subtree in pre-order. The strategy
+    /// decides only the linkage: Edge stores the arena id as `node_id` plus
+    /// `parent_id`; Interval stores `start` as `node_id` plus `start`/`stop`.
+    fn walk(&mut self, id: NodeId) {
+        let doc = self.doc;
+        let start = self.counter;
+        self.counter += 1;
+        let (node_id, parent_id) = match self.strategy {
+            ShreddingStrategy::Edge => (
+                u64::from(id.as_u32()),
+                doc.parent(id)
+                    .filter(|p| *p != NodeId::DOCUMENT)
+                    .map_or("NULL".to_string(), |p| p.as_u32().to_string()),
+            ),
+            ShreddingStrategy::Interval => (start, "NULL".to_string()),
+        };
+        let path = doc.label_path(id);
+        let (kind, name, val, is_seq) = match doc.node(id).kind() {
+            NodeKind::Element { name, attributes } => {
+                for attr in attributes {
+                    let attr_path = format!("{path}/@{}", attr.name);
+                    self.attrs.push(format!(
+                        "({}, {node_id}, '{}', '{}', {}, '{}')",
+                        self.doc_id,
+                        sql_quote(&attr.name),
+                        sql_quote(&attr.value),
+                        opt_num(Some(&attr.value)),
+                        sql_quote(&attr_path),
+                    ));
+                    self.paths.push(attr_path);
+                }
+                self.stats.elements += 1;
+                self.stats.attributes += attributes.len();
+                self.paths.push(path.clone());
+                // The paper's sequence/non-sequence split, keyed by the
+                // transformers' `sequence` element.
+                let is_seq = name == "sequence";
+                ("elem", Some(name.as_str()), direct_text(doc, id), is_seq)
+            }
+            NodeKind::Text(t) => {
+                self.stats.texts += 1;
+                ("text", None, Some(t.clone()), false)
+            }
+            NodeKind::Comment(c) => ("comment", None, Some(c.clone()), false),
+            NodeKind::ProcessingInstruction { target, data } => {
+                ("pi", Some(target.as_str()), Some(data.clone()), false)
+            }
+            NodeKind::Document => unreachable!("the walk starts at the root element"),
+        };
+        // The row is written once its stop is known, in its pre-order slot.
+        let slot = self.nodes.len();
+        self.nodes.push(String::new());
+        for child in doc.children(id) {
+            self.walk(child);
+        }
+        let stop = self.counter;
+        self.counter += 1;
+        let region = match self.strategy {
+            ShreddingStrategy::Edge => "NULL, NULL".to_string(),
+            ShreddingStrategy::Interval => format!("{start}, {stop}"),
+        };
+        self.nodes[slot] = format!(
+            "({}, {node_id}, {parent_id}, {}, {region}, {}, '{kind}', {}, '{}', {}, {}, {})",
+            self.doc_id,
+            doc.ordinal(id),
+            doc.depth(id),
+            opt_text(name),
+            sql_quote(&path),
+            opt_text(val.as_deref()),
+            opt_num(val.as_deref()),
+            i32::from(is_seq),
+        );
     }
-}
-
-/// One node row ready for SQL emission; linkage fields depend on strategy.
-pub(crate) struct NodeRow {
-    pub node_id: u64,
-    pub parent_id: Option<u64>,
-    pub ord: u32,
-    pub start: Option<u64>,
-    pub stop: Option<u64>,
-    pub level: Option<u32>,
-    pub kind: &'static str,
-    pub name: Option<String>,
-    pub path: String,
-    pub val: Option<String>,
-    pub is_seq: bool,
-}
-
-impl NodeRow {
-    fn values_sql(&self, doc_id: u64) -> String {
-        format!(
-            "({doc_id}, {}, {}, {}, {}, {}, {}, '{}', {}, '{}', {}, {}, {})",
-            self.node_id,
-            opt_u64(self.parent_id),
-            self.ord,
-            opt_u64(self.start),
-            opt_u64(self.stop),
-            self.level
-                .map(|l| l.to_string())
-                .unwrap_or_else(|| "NULL".into()),
-            self.kind,
-            opt_text(self.name.as_deref()),
-            sql_quote(&self.path),
-            opt_text(self.val.as_deref()),
-            opt_num(self.val.as_deref()),
-            i32::from(self.is_seq),
-        )
-    }
-}
-
-/// One attribute row ready for SQL emission.
-pub(crate) struct AttrRow {
-    pub owner: u64,
-    pub aname: String,
-    pub aval: String,
-    pub path: String,
-}
-
-impl AttrRow {
-    fn values_sql(&self, doc_id: u64) -> String {
-        format!(
-            "({doc_id}, {}, '{}', '{}', {}, '{}')",
-            self.owner,
-            sql_quote(&self.aname),
-            sql_quote(&self.aval),
-            opt_num(Some(&self.aval)),
-            sql_quote(&self.path),
-        )
-    }
-}
-
-pub(crate) struct EmittedRows {
-    pub nodes: Vec<NodeRow>,
-    pub attrs: Vec<AttrRow>,
-}
-
-fn opt_u64(v: Option<u64>) -> String {
-    v.map(|x| x.to_string()).unwrap_or_else(|| "NULL".into())
 }
 
 fn opt_text(v: Option<&str>) -> String {
@@ -396,12 +440,17 @@ fn opt_text(v: Option<&str>) -> String {
 
 /// The numeric shadow value: the paper's string/numeric distinction means
 /// values that parse as numbers are *also* stored numerically so range
-/// queries compare numbers, not strings (§2.2).
+/// queries compare numbers, not strings (§2.2). It is always written as a
+/// float literal: `f64`'s `Display` prints magnitudes of 2^63 and more
+/// without a `.`, which SQL would read as an out-of-range integer.
 fn opt_num(v: Option<&str>) -> String {
     match v
         .and_then(|s| s.trim().parse::<f64>().ok())
         .filter(|f| f.is_finite())
     {
+        // `+ 0.0` turns `-0` into `0`: a zero shadow is `0.0` whatever the
+        // sign written in the text.
+        Some(f) if f.fract() == 0.0 => format!("{}.0", f + 0.0),
         Some(f) => format!("{f}"),
         None => "NULL".into(),
     }
@@ -409,7 +458,7 @@ fn opt_num(v: Option<&str>) -> String {
 
 /// The concatenated direct text content of an element, or `None` if it has
 /// no text children.
-pub(crate) fn direct_text(doc: &Document, id: xomatiq_xml::NodeId) -> Option<String> {
+fn direct_text(doc: &Document, id: NodeId) -> Option<String> {
     let mut out: Option<String> = None;
     for child in doc.children(id) {
         if let Some(t) = doc.node(child).text() {
@@ -419,15 +468,8 @@ pub(crate) fn direct_text(doc: &Document, id: xomatiq_xml::NodeId) -> Option<Str
     out
 }
 
-/// Whether an element holds biological sequence data (the paper's
-/// sequence/non-sequence split, keyed by the transformers' `sequence`
-/// element).
-pub(crate) fn is_sequence_element(name: &str) -> bool {
-    name == "sequence"
-}
-
 /// Fetches a value cell as u64 (helper for reconstruction queries).
-pub(crate) fn cell_u64(v: &Value) -> HoundResult<u64> {
+fn cell_u64(v: &Value) -> HoundResult<u64> {
     v.as_int()
         .map(|i| i as u64)
         .ok_or_else(|| HoundError::Pipeline(format!("expected integer cell, got {v}")))
@@ -455,12 +497,14 @@ mod tests {
 
     #[test]
     fn numeric_shadow_values() {
-        assert_eq!(opt_num(Some("42")), "42");
+        assert_eq!(opt_num(Some("42")), "42.0");
         assert_eq!(opt_num(Some(" 2.5 ")), "2.5");
         assert_eq!(opt_num(Some("1.14.17.3")), "NULL");
         assert_eq!(opt_num(Some("Copper")), "NULL");
         assert_eq!(opt_num(None), "NULL");
         assert_eq!(opt_num(Some("inf")), "NULL");
+        assert_eq!(opt_num(Some("1e19")), "10000000000000000000.0");
+        assert_eq!(opt_num(Some("-0")), "0.0");
     }
 
     #[test]

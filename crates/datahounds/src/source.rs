@@ -7,7 +7,7 @@
 //! (strategy, entry keys, source text for diffing) lives in warehouse
 //! tables so it survives a restart along with the data.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -23,9 +23,7 @@ use crate::shred::{
     collection_prefix, create_collection_indexes, create_collection_tables, delete_statements,
     reconstruct_document, shred_statements, sql_quote, ShredStats, ShreddingStrategy,
 };
-use crate::transform::{
-    embl_dtd, embl_to_xml, enzyme_dtd, enzyme_to_xml, swissprot_dtd, swissprot_to_xml,
-};
+use crate::transform::{embl_to_xml, enzyme_to_xml, swissprot_to_xml};
 use crate::update::{diff_snapshots, ChangeEvent, ChangeKind, TriggerHub};
 
 /// Which of the supported source databases a collection holds.
@@ -68,22 +66,18 @@ impl SourceKind {
 
     /// The built-in DTD of a flat source kind; XML sources carry their own.
     pub fn builtin_dtd(self) -> Option<Dtd> {
-        match self {
-            SourceKind::Enzyme => Some(enzyme_dtd()),
-            SourceKind::Embl => Some(embl_dtd()),
-            SourceKind::SwissProt => Some(swissprot_dtd()),
-            SourceKind::Xml => None,
-        }
+        let text = builtin_dtd_text(self)?;
+        Some(xomatiq_xml::dtd::parse_dtd(text).expect("built-in DTDs are well-formed"))
     }
 }
 
 /// The stable text of a flat source kind's DTD (for metadata storage).
-fn builtin_dtd_text(kind: SourceKind) -> &'static str {
+fn builtin_dtd_text(kind: SourceKind) -> Option<&'static str> {
     match kind {
-        SourceKind::Enzyme => crate::transform::enzyme::ENZYME_DTD_TEXT,
-        SourceKind::Embl => crate::transform::embl::EMBL_DTD_TEXT,
-        SourceKind::SwissProt => crate::transform::swissprot::SWISSPROT_DTD_TEXT,
-        SourceKind::Xml => "",
+        SourceKind::Enzyme => Some(crate::transform::enzyme::ENZYME_DTD_TEXT),
+        SourceKind::Embl => Some(crate::transform::embl::EMBL_DTD_TEXT),
+        SourceKind::SwissProt => Some(crate::transform::swissprot::SWISSPROT_DTD_TEXT),
+        SourceKind::Xml => None,
     }
 }
 
@@ -170,15 +164,7 @@ fn guess_entry_key(lines: &[&str], index: usize) -> String {
 /// Splits `flat` into entries and parses each independently: good entries
 /// become [`PreparedDoc`]s, malformed ones become [`QuarantineRecord`]s so
 /// one rotten entry cannot sink a whole harvest.
-fn prepare_flat(
-    kind: SourceKind,
-    flat: &str,
-) -> HoundResult<(Vec<PreparedDoc>, Vec<QuarantineRecord>)> {
-    if kind == SourceKind::Xml {
-        return Err(HoundError::Pipeline(
-            "XML sources have no flat form to parse".into(),
-        ));
-    }
+fn prepare_flat(kind: SourceKind, flat: &str) -> (Vec<PreparedDoc>, Vec<QuarantineRecord>) {
     let mut prepared = Vec::new();
     let mut rejected = Vec::new();
     for (i, chunk) in split_entries(flat).iter().enumerate() {
@@ -199,7 +185,19 @@ fn prepare_flat(
             }),
         }
     }
-    Ok((prepared, rejected))
+    (prepared, rejected)
+}
+
+/// Pairs caller-supplied XML documents with their serialized form, which
+/// updates diff on.
+fn prepare_xml(docs: Vec<(String, Document)>) -> Vec<PreparedDoc> {
+    docs.into_iter()
+        .map(|(key, doc)| PreparedDoc {
+            serialized: xomatiq_xml::to_string(&doc),
+            key,
+            doc,
+        })
+        .collect()
 }
 
 /// One document ready for loading: its stable key, its serialized source
@@ -210,6 +208,7 @@ struct PreparedDoc {
     doc: Document,
 }
 
+#[derive(Clone)]
 struct CollectionMeta {
     prefix: String,
     kind: SourceKind,
@@ -238,6 +237,70 @@ impl Default for LoadOptions {
             with_indexes: true,
             validate: true,
         }
+    }
+}
+
+/// The write side of one harvest into one collection: the per-entry
+/// ingest step that loads and re-syncs share.
+struct Ingest<'a> {
+    db: &'a Database,
+    /// The collection written to; `next_doc_id` advances as entries land.
+    meta: CollectionMeta,
+    validate: bool,
+    stats: ShredStats,
+    rejected: Vec<QuarantineRecord>,
+}
+
+impl Ingest<'_> {
+    /// Replaces warehoused document `old` by `new`; a missing `old` is an
+    /// addition, a missing `new` a removal. `new` is validated first: one
+    /// that fails is quarantined and `false` returned, with `old` kept —
+    /// except for XML sources, whose harvests stay all-or-nothing. The
+    /// removal, the shredded tuples and the `_src` row then go through one
+    /// atomic batch, so a crash never leaves an entry half-ingested or
+    /// half-replaced.
+    fn entry(&mut self, old: Option<u64>, new: Option<&PreparedDoc>) -> HoundResult<bool> {
+        let prefix = &self.meta.prefix;
+        let mut statements = Vec::new();
+        if let Some(old) = old {
+            statements.extend(delete_statements(prefix, old));
+            statements.push(format!("DELETE FROM {prefix}_src WHERE doc_id = {old}"));
+        }
+        if let Some(p) = new {
+            if self.validate {
+                if let Err(e) = validate(&p.doc, &self.meta.dtd) {
+                    if self.meta.kind == SourceKind::Xml {
+                        return Err(e.into());
+                    }
+                    self.rejected.push(QuarantineRecord {
+                        entry_key: p.key.clone(),
+                        reason: format!("DTD validation failed: {e}"),
+                        raw: p.serialized.clone(),
+                    });
+                    return Ok(false);
+                }
+            }
+            let doc_id = self.meta.next_doc_id;
+            let (shred, stats) =
+                shred_statements(self.db, prefix, self.meta.strategy, doc_id, &p.key, &p.doc)?;
+            statements.extend(shred);
+            statements.push(format!(
+                "INSERT INTO {prefix}_src VALUES ({doc_id}, '{}', '{}')",
+                sql_quote(&p.key),
+                sql_quote(&p.serialized)
+            ));
+            self.stats += stats;
+        }
+        let refs: Vec<&str> = statements.iter().map(String::as_str).collect();
+        let txn_start = std::time::Instant::now();
+        self.db.execute_batch(&refs)?;
+        let m = metrics::ingest();
+        m.wal_txn_ns.record(metrics::elapsed_ns(txn_start));
+        if new.is_some() {
+            m.entries.inc();
+            self.meta.next_doc_id += 1;
+        }
+        Ok(true)
     }
 }
 
@@ -272,29 +335,19 @@ impl DataHounds {
             .run()?
             .rows;
         for row in rows {
-            let name: String = row.try_get("name").ok().flatten().unwrap_or_default();
-            let prefix: String = row.try_get("prefix").ok().flatten().unwrap_or_default();
-            let kind = SourceKind::from_name(
-                &row.try_get::<String>("kind")
+            let text = |column: &str| {
+                row.try_get::<String>(column)
                     .ok()
                     .flatten()
-                    .unwrap_or_default(),
-            )
-            .ok_or_else(|| HoundError::Pipeline("corrupt collection kind".into()))?;
-            let strategy = ShreddingStrategy::from_name(
-                &row.try_get::<String>("strategy")
-                    .ok()
-                    .flatten()
-                    .unwrap_or_default(),
-            )
-            .ok_or_else(|| HoundError::Pipeline("corrupt collection strategy".into()))?;
-            let dtd = xomatiq_xml::dtd::parse_dtd(
-                &row.try_get::<String>("dtd")
-                    .ok()
-                    .flatten()
-                    .unwrap_or_default(),
-            )?;
-            let max_doc = db
+                    .unwrap_or_default()
+            };
+            let prefix = text("prefix");
+            let kind = SourceKind::from_name(&text("kind"))
+                .ok_or_else(|| HoundError::Pipeline("corrupt collection kind".into()))?;
+            let strategy = ShreddingStrategy::from_name(&text("strategy"))
+                .ok_or_else(|| HoundError::Pipeline("corrupt collection strategy".into()))?;
+            let dtd = xomatiq_xml::dtd::parse_dtd(&text("dtd"))?;
+            let next_doc_id = db
                 .query(&format!("SELECT MAX(doc_id) FROM {prefix}_docs"))
                 .run()?
                 .rows
@@ -304,12 +357,12 @@ impl DataHounds {
                 .map(|m| m as u64 + 1)
                 .unwrap_or(0);
             collections.insert(
-                name,
+                text("name"),
                 CollectionMeta {
                     prefix,
                     kind,
                     strategy,
-                    next_doc_id: max_doc,
+                    next_doc_id,
                     dtd,
                 },
             );
@@ -338,29 +391,29 @@ impl DataHounds {
 
     /// The table prefix of a collection.
     pub fn prefix(&self, collection: &str) -> HoundResult<String> {
-        Ok(self.meta(collection)?.0)
+        self.with_meta(collection, |m| m.prefix.clone())
     }
 
     /// The shredding strategy of a collection.
     pub fn strategy(&self, collection: &str) -> HoundResult<ShreddingStrategy> {
-        Ok(self.meta(collection)?.2)
+        self.with_meta(collection, |m| m.strategy)
     }
 
     /// The DTD of a collection (what the XomatiQ GUI's left panel shows).
     pub fn dtd(&self, collection: &str) -> HoundResult<Dtd> {
-        let map = self.collections.lock();
-        let meta = map
-            .get(collection)
-            .ok_or_else(|| HoundError::UnknownCollection(collection.to_string()))?;
-        Ok(meta.dtd.clone())
+        self.with_meta(collection, |m| m.dtd.clone())
     }
 
-    fn meta(&self, collection: &str) -> HoundResult<(String, SourceKind, ShreddingStrategy)> {
+    fn with_meta<T>(
+        &self,
+        collection: &str,
+        read: impl FnOnce(&CollectionMeta) -> T,
+    ) -> HoundResult<T> {
         let map = self.collections.lock();
         let meta = map
             .get(collection)
             .ok_or_else(|| HoundError::UnknownCollection(collection.to_string()))?;
-        Ok((meta.prefix.clone(), meta.kind, meta.strategy))
+        Ok(read(meta))
     }
 
     /// Loads a flat-file source end-to-end into collection `name` (e.g.
@@ -376,24 +429,11 @@ impl DataHounds {
         flat: &str,
         options: LoadOptions,
     ) -> HoundResult<ShredStats> {
-        if kind == SourceKind::Xml {
-            return Err(HoundError::Pipeline(
-                "XML sources are loaded with load_xml_source".into(),
-            ));
-        }
-        let dtd = kind
-            .builtin_dtd()
-            .ok_or_else(|| HoundError::Pipeline("flat kind without a built-in DTD".into()))?;
-        let (prepared, rejected) = prepare_flat(kind, flat)?;
-        self.load_prepared(
-            name,
-            kind,
-            builtin_dtd_text(kind),
-            dtd,
-            prepared,
-            rejected,
-            options,
-        )
+        let dtd_text = builtin_dtd_text(kind).ok_or_else(|| {
+            HoundError::Pipeline("XML sources are loaded with load_xml_source".into())
+        })?;
+        let (prepared, rejected) = prepare_flat(kind, flat);
+        self.load_prepared(name, kind, dtd_text, prepared, rejected, options)
     }
 
     /// Loads a pre-existing XML source — an XML databank such as INTERPRO
@@ -407,37 +447,31 @@ impl DataHounds {
         docs: Vec<(String, Document)>,
         options: LoadOptions,
     ) -> HoundResult<ShredStats> {
-        let dtd = xomatiq_xml::dtd::parse_dtd(dtd_text)?;
-        let prepared = docs
-            .into_iter()
-            .map(|(key, doc)| PreparedDoc {
-                serialized: xomatiq_xml::to_string(&doc),
-                key,
-                doc,
-            })
-            .collect();
+        let prepared = prepare_xml(docs);
         self.load_prepared(
             name,
             SourceKind::Xml,
             dtd_text,
-            dtd,
             prepared,
             Vec::new(),
             options,
         )
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Creates the collection's tables, feeds every prepared entry to the
+    /// ingest step as an addition, builds the indexes, and registers the
+    /// collection last, so a crash before that leaves only tables, which
+    /// the next load onto the same prefix sweeps.
     fn load_prepared(
         &self,
         name: &str,
         kind: SourceKind,
         dtd_text: &str,
-        dtd: Dtd,
         prepared: Vec<PreparedDoc>,
-        mut rejected: Vec<QuarantineRecord>,
+        rejected: Vec<QuarantineRecord>,
         options: LoadOptions,
     ) -> HoundResult<ShredStats> {
+        let prefix = collection_prefix(name);
         {
             let map = self.collections.lock();
             if map.contains_key(name) {
@@ -445,8 +479,14 @@ impl DataHounds {
                     "collection {name:?} is already loaded; use update_source"
                 )));
             }
+            if let Some((other, _)) = map.iter().find(|(_, m)| m.prefix == prefix) {
+                return Err(HoundError::Pipeline(format!(
+                    "collection {name:?} would use the tables of collection {other:?} \
+                     (prefix {prefix:?})"
+                )));
+            }
         }
-        let prefix = collection_prefix(name);
+        let dtd = xomatiq_xml::dtd::parse_dtd(dtd_text)?;
         // A crash between the per-entry commits and the final registration
         // commit leaves this collection's tables behind with no metadata
         // row; the leftovers would make the re-load fail on CREATE TABLE.
@@ -458,46 +498,32 @@ impl DataHounds {
             ))
             .run()?;
 
-        let mut stats = ShredStats::default();
-        let mut doc_id = 0u64;
+        let mut ingest = Ingest {
+            db: &self.db,
+            meta: CollectionMeta {
+                prefix,
+                kind,
+                strategy: options.strategy,
+                next_doc_id: 0,
+                dtd,
+            },
+            validate: options.validate,
+            stats: ShredStats::default(),
+            rejected,
+        };
         for p in &prepared {
-            if options.validate {
-                if let Err(e) = validate(&p.doc, &dtd) {
-                    // Harvested flat entries are quarantined; programmatic
-                    // XML loads keep the strict all-or-nothing contract.
-                    if kind == SourceKind::Xml {
-                        return Err(e.into());
-                    }
-                    rejected.push(QuarantineRecord {
-                        entry_key: p.key.clone(),
-                        reason: format!("DTD validation failed: {e}"),
-                        raw: p.serialized.clone(),
-                    });
-                    continue;
-                }
-            }
-            // All tuples of one entry — shredded rows plus its `_src`
-            // bookkeeping row — go through a single atomic batch, so a
-            // crash mid-harvest can never leave a half-ingested document.
-            let (mut statements, entry_stats) =
-                shred_statements(&self.db, &prefix, options.strategy, doc_id, &p.key, &p.doc)?;
-            statements.push(format!(
-                "INSERT INTO {prefix}_src VALUES ({doc_id}, '{}', '{}')",
-                sql_quote(&p.key),
-                sql_quote(&p.serialized)
-            ));
-            let refs: Vec<&str> = statements.iter().map(String::as_str).collect();
-            let txn_start = std::time::Instant::now();
-            self.db.execute_batch(&refs)?;
-            let m = metrics::ingest();
-            m.wal_txn_ns.record(metrics::elapsed_ns(txn_start));
-            m.entries.inc();
-            stats += entry_stats;
-            doc_id += 1;
+            ingest.entry(None, Some(p))?;
         }
+        let Ingest {
+            meta,
+            stats,
+            rejected,
+            ..
+        } = ingest;
+        let prefix = &meta.prefix;
         // Indexes are built after the bulk load, like a sane warehouse.
         if options.with_indexes {
-            create_collection_indexes(&self.db, &prefix)?;
+            create_collection_indexes(&self.db, prefix)?;
             self.db
                 .query(&format!(
                     "CREATE INDEX {prefix}_src_doc ON {prefix}_src (doc_id)"
@@ -513,16 +539,7 @@ impl DataHounds {
             .bind(dtd_text)
             .run()?;
         self.record_quarantine(name, &rejected)?;
-        self.collections.lock().insert(
-            name.to_string(),
-            CollectionMeta {
-                prefix,
-                kind,
-                strategy: options.strategy,
-                next_doc_id: doc_id,
-                dtd,
-            },
-        );
+        self.collections.lock().insert(name.to_string(), meta);
         Ok(stats)
     }
 
@@ -533,13 +550,13 @@ impl DataHounds {
     /// an entry that is quarantined in this snapshot keeps its previously
     /// warehoused version (it is *not* treated as removed).
     pub fn update_source(&self, name: &str, flat: &str) -> HoundResult<Vec<ChangeEvent>> {
-        let (_, kind, _) = self.meta(name)?;
+        let kind = self.with_meta(name, |m| m.kind)?;
         if kind == SourceKind::Xml {
             return Err(HoundError::Pipeline(
                 "XML sources are updated with update_xml_source".into(),
             ));
         }
-        let (prepared, rejected) = prepare_flat(kind, flat)?;
+        let (prepared, rejected) = prepare_flat(kind, flat);
         self.update_prepared(name, prepared, rejected)
     }
 
@@ -550,36 +567,37 @@ impl DataHounds {
         name: &str,
         docs: Vec<(String, Document)>,
     ) -> HoundResult<Vec<ChangeEvent>> {
-        let (_, kind, _) = self.meta(name)?;
-        if kind != SourceKind::Xml {
+        if self.with_meta(name, |m| m.kind)? != SourceKind::Xml {
             return Err(HoundError::Pipeline(
                 "flat sources are updated with update_source".into(),
             ));
         }
-        let prepared = docs
-            .into_iter()
-            .map(|(key, doc)| PreparedDoc {
-                serialized: xomatiq_xml::to_string(&doc),
-                key,
-                doc,
-            })
-            .collect();
-        self.update_prepared(name, prepared, Vec::new())
+        self.update_prepared(name, prepare_xml(docs), Vec::new())
     }
 
+    /// Diffs the new snapshot against the `_src` rows and feeds each
+    /// changed entry to the ingest step, firing a trigger once it lands.
     fn update_prepared(
         &self,
         name: &str,
         prepared: Vec<PreparedDoc>,
-        mut rejected: Vec<QuarantineRecord>,
+        rejected: Vec<QuarantineRecord>,
     ) -> HoundResult<Vec<ChangeEvent>> {
-        let (prefix, kind, strategy) = self.meta(name)?;
-        let dtd = self.dtd(name)?;
+        let mut ingest = Ingest {
+            db: &self.db,
+            meta: self.with_meta(name, CollectionMeta::clone)?,
+            validate: true,
+            stats: ShredStats::default(),
+            rejected,
+        };
 
         // Old snapshot: entry key → (doc_id, serialized source).
         let rows = self
             .db
-            .query(&format!("SELECT doc_id, entry_key, flat FROM {prefix}_src"))
+            .query(&format!(
+                "SELECT doc_id, entry_key, flat FROM {}_src",
+                ingest.meta.prefix
+            ))
             .run()?
             .rows;
         let mut old_docs: BTreeMap<String, u64> = BTreeMap::new();
@@ -591,103 +609,63 @@ impl DataHounds {
             old_docs.insert(key.clone(), doc_id);
             old_snapshot.insert(key, flat);
         }
-        let mut new_snapshot: BTreeMap<String, String> = BTreeMap::new();
-        let mut new_index: BTreeMap<String, usize> = BTreeMap::new();
-        for (i, p) in prepared.iter().enumerate() {
-            new_snapshot.insert(p.key.clone(), p.serialized.clone());
-            new_index.insert(p.key.clone(), i);
-        }
+        let new_snapshot: BTreeMap<String, String> = prepared
+            .iter()
+            .map(|p| (p.key.clone(), p.serialized.clone()))
+            .collect();
+        let new_docs: BTreeMap<&str, &PreparedDoc> =
+            prepared.iter().map(|p| (p.key.as_str(), p)).collect();
 
         // An entry quarantined in this snapshot is absent from the new
         // snapshot for the wrong reason — keep its warehoused version
         // instead of treating it as removed.
-        let quarantined_keys: std::collections::BTreeSet<String> =
-            rejected.iter().map(|r| r.entry_key.clone()).collect();
+        let quarantined_keys: BTreeSet<String> = ingest
+            .rejected
+            .iter()
+            .map(|r| r.entry_key.clone())
+            .collect();
 
-        let changes = diff_snapshots(&old_snapshot, &new_snapshot);
-        let mut events = Vec::with_capacity(changes.len());
-        for (key, change) in changes {
-            match change {
-                ChangeKind::Removed => {
-                    if quarantined_keys.contains(&key) {
-                        continue;
-                    }
-                    let doc_id = old_docs[&key];
-                    let mut statements = delete_statements(&prefix, doc_id);
-                    statements.push(format!("DELETE FROM {prefix}_src WHERE doc_id = {doc_id}"));
-                    let refs: Vec<&str> = statements.iter().map(String::as_str).collect();
-                    self.db.execute_batch(&refs)?;
+        let mut events = Vec::new();
+        let outcome = diff_snapshots(&old_snapshot, &new_snapshot)
+            .into_iter()
+            .try_for_each(|(key, change)| {
+                if change == ChangeKind::Removed && quarantined_keys.contains(&key) {
+                    return Ok(());
                 }
-                ChangeKind::Modified | ChangeKind::Added => {
-                    let p = &prepared[new_index[&key]];
-                    if let Err(e) = validate(&p.doc, &dtd) {
-                        if kind == SourceKind::Xml {
-                            return Err(e.into());
-                        }
-                        rejected.push(QuarantineRecord {
-                            entry_key: key.clone(),
-                            reason: format!("DTD validation failed: {e}"),
-                            raw: p.serialized.clone(),
-                        });
-                        continue;
-                    }
-                    let doc_id = {
-                        let mut map = self.collections.lock();
-                        let meta = map
-                            .get_mut(name)
-                            .ok_or_else(|| HoundError::UnknownCollection(name.to_string()))?;
-                        let id = meta.next_doc_id;
-                        meta.next_doc_id += 1;
-                        id
+                let landed = ingest.entry(
+                    old_docs.get(&key).copied(),
+                    new_docs.get(key.as_str()).copied(),
+                )?;
+                if landed {
+                    let event = ChangeEvent {
+                        collection: name.to_string(),
+                        entry_key: key,
+                        kind: change,
                     };
-                    // One atomic batch: tear down the old version (for a
-                    // modification), write the new tuples and the `_src`
-                    // row together, so the entry is never half-replaced.
-                    let mut statements = Vec::new();
-                    if change == ChangeKind::Modified {
-                        let old_id = old_docs[&key];
-                        statements.extend(delete_statements(&prefix, old_id));
-                        statements
-                            .push(format!("DELETE FROM {prefix}_src WHERE doc_id = {old_id}"));
-                    }
-                    let (shred, _) =
-                        shred_statements(&self.db, &prefix, strategy, doc_id, &key, &p.doc)?;
-                    statements.extend(shred);
-                    statements.push(format!(
-                        "INSERT INTO {prefix}_src VALUES ({doc_id}, '{}', '{}')",
-                        sql_quote(&key),
-                        sql_quote(&p.serialized)
-                    ));
-                    let refs: Vec<&str> = statements.iter().map(String::as_str).collect();
-                    let txn_start = std::time::Instant::now();
-                    self.db.execute_batch(&refs)?;
-                    let m = metrics::ingest();
-                    m.wal_txn_ns.record(metrics::elapsed_ns(txn_start));
-                    m.entries.inc();
+                    self.triggers.notify(&event);
+                    events.push(event);
                 }
-            }
-            let event = ChangeEvent {
-                collection: name.to_string(),
-                entry_key: key,
-                kind: change,
-            };
-            self.triggers.notify(&event);
-            events.push(event);
+                HoundResult::Ok(())
+            });
+        // Ids taken by entries that landed stay taken, even if a later
+        // entry failed.
+        if let Some(meta) = self.collections.lock().get_mut(name) {
+            meta.next_doc_id = ingest.meta.next_doc_id;
         }
-        self.record_quarantine(name, &rejected)?;
+        outcome?;
+        self.record_quarantine(name, &ingest.rejected)?;
         Ok(events)
     }
 
-    /// Drops leftover tables of an unregistered collection: the residue of
-    /// a load whose registration commit never became durable. The prefix is
-    /// matched up to an underscore so sibling collections sharing a name
-    /// stem (`..._default` vs `..._default2`) are left alone.
+    /// Drops the leftover tables of an unregistered collection: the residue
+    /// of a load whose registration commit never became durable. Only the
+    /// collection's own table set goes, so a collection whose prefix extends
+    /// this one (`hlx_a_b` next to `hlx_a`) is left alone.
     fn sweep_orphan_tables(&self, prefix: &str) -> HoundResult<()> {
-        for table in self.db.table_names() {
-            let orphan = table
-                .strip_prefix(prefix)
-                .is_some_and(|rest| rest.starts_with('_'));
-            if orphan {
+        let tables = self.db.table_names();
+        for table in ["docs", "nodes", "attrs", "paths", "src"] {
+            let table = format!("{prefix}_{table}");
+            if tables.contains(&table) {
                 self.db.query(&format!("DROP TABLE {table}")).run()?;
             }
         }
@@ -775,7 +753,7 @@ impl DataHounds {
     /// Reconstructs the warehoused document for `entry_key` — the
     /// Relation2XML direction.
     pub fn reconstruct(&self, collection: &str, entry_key: &str) -> HoundResult<Document> {
-        let (prefix, _, strategy) = self.meta(collection)?;
+        let prefix = self.prefix(collection)?;
         let rows = self
             .db
             .query(&format!(
@@ -789,12 +767,12 @@ impl DataHounds {
             .next()
             .and_then(|r| r.try_get::<i64>("doc_id").ok().flatten())
             .ok_or_else(|| HoundError::Pipeline(format!("no document for entry {entry_key:?}")))?;
-        reconstruct_document(&self.db, &prefix, strategy, doc_id as u64)
+        reconstruct_document(&self.db, &prefix, doc_id as u64)
     }
 
     /// Number of documents in a collection.
     pub fn doc_count(&self, collection: &str) -> HoundResult<usize> {
-        let (prefix, ..) = self.meta(collection)?;
+        let prefix = self.prefix(collection)?;
         Ok(self.db.row_count(&format!("{prefix}_docs"))?)
     }
 
@@ -807,7 +785,7 @@ impl DataHounds {
     /// the incremental counterpart of rescanning `{prefix}_nodes`.
     /// Returns the view's table name (query it like any table).
     pub fn create_keyword_summary(&self, collection: &str) -> HoundResult<String> {
-        let (prefix, ..) = self.meta(collection)?;
+        let prefix = self.prefix(collection)?;
         let view = format!("{prefix}_kw_summary");
         self.db
             .query(&format!(
@@ -823,7 +801,7 @@ impl DataHounds {
     /// Drops the keyword summary created by
     /// [`DataHounds::create_keyword_summary`], if present.
     pub fn drop_keyword_summary(&self, collection: &str) -> HoundResult<()> {
-        let (prefix, ..) = self.meta(collection)?;
+        let prefix = self.prefix(collection)?;
         self.db
             .query(&format!("DROP MATERIALIZED VIEW {prefix}_kw_summary"))
             .run()?;
@@ -842,6 +820,34 @@ mod tests {
 
     fn small_corpus() -> Corpus {
         Corpus::generate(&CorpusSpec::sized(10))
+    }
+
+    #[test]
+    fn entry_keys_are_the_primary_identifiers() {
+        let corpus = Corpus::generate(&CorpusSpec::sized(3));
+        let ids = |keys: Vec<&String>| keys.into_iter().cloned().collect::<Vec<_>>();
+        for (kind, flat, keys) in [
+            (
+                SourceKind::Enzyme,
+                corpus.enzyme_flat(),
+                ids(corpus.enzymes.iter().map(|e| &e.id).collect()),
+            ),
+            (
+                SourceKind::Embl,
+                corpus.embl_flat(),
+                ids(corpus.embl.iter().map(|e| &e.accession).collect()),
+            ),
+            (
+                SourceKind::SwissProt,
+                corpus.swissprot_flat(),
+                ids(corpus.swissprot.iter().map(|e| &e.accession).collect()),
+            ),
+        ] {
+            let (prepared, rejected) = prepare_flat(kind, &flat);
+            assert!(rejected.is_empty(), "{kind:?}");
+            let got: Vec<String> = prepared.into_iter().map(|p| p.key).collect();
+            assert_eq!(got, keys, "{kind:?}");
+        }
     }
 
     #[test]
@@ -915,6 +921,61 @@ mod tests {
             .query(&format!("SELECT doc_id FROM {prefix}2_docs"))
             .run()
             .is_ok());
+    }
+
+    #[test]
+    fn loading_a_collection_keeps_one_whose_prefix_extends_it() {
+        let dh = hounds();
+        let flat = small_corpus().enzyme_flat();
+        dh.load_source("hlx.a.b", SourceKind::Enzyme, &flat, LoadOptions::default())
+            .unwrap();
+        dh.load_source("hlx.a", SourceKind::Enzyme, &flat, LoadOptions::default())
+            .unwrap();
+        assert_eq!(dh.doc_count("hlx.a.b").unwrap(), 10);
+        assert_eq!(dh.doc_count("hlx.a").unwrap(), 10);
+    }
+
+    #[test]
+    fn load_onto_another_collections_prefix_is_refused() {
+        let dh = hounds();
+        let corpus = small_corpus();
+        let flat = corpus.enzyme_flat();
+        dh.load_source("hlx.a", SourceKind::Enzyme, &flat, LoadOptions::default())
+            .unwrap();
+        // `hlx_a` and `hlx.a` both map to the table prefix `hlx_a`.
+        let err = dh
+            .load_source("hlx_a", SourceKind::Enzyme, &flat, LoadOptions::default())
+            .unwrap_err();
+        assert!(err.to_string().contains("\"hlx.a\""), "{err}");
+        assert_eq!(dh.collections(), vec!["hlx.a".to_string()]);
+        assert_eq!(dh.doc_count("hlx.a").unwrap(), 10);
+        assert!(dh.reconstruct("hlx.a", &corpus.enzymes[0].id).is_ok());
+    }
+
+    #[test]
+    fn numbers_beyond_i64_get_a_numeric_shadow() {
+        let dh = hounds();
+        let texts = ["12345678901234567890", "1e19", "-1e19", "1e300", "-0"];
+        let (mut doc, root) = Document::with_root("r").unwrap();
+        for text in texts {
+            let v = doc.append_element(root, "v").unwrap();
+            doc.set_attribute(v, "n", text).unwrap();
+            doc.append_text(v, text);
+        }
+        let dtd = "<!ELEMENT r (v*)>\n<!ELEMENT v (#PCDATA)>\n<!ATTLIST v n CDATA #REQUIRED>\n";
+        dh.load_xml_source("big", dtd, vec![("k".into(), doc)], LoadOptions::default())
+            .unwrap();
+        for sql in [
+            "SELECT val, num_val FROM big_nodes WHERE name = 'v'",
+            "SELECT aval, num_val FROM big_attrs",
+        ] {
+            let rows = dh.db().query(sql).run().unwrap().rows;
+            assert_eq!(rows.rows().len(), texts.len(), "{sql}");
+            for row in rows.rows() {
+                let want: f64 = row[0].as_text().unwrap().parse().unwrap();
+                assert_eq!(row[1], xomatiq_relstore::Value::Float(want + 0.0), "{sql}");
+            }
+        }
     }
 
     #[test]

@@ -19,84 +19,6 @@ pub use interpro::{interpro_dtd, interpro_to_xml};
 pub use relational::wrap_relational_table;
 pub use swissprot::{swissprot_dtd, swissprot_to_xml};
 
-use xomatiq_xml::dtd::Dtd;
-use xomatiq_xml::Document;
-
-use crate::error::HoundResult;
-
-/// A per-source XML transformer: DTD plus entry conversion.
-pub trait XmlTransformer {
-    /// The typed flat record this transformer consumes.
-    type Entry;
-
-    /// The DTD every produced document conforms to.
-    fn dtd(&self) -> Dtd;
-
-    /// Converts one entry to an XML document.
-    fn to_xml(&self, entry: &Self::Entry) -> HoundResult<Document>;
-
-    /// The stable key identifying an entry across updates (EC number or
-    /// accession) — what the incremental updater diffs on.
-    fn entry_key(&self, entry: &Self::Entry) -> String;
-}
-
-/// Transformer for the ENZYME database.
-pub struct EnzymeTransformer;
-
-impl XmlTransformer for EnzymeTransformer {
-    type Entry = xomatiq_bioflat::EnzymeEntry;
-
-    fn dtd(&self) -> Dtd {
-        enzyme_dtd()
-    }
-
-    fn to_xml(&self, entry: &Self::Entry) -> HoundResult<Document> {
-        enzyme_to_xml(entry)
-    }
-
-    fn entry_key(&self, entry: &Self::Entry) -> String {
-        entry.id.clone()
-    }
-}
-
-/// Transformer for the EMBL nucleotide database.
-pub struct EmblTransformer;
-
-impl XmlTransformer for EmblTransformer {
-    type Entry = xomatiq_bioflat::EmblEntry;
-
-    fn dtd(&self) -> Dtd {
-        embl_dtd()
-    }
-
-    fn to_xml(&self, entry: &Self::Entry) -> HoundResult<Document> {
-        embl_to_xml(entry)
-    }
-
-    fn entry_key(&self, entry: &Self::Entry) -> String {
-        entry.accession.clone()
-    }
-}
-
-/// Transformer for the Swiss-Prot protein knowledge base.
-pub struct SwissProtTransformer;
-
-impl XmlTransformer for SwissProtTransformer {
-    type Entry = xomatiq_bioflat::SwissProtEntry;
-
-    fn dtd(&self) -> Dtd {
-        swissprot_dtd()
-    }
-
-    fn to_xml(&self, entry: &Self::Entry) -> HoundResult<Document> {
-        swissprot_to_xml(entry)
-    }
-
-    fn entry_key(&self, entry: &Self::Entry) -> String {
-        entry.accession.clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,40 +30,20 @@ mod tests {
     #[test]
     fn all_transformer_output_is_dtd_valid() {
         let corpus = Corpus::generate(&CorpusSpec::sized(30));
-        let enzyme = EnzymeTransformer;
-        let dtd = enzyme.dtd();
+        let dtd = enzyme_dtd();
         for e in &corpus.enzymes {
-            let doc = enzyme.to_xml(e).unwrap();
+            let doc = enzyme_to_xml(e).unwrap();
             validate(&doc, &dtd).unwrap_or_else(|err| panic!("enzyme {}: {err}", e.id));
         }
-        let embl = EmblTransformer;
-        let dtd = embl.dtd();
+        let dtd = embl_dtd();
         for e in &corpus.embl {
-            let doc = embl.to_xml(e).unwrap();
+            let doc = embl_to_xml(e).unwrap();
             validate(&doc, &dtd).unwrap_or_else(|err| panic!("embl {}: {err}", e.accession));
         }
-        let sp = SwissProtTransformer;
-        let dtd = sp.dtd();
+        let dtd = swissprot_dtd();
         for e in &corpus.swissprot {
-            let doc = sp.to_xml(e).unwrap();
+            let doc = swissprot_to_xml(e).unwrap();
             validate(&doc, &dtd).unwrap_or_else(|err| panic!("sprot {}: {err}", e.accession));
         }
-    }
-
-    #[test]
-    fn entry_keys_are_the_primary_identifiers() {
-        let corpus = Corpus::generate(&CorpusSpec::sized(3));
-        assert_eq!(
-            EnzymeTransformer.entry_key(&corpus.enzymes[0]),
-            corpus.enzymes[0].id
-        );
-        assert_eq!(
-            EmblTransformer.entry_key(&corpus.embl[0]),
-            corpus.embl[0].accession
-        );
-        assert_eq!(
-            SwissProtTransformer.entry_key(&corpus.swissprot[0]),
-            corpus.swissprot[0].accession
-        );
     }
 }

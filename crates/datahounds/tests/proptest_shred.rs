@@ -28,6 +28,11 @@ const TEXTS: &[&str] = &[
     "3.5",
     "quote'apos",
     "acgtacgt",
+    // Numbers beyond i64: their numeric shadow must still be writable.
+    "12345678901234567890",
+    "1e19",
+    "-1e19",
+    "1e300",
 ];
 
 fn build(ops: &[BuildOp]) -> Document {
@@ -74,8 +79,17 @@ fn op_strategy() -> impl Strategy<Value = BuildOp> {
     ]
 }
 
+/// Cases per property: the file's default, or `PROPTEST_CASES` when set
+/// (the nightly stress job raises it to 1024).
+fn prop_cases(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(default)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(prop_cases(32)))]
 
     #[test]
     fn shred_reconstruct_is_identity(
@@ -86,7 +100,7 @@ proptest! {
             let db = Database::in_memory();
             create_collection_tables(&db, "c").unwrap();
             shred_document(&db, "c", strategy, 7, "key", &doc).unwrap();
-            let rebuilt = reconstruct_document(&db, "c", strategy, 7).unwrap();
+            let rebuilt = reconstruct_document(&db, "c", 7).unwrap();
             prop_assert!(
                 doc.structurally_equal(&rebuilt),
                 "{strategy:?} diverged:\noriginal: {}\nrebuilt:  {}",
@@ -108,8 +122,8 @@ proptest! {
             create_collection_tables(&db, "c").unwrap();
             shred_document(&db, "c", strategy, 0, "a", &doc_a).unwrap();
             shred_document(&db, "c", strategy, 1, "b", &doc_b).unwrap();
-            let ra = reconstruct_document(&db, "c", strategy, 0).unwrap();
-            let rb = reconstruct_document(&db, "c", strategy, 1).unwrap();
+            let ra = reconstruct_document(&db, "c", 0).unwrap();
+            let rb = reconstruct_document(&db, "c", 1).unwrap();
             prop_assert!(doc_a.structurally_equal(&ra), "{strategy:?} doc 0");
             prop_assert!(doc_b.structurally_equal(&rb), "{strategy:?} doc 1");
         }

@@ -149,8 +149,17 @@ fn query() -> impl Strategy<Value = FlwrQuery> {
         })
 }
 
+/// Cases per property: the file's default, or `PROPTEST_CASES` when set
+/// (the nightly stress job raises it to 1024).
+fn prop_cases(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(default)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    #![proptest_config(ProptestConfig::with_cases(prop_cases(128)))]
 
     #[test]
     fn display_parse_round_trip(q in query()) {
