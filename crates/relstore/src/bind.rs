@@ -1,12 +1,20 @@
 //! The bind stage: where column names stop.
 //!
-//! Everything upstream of this module — the parser, the planner's qualify,
-//! ordering and build stages, view analysis — speaks in column *names*.
+//! Everything upstream of this module — the parser, the planner's ordering
+//! and build stages, view analysis, `prepare` — speaks in column *names*.
 //! Everything downstream — [`crate::expr::eval`], every cursor in
 //! [`crate::exec`], the reference interpreter, view maintenance, DML —
 //! speaks in row *positions*. [`bind_expr`] is the only function that
 //! turns one into the other; [`bind_plan`] applies it to a finished plan,
 //! computing each operator's output schema exactly once on the way up.
+//!
+//! A statement's names are checked once, before any plan exists:
+//! `Scope::new` turns its `FROM` and `JOIN` tables into one row of every
+//! column under its alias (the unknown-table and duplicate-alias checks),
+//! and `qualify` binds the select list, the `WHERE` and `ON` conjuncts
+//! and `GROUP BY` to that row. The planner, view analysis and parameter
+//! typing all read names through these two, so one naming mistake is one
+//! error wherever the statement enters.
 //!
 //! What a bound plan promises the executor: every `Expr::Column` an
 //! operator carries has `ordinal: Some(i)`, where `i` indexes the row that
@@ -18,8 +26,10 @@
 
 use crate::error::{RelError, RelResult};
 use crate::plan::{LeafOutput, Plan, ProjectItem};
+use crate::planner::split_conjuncts;
 use crate::schema::Catalog;
-use crate::sql::ast::Expr;
+use crate::sql::ast::{Expr, SelectItem, SelectStmt, TableRef};
+use crate::value::DataType;
 
 /// A named column in an operator's output: `(binding alias, column name)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,6 +122,154 @@ pub fn bind_expr(expr: &Expr, schema: &RowSchema) -> RelResult<Expr> {
             })
         }
         other => other.try_map_children(|e| bind_expr(e, schema)),
+    }
+}
+
+/// The names one statement can see: its tables under their aliases, and
+/// every column of theirs in one row — the row that joining all of them
+/// in declaration order produces.
+#[derive(Debug, Default)]
+pub(crate) struct Scope<'s> {
+    /// The tables, in declaration order.
+    pub(crate) tables: Vec<&'s TableRef>,
+    /// Every column of every table, under its table's alias.
+    pub(crate) row: RowSchema,
+    /// Each column's declared type, by position in `row`.
+    pub(crate) types: Vec<DataType>,
+}
+
+impl<'s> Scope<'s> {
+    /// The scope of `tables`: each must exist, and no two may share an
+    /// alias.
+    pub(crate) fn new(
+        tables: impl IntoIterator<Item = &'s TableRef>,
+        catalog: &Catalog,
+    ) -> RelResult<Scope<'s>> {
+        let (mut tables, mut scope) = (tables.into_iter().peekable(), Scope::default());
+        if tables.peek().is_none() {
+            return Err(RelError::Parse("SELECT requires at least one table".into()));
+        }
+        for t in tables {
+            if scope.known(&t.alias).is_ok() {
+                let alias = &t.alias;
+                return Err(RelError::Parse(format!("duplicate table alias {alias:?}")));
+            }
+            for col in &catalog.table(&t.table)?.columns {
+                let (table, name) = (t.alias.clone(), col.name.clone());
+                scope.row.columns.push(ColumnBinding { table, name });
+                scope.types.push(col.ty);
+            }
+            scope.tables.push(t);
+        }
+        Ok(scope)
+    }
+
+    /// `UnknownTable` unless some table is bound under `alias`.
+    fn known(&self, alias: &str) -> RelResult<()> {
+        let known = self
+            .tables
+            .iter()
+            .any(|t| t.alias.eq_ignore_ascii_case(alias));
+        known
+            .then_some(())
+            .ok_or_else(|| RelError::UnknownTable(alias.to_string()))
+    }
+
+    /// The columns of the table bound under `alias`, with their positions
+    /// in the scope's row.
+    fn table_columns<'a>(
+        &'a self,
+        alias: &'a str,
+    ) -> RelResult<impl Iterator<Item = (usize, &'a ColumnBinding)>> {
+        self.known(alias)?;
+        let columns = self.row.columns.iter().enumerate();
+        Ok(columns.filter(move |(_, b)| b.table.eq_ignore_ascii_case(alias)))
+    }
+
+    /// The table bound under `alias` as a row of its own.
+    pub(crate) fn table_row(&self, alias: &str) -> RelResult<RowSchema> {
+        let columns = self.table_columns(alias)?.map(|(_, b)| b.clone());
+        Ok(RowSchema::new(columns.collect()))
+    }
+
+    /// Binds `expr` to the scope's row: [`bind_expr`], except that a
+    /// qualifier naming no table is `UnknownTable`.
+    pub(crate) fn bind(&self, expr: &Expr) -> RelResult<Expr> {
+        match expr {
+            Expr::Column { table, .. } => {
+                table.as_deref().map_or(Ok(()), |alias| self.known(alias))?;
+                bind_expr(expr, &self.row)
+            }
+            other => other.try_map_children(|e| self.bind(e)),
+        }
+    }
+
+    /// The declared type of the one column a reference names, if it names
+    /// exactly one.
+    pub(crate) fn type_of(&self, table: Option<&str>, name: &str) -> Option<DataType> {
+        self.row.resolve(table, name).ok().map(|i| self.types[i])
+    }
+}
+
+/// A `SELECT`'s clauses bound to its [`Scope`]'s row.
+#[derive(Debug)]
+pub(crate) struct Qualified {
+    /// The select list: wildcards expanded, every item named.
+    pub(crate) items: Vec<ProjectItem>,
+    /// The `WHERE` conjuncts, then each `ON` clause's, in that order.
+    pub(crate) conjuncts: Vec<Expr>,
+    /// The `GROUP BY` expressions.
+    pub(crate) group_by: Vec<Expr>,
+}
+
+/// The qualify stage: binds every name `stmt` uses outside `ORDER BY` to
+/// `scope`'s row — the conjuncts first, then the select list (expanding
+/// `*` and `t.*`, naming each item by its alias or [`derive_name`]), then
+/// `GROUP BY`. The first name that does not resolve is the error.
+pub(crate) fn qualify(stmt: &SelectStmt, scope: &Scope) -> RelResult<Qualified> {
+    let mut conjuncts = Vec::new();
+    for e in stmt.filter.iter().chain(stmt.joins.iter().map(|j| &j.on)) {
+        split_conjuncts(scope.bind(e)?, &mut conjuncts);
+    }
+    let column = |(i, b): (usize, &ColumnBinding)| ProjectItem {
+        expr: Expr::Column {
+            table: Some(b.table.clone()),
+            name: b.name.clone(),
+            ordinal: Some(i),
+        },
+        name: b.name.clone(),
+    };
+    let mut items = Vec::new();
+    for item in &stmt.items {
+        match item {
+            SelectItem::Wildcard => items.extend(scope.row.columns.iter().enumerate().map(column)),
+            SelectItem::TableWildcard(alias) => {
+                items.extend(scope.table_columns(alias)?.map(column));
+            }
+            SelectItem::Expr { expr, alias } => {
+                let bound = scope.bind(expr)?;
+                let name = alias
+                    .clone()
+                    .unwrap_or_else(|| derive_name(expr, items.len()));
+                items.push(ProjectItem { expr: bound, name });
+            }
+        }
+    }
+    let group_by = stmt.group_by.iter().map(|e| scope.bind(e));
+    Ok(Qualified {
+        items,
+        conjuncts,
+        group_by: group_by.collect::<RelResult<_>>()?,
+    })
+}
+
+/// An unaliased select item's name: a column's own name, an aggregate's
+/// function, else `col<position>`.
+fn derive_name(expr: &Expr, position: usize) -> String {
+    match expr {
+        Expr::Column { name, .. } => name.clone(),
+        Expr::Aggregate { func, .. } => format!("{func:?}").to_ascii_lowercase(),
+        _ => format!("col{position}"),
     }
 }
 

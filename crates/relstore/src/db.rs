@@ -572,11 +572,7 @@ impl Database {
                 // state, rebuilt from the base tables on recovery.
                 let select_sql = view::render_select(&query)?;
                 self.execute_ddl(|storage| {
-                    let sources = query
-                        .from
-                        .iter()
-                        .chain(query.joins.iter().map(|j| &j.table));
-                    for src in sources {
+                    for src in query.tables() {
                         if storage.is_view(&src.table) {
                             return Err(RelError::Eval(format!(
                                 "materialized view {name:?} cannot read materialized view \

@@ -16,7 +16,7 @@
 use std::ops::Bound;
 
 use crate::segment::{CmpOp, SimplePred};
-use crate::sql::ast::{Expr, OrderKey};
+use crate::sql::ast::Expr;
 use crate::value::Value;
 
 /// How an index scan locates rows.
@@ -444,9 +444,6 @@ pub struct PlannedQuery {
     /// Estimated cardinality per operator, parallel to `plan`.
     pub estimate: PlanEstimate,
 }
-
-/// Re-exported for planner convenience.
-pub type OrderKeys = Vec<OrderKey>;
 
 /// The typed `EXPLAIN` surface: one node per plan operator carrying the
 /// operator label, the planner's row estimate and — after an analyzed run

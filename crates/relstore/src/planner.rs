@@ -6,8 +6,12 @@
 //! Planning mirrors the paper's workflow of shaping indexes until the
 //! optimizer picks them (§3.2):
 //!
-//! 1. every unqualified column reference is resolved to its table alias;
-//! 2. the `WHERE` clause and all `ON` conditions are split into conjuncts;
+//! 1. `Scope::new` checks the statement's tables and aliases, and
+//!    `qualify` binds the select list, the `WHERE` then `ON` conjuncts
+//!    and `GROUP BY` to the scope's row — the stage view analysis and
+//!    `prepare` share; an `ORDER BY` key that is a bare name of a select
+//!    item sorts by that item, anything else binds like the rest;
+//! 2. the conjuncts are partitioned by the tables they mention;
 //! 3. each table becomes one leaf ([`Access`]) carrying the conjuncts that
 //!    mention only that table — a full scan for now;
 //! 4. tables join left-deep, preferring tables connected to the joined
@@ -51,15 +55,15 @@
 use std::collections::{BTreeMap, HashSet};
 use std::ops::Bound;
 
-use crate::bind::bind_plan;
-use crate::error::{RelError, RelResult};
+use crate::bind::{bind_plan, qualify, Qualified, Scope};
+use crate::error::RelResult;
 use crate::plan::{
     Access, AccessMethod, IndexAccess, LeafOutput, Plan, PlanEstimate, PlannedQuery, ProjectItem,
     SortKey,
 };
 use crate::schema::Catalog;
 use crate::segment::{CmpOp, SimplePred};
-use crate::sql::ast::{BinOp, Expr, SelectItem, SelectStmt, TableRef};
+use crate::sql::ast::{BinOp, Expr, SelectStmt};
 use crate::stats::StatsCatalog;
 use crate::value::Value;
 
@@ -70,38 +74,12 @@ pub fn plan_select(
     catalog: &Catalog,
     stats: &StatsCatalog,
 ) -> RelResult<PlannedQuery> {
-    let mut tables: Vec<TableRef> = stmt.from.clone();
-    tables.extend(stmt.joins.iter().map(|j| j.table.clone()));
-    if tables.is_empty() {
-        return Err(RelError::Parse("SELECT requires at least one table".into()));
-    }
-    // Alias → table mapping, with duplicate detection.
-    let mut alias_map: BTreeMap<String, String> = BTreeMap::new();
-    for t in &tables {
-        if alias_map
-            .insert(t.alias.to_ascii_lowercase(), t.table.clone())
-            .is_some()
-        {
-            return Err(RelError::Parse(format!(
-                "duplicate table alias {:?}",
-                t.alias
-            )));
-        }
-        catalog.table(&t.table)?; // existence check
-    }
-    let resolver = Resolver {
-        catalog,
-        tables: &tables,
-    };
-
-    // Gather and resolve all conjuncts from WHERE and ON clauses.
-    let mut conjuncts: Vec<Expr> = Vec::new();
-    if let Some(filter) = &stmt.filter {
-        split_conjuncts(resolver.resolve_expr(filter)?, &mut conjuncts);
-    }
-    for join in &stmt.joins {
-        split_conjuncts(resolver.resolve_expr(&join.on)?, &mut conjuncts);
-    }
+    let scope = Scope::new(stmt.tables(), catalog)?;
+    let Qualified {
+        mut items,
+        conjuncts,
+        group_by,
+    } = qualify(stmt, &scope)?;
 
     // Partition conjuncts by the set of aliases they touch.
     let mut single: BTreeMap<String, Vec<Expr>> = BTreeMap::new();
@@ -117,9 +95,11 @@ pub fn plan_select(
     }
 
     // One leaf per table, carrying the table's own conjuncts.
+    let mut alias_map: BTreeMap<String, String> = BTreeMap::new();
     let mut inputs: Vec<(String, Plan)> = Vec::new();
-    for t in &tables {
+    for t in &scope.tables {
         let alias = t.alias.to_ascii_lowercase();
+        alias_map.insert(alias.clone(), t.table.clone());
         // `choose_access` splits the predicate once it is bound; until
         // then nothing runs this leaf, so it carries no residual copy.
         let leaf = Access {
@@ -129,87 +109,40 @@ pub fn plan_select(
         inputs.push((alias, Plan::from(leaf)));
     }
 
-    // Expand the select list into project items. This happens *before*
-    // join construction so that a bad column reference fails the query
-    // with a clear UnknownColumn/AmbiguousColumn error instead of shaping
-    // the join tree: the planner previously re-resolved these expressions
-    // through a lossy `if let Ok(..)` when computing semi-join
-    // eligibility, silently dropping resolution errors.
-    let mut items: Vec<ProjectItem> = Vec::new();
-    for item in &stmt.items {
-        match item {
-            SelectItem::Wildcard => {
-                for t in &tables {
-                    push_table_columns(&mut items, t, catalog)?;
-                }
-            }
-            SelectItem::TableWildcard(alias) => {
-                let t = tables
-                    .iter()
-                    .find(|t| t.alias.eq_ignore_ascii_case(alias))
-                    .ok_or_else(|| RelError::UnknownTable(alias.clone()))?;
-                push_table_columns(&mut items, t, catalog)?;
-            }
-            SelectItem::Expr { expr, alias } => {
-                let resolved = resolver.resolve_expr(expr)?;
-                let name = alias
-                    .clone()
-                    .unwrap_or_else(|| derive_name(&resolved, items.len()));
-                items.push(ProjectItem {
-                    expr: resolved,
-                    name,
-                });
-            }
-        }
-    }
     let visible = items.len();
     let columns = items.iter().map(|i| i.name.clone()).collect();
-
-    let group_by: Vec<Expr> = stmt
-        .group_by
-        .iter()
-        .map(|e| resolver.resolve_expr(e))
-        .collect::<RelResult<_>>()?;
     let is_aggregate = !group_by.is_empty() || items.iter().any(|i| i.expr.has_aggregate());
 
-    // Sort keys: reuse a visible item when the key names or equals one;
-    // otherwise append a hidden item.
+    // Sort keys. A bare name that names an output column sorts by the
+    // first such column, even when an input column has the same name (as
+    // in PostgreSQL and SQLite); any other key reuses a visible item it
+    // equals, or else is appended as a hidden item.
     let mut sort_keys: Vec<SortKey> = Vec::new();
     for key in &stmt.order_by {
-        let resolved = match resolver.resolve_expr(&key.expr) {
-            Ok(e) => e,
-            // An ORDER BY name may reference a select alias rather than a
-            // real column; fall back to name matching below.
-            Err(err) => {
-                let name = match &key.expr {
-                    Expr::Column {
-                        table: None, name, ..
-                    } => name.clone(),
-                    _ => return Err(err),
-                };
-                let pos = items
+        let output = match &key.expr {
+            Expr::Column {
+                table: None, name, ..
+            } => items[..visible]
+                .iter()
+                .position(|i| i.name.eq_ignore_ascii_case(name)),
+            _ => None,
+        };
+        let column = match output {
+            Some(pos) => pos,
+            None => {
+                let bound = scope.bind(&key.expr)?;
+                items
                     .iter()
-                    .position(|i| i.name.eq_ignore_ascii_case(&name))
-                    .ok_or(err)?;
-                sort_keys.push(SortKey {
-                    column: pos,
-                    descending: key.descending,
-                });
-                continue;
+                    .position(|i| i.expr == bound)
+                    .unwrap_or_else(|| {
+                        let name = format!("__sort_{}", items.len());
+                        items.push(ProjectItem { expr: bound, name });
+                        items.len() - 1
+                    })
             }
         };
-        let pos = items
-            .iter()
-            .position(|i| i.expr == resolved)
-            .unwrap_or_else(|| {
-                items.push(ProjectItem {
-                    expr: resolved.clone(),
-                    name: format!("__sort_{}", items.len()),
-                });
-                items.len() - 1
-            });
         sort_keys.push(SortKey {
-            column: pos,
+            column,
             descending: key.descending,
         });
     }
@@ -420,29 +353,6 @@ pub fn plan_select(
     })
 }
 
-fn push_table_columns(
-    items: &mut Vec<ProjectItem>,
-    t: &TableRef,
-    catalog: &Catalog,
-) -> RelResult<()> {
-    let schema = catalog.table(&t.table)?;
-    for col in &schema.columns {
-        items.push(ProjectItem {
-            expr: Expr::col(Some(&t.alias), &col.name),
-            name: col.name.clone(),
-        });
-    }
-    Ok(())
-}
-
-pub(crate) fn derive_name(expr: &Expr, position: usize) -> String {
-    match expr {
-        Expr::Column { name, .. } => name.clone(),
-        Expr::Aggregate { func, .. } => format!("{func:?}").to_ascii_lowercase(),
-        _ => format!("col{position}"),
-    }
-}
-
 pub(crate) fn split_conjuncts(expr: Expr, out: &mut Vec<Expr>) {
     match expr {
         Expr::Binary {
@@ -524,7 +434,11 @@ fn aliases_in(expr: &Expr) -> HashSet<String> {
 
 /// If `c` is `lhs = rhs` with one side referencing only `joined` aliases
 /// and the other only `new_alias`, returns `(left_key, right_key)`.
-fn equi_join_keys(c: &Expr, joined: &HashSet<String>, new_alias: &str) -> Option<(Expr, Expr)> {
+pub(crate) fn equi_join_keys(
+    c: &Expr,
+    joined: &HashSet<String>,
+    new_alias: &str,
+) -> Option<(Expr, Expr)> {
     let Expr::Binary {
         op: BinOp::Eq,
         left,
@@ -1039,51 +953,6 @@ fn order_component(members: &mut Vec<(String, Plan)>, multi: &[Expr], est: &Esti
         .collect();
 }
 
-/// Resolves unqualified column references against the tables in scope.
-struct Resolver<'a> {
-    catalog: &'a Catalog,
-    tables: &'a [TableRef],
-}
-
-impl Resolver<'_> {
-    fn resolve_column(&self, table: Option<&str>, name: &str) -> RelResult<Expr> {
-        if let Some(alias) = table {
-            // Verify the alias exists and carries the column.
-            let t = self
-                .tables
-                .iter()
-                .find(|t| t.alias.eq_ignore_ascii_case(alias))
-                .ok_or_else(|| RelError::UnknownTable(alias.to_string()))?;
-            let schema = self.catalog.table(&t.table)?;
-            if schema.column_index(name).is_none() {
-                return Err(RelError::UnknownColumn(format!("{alias}.{name}")));
-            }
-            return Ok(Expr::col(Some(&t.alias), name));
-        }
-        let mut owner = None;
-        for t in self.tables {
-            let schema = self.catalog.table(&t.table)?;
-            if schema.column_index(name).is_some() {
-                if owner.is_some() {
-                    return Err(RelError::AmbiguousColumn(name.to_string()));
-                }
-                owner = Some(&t.alias);
-            }
-        }
-        match owner {
-            Some(alias) => Ok(Expr::col(Some(alias), name)),
-            None => Err(RelError::UnknownColumn(name.to_string())),
-        }
-    }
-
-    fn resolve_expr(&self, expr: &Expr) -> RelResult<Expr> {
-        match expr {
-            Expr::Column { table, name, .. } => self.resolve_column(table.as_deref(), name),
-            other => other.try_map_children(|e| self.resolve_expr(e)),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The leaf rules: access path and column set
 // ---------------------------------------------------------------------------
@@ -1501,6 +1370,7 @@ fn prune_columns(plan: &mut Plan, mut needed: Vec<bool>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::RelError;
     use crate::schema::{Column, IndexDef, TableSchema};
     use crate::sql::ast::Statement;
     use crate::sql::parser::parse_statement;

@@ -33,6 +33,7 @@ use std::time::Instant;
 
 use xomatiq_obs::trace;
 
+use crate::bind::{qualify, Scope};
 use crate::db::{Database, ResultSet};
 use crate::error::{RelError, RelResult};
 use crate::exec::{format_ns, run_plan, ExecStats, OpProfile};
@@ -382,95 +383,77 @@ pub(crate) fn substitute_params(
 /// Best-effort parameter type inference: a parameter compared against a
 /// column (`col = ?`, `? < col`, `col BETWEEN ? AND ?`, `col IN (?, ?)`),
 /// inserted into a column position, or assigned to a column, takes that
-/// column's declared type. Parameters in other positions stay untyped
-/// and bind any value verbatim.
+/// column's declared type, read through the statement's [`Scope`].
+/// Parameters in other positions, and every parameter of a statement
+/// whose names do not resolve, stay untyped and bind any value verbatim.
 fn infer_param_types(stmt: &Statement, catalog: &Catalog, count: usize) -> Vec<Option<DataType>> {
     let mut types = vec![None; count];
-    match stmt {
+    let own = |table: &String| {
+        vec![TableRef {
+            table: table.clone(),
+            alias: table.clone(),
+        }]
+    };
+    let (tables, exprs): (Vec<TableRef>, Vec<&Expr>) = match stmt {
         Statement::Select(s) => {
-            let mut tables: Vec<&TableRef> = s.from.iter().collect();
-            tables.extend(s.joins.iter().map(|j| &j.table));
-            let col_ty = move |qualifier: Option<&str>, name: &str| -> Option<DataType> {
-                for tr in &tables {
-                    if let Some(q) = qualifier {
-                        if !tr.alias.eq_ignore_ascii_case(q) {
-                            continue;
-                        }
-                    }
-                    if let Ok(schema) = catalog.table(&tr.table) {
-                        if let Some(i) = schema.column_index(name) {
-                            return Some(schema.columns[i].ty);
-                        }
-                    }
+            let items = s.items.iter().filter_map(|item| match item {
+                SelectItem::Expr { expr, .. } => Some(expr),
+                _ => None,
+            });
+            let ons = s.joins.iter().map(|j| &j.on);
+            (
+                s.tables().cloned().collect(),
+                items.chain(ons).chain(&s.filter).collect(),
+            )
+        }
+        Statement::Insert { table, .. } => (own(table), Vec::new()),
+        Statement::Delete { table, filter } => (own(table), filter.iter().collect()),
+        Statement::Update { table, filter, .. } => (own(table), filter.iter().collect()),
+        _ => return types,
+    };
+    // A statement whose names do not all resolve can never run, so it
+    // types nothing; `prepare` still succeeds and the run reports the
+    // mistake.
+    let Ok(scope) = Scope::new(&tables, catalog) else {
+        return types;
+    };
+    let resolves = match stmt {
+        Statement::Select(s) => qualify(s, &scope).is_ok(),
+        _ => exprs.iter().all(|e| scope.bind(e).is_ok()),
+    };
+    if !resolves {
+        return types;
+    }
+    let mut set = |expr: &Expr, ty: Option<DataType>| {
+        if let Expr::Param(i) = expr {
+            types[*i] = types[*i].or(ty);
+        }
+    };
+    match stmt {
+        Statement::Insert { rows, .. } => {
+            for row in rows {
+                for (expr, ty) in row.iter().zip(&scope.types) {
+                    set(expr, Some(*ty));
                 }
-                None
-            };
-            for item in &s.items {
-                if let SelectItem::Expr { expr, .. } = item {
-                    infer_expr(expr, &col_ty, &mut types);
-                }
-            }
-            for j in &s.joins {
-                infer_expr(&j.on, &col_ty, &mut types);
-            }
-            if let Some(f) = &s.filter {
-                infer_expr(f, &col_ty, &mut types);
             }
         }
-        Statement::Insert { table, rows } => {
-            if let Ok(schema) = catalog.table(table) {
-                for row in rows {
-                    for (pos, expr) in row.iter().enumerate() {
-                        if let Expr::Param(i) = expr {
-                            if let Some(col) = schema.columns.get(pos) {
-                                types[*i] = Some(col.ty);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Statement::Delete { table, filter } => {
-            if let (Ok(schema), Some(f)) = (catalog.table(table), filter) {
-                let col_ty = move |_: Option<&str>, name: &str| -> Option<DataType> {
-                    schema.column_index(name).map(|i| schema.columns[i].ty)
-                };
-                infer_expr(f, &col_ty, &mut types);
-            }
-        }
-        Statement::Update {
-            table,
-            assignments,
-            filter,
-        } => {
-            if let Ok(schema) = catalog.table(table) {
-                for (col, expr) in assignments {
-                    if let Expr::Param(i) = expr {
-                        if let Some(pos) = schema.column_index(col) {
-                            types[*i] = Some(schema.columns[pos].ty);
-                        }
-                    }
-                }
-                if let Some(f) = filter {
-                    let col_ty = move |_: Option<&str>, name: &str| -> Option<DataType> {
-                        schema.column_index(name).map(|i| schema.columns[i].ty)
-                    };
-                    infer_expr(f, &col_ty, &mut types);
-                }
+        Statement::Update { assignments, .. } => {
+            for (col, expr) in assignments {
+                set(expr, scope.type_of(None, col));
             }
         }
         _ => {}
     }
+    for e in exprs {
+        infer_expr(e, &scope, &mut types);
+    }
     types
 }
 
-fn infer_expr<F>(expr: &Expr, col_ty: &F, types: &mut [Option<DataType>])
-where
-    F: Fn(Option<&str>, &str) -> Option<DataType>,
-{
+fn infer_expr(expr: &Expr, scope: &Scope, types: &mut [Option<DataType>]) {
     let mut note = |i: usize, table: &Option<String>, name: &str| {
         if types[i].is_none() {
-            types[i] = col_ty(table.as_deref(), name);
+            types[i] = scope.type_of(table.as_deref(), name);
         }
     };
     match expr {
@@ -482,8 +465,8 @@ where
                     _ => {}
                 }
             }
-            infer_expr(left, col_ty, types);
-            infer_expr(right, col_ty, types);
+            infer_expr(left, scope, types);
+            infer_expr(right, scope, types);
         }
         Expr::Between {
             expr: e, low, high, ..
@@ -495,9 +478,9 @@ where
                     }
                 }
             }
-            infer_expr(e, col_ty, types);
-            infer_expr(low, col_ty, types);
-            infer_expr(high, col_ty, types);
+            infer_expr(e, scope, types);
+            infer_expr(low, scope, types);
+            infer_expr(high, scope, types);
         }
         Expr::InList { expr: e, list, .. } => {
             if let Expr::Column { table, name, .. } = &**e {
@@ -507,9 +490,9 @@ where
                     }
                 }
             }
-            infer_expr(e, col_ty, types);
+            infer_expr(e, scope, types);
             for item in list {
-                infer_expr(item, col_ty, types);
+                infer_expr(item, scope, types);
             }
         }
         Expr::Like {
@@ -520,8 +503,8 @@ where
                     types[*i] = Some(DataType::Text);
                 }
             }
-            infer_expr(e, col_ty, types);
-            infer_expr(pattern, col_ty, types);
+            infer_expr(e, scope, types);
+            infer_expr(pattern, scope, types);
         }
         Expr::Contains { column, keyword }
         | Expr::Matches {
@@ -533,12 +516,12 @@ where
                     types[*i] = Some(DataType::Text);
                 }
             }
-            infer_expr(column, col_ty, types);
-            infer_expr(keyword, col_ty, types);
+            infer_expr(column, scope, types);
+            infer_expr(keyword, scope, types);
         }
-        Expr::Not(e) | Expr::Neg(e) => infer_expr(e, col_ty, types),
-        Expr::IsNull { expr: e, .. } => infer_expr(e, col_ty, types),
-        Expr::Aggregate { arg: Some(a), .. } => infer_expr(a, col_ty, types),
+        Expr::Not(e) | Expr::Neg(e) => infer_expr(e, scope, types),
+        Expr::IsNull { expr: e, .. } => infer_expr(e, scope, types),
+        Expr::Aggregate { arg: Some(a), .. } => infer_expr(a, scope, types),
         Expr::Aggregate { arg: None, .. }
         | Expr::Literal(_)
         | Expr::Param(_)

@@ -311,12 +311,6 @@ impl Segment {
         self.ids[slot]
     }
 
-    /// Lowest RowId in the segment (`None` when empty).
-    #[inline]
-    pub fn first_id(&self) -> Option<u64> {
-        self.ids.first().copied()
-    }
-
     /// Highest RowId in the segment (`None` when empty).
     #[inline]
     pub fn last_id(&self) -> Option<u64> {

@@ -80,11 +80,6 @@ impl Session {
         self.workers
     }
 
-    /// Number of live prepared statements (used by tests and `METRICS`).
-    pub fn prepared_count(&self) -> usize {
-        self.prepared.len()
-    }
-
     /// Runs one SQL statement with positional parameters, honoring the
     /// session's worker override. The query pins its MVCC snapshot here.
     pub fn run_sql(&self, sql: &str, params: Vec<Value>) -> RelResult<QueryOutcome> {

@@ -347,6 +347,13 @@ pub struct SelectStmt {
     pub offset: Option<u64>,
 }
 
+impl SelectStmt {
+    /// Every table the statement reads: `FROM`, then each `JOIN`.
+    pub fn tables(&self) -> impl Iterator<Item = &TableRef> {
+        self.from.iter().chain(self.joins.iter().map(|j| &j.table))
+    }
+}
+
 /// Any SQL statement.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Statement {

@@ -19,14 +19,6 @@ pub enum Token {
 }
 
 impl Token {
-    /// The identifier text, if this token is one.
-    pub fn as_ident(&self) -> Option<&str> {
-        match self {
-            Token::Ident(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// Whether this token is the keyword `kw` (case-insensitive).
     pub fn is_kw(&self, kw: &str) -> bool {
         matches!(self, Token::Ident(s) if s.eq_ignore_ascii_case(kw))

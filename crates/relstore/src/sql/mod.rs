@@ -10,7 +10,3 @@
 pub mod ast;
 pub mod lexer;
 pub mod parser;
-
-pub use ast::{Expr, JoinClause, OrderKey, SelectItem, SelectStmt, Statement, TableRef};
-pub use lexer::{tokenize_sql, Token};
-pub use parser::parse_statement;

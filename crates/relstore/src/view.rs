@@ -36,6 +36,12 @@
 //! transiently negative and MIN/MAX never retract a value they have not
 //! seen.
 //!
+//! Analysis reads the definition through the planner's own stages: one
+//! [`Scope`] and [`qualify`] bind its names (so a naming mistake fails
+//! as it would in a `SELECT`), its predicate is the `WHERE` conjuncts
+//! then the `ON` conjuncts in the planner's order, and its hash key is
+//! the planner's [`equi_join_keys`].
+//!
 //! Maintained results must be *byte-identical* to a from-scratch
 //! recompute of the definition, so `CREATE MATERIALIZED VIEW` rejects
 //! anything order- or representation-sensitive: `DISTINCT`, `ORDER BY`,
@@ -48,12 +54,13 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
-use crate::bind::{bind_expr, RowSchema};
+use crate::bind::{bind_expr, qualify, Qualified, Scope};
 use crate::error::{RelError, RelResult};
 use crate::expr::eval;
-use crate::planner::{derive_name, split_conjuncts};
+use crate::plan::ProjectItem;
+use crate::planner::equi_join_keys;
 use crate::schema::{Catalog, Column, TableSchema};
-use crate::sql::ast::{AggFunc, BinOp, Expr, SelectItem, SelectStmt};
+use crate::sql::ast::{AggFunc, BinOp, Expr, SelectItem, SelectStmt, TableRef};
 use crate::storage::Change;
 use crate::table::{Row, RowId, Table};
 use crate::value::{DataType, Value};
@@ -83,26 +90,6 @@ pub(crate) struct ViewDef {
     pub(crate) select_sql: String,
 }
 
-/// A source table binding of a view.
-#[derive(Debug, Clone)]
-pub(crate) struct SourceRef {
-    /// Storage key (lowercased table name).
-    pub(crate) table: String,
-    /// Binding alias.
-    pub(crate) alias: String,
-}
-
-/// One bound output column of a view.
-#[derive(Debug, Clone)]
-pub(crate) struct OutItem {
-    /// Projection expression, bound to the concatenated source row.
-    pub(crate) expr: Expr,
-    /// Output column name.
-    pub(crate) name: String,
-    /// Inferred output type.
-    pub(crate) ty: DataType,
-}
-
 /// One aggregate call appearing in the select list.
 #[derive(Debug, Clone)]
 pub(crate) struct AggSpec {
@@ -121,20 +108,21 @@ pub(crate) struct AggSpec {
 /// the left row followed by the right row of a join.
 #[derive(Debug, Clone)]
 pub(crate) struct ViewAnalysis {
-    /// Source tables (one or two).
-    pub(crate) sources: Vec<SourceRef>,
+    /// Source tables (one or two), each under its storage key (the
+    /// lowercased table name).
+    pub(crate) sources: Vec<TableRef>,
     /// Width of the source row.
     pub(crate) arity: usize,
-    /// Conjuncts of (every `JOIN ... ON` plus `WHERE`), in evaluation
-    /// order; a source row qualifies iff all are true.
+    /// The `WHERE` conjuncts, then every `JOIN ... ON` conjunct, in
+    /// evaluation order; a source row qualifies iff all are true.
     pub(crate) predicate: Vec<Expr>,
     /// Equi-join key pair `(left key, right key)` when one conjunct is
     /// `left_expr = right_expr` across the two sources. Unlike everything
     /// else here, each key is bound to *its own side's* row, because the
     /// probe scans evaluate it before any joined row exists.
     pub(crate) equi: Option<(Expr, Expr)>,
-    /// Expanded output items.
-    pub(crate) items: Vec<OutItem>,
+    /// Expanded, named output items.
+    pub(crate) items: Vec<ProjectItem>,
     /// Bound `GROUP BY` expressions.
     pub(crate) group_by: Vec<Expr>,
     /// Distinct aggregate calls in the select list.
@@ -459,143 +447,71 @@ pub(crate) fn analyze_view(
         return Err(unsupported("LIMIT/OFFSET"));
     }
 
-    // Sources: at most two tables across FROM and JOIN.
-    let mut sources = Vec::new();
-    let mut side_schemas = Vec::new();
-    let mut col_types: Vec<DataType> = Vec::new();
-    let refs = query
-        .from
+    // One or two source tables, every name bound to their joined row.
+    // Binding canonicalizes every column reference, which makes the
+    // syntactic comparisons below (groundedness, equi-key detection,
+    // aggregate slots) semantic.
+    let scope = Scope::new(query.tables(), catalog)?;
+    let sources: Vec<TableRef> = scope
+        .tables
         .iter()
-        .chain(query.joins.iter().map(|j| &j.table));
-    for r in refs {
-        let schema = catalog.table(&r.table)?;
-        if r.table.to_ascii_lowercase().starts_with("sys_") {
-            return Err(unsupported("reading system tables"));
-        }
-        if sources
-            .iter()
-            .any(|s: &SourceRef| s.alias.eq_ignore_ascii_case(&r.alias))
-        {
-            return Err(RelError::AmbiguousColumn(format!(
-                "duplicate table alias {:?} in materialized view {name:?}",
-                r.alias
-            )));
-        }
-        sources.push(SourceRef {
-            table: r.table.to_ascii_lowercase(),
-            alias: r.alias.clone(),
-        });
-        side_schemas.push(RowSchema::for_table(
-            &r.alias,
-            schema.columns.iter().map(|c| c.name.clone()),
-        ));
-        col_types.extend(schema.columns.iter().map(|c| c.ty));
+        .map(|t| TableRef {
+            table: t.table.to_ascii_lowercase(),
+            alias: t.alias.clone(),
+        })
+        .collect();
+    if sources.iter().any(|s| s.table.starts_with("sys_")) {
+        return Err(unsupported("reading system tables"));
     }
     if sources.len() > 2 {
         return Err(unsupported("more than two base tables"));
     }
-    let schema = match side_schemas.as_slice() {
-        [one] => one.clone(),
-        [l, r] => l.clone().join(r.clone()),
-        _ => unreachable!("1 or 2 sources"),
-    };
-
-    // Binding canonicalizes every column reference, which makes the
-    // syntactic comparisons below (groundedness, equi-key detection,
-    // aggregate slots) semantic.
-    let bind = |e: &Expr| check_supported(e).and_then(|()| bind_expr(e, &schema));
-
-    // Predicate: every JOIN ... ON conjunct, then WHERE, bound and in
-    // left-to-right order so short-circuit behaviour matches the executor.
-    let mut predicate = Vec::new();
-    for j in &query.joins {
-        split_conjuncts(bind(&j.on)?, &mut predicate);
+    let Qualified {
+        items,
+        conjuncts: predicate,
+        group_by,
+    } = qualify(query, &scope)?;
+    let item_exprs = items.iter().map(|i| &i.expr);
+    let exprs = predicate.iter().chain(item_exprs).chain(&group_by);
+    exprs.clone().try_for_each(check_supported)?;
+    if predicate.iter().any(Expr::has_aggregate) {
+        return Err(unsupported("aggregates in WHERE/ON"));
     }
-    if let Some(f) = &query.filter {
-        split_conjuncts(bind(f)?, &mut predicate);
-    }
-    for p in &predicate {
-        if p.has_aggregate() {
-            return Err(unsupported("aggregates in WHERE/ON"));
-        }
-    }
-
-    // Equi-join key for the probe scans, each side re-bound to its own row.
-    let equi = match find_equi_key(&predicate, &sources) {
-        Some((l, r)) => Some((
-            bind_expr(&l, &side_schemas[0])?,
-            bind_expr(&r, &side_schemas[1])?,
-        )),
-        None => None,
-    };
-
-    // Output items: expand wildcards, derive names, bind, infer types.
-    let mut items: Vec<OutItem> = Vec::new();
-    let mut any_aggregate = false;
-    for (pos, item) in query.items.iter().enumerate() {
-        match item {
-            SelectItem::Wildcard => {
-                for b in schema.columns() {
-                    items.push(OutItem {
-                        expr: bind(&Expr::col(Some(&b.table), &b.name))?,
-                        name: b.name.clone(),
-                        ty: DataType::Int, // fixed up below
-                    });
-                }
-            }
-            SelectItem::TableWildcard(alias) => {
-                if !sources.iter().any(|s| s.alias.eq_ignore_ascii_case(alias)) {
-                    return Err(RelError::UnknownTable(alias.clone()));
-                }
-                for b in schema
-                    .columns()
-                    .iter()
-                    .filter(|b| b.table.eq_ignore_ascii_case(alias))
-                {
-                    items.push(OutItem {
-                        expr: bind(&Expr::col(Some(&b.table), &b.name))?,
-                        name: b.name.clone(),
-                        ty: DataType::Int,
-                    });
-                }
-            }
-            SelectItem::Expr { expr, alias } => {
-                any_aggregate |= expr.has_aggregate();
-                let name = alias.clone().unwrap_or_else(|| derive_name(expr, pos));
-                items.push(OutItem {
-                    expr: bind(expr)?,
-                    name,
-                    ty: DataType::Int,
-                });
-            }
-        }
-    }
-    for it in &mut items {
-        it.ty = infer_type(&it.expr, &col_types);
+    if group_by.iter().any(Expr::has_aggregate) {
+        return Err(unsupported("aggregates in GROUP BY"));
     }
     let mut seen = HashSet::new();
-    for it in &items {
-        if !seen.insert(it.name.to_ascii_lowercase()) {
-            return Err(RelError::SchemaMismatch(format!(
-                "materialized view {name:?}: duplicate output column {:?}; name it with AS",
-                it.name
-            )));
-        }
+    if let Some(it) = items
+        .iter()
+        .find(|it| !seen.insert(it.name.to_ascii_lowercase()))
+    {
+        return Err(RelError::SchemaMismatch(format!(
+            "materialized view {name:?}: duplicate output column {:?}; name it with AS",
+            it.name
+        )));
     }
 
-    // Group-by and aggregate slots.
-    let group_by = query
-        .group_by
-        .iter()
-        .map(|e| {
-            if e.has_aggregate() {
-                Err(unsupported("aggregates in GROUP BY"))
-            } else {
-                bind(e)
+    // The probe scans' hash key is the planner's equi-join key between the
+    // two sources, each side re-bound to its own row.
+    let equi = match sources.as_slice() {
+        [l, r] => {
+            let joined = HashSet::from([l.alias.to_ascii_lowercase()]);
+            let right = r.alias.to_ascii_lowercase();
+            match predicate
+                .iter()
+                .find_map(|c| equi_join_keys(c, &joined, &right))
+            {
+                Some((lk, rk)) => Some((
+                    bind_expr(&lk, &scope.table_row(&l.alias)?)?,
+                    bind_expr(&rk, &scope.table_row(&r.alias)?)?,
+                )),
+                None => None,
             }
-        })
-        .collect::<RelResult<Vec<_>>>()?;
-    let grouped = any_aggregate || !group_by.is_empty();
+        }
+        _ => None,
+    };
+
+    let grouped = !group_by.is_empty() || items.iter().any(|it| it.expr.has_aggregate());
     let mut aggs = Vec::new();
     if grouped {
         for it in &items {
@@ -612,7 +528,7 @@ pub(crate) fn analyze_view(
             match a.func {
                 AggFunc::Sum | AggFunc::Avg => {
                     let arg = a.arg.as_ref().expect("SUM/AVG always has an argument");
-                    if infer_type(arg, &col_types) != DataType::Int {
+                    if infer_type(arg, &scope.types) != DataType::Int {
                         return Err(unsupported(
                             "SUM/AVG over non-integer expressions (float accumulation is \
                              order-sensitive)",
@@ -624,9 +540,16 @@ pub(crate) fn analyze_view(
         }
     }
 
+    let backing = TableSchema::new(
+        name,
+        items
+            .iter()
+            .map(|it| Column::new(&it.name, infer_type(&it.expr, &scope.types)))
+            .collect(),
+    );
     let analysis = ViewAnalysis {
         sources,
-        arity: schema.len(),
+        arity: scope.row.len(),
         predicate,
         equi,
         items,
@@ -634,14 +557,6 @@ pub(crate) fn analyze_view(
         aggs,
         grouped,
     };
-    let backing = TableSchema::new(
-        name,
-        analysis
-            .items
-            .iter()
-            .map(|it| Column::new(&it.name, it.ty))
-            .collect(),
-    );
     Ok((analysis, backing))
 }
 
@@ -660,51 +575,6 @@ fn check_supported(expr: &Expr) -> RelResult<()> {
         }
         other => other.children().into_iter().try_for_each(check_supported),
     }
-}
-
-/// Which source slots a bound expression reads, plus whether it reads
-/// any column at all.
-fn sides(expr: &Expr, sources: &[SourceRef], acc: &mut (HashSet<usize>, bool)) {
-    if let Expr::Column { table, .. } = expr {
-        acc.1 = true;
-        let slot = table.as_ref().and_then(|alias| {
-            sources
-                .iter()
-                .position(|s| s.alias.eq_ignore_ascii_case(alias))
-        });
-        acc.0.extend(slot);
-    }
-    for child in expr.children() {
-        sides(child, sources, acc);
-    }
-}
-
-/// Finds an equi-join conjunct `left_side_expr = right_side_expr` to hash
-/// the probe scans on.
-fn find_equi_key(predicate: &[Expr], sources: &[SourceRef]) -> Option<(Expr, Expr)> {
-    for p in predicate {
-        if let Expr::Binary {
-            op: BinOp::Eq,
-            left,
-            right,
-        } = p
-        {
-            let mut l = (HashSet::new(), false);
-            let mut r = (HashSet::new(), false);
-            sides(left, sources, &mut l);
-            sides(right, sources, &mut r);
-            let only = |acc: &(HashSet<usize>, bool), slot: usize| {
-                acc.1 && acc.0.len() == 1 && acc.0.contains(&slot)
-            };
-            if only(&l, 0) && only(&r, 1) {
-                return Some(((**left).clone(), (**right).clone()));
-            }
-            if only(&l, 1) && only(&r, 0) {
-                return Some(((**right).clone(), (**left).clone()));
-            }
-        }
-    }
-    None
 }
 
 /// Whether a non-aggregate part of a select item is a function of the

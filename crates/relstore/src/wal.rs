@@ -1025,7 +1025,6 @@ pub(crate) fn frame_change(buf: &mut Vec<u8>, tx: u64, change: &Change) {
 #[derive(Debug)]
 pub struct Wal {
     io: Box<dyn WalIo>,
-    path: Option<PathBuf>,
     /// Records appended since the last [`Wal::sync`].
     pending: Vec<u8>,
     poisoned: bool,
@@ -1036,27 +1035,16 @@ impl Wal {
     pub fn open(path: &Path) -> RelResult<Wal> {
         let io = StdFileIo::open(path)
             .map_err(|e| RelError::Wal(format!("open {}: {e}", path.display())))?;
-        Ok(Wal {
-            io: Box::new(io),
-            path: Some(path.to_path_buf()),
-            pending: Vec::new(),
-            poisoned: false,
-        })
+        Ok(Wal::with_io(Box::new(io)))
     }
 
     /// A log over an arbitrary [`WalIo`] (fault injection, in-memory).
     pub fn with_io(io: Box<dyn WalIo>) -> Wal {
         Wal {
             io,
-            path: None,
             pending: Vec::new(),
             poisoned: false,
         }
-    }
-
-    /// The log file's path (`None` for non-file backends).
-    pub fn path(&self) -> Option<&Path> {
-        self.path.as_deref()
     }
 
     /// Whether an earlier I/O failure poisoned this handle.
@@ -1074,11 +1062,6 @@ impl Wal {
     pub fn sync(&mut self) -> RelResult<()> {
         let pending = std::mem::take(&mut self.pending);
         self.write_frames(&pending)
-    }
-
-    /// Discards buffered (unsynced) records — transaction rollback.
-    pub fn discard_pending(&mut self) {
-        self.pending.clear();
     }
 
     /// Writes pre-framed bytes and fsyncs — the durability point. The
@@ -1249,8 +1232,8 @@ mod tests {
         wal.append(&WalRecord::Begin { tx: 9 });
         // No sync: nothing on disk yet.
         assert!(read_back(&path).is_empty());
-        wal.discard_pending();
-        wal.sync().unwrap();
+        // Dropped unsynced: still nothing on disk.
+        drop(wal);
         assert!(read_back(&path).is_empty());
     }
 

@@ -565,6 +565,100 @@ fn order_by_multiple_keys_and_directions() {
 }
 
 #[test]
+fn order_by_a_bare_name_sorts_by_the_output_column_of_that_name() {
+    let db = Database::in_memory();
+    db.query("CREATE TABLE t (a INT, k INT)").run().unwrap();
+    db.query("INSERT INTO t VALUES (1, 3), (2, 2), (3, 1)")
+        .run()
+        .unwrap();
+    let firsts = |sql: &str| -> Vec<i64> {
+        let rs = db.query(sql).run().unwrap().rows;
+        rs.rows().iter().map(|r| r[0].as_int().unwrap()).collect()
+    };
+    // `k` and `a` name both an output and an input column; as in
+    // PostgreSQL and SQLite, the output column wins.
+    assert_eq!(
+        firsts("SELECT a AS k, k AS a FROM t ORDER BY k"),
+        vec![1, 2, 3]
+    );
+    assert_eq!(
+        firsts("SELECT a AS k, k AS a FROM t ORDER BY a"),
+        vec![3, 2, 1]
+    );
+    // A qualified name is always the input column.
+    assert_eq!(
+        firsts("SELECT a AS k, k AS a FROM t ORDER BY t.k"),
+        vec![3, 2, 1]
+    );
+    // The first output column of that name wins.
+    assert_eq!(
+        firsts("SELECT k AS x, a AS x FROM t ORDER BY x DESC"),
+        vec![3, 2, 1]
+    );
+}
+
+/// One naming mistake is one error, whichever entry point reads it: a
+/// `SELECT` and the same `SELECT` as a materialized view fail with the
+/// same kind, and `prepare` still succeeds but types no parameter of a
+/// statement that can never run.
+#[test]
+fn one_naming_mistake_is_one_error() {
+    use std::mem::discriminant;
+    use xomatiq_relstore::RelError;
+
+    let db = Database::in_memory();
+    db.query("CREATE TABLE t (a INT, b INT)").run().unwrap();
+    db.query("CREATE TABLE u (a INT, c TEXT)").run().unwrap();
+    let cases = [
+        (
+            "unknown qualifier",
+            "SELECT t.a FROM t tt",
+            RelError::UnknownTable(String::new()),
+        ),
+        (
+            "unknown t.*",
+            "SELECT tt.* FROM t",
+            RelError::UnknownTable(String::new()),
+        ),
+        (
+            "duplicate alias",
+            "SELECT x.a FROM t x, u x",
+            RelError::Parse(String::new()),
+        ),
+        (
+            "ambiguous bare column",
+            "SELECT a FROM t, u",
+            RelError::AmbiguousColumn(String::new()),
+        ),
+        (
+            "unknown column",
+            "SELECT t.zz FROM t",
+            RelError::UnknownColumn(String::new()),
+        ),
+    ];
+    for (mistake, select, kind) in cases {
+        let err = db.query(select).run().unwrap_err();
+        assert_eq!(
+            discriminant(&err),
+            discriminant(&kind),
+            "{mistake}: {err:?}"
+        );
+        let view = db
+            .query(&format!("CREATE MATERIALIZED VIEW v AS {select}"))
+            .run()
+            .unwrap_err();
+        assert_eq!(
+            discriminant(&view),
+            discriminant(&kind),
+            "{mistake}: {view:?}"
+        );
+        // `b` names one column of `t`; the mistake elsewhere leaves it untyped.
+        let prepared = db.prepare(&format!("{select} WHERE b = ?")).unwrap();
+        assert_eq!(prepared.param_types(), &[None], "{mistake}");
+    }
+}
+
+#[test]
 fn limit_and_offset_edges() {
     let db = Database::in_memory();
     db.query("CREATE TABLE t (a INT)").run().unwrap();

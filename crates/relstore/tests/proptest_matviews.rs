@@ -6,7 +6,8 @@
 //! executor (streaming, morsel-parallel, reference). Every view shape
 //! runs the same signed-delta algebra, so the views cover what it rests
 //! on: row views over one table, an equi-join, a theta join and a
-//! self-join; aggregates over one table and over a join, with MIN/MAX
+//! self-join; `*`, `t.*` and bare column names over a join whose `ON` and
+//! `WHERE` both carry conjuncts; aggregates over one table and over a join, with MIN/MAX
 //! retraction and rescans; a float column whose zeros differ only in
 //! sign (netting must keep `-0.0 → 0.0` as an update); and transactions
 //! whose statements touch the same rows more than once.
@@ -155,6 +156,16 @@ const VIEWS: &[(&str, &str, &str)] = &[
         "REFRESH ON COMMIT",
         "SELECT t.grp, COUNT(*) AS n, SUM(u.w) AS s, MIN(t.f) AS lo, MAX(t.f) AS hi \
          FROM t JOIN u ON t.id = u.id GROUP BY t.grp",
+    ),
+    (
+        "v_star",
+        "REFRESH ON COMMIT",
+        "SELECT * FROM t WHERE v > 10",
+    ),
+    (
+        "v_names",
+        "REFRESH ON COMMIT",
+        "SELECT u.*, grp, v FROM t JOIN u ON t.id = u.id AND v < w WHERE f IS NOT NULL",
     ),
     (
         "v_lazy",

@@ -318,3 +318,28 @@ fn grand_tour_of_the_public_api() {
     let doc = xq.reconstruct("hlx_enzyme.DEFAULT", &v2[0].id).unwrap();
     assert!(xomatiq_xml::to_string(&doc).contains("Molybdenum"));
 }
+
+/// XQ2SQL orders every result by its first output alias. When that alias
+/// is also a column of a table the SQL reads (`aval` of `_attrs`), the
+/// rows must still come back sorted by the output column.
+#[test]
+fn results_sort_by_the_first_return_name() {
+    let corpus = Corpus::generate(&CorpusSpec::sized(40));
+    let xq = Xomatiq::in_memory();
+    xq.load_source("hlx_embl.inv", SourceKind::Embl, &corpus.embl_flat())
+        .unwrap();
+    for name in ["aval", "d"] {
+        let outcome = xq
+            .query(&format!(
+                r#"FOR $a IN document("hlx_embl.inv")/hlx_n_sequence/db_entry
+                   WHERE $a//qualifier[@qualifier_type = "EC number"] = $a//qualifier
+                   RETURN ${name} = $a//description"#
+            ))
+            .unwrap();
+        let values: Vec<String> = outcome.rows.iter().map(|r| r[0].to_string()).collect();
+        let mut sorted = values.clone();
+        sorted.sort();
+        assert_eq!(values.len(), 11, "${name}");
+        assert_eq!(values, sorted, "${name}");
+    }
+}
