@@ -11,10 +11,11 @@
 //! A statement's names are checked once, before any plan exists:
 //! `Scope::new` turns its `FROM` and `JOIN` tables into one row of every
 //! column under its alias (the unknown-table and duplicate-alias checks),
-//! and `qualify` binds the select list, the `WHERE` and `ON` conjuncts
-//! and `GROUP BY` to that row. The planner, view analysis and parameter
-//! typing all read names through these two, so one naming mistake is one
-//! error wherever the statement enters.
+//! and `qualify` binds to that row, in this order: the `WHERE` conjuncts,
+//! then each `ON` clause's, then the select list, then `GROUP BY`. The
+//! planner, view analysis and parameter typing all read names through
+//! these two, so one naming mistake is one error wherever the statement
+//! enters.
 //!
 //! What a bound plan promises the executor: every `Expr::Column` an
 //! operator carries has `ordinal: Some(i)`, where `i` indexes the row that
@@ -27,7 +28,7 @@
 use crate::error::{RelError, RelResult};
 use crate::plan::{LeafOutput, Plan, ProjectItem};
 use crate::planner::split_conjuncts;
-use crate::schema::Catalog;
+use crate::schema::{Catalog, Column, TableSchema};
 use crate::sql::ast::{Expr, SelectItem, SelectStmt, TableRef};
 use crate::value::DataType;
 
@@ -88,21 +89,35 @@ impl RowSchema {
 
     /// Resolves a possibly-qualified column reference to its position.
     pub fn resolve(&self, table: Option<&str>, name: &str) -> RelResult<usize> {
-        let full = || match table {
-            Some(t) => format!("{t}.{name}"),
-            None => name.to_string(),
-        };
         let mut found = None;
         for (i, binding) in self.columns.iter().enumerate() {
             let table_ok = table.is_none_or(|t| binding.table.eq_ignore_ascii_case(t));
             if table_ok && binding.name.eq_ignore_ascii_case(name) {
                 if found.is_some() {
-                    return Err(RelError::AmbiguousColumn(full()));
+                    return Err(RelError::AmbiguousColumn(spelled(table, name)));
                 }
                 found = Some(i);
             }
         }
-        found.ok_or_else(|| RelError::UnknownColumn(full()))
+        found.ok_or_else(|| RelError::UnknownColumn(spelled(table, name)))
+    }
+}
+
+/// A column reference as written, for error text.
+fn spelled(table: Option<&str>, name: &str) -> String {
+    match table {
+        Some(t) => format!("{t}.{name}"),
+        None => name.to_string(),
+    }
+}
+
+/// A reference to the column at position `ordinal`, under its canonical
+/// alias and name.
+fn column_ref(ordinal: usize, table: &str, name: &str) -> Expr {
+    Expr::Column {
+        table: Some(table.to_string()),
+        name: name.to_string(),
+        ordinal: Some(ordinal),
     }
 }
 
@@ -115,11 +130,7 @@ pub fn bind_expr(expr: &Expr, schema: &RowSchema) -> RelResult<Expr> {
         Expr::Column { table, name, .. } => {
             let i = schema.resolve(table.as_deref(), name)?;
             let binding = &schema.columns()[i];
-            Ok(Expr::Column {
-                table: Some(binding.table.clone()),
-                name: binding.name.clone(),
-                ordinal: Some(i),
-            })
+            Ok(column_ref(i, &binding.table, &binding.name))
         }
         other => other.try_map_children(|e| bind_expr(e, schema)),
     }
@@ -127,15 +138,12 @@ pub fn bind_expr(expr: &Expr, schema: &RowSchema) -> RelResult<Expr> {
 
 /// The names one statement can see: its tables under their aliases, and
 /// every column of theirs in one row — the row that joining all of them
-/// in declaration order produces.
+/// in declaration order produces. The scope borrows every name from the
+/// statement and the catalog; only a bound reference copies one.
 #[derive(Debug, Default)]
 pub(crate) struct Scope<'s> {
-    /// The tables, in declaration order.
-    pub(crate) tables: Vec<&'s TableRef>,
-    /// Every column of every table, under its table's alias.
-    pub(crate) row: RowSchema,
-    /// Each column's declared type, by position in `row`.
-    pub(crate) types: Vec<DataType>,
+    /// Each table and its schema, in declaration order.
+    tables: Vec<(&'s TableRef, &'s TableSchema)>,
 }
 
 impl<'s> Scope<'s> {
@@ -143,7 +151,7 @@ impl<'s> Scope<'s> {
     /// alias.
     pub(crate) fn new(
         tables: impl IntoIterator<Item = &'s TableRef>,
-        catalog: &Catalog,
+        catalog: &'s Catalog,
     ) -> RelResult<Scope<'s>> {
         let (mut tables, mut scope) = (tables.into_iter().peekable(), Scope::default());
         if tables.peek().is_none() {
@@ -154,25 +162,50 @@ impl<'s> Scope<'s> {
                 let alias = &t.alias;
                 return Err(RelError::Parse(format!("duplicate table alias {alias:?}")));
             }
-            for col in &catalog.table(&t.table)?.columns {
-                let (table, name) = (t.alias.clone(), col.name.clone());
-                scope.row.columns.push(ColumnBinding { table, name });
-                scope.types.push(col.ty);
-            }
-            scope.tables.push(t);
+            scope.tables.push((t, catalog.table(&t.table)?));
         }
         Ok(scope)
     }
 
+    /// The tables, in declaration order.
+    pub(crate) fn tables(&self) -> impl Iterator<Item = &'s TableRef> + '_ {
+        self.tables.iter().map(|(t, _)| *t)
+    }
+
+    /// The scope's row, in order: each column's alias and definition.
+    pub(crate) fn columns(&self) -> impl Iterator<Item = (&'s str, &'s Column)> + Clone + '_ {
+        let table = |(t, schema): &(&'s TableRef, &'s TableSchema)| {
+            let alias = t.alias.as_str();
+            schema.columns.iter().map(move |c| (alias, c))
+        };
+        self.tables.iter().flat_map(table)
+    }
+
     /// `UnknownTable` unless some table is bound under `alias`.
     fn known(&self, alias: &str) -> RelResult<()> {
-        let known = self
-            .tables
-            .iter()
-            .any(|t| t.alias.eq_ignore_ascii_case(alias));
+        let known = self.tables().any(|t| t.alias.eq_ignore_ascii_case(alias));
         known
             .then_some(())
             .ok_or_else(|| RelError::UnknownTable(alias.to_string()))
+    }
+
+    /// The one column a reference names, with its position in the row:
+    /// `UnknownTable` if its qualifier names no table, else
+    /// [`RowSchema::resolve`]'s rule.
+    fn resolve(&self, table: Option<&str>, name: &str) -> RelResult<(usize, &'s str, &'s Column)> {
+        table.map_or(Ok(()), |alias| self.known(alias))?;
+        let (mut found, mut offset) = (None, 0);
+        for (t, schema) in &self.tables {
+            let own = table.is_none_or(|alias| t.alias.eq_ignore_ascii_case(alias));
+            if let Some(i) = schema.column_index(name).filter(|_| own) {
+                if found.is_some() {
+                    return Err(RelError::AmbiguousColumn(spelled(table, name)));
+                }
+                found = Some((offset + i, t.alias.as_str(), &schema.columns[i]));
+            }
+            offset += schema.arity();
+        }
+        found.ok_or_else(|| RelError::UnknownColumn(spelled(table, name)))
     }
 
     /// The columns of the table bound under `alias`, with their positions
@@ -180,25 +213,25 @@ impl<'s> Scope<'s> {
     fn table_columns<'a>(
         &'a self,
         alias: &'a str,
-    ) -> RelResult<impl Iterator<Item = (usize, &'a ColumnBinding)>> {
+    ) -> RelResult<impl Iterator<Item = (usize, (&'s str, &'s Column))> + 'a> {
         self.known(alias)?;
-        let columns = self.row.columns.iter().enumerate();
-        Ok(columns.filter(move |(_, b)| b.table.eq_ignore_ascii_case(alias)))
+        let columns = self.columns().enumerate();
+        Ok(columns.filter(move |(_, (a, _))| a.eq_ignore_ascii_case(alias)))
     }
 
     /// The table bound under `alias` as a row of its own.
     pub(crate) fn table_row(&self, alias: &str) -> RelResult<RowSchema> {
-        let columns = self.table_columns(alias)?.map(|(_, b)| b.clone());
-        Ok(RowSchema::new(columns.collect()))
+        let names = self.table_columns(alias)?.map(|(_, (_, c))| c.name.clone());
+        Ok(RowSchema::for_table(alias, names))
     }
 
-    /// Binds `expr` to the scope's row: [`bind_expr`], except that a
-    /// qualifier naming no table is `UnknownTable`.
+    /// Binds `expr` to the scope's row: [`bind_expr`]'s rule, except that
+    /// a qualifier naming no table is `UnknownTable`.
     pub(crate) fn bind(&self, expr: &Expr) -> RelResult<Expr> {
         match expr {
-            Expr::Column { table, .. } => {
-                table.as_deref().map_or(Ok(()), |alias| self.known(alias))?;
-                bind_expr(expr, &self.row)
+            Expr::Column { table, name, .. } => {
+                let (i, alias, column) = self.resolve(table.as_deref(), name)?;
+                Ok(column_ref(i, alias, &column.name))
             }
             other => other.try_map_children(|e| self.bind(e)),
         }
@@ -207,7 +240,7 @@ impl<'s> Scope<'s> {
     /// The declared type of the one column a reference names, if it names
     /// exactly one.
     pub(crate) fn type_of(&self, table: Option<&str>, name: &str) -> Option<DataType> {
-        self.row.resolve(table, name).ok().map(|i| self.types[i])
+        self.resolve(table, name).ok().map(|(_, _, c)| c.ty)
     }
 }
 
@@ -223,34 +256,29 @@ pub(crate) struct Qualified {
 }
 
 /// The qualify stage: binds every name `stmt` uses outside `ORDER BY` to
-/// `scope`'s row — the conjuncts first, then the select list (expanding
-/// `*` and `t.*`, naming each item by its alias or [`derive_name`]), then
-/// `GROUP BY`. The first name that does not resolve is the error.
+/// `scope`'s row, in this order: the `WHERE` conjuncts, then each `ON`
+/// clause's, then the select list (expanding `*` and `t.*`, naming each
+/// item by its alias or [`derive_name`]), then `GROUP BY`. The first name
+/// that does not resolve is the error.
 pub(crate) fn qualify(stmt: &SelectStmt, scope: &Scope) -> RelResult<Qualified> {
     let mut conjuncts = Vec::new();
     for e in stmt.filter.iter().chain(stmt.joins.iter().map(|j| &j.on)) {
         split_conjuncts(scope.bind(e)?, &mut conjuncts);
     }
-    let column = |(i, b): (usize, &ColumnBinding)| ProjectItem {
-        expr: Expr::Column {
-            table: Some(b.table.clone()),
-            name: b.name.clone(),
-            ordinal: Some(i),
-        },
-        name: b.name.clone(),
+    let column = |(i, (table, c)): (usize, (&str, &Column))| ProjectItem {
+        expr: column_ref(i, table, &c.name),
+        name: c.name.clone(),
     };
     let mut items = Vec::new();
-    for item in &stmt.items {
+    for (position, item) in stmt.items.iter().enumerate() {
         match item {
-            SelectItem::Wildcard => items.extend(scope.row.columns.iter().enumerate().map(column)),
+            SelectItem::Wildcard => items.extend(scope.columns().enumerate().map(column)),
             SelectItem::TableWildcard(alias) => {
                 items.extend(scope.table_columns(alias)?.map(column));
             }
             SelectItem::Expr { expr, alias } => {
                 let bound = scope.bind(expr)?;
-                let name = alias
-                    .clone()
-                    .unwrap_or_else(|| derive_name(expr, items.len()));
+                let name = alias.clone().unwrap_or_else(|| derive_name(expr, position));
                 items.push(ProjectItem { expr: bound, name });
             }
         }
@@ -264,7 +292,10 @@ pub(crate) fn qualify(stmt: &SelectStmt, scope: &Scope) -> RelResult<Qualified> 
 }
 
 /// An unaliased select item's name: a column's own name, an aggregate's
-/// function, else `col<position>`.
+/// function, else `col<position>`, where `position` counts the select
+/// list as written (a wildcard is one item). A view's column names come
+/// from this rule each time its logged definition is re-analyzed, so the
+/// rule must not change.
 fn derive_name(expr: &Expr, position: usize) -> String {
     match expr {
         Expr::Column { name, .. } => name.clone(),

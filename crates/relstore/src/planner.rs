@@ -7,10 +7,11 @@
 //! optimizer picks them (§3.2):
 //!
 //! 1. `Scope::new` checks the statement's tables and aliases, and
-//!    `qualify` binds the select list, the `WHERE` then `ON` conjuncts
-//!    and `GROUP BY` to the scope's row — the stage view analysis and
-//!    `prepare` share; an `ORDER BY` key that is a bare name of a select
-//!    item sorts by that item, anything else binds like the rest;
+//!    `qualify` binds to the scope's row, in this order: the `WHERE`
+//!    conjuncts, then each `ON` clause's, then the select list, then
+//!    `GROUP BY` — the stage view analysis and `prepare` share; an
+//!    `ORDER BY` key that is a bare name of a select item sorts by that
+//!    item, anything else binds like the rest;
 //! 2. the conjuncts are partitioned by the tables they mention;
 //! 3. each table becomes one leaf ([`Access`]) carrying the conjuncts that
 //!    mention only that table — a full scan for now;
@@ -97,7 +98,7 @@ pub fn plan_select(
     // One leaf per table, carrying the table's own conjuncts.
     let mut alias_map: BTreeMap<String, String> = BTreeMap::new();
     let mut inputs: Vec<(String, Plan)> = Vec::new();
-    for t in &scope.tables {
+    for t in scope.tables() {
         let alias = t.alias.to_ascii_lowercase();
         alias_map.insert(alias.clone(), t.table.clone());
         // `choose_access` splits the predicate once it is bound; until

@@ -432,8 +432,8 @@ fn infer_param_types(stmt: &Statement, catalog: &Catalog, count: usize) -> Vec<O
     match stmt {
         Statement::Insert { rows, .. } => {
             for row in rows {
-                for (expr, ty) in row.iter().zip(&scope.types) {
-                    set(expr, Some(*ty));
+                for (expr, (_, column)) in row.iter().zip(scope.columns()) {
+                    set(expr, Some(column.ty));
                 }
             }
         }

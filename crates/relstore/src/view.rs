@@ -453,8 +453,7 @@ pub(crate) fn analyze_view(
     // aggregate slots) semantic.
     let scope = Scope::new(query.tables(), catalog)?;
     let sources: Vec<TableRef> = scope
-        .tables
-        .iter()
+        .tables()
         .map(|t| TableRef {
             table: t.table.to_ascii_lowercase(),
             alias: t.alias.clone(),
@@ -511,6 +510,7 @@ pub(crate) fn analyze_view(
         _ => None,
     };
 
+    let types: Vec<_> = scope.columns().map(|(_, c)| c.ty).collect();
     let grouped = !group_by.is_empty() || items.iter().any(|it| it.expr.has_aggregate());
     let mut aggs = Vec::new();
     if grouped {
@@ -528,7 +528,7 @@ pub(crate) fn analyze_view(
             match a.func {
                 AggFunc::Sum | AggFunc::Avg => {
                     let arg = a.arg.as_ref().expect("SUM/AVG always has an argument");
-                    if infer_type(arg, &scope.types) != DataType::Int {
+                    if infer_type(arg, &types) != DataType::Int {
                         return Err(unsupported(
                             "SUM/AVG over non-integer expressions (float accumulation is \
                              order-sensitive)",
@@ -544,12 +544,12 @@ pub(crate) fn analyze_view(
         name,
         items
             .iter()
-            .map(|it| Column::new(&it.name, infer_type(&it.expr, &scope.types)))
+            .map(|it| Column::new(&it.name, infer_type(&it.expr, &types)))
             .collect(),
     );
     let analysis = ViewAnalysis {
         sources,
-        arity: scope.row.len(),
+        arity: types.len(),
         predicate,
         equi,
         items,

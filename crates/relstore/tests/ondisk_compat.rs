@@ -137,3 +137,58 @@ fn log_and_image_written_by_the_parent_commit_recover_cleanly() {
     assert_eq!(again.row_count("Gene").unwrap(), 4);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `tests/fixtures/wildcard_views.wal` + `.ckpt` were written by `e21405b`
+/// over `Database::open`: `t(a, b, c)` with rows 1 and 2, `v_star AS
+/// SELECT *, a + 1 FROM t`, a checkpoint, then `v_named REFRESH ON COMMIT
+/// AS SELECT *, a + 1, b + 1 AS col3 FROM t` and row 3. Opening re-analyzes
+/// each view's logged definition, so an unaliased item after a wildcard
+/// must keep the name that build gave it: `col1`, from its position in
+/// the select list as written. (Opening rebuilds every view, the deferred
+/// `v_star` included, as that build did too.)
+#[test]
+fn views_with_a_wildcard_keep_their_column_names_on_reopen() {
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let dir = std::env::temp_dir().join(format!("xomatiq-compat-views-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for name in ["wildcard_views.wal", "wildcard_views.wal.ckpt"] {
+        std::fs::copy(fixtures.join(name), dir.join(name)).unwrap();
+    }
+    let (db, report) = Database::open_with_report(&dir.join("wildcard_views.wal")).unwrap();
+    assert!(report.is_clean(), "{report:?}");
+    assert!(report.checkpoint_csn > 0, "image not used: {report:?}");
+    let table = |sql: &str| db.query(sql).run().unwrap().rows.to_table();
+    assert_eq!(
+        table("SELECT * FROM v_star ORDER BY a"),
+        "+---+----+-----+------+\n\
+         | a | b  | c   | col1 |\n\
+         +---+----+-----+------+\n\
+         | 1 | 10 | 100 | 2    |\n\
+         | 2 | 20 | 200 | 3    |\n\
+         | 3 | 30 | 300 | 4    |\n\
+         +---+----+-----+------+\n\
+         (3 rows)\n"
+    );
+    assert_eq!(
+        table("SELECT * FROM v_named ORDER BY a"),
+        "+---+----+-----+------+------+\n\
+         | a | b  | c   | col1 | col3 |\n\
+         +---+----+-----+------+------+\n\
+         | 1 | 10 | 100 | 2    | 11   |\n\
+         | 2 | 20 | 200 | 3    | 21   |\n\
+         | 3 | 30 | 300 | 4    | 31   |\n\
+         +---+----+-----+------+------+\n\
+         (3 rows)\n"
+    );
+    // The same definition, as a view or as a SELECT, names its columns
+    // the same way here.
+    let fresh = Database::in_memory();
+    run(&fresh, "CREATE TABLE t (a INT, b INT, c INT)");
+    let sql = "SELECT *, a + 1, b + 1 AS col3 FROM t";
+    run(&fresh, &format!("CREATE MATERIALIZED VIEW v AS {sql}"));
+    for sql in [sql, "SELECT * FROM v"] {
+        let rows = fresh.query(sql).run().unwrap().rows;
+        assert_eq!(rows.columns(), ["a", "b", "c", "col1", "col3"], "{sql}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
