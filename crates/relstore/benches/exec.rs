@@ -507,6 +507,89 @@ fn bench_exec(_c: &mut Criterion) {
     }
     drop(multi_db);
 
+    // One-row commits against a growing table: one prepared one-row
+    // INSERT plus one DELETE of that row, on an in-memory database whose
+    // table holds n/10 or n rows and carries no index, one B-tree index,
+    // three, or one keyword index (`s` holds tokens every row shares).
+    // A commit copies only the index chunks it writes, so its cost must
+    // not follow the table size: with XOMATIQ_BENCH_ENFORCE (full scale)
+    // 50k/idx3 must stay within 10x of 50k/idx0 and within 1.5x of
+    // 5k/idx3.
+    // Each op is some tens of µs, so far more samples than the rows
+    // above take keep the gates clear of scheduler noise.
+    let samples = std::mem::replace(&mut rec.samples, if n > 1_000 { 400 } else { 30 });
+    let mut one_row = std::collections::HashMap::new();
+    for (label, rows) in [("5k", n / 10), ("50k", n)] {
+        for (shape, indexes) in [
+            ("idx0", &[][..]),
+            ("idx1", &["CREATE INDEX t_a ON t (a)"][..]),
+            (
+                "idx3",
+                &[
+                    "CREATE INDEX t_a ON t (a)",
+                    "CREATE INDEX t_b ON t (b)",
+                    "CREATE INDEX t_c ON t (c)",
+                ][..],
+            ),
+            ("kw", &["CREATE KEYWORD INDEX t_s ON t (s)"][..]),
+        ] {
+            let db = Database::in_memory();
+            db.query("CREATE TABLE t (a INT, b INT, c TEXT, s TEXT)")
+                .run()
+                .unwrap();
+            let stmts: Vec<String> = (0..rows)
+                .map(|i| {
+                    format!(
+                        "INSERT INTO t VALUES ({i}, {}, 'k{}', 'entry {i} of the cell division set')",
+                        i % 97,
+                        i % 1000
+                    )
+                })
+                .collect();
+            let refs: Vec<&str> = stmts.iter().map(|s| s.as_str()).collect();
+            db.execute_batch(&refs).unwrap();
+            for ddl in indexes {
+                db.query(ddl).run().unwrap();
+            }
+            let insert = db.prepare("INSERT INTO t VALUES (?, ?, ?, ?)").unwrap();
+            let delete = db.prepare("DELETE FROM t WHERE a = ?").unwrap();
+            let mut a = rows as i64;
+            let name = format!("commit/one_row_vs_table_rows/{label}/{shape}");
+            let ns = rec.bench(&name, || {
+                a += 1;
+                db.query_prepared(&insert)
+                    .bind(a)
+                    .bind(a % 97)
+                    .bind(format!("k{}", a % 1000))
+                    .bind(format!("entry {a} of the cell division set"))
+                    .run()
+                    .unwrap();
+                db.query_prepared(&delete).bind(a).run().unwrap();
+            });
+            one_row.insert((label, shape), ns);
+        }
+    }
+    rec.samples = samples;
+    let wide = one_row[&("50k", "idx3")];
+    let to_bare = wide / one_row[&("50k", "idx0")];
+    let to_small = wide / one_row[&("5k", "idx3")];
+    println!(
+        "exec/commit/one_row_vs_table_rows: 50k/idx3 is {to_bare:.2}x 50k/idx0, \
+         {to_small:.2}x 5k/idx3"
+    );
+    if enforce && n >= 50_000 {
+        assert!(
+            to_bare <= 10.0,
+            "one-row commit with 3 indexes costs {to_bare:.2}x the index-less one \
+             at 50k rows (need <= 10x)"
+        );
+        assert!(
+            to_small <= 1.5,
+            "one-row commit with 3 indexes costs {to_small:.2}x more at 50k rows \
+             than at 5k (need <= 1.5x): commit cost follows the table size"
+        );
+    }
+
     // Incremental view maintenance vs full recompute. Deferred views over
     // n base rows; each round touches ~1% of the rows, then refreshes.
     // The incremental path folds the committed delta log (a few hundred

@@ -30,6 +30,11 @@ use std::sync::Arc;
 use crate::segment::{Segment, SimplePred, SEGMENT_CAPACITY};
 use crate::value::{DataType, Value};
 
+/// Segments whose dead-slot fraction exceeds this are rewritten by
+/// compaction: explicit or background ([`crate::Database::compact_segments`])
+/// and, sparing the tail, at every commit that deleted rows.
+pub(crate) const COMPACT_DEAD_RATIO: f64 = 0.3;
+
 /// Segmented columnar storage for one table.
 #[derive(Debug, Clone)]
 pub struct ColStore {
@@ -243,14 +248,18 @@ impl ColStore {
     /// outright. Surviving rows keep their ids and insert CSNs, and the
     /// id order across segments is preserved, so locations stay valid.
     /// Published snapshots keep their own `Arc`s to the old segments.
+    /// With `spare_tail`, the tail segment, which appends are still
+    /// filling, is left alone: how each commit that deleted rows runs it,
+    /// so that a table under churn does not keep its tombstones.
     ///
     /// Returns the number of segments rewritten or removed.
-    pub fn compact(&mut self, max_dead_ratio: f64) -> usize {
+    pub fn compact(&mut self, max_dead_ratio: f64, spare_tail: bool) -> usize {
+        let end = self.segments.len() - usize::from(spare_tail && !self.segments.is_empty());
         let mut rebuilt = 0usize;
         let mut out: Vec<Arc<Segment>> = Vec::with_capacity(self.segments.len());
-        for seg in self.segments.drain(..) {
+        for (i, seg) in self.segments.drain(..).enumerate() {
             let dead = seg.len() - seg.live_count();
-            if dead == 0 || (dead as f64) <= max_dead_ratio * seg.len() as f64 {
+            if i >= end || dead == 0 || (dead as f64) <= max_dead_ratio * seg.len() as f64 {
                 out.push(seg);
                 continue;
             }
@@ -412,7 +421,7 @@ mod tests {
             s.delete(i).unwrap();
         }
         assert!(s.segments()[0].zone(0).can_match(CmpOp::Eq, &Value::Int(0)));
-        let rebuilt = s.compact(0.4);
+        let rebuilt = s.compact(0.4, false);
         assert_eq!(rebuilt, 2);
         assert_eq!(s.segments().len(), 1);
         assert_eq!(ids(&s), vec![1, 2]);
@@ -436,7 +445,7 @@ mod tests {
         }
         s.delete(0).unwrap();
         // 25% dead <= 40% threshold: untouched.
-        assert_eq!(s.compact(0.4), 0);
+        assert_eq!(s.compact(0.4, false), 0);
         assert_eq!(s.segments()[0].len(), 4);
     }
 }

@@ -134,15 +134,27 @@ impl Database {
             }
             // Before the snapshot is cut: it must already carry the
             // maintained view contents.
-            if let Err(e) = storage.maintain_views(changes, csn) {
+            let maintained = {
+                let _s = xomatiq_obs::span!("relstore.commit.views_ns");
+                storage.maintain_views(changes, csn)
+            };
+            if let Err(e) = maintained {
                 storage.rollback(changes);
                 return Err(e);
             }
         }
         storage.csn = csn;
-        let snap = Arc::new(storage.clone());
+        let snap = {
+            let _s = xomatiq_obs::span!("relstore.commit.snapshot_ns");
+            if let Work::Rows(changes) = &work {
+                storage.reclaim_dead_slots(changes);
+            }
+            Arc::new(storage.clone())
+        };
         let Some(d) = &self.durability else {
-            self.publish(snap);
+            let _s = xomatiq_obs::span!("relstore.commit.publish_ns");
+            let _superseded = self.publish(snap);
+            drop(storage); // before `_superseded` is freed, at the return
             return Ok(());
         };
         {
@@ -178,7 +190,8 @@ impl Database {
             // more, so the write side goes back to exactly that state —
             // whatever this and any other doomed commit had applied.
             let last_durable = Storage::clone(&self.snapshot());
-            *self.storage.write() = last_durable;
+            // Freed at the end of the block, with no lock held.
+            let _doomed = std::mem::replace(&mut *self.storage.write(), last_durable);
         }
         durable
     }
@@ -235,6 +248,15 @@ impl Database {
         let flush_ns = metrics::elapsed_ns(start);
         let m = metrics::engine();
         m.wal_commit_ns.record(flush_ns);
+        // Published before the queue lock is retaken, so the superseded
+        // snapshot is freed with no lock held. Still the only flusher
+        // (`flushing` is set), so no newer snapshot can be overtaken; the
+        // frames are on disk, so readers may see them before
+        // `durable_csn` says so.
+        if let (Ok(()), Some(s)) = (&res, snap) {
+            let _s = xomatiq_obs::span!("relstore.commit.publish_ns");
+            drop(self.publish(s));
+        }
         // One group-commit span per covered committer, attached to the
         // committer's own trace. This thread may belong to a different
         // session than most of `traces` — the whole point of group commit
@@ -251,9 +273,6 @@ impl Database {
                 q.log_bytes += buf.len() as u64;
                 m.wal_bytes
                     .set(i64::try_from(q.log_bytes).unwrap_or(i64::MAX));
-                if let Some(s) = snap {
-                    self.publish(s);
-                }
             }
             Err(e) => {
                 m.wal_fsync_failures.inc();

@@ -61,6 +61,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Mutex, RwLock};
 use xomatiq_obs::trace;
 
+use crate::colstore::COMPACT_DEAD_RATIO;
 use crate::commit::{Durability, Work};
 use crate::error::{RelError, RelResult};
 use crate::exec::{run_plan, ExecStats, PlanRun};
@@ -80,10 +81,6 @@ use crate::value::Value;
 use crate::view;
 use crate::vtab::{VirtualTableProvider, VirtualTables, SYS_PREFIX};
 use crate::wal::{RecoveryReport, Wal, WalIo, WalRecord};
-
-/// Segments whose dead-slot fraction exceeds this are rewritten by the
-/// background compactor.
-const COMPACT_DEAD_RATIO: f64 = 0.3;
 
 /// Shapes executor output into a [`ResultSet`], dropping the hidden
 /// sort-key columns the planner appended after the first `visible` items.
@@ -457,8 +454,13 @@ impl Database {
         Arc::clone(&self.snapshot.lock())
     }
 
-    pub(crate) fn publish(&self, snap: Arc<Storage>) {
-        *self.snapshot.lock() = snap;
+    /// Publishes `snap` to readers and hands back the snapshot it
+    /// supersedes, for the caller to free once it holds no lock: freeing
+    /// its copies must not stall readers pinning a snapshot or committers
+    /// queued behind a lock.
+    #[must_use = "free the superseded snapshot once no lock is held"]
+    pub(crate) fn publish(&self, snap: Arc<Storage>) -> Arc<Storage> {
+        std::mem::replace(&mut *self.snapshot.lock(), snap)
     }
 
     /// Toggles zone-map segment pruning at runtime (bench A/B runs).
@@ -629,11 +631,15 @@ impl Database {
         // Applied to a copy-on-write clone that replaces the state only
         // once it applied whole, so a DDL that fails halfway (a view whose
         // first build hits an evaluation error) leaves nothing behind.
-        let mut next = storage.clone();
-        next.apply_ddl(&record)?;
-        if let WalRecord::CreateView { name, .. } = &record {
-            next.rebuild_view(name, next.csn + 1)?;
-        }
+        let next = {
+            let _s = xomatiq_obs::span!("relstore.commit.apply_ns");
+            let mut next = storage.clone();
+            next.apply_ddl(&record)?;
+            if let WalRecord::CreateView { name, .. } = &record {
+                next.rebuild_view(name, next.csn + 1)?;
+            }
+            next
+        };
         *storage = next;
         self.commit(storage, Work::Ddl(record))?;
         Ok(ResultSet::dml(0))
@@ -647,6 +653,7 @@ impl Database {
         let mut storage = self.begin_write()?;
         let mut changes = Vec::new();
         let mut affected = 0;
+        let apply = xomatiq_obs::span!("relstore.commit.apply_ns");
         for stmt in statements {
             match storage.apply_statement(stmt, &mut changes) {
                 Ok(n) => affected += n,
@@ -656,6 +663,7 @@ impl Database {
                 }
             }
         }
+        drop(apply);
         self.commit(storage, Work::Rows(changes))?;
         Ok(affected)
     }
@@ -682,14 +690,16 @@ impl Database {
         let mut rewritten = 0;
         for name in names {
             if let Ok(t) = storage.table_mut(&name) {
-                rewritten += t.compact_store(COMPACT_DEAD_RATIO);
+                rewritten += t.compact_store(COMPACT_DEAD_RATIO, false);
             }
         }
         // An applied-but-unflushed commit must not leak into the
         // published snapshot; in that window the compacted layout simply
         // rides out with the next successful flush instead.
         if rewritten > 0 && self.is_durable(storage.csn) {
-            self.publish(Arc::new(storage.clone()));
+            let superseded = self.publish(Arc::new(storage.clone()));
+            drop(storage);
+            drop(superseded);
         }
         rewritten
     }

@@ -3,84 +3,34 @@
 //! The paper attributes its query performance to "a set of indexes
 //! \[created\] by meticulous analysis of the query plans generated by the
 //! Oracle query optimizer" (§3.2). [`BTreeIndex`] is the equivalent
-//! structure here: an ordered map from a composite key (one or more column
-//! values) to the set of row ids carrying that key, supporting exact
-//! lookups, prefix lookups and range scans — everything the planner's
-//! index-selection rules need.
+//! structure here: an ordered set of `(composite key, row id)` pairs —
+//! one value per indexed column in the key, ordered by [`Value`]'s `Ord`
+//! ([`Value::total_cmp`]) — supporting exact lookups, prefix lookups and
+//! range scans, everything the planner's index-selection rules need.
+//!
+//! The pairs live in copy-on-write chunks (`chunked.rs`): each
+//! chunk holds at most a fixed number of row ids, each key once with its
+//! ids as a sorted run. A snapshot clone shares every chunk, and a
+//! one-row write copies the one chunk it lands in — never the whole
+//! index, and never a whole posting list, however many rows share a key.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Ordering;
 use std::ops::Bound;
+use std::sync::Arc;
 
+use crate::chunked::{Postings, CHUNK_CAPACITY};
 use crate::table::RowId;
 use crate::value::Value;
 
 /// A key in the index: one value per indexed column.
 pub type IndexKey = Vec<Value>;
 
-/// Ordering wrapper so `Vec<Value>` keys sort by [`Value::total_cmp`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct OrdKey(IndexKey);
-
-impl PartialOrd for OrdKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OrdKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        KeySlice::new(&self.0).cmp(KeySlice::new(&other.0))
-    }
-}
-
-/// Borrowed view of an index key, ordered exactly like [`OrdKey`], so map
-/// probes (lookups, maintenance on an existing key) run without cloning
-/// the key values first.
-#[derive(Debug, PartialEq, Eq)]
-#[repr(transparent)]
-struct KeySlice([Value]);
-
-impl KeySlice {
-    fn new(key: &[Value]) -> &KeySlice {
-        // SAFETY: `KeySlice` is `#[repr(transparent)]` over `[Value]`.
-        unsafe { &*(key as *const [Value] as *const KeySlice) }
-    }
-}
-
-impl std::borrow::Borrow<KeySlice> for OrdKey {
-    fn borrow(&self) -> &KeySlice {
-        KeySlice::new(&self.0)
-    }
-}
-
-impl PartialOrd for KeySlice {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for KeySlice {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        let mut it_a = self.0.iter();
-        let mut it_b = other.0.iter();
-        loop {
-            match (it_a.next(), it_b.next()) {
-                (None, None) => return std::cmp::Ordering::Equal,
-                (None, Some(_)) => return std::cmp::Ordering::Less,
-                (Some(_), None) => return std::cmp::Ordering::Greater,
-                (Some(a), Some(b)) => match a.total_cmp(b) {
-                    std::cmp::Ordering::Equal => continue,
-                    non_eq => return non_eq,
-                },
-            }
-        }
-    }
-}
-
 /// A secondary index over one or more columns of a table.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct BTreeIndex {
-    entries: BTreeMap<OrdKey, BTreeSet<RowId>>,
+    /// Keys are shared, so a chunk copy bumps counts instead of cloning
+    /// values.
+    entries: Postings<Arc<[Value]>>,
     /// Column positions (in the table schema) forming the key.
     key_columns: Vec<usize>,
 }
@@ -88,10 +38,23 @@ pub struct BTreeIndex {
 impl BTreeIndex {
     /// Creates an empty index keyed on the given column positions.
     pub fn new(key_columns: Vec<usize>) -> Self {
+        Self::with_chunk_capacity(key_columns, CHUNK_CAPACITY)
+    }
+
+    /// As [`BTreeIndex::new`] with a custom chunk capacity (tests only).
+    pub fn with_chunk_capacity(key_columns: Vec<usize>, cap: usize) -> Self {
         BTreeIndex {
-            entries: BTreeMap::new(),
+            entries: Postings::with_capacity(cap),
             key_columns,
         }
+    }
+
+    /// An index over `rows`, built in one sort rather than row by row.
+    pub fn build(key_columns: Vec<usize>, rows: impl Iterator<Item = (RowId, Vec<Value>)>) -> Self {
+        let mut idx = Self::new(key_columns);
+        let pairs = rows.map(|(id, row)| (idx.key_of(&row), id));
+        idx.entries = Postings::from_pairs(CHUNK_CAPACITY, pairs.collect());
+        idx
     }
 
     /// The key column positions.
@@ -104,98 +67,60 @@ impl BTreeIndex {
         self.key_columns.iter().map(|i| row[*i].clone()).collect()
     }
 
-    /// The key columns as a borrowed slice of `row`, when they form one
-    /// contiguous ascending run (the overwhelmingly common layout for
-    /// `CREATE INDEX` on leading columns). Non-contiguous keys must be
-    /// gathered into a scratch vector before they can be probed.
-    fn contiguous_key<'r>(&self, row: &'r [Value]) -> Option<&'r [Value]> {
-        let first = *self.key_columns.first()?;
+    /// `row`'s key, borrowed when the key columns form one contiguous
+    /// ascending run (the overwhelmingly common layout for `CREATE INDEX`
+    /// on leading columns), else gathered into `scratch`.
+    fn probe_key<'r>(&self, row: &'r [Value], scratch: &'r mut IndexKey) -> &'r [Value] {
+        let first = self.key_columns.first().copied().unwrap_or(0);
+        let width = self.key_columns.len();
         let contiguous = self
             .key_columns
             .iter()
             .enumerate()
             .all(|(k, &c)| c == first + k);
-        if contiguous && first + self.key_columns.len() <= row.len() {
-            Some(&row[first..first + self.key_columns.len()])
+        if contiguous && first + width <= row.len() {
+            &row[first..first + width]
         } else {
-            None
+            *scratch = self.key_of(row);
+            scratch
         }
     }
 
-    /// Indexes `row` under `id`: the existing entry is probed with a
-    /// borrowed key, and the key values are cloned only when the key is
-    /// new to the index.
+    /// Indexes `row` under `id`; the key values are cloned only when the
+    /// key is new to its chunk.
     pub fn insert(&mut self, id: RowId, row: &[Value]) {
-        match self.contiguous_key(row) {
-            Some(key) => match self.entries.get_mut(KeySlice::new(key)) {
-                Some(set) => {
-                    set.insert(id);
-                }
-                None => {
-                    self.entries
-                        .insert(OrdKey(key.to_vec()), BTreeSet::from([id]));
-                }
-            },
-            None => {
-                let key = self.key_of(row);
-                match self.entries.get_mut(KeySlice::new(&key)) {
-                    Some(set) => {
-                        set.insert(id);
-                    }
-                    None => {
-                        self.entries.insert(OrdKey(key), BTreeSet::from([id]));
-                    }
-                }
-            }
-        }
+        let mut scratch = Vec::new();
+        self.entries.insert(self.probe_key(row, &mut scratch), id);
     }
 
-    /// Removes `row`'s entry for `id`, probing with a borrowed key.
+    /// Removes `row`'s entry for `id`.
     pub fn remove(&mut self, id: RowId, row: &[Value]) {
-        let scratch;
-        let key: &[Value] = match self.contiguous_key(row) {
-            Some(key) => key,
-            None => {
-                scratch = self.key_of(row);
-                &scratch
-            }
-        };
-        let key = KeySlice::new(key);
-        if let Some(set) = self.entries.get_mut(key) {
-            set.remove(&id);
-            if set.is_empty() {
-                self.entries.remove(key);
-            }
-        }
+        let mut scratch = Vec::new();
+        self.entries.remove(self.probe_key(row, &mut scratch), id);
     }
 
     /// Row ids whose key equals `key` exactly (full-width key).
     pub fn lookup(&self, key: &[Value]) -> Vec<RowId> {
+        self.entries.runs(key).flatten().copied().collect()
+    }
+
+    /// The runs whose key starts with `prefix`, from the first at or
+    /// after `from` (itself at or after `prefix`).
+    fn prefixed<'a>(
+        &'a self,
+        prefix: &'a [Value],
+        from: &[Value],
+    ) -> impl Iterator<Item = (&'a Arc<[Value]>, &'a [RowId])> + 'a {
         self.entries
-            .get(KeySlice::new(key))
-            .map(|set| set.iter().copied().collect())
-            .unwrap_or_default()
+            .runs_from(from)
+            .take_while(move |(key, _)| key.starts_with(prefix))
     }
 
     /// Row ids whose key starts with `prefix` (shorter than the full key).
     pub fn lookup_prefix(&self, prefix: &[Value]) -> Vec<RowId> {
-        let lo = KeySlice::new(prefix);
-        let mut out = Vec::new();
-        for (key, ids) in self
-            .entries
-            .range::<KeySlice, _>((Bound::Included(lo), Bound::Unbounded))
-        {
-            if key.0.len() < prefix.len()
-                || !key.0[..prefix.len()]
-                    .iter()
-                    .zip(prefix)
-                    .all(|(a, b)| a.total_cmp(b).is_eq())
-            {
-                break;
-            }
-            out.extend(ids.iter().copied());
-        }
-        out
+        self.prefixed(prefix, prefix)
+            .flat_map(|(_, ids)| ids.iter().copied())
+            .collect()
     }
 
     /// Row ids whose first key column lies in the given bounds, with an
@@ -204,48 +129,39 @@ impl BTreeIndex {
     /// `prefix` fixes the first `prefix.len()` key columns; the bounds
     /// apply to the next column. This services plans like
     /// `path_id = ? AND num_val BETWEEN x AND y` over a composite index.
+    ///
+    /// The walk starts at the lower bound and stops past the upper one:
+    /// wherever [`Value::compare`] orders two values, the key order agrees,
+    /// so no key outside that stretch can pass. Inside it each key is
+    /// still checked with `compare`, which leaves out NULLs, values of
+    /// another type and NaN.
     pub fn range(
         &self,
         prefix: &[Value],
         lower: Bound<&Value>,
         upper: Bound<&Value>,
     ) -> Vec<RowId> {
-        let mut out = Vec::new();
-        // Scan the prefix region and filter by the bound column; correctness
-        // first, and the prefix region is exactly the relevant subtree.
-        let candidates = if prefix.is_empty() {
-            self.entries
-                .iter()
-                .map(|(k, v)| (&k.0, v))
-                .collect::<Vec<_>>()
-        } else {
-            let lo = KeySlice::new(prefix);
-            self.entries
-                .range::<KeySlice, _>((Bound::Included(lo), Bound::Unbounded))
-                .take_while(|(key, _)| {
-                    key.0.len() >= prefix.len()
-                        && key.0[..prefix.len()]
-                            .iter()
-                            .zip(prefix)
-                            .all(|(a, b)| a.total_cmp(b).is_eq())
-                })
-                .map(|(k, v)| (&k.0, v))
-                .collect()
-        };
         let col = prefix.len();
-        for (key, ids) in candidates {
+        let mut from = prefix.to_vec();
+        if let Bound::Included(b) | Bound::Excluded(b) = lower {
+            from.push(b.clone());
+        }
+        // Whether `v` lies on the inner side of `bound`, which
+        // `v.compare(b)` orders `past` when `v` is beyond it.
+        let within = |v: &Value, bound: Bound<&Value>, past: Ordering| match bound {
+            Bound::Unbounded => true,
+            Bound::Included(b) => v.compare(b).is_some_and(|o| o != past),
+            Bound::Excluded(b) => v.compare(b).is_some_and(|o| o == past.reverse()),
+        };
+        let mut out = Vec::new();
+        for (key, ids) in self.prefixed(prefix, &from) {
             let Some(v) = key.get(col) else { continue };
-            let ok_lower = match lower {
-                Bound::Unbounded => true,
-                Bound::Included(b) => v.compare(b).is_some_and(|o| o.is_ge()),
-                Bound::Excluded(b) => v.compare(b).is_some_and(|o| o.is_gt()),
-            };
-            let ok_upper = match upper {
-                Bound::Unbounded => true,
-                Bound::Included(b) => v.compare(b).is_some_and(|o| o.is_le()),
-                Bound::Excluded(b) => v.compare(b).is_some_and(|o| o.is_lt()),
-            };
-            if ok_lower && ok_upper {
+            if let Bound::Included(b) | Bound::Excluded(b) = upper {
+                if v > b {
+                    break;
+                }
+            }
+            if within(v, lower, Ordering::Less) && within(v, upper, Ordering::Greater) {
                 out.extend(ids.iter().copied());
             }
         }
@@ -254,7 +170,16 @@ impl BTreeIndex {
 
     /// Number of distinct keys.
     pub fn distinct_keys(&self) -> usize {
-        self.entries.len()
+        let mut last = None;
+        let runs = self.entries.runs_from(&[][..]);
+        runs.filter(|(key, _)| last.replace(*key) != Some(*key))
+            .count()
+    }
+
+    /// The postings, for tests that check what a write copied.
+    #[cfg(test)]
+    pub(crate) fn postings(&self) -> &Postings<Arc<[Value]>> {
+        &self.entries
     }
 }
 

@@ -68,6 +68,7 @@
 //! ```
 
 pub mod bind;
+pub(crate) mod chunked;
 pub mod colstore;
 pub(crate) mod commit;
 pub mod db;

@@ -7,11 +7,11 @@
 //! side lives behind [`Database`](crate::Database)'s lock, and readers
 //! pin clones of it.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use crate::bind::{bind_expr, RowSchema};
+use crate::colstore::COMPACT_DEAD_RATIO;
 use crate::error::{RelError, RelResult};
 use crate::exec::matching_ids;
 use crate::expr::eval;
@@ -39,7 +39,7 @@ fn next_generation() -> u64 {
 /// In-memory state: catalog, tables and index structures.
 ///
 /// `Storage` is cheaply `Clone`: tables share sealed segments through
-/// `Arc`, and index structures are `Arc`-wrapped. A clone is an MVCC
+/// `Arc`, and indexes and view state share copy-on-write chunks. A clone is an MVCC
 /// snapshot — it sees the state as of the clone and is never affected by
 /// later mutations of the original (which copy-on-write any shared piece
 /// before changing it).
@@ -48,8 +48,8 @@ pub struct Storage {
     /// Schemas and index definitions.
     pub catalog: Catalog,
     tables: BTreeMap<String, Table>,
-    btree: BTreeMap<String, Arc<BTreeIndex>>,
-    keyword: BTreeMap<String, Arc<KeywordIndex>>,
+    btree: BTreeMap<String, BTreeIndex>,
+    keyword: BTreeMap<String, KeywordIndex>,
     /// Commit sequence number of the last commit applied to this state.
     /// Mutations are stamped with `csn + 1` (the CSN their commit will
     /// take); the commit itself bumps the counter.
@@ -128,7 +128,6 @@ impl Storage {
     pub fn btree_index(&self, name: &str) -> RelResult<&BTreeIndex> {
         self.btree
             .get(&key(name))
-            .map(|idx| idx.as_ref())
             .ok_or_else(|| RelError::UnknownIndex(name.to_string()))
     }
 
@@ -136,7 +135,6 @@ impl Storage {
     pub fn keyword_index(&self, name: &str) -> RelResult<&KeywordIndex> {
         self.keyword
             .get(&key(name))
-            .map(|idx| idx.as_ref())
             .ok_or_else(|| RelError::UnknownIndex(name.to_string()))
     }
 
@@ -214,11 +212,8 @@ impl Storage {
                 .schema()
                 .column_index(&def.columns[0])
                 .expect("validated by catalog");
-            let mut idx = KeywordIndex::new(col);
-            for (id, row) in table.scan() {
-                idx.insert(id, &row);
-            }
-            self.keyword.insert(key(&def.name), Arc::new(idx));
+            let idx = KeywordIndex::build(col, table.scan());
+            self.keyword.insert(key(&def.name), idx);
         } else {
             let cols: Vec<usize> = def
                 .columns
@@ -230,11 +225,8 @@ impl Storage {
                         .expect("validated by catalog")
                 })
                 .collect();
-            let mut idx = BTreeIndex::new(cols);
-            for (id, row) in table.scan() {
-                idx.insert(id, &row);
-            }
-            self.btree.insert(key(&def.name), Arc::new(idx));
+            let idx = BTreeIndex::build(cols, table.scan());
+            self.btree.insert(key(&def.name), idx);
         }
         self.generation = next_generation();
         Ok(())
@@ -430,6 +422,23 @@ impl Storage {
         }
     }
 
+    /// Compacts the sealed segments of every table `changes` deleted from
+    /// once they pass [`COMPACT_DEAD_RATIO`], so that a table under churn
+    /// holds its live rows and not every row it ever had. Run only once
+    /// the commit can no longer roll back: a rolled-back delete re-inserts
+    /// into its old slot.
+    pub(crate) fn reclaim_dead_slots(&mut self, changes: &[Change]) {
+        let deleted_from: BTreeSet<&str> = changes
+            .iter()
+            .filter_map(|c| c.after.is_none().then_some(c.table.as_str()))
+            .collect();
+        for name in deleted_from {
+            if let Ok(t) = self.table_mut(name) {
+                t.compact_store(COMPACT_DEAD_RATIO, true);
+            }
+        }
+    }
+
     /// Tracks one row mutation against the planner statistics: the row
     /// count moves by `delta` exactly, and once enough churn accumulates
     /// the column statistics (if the table was analyzed) rebuild in place.
@@ -450,13 +459,12 @@ impl Storage {
     /// Rescans `table` into its statistics entry and draws a new
     /// generation (invalidating cached plans).
     pub(crate) fn rebuild_stats(&mut self, table: &str) {
-        let Ok(t) = self.table(table) else { return };
-        let schema = t.schema().clone();
-        let rows: Vec<Row> = t.scan().map(|(_, row)| row).collect();
-        if let Some(stats) = self.stats.existing_mut(table) {
-            stats.rescan(&schema, rows.into_iter());
-            self.generation = next_generation();
-        }
+        let (Some(t), Some(stats)) = (self.tables.get(&key(table)), self.stats.existing_mut(table))
+        else {
+            return;
+        };
+        stats.rescan(t.schema(), t.scan().map(|(_, row)| row));
+        self.generation = next_generation();
     }
 
     /// Replaces this snapshot's column statistics in place (how `ANALYZE`
@@ -477,10 +485,10 @@ impl Storage {
             .collect();
         for name in defs {
             if let Some(idx) = self.btree.get_mut(&name) {
-                Arc::make_mut(idx).insert(id, row);
+                idx.insert(id, row);
             }
             if let Some(idx) = self.keyword.get_mut(&name) {
-                Arc::make_mut(idx).insert(id, row);
+                idx.insert(id, row);
             }
         }
     }
@@ -494,10 +502,10 @@ impl Storage {
             .collect();
         for name in defs {
             if let Some(idx) = self.btree.get_mut(&name) {
-                Arc::make_mut(idx).remove(id, row);
+                idx.remove(id, row);
             }
             if let Some(idx) = self.keyword.get_mut(&name) {
-                Arc::make_mut(idx).remove(id, row);
+                idx.remove(id, row);
             }
         }
     }
@@ -573,8 +581,9 @@ impl Storage {
                     select_sql: select_sql.to_string(),
                 },
                 analysis,
-                state: Arc::new(state),
-                pending: Arc::new(Vec::new()),
+                state,
+                pending: Default::default(),
+                pending_images: 0,
                 overflowed: false,
                 last_refresh_csn: 0,
                 incremental_refreshes: 0,
@@ -602,7 +611,7 @@ impl Storage {
             .clone();
         let mut fresh = Table::new(schema);
         fresh.set_stamp(stamp);
-        rt.state = Arc::new(view::full_build(&rt.analysis, &self.tables, &mut fresh)?);
+        rt.state = view::full_build(&rt.analysis, &self.tables, &mut fresh)?;
         rt.last_refresh_csn = stamp;
         self.put_view(&k, fresh, rt);
         Ok(())
@@ -651,7 +660,12 @@ impl Storage {
 
     /// Runs `changes` through view `k`'s delta pipeline, stamping the view
     /// rows it touches `stamp`.
-    fn apply_view_deltas(&mut self, k: &str, changes: &[Change], stamp: u64) -> RelResult<()> {
+    fn apply_view_deltas<'c>(
+        &mut self,
+        k: &str,
+        changes: impl Iterator<Item = &'c Change> + Clone,
+        stamp: u64,
+    ) -> RelResult<()> {
         let mut rt = self.views.remove(k).expect("registered view");
         let mut vt = self.tables.remove(k).expect("view backing table");
         vt.set_stamp(stamp);
@@ -681,7 +695,7 @@ impl Storage {
             for k in &affected {
                 let rt = s.views.get_mut(k).expect("listed above");
                 if rt.def.refresh_on_commit {
-                    s.apply_view_deltas(k, changes, csn)?;
+                    s.apply_view_deltas(k, changes.iter(), csn)?;
                 } else {
                     rt.defer(changes);
                 }
@@ -699,7 +713,7 @@ impl Storage {
         let k = key(name);
         let csn = self.csn;
         let rt = &self.views[&k];
-        let (pending, images) = (Arc::clone(&rt.pending), rt.pending_images());
+        let (pending, images) = (rt.pending.clone(), rt.pending_images);
         let refreshed = if full || rt.overflowed {
             self.rebuild_view(name, csn)?;
             self.views
@@ -713,12 +727,12 @@ impl Storage {
             // A maintenance error (say, an evaluation error on a pending
             // row) leaves the view and its log intact.
             self.restoring_views_on_error(std::slice::from_ref(&k), |s| {
-                s.apply_view_deltas(&k, &pending, csn)
+                s.apply_view_deltas(&k, pending.iter(), csn)
             })?;
             images
         };
         let rt = self.views.get_mut(&k).expect("refreshed above");
-        rt.pending = Arc::new(Vec::new());
+        rt.clear_pending();
         rt.overflowed = false;
         Ok(Some(refreshed))
     }
@@ -735,10 +749,10 @@ impl Storage {
             None => self.catalog.tables().map(|s| s.name.clone()).collect(),
         };
         for name in &names {
-            let t = self.table(name)?;
-            let schema = t.schema().clone();
-            let rows: Vec<Row> = t.scan().map(|(_, row)| row).collect();
-            self.stats.table_mut(name).rescan(&schema, rows.into_iter());
+            let t = &self.tables[&key(name)]; // checked or listed above
+            self.stats
+                .table_mut(name)
+                .rescan(t.schema(), t.scan().map(|(_, row)| row));
         }
         self.generation = next_generation();
         Ok(names.len())
@@ -750,4 +764,102 @@ impl Storage {
 fn dml_schema(t: &Table) -> RowSchema {
     let schema = t.schema();
     RowSchema::for_table(&schema.name, schema.columns.iter().map(|c| c.name.clone()))
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use super::Storage;
+    use crate::chunked::CowMap;
+    use crate::view::ViewState;
+    use crate::Database;
+
+    const ROWS: usize = 50_000;
+
+    /// `t` with `ROWS` rows under three B-tree indexes and one keyword
+    /// index over a token every row holds.
+    fn table_with_indexes() -> Database {
+        let db = Database::in_memory();
+        db.query("CREATE TABLE t (a INT, b INT, c TEXT, s TEXT, v INT)")
+            .run()
+            .unwrap();
+        let rows: Vec<String> = (0..ROWS)
+            .map(|i| format!("({i}, {}, 'k{}', 'hot', 0)", i % 97, i % 1000))
+            .collect();
+        db.execute_batch(&[&format!("INSERT INTO t VALUES {}", rows.join(", "))])
+            .unwrap();
+        for ddl in [
+            "CREATE INDEX t_a ON t (a)",
+            "CREATE INDEX t_b ON t (b)",
+            "CREATE INDEX t_c ON t (c)",
+            "CREATE KEYWORD INDEX t_s ON t (s)",
+        ] {
+            db.query(ddl).run().unwrap();
+        }
+        db
+    }
+
+    /// Runs `sql` and returns the published snapshots before and after.
+    fn around(db: &Database, sql: &str) -> (Arc<Storage>, Arc<Storage>) {
+        let before = db.snapshot();
+        db.query(sql).run().unwrap();
+        (before, db.snapshot())
+    }
+
+    /// Every index of `t` shares all but at most two chunks across `sql`.
+    fn assert_index_chunks_shared(db: &Database, sql: &str) {
+        let (before, after) = around(db, sql);
+        for name in ["t_a", "t_b", "t_c"] {
+            let (old, new) = (before.btree_index(name), after.btree_index(name));
+            let (old, new) = (old.unwrap().postings(), new.unwrap().postings());
+            let copied = new.unshared_with(old);
+            assert!(copied <= 2, "{sql}: {name} copied {copied} chunks");
+        }
+        let (old, new) = (before.keyword_index("t_s"), after.keyword_index("t_s"));
+        let copied = new
+            .unwrap()
+            .postings()
+            .unshared_with(old.unwrap().postings());
+        assert!(copied <= 2, "{sql}: t_s copied {copied} chunks");
+    }
+
+    #[test]
+    fn a_one_row_commit_copies_at_most_two_chunks_per_index() {
+        let db = table_with_indexes();
+        assert_index_chunks_shared(&db, "INSERT INTO t VALUES (50000, 3, 'k3', 'hot', 0)");
+        assert_index_chunks_shared(&db, "UPDATE t SET v = 1 WHERE a = 25000");
+        assert_index_chunks_shared(&db, "DELETE FROM t WHERE a = 30000");
+    }
+
+    fn view_rows(s: &Storage, view: &str) -> CowMap<(u64, Option<u64>), u64> {
+        match &s.views[view].state {
+            ViewState::Rows { rows } => rows.clone(),
+            ViewState::Agg { .. } => unreachable!("a row view"),
+        }
+    }
+
+    #[test]
+    fn a_one_row_commit_copies_one_chunk_of_view_state_and_log() {
+        let db = table_with_indexes();
+        db.query("CREATE MATERIALIZED VIEW sync REFRESH ON COMMIT AS SELECT a, v FROM t")
+            .run()
+            .unwrap();
+        db.query("CREATE MATERIALIZED VIEW deferred AS SELECT a, v FROM t")
+            .run()
+            .unwrap();
+        // A pending log of several chunks first.
+        db.query("UPDATE t SET v = 2 WHERE a < 1500").run().unwrap();
+        let (before, after) = around(&db, "UPDATE t SET v = 3 WHERE a = 40000");
+        let (old, new) = (view_rows(&before, "sync"), view_rows(&after, "sync"));
+        assert!(old.chunk_count() > 50);
+        assert!(new.unshared_with(&old) <= 2, "sync view state");
+        let (old, new) = (
+            &before.views["deferred"].pending,
+            &after.views["deferred"].pending,
+        );
+        assert!(old.chunk_count() > 2);
+        assert_eq!(after.views["deferred"].pending_images, 3002);
+        assert!(new.unshared_with(old) <= 2, "deferred view log");
+    }
 }

@@ -71,9 +71,11 @@ impl Table {
 
     /// Rewrites segments whose dead-slot fraction exceeds
     /// `max_dead_ratio`, reclaiming tombstones and re-tightening zone
-    /// maps. Returns the number of segments rewritten or removed.
-    pub fn compact_store(&mut self, max_dead_ratio: f64) -> usize {
-        self.store.compact(max_dead_ratio)
+    /// maps; with `spare_tail`, all but the tail segment (see
+    /// [`ColStore::compact`]). Returns the number of segments rewritten
+    /// or removed.
+    pub fn compact_store(&mut self, max_dead_ratio: f64, spare_tail: bool) -> usize {
+        self.store.compact(max_dead_ratio, spare_tail)
     }
 
     /// Number of rows.

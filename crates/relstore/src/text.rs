@@ -7,9 +7,15 @@
 //! (§2.2). This module supplies that support: a tokenizer and an inverted
 //! index mapping each token to the set of rows whose indexed column
 //! contains it.
+//!
+//! The postings live in copy-on-write chunks (`chunked.rs`), each
+//! token once per chunk with its row ids as a sorted run, so a one-row
+//! write copies one chunk per token it touches — even for a token in
+//! every document, whose posting list spans many chunks.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
+use crate::chunked::{Postings, CHUNK_CAPACITY};
 use crate::table::RowId;
 use crate::value::Value;
 
@@ -43,10 +49,11 @@ pub fn tokenize(text: &str) -> Vec<String> {
 }
 
 /// An inverted index over a single text column of a table.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct KeywordIndex {
-    /// Token → row ids containing it.
-    postings: BTreeMap<String, BTreeSet<RowId>>,
+    /// `(token, row id)` pairs; tokens are shared, so a chunk copy bumps
+    /// counts instead of cloning strings.
+    postings: Postings<Arc<str>>,
     /// Indexed column position in the table schema.
     column: usize,
 }
@@ -54,8 +61,27 @@ pub struct KeywordIndex {
 impl KeywordIndex {
     /// Creates an empty index over column position `column`.
     pub fn new(column: usize) -> Self {
+        Self::with_chunk_capacity(column, CHUNK_CAPACITY)
+    }
+
+    /// As [`KeywordIndex::new`] with a custom chunk capacity (tests only).
+    pub fn with_chunk_capacity(column: usize, cap: usize) -> Self {
         KeywordIndex {
-            postings: BTreeMap::new(),
+            postings: Postings::with_capacity(cap),
+            column,
+        }
+    }
+
+    /// An index over `rows`, built in one sort rather than row by row.
+    pub fn build(column: usize, rows: impl Iterator<Item = (RowId, Vec<Value>)>) -> Self {
+        let mut pairs = Vec::new();
+        for (id, row) in rows {
+            if let Some(text) = row.get(column).and_then(Value::as_text) {
+                pairs.extend(tokenize(text).into_iter().map(|token| (token, id)));
+            }
+        }
+        KeywordIndex {
+            postings: Postings::from_pairs(CHUNK_CAPACITY, pairs),
             column,
         }
     }
@@ -69,7 +95,7 @@ impl KeywordIndex {
     pub fn insert(&mut self, id: RowId, row: &[Value]) {
         if let Some(text) = row.get(self.column).and_then(Value::as_text) {
             for token in tokenize(text) {
-                self.postings.entry(token).or_default().insert(id);
+                self.postings.insert(token.as_str(), id);
             }
         }
     }
@@ -78,47 +104,43 @@ impl KeywordIndex {
     pub fn remove(&mut self, id: RowId, row: &[Value]) {
         if let Some(text) = row.get(self.column).and_then(Value::as_text) {
             for token in tokenize(text) {
-                if let Some(set) = self.postings.get_mut(&token) {
-                    set.remove(&id);
-                    if set.is_empty() {
-                        self.postings.remove(&token);
-                    }
-                }
+                self.postings.remove(token.as_str(), id);
             }
         }
     }
 
-    /// Rows containing `keyword` as a whole token (case-insensitive).
+    /// Rows containing `keyword` as a whole token (case-insensitive), in
+    /// ascending id order.
     ///
     /// A multi-token query keyword (e.g. `"cell division"`) returns rows
     /// containing *all* of its tokens, mirroring the paper's extension
     /// where keywords are "implicitly meant to be located close to one
     /// another in the same XML document".
     pub fn lookup(&self, keyword: &str) -> Vec<RowId> {
-        let tokens = tokenize(keyword);
-        if tokens.is_empty() {
-            return Vec::new();
-        }
-        let mut sets = Vec::with_capacity(tokens.len());
-        for token in &tokens {
-            match self.postings.get(token) {
-                Some(set) => sets.push(set),
-                None => return Vec::new(),
-            }
-        }
+        let mut tokens = tokenize(keyword);
         // Intersect starting from the smallest posting list.
-        sets.sort_by_key(|s| s.len());
-        let (first, rest) = sets.split_first().expect("non-empty");
-        first
-            .iter()
-            .copied()
-            .filter(|id| rest.iter().all(|s| s.contains(id)))
+        let ids = |t: &String| self.postings.runs(t.as_str()).fold(0, |n, r| n + r.len());
+        tokens.sort_by_cached_key(ids);
+        let Some((first, rest)) = tokens.split_first() else {
+            return Vec::new();
+        };
+        let ids = self.postings.runs(first.as_str()).flatten().copied();
+        ids.filter(|&id| rest.iter().all(|t| self.postings.contains(t.as_str(), id)))
             .collect()
     }
 
     /// Number of distinct tokens indexed.
     pub fn distinct_tokens(&self) -> usize {
-        self.postings.len()
+        let mut last = None;
+        let runs = self.postings.runs_from("");
+        runs.filter(|(token, _)| last.replace(*token) != Some(*token))
+            .count()
+    }
+
+    /// The postings, for tests that check what a write copied.
+    #[cfg(test)]
+    pub(crate) fn postings(&self) -> &Postings<Arc<str>> {
+        &self.postings
     }
 }
 

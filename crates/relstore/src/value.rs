@@ -228,6 +228,20 @@ impl PartialEq for Value {
 
 impl Eq for Value {}
 
+/// The index-key order, [`Value::total_cmp`], so that it agrees with `Eq`.
+/// SQL comparison is [`Value::compare`].
+impl PartialOrd for Value {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Value {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.total_cmp(other)
+    }
+}
+
 impl std::hash::Hash for Value {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         match self {

@@ -52,9 +52,9 @@
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::Arc;
 
 use crate::bind::{bind_expr, qualify, Qualified, Scope};
+use crate::chunked::{CowLog, CowMap};
 use crate::error::{RelError, RelResult};
 use crate::expr::eval;
 use crate::plan::ProjectItem;
@@ -72,9 +72,9 @@ use crate::value::{DataType, Value};
 const VIEW_DELTA_LOG_CAP: usize = 4096;
 
 /// Row images a change list carries.
-fn images(changes: &[Change]) -> usize {
+fn images<'c>(changes: impl IntoIterator<Item = &'c Change>) -> usize {
     changes
-        .iter()
+        .into_iter()
         .map(|c| usize::from(c.before.is_some()) + usize::from(c.after.is_some()))
         .sum()
 }
@@ -132,8 +132,9 @@ pub(crate) struct ViewAnalysis {
 }
 
 /// Live maintenance state of one view, kept on `Storage` next to the
-/// backing table. Cheap to clone: the bulky parts sit behind `Arc` and
-/// are copied on first write per commit, like the B-tree indexes.
+/// backing table. Cheap to clone: the state and the pending log sit in
+/// copy-on-write chunks ([`crate::chunked`]), and a commit copies only
+/// the chunks it writes, like the B-tree indexes.
 #[derive(Debug, Clone)]
 pub(crate) struct ViewRuntime {
     /// The durable definition.
@@ -141,9 +142,12 @@ pub(crate) struct ViewRuntime {
     /// The analyzed form.
     pub(crate) analysis: ViewAnalysis,
     /// Sink state (the row map or the group accumulators).
-    pub(crate) state: Arc<ViewState>,
+    pub(crate) state: ViewState,
     /// Deferred views: committed changes awaiting `REFRESH`.
-    pub(crate) pending: Arc<Vec<Change>>,
+    pub(crate) pending: CowLog<Change>,
+    /// Row images in `pending` (`sys_views.pending_delta_rows`), kept
+    /// as the log grows so that no commit re-walks it.
+    pub(crate) pending_images: usize,
     /// The pending log overflowed [`VIEW_DELTA_LOG_CAP`]; the next
     /// refresh must recompute from scratch.
     pub(crate) overflowed: bool,
@@ -166,11 +170,6 @@ impl ViewRuntime {
         self.source_tables().any(|s| s.eq_ignore_ascii_case(table))
     }
 
-    /// Row images in the pending log (`sys_views.pending_delta_rows`).
-    pub(crate) fn pending_images(&self) -> usize {
-        images(&self.pending)
-    }
-
     /// Deferred maintenance: appends the part of a committed change list
     /// that touches this view's sources to the pending log — or, past
     /// [`VIEW_DELTA_LOG_CAP`], drops the log so the next `REFRESH`
@@ -179,17 +178,23 @@ impl ViewRuntime {
         if self.overflowed {
             return;
         }
-        let relevant: Vec<Change> = changes
-            .iter()
-            .filter(|c| self.reads(&c.table))
-            .cloned()
-            .collect();
-        if self.pending_images() + images(&relevant) > VIEW_DELTA_LOG_CAP {
-            self.pending = Arc::new(Vec::new());
+        let relevant: Vec<&Change> = changes.iter().filter(|c| self.reads(&c.table)).collect();
+        let added = images(relevant.iter().copied());
+        if self.pending_images + added > VIEW_DELTA_LOG_CAP {
+            self.clear_pending();
             self.overflowed = true;
         } else {
-            Arc::make_mut(&mut self.pending).extend(relevant);
+            relevant
+                .into_iter()
+                .for_each(|c| self.pending.push(c.clone()));
+            self.pending_images += added;
         }
+    }
+
+    /// Empties the pending log.
+    pub(crate) fn clear_pending(&mut self) {
+        self.pending = CowLog::default();
+        self.pending_images = 0;
     }
 }
 
@@ -200,12 +205,12 @@ pub(crate) enum ViewState {
     Rows {
         /// `(left id, right id)` of a source row → its view rowid (no
         /// right id over one table).
-        rows: HashMap<(u64, Option<u64>), u64>,
+        rows: CowMap<(u64, Option<u64>), u64>,
     },
     /// Aggregate view: group key → accumulators.
     Agg {
         /// Group states keyed by evaluated `GROUP BY` key.
-        groups: HashMap<Vec<Value>, GroupState>,
+        groups: CowMap<Vec<Value>, GroupState>,
     },
 }
 
@@ -941,11 +946,11 @@ fn emit_group(a: &ViewAnalysis, g: &GroupState) -> RelResult<Row> {
 pub(crate) fn empty_state(a: &ViewAnalysis) -> ViewState {
     if a.grouped {
         ViewState::Agg {
-            groups: HashMap::new(),
+            groups: CowMap::default(),
         }
     } else {
         ViewState::Rows {
-            rows: HashMap::new(),
+            rows: CowMap::default(),
         }
     }
 }
@@ -973,10 +978,13 @@ struct Event<'r> {
 /// The changes on source `slot` as signed images: each change retracts
 /// its `before` and asserts its `after`, so an update is both under one
 /// id.
-fn signed_images<'c>(a: &ViewAnalysis, changes: &'c [Change], slot: usize) -> Vec<Signed<'c>> {
+fn signed_images<'c>(
+    a: &ViewAnalysis,
+    changes: impl Iterator<Item = &'c Change>,
+    slot: usize,
+) -> Vec<Signed<'c>> {
     let table = &a.sources[slot].table;
     changes
-        .iter()
         .filter(|c| c.table.eq_ignore_ascii_case(table))
         .flat_map(|c| {
             let image = |sign, row: &'c Row| (sign, c.id.0, Cow::Borrowed(row.as_slice()));
@@ -1091,17 +1099,17 @@ fn all_rows<'t>(
 /// `Δ(A ⋈ B) = ΔA ⋈ B_new ⊕ A_new ⋈ ΔB ⊖ ΔA ⋈ ΔB` over a join — which
 /// needs no pre-change state, and makes a self-join one more join whose
 /// two deltas are the same list.
-fn delta<'c>(
+fn delta<'t, 'c: 't>(
     a: &ViewAnalysis,
-    tables: &'c BTreeMap<String, Table>,
-    changes: &'c [Change],
-) -> RelResult<Vec<Event<'c>>> {
+    tables: &'t BTreeMap<String, Table>,
+    changes: impl Iterator<Item = &'c Change> + Clone,
+) -> RelResult<Vec<Event<'t>>> {
     let mut events = Vec::new();
     let mut emit = |e| {
         events.push(e);
         Ok(())
     };
-    let da = signed_images(a, changes, 0);
+    let da = signed_images(a, changes.clone(), 0);
     if a.sources.len() == 1 {
         join(a, 0, da, Vec::new(), &mut emit)?;
     } else {
@@ -1200,18 +1208,18 @@ pub(crate) fn full_build(
 /// commit, or a deferred view's pending log at `REFRESH`. `tables` is the
 /// post-change base state; the view's own backing table is passed
 /// detached so base lookups and view mutations can coexist.
-pub(crate) fn apply_deltas(
+pub(crate) fn apply_deltas<'c>(
     rt: &mut ViewRuntime,
     view_table: &mut Table,
     tables: &BTreeMap<String, Table>,
-    changes: &[Change],
+    changes: impl Iterator<Item = &'c Change> + Clone,
 ) -> RelResult<()> {
     let a = &rt.analysis;
     let delta = delta(a, tables, changes)?;
     if delta.is_empty() {
         return Ok(());
     }
-    match Arc::make_mut(&mut rt.state) {
+    match &mut rt.state {
         ViewState::Rows { rows } => apply_rows(a, rows, view_table, delta),
         ViewState::Agg { groups } => {
             let mut touched = Touched::default();
@@ -1228,7 +1236,7 @@ pub(crate) fn apply_deltas(
 /// id; a lone retraction deletes it; a lone assertion inserts one.
 fn apply_rows(
     a: &ViewAnalysis,
-    rows: &mut HashMap<(u64, Option<u64>), u64>,
+    rows: &mut CowMap<(u64, Option<u64>), u64>,
     view_table: &mut Table,
     delta: Vec<Event<'_>>,
 ) -> RelResult<()> {
@@ -1275,7 +1283,7 @@ struct Touched {
 /// `touched`.
 fn fold(
     a: &ViewAnalysis,
-    groups: &mut HashMap<Vec<Value>, GroupState>,
+    groups: &mut CowMap<Vec<Value>, GroupState>,
     touched: &mut Touched,
     row: &[Value],
     sign: i64,
@@ -1283,9 +1291,10 @@ fn fold(
     let key = group_key(a, row)?;
     let g = match groups.get_mut(&key) {
         Some(g) => g,
-        None if sign > 0 => groups
-            .entry(key.clone())
-            .or_insert_with(|| GroupState::new(a)),
+        None if sign > 0 => {
+            groups.insert(key.clone(), GroupState::new(a));
+            groups.get_mut(&key).expect("just inserted")
+        }
         None => {
             return Err(RelError::Internal(
                 "materialized view: retraction from an unknown group".into(),
@@ -1322,7 +1331,7 @@ fn fold(
 /// over the sources, and writes every remaining touched group's view row.
 fn settle(
     a: &ViewAnalysis,
-    groups: &mut HashMap<Vec<Value>, GroupState>,
+    groups: &mut CowMap<Vec<Value>, GroupState>,
     mut touched: Vec<Vec<Value>>,
     view_table: &mut Table,
     tables: &BTreeMap<String, Table>,
@@ -1334,7 +1343,7 @@ fn settle(
     }
     let mut rescan: HashSet<Vec<Value>> = HashSet::new();
     for key in &touched {
-        let Some(g) = groups.get(key) else {
+        let Some(g) = groups.get_mut(key) else {
             continue;
         };
         if g.rows == 0 && !a.group_by.is_empty() {

@@ -469,7 +469,7 @@ impl VirtualTableProvider for SysViews {
                         .to_string(),
                     ),
                     int(rt.last_refresh_csn),
-                    int(rt.pending_images() as u64),
+                    int(rt.pending_images as u64),
                     flag(rt.overflowed),
                     int(rt.incremental_refreshes),
                     int(rt.fallback_refreshes),
