@@ -5,7 +5,8 @@
 //! both collections and (b) across a two-node federation (split into
 //! per-node sub-queries and recombined). Expected shape: the federated
 //! path pays a modest constant overhead — the per-node sub-queries
-//! dominate, and the client-side hash recombination is cheap relative to
+//! dominate, and the combine (one relstore statement over the member
+//! results, in a per-query in-memory database) is cheap relative to
 //! them.
 
 use std::sync::Arc;

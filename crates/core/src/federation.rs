@@ -15,9 +15,13 @@
 //!    its variables contribute to cross-warehouse comparisons;
 //! 3. sub-queries run on their warehouses through the ordinary XQ2SQL
 //!    path;
-//! 4. the federation layer combines the partial results: hash joins on
-//!    cross-warehouse equality comparisons, filters for the other
-//!    operators, then a projection back to the user's RETURN order.
+//! 4. the partial results are combined by one relstore statement: each
+//!    member's rows are loaded, as typed values, into a table of a
+//!    per-query in-memory [`Database`], and a single `SELECT DISTINCT`
+//!    joins them on the cross-warehouse comparisons, projects the user's
+//!    RETURN order and sorts by the first column, as XQ2SQL does for one
+//!    warehouse. The engine plans that statement like any other, and
+//!    [`QueryOutcome::sql`] carries it.
 //!
 //! Cross-warehouse disjunctions (an `OR` mixing variables of different
 //! warehouses) are rejected as unsupported, mirroring the conjunctive
@@ -29,7 +33,8 @@ use std::time::{Duration, Instant};
 
 use xomatiq_obs::{Counter, Histogram};
 
-use xomatiq_relstore::Value;
+use xomatiq_relstore::sql::ast::{Expr, Statement};
+use xomatiq_relstore::{DataType, Database};
 use xomatiq_xquery::ast::{
     CompOp, Comparison, Condition, FlwrQuery, Operand, PathExpr, ReturnItem,
 };
@@ -309,7 +314,7 @@ impl Federation {
 
         // Split the WHERE into conjuncts and classify by home set.
         let mut local: Vec<Vec<Condition>> = vec![Vec::new(); groups.len()];
-        let mut cross: Vec<Condition> = Vec::new();
+        let mut cross: Vec<(PathExpr, CompOp, PathExpr)> = Vec::new();
         if let Some(cond) = &query.where_clause {
             for conjunct in split_and(cond) {
                 let vars = condition_vars(&conjunct);
@@ -331,10 +336,12 @@ impl Federation {
                     local[slot].push(conjunct);
                 } else {
                     // Cross-warehouse conjuncts must be plain comparisons.
-                    match &conjunct {
-                        Condition::Compare(c) if matches!(c.right, Operand::Path(_)) => {
-                            cross.push(conjunct);
-                        }
+                    match conjunct {
+                        Condition::Compare(Comparison {
+                            left,
+                            op,
+                            right: Operand::Path(right),
+                        }) => cross.push((left, op, right)),
                         _ => {
                             return Err(XomatiqError::Query(QueryError::Unsupported(
                                 "only comparisons between path expressions may span \
@@ -347,13 +354,25 @@ impl Federation {
             }
         }
 
-        // Build per-member sub-queries.
+        // Build per-member sub-queries. Every RETURN item is one column of
+        // its member's result; every path of a cross-warehouse comparison
+        // is a hidden key column of the member that owns it.
+        let slot_of = |var: &str| {
+            let member = let_home.get(var)?;
+            groups.iter().position(|(m, _)| m == member)
+        };
+        let item_slots: Vec<usize> = query
+            .return_items
+            .iter()
+            .map(|item| {
+                slot_of(&item.path.var).ok_or_else(|| {
+                    XomatiqError::Query(QueryError::UnboundVariable(item.path.var.clone()))
+                })
+            })
+            .collect::<Result<_, _>>()?;
+        let mut item_cols = vec![0; item_slots.len()]; // RETURN position → column in its member's result
+        let mut key_cols: Vec<HashMap<String, usize>> = Vec::new(); // slot → path string → column
         let mut subs: Vec<FlwrQuery> = Vec::new();
-        // For every member: the visible return items it owns (with their
-        // global position) and the cross-join key columns it contributes.
-        let mut visible_map: Vec<Vec<(usize, usize)>> = Vec::new(); // member slot → [(global pos, local col)]
-        let mut key_cols: Vec<HashMap<String, usize>> = Vec::new(); // member slot → path string → local col
-
         for (slot, (member, binding_idxs)) in groups.iter().enumerate() {
             let bindings: Vec<_> = binding_idxs
                 .iter()
@@ -366,32 +385,22 @@ impl Federation {
                 .cloned()
                 .collect();
             let mut items: Vec<ReturnItem> = Vec::new();
-            let mut visible = Vec::new();
-            for (global_pos, item) in query.return_items.iter().enumerate() {
-                if let_home.get(&item.path.var) == Some(member) {
-                    visible.push((global_pos, items.len()));
+            for (pos, item) in query.return_items.iter().enumerate() {
+                if item_slots[pos] == slot {
+                    item_cols[pos] = items.len();
                     items.push(item.clone());
                 }
             }
             let mut keys = HashMap::new();
-            for conjunct in &cross {
-                let Condition::Compare(c) = conjunct else {
-                    continue;
-                };
-                let Operand::Path(right) = &c.right else {
-                    continue;
-                };
-                for side in [&c.left, right] {
-                    if let_home.get(&side.var) == Some(member) {
-                        let key = side.to_string();
-                        if !keys.contains_key(&key) {
-                            keys.insert(key.clone(), items.len());
-                            items.push(ReturnItem {
-                                alias: Some(format!("__fed_key_{}", items.len())),
-                                path: side.clone(),
-                            });
-                        }
-                    }
+            for side in cross.iter().flat_map(|(left, _, right)| [left, right]) {
+                if slot_of(&side.var) == Some(slot) {
+                    keys.entry(side.to_string()).or_insert_with(|| {
+                        items.push(ReturnItem {
+                            alias: Some(format!("__fed_key_{}", items.len())),
+                            path: side.clone(),
+                        });
+                        items.len() - 1
+                    });
                 }
             }
             if items.is_empty() {
@@ -410,7 +419,6 @@ impl Federation {
                 return_items: items,
                 wrapper: None,
             });
-            visible_map.push(visible);
             key_cols.push(keys);
         }
 
@@ -418,8 +426,8 @@ impl Federation {
         // under the per-member deadline. A failed member yields `None`.
         let receivers: Vec<_> = groups
             .iter()
-            .zip(&subs)
-            .map(|((member, _), sub)| self.spawn_member(*member, sub.clone()))
+            .zip(subs)
+            .map(|((member, _), sub)| self.spawn_member(*member, sub))
             .collect();
         let mut sub_outcomes: Vec<Option<QueryOutcome>> = Vec::new();
         let mut degraded = DegradedReport::default();
@@ -455,183 +463,90 @@ impl Federation {
             }
         }
 
-        // Combine: start with the first surviving member's rows, join each
-        // further surviving member. Row representation: Vec<Value> =
-        // concatenation of member rows, with per-member column offsets
-        // (failed members occupy zero columns). Cross-warehouse conjuncts
-        // touching a failed member are unevaluable and skipped — the
-        // surviving side comes back unfiltered, which is the documented
-        // partial-result semantics.
-        let mut offsets = vec![0usize];
-        for outcome in &sub_outcomes {
-            let width = outcome.as_ref().map_or(0, |o| o.columns.len());
-            offsets.push(offsets.last().expect("non-empty") + width);
+        // Combine with one relstore statement. Each surviving member's
+        // rows become table `m{slot}` of a per-query in-memory database,
+        // loaded as typed values (XQ2SQL projects only text values, so
+        // every column is TEXT). The statement joins on the
+        // cross-warehouse comparisons, de-duplicates, and orders by the
+        // first column, as XQ2SQL does for one warehouse. A failed
+        // member's table is left out: its RETURN columns project NULL,
+        // the comparisons touching it are skipped (the surviving side
+        // comes back unfiltered), and the order key is the first
+        // surviving column.
+        let alive: Vec<bool> = sub_outcomes.iter().map(Option::is_some).collect();
+        let db = Database::in_memory();
+        let exec = |stmt: Statement| {
+            db.execute_statement(stmt)
+                .map_err(|e| XomatiqError::Execution(e.to_string()))
+        };
+        let mut tables = Vec::new();
+        for (slot, outcome) in sub_outcomes.into_iter().enumerate() {
+            let Some(outcome) = outcome else { continue };
+            let table = format!("m{slot}");
+            exec(Statement::CreateTable {
+                name: table.clone(),
+                columns: (0..outcome.columns.len())
+                    .map(|k| (format!("c{k}"), DataType::Text))
+                    .collect(),
+            })?;
+            if !outcome.rows.is_empty() {
+                exec(Statement::Insert {
+                    table: table.clone(),
+                    rows: outcome
+                        .rows
+                        .into_iter()
+                        .map(|row| row.into_iter().map(Expr::Literal).collect())
+                        .collect(),
+                })?;
+            }
+            tables.push(table);
         }
-        let surviving: Vec<usize> = sub_outcomes
+        let column = |slot: usize, col: usize| alive[slot].then(|| format!("m{slot}.c{col}"));
+        let key = |side: &PathExpr| {
+            let slot = slot_of(&side.var)?;
+            column(slot, key_cols[slot][&side.to_string()])
+        };
+        let conjuncts: Vec<String> = cross
             .iter()
-            .enumerate()
-            .filter_map(|(i, o)| o.as_ref().map(|_| i))
+            .filter_map(|(left, op, right)| {
+                Some(format!("{} {} {}", key(left)?, op.sql(), key(right)?))
+            })
             .collect();
-        let seed = surviving[0];
-        let mut combined: Vec<Vec<Value>> = sub_outcomes[seed]
-            .as_ref()
-            .map(|o| o.rows.to_vec())
-            .unwrap_or_default();
-        let mut joined_slots = vec![seed];
-        for &next_slot in surviving.iter().skip(1) {
-            // Equality keys between the joined slots and next_slot.
-            let mut probe_cols: Vec<usize> = Vec::new(); // absolute cols in combined
-            let mut build_cols: Vec<usize> = Vec::new(); // cols in next outcome
-            let mut residual: Vec<(usize, CompOp, usize)> = Vec::new(); // (abs col, op, next col)
-            for conjunct in &cross {
-                let Condition::Compare(c) = conjunct else {
-                    continue;
-                };
-                let Operand::Path(right) = &c.right else {
-                    continue;
-                };
-                let lh = let_home[&c.left.var];
-                let rh = let_home[&right.var];
-                let left_slot = groups.iter().position(|(m, _)| *m == lh).expect("grouped");
-                let right_slot = groups.iter().position(|(m, _)| *m == rh).expect("grouped");
-                let (joined_side, new_side, joined_slot, op) =
-                    if right_slot == next_slot && joined_slots.contains(&left_slot) {
-                        (&c.left, right, left_slot, c.op)
-                    } else if left_slot == next_slot && joined_slots.contains(&right_slot) {
-                        (right, &c.left, right_slot, flip(c.op))
-                    } else {
-                        continue;
-                    };
-                let joined_col =
-                    offsets[joined_slot] + key_cols[joined_slot][&joined_side.to_string()];
-                let new_col = key_cols[next_slot][&new_side.to_string()];
-                if op == CompOp::Eq {
-                    probe_cols.push(joined_col);
-                    build_cols.push(new_col);
-                } else {
-                    residual.push((joined_col, op, new_col));
-                }
-            }
-            let next_rows = &sub_outcomes[next_slot]
-                .as_ref()
-                .expect("surviving slot")
-                .rows;
-            let mut out = Vec::new();
-            if probe_cols.is_empty() {
-                // Cross join (plus residual filters).
-                for left in &combined {
-                    for right in next_rows {
-                        if residual_ok(left, right, &residual) {
-                            let mut row = left.clone();
-                            row.extend(right.iter().cloned());
-                            out.push(row);
-                        }
-                    }
-                }
-            } else {
-                let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-                for (i, row) in next_rows.iter().enumerate() {
-                    let key: Vec<Value> = build_cols.iter().map(|c| row[*c].clone()).collect();
-                    if key.iter().any(Value::is_null) {
-                        continue;
-                    }
-                    table.entry(key).or_default().push(i);
-                }
-                for left in &combined {
-                    let key: Vec<Value> = probe_cols.iter().map(|c| left[*c].clone()).collect();
-                    if key.iter().any(Value::is_null) {
-                        continue;
-                    }
-                    if let Some(matches) = table.get(&key) {
-                        for &i in matches {
-                            if residual_ok(left, &next_rows[i], &residual) {
-                                let mut row = left.clone();
-                                row.extend(next_rows[i].iter().cloned());
-                                out.push(row);
-                            }
-                        }
-                    }
-                }
-            }
-            combined = out;
-            joined_slots.push(next_slot);
+        let select: Vec<String> = item_slots
+            .iter()
+            .zip(&item_cols)
+            .enumerate()
+            .map(|(i, (&slot, &col))| {
+                let value = column(slot, col).unwrap_or_else(|| "NULL".into());
+                format!("{value} AS o{i}")
+            })
+            .collect();
+        let mut sql = format!(
+            "SELECT DISTINCT {} FROM {}",
+            select.join(", "),
+            tables.join(", ")
+        );
+        if !conjuncts.is_empty() {
+            sql.push_str(&format!(" WHERE {}", conjuncts.join(" AND ")));
         }
-
-        // Project back to the user's RETURN order and de-duplicate (each
-        // sub-query was already DISTINCT, but the combination can repeat).
-        // Columns owned by a failed member project as NULL.
-        let mut projection: Vec<(usize, Option<usize>)> = Vec::new(); // (global pos, abs col)
-        for (slot, visible) in visible_map.iter().enumerate() {
-            let alive = sub_outcomes[slot].is_some();
-            for (global_pos, local_col) in visible {
-                projection.push((*global_pos, alive.then_some(offsets[slot] + local_col)));
-            }
-        }
-        projection.sort_by_key(|(global, _)| *global);
-        let columns: Vec<String> = query
+        let order = item_slots.iter().position(|&s| alive[s]).unwrap_or(0);
+        sql.push_str(&format!(" ORDER BY o{order}"));
+        let rows = db
+            .query(&sql)
+            .run()
+            .map_err(|e| XomatiqError::Execution(format!("{e} (SQL: {sql})")))?
+            .rows
+            .into_rows();
+        let columns = query
             .return_items
             .iter()
             .map(|item| item.output_name())
             .collect();
-        let mut seen = std::collections::HashSet::new();
-        let mut rows = Vec::new();
-        for row in combined {
-            let projected: Vec<Value> = projection
-                .iter()
-                .map(|(_, col)| match col {
-                    Some(c) => row[*c].clone(),
-                    None => Value::Null,
-                })
-                .collect();
-            if seen.insert(projected.clone()) {
-                rows.push(projected);
-            }
-        }
-        // Deterministic order, matching single-warehouse translation.
-        rows.sort_by(|a, b| {
-            for (x, y) in a.iter().zip(b.iter()) {
-                let ord = x.total_cmp(y);
-                if !ord.is_eq() {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
         Ok(FederatedOutcome {
-            outcome: QueryOutcome {
-                columns,
-                rows,
-                sql: "(federated: executed as per-warehouse sub-queries)".into(),
-            },
+            outcome: QueryOutcome { columns, rows, sql },
             degraded,
         })
     }
-}
-
-fn flip(op: CompOp) -> CompOp {
-    match op {
-        CompOp::Lt => CompOp::Gt,
-        CompOp::Le => CompOp::Ge,
-        CompOp::Gt => CompOp::Lt,
-        CompOp::Ge => CompOp::Le,
-        other => other,
-    }
-}
-
-fn residual_ok(left: &[Value], right: &[Value], residual: &[(usize, CompOp, usize)]) -> bool {
-    residual.iter().all(
-        |(lcol, op, rcol)| match left[*lcol].compare(&right[*rcol]) {
-            None => false,
-            Some(ord) => match op {
-                CompOp::Eq => ord.is_eq(),
-                CompOp::Ne => ord.is_ne(),
-                CompOp::Lt => ord.is_lt(),
-                CompOp::Le => ord.is_le(),
-                CompOp::Gt => ord.is_gt(),
-                CompOp::Ge => ord.is_ge(),
-            },
-        },
-    )
 }
 
 /// Splits a condition tree into top-level conjuncts.

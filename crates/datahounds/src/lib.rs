@@ -47,14 +47,12 @@
 
 pub mod error;
 pub(crate) mod metrics;
-pub mod retry;
 pub mod shred;
 pub mod source;
 pub mod transform;
 pub mod update;
 
 pub use error::{HoundError, HoundResult};
-pub use retry::{RecordingSleeper, RetryPolicy, Sleeper, ThreadSleeper};
 pub use shred::{ShredStats, ShreddingStrategy};
 pub use source::{DataHounds, QuarantineRecord, SourceKind};
 pub use update::{ChangeEvent, ChangeKind, TriggerHub};

@@ -17,9 +17,6 @@ pub(crate) struct IngestMetrics {
     /// `datahounds.ingest.quarantined` — dead-letter records written by
     /// the most recent harvests (parse, transform and DTD failures).
     pub quarantined: Counter,
-    /// `datahounds.ingest.retries` — harvest fetch attempts beyond the
-    /// first (i.e. retried transient failures).
-    pub retries: Counter,
     /// `datahounds.ingest.wal_txn` — wall-time of each per-entry atomic
     /// WAL transaction (the `execute_batch` that adds, replaces or
     /// removes one entry).
@@ -34,7 +31,6 @@ pub(crate) fn ingest() -> &'static IngestMetrics {
         IngestMetrics {
             entries: reg.counter("datahounds.ingest.entries"),
             quarantined: reg.counter("datahounds.ingest.quarantined"),
-            retries: reg.counter("datahounds.ingest.retries"),
             wal_txn_ns: reg.histogram("datahounds.ingest.wal_txn"),
         }
     })

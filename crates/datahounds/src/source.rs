@@ -18,7 +18,6 @@ use xomatiq_xml::Document;
 
 use crate::error::{HoundError, HoundResult};
 use crate::metrics;
-use crate::retry::{RetryPolicy, Sleeper};
 use crate::shred::{
     collection_prefix, create_collection_indexes, create_collection_tables, delete_statements,
     reconstruct_document, shred_statements, sql_quote, ShredStats, ShreddingStrategy,
@@ -720,36 +719,6 @@ impl DataHounds {
             .collect())
     }
 
-    /// Harvests a flat source through a fallible `fetch` (the simulated
-    /// FTP download), retrying transient failures per `policy` with capped
-    /// exponential backoff. A first harvest loads the collection; later
-    /// harvests integrate the new snapshot and return its change events.
-    pub fn harvest_source<F>(
-        &self,
-        name: &str,
-        kind: SourceKind,
-        mut fetch: F,
-        options: LoadOptions,
-        policy: &RetryPolicy,
-        sleeper: &mut dyn Sleeper,
-    ) -> HoundResult<Vec<ChangeEvent>>
-    where
-        F: FnMut() -> HoundResult<String>,
-    {
-        let flat = policy.run(sleeper, |attempt| {
-            if attempt > 0 {
-                metrics::ingest().retries.inc();
-            }
-            fetch()
-        })?;
-        if self.collections.lock().contains_key(name) {
-            self.update_source(name, &flat)
-        } else {
-            self.load_source(name, kind, &flat, options)?;
-            Ok(Vec::new())
-        }
-    }
-
     /// Reconstructs the warehoused document for `entry_key` — the
     /// Relation2XML direction.
     pub fn reconstruct(&self, collection: &str, entry_key: &str) -> HoundResult<Document> {
@@ -1203,76 +1172,6 @@ mod tests {
         let q = dh.quarantined("c").unwrap();
         assert_eq!(q.len(), 1);
         assert_eq!(q[0].entry_key, victim);
-    }
-
-    #[test]
-    fn harvest_source_retries_fetches_with_backoff() {
-        use crate::retry::{RecordingSleeper, RetryPolicy};
-
-        let dh = hounds();
-        let corpus = small_corpus();
-        let flat = corpus.enzyme_flat();
-        let policy = RetryPolicy {
-            max_attempts: 4,
-            base_delay_ms: 100,
-            max_delay_ms: 150,
-            jitter_seed: None,
-        };
-        let mut sleeper = RecordingSleeper::default();
-        let mut calls = 0;
-        let events = dh
-            .harvest_source(
-                "c",
-                SourceKind::Enzyme,
-                || {
-                    calls += 1;
-                    if calls < 3 {
-                        Err(HoundError::Pipeline("connection reset".into()))
-                    } else {
-                        Ok(flat.clone())
-                    }
-                },
-                LoadOptions::default(),
-                &policy,
-                &mut sleeper,
-            )
-            .unwrap();
-        assert!(events.is_empty());
-        assert_eq!(calls, 3);
-        let ms: Vec<u64> = sleeper.slept.iter().map(|d| d.as_millis() as u64).collect();
-        assert_eq!(ms, vec![100, 150]);
-        assert_eq!(dh.doc_count("c").unwrap(), 10);
-
-        // A later harvest of the same collection is an update.
-        let mut entries = corpus.enzymes.clone();
-        entries[0].descriptions = vec!["Renamed.".into()];
-        let flat2: String = entries.iter().map(|e| e.to_flat()).collect();
-        let mut sleeper = RecordingSleeper::default();
-        let events = dh
-            .harvest_source(
-                "c",
-                SourceKind::Enzyme,
-                || Ok(flat2.clone()),
-                LoadOptions::default(),
-                &RetryPolicy::no_retries(),
-                &mut sleeper,
-            )
-            .unwrap();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].kind, ChangeKind::Modified);
-
-        // Exhausted retries surface the last fetch error.
-        let mut sleeper = RecordingSleeper::default();
-        let err = dh.harvest_source(
-            "d",
-            SourceKind::Enzyme,
-            || Err::<String, _>(HoundError::Pipeline("down".into())),
-            LoadOptions::default(),
-            &policy,
-            &mut sleeper,
-        );
-        assert!(err.is_err());
-        assert_eq!(sleeper.slept.len(), 3);
     }
 
     #[test]

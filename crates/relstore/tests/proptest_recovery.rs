@@ -180,9 +180,16 @@ proptest! {
 // The fault-schedule property: run an arbitrary workload against a disk
 // that tears writes, flips bits and fails fsyncs on a seeded schedule,
 // crash, recover — and the recovered state must be a prefix of the
-// statements that were *acknowledged*, recovery must never panic, and it
-// must always produce a recovery report. 120 cases so CI exercises well
-// over the 100-schedule floor.
+// statements that were *acknowledged*, or that prefix plus the first
+// failed statement, recovery must never panic, and it must always
+// produce a recovery report. 120 cases so CI exercises well over the
+// 100-schedule floor.
+//
+// The first failed statement is *in doubt*: a failed fsync may still
+// have made some or all of the cache durable (`FaultyIo::fsync` keeps a
+// random prefix), so its commit frame can survive the crash. There is at
+// most one such statement, because the log is poisoned by the failure
+// and no later mutation reaches it.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(prop_cases(120)))]
 
@@ -194,74 +201,157 @@ proptest! {
         bit_flip_in in 0u32..6,
         fsync_fail_in in 0u32..6,
     ) {
-        let cfg = FaultConfig {
-            torn_write_in,
-            bit_flip_in,
-            fsync_fail_in,
-            read_fail_in: 0,
-        };
-        // Faults off while the schema is set up; every DML after that
-        // runs on the faulty schedule.
-        let io = FaultyIo::new(seed, FaultConfig::none());
-        let (db, report) = Database::open_with_io(Box::new(io.clone())).unwrap();
-        prop_assert!(report.is_clean());
-        db.query("CREATE TABLE t (a INT, b TEXT)").run().unwrap();
-        io.set_config(cfg);
+        run_fault_schedule(seed, &ops, torn_write_in, bit_flip_in, fsync_fail_in)?;
+    }
+}
 
-        let mut acked = Vec::new();
-        let mut acked_mutations = 0usize;
-        let mut failed = false;
-        for op in &ops {
-            match db.query(&op.sql()).run().map(|o| o.rows) {
-                Ok(rs) => {
-                    // A no-op DML (zero rows matched) writes nothing and
-                    // may legitimately succeed on a poisoned log; any
-                    // *mutation* acked after a failure is a durability
-                    // lie.
-                    prop_assert!(
-                        !failed || rs.affected() == 0,
-                        "a mutation was acked after a sync failure; the \
-                         log handle should have been poisoned"
-                    );
-                    if rs.affected() > 0 {
-                        acked_mutations += 1;
-                    }
-                    acked.push(op.clone());
+/// What one fault schedule recovered, for callers that pin a case.
+struct FaultRun {
+    /// The state after recovery.
+    recovered: Vec<(i64, String)>,
+    /// The state the acked statements before the first failure plus the
+    /// in-doubt statement would give, when a statement failed.
+    in_doubt: Option<Vec<(i64, String)>>,
+}
+
+/// Runs `ops` on a faulty disk, crashes, recovers, and checks the
+/// recovered state against the acked statements (see above).
+fn run_fault_schedule(
+    seed: u64,
+    ops: &[Op],
+    torn_write_in: u32,
+    bit_flip_in: u32,
+    fsync_fail_in: u32,
+) -> Result<FaultRun, TestCaseError> {
+    let cfg = FaultConfig {
+        torn_write_in,
+        bit_flip_in,
+        fsync_fail_in,
+        read_fail_in: 0,
+    };
+    // Faults off while the schema is set up; every DML after that
+    // runs on the faulty schedule.
+    let io = FaultyIo::new(seed, FaultConfig::none());
+    let (db, report) = Database::open_with_io(Box::new(io.clone())).unwrap();
+    prop_assert!(report.is_clean());
+    db.query("CREATE TABLE t (a INT, b TEXT)").run().unwrap();
+    io.set_config(cfg);
+
+    let mut acked = Vec::new();
+    let mut acked_mutations = 0usize;
+    // The first failed statement and how many statements were acked
+    // before it.
+    let mut first_failure: Option<(Op, usize)> = None;
+    for op in ops {
+        match db.query(&op.sql()).run().map(|o| o.rows) {
+            Ok(rs) => {
+                // A no-op DML (zero rows matched) writes nothing and
+                // may legitimately succeed on a poisoned log; any
+                // *mutation* acked after a failure is a durability
+                // lie.
+                prop_assert!(
+                    first_failure.is_none() || rs.affected() == 0,
+                    "a mutation was acked after a sync failure; the \
+                     log handle should have been poisoned"
+                );
+                if rs.affected() > 0 {
+                    acked_mutations += 1;
                 }
-                Err(_) => failed = true,
+                acked.push(op.clone());
+            }
+            Err(_) => {
+                if first_failure.is_none() {
+                    first_failure = Some((op.clone(), acked.len()));
+                }
             }
         }
-
-        // Crash: unsynced cache is gone; recover with a healthy disk.
-        io.crash();
-        io.set_config(FaultConfig::none());
-        let (recovered, report) = Database::open_with_io(Box::new(io)).unwrap();
-
-        // Every state reachable by a prefix of the acked statements.
-        let oracle = Database::in_memory();
-        oracle.query("CREATE TABLE t (a INT, b TEXT)").run().unwrap();
-        let mut prefix_states = Vec::with_capacity(acked.len() + 1);
-        prefix_states.push(state_of(&oracle));
-        for op in &acked {
-            oracle.query(&op.sql()).run().unwrap();
-            prefix_states.push(state_of(&oracle));
-        }
-        let got = state_of(&recovered);
-        prop_assert!(
-            prefix_states.contains(&got),
-            "recovered state is not a prefix of the acked statements:\n\
-             got      {got:?}\nreport   {report:?}"
-        );
-        // Never a silently-lost transaction: every acked mutation is a
-        // committed transaction on the log, so (applied + dropped) must
-        // account for all of them — unless corruption cut the log, which
-        // the report then says explicitly.
-        prop_assert!(
-            report.transactions_applied + report.transactions_dropped.len() >= acked_mutations
-                || report.corruption.is_some(),
-            "acked transactions unaccounted for: {report:?}"
-        );
-        // And the recovered database is immediately writable.
-        recovered.query("INSERT INTO t VALUES (999, 'post')").run().unwrap();
     }
+
+    // Crash: unsynced cache is gone; recover with a healthy disk.
+    io.crash();
+    io.set_config(FaultConfig::none());
+    let (recovered, report) = Database::open_with_io(Box::new(io)).unwrap();
+
+    // Every state reachable by a prefix of the acked statements.
+    let oracle = Database::in_memory();
+    oracle
+        .query("CREATE TABLE t (a INT, b TEXT)")
+        .run()
+        .unwrap();
+    let mut prefix_states = Vec::with_capacity(acked.len() + 2);
+    prefix_states.push(state_of(&oracle));
+    for op in &acked {
+        oracle.query(&op.sql()).run().unwrap();
+        prefix_states.push(state_of(&oracle));
+    }
+    // Plus the acked statements before the failure and the in-doubt one.
+    let in_doubt = first_failure.map(|(op, before)| {
+        let oracle = Database::in_memory();
+        oracle
+            .query("CREATE TABLE t (a INT, b TEXT)")
+            .run()
+            .unwrap();
+        for op in acked[..before].iter().chain([&op]) {
+            oracle.query(&op.sql()).run().unwrap();
+        }
+        state_of(&oracle)
+    });
+    prefix_states.extend(in_doubt.clone());
+    let got = state_of(&recovered);
+    prop_assert!(
+        prefix_states.contains(&got),
+        "recovered state is not a prefix of the acked statements \
+         (plus the in-doubt one):\ngot      {got:?}\nreport   {report:?}"
+    );
+    // Never a silently-lost transaction: every acked mutation is a
+    // committed transaction on the log, so (applied + dropped) must
+    // account for all of them — unless corruption cut the log, which
+    // the report then says explicitly.
+    prop_assert!(
+        report.transactions_applied + report.transactions_dropped.len() >= acked_mutations
+            || report.corruption.is_some(),
+        "acked transactions unaccounted for: {report:?}"
+    );
+    // And the recovered database is immediately writable.
+    recovered
+        .query("INSERT INTO t VALUES (999, 'post')")
+        .run()
+        .unwrap();
+    Ok(FaultRun {
+        recovered: got,
+        in_doubt,
+    })
+}
+
+/// Case 655 of the property at 1 024 cases: the UPDATE's commit fails at
+/// its own fsync, which nonetheless made the whole commit frame durable,
+/// so recovery applies a statement that was never acked. That is the
+/// in-doubt outcome, and the only one this schedule can produce.
+#[test]
+fn failed_fsync_that_persisted_its_frame_recovers_the_in_doubt_commit() {
+    let insert = |a: i64, b: &str| Op::Insert { a, b: b.into() };
+    let update = |threshold: i64, b: &str| Op::UpdateWhere {
+        threshold,
+        b: b.into(),
+    };
+    let ops = [
+        insert(25, "zubxas"),
+        insert(98, "mq"),
+        update(75, "ad"),
+        insert(31, "uts"),
+        insert(16, "oviudlx"),
+        Op::DeleteWhere { threshold: 59 },
+        insert(17, "jkgnwhy"),
+        update(65, "zrohqrp"),
+        insert(99, "asus"),
+        insert(2, "e"),
+        insert(98, "x"),
+        insert(37, "wk"),
+        update(78, "pniayfdg"),
+    ];
+    let run = run_fault_schedule(11_860_081_257_578_287_505, &ops, 5, 5, 3)
+        .unwrap_or_else(|e| panic!("{e}"));
+    let expected = vec![(25, "ad".to_string()), (98, "mq".to_string())];
+    assert_eq!(run.recovered, expected);
+    assert_eq!(run.in_doubt, Some(expected));
 }

@@ -4,7 +4,8 @@
 //! local warehouses managed within the gRNA" (§3). Here each biological
 //! database lives in its own warehouse node (as a distributed deployment
 //! would place them), and the Figure 11 join runs across the federation —
-//! split into per-node sub-queries and recombined client-side.
+//! split into per-node sub-queries and recombined by one relstore
+//! statement.
 //!
 //! Run with: `cargo run --release --example federated_grna [entries]`
 

@@ -285,3 +285,97 @@ fn hung_member_is_cut_off_at_the_deadline() {
         assert!(!row[1].is_null());
     }
 }
+
+const THREE_WAY: &str = r#"
+FOR $a IN document("hlx_embl.inv")/hlx_n_sequence/db_entry,
+    $b IN document("hlx_enzyme.DEFAULT")/hlx_enzyme/db_entry,
+    $c IN document("hlx_sprot.all")/hlx_p_sequence/db_entry
+WHERE $a//qualifier[@qualifier_type = "EC number"] = $b/enzyme_id
+  AND $b//reference/@swissprot_accession_number = $c/sprot_accession_number
+RETURN $a//embl_accession_number, $b/enzyme_id, $c//entry_name
+"#;
+
+const NON_EQUALITY: &str = r#"
+FOR $a IN document("hlx_embl.inv")/hlx_n_sequence,
+    $b IN document("hlx_sprot.all")/hlx_p_sequence
+WHERE contains($b, "cdc6", any)
+  AND $a//sequence/@length > $b//sequence/@length
+RETURN $a//embl_accession_number, $b//sprot_accession_number
+"#;
+
+/// Column `col` of every row, in result order.
+fn column_of(outcome: &xomatiq_core::QueryOutcome, col: usize) -> Vec<String> {
+    outcome.rows.iter().map(|r| r[col].to_string()).collect()
+}
+
+/// The rows as a sorted list, so duplicates count.
+fn multiset_of(outcome: &xomatiq_core::QueryOutcome) -> Vec<Vec<String>> {
+    let mut rows: Vec<Vec<String>> = outcome
+        .rows
+        .iter()
+        .map(|r| r.iter().map(|v| v.to_string()).collect())
+        .collect();
+    rows.sort();
+    rows
+}
+
+/// The tables named in the FROM list of a combine statement.
+fn combined_tables(sql: &str) -> Vec<&str> {
+    let from = &sql[sql.find(" FROM ").expect("a FROM list") + " FROM ".len()..];
+    let end = [" WHERE ", " ORDER BY "]
+        .iter()
+        .filter_map(|kw| from.find(kw))
+        .min()
+        .unwrap_or(from.len());
+    from[..end].split(", ").collect()
+}
+
+#[test]
+fn federated_results_are_ordered_like_the_single_warehouse() {
+    let s = setup();
+    for q in [FIG11, FIG8, THREE_WAY, NON_EQUALITY] {
+        let fed = s.federation.query(q).unwrap();
+        let oracle = s.single.query(q).unwrap();
+        assert!(!fed.rows.is_empty(), "{q}");
+        assert_eq!(column_of(&fed, 0), column_of(&oracle, 0), "{q}");
+        assert_eq!(multiset_of(&fed), multiset_of(&oracle), "{q}");
+    }
+}
+
+#[test]
+fn degraded_results_order_by_the_first_surviving_column() {
+    let mut s = setup();
+    // FIG8 returns node-c's column first; with node-c dead that column is
+    // NULL and the order comes from node-a's column.
+    s.federation.set_fault_hook(Some(Arc::new(|member: &str| {
+        (member == "node-c").then(|| xomatiq_core::MemberFault::Fail("killed".into()))
+    })));
+    let fed = s.federation.query_with_report(FIG8).unwrap();
+    assert_eq!(fed.degraded.failed.len(), 1);
+    assert!(fed.outcome.rows.iter().all(|r| r[0].is_null()));
+    let surviving = s
+        .single
+        .query(
+            r#"FOR $a IN document("hlx_embl.inv")/hlx_n_sequence
+               WHERE contains($a, "cdc6", any)
+               RETURN $a//embl_accession_number"#,
+        )
+        .unwrap();
+    assert!(!surviving.rows.is_empty());
+    assert_eq!(column_of(&fed.outcome, 1), column_of(&surviving, 0));
+}
+
+#[test]
+fn combine_statement_names_every_combined_member() {
+    let mut s = setup();
+    let fed = s.federation.query(THREE_WAY).unwrap();
+    assert_eq!(combined_tables(&fed.sql), ["m0", "m1", "m2"], "{}", fed.sql);
+    let fed = s.federation.query(FIG11).unwrap();
+    assert_eq!(combined_tables(&fed.sql), ["m0", "m1"], "{}", fed.sql);
+    // A dead member's table is left out of the statement.
+    s.federation.set_fault_hook(Some(Arc::new(|member: &str| {
+        (member == "node-b").then(|| xomatiq_core::MemberFault::Fail("killed".into()))
+    })));
+    let fed = s.federation.query(THREE_WAY).unwrap();
+    assert_eq!(combined_tables(&fed.sql), ["m0", "m2"], "{}", fed.sql);
+}
