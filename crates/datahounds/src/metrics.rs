@@ -18,8 +18,8 @@ pub(crate) struct IngestMetrics {
     /// the most recent harvests (parse, transform and DTD failures).
     pub quarantined: Counter,
     /// `datahounds.ingest.wal_txn` — wall-time of each per-entry atomic
-    /// WAL transaction (the `execute_batch` that adds, replaces or
-    /// removes one entry).
+    /// WAL transaction (the `execute_statements` batch that adds,
+    /// replaces or removes one entry).
     pub wal_txn_ns: Histogram,
 }
 

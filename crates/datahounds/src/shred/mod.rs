@@ -32,9 +32,15 @@
 //! text children in `val`, which keeps XQ2SQL's generated SQL flat (no
 //! self-join per text access); the discrete text rows still exist for
 //! reconstruction and mixed content.
+//!
+//! The rows are values, not SQL text: each document becomes `INSERT`
+//! statements whose rows are literal [`Value`]s, which the engine stores
+//! as they are ([`Database::execute_statements`]). Nothing on the ingest
+//! path formats a `VALUES` list or parses one back.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
+use xomatiq_relstore::sql::ast::{Expr, Statement};
 use xomatiq_relstore::{Database, RelResult, Value};
 use xomatiq_xml::{Document, NodeId, NodeKind};
 
@@ -114,77 +120,75 @@ pub fn collection_prefix(collection: &str) -> String {
 /// columns; unused columns hold NULL, which keeps reconstruction and
 /// XQ2SQL generation uniform.
 pub fn create_collection_tables(db: &Database, prefix: &str) -> RelResult<()> {
-    db.query(&format!(
-        "CREATE TABLE {prefix}_docs (doc_id INT, entry_key TEXT, root TEXT)"
-    ))
-    .run()?;
-    db.query(&format!(
-        "CREATE TABLE {prefix}_nodes (doc_id INT, node_id INT, parent_id INT, ord INT, \
-         start INT, stop INT, level INT, kind TEXT, name TEXT, path TEXT, val TEXT, \
-         num_val FLOAT, is_seq INT)"
-    ))
-    .run()?;
-    db.query(&format!(
-        "CREATE TABLE {prefix}_attrs (doc_id INT, owner INT, aname TEXT, aval TEXT, \
-         num_val FLOAT, path TEXT)"
-    ))
-    .run()?;
-    db.query(&format!("CREATE TABLE {prefix}_paths (path TEXT)"))
-        .run()?;
+    for (table, columns) in [
+        ("docs", "doc_id INT, entry_key TEXT, root TEXT"),
+        (
+            "nodes",
+            "doc_id INT, node_id INT, parent_id INT, ord INT, start INT, stop INT, level INT, \
+             kind TEXT, name TEXT, path TEXT, val TEXT, num_val FLOAT, is_seq INT",
+        ),
+        (
+            "attrs",
+            "doc_id INT, owner INT, aname TEXT, aval TEXT, num_val FLOAT, path TEXT",
+        ),
+        ("paths", "path TEXT"),
+    ] {
+        db.query(&format!("CREATE TABLE {prefix}_{table} ({columns})"))
+            .run()?;
+    }
     Ok(())
 }
 
 /// Creates the paper's §3.2 index set over a collection's tables.
 pub fn create_collection_indexes(db: &Database, prefix: &str) -> RelResult<()> {
-    db.query(&format!(
-        "CREATE INDEX {prefix}_nodes_path ON {prefix}_nodes (path, val)"
-    ))
-    .run()?;
-    db.query(&format!(
-        "CREATE INDEX {prefix}_nodes_doc ON {prefix}_nodes (doc_id)"
-    ))
-    .run()?;
-    db.query(&format!(
-        "CREATE INDEX {prefix}_attrs_path ON {prefix}_attrs (path, aval)"
-    ))
-    .run()?;
-    db.query(&format!(
-        "CREATE INDEX {prefix}_attrs_doc ON {prefix}_attrs (doc_id)"
-    ))
-    .run()?;
-    db.query(&format!(
-        "CREATE INDEX {prefix}_docs_doc ON {prefix}_docs (doc_id)"
-    ))
-    .run()?;
-    db.query(&format!(
-        "CREATE KEYWORD INDEX {prefix}_nodes_kw ON {prefix}_nodes (val)"
-    ))
-    .run()?;
+    for index in [
+        "INDEX {p}_nodes_path ON {p}_nodes (path, val)",
+        "INDEX {p}_nodes_doc ON {p}_nodes (doc_id)",
+        "INDEX {p}_attrs_path ON {p}_attrs (path, aval)",
+        "INDEX {p}_attrs_doc ON {p}_attrs (doc_id)",
+        "INDEX {p}_docs_doc ON {p}_docs (doc_id)",
+        "KEYWORD INDEX {p}_nodes_kw ON {p}_nodes (val)",
+    ] {
+        db.query(&format!("CREATE {}", index.replace("{p}", prefix)))
+            .run()?;
+    }
     Ok(())
 }
 
-/// Builds the SQL statements that shred one document into the collection
-/// under `prefix`, without executing them.
+/// The paths the collection under `prefix` has registered in its
+/// `_paths` catalog.
+pub(crate) fn registered_paths(db: &Database, prefix: &str) -> HoundResult<HashSet<String>> {
+    let sql = format!("SELECT path FROM {prefix}_paths");
+    let paths = db.query(&sql).run()?.rows.into_iter();
+    Ok(paths
+        .filter_map(|r| r.try_get("path").ok().flatten())
+        .collect())
+}
+
+/// Shreds one document into statements for the collection under
+/// `prefix`, without executing them: the `INSERT`s of its `_docs`,
+/// `_nodes`, `_attrs` and `_paths` rows. Its paths that are not in `known`
+/// are registered in `_paths`, and returned too.
 ///
-/// Callers fold the returned statements into a larger atomic batch (e.g.
-/// together with the collection's `_src` bookkeeping row) so an entry's
-/// tuples land in a single WAL transaction. `doc_id` must be unique within
-/// the collection; `entry_key` is the stable source identifier (EC number
-/// / accession) used by updates.
-pub fn shred_statements(
-    db: &Database,
+/// Callers fold the statements into a larger atomic batch (e.g. together
+/// with the collection's `_src` bookkeeping row) so an entry's tuples land
+/// in a single WAL transaction. `doc_id` must be unique within the
+/// collection; `entry_key` is the stable source identifier (EC number /
+/// accession) used by updates.
+pub(crate) fn shred(
     prefix: &str,
     strategy: ShreddingStrategy,
     doc_id: u64,
     entry_key: &str,
     doc: &Document,
-) -> HoundResult<(Vec<String>, ShredStats)> {
+    known: &HashSet<String>,
+) -> HoundResult<(Vec<Statement>, Vec<String>, ShredStats)> {
     let root = doc
         .root_element()
         .ok_or_else(|| HoundError::Pipeline("cannot shred an empty document".into()))?;
     let mut rows = Rows {
         doc,
-        doc_id,
+        doc_id: Expr::lit(doc_id as i64),
         strategy,
         counter: 0,
         nodes: Vec::new(),
@@ -196,49 +200,36 @@ pub fn shred_statements(
         },
     };
     rows.walk(root);
-
-    let mut statements = vec![format!(
-        "INSERT INTO {prefix}_docs VALUES ({doc_id}, '{}', '{}')",
-        sql_quote(entry_key),
-        sql_quote(doc.node(root).name().expect("root is an element"))
-    )];
-    for (table, values) in [("nodes", &rows.nodes), ("attrs", &rows.attrs)] {
-        if !values.is_empty() {
-            statements.push(format!(
-                "INSERT INTO {prefix}_{table} VALUES {}",
-                values.join(", ")
-            ));
-        }
-    }
-
-    // Register any paths not yet in the paths catalog.
+    let root_name = doc.node(root).name().expect("root is an element");
+    let docs = vec![vec![
+        rows.doc_id.clone(),
+        Expr::lit(entry_key),
+        Expr::lit(root_name),
+    ]];
     rows.paths.sort();
     rows.paths.dedup();
-    let known: std::collections::HashSet<String> = db
-        .query(&format!("SELECT path FROM {prefix}_paths"))
-        .run()?
-        .rows
-        .into_iter()
-        .filter_map(|row| row.try_get::<String>("path").ok().flatten())
-        .collect();
-    let fresh: Vec<String> = rows
-        .paths
-        .iter()
-        .filter(|p| !known.contains(*p))
-        .map(|p| format!("('{}')", sql_quote(p)))
-        .collect();
-    if !fresh.is_empty() {
-        statements.push(format!(
-            "INSERT INTO {prefix}_paths VALUES {}",
-            fresh.join(", ")
-        ));
-    }
-
-    Ok((statements, rows.stats))
+    rows.paths.retain(|p| !known.contains(p));
+    let paths = rows.paths.iter().map(|p| vec![Expr::lit(p.as_str())]);
+    let statements = [
+        ("docs", docs),
+        ("nodes", rows.nodes),
+        ("attrs", rows.attrs),
+        ("paths", paths.collect()),
+    ]
+    .into_iter()
+    .filter(|(_, rows)| !rows.is_empty())
+    .map(|(table, rows)| Statement::Insert {
+        table: format!("{prefix}_{table}"),
+        rows,
+    })
+    .collect();
+    Ok((statements, rows.paths, rows.stats))
 }
 
-/// Shreds one document into the collection under `prefix`, executing all
-/// of its tuples as a single atomic batch.
+/// Shreds one document into the collection under `prefix`, storing all of
+/// its tuples as a single atomic batch. With no set of registered paths
+/// to consult, the batch first deletes the document's paths from `_paths`
+/// and then registers them all, so each path stays listed once.
 pub fn shred_document(
     db: &Database,
     prefix: &str,
@@ -247,20 +238,59 @@ pub fn shred_document(
     entry_key: &str,
     doc: &Document,
 ) -> HoundResult<ShredStats> {
-    let (statements, stats) = shred_statements(db, prefix, strategy, doc_id, entry_key, doc)?;
-    let refs: Vec<&str> = statements.iter().map(String::as_str).collect();
-    db.execute_batch(&refs)?;
+    let (mut statements, paths, stats) =
+        shred(prefix, strategy, doc_id, entry_key, doc, &HashSet::new())?;
+    let list = paths.iter().map(|p| Expr::lit(p.as_str())).collect();
+    let (expr, negated) = (Box::new(Expr::col(None, "path")), false);
+    let filter = Some(Expr::InList {
+        expr,
+        list,
+        negated,
+    });
+    let table = format!("{prefix}_paths");
+    statements.insert(0, Statement::Delete { table, filter });
+    db.execute_statements(statements)?;
     Ok(stats)
 }
 
-/// Builds the SQL statements that delete every tuple belonging to `doc_id`
-/// in the collection, without executing them.
-pub fn delete_statements(prefix: &str, doc_id: u64) -> Vec<String> {
-    vec![
-        format!("DELETE FROM {prefix}_nodes WHERE doc_id = {doc_id}"),
-        format!("DELETE FROM {prefix}_attrs WHERE doc_id = {doc_id}"),
-        format!("DELETE FROM {prefix}_docs WHERE doc_id = {doc_id}"),
-    ]
+/// The statements of [`shred_document`] rendered as SQL text, for callers
+/// that drive [`Database::execute_batch`] themselves; the benchmark's
+/// staged harvest is one. Nothing in the warehouse calls it: its ingest
+/// stores the rows as values.
+pub fn shred_statements(
+    db: &Database,
+    prefix: &str,
+    strategy: ShreddingStrategy,
+    doc_id: u64,
+    entry_key: &str,
+    doc: &Document,
+) -> HoundResult<(Vec<String>, ShredStats)> {
+    let known = registered_paths(db, prefix)?;
+    let (statements, _, stats) = shred(prefix, strategy, doc_id, entry_key, doc, &known)?;
+    let join = |items: Vec<String>| items.join(", ");
+    let render = |stmt: Statement| {
+        let Statement::Insert { table, rows } = stmt else {
+            unreachable!("a document shreds into INSERTs")
+        };
+        let tuple = |row: Vec<Expr>| format!("({})", join(row.iter().map(sql_literal).collect()));
+        format!(
+            "INSERT INTO {table} VALUES {}",
+            join(rows.into_iter().map(tuple).collect())
+        )
+    };
+    Ok((statements.into_iter().map(render).collect(), stats))
+}
+
+/// The SQL literal of a shredded value. A float is always written with a
+/// `.`: `f64`'s `Display` prints magnitudes of 2^63 and more without one,
+/// which SQL would read as an out-of-range integer.
+fn sql_literal(e: &Expr) -> String {
+    match e {
+        Expr::Literal(Value::Text(s)) => format!("'{}'", sql_quote(s)),
+        Expr::Literal(Value::Float(f)) if f.fract() == 0.0 => format!("{f}.0"),
+        Expr::Literal(v) => v.to_string(),
+        _ => unreachable!("shredded rows hold literals"),
+    }
 }
 
 /// Reconstructs document `doc_id` from its tuples — the storage half of
@@ -340,17 +370,17 @@ pub fn reconstruct_document(db: &Database, prefix: &str, doc_id: u64) -> HoundRe
     Ok(doc)
 }
 
-/// The rows of one document being shredded: SQL `VALUES` tuples in
+/// The rows of one document being shredded, as literal values in
 /// document order, plus every element and attribute path they use.
 struct Rows<'d> {
     doc: &'d Document,
-    doc_id: u64,
+    doc_id: Expr,
     strategy: ShreddingStrategy,
     /// Region boundary counter: a node takes its `start` on entry and its
     /// `stop` on exit.
     counter: u64,
-    nodes: Vec<String>,
-    attrs: Vec<String>,
+    nodes: Vec<Vec<Expr>>,
+    attrs: Vec<Vec<Expr>>,
     paths: Vec<String>,
     stats: ShredStats,
 }
@@ -368,23 +398,24 @@ impl Rows<'_> {
                 u64::from(id.as_u32()),
                 doc.parent(id)
                     .filter(|p| *p != NodeId::DOCUMENT)
-                    .map_or("NULL".to_string(), |p| p.as_u32().to_string()),
+                    .map(|p| i64::from(p.as_u32())),
             ),
-            ShreddingStrategy::Interval => (start, "NULL".to_string()),
+            ShreddingStrategy::Interval => (start, None),
         };
+        let node_id = Expr::lit(node_id as i64);
         let path = doc.label_path(id);
         let (kind, name, val, is_seq) = match doc.node(id).kind() {
             NodeKind::Element { name, attributes } => {
                 for attr in attributes {
                     let attr_path = format!("{path}/@{}", attr.name);
-                    self.attrs.push(format!(
-                        "({}, {node_id}, '{}', '{}', {}, '{}')",
-                        self.doc_id,
-                        sql_quote(&attr.name),
-                        sql_quote(&attr.value),
-                        opt_num(Some(&attr.value)),
-                        sql_quote(&attr_path),
-                    ));
+                    self.attrs.push(vec![
+                        self.doc_id.clone(),
+                        node_id.clone(),
+                        Expr::lit(attr.name.as_str()),
+                        Expr::lit(attr.value.as_str()),
+                        opt(num_val(Some(&attr.value))),
+                        Expr::lit(attr_path.as_str()),
+                    ]);
                     self.paths.push(attr_path);
                 }
                 self.stats.elements += 1;
@@ -407,53 +438,49 @@ impl Rows<'_> {
         };
         // The row is written once its stop is known, in its pre-order slot.
         let slot = self.nodes.len();
-        self.nodes.push(String::new());
+        self.nodes.push(Vec::new());
         for child in doc.children(id) {
             self.walk(child);
         }
         let stop = self.counter;
         self.counter += 1;
         let region = match self.strategy {
-            ShreddingStrategy::Edge => "NULL, NULL".to_string(),
-            ShreddingStrategy::Interval => format!("{start}, {stop}"),
+            ShreddingStrategy::Edge => [None, None],
+            ShreddingStrategy::Interval => [Some(start as i64), Some(stop as i64)],
         };
-        self.nodes[slot] = format!(
-            "({}, {node_id}, {parent_id}, {}, {region}, {}, '{kind}', {}, '{}', {}, {}, {})",
-            self.doc_id,
-            doc.ordinal(id),
-            doc.depth(id),
-            opt_text(name),
-            sql_quote(&path),
-            opt_text(val.as_deref()),
-            opt_num(val.as_deref()),
-            i32::from(is_seq),
-        );
+        let num = num_val(val.as_deref());
+        self.nodes[slot] = vec![
+            self.doc_id.clone(),
+            node_id,
+            opt(parent_id),
+            Expr::lit(doc.ordinal(id) as i64),
+            opt(region[0]),
+            opt(region[1]),
+            Expr::lit(doc.depth(id) as i64),
+            Expr::lit(kind),
+            opt(name),
+            Expr::lit(path),
+            opt(val),
+            opt(num),
+            Expr::lit(i64::from(is_seq)),
+        ];
     }
 }
 
-fn opt_text(v: Option<&str>) -> String {
-    match v {
-        Some(s) => format!("'{}'", sql_quote(s)),
-        None => "NULL".into(),
-    }
+/// A literal that is NULL when `v` is `None`.
+fn opt<T: Into<Value>>(v: Option<T>) -> Expr {
+    Expr::Literal(v.map_or(Value::Null, Into::into))
 }
 
 /// The numeric shadow value: the paper's string/numeric distinction means
 /// values that parse as numbers are *also* stored numerically so range
-/// queries compare numbers, not strings (§2.2). It is always written as a
-/// float literal: `f64`'s `Display` prints magnitudes of 2^63 and more
-/// without a `.`, which SQL would read as an out-of-range integer.
-fn opt_num(v: Option<&str>) -> String {
-    match v
-        .and_then(|s| s.trim().parse::<f64>().ok())
+/// queries compare numbers, not strings (§2.2). Only finite numbers have
+/// one, and `+ 0.0` turns `-0` into `0`: a zero shadow is `0.0` whatever
+/// the sign written in the text.
+fn num_val(v: Option<&str>) -> Option<f64> {
+    v.and_then(|s| s.trim().parse::<f64>().ok())
         .filter(|f| f.is_finite())
-    {
-        // `+ 0.0` turns `-0` into `0`: a zero shadow is `0.0` whatever the
-        // sign written in the text.
-        Some(f) if f.fract() == 0.0 => format!("{}.0", f + 0.0),
-        Some(f) => format!("{f}"),
-        None => "NULL".into(),
-    }
+        .map(|f| f + 0.0)
 }
 
 /// The concatenated direct text content of an element, or `None` if it has
@@ -491,20 +518,25 @@ mod tests {
     #[test]
     fn quoting() {
         assert_eq!(sql_quote("it's"), "it''s");
-        assert_eq!(opt_text(Some("a'b")), "'a''b'");
-        assert_eq!(opt_text(None), "NULL");
+        assert_eq!(sql_literal(&Expr::lit("a'b")), "'a''b'");
+        assert_eq!(sql_literal(&opt(None::<i64>)), "NULL");
+        assert_eq!(sql_literal(&Expr::lit(-3i64)), "-3");
+        assert_eq!(sql_literal(&Expr::lit(1e19)), "10000000000000000000.0");
+        assert_eq!(sql_literal(&Expr::lit(2.5)), "2.5");
     }
 
     #[test]
     fn numeric_shadow_values() {
-        assert_eq!(opt_num(Some("42")), "42.0");
-        assert_eq!(opt_num(Some(" 2.5 ")), "2.5");
-        assert_eq!(opt_num(Some("1.14.17.3")), "NULL");
-        assert_eq!(opt_num(Some("Copper")), "NULL");
-        assert_eq!(opt_num(None), "NULL");
-        assert_eq!(opt_num(Some("inf")), "NULL");
-        assert_eq!(opt_num(Some("1e19")), "10000000000000000000.0");
-        assert_eq!(opt_num(Some("-0")), "0.0");
+        assert_eq!(num_val(Some("42")), Some(42.0));
+        assert_eq!(num_val(Some(" 2.5 ")), Some(2.5));
+        assert_eq!(num_val(Some("1.14.17.3")), None);
+        assert_eq!(num_val(Some("Copper")), None);
+        assert_eq!(num_val(None), None);
+        assert_eq!(num_val(Some("inf")), None);
+        assert_eq!(num_val(Some("NaN")), None);
+        assert_eq!(num_val(Some("1e19")), Some(1e19));
+        let zero = num_val(Some("-0")).unwrap();
+        assert!(zero == 0.0 && zero.is_sign_positive());
     }
 
     #[test]

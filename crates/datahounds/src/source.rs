@@ -7,11 +7,12 @@
 //! (strategy, entry keys, source text for diffing) lives in warehouse
 //! tables so it survives a restart along with the data.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use xomatiq_bioflat::line::{split_entries, split_line};
+use xomatiq_relstore::sql::ast::{BinOp, Expr, Statement};
 use xomatiq_relstore::Database;
 use xomatiq_xml::dtd::{validate, Dtd};
 use xomatiq_xml::Document;
@@ -19,8 +20,8 @@ use xomatiq_xml::Document;
 use crate::error::{HoundError, HoundResult};
 use crate::metrics;
 use crate::shred::{
-    collection_prefix, create_collection_indexes, create_collection_tables, delete_statements,
-    reconstruct_document, shred_statements, sql_quote, ShredStats, ShreddingStrategy,
+    collection_prefix, create_collection_indexes, create_collection_tables, reconstruct_document,
+    registered_paths, shred, ShredStats, ShreddingStrategy,
 };
 use crate::transform::{embl_to_xml, enzyme_to_xml, swissprot_to_xml};
 use crate::update::{diff_snapshots, ChangeEvent, ChangeKind, TriggerHub};
@@ -80,56 +81,31 @@ fn builtin_dtd_text(kind: SourceKind) -> Option<&'static str> {
     }
 }
 
-/// One parsed entry of a flat source, with uniform access.
-enum ParsedFlatEntry {
-    Enzyme(xomatiq_bioflat::EnzymeEntry),
-    Embl(xomatiq_bioflat::EmblEntry),
-    SwissProt(xomatiq_bioflat::SwissProtEntry),
-}
-
-impl ParsedFlatEntry {
-    fn parse(kind: SourceKind, lines: &[&str]) -> HoundResult<ParsedFlatEntry> {
-        Ok(match kind {
-            SourceKind::Enzyme => {
-                ParsedFlatEntry::Enzyme(xomatiq_bioflat::EnzymeEntry::parse_lines(lines)?)
-            }
-            SourceKind::Embl => {
-                ParsedFlatEntry::Embl(xomatiq_bioflat::EmblEntry::parse_lines(lines)?)
-            }
-            SourceKind::SwissProt => {
-                ParsedFlatEntry::SwissProt(xomatiq_bioflat::SwissProtEntry::parse_lines(lines)?)
-            }
-            SourceKind::Xml => {
-                return Err(HoundError::Pipeline(
-                    "XML sources have no flat form to parse".into(),
-                ))
-            }
-        })
-    }
-
-    fn key(&self) -> String {
-        match self {
-            ParsedFlatEntry::Enzyme(e) => e.id.clone(),
-            ParsedFlatEntry::Embl(e) => e.accession.clone(),
-            ParsedFlatEntry::SwissProt(e) => e.accession.clone(),
+/// Parses one flat entry and transforms it to XML, keeping its key and
+/// its re-serialized flat form (which updates diff on).
+fn prepare_entry(kind: SourceKind, lines: &[&str]) -> HoundResult<PreparedDoc> {
+    use xomatiq_bioflat::{EmblEntry, EnzymeEntry, SwissProtEntry};
+    let (doc, key, serialized) = match kind {
+        SourceKind::Enzyme => {
+            let e = EnzymeEntry::parse_lines(lines)?;
+            (enzyme_to_xml(&e)?, e.id.clone(), e.to_flat())
         }
-    }
-
-    fn to_xml(&self) -> HoundResult<Document> {
-        match self {
-            ParsedFlatEntry::Enzyme(e) => enzyme_to_xml(e),
-            ParsedFlatEntry::Embl(e) => embl_to_xml(e),
-            ParsedFlatEntry::SwissProt(e) => swissprot_to_xml(e),
+        SourceKind::Embl => {
+            let e = EmblEntry::parse_lines(lines)?;
+            (embl_to_xml(&e)?, e.accession.clone(), e.to_flat())
         }
-    }
-
-    fn to_flat(&self) -> String {
-        match self {
-            ParsedFlatEntry::Enzyme(e) => e.to_flat(),
-            ParsedFlatEntry::Embl(e) => e.to_flat(),
-            ParsedFlatEntry::SwissProt(e) => e.to_flat(),
+        SourceKind::SwissProt => {
+            let e = SwissProtEntry::parse_lines(lines)?;
+            (swissprot_to_xml(&e)?, e.accession.clone(), e.to_flat())
         }
-    }
+        // `load_source` and `update_source` refuse XML sources first.
+        SourceKind::Xml => unreachable!("XML sources have no flat form to parse"),
+    };
+    Ok(PreparedDoc {
+        key,
+        serialized,
+        doc,
+    })
 }
 
 /// A source entry set aside during a harvest instead of aborting it: the
@@ -167,15 +143,7 @@ fn prepare_flat(kind: SourceKind, flat: &str) -> (Vec<PreparedDoc>, Vec<Quaranti
     let mut prepared = Vec::new();
     let mut rejected = Vec::new();
     for (i, chunk) in split_entries(flat).iter().enumerate() {
-        let outcome = ParsedFlatEntry::parse(kind, chunk).and_then(|entry| {
-            let doc = entry.to_xml()?;
-            Ok(PreparedDoc {
-                key: entry.key(),
-                serialized: entry.to_flat(),
-                doc,
-            })
-        });
-        match outcome {
+        match prepare_entry(kind, chunk) {
             Ok(doc) => prepared.push(doc),
             Err(e) => rejected.push(QuarantineRecord {
                 entry_key: guess_entry_key(chunk, i),
@@ -214,6 +182,8 @@ struct CollectionMeta {
     strategy: ShreddingStrategy,
     next_doc_id: u64,
     dtd: Dtd,
+    /// The paths in `{prefix}_paths`: those of committed entries only.
+    paths: HashSet<String>,
 }
 
 /// Options controlling a source load.
@@ -262,9 +232,15 @@ impl Ingest<'_> {
         let prefix = &self.meta.prefix;
         let mut statements = Vec::new();
         if let Some(old) = old {
-            statements.extend(delete_statements(prefix, old));
-            statements.push(format!("DELETE FROM {prefix}_src WHERE doc_id = {old}"));
+            let of_old = Expr::binary(BinOp::Eq, Expr::col(None, "doc_id"), Expr::lit(old as i64));
+            statements.extend(
+                ["nodes", "attrs", "docs", "src"].map(|table| Statement::Delete {
+                    table: format!("{prefix}_{table}"),
+                    filter: Some(of_old.clone()),
+                }),
+            );
         }
+        let mut fresh = Vec::new();
         if let Some(p) = new {
             if self.validate {
                 if let Err(e) = validate(&p.doc, &self.meta.dtd) {
@@ -280,21 +256,27 @@ impl Ingest<'_> {
                 }
             }
             let doc_id = self.meta.next_doc_id;
-            let (shred, stats) =
-                shred_statements(self.db, prefix, self.meta.strategy, doc_id, &p.key, &p.doc)?;
-            statements.extend(shred);
-            statements.push(format!(
-                "INSERT INTO {prefix}_src VALUES ({doc_id}, '{}', '{}')",
-                sql_quote(&p.key),
-                sql_quote(&p.serialized)
-            ));
+            let meta = &self.meta;
+            let (shredded, paths, stats) =
+                shred(prefix, meta.strategy, doc_id, &p.key, &p.doc, &meta.paths)?;
+            statements.extend(shredded);
+            statements.push(Statement::Insert {
+                table: format!("{prefix}_src"),
+                rows: vec![vec![
+                    Expr::lit(doc_id as i64),
+                    Expr::lit(p.key.as_str()),
+                    Expr::lit(p.serialized.as_str()),
+                ]],
+            });
+            fresh = paths;
             self.stats += stats;
         }
-        let refs: Vec<&str> = statements.iter().map(String::as_str).collect();
         let txn_start = std::time::Instant::now();
-        self.db.execute_batch(&refs)?;
+        self.db.execute_statements(statements)?;
         let m = metrics::ingest();
         m.wal_txn_ns.record(metrics::elapsed_ns(txn_start));
+        // Only now that the batch committed are its paths registered.
+        self.meta.paths.extend(fresh);
         if new.is_some() {
             m.entries.inc();
             self.meta.next_doc_id += 1;
@@ -355,6 +337,7 @@ impl DataHounds {
                 .and_then(|r| r[0].as_int())
                 .map(|m| m as u64 + 1)
                 .unwrap_or(0);
+            let paths = registered_paths(&db, &prefix)?;
             collections.insert(
                 text("name"),
                 CollectionMeta {
@@ -363,6 +346,7 @@ impl DataHounds {
                     strategy,
                     next_doc_id,
                     dtd,
+                    paths,
                 },
             );
         }
@@ -505,6 +489,7 @@ impl DataHounds {
                 strategy: options.strategy,
                 next_doc_id: 0,
                 dtd,
+                paths: HashSet::new(),
             },
             validate: options.validate,
             stats: ShredStats::default(),
@@ -646,10 +631,11 @@ impl DataHounds {
                 }
                 HoundResult::Ok(())
             });
-        // Ids taken by entries that landed stay taken, even if a later
-        // entry failed.
+        // Ids taken and paths registered by entries that landed stay so,
+        // even if a later entry failed.
         if let Some(meta) = self.collections.lock().get_mut(name) {
             meta.next_doc_id = ingest.meta.next_doc_id;
+            meta.paths = ingest.meta.paths;
         }
         outcome?;
         self.record_quarantine(name, &ingest.rejected)?;
@@ -945,6 +931,92 @@ mod tests {
                 assert_eq!(row[1], xomatiq_relstore::Value::Float(want + 0.0), "{sql}");
             }
         }
+    }
+
+    fn registered(dh: &DataHounds, collection: &str) -> BTreeSet<String> {
+        let map = dh.collections.lock();
+        map[collection].paths.iter().cloned().collect()
+    }
+
+    fn stored_paths(dh: &DataHounds, prefix: &str) -> BTreeSet<String> {
+        registered_paths(dh.db(), prefix)
+            .unwrap()
+            .into_iter()
+            .collect()
+    }
+
+    #[test]
+    fn a_failed_entry_registers_no_paths() {
+        let dh = hounds();
+        let dtd = "<!ELEMENT r (v|w)*>\n<!ELEMENT v (#PCDATA)>\n<!ELEMENT w (#PCDATA)>\n\
+                   <!ATTLIST w n CDATA #IMPLIED>\n";
+        let doc = |with_w: bool| {
+            let (mut doc, root) = Document::with_root("r").unwrap();
+            let v = doc.append_element(root, "v").unwrap();
+            doc.append_text(v, "1");
+            if with_w {
+                let w = doc.append_element(root, "w").unwrap();
+                doc.set_attribute(w, "n", "2").unwrap();
+            }
+            doc
+        };
+        let opts = LoadOptions::default();
+        dh.load_xml_source("x", dtd, vec![("a".into(), doc(false))], opts)
+            .unwrap();
+        let before = registered(&dh, "x");
+        assert_eq!(before, ["/r", "/r/v"].map(String::from).into());
+        assert_eq!(stored_paths(&dh, "x"), before);
+
+        // Entry `b` has attributes, so its batch writes `x_attrs`; with the
+        // table gone the batch fails, and neither the stored nor the
+        // registered paths take its `/r/w` and `/r/w/@n`.
+        let attrs = "doc_id INT, owner INT, aname TEXT, aval TEXT, num_val FLOAT, path TEXT";
+        dh.db().query("DROP TABLE x_attrs").run().unwrap();
+        let snapshot = || vec![("a".into(), doc(false)), ("b".into(), doc(true))];
+        assert!(dh.update_xml_source("x", snapshot()).is_err());
+        assert_eq!(registered(&dh, "x"), before);
+        assert_eq!(stored_paths(&dh, "x"), before);
+
+        // Once the entry can land, it registers them.
+        let sql = format!("CREATE TABLE x_attrs ({attrs})");
+        dh.db().query(&sql).run().unwrap();
+        let events = dh.update_xml_source("x", snapshot()).unwrap();
+        assert_eq!(events.len(), 1);
+        let after: BTreeSet<String> = ["/r", "/r/v", "/r/w", "/r/w/@n"].map(String::from).into();
+        assert_eq!(registered(&dh, "x"), after);
+        assert_eq!(stored_paths(&dh, "x"), after);
+        // A reopened instance loads the same set.
+        let reopened = DataHounds::new(Arc::clone(dh.db())).unwrap();
+        assert_eq!(registered(&reopened, "x"), after);
+    }
+
+    #[test]
+    fn a_resync_sends_no_sql_per_entry() {
+        let dh = hounds();
+        let corpus = small_corpus();
+        dh.load_source(
+            "c",
+            SourceKind::Enzyme,
+            &corpus.enzyme_flat(),
+            LoadOptions::default(),
+        )
+        .unwrap();
+        let mut entries = corpus.enzymes.clone();
+        entries[0].descriptions = vec!["Renamed enzyme.".into()];
+        entries[4].descriptions = vec!["Renamed too.".into()];
+        let flat: String = entries.iter().map(|e| e.to_flat()).collect();
+        let recorded = || dh.db().flight_recorder().snapshot();
+        let last = recorded().last().map_or(0, |r| r.query_id);
+        assert_eq!(dh.update_source("c", &flat).unwrap().len(), 2);
+        // The diff reads `c_src` and the quarantine is rewritten; the two
+        // changed entries add no statement text of their own.
+        let sent: Vec<String> = recorded()
+            .into_iter()
+            .filter(|r| r.query_id > last)
+            .map(|r| r.sql)
+            .collect();
+        assert_eq!(sent.len(), 2, "{sent:?}");
+        assert!(sent.iter().all(|sql| !sql.contains("_paths")), "{sent:?}");
     }
 
     #[test]

@@ -150,17 +150,40 @@ impl<T: Clone> Chunks<Vec<T>> {
 pub(crate) type CowMap<K, V> = Chunks<Vec<(u64, K, V)>>;
 
 impl<K: Ord + Hash + Clone, V: Clone> Chunks<Vec<(u64, K, V)>> {
+    /// The map of `entries` (distinct keys), sorted once and packed into
+    /// full chunks.
+    pub(crate) fn from_entries(entries: impl IntoIterator<Item = (K, V)>) -> Self {
+        let mut items: Vec<(u64, K, V)> = entries
+            .into_iter()
+            .map(|(k, v)| (hash_of(&k), k, v))
+            .collect();
+        items.sort_unstable_by(|x, y| (x.0, &x.1).cmp(&(y.0, &y.1)));
+        let mut out = Self::default();
+        let mut items = items.into_iter().peekable();
+        while items.peek().is_some() {
+            out.chunks
+                .push(Arc::new(items.by_ref().take(out.cap).collect()));
+        }
+        out
+    }
+
     /// `key`'s hash, the chunk that holds `key` if any does, and the
     /// search within it.
     fn probe(&self, key: &K) -> (u64, usize, Result<usize, usize>) {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        let h = hasher.finish();
+        let h = hash_of(key);
         let i = self.find_slot(|c| c.last().is_some_and(|(kh, k, _)| (*kh, k) < (h, key)));
         let found = self.chunks.get(i).map_or(Err(0), |c| {
             c.binary_search_by(|(kh, k, _)| (*kh, k).cmp(&(h, key)))
         });
         (h, i, found)
+    }
+
+    /// The value under `key`.
+    pub(crate) fn get(&self, key: &K) -> Option<&V> {
+        let (_, i, Ok(at)) = self.probe(key) else {
+            return None;
+        };
+        Some(&self.chunks[i][at].2)
     }
 
     /// The value under `key`, its chunk copied first if shared.
@@ -195,6 +218,13 @@ impl<K: Ord + Hash + Clone, V: Clone> Chunks<Vec<(u64, K, V)>> {
     pub(crate) fn is_empty(&self) -> bool {
         self.chunks.is_empty()
     }
+}
+
+/// The hash a [`CowMap`] orders its entries by.
+fn hash_of<K: Hash>(key: &K) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    key.hash(&mut hasher);
+    hasher.finish()
 }
 
 /// One chunk of index postings: `(key, row id)` pairs in order, each key
@@ -445,6 +475,23 @@ mod tests {
         assert_eq!(snapshot.clone().get_mut(&77), Some(&mut 77));
         assert_eq!(m.remove(&77), Some(0));
         assert_eq!(m.get_mut(&77), None);
+    }
+
+    #[test]
+    fn a_packed_map_matches_inserts() {
+        let entries: Vec<(u64, u64)> = (0..2_000).map(|k| (k * 7919 % 2_003, k)).collect();
+        let mut inserted: CowMap<u64, u64> = Chunks::default();
+        for (k, v) in &entries {
+            inserted.insert(*k, *v);
+        }
+        let mut packed = CowMap::from_entries(entries.clone());
+        assert!(packed.chunks.len() > 1);
+        let items = |m: &CowMap<u64, u64>| m.chunks.iter().flat_map(|c| c.to_vec()).collect();
+        let want: Vec<_> = items(&inserted);
+        assert_eq!(items(&packed), want);
+        for (k, v) in &entries {
+            assert_eq!(packed.get_mut(k), Some(&mut v.clone()));
+        }
     }
 
     #[test]

@@ -559,11 +559,7 @@ impl Database {
             }
             stmt @ (Statement::Insert { .. }
             | Statement::Delete { .. }
-            | Statement::Update { .. }) => {
-                let target = stmt.dml_target().expect("matched as DML");
-                self.reject_system_write(target, "modify")?;
-                self.execute_parsed_batch(vec![stmt]).map(ResultSet::dml)
-            }
+            | Statement::Update { .. }) => self.execute_statements(vec![stmt]).map(ResultSet::dml),
             Statement::CreateMaterializedView {
                 name,
                 refresh_on_commit,
@@ -645,11 +641,20 @@ impl Database {
         Ok(ResultSet::dml(0))
     }
 
-    /// Runs DML statements as one transaction: either every statement
-    /// applies and one commit is made durable, or none do — a batch that
-    /// fails to apply is rolled back in memory before anything reaches
-    /// the log. Returns the rows affected.
-    fn execute_parsed_batch(&self, statements: Vec<Statement>) -> RelResult<usize> {
+    /// Runs DML statements that are already built as one transaction:
+    /// either every statement applies and one commit is made durable, or
+    /// none do — a batch that fails to apply is rolled back in memory
+    /// before anything reaches the log, and takes no CSN. A statement that
+    /// is not DML, or that writes a materialized view or a `sys_` table,
+    /// fails the batch. Returns the rows affected.
+    ///
+    /// An `INSERT` whose rows are [`Expr::Literal`](crate::sql::ast::Expr)
+    /// values is the typed row form: its values are stored as they are,
+    /// with no SQL text formatted or parsed on the way.
+    pub fn execute_statements(&self, statements: Vec<Statement>) -> RelResult<usize> {
+        for target in statements.iter().filter_map(Statement::dml_target) {
+            self.reject_system_write(target, "modify")?;
+        }
         let mut storage = self.begin_write()?;
         let mut changes = Vec::new();
         let mut affected = 0;
@@ -668,14 +673,14 @@ impl Database {
         Ok(affected)
     }
 
-    /// Executes a sequence of DML statements atomically: either every
-    /// statement applies and a single commit record is fsynced, or none do.
+    /// Parses a sequence of DML statements and runs them atomically
+    /// through [`Database::execute_statements`].
     pub fn execute_batch(&self, statements: &[&str]) -> RelResult<usize> {
         let parsed = statements
             .iter()
             .map(|s| parse_statement(s))
             .collect::<RelResult<_>>()?;
-        self.execute_parsed_batch(parsed)
+        self.execute_statements(parsed)
     }
 
     /// Rewrites segments whose dead-slot (tombstone) fraction exceeds

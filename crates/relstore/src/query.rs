@@ -734,7 +734,7 @@ impl<'a> Query<'a> {
                     .zip(&p.param_types)
                     .enumerate()
                     .map(|(i, (v, ty))| match ty {
-                        Some(ty) => v.coerce(*ty).ok_or_else(|| {
+                        Some(ty) => v.clone().coerce(*ty).ok_or_else(|| {
                             RelError::Bind(format!(
                                 "parameter ?{} ({v:?}) does not coerce to {ty}",
                                 i + 1

@@ -277,11 +277,10 @@ impl Storage {
     /// addresses the slot, else at a fresh id.
     fn insert(&mut self, table: &str, at: Option<RowId>, row: Row) -> RelResult<Change> {
         let t = self.stamped_mut(table)?;
-        let id = match at {
-            Some(id) => t.insert_at(id, row).map(|()| id)?,
+        let (id, stored) = match at {
+            Some(id) => (id, t.insert_at(id, row)?),
             None => t.insert(row)?,
         };
-        let stored = t.get(id).expect("just inserted");
         self.index_insert(table, id, &stored);
         self.note_mutation(table, 1);
         Ok(Change {
@@ -345,7 +344,7 @@ impl Storage {
     ) -> RelResult<usize> {
         let Some(target) = stmt.dml_target() else {
             return Err(RelError::Internal(
-                "execute_batch accepts DML statements only".into(),
+                "a statement batch accepts DML statements only".into(),
             ));
         };
         if self.is_view(target) {

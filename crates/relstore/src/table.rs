@@ -88,25 +88,26 @@ impl Table {
         self.store.is_empty()
     }
 
-    /// Validates, coerces and appends `row`, returning its new id.
-    pub fn insert(&mut self, row: Row) -> RelResult<RowId> {
+    /// Validates, coerces and appends `row`, returning its new id and the
+    /// row as stored.
+    pub fn insert(&mut self, row: Row) -> RelResult<(RowId, Row)> {
         let row = self.schema.check_row(row)?;
         let id = RowId(self.next_row_id);
         self.next_row_id += 1;
         self.store.insert(id.0, &row);
-        Ok(id)
+        Ok((id, row))
     }
 
     /// Re-inserts a row under a specific id (WAL replay and rollback).
     ///
     /// Keeps `next_row_id` ahead of every replayed id so post-recovery
     /// inserts never collide. An id below the store's high-water mark is
-    /// spliced back in at document order.
-    pub fn insert_at(&mut self, id: RowId, row: Row) -> RelResult<()> {
+    /// spliced back in at document order. Returns the row as stored.
+    pub fn insert_at(&mut self, id: RowId, row: Row) -> RelResult<Row> {
         let row = self.schema.check_row(row)?;
         self.next_row_id = self.next_row_id.max(id.0 + 1);
         self.store.insert(id.0, &row);
-        Ok(())
+        Ok(row)
     }
 
     /// Removes the row `id`, returning it.
@@ -168,14 +169,17 @@ mod tests {
         let mut t = table();
         let a = t
             .insert(vec![Value::Int(1), Value::Text("x".into())])
-            .unwrap();
+            .unwrap()
+            .0;
         let b = t
             .insert(vec![Value::Int(2), Value::Text("y".into())])
-            .unwrap();
+            .unwrap()
+            .0;
         t.delete(a).unwrap();
         let c = t
             .insert(vec![Value::Int(3), Value::Text("z".into())])
-            .unwrap();
+            .unwrap()
+            .0;
         assert!(c > b);
         assert!(t.get(a).is_none());
         assert_eq!(t.get(b).unwrap()[0], Value::Int(2));
@@ -186,7 +190,8 @@ mod tests {
         let mut t = table();
         let id = t
             .insert(vec![Value::Int(1), Value::Text("x".into())])
-            .unwrap();
+            .unwrap()
+            .0;
         let old = t
             .update(id, vec![Value::Int(9), Value::Text("y".into())])
             .unwrap();
@@ -200,7 +205,8 @@ mod tests {
         assert!(t.insert(vec![Value::Int(1)]).is_err());
         let id = t
             .insert(vec![Value::Int(1), Value::Text("x".into())])
-            .unwrap();
+            .unwrap()
+            .0;
         assert!(t
             .update(id, vec![Value::Text("no".into()), Value::Null])
             .is_err());
@@ -211,8 +217,35 @@ mod tests {
         let mut t = table();
         let id = t
             .insert(vec![Value::Text("12".into()), Value::Text("x".into())])
-            .unwrap();
+            .unwrap()
+            .0;
         assert_eq!(t.get(id).unwrap()[0], Value::Int(12));
+    }
+
+    #[test]
+    fn insert_returns_the_row_as_stored() {
+        let mut t = Table::new(TableSchema::new(
+            "t",
+            vec![
+                Column::new("f", DataType::Float),
+                Column::new("g", DataType::Float),
+                Column::new("s", DataType::Text),
+            ],
+        ));
+        // Debug text tells -0.0 from 0.0 and shows NaN, which `==` on
+        // values does not.
+        let bits = |row: &Row| format!("{row:?}");
+        for row in [
+            vec![Value::Int(3), Value::Float(-0.0), Value::Text("é'x".into())],
+            vec![Value::Float(0.0), Value::Float(f64::NAN), Value::Null],
+            vec![Value::Null, Value::Int(-7), Value::Int(12)],
+        ] {
+            let (id, stored) = t.insert(row.clone()).unwrap();
+            assert_eq!(bits(&stored), bits(&t.get(id).unwrap()));
+            let again = t.insert_at(RowId(100 + id.0), row).unwrap();
+            assert_eq!(bits(&again), bits(&t.get(RowId(100 + id.0)).unwrap()));
+        }
+        assert_eq!(t.get(RowId(0)).unwrap()[0], Value::Float(3.0));
     }
 
     #[test]
@@ -222,7 +255,8 @@ mod tests {
             .unwrap();
         let next = t
             .insert(vec![Value::Int(2), Value::Text("y".into())])
-            .unwrap();
+            .unwrap()
+            .0;
         assert!(next > RowId(10));
     }
 

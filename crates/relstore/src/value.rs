@@ -133,16 +133,17 @@ impl Value {
     /// Coerces the value to `ty`, as done when loading shredded tuples:
     /// source data always arrives as strings and numeric annotations must
     /// become comparable numbers. Returns `None` when the coercion fails.
-    pub fn coerce(&self, ty: DataType) -> Option<Value> {
+    /// A value that already has the type is moved, not copied.
+    pub fn coerce(self, ty: DataType) -> Option<Value> {
         match (self, ty) {
             (Value::Null, _) => Some(Value::Null),
-            (Value::Int(i), DataType::Int) => Some(Value::Int(*i)),
-            (Value::Int(i), DataType::Float) => Some(Value::Float(*i as f64)),
+            (v @ Value::Int(_), DataType::Int)
+            | (v @ Value::Float(_), DataType::Float)
+            | (v @ Value::Text(_), DataType::Text) => Some(v),
+            (Value::Int(i), DataType::Float) => Some(Value::Float(i as f64)),
             (Value::Int(i), DataType::Text) => Some(Value::Text(i.to_string())),
-            (Value::Float(f), DataType::Float) => Some(Value::Float(*f)),
-            (Value::Float(f), DataType::Int) if f.fract() == 0.0 => Some(Value::Int(*f as i64)),
+            (Value::Float(f), DataType::Int) if f.fract() == 0.0 => Some(Value::Int(f as i64)),
             (Value::Float(f), DataType::Text) => Some(Value::Text(f.to_string())),
-            (Value::Text(s), DataType::Text) => Some(Value::Text(s.clone())),
             (Value::Text(s), DataType::Int) => s.trim().parse().ok().map(Value::Int),
             (Value::Text(s), DataType::Float) => s.trim().parse().ok().map(Value::Float),
             _ => None,

@@ -51,6 +51,7 @@
 //! in the `GROUP BY` key.
 
 use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use crate::bind::{bind_expr, qualify, Qualified, Scope};
@@ -240,6 +241,28 @@ impl GroupState {
             accs: a.aggs.iter().map(AggAcc::fresh).collect(),
             view_row: NO_ROW,
         }
+    }
+
+    /// Folds `row` into the accumulators (`sign` +1 in, -1 out).
+    fn add(&mut self, a: &ViewAnalysis, row: &[Value], sign: i64) -> RelResult<()> {
+        if sign > 0 && self.rows == 0 {
+            // (Re)starting group: adopt this member as the representative.
+            self.rep = row.to_vec();
+        }
+        self.rows += sign;
+        if self.rows < 0 {
+            return Err(RelError::Internal(
+                "materialized view: group row count went negative".into(),
+            ));
+        }
+        for (acc, spec) in self.accs.iter_mut().zip(&a.aggs) {
+            let v = match &spec.arg {
+                Some(arg) => eval(arg, row)?,
+                None => Value::Int(1),
+            };
+            acc.apply(v, sign)?;
+        }
+        Ok(())
     }
 }
 
@@ -1183,25 +1206,40 @@ fn net(mut events: Vec<Event<'_>>) -> RelResult<Vec<Event<'_>>> {
 /// Recomputes a view's contents and state from scratch into an empty
 /// backing table (creation, `REFRESH ... FULL`, delta-log overflow, and
 /// WAL recovery all land here): both sinks over the all-insert stream,
-/// which needs no netting.
+/// which needs no netting. The state is gathered in plain collections and
+/// packed into its chunked map once, so no row pays a chunked lookup.
 pub(crate) fn full_build(
     a: &ViewAnalysis,
     tables: &BTreeMap<String, Table>,
     view_table: &mut Table,
 ) -> RelResult<ViewState> {
-    let mut state = empty_state(a);
-    match &mut state {
-        ViewState::Rows { rows } => all_rows(a, tables, &mut |e| {
-            rows.insert((e.lid, e.rid), view_table.insert(project(a, &e.row)?)?.0);
+    if !a.grouped {
+        let mut rows = Vec::new();
+        all_rows(a, tables, &mut |e| {
+            let (vid, _) = view_table.insert(project(a, &e.row)?)?;
+            rows.push(((e.lid, e.rid), vid.0));
             Ok(())
-        })?,
-        ViewState::Agg { groups } => {
-            let mut touched = Touched::default();
-            all_rows(a, tables, &mut |e| fold(a, groups, &mut touched, &e.row, 1))?;
-            settle(a, groups, touched.order, view_table, tables)?;
-        }
+        })?;
+        return Ok(ViewState::Rows {
+            rows: CowMap::from_entries(rows),
+        });
     }
-    Ok(state)
+    // Groups in first-touch order, which is the order their view rows take.
+    let mut order = Vec::new();
+    let mut groups = HashMap::new();
+    all_rows(a, tables, &mut |e| {
+        let g = match groups.entry(group_key(a, &e.row)?) {
+            Entry::Occupied(g) => g.into_mut(),
+            Entry::Vacant(g) => {
+                order.push(g.key().clone());
+                g.insert(GroupState::new(a))
+            }
+        };
+        g.add(a, &e.row, 1)
+    })?;
+    let mut groups = CowMap::from_entries(groups);
+    settle(a, &mut groups, order, view_table, tables)?;
+    Ok(ViewState::Agg { groups })
 }
 
 /// Applies committed changes to a view: one transaction's change list on
@@ -1222,11 +1260,8 @@ pub(crate) fn apply_deltas<'c>(
     match &mut rt.state {
         ViewState::Rows { rows } => apply_rows(a, rows, view_table, delta),
         ViewState::Agg { groups } => {
-            let mut touched = Touched::default();
-            for e in delta {
-                fold(a, groups, &mut touched, &e.row, e.sign)?;
-            }
-            settle(a, groups, touched.order, view_table, tables)
+            let touched = fold(a, groups, delta.iter().map(|e| (&*e.row, e.sign)))?;
+            settle(a, groups, touched, view_table, tables)
         }
     }
 }
@@ -1244,85 +1279,64 @@ fn apply_rows(
     for e in delta {
         let key = (e.lid, e.rid);
         if e.sign < 0 {
-            let vid = rows.remove(&key).ok_or_else(|| {
+            let vid = rows.get(&key).ok_or_else(|| {
                 RelError::Internal("materialized view: retracted a row it does not hold".into())
             })?;
-            freed.insert(key, vid);
+            freed.insert(key, *vid);
             continue;
         }
         let out = project(a, &e.row)?;
-        let vid = match freed.remove(&key) {
-            Some(vid) => {
-                view_table.update(RowId(vid), out)?;
-                vid
-            }
-            None => view_table.insert(out)?.0,
-        };
-        if rows.insert(key, vid).is_some() {
+        // An update keeps its view row and its map entry: the map is not
+        // written, nor its chunk copied, for it.
+        if let Some(vid) = freed.remove(&key) {
+            view_table.update(RowId(vid), out)?;
+        } else if rows.insert(key, view_table.insert(out)?.0 .0).is_some() {
             return Err(RelError::Internal(
                 "materialized view: asserted a row it already holds".into(),
             ));
         }
     }
-    for vid in freed.into_values() {
+    for (key, vid) in freed {
+        rows.remove(&key);
         view_table.delete(RowId(vid))?;
     }
     Ok(())
 }
 
-/// The groups one round folded into, each listed once in first-touch
-/// order.
-#[derive(Default)]
-struct Touched {
-    order: Vec<Vec<Value>>,
-    seen: HashSet<Vec<Value>>,
-}
-
-/// The aggregate sink, one source row at a time: folds `row` into its
-/// group's accumulators (`sign` +1 in, -1 out) and lists the group in
-/// `touched`.
-fn fold(
+/// The aggregate sink: folds signed source rows into their groups'
+/// accumulators (`sign` +1 in, -1 out). The rows are gathered per group
+/// first, so a group is looked up in the chunked map once per round, not
+/// once per row. Returns the groups folded into, in first-touch order.
+fn fold<'r>(
     a: &ViewAnalysis,
     groups: &mut CowMap<Vec<Value>, GroupState>,
-    touched: &mut Touched,
-    row: &[Value],
-    sign: i64,
-) -> RelResult<()> {
-    let key = group_key(a, row)?;
-    let g = match groups.get_mut(&key) {
-        Some(g) => g,
-        None if sign > 0 => {
+    rows: impl Iterator<Item = (&'r [Value], i64)>,
+) -> RelResult<Vec<Vec<Value>>> {
+    let (mut slots, mut order, mut batches) = (HashMap::new(), Vec::new(), Vec::new());
+    for (row, sign) in rows {
+        let key = group_key(a, row)?;
+        let slot = *slots.entry(key).or_insert_with_key(|key| {
+            order.push(key.clone());
+            batches.push(Vec::new());
+            order.len() - 1
+        });
+        batches[slot].push((row, sign));
+    }
+    for (key, batch) in order.iter().zip(batches) {
+        if groups.get(key).is_none() {
+            if batch[0].1 < 0 {
+                return Err(RelError::Internal(
+                    "materialized view: retraction from an unknown group".into(),
+                ));
+            }
             groups.insert(key.clone(), GroupState::new(a));
-            groups.get_mut(&key).expect("just inserted")
         }
-        None => {
-            return Err(RelError::Internal(
-                "materialized view: retraction from an unknown group".into(),
-            ))
+        let g = groups.get_mut(key).expect("present or just inserted");
+        for (row, sign) in batch {
+            g.add(a, row, sign)?;
         }
-    };
-    if !touched.seen.contains(&key) {
-        touched.seen.insert(key.clone());
-        touched.order.push(key);
     }
-    if sign > 0 && g.rows == 0 {
-        // (Re)starting group: adopt this member as the representative.
-        g.rep = row.to_vec();
-    }
-    g.rows += sign;
-    if g.rows < 0 {
-        return Err(RelError::Internal(
-            "materialized view: group row count went negative".into(),
-        ));
-    }
-    for (acc, spec) in g.accs.iter_mut().zip(&a.aggs) {
-        let v = match &spec.arg {
-            Some(arg) => eval(arg, row)?,
-            None => Value::Int(1),
-        };
-        acc.apply(v, sign)?;
-    }
-    Ok(())
+    Ok(order)
 }
 
 /// Finishes a round of [`fold`]s: drops the touched groups that emptied
@@ -1364,10 +1378,11 @@ fn settle(
             };
         }
         all_rows(a, tables, &mut |e| {
-            if rescan.contains(&group_key(a, &e.row)?) {
-                fold(a, groups, &mut Touched::default(), &e.row, 1)?;
+            let key = group_key(a, &e.row)?;
+            match groups.get_mut(&key) {
+                Some(g) if rescan.contains(&key) => g.add(a, &e.row, 1),
+                _ => Ok(()),
             }
-            Ok(())
         })?;
     }
     for key in &touched {
@@ -1376,7 +1391,7 @@ fn settle(
         };
         let out = emit_group(a, g)?;
         if g.view_row == NO_ROW {
-            g.view_row = view_table.insert(out)?.0;
+            g.view_row = view_table.insert(out)?.0 .0;
         } else {
             view_table.update(RowId(g.view_row), out)?;
         }

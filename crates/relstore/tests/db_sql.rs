@@ -1,6 +1,8 @@
 //! End-to-end SQL tests against the [`Database`] facade.
 
-use xomatiq_relstore::{Database, Value};
+use xomatiq_relstore::sql::ast::{BinOp, Expr, Statement};
+use xomatiq_relstore::sql::parser::parse_statement;
+use xomatiq_relstore::{Database, RelError, Value};
 
 fn seeded() -> Database {
     let db = Database::in_memory();
@@ -370,6 +372,86 @@ fn batch_is_atomic() {
 fn batch_rejects_ddl() {
     let db = seeded();
     assert!(db.execute_batch(&["CREATE TABLE z (a INT)"]).is_err());
+}
+
+fn insert(table: &str, row: Vec<Value>) -> Statement {
+    Statement::Insert {
+        table: table.into(),
+        rows: vec![row.into_iter().map(Expr::Literal).collect()],
+    }
+}
+
+fn max_csn(db: &Database) -> i64 {
+    let rs = db
+        .query("SELECT MAX(csn) FROM sys_segments")
+        .run()
+        .unwrap()
+        .rows;
+    rs.rows()[0][0].as_int().unwrap()
+}
+
+#[test]
+fn built_statements_apply_atomically() {
+    let db = seeded();
+    let before = db.row_count("enzymes").unwrap();
+    let good = || {
+        insert(
+            "enzymes",
+            vec![
+                "9.9.9.9".into(),
+                "New".into(),
+                Value::Int(1),
+                Value::Float(-0.0),
+            ],
+        )
+    };
+    let csn = max_csn(&db);
+    // The second statement has the wrong arity: nothing applies, and the
+    // failed batch takes no CSN, so the next commit takes `csn + 1`.
+    let err = db.execute_statements(vec![good(), insert("enzymes", vec!["bad".into()])]);
+    assert!(err.is_err());
+    assert_eq!(db.row_count("enzymes").unwrap(), before);
+    let delete = Statement::Delete {
+        table: "enzymes".into(),
+        filter: Some(Expr::binary(
+            BinOp::Eq,
+            Expr::col(None, "ec"),
+            Expr::lit("1.1.1.1"),
+        )),
+    };
+    assert_eq!(db.execute_statements(vec![good(), delete]).unwrap(), 2);
+    assert_eq!(max_csn(&db), csn + 1);
+    let rs = db
+        .query("SELECT mass FROM enzymes WHERE ec = '9.9.9.9'")
+        .run()
+        .unwrap()
+        .rows;
+    assert_eq!(format!("{:?}", rs.rows()[0][0]), "Float(-0.0)");
+}
+
+#[test]
+fn built_statements_are_refused_like_parsed_ones() {
+    let db = seeded();
+    db.query("CREATE MATERIALIZED VIEW v AS SELECT ec FROM enzymes")
+        .run()
+        .unwrap();
+    let ddl = parse_statement("CREATE TABLE z (a INT)").unwrap();
+    assert!(matches!(
+        db.execute_statements(vec![ddl]),
+        Err(RelError::Internal(_))
+    ));
+    for (table, sql) in [
+        ("v", "INSERT INTO v VALUES ('x')"),
+        ("sys_metrics", "INSERT INTO sys_metrics VALUES ('x')"),
+    ] {
+        let built = db
+            .execute_statements(vec![insert(table, vec!["x".into()])])
+            .unwrap_err();
+        let parsed = db.execute_batch(&[sql]).unwrap_err();
+        assert!(matches!(built, RelError::ReadOnly(_)), "{built}");
+        assert_eq!(built.to_string(), parsed.to_string());
+    }
+    assert!(db.table_names().iter().all(|t| t != "z"));
 }
 
 #[test]

@@ -67,7 +67,7 @@ fn check(ops: &[Op], seg_capacity: usize) -> Result<(), TestCaseError> {
     for op in ops {
         match op {
             Op::Insert(row) => {
-                let id = table.insert(row.clone()).unwrap();
+                let (id, _) = table.insert(row.clone()).unwrap();
                 prop_assert!(model.insert(id.0, row.clone()).is_none());
             }
             Op::InsertAt(id, row) => {
@@ -144,7 +144,7 @@ fn default_capacity_store_matches_model_across_segment_boundary() {
         ]
     };
     for i in 0..2500i64 {
-        let id = table.insert(mk(i)).unwrap();
+        let (id, _) = table.insert(mk(i)).unwrap();
         model.insert(id.0, mk(i));
     }
     for id in (0..2500u64).step_by(7) {
