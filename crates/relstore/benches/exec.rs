@@ -152,6 +152,71 @@ fn bench_exec(_c: &mut Criterion) {
         db.query(join_sql).via_reference().run().unwrap().rows.len()
     });
 
+    // Sideways key passing: an outer filter leaves 1 or 100 join keys,
+    // and the hash join passes them to the indexed inner leaf, which
+    // reads only their rows (10 per key) instead of all n. The forced
+    // side joins on `i.k + 0`, a key no index serves, so the same join
+    // reads its inner in full. Medians of alternating pairs; the gaps
+    // give a key's cost (its B-tree probe plus its rows) against a
+    // scanned row's, which sizes the planner's `KEY_PASS_MARGIN`.
+    {
+        let kdb = Database::in_memory();
+        kdb.query("CREATE TABLE kp_inner (k INT, v INT)")
+            .run()
+            .unwrap();
+        kdb.query("CREATE TABLE kp_outer (k INT, tag INT)")
+            .run()
+            .unwrap();
+        kdb.query("CREATE INDEX kp_inner_k ON kp_inner (k)")
+            .run()
+            .unwrap();
+        let keys = (n / 10).max(100);
+        let mut stmts: Vec<String> = (0..n)
+            .map(|i| format!("INSERT INTO kp_inner VALUES ({}, {i})", i % keys))
+            .collect();
+        // Tag 1 marks one outer row, tag 2 a hundred, tag 0 the rest.
+        stmts.extend((0..200).map(|i| {
+            let tag = match i {
+                0 => 1,
+                1..=100 => 2,
+                _ => 0,
+            };
+            format!("INSERT INTO kp_outer VALUES ({}, {tag})", (i * 7) % keys)
+        }));
+        let refs: Vec<&str> = stmts.iter().map(|s| s.as_str()).collect();
+        kdb.execute_batch(&refs).unwrap();
+        let mut per_key = [0.0f64; 2];
+        let mut full = [0.0f64; 2];
+        for (slot, (tag, outer)) in [(1, 1), (2, 100)].into_iter().enumerate() {
+            let sql = |key: &str| {
+                format!(
+                    "SELECT i.v FROM kp_outer o, kp_inner i WHERE o.k = {key} AND o.tag = {tag}"
+                )
+            };
+            let (keyed_sql, forced_sql) = (sql("i.k"), sql("i.k + 0"));
+            let plan = kdb.query(&keyed_sql).explain().unwrap().render();
+            assert!(plan.contains("passes keys to right"), "{plan}");
+            let run = |sql: &str| kdb.query(sql).run().unwrap().rows.len();
+            assert_eq!(run(&keyed_sql), run(&forced_sql));
+            let (keyed, forced) = median_pair(|| run(&keyed_sql), || run(&forced_sql));
+            for (name, ns) in [("keyed", keyed), ("full_inner", forced)] {
+                println!("exec/join/key_passing/{outer}_keys/{name}: {ns:.0} ns/iter");
+                rec.results
+                    .push((format!("join/key_passing/{outer}_keys/{name}"), ns));
+            }
+            per_key[slot] = keyed;
+            full[slot] = forced;
+        }
+        let key_ns = (per_key[1] - per_key[0]) / 99.0;
+        let row_ns = (full[0] - per_key[0]) / n as f64;
+        println!(
+            "exec/join/key_passing: a key (probe + {} rows) costs {key_ns:.0} ns, \
+             a scanned inner row {row_ns:.1} ns: a key costs {:.0} scanned rows",
+            n / keys,
+            key_ns / row_ns
+        );
+    }
+
     // Keyword query through the inverted index.
     let kw_sql = "SELECT a FROM big WHERE CONTAINS(s, 'needle')";
     rec.bench("keyword_query/streaming", || {
@@ -164,14 +229,18 @@ fn bench_exec(_c: &mut Criterion) {
     // With XOMATIQ_BENCH_ENFORCE (full scale) pruning must win by >= 5x.
     let (lo, hi) = (n / 2, n / 2 + n / 100);
     let sel_sql = format!("SELECT a, b FROM big WHERE a BETWEEN {lo} AND {hi}");
-    db.set_zone_map_pruning(false);
-    let unpruned = rec.bench("scan_filter_selective/zone_maps_off", || {
-        db.query(&sel_sql).with_workers(1).run().unwrap().rows.len()
-    });
-    db.set_zone_map_pruning(true);
-    let pruned = rec.bench("scan_filter_selective/zone_maps_on", || {
-        db.query(&sel_sql).with_workers(1).run().unwrap().rows.len()
-    });
+    // Off and on run in interleaved batches and each keeps its fastest
+    // batch, so a scheduler blip during one side cannot fake (or mask) a
+    // gap, as for the overhead gates below.
+    let (unpruned, pruned) = min_batch_pair(
+        |on| db.set_zone_map_pruning(on),
+        || db.query(&sel_sql).with_workers(1).run().unwrap().rows.len(),
+    );
+    for (name, ns) in [("zone_maps_off", unpruned), ("zone_maps_on", pruned)] {
+        println!("exec/scan_filter_selective/{name}: {ns:.0} ns/iter");
+        rec.results
+            .push((format!("scan_filter_selective/{name}"), ns));
+    }
     println!(
         "exec/scan_filter_selective: zone maps {:.2}x faster",
         unpruned / pruned
@@ -367,7 +436,7 @@ fn bench_exec(_c: &mut Criterion) {
     // CI runs the smoke scale this way.
     for (name, sql) in [("scan_full", "SELECT a FROM big"), ("hash_join", join_sql)] {
         let run = || db.query(sql).run().unwrap().rows.len();
-        let (off, on) = min_batch_pair(run);
+        let (off, on) = min_batch_pair(xomatiq_obs::set_enabled, run);
         println!("exec/overhead/{name}: off {off:.0} ns/iter, on {on:.0} ns/iter");
         rec.results
             .push((format!("overhead/{name}/metrics_off"), off));
@@ -759,10 +828,10 @@ fn refresh_pair(
     }
 }
 
-/// Interleaved min-of-batches measurement of `f` with metrics disabled
-/// then enabled, returning `(off_ns_per_iter, on_ns_per_iter)`. The
-/// registry is left enabled afterwards.
-fn min_batch_pair<R>(mut f: impl FnMut() -> R) -> (f64, f64) {
+/// Interleaved min-of-batches measurement of `f` with `set(false)`, then
+/// `set(true)`, returning `(off_ns_per_iter, on_ns_per_iter)`. The
+/// setting is left on afterwards.
+fn min_batch_pair<R>(set: impl Fn(bool), mut f: impl FnMut() -> R) -> (f64, f64) {
     const BATCHES: usize = 5;
     const ITERS: usize = 8;
     let batch = |f: &mut dyn FnMut()| {
@@ -775,16 +844,43 @@ fn min_batch_pair<R>(mut f: impl FnMut() -> R) -> (f64, f64) {
     let (mut off, mut on) = (f64::INFINITY, f64::INFINITY);
     black_box(f()); // warmup
     for _ in 0..BATCHES {
-        xomatiq_obs::set_enabled(false);
+        set(false);
         off = off.min(batch(&mut || {
             black_box(f());
         }));
-        xomatiq_obs::set_enabled(true);
+        set(true);
         on = on.min(batch(&mut || {
             black_box(f());
         }));
     }
     (off, on)
+}
+
+/// Medians of `a` and `b` timed in alternating pairs (after one warmup
+/// each), in ns per call.
+fn median_pair<R, S>(mut a: impl FnMut() -> R, mut b: impl FnMut() -> S) -> (f64, f64) {
+    const PAIRS: usize = 15;
+    let time = |f: &mut dyn FnMut()| {
+        let start = Instant::now();
+        f();
+        start.elapsed().as_nanos() as f64
+    };
+    black_box(a());
+    black_box(b());
+    let (mut xs, mut ys) = (Vec::new(), Vec::new());
+    for _ in 0..PAIRS {
+        xs.push(time(&mut || {
+            black_box(a());
+        }));
+        ys.push(time(&mut || {
+            black_box(b());
+        }));
+    }
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    (median(&mut xs), median(&mut ys))
 }
 
 criterion_group!(benches, bench_exec);

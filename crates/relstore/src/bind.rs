@@ -354,6 +354,7 @@ pub fn bind_plan(plan: &mut Plan, catalog: &Catalog) -> RelResult<RowSchema> {
             right_keys,
             residual,
             semi,
+            ..
         } => {
             let ls = bind_plan(left, catalog)?;
             let rs = bind_plan(right, catalog)?;

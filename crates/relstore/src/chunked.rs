@@ -285,8 +285,13 @@ pub(crate) type Postings<K> = Chunks<Runs<K>>;
 
 impl<K: Clone + Default> Chunks<Runs<K>> {
     /// Postings of `pairs`, sorted once and packed into full chunks; a
-    /// key becomes a `K` once per run, not once per pair.
-    pub(crate) fn from_pairs<J: Ord + Clone>(cap: usize, mut pairs: Vec<(J, RowId)>) -> Self
+    /// key becomes a `K` once per run, not once per pair. `new_key` sees
+    /// each distinct key once, in order, with the one before it.
+    pub(crate) fn from_pairs<J: Ord + Clone>(
+        cap: usize,
+        mut pairs: Vec<(J, RowId)>,
+        mut new_key: impl FnMut(Option<&J>, &J),
+    ) -> Self
     where
         K: From<J>,
     {
@@ -294,12 +299,16 @@ impl<K: Clone + Default> Chunks<Runs<K>> {
         pairs.dedup();
         let mut out = Self::with_capacity(cap);
         let mut chunk = Runs::default();
-        let mut last = None;
+        let mut last: Option<J> = None;
         for (key, id) in pairs {
             if chunk.ids.len() == cap {
                 out.chunks.push(Arc::new(std::mem::take(&mut chunk)));
             }
-            if chunk.keys.is_empty() || last.as_ref() != Some(&key) {
+            let new = last.as_ref() != Some(&key);
+            if new {
+                new_key(last.as_ref(), &key);
+            }
+            if chunk.keys.is_empty() || new {
                 chunk.keys.push(K::from(key.clone()));
                 chunk.ends.push(chunk.ids.len());
                 last = Some(key);
@@ -345,8 +354,8 @@ impl<K: Clone + Default> Chunks<Runs<K>> {
     }
 
     /// Adds the pair `(key, id)`; the key is copied only where its chunk
-    /// does not hold it yet.
-    pub(crate) fn insert<Q: Ord + ?Sized>(&mut self, key: &Q, id: RowId)
+    /// does not hold it yet. Returns whether the pair is new.
+    pub(crate) fn insert<Q: Ord + ?Sized>(&mut self, key: &Q, id: RowId) -> bool
     where
         K: Borrow<Q> + for<'q> From<&'q Q>,
     {
@@ -354,7 +363,7 @@ impl<K: Clone + Default> Chunks<Runs<K>> {
         self.edit(i, |c| {
             let (run, at) = match c.keys.binary_search_by(|k| k.borrow().cmp(key)) {
                 Ok(run) => match c.run(run).binary_search(&id) {
-                    Ok(_) => return,
+                    Ok(_) => return false,
                     Err(at) => (run, c.start(run) + at),
                 },
                 Err(run) => {
@@ -366,16 +375,17 @@ impl<K: Clone + Default> Chunks<Runs<K>> {
             };
             c.ids.insert(at, id);
             c.ends[run..].iter_mut().for_each(|end| *end += 1);
-        });
+            true
+        })
     }
 
-    /// Drops the pair `(key, id)`, if present.
-    pub(crate) fn remove<Q: Ord + ?Sized>(&mut self, key: &Q, id: RowId)
+    /// Drops the pair `(key, id)`. Returns whether it was present.
+    pub(crate) fn remove<Q: Ord + ?Sized>(&mut self, key: &Q, id: RowId) -> bool
     where
         K: Borrow<Q>,
     {
         let Some((i, run, at)) = self.seek(key, id) else {
-            return;
+            return false;
         };
         self.edit(i, |c| {
             c.ids.remove(c.start(run) + at);
@@ -385,6 +395,30 @@ impl<K: Clone + Default> Chunks<Runs<K>> {
                 c.ends.remove(run);
             }
         });
+        true
+    }
+
+    /// `None` when `key` holds an id; else the nearest keys before and
+    /// after it. One search: the first chunk whose last key is not below
+    /// `key` holds `key`'s first run if there is one.
+    pub(crate) fn neighbours<Q: Ord + ?Sized>(&self, key: &Q) -> Option<(Option<&K>, Option<&K>)>
+    where
+        K: Borrow<Q>,
+    {
+        let i = self.find_slot(|c| c.last().0.borrow() < key);
+        let Some(c) = self.chunks.get(i) else {
+            return Some((None, None));
+        };
+        let at = c.keys.partition_point(|k| k.borrow() < key);
+        let after = c.keys.get(at);
+        if after.is_some_and(|k| k.borrow() == key) {
+            return None;
+        }
+        let before = match at {
+            0 => i.checked_sub(1).map(|prev| self.chunks[prev].last().0),
+            at => Some(&c.keys[at - 1]),
+        };
+        Some((before, after))
     }
 
     /// The runs from the first key at or after `key` onward, in order: a
@@ -453,7 +487,7 @@ mod tests {
     fn from_sorted_matches_inserts() {
         let input: Vec<(String, RowId)> =
             (0..40).map(|i| (format!("k{}", i % 7), RowId(i))).collect();
-        let built = Postings::from_pairs(3, input.clone());
+        let built = Postings::from_pairs(3, input.clone(), |_, _| {});
         let mut inserted: Postings<String> = Chunks::with_capacity(3);
         for (k, id) in &input {
             inserted.insert(k.as_str(), *id);

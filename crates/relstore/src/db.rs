@@ -765,7 +765,7 @@ impl Database {
         let m = metrics::engine();
         let _t = trace::span("relstore.query.plan");
         let plan_start = Instant::now();
-        let result = plan_select(select, &storage.catalog, &storage.stats);
+        let result = plan_select(select, &storage.catalog, &storage.stats, storage);
         match &result {
             Ok(_) => m.plan_ns.record(metrics::elapsed_ns(plan_start)),
             Err(_) => m.errors.inc(),

@@ -31,7 +31,7 @@
 use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
 use std::ops::Range;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -41,7 +41,9 @@ use crate::colstore::ColStore;
 use crate::db::Storage;
 use crate::error::{RelError, RelResult};
 use crate::expr::{eval, eval_predicate};
-use crate::plan::{Access, AccessMethod, IndexAccess, LeafOutput, Plan, ProjectItem, SortKey};
+use crate::plan::{
+    Access, AccessMethod, IndexAccess, KeyPass, LeafOutput, Plan, ProjectItem, Side, SortKey,
+};
 use crate::segment::SimplePred;
 use crate::sql::ast::{AggFunc, Expr};
 use crate::table::{Row, RowId};
@@ -317,6 +319,35 @@ struct ExecCtx {
     /// A hash join's build side, built once by the morsel driver and
     /// probed by every worker instead of re-opening the right input.
     build: Option<Arc<BuildSide>>,
+    /// For a key-passing leaf: where its join hands over the keys.
+    keys: Option<Rc<KeyChannel>>,
+}
+
+/// How a hash join passes its keys to an [`AccessMethod::JoinKeys`] leaf.
+/// The leaf, at open, sets the run-time bound: how many keys it takes
+/// before reading under them would cost more than its planned method.
+/// The join, once its other side has run, hands over the distinct keys
+/// in index order if there are no more than that, and nothing otherwise —
+/// then the leaf runs its planned method.
+#[derive(Default)]
+struct KeyChannel {
+    max_keys: Cell<usize>,
+    keys: Cell<Option<Vec<Vec<Value>>>>,
+}
+
+impl KeyChannel {
+    /// Hands over `keys` if the leaf takes that many.
+    fn offer(&self, keys: BTreeSet<Vec<Value>>) {
+        if keys.len() <= self.max_keys.get() {
+            self.keys.set(Some(keys.into_iter().collect()));
+        }
+    }
+}
+
+/// The passed key of one joined row: its join key's values, in the order
+/// of the receiving leaf's index columns.
+fn passed_key(key: &[Value], positions: &[usize]) -> Vec<Value> {
+    positions.iter().map(|&p| key[p].clone()).collect()
 }
 
 /// What one execution of a plan produced.
@@ -517,13 +548,36 @@ fn open<'a>(plan: &'a Plan, storage: &'a Storage, ctx: &ExecCtx) -> RelResult<Op
             right_keys,
             residual,
             semi,
+            pass,
         } => {
-            let left = open_child(left, storage, ctx, &mut kids)?;
+            // The leaf that takes passed keys opens with the channel its
+            // keys arrive through; a plan that passes keys never runs
+            // per morsel.
+            let channel = pass.as_ref().map(|_| Rc::new(KeyChannel::default()));
+            let keyed = pass.as_ref().map(|pass| {
+                let keyed = ExecCtx {
+                    stats: Rc::clone(stats),
+                    profile: ctx.profile,
+                    keys: channel.clone(),
+                    ..ExecCtx::default()
+                };
+                (pass.into, keyed)
+            });
+            let side_ctx = |side| match &keyed {
+                Some((into, keyed)) if *into == side => keyed,
+                _ => ctx,
+            };
+            let left = open_child(left, storage, side_ctx(Side::Left), &mut kids)?;
             // A morsel worker probes the side the driver already built
             // instead of opening (and re-scanning) the right input.
             let right_input = match &ctx.build {
                 Some(_) => None,
-                None => Some(open_child(right, storage, ctx, &mut kids)?),
+                None => Some(open_child(
+                    right,
+                    storage,
+                    side_ctx(Side::Right),
+                    &mut kids,
+                )?),
             };
             // A semi join is existence-only: each matching left row passes
             // through once and the right side's columns are dropped (the
@@ -536,6 +590,9 @@ fn open<'a>(plan: &'a Plan, storage: &'a Storage, ctx: &ExecCtx) -> RelResult<Op
                 build: ctx.build.clone(),
                 right_input,
                 right_keys,
+                pass: pass.as_ref().zip(channel),
+                ran_first: Vec::new().into_iter(),
+                deferred: None,
                 probe: None,
                 stats: Rc::clone(stats),
             })
@@ -594,10 +651,14 @@ fn open<'a>(plan: &'a Plan, storage: &'a Storage, ctx: &ExecCtx) -> RelResult<Op
     Ok(maybe_profile(cursor, plan, ctx, kids))
 }
 
-/// The rows an index or keyword method selects, as row ids in insertion
-/// (document) order — the order a full scan would yield them.
-pub(crate) fn index_leaf_ids(leaf: &Access, storage: &Storage) -> RelResult<Vec<RowId>> {
-    let mut ids = match &leaf.method {
+/// The rows of `table` an index or keyword method selects, as row ids in
+/// insertion (document) order — the order a full scan would yield them.
+pub(crate) fn index_ids(
+    table: &str,
+    method: &AccessMethod,
+    storage: &Storage,
+) -> RelResult<Vec<RowId>> {
+    let mut ids = match method {
         AccessMethod::Index { index, access } => {
             let idx = storage.btree_index(index)?;
             match access {
@@ -613,15 +674,75 @@ pub(crate) fn index_leaf_ids(leaf: &Access, storage: &Storage) -> RelResult<Vec<
             }
         }
         AccessMethod::Keyword { index, keyword } => storage.keyword_index(index)?.lookup(keyword),
-        AccessMethod::Full => {
+        AccessMethod::Full | AccessMethod::JoinKeys { .. } => {
             return Err(RelError::Internal(format!(
-                "a full scan of {} has no id list",
-                leaf.table
+                "a full scan of {table} has no id list"
             )))
         }
     };
     ids.sort();
     Ok(ids)
+}
+
+/// The spans of a leaf read by `method`: zone-map survivors (or the
+/// worker's morsel) for a full scan, else the probe's ids by segment.
+fn method_spans(
+    access: &Access,
+    method: &AccessMethod,
+    store: &ColStore,
+    storage: &Storage,
+    ctx: &ExecCtx,
+) -> RelResult<Vec<(usize, Slots)>> {
+    if *method == AccessMethod::Full {
+        return Ok(leaf_spans(store, &access.pushed, storage, ctx)
+            .into_iter()
+            .map(|(seg, slots)| (seg, Slots::Range(slots)))
+            .collect());
+    }
+    let ids = index_ids(&access.table, method, storage)?;
+    ctx.stats.index_probe();
+    if matches!(method, AccessMethod::Keyword { .. }) {
+        ctx.stats.postings_read(ids.len() as u64);
+    }
+    Ok(id_spans(store, ids))
+}
+
+/// Sorted row ids as per-segment slot lists.
+fn id_spans(store: &ColStore, ids: Vec<RowId>) -> Vec<(usize, Slots)> {
+    store
+        .slots_of(ids.into_iter().map(|id| id.0))
+        .into_iter()
+        .map(|(seg, slots)| (seg, Slots::List(slots.into_iter())))
+        .collect()
+}
+
+/// The run-time bound of a key-passing leaf: how many keys it reads under
+/// before its planned method would read fewer rows, from the live index
+/// counts. A key reads `rows / d` rows, `d` the passing index's distinct
+/// prefixes; the planned method reads every row (a full scan) or
+/// `rows / d'` (an exact probe binding `d'` distinct prefixes), so the
+/// keys pay while there are at most `d` (or `d / d'`) of them.
+fn key_budget(access: &Access, storage: &Storage) -> RelResult<usize> {
+    let AccessMethod::JoinKeys {
+        index,
+        columns,
+        planned,
+    } = &access.method
+    else {
+        return Ok(0);
+    };
+    let distinct = |index: &str, k: usize| -> RelResult<usize> {
+        let counts = storage.btree_index(index)?.distinct_prefixes();
+        Ok(counts.get(k.wrapping_sub(1)).copied().unwrap_or(1).max(1))
+    };
+    let keyed = distinct(index, *columns)?;
+    Ok(match &**planned {
+        AccessMethod::Index {
+            index,
+            access: IndexAccess::Exact(values),
+        } => keyed / distinct(index, values.len())?,
+        _ => keyed,
+    })
 }
 
 /// The spans a full-scan leaf opened under `ctx` walks: the worker's
@@ -717,7 +838,11 @@ type Hit = (usize, usize, Row);
 /// materialized — `LIMIT k` over an unfiltered scan reads exactly k.
 struct AccessCursor<'a> {
     access: &'a Access,
+    storage: &'a Storage,
     store: &'a ColStore,
+    /// A key-passing leaf's channel, until its first pull decides its
+    /// spans.
+    keyed: Option<Rc<KeyChannel>>,
     /// Per position of the emitted row, the table column it carries;
     /// `None` positions (columns nothing reads) stay `NULL`.
     gather: Vec<Option<usize>>,
@@ -742,26 +867,21 @@ impl<'a> AccessCursor<'a> {
             }
             LeafOutput::Projected(cols) => cols.iter().copied().map(Some).collect(),
         };
-        let spans: Vec<(usize, Slots)> = if access.method == AccessMethod::Full {
-            leaf_spans(store, &access.pushed, storage, ctx)
-                .into_iter()
-                .map(|(seg, slots)| (seg, Slots::Range(slots)))
-                .collect()
-        } else {
-            let ids = index_leaf_ids(access, storage)?;
-            ctx.stats.index_probe();
-            if matches!(access.method, AccessMethod::Keyword { .. }) {
-                ctx.stats.postings_read(ids.len() as u64);
+        let (spans, keyed) = match &access.method {
+            AccessMethod::JoinKeys { .. } => {
+                let channel = ctx.keys.clone().ok_or_else(|| {
+                    RelError::Internal(format!("no join passes keys to {}", access.alias))
+                })?;
+                channel.max_keys.set(key_budget(access, storage)?);
+                (Vec::new(), Some(channel))
             }
-            store
-                .slots_of(ids.into_iter().map(|id| id.0))
-                .into_iter()
-                .map(|(seg, slots)| (seg, Slots::List(slots.into_iter())))
-                .collect()
+            method => (method_spans(access, method, store, storage, ctx)?, None),
         };
         Ok(AccessCursor {
             access,
+            storage,
             store,
+            keyed,
             gather,
             spans: spans.into_iter(),
             current: None,
@@ -775,6 +895,43 @@ impl<'a> AccessCursor<'a> {
         let (seg_idx, slots, rows) = &mut self.ready;
         let (slot, row) = slots.next().zip(rows.next())?;
         Some((*seg_idx, slot as usize, row))
+    }
+
+    /// The next span to walk. A key-passing leaf decides its spans at
+    /// its first pull, when its join has run the other side: the rows
+    /// under the passed keys, one sorted batch of probes, or else what
+    /// its planned method reads.
+    fn next_span(&mut self) -> RelResult<Option<(usize, Slots)>> {
+        if let Some(channel) = self.keyed.take() {
+            let AccessMethod::JoinKeys { index, planned, .. } = &self.access.method else {
+                unreachable!("only a key-passing leaf has a channel")
+            };
+            let spans = match channel.keys.take() {
+                Some(keys) => {
+                    let idx = self.storage.btree_index(index)?;
+                    let whole = idx.key_columns().len();
+                    let mut ids = Vec::new();
+                    for key in &keys {
+                        self.stats.index_probe();
+                        ids.extend(match key.len() == whole {
+                            true => idx.lookup(key),
+                            false => idx.lookup_prefix(key),
+                        });
+                    }
+                    ids.sort_unstable();
+                    id_spans(self.store, ids)
+                }
+                None => {
+                    let ctx = ExecCtx {
+                        stats: Rc::clone(&self.stats),
+                        ..ExecCtx::default()
+                    };
+                    method_spans(self.access, planned, self.store, self.storage, &ctx)?
+                }
+            };
+            self.spans = spans.into_iter();
+        }
+        Ok(self.spans.next())
     }
 
     /// The next row the leaf selects.
@@ -813,7 +970,7 @@ impl<'a> AccessCursor<'a> {
                     }
                 }
             }
-            let Some((seg_idx, candidates)) = self.spans.next() else {
+            let Some((seg_idx, candidates)) = self.next_span()? else {
                 return Ok(None);
             };
             if pushed.is_empty() {
@@ -1041,6 +1198,14 @@ impl BuildSide {
 /// build never materializes an intermediate join result. Choosing the
 /// smaller *table* as the build side would need row-count stats the
 /// catalog does not carry yet.
+///
+/// With a [`KeyPass`], the side that is not keyed runs first: into the
+/// left leaf, the build side's keys go over once it is built; into the
+/// right leaf, the left input is read ahead into a buffer (until it holds
+/// more keys than the leaf takes), its keys go over, and the probe then
+/// walks the buffer before the rest of the input. An error met while
+/// reading ahead is raised where the probe reaches it, so the rows and
+/// the error the join yields are those of the plain join.
 struct HashJoinCursor<'a> {
     left: BoxCursor<'a>,
     left_keys: &'a [Expr],
@@ -1050,20 +1215,77 @@ struct HashJoinCursor<'a> {
     /// Right input, drained into `build` on the first pull.
     right_input: Option<BoxCursor<'a>>,
     right_keys: &'a [Expr],
+    /// Sideways key passing, and the channel to the keyed leaf.
+    pass: Option<(&'a KeyPass, Rc<KeyChannel>)>,
+    /// Left rows read ahead.
+    ran_first: std::vec::IntoIter<Row>,
+    /// The error that stopped the read-ahead, raised after its rows.
+    deferred: Option<RelError>,
     /// The probe row currently being expanded: `(row, matches, position)`.
     probe: Option<(Row, Vec<usize>, usize)>,
     stats: Rc<StatsCell>,
 }
 
+impl HashJoinCursor<'_> {
+    /// Reads the left input ahead and passes its keys to the right leaf.
+    fn run_left_first(&mut self, positions: &[usize], channel: &KeyChannel) {
+        let mut rows = Vec::new();
+        let mut keys = BTreeSet::new();
+        while keys.len() <= channel.max_keys.get() {
+            let read = self.left.next_row().and_then(|row| match row {
+                Some(row) => Ok(Some((eval_join_keys(self.left_keys, &row)?, row))),
+                None => Ok(None),
+            });
+            match read {
+                Ok(Some((key, row))) => {
+                    keys.extend(key.map(|key| passed_key(&key, positions)));
+                    self.stats.buffer_grow(1);
+                    rows.push(row);
+                }
+                Ok(None) => break,
+                Err(err) => {
+                    self.deferred = Some(err);
+                    break;
+                }
+            }
+        }
+        channel.offer(keys);
+        self.ran_first = rows.into_iter();
+    }
+
+    /// The next probe row: the rows read ahead, then the error that
+    /// stopped the read-ahead, then the rest of the left input.
+    fn next_probe(&mut self) -> RelResult<Option<Row>> {
+        if let Some(row) = self.ran_first.next() {
+            self.stats.buffer_shrink(1);
+            return Ok(Some(row));
+        }
+        if let Some(err) = self.deferred.take() {
+            return Err(err);
+        }
+        self.left.next_row()
+    }
+}
+
 impl<'a> Cursor<'a> for HashJoinCursor<'a> {
     fn next_row(&mut self) -> RelResult<Option<Row>> {
         if let Some(rcur) = self.right_input.take() {
+            let pass = self.pass.take();
+            if let Some((into_right, channel)) =
+                pass.as_ref().filter(|(p, _)| p.into == Side::Right)
+            {
+                self.run_left_first(&into_right.keys, channel);
+            }
             let built = BuildSide::build(self.right_keys, self.semi, rcur, &self.stats)?;
+            if let Some((into_left, channel)) = pass.filter(|(p, _)| p.into == Side::Left) {
+                let keys = built.index.keys().map(|k| passed_key(k, &into_left.keys));
+                channel.offer(keys.collect());
+            }
             self.build = Some(Arc::new(built));
         }
-        let build = self.build.as_ref().expect("built above");
         loop {
             if let Some((lrow, matches, pos)) = &mut self.probe {
+                let build = self.build.as_deref().expect("built above");
                 while *pos < matches.len() {
                     let rrow = &build.rows[matches[*pos]];
                     *pos += 1;
@@ -1079,13 +1301,13 @@ impl<'a> Cursor<'a> for HashJoinCursor<'a> {
                 }
                 self.probe = None;
             }
-            let Some(lrow) = self.left.next_row()? else {
+            let Some(lrow) = self.next_probe()? else {
                 return Ok(None);
             };
             let Some(key) = eval_join_keys(self.left_keys, &lrow)? else {
                 continue;
             };
-            match build.index.get(&key) {
+            match self.build.as_deref().expect("built above").index.get(&key) {
                 Some(_) if self.semi => return Ok(Some(lrow)),
                 Some(matches) => self.probe = Some((lrow, matches.clone(), 0)),
                 None => {}

@@ -12,14 +12,15 @@
 //! identical output, including order — so the hash join here always
 //! builds on the right input and probes with the left, matching the
 //! streaming executor's deterministic left-major output order, and `TopK`
-//! is spelled as the sort/skip/take it fuses.
+//! is spelled as the sort/skip/take it fuses. A join's sideways key
+//! passing is not followed: its keyed leaf is read as a full scan.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
 use crate::db::Storage;
 use crate::error::RelResult;
-use crate::exec::{compare_rows, index_leaf_ids, materialize_aggregates};
+use crate::exec::{compare_rows, index_ids, materialize_aggregates};
 use crate::expr::{eval, eval_predicate};
 use crate::plan::{AccessMethod, LeafOutput, Plan};
 use crate::sql::ast::Expr;
@@ -32,8 +33,10 @@ pub fn execute_plan(plan: &Plan, storage: &Storage) -> RelResult<Vec<Row>> {
         Plan::Access(access) => {
             let t = storage.table(&access.table)?;
             let candidates: Vec<Row> = match access.method {
-                AccessMethod::Full => t.scan().map(|(_, r)| r).collect(),
-                _ => index_leaf_ids(access, storage)?
+                AccessMethod::Full | AccessMethod::JoinKeys { .. } => {
+                    t.scan().map(|(_, r)| r).collect()
+                }
+                _ => index_ids(&access.table, &access.method, storage)?
                     .into_iter()
                     .filter_map(|id| t.get(id))
                     .collect(),
@@ -95,6 +98,7 @@ pub fn execute_plan(plan: &Plan, storage: &Storage) -> RelResult<Vec<Row>> {
             right_keys,
             residual,
             semi,
+            ..
         } => {
             let lrows = execute_plan(left, storage)?;
             let rrows = execute_plan(right, storage)?;

@@ -33,6 +33,14 @@ pub struct BTreeIndex {
     entries: Postings<Arc<[Value]>>,
     /// Column positions (in the table schema) forming the key.
     key_columns: Vec<usize>,
+    /// `distinct[k - 1]`: how many distinct values the first `k` key
+    /// columns take. Exact: every insert and remove keeps it.
+    distinct: Vec<usize>,
+}
+
+/// How many leading columns two keys share.
+fn common_prefix(a: &[Value], b: &[Value]) -> usize {
+    a.iter().zip(b).take_while(|(x, y)| x == y).count()
 }
 
 impl BTreeIndex {
@@ -45,6 +53,7 @@ impl BTreeIndex {
     pub fn with_chunk_capacity(key_columns: Vec<usize>, cap: usize) -> Self {
         BTreeIndex {
             entries: Postings::with_capacity(cap),
+            distinct: vec![0; key_columns.len()],
             key_columns,
         }
     }
@@ -52,8 +61,12 @@ impl BTreeIndex {
     /// An index over `rows`, built in one sort rather than row by row.
     pub fn build(key_columns: Vec<usize>, rows: impl Iterator<Item = (RowId, Vec<Value>)>) -> Self {
         let mut idx = Self::new(key_columns);
-        let pairs = rows.map(|(id, row)| (idx.key_of(&row), id));
-        idx.entries = Postings::from_pairs(CHUNK_CAPACITY, pairs.collect());
+        let pairs = rows.map(|(id, row)| (idx.key_of(&row), id)).collect();
+        let distinct = &mut idx.distinct;
+        idx.entries = Postings::from_pairs(CHUNK_CAPACITY, pairs, |prev, key| {
+            let shared = prev.map_or(0, |prev| common_prefix(prev, key));
+            distinct[shared..].iter_mut().for_each(|n| *n += 1);
+        });
         idx
     }
 
@@ -90,13 +103,33 @@ impl BTreeIndex {
     /// key is new to its chunk.
     pub fn insert(&mut self, id: RowId, row: &[Value]) {
         let mut scratch = Vec::new();
-        self.entries.insert(self.probe_key(row, &mut scratch), id);
+        let key = self.probe_key(row, &mut scratch);
+        let new_from = self.new_prefixes_from(key);
+        if self.entries.insert(key, id) {
+            self.distinct[new_from..].iter_mut().for_each(|n| *n += 1);
+        }
     }
 
     /// Removes `row`'s entry for `id`.
     pub fn remove(&mut self, id: RowId, row: &[Value]) {
         let mut scratch = Vec::new();
-        self.entries.remove(self.probe_key(row, &mut scratch), id);
+        let key = self.probe_key(row, &mut scratch);
+        if self.entries.remove(key, id) {
+            let gone_from = self.new_prefixes_from(key);
+            self.distinct[gone_from..].iter_mut().for_each(|n| *n -= 1);
+        }
+    }
+
+    /// The shortest prefix length of `key` that no key in the index
+    /// shares, minus one: the prefixes of `key` from that length on are
+    /// counted only by `key` itself. All the keys sharing a prefix sit
+    /// next to each other, so comparing with the two neighbours suffices.
+    fn new_prefixes_from(&self, key: &[Value]) -> usize {
+        let Some((before, after)) = self.entries.neighbours(key) else {
+            return key.len();
+        };
+        let shared = |other: Option<&Arc<[Value]>>| other.map_or(0, |o| common_prefix(o, key));
+        shared(before).max(shared(after))
     }
 
     /// Row ids whose key equals `key` exactly (full-width key).
@@ -170,10 +203,13 @@ impl BTreeIndex {
 
     /// Number of distinct keys.
     pub fn distinct_keys(&self) -> usize {
-        let mut last = None;
-        let runs = self.entries.runs_from(&[][..]);
-        runs.filter(|(key, _)| last.replace(*key) != Some(*key))
-            .count()
+        self.distinct.last().copied().unwrap_or(0)
+    }
+
+    /// Per prefix length `k` (at `[k - 1]`), how many distinct values the
+    /// first `k` key columns take.
+    pub fn distinct_prefixes(&self) -> &[usize] {
+        &self.distinct
     }
 
     /// The postings, for tests that check what a write copied.
@@ -263,6 +299,36 @@ mod tests {
         // Removing the last entry for a key drops the key.
         idx.remove(RowId(2), &[Value::Int(2), v("/a/c"), Value::Int(0)]);
         assert_eq!(idx.distinct_keys(), 3);
+    }
+
+    #[test]
+    fn prefix_counts_follow_inserts_removes_and_builds() {
+        let mut idx = build();
+        // Keys (/a/b,0) (/a/b,1) (/a/c,0) (/a/b,5) (/z,2).
+        assert_eq!(idx.distinct_prefixes(), [3, 5]);
+        idx.insert(RowId(9), &[Value::Int(9), v("/a/b"), Value::Int(1)]);
+        assert_eq!(idx.distinct_prefixes(), [3, 5]);
+        idx.remove(RowId(2), &[Value::Int(2), v("/a/c"), Value::Int(0)]);
+        assert_eq!(idx.distinct_prefixes(), [2, 4]);
+        idx.remove(RowId(1), &[Value::Int(1), v("/a/b"), Value::Int(1)]);
+        assert_eq!(idx.distinct_prefixes(), [2, 4]);
+        idx.remove(RowId(9), &[Value::Int(9), v("/a/b"), Value::Int(1)]);
+        assert_eq!(idx.distinct_prefixes(), [2, 3]);
+        // Removing what is not there changes nothing.
+        idx.remove(RowId(9), &[Value::Int(9), v("/a/b"), Value::Int(1)]);
+        assert_eq!(idx.distinct_prefixes(), [2, 3]);
+        let rows = [
+            (0, "/a/b", 0),
+            (1, "/a/b", 1),
+            (2, "/a/c", 0),
+            (3, "/a/b", 1),
+        ];
+        let built = BTreeIndex::build(
+            vec![1, 2],
+            rows.iter()
+                .map(|&(id, p, o)| (RowId(id), vec![Value::Int(id as i64), v(p), Value::Int(o)])),
+        );
+        assert_eq!(built.distinct_prefixes(), [2, 3]);
     }
 
     #[test]

@@ -56,6 +56,75 @@ pub enum AccessMethod {
         /// The keyword(s) looked up.
         keyword: String,
     },
+    /// A B-tree index probed once per key the enclosing hash join passes
+    /// sideways (see [`KeyPass`]): only the rows under the other side's
+    /// join keys are read, in insertion order.
+    JoinKeys {
+        /// Index name; its leading `columns` are join-key columns.
+        index: String,
+        /// How many leading index columns each passed key binds.
+        columns: usize,
+        /// The method this leaf was planned with, which it runs instead
+        /// when so many keys arrive that reading under them would cost
+        /// more (the run-time bound).
+        planned: Box<AccessMethod>,
+    },
+}
+
+impl AccessMethod {
+    /// How the method reads, after the `Scan {table} AS {alias}` or
+    /// `IndexScan {table} AS {alias}` head that names the leaf.
+    fn describe(&self) -> String {
+        match self {
+            AccessMethod::Full => String::new(),
+            AccessMethod::Index { index, access } => {
+                let how = match access {
+                    IndexAccess::Exact(values) => format!("exact({} cols)", values.len()),
+                    IndexAccess::Range { prefix, .. } => {
+                        format!("range(prefix {} cols)", prefix.len())
+                    }
+                };
+                format!(" USING {index} {how}")
+            }
+            AccessMethod::Keyword { index, keyword } => {
+                format!(" USING {index} FOR {keyword:?}")
+            }
+            AccessMethod::JoinKeys {
+                index,
+                columns,
+                planned,
+            } => {
+                let fallback = match &**planned {
+                    AccessMethod::Full => " full scan".to_string(),
+                    other => other.describe(),
+                };
+                format!(" USING {index} join keys({columns} cols) else{fallback}")
+            }
+        }
+    }
+}
+
+/// Which input of a join.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side {
+    /// The left (probe) input.
+    Left,
+    /// The right (build) input.
+    Right,
+}
+
+/// A hash join's sideways key passing, decided by the planner
+/// (`planner::pass_keys`): the other side runs to completion first, and
+/// its distinct join keys go to the `into` side's leaf, whose method is
+/// [`AccessMethod::JoinKeys`]. The join itself then runs unchanged, so
+/// its output order, duplicates and errors are those of the plain join.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KeyPass {
+    /// The side whose leaf reads only the passed keys.
+    pub into: Side,
+    /// Per leading column of that leaf's index, the position (in the
+    /// join's key lists) of the join key that supplies it.
+    pub keys: Vec<usize>,
 }
 
 /// Which columns an [`Access`] leaf materializes, and in what layout.
@@ -73,8 +142,8 @@ pub enum LeafOutput {
 }
 
 /// The one way a plan reads a table: method, predicate split and column
-/// set, all decided by the planner (`planner::choose_access` and
-/// `planner::prune_columns`).
+/// set, all decided by the planner (`planner::choose_access`,
+/// `planner::pass_keys` and `planner::prune_columns`).
 ///
 /// Invariant: on the rows `method` yields, `pushed` ∧ `residual` accepts
 /// exactly the rows `predicate` accepts, and raises exactly the errors it
@@ -118,21 +187,12 @@ impl Access {
 
     fn describe(&self) -> String {
         let Access { table, alias, .. } = self;
-        let head = match &self.method {
-            AccessMethod::Full => format!("Scan {table} AS {alias}"),
-            AccessMethod::Index { index, access } => {
-                let how = match access {
-                    IndexAccess::Exact(values) => format!("exact({} cols)", values.len()),
-                    IndexAccess::Range { prefix, .. } => {
-                        format!("range(prefix {} cols)", prefix.len())
-                    }
-                };
-                format!("IndexScan {table} AS {alias} USING {index} {how}")
-            }
-            AccessMethod::Keyword { index, keyword } => {
-                format!("KeywordScan {table} AS {alias} USING {index} FOR {keyword:?}")
-            }
+        let kind = match &self.method {
+            AccessMethod::Full => "Scan",
+            AccessMethod::Index { .. } | AccessMethod::JoinKeys { .. } => "IndexScan",
+            AccessMethod::Keyword { .. } => "KeywordScan",
         };
+        let head = format!("{kind} {table} AS {alias}{}", self.method.describe());
         let name = |col: &usize| match self.columns.get(*col) {
             Some(name) => name.clone(),
             None => format!("#{col}"),
@@ -226,6 +286,9 @@ pub enum Plan {
         residual: Option<Expr>,
         /// Existence-only semi-join (see type docs).
         semi: bool,
+        /// Sideways key passing into one side's leaf, if the planner
+        /// chose it.
+        pass: Option<KeyPass>,
     },
     /// Projection. `visible` marks how many leading items the user asked
     /// for; the remainder are hidden sort keys appended by the planner.
@@ -331,10 +394,22 @@ impl Plan {
             Plan::Filter { .. } => "Filter".to_string(),
             Plan::NestedLoopJoin { .. } => "NestedLoopJoin".to_string(),
             Plan::HashJoin {
-                left_keys, semi, ..
+                left_keys,
+                semi,
+                pass,
+                ..
             } => {
                 let kind = if *semi { "HashSemiJoin" } else { "HashJoin" };
-                format!("{kind} ({} keys)", left_keys.len())
+                let passing = match pass {
+                    Some(KeyPass {
+                        into: Side::Left, ..
+                    }) => " passes keys to left",
+                    Some(KeyPass {
+                        into: Side::Right, ..
+                    }) => " passes keys to right",
+                    None => "",
+                };
+                format!("{kind} ({} keys){passing}", left_keys.len())
             }
             Plan::Project { items, visible, .. } => format!(
                 "Project [{}]{}",
@@ -655,8 +730,41 @@ mod tests {
             ..leaf
         };
         assert_eq!(
-            Plan::from(folded).describe(),
+            Plan::from(folded.clone()).describe(),
             "Scan t AS e pushed=[e.b < 7] residual=[] project=[s, a]"
+        );
+        let keyed = Access {
+            method: AccessMethod::JoinKeys {
+                index: "i_doc".into(),
+                columns: 1,
+                planned: Box::new(AccessMethod::Full),
+            },
+            ..folded
+        };
+        assert_eq!(
+            Plan::from(keyed).describe(),
+            "IndexScan t AS e USING i_doc join keys(1 cols) else full scan \
+             pushed=[e.b < 7] residual=[] project=[s, a]"
+        );
+    }
+
+    #[test]
+    fn a_join_says_where_it_passes_keys() {
+        let join = Plan::HashJoin {
+            left: Box::new(scan("t")),
+            right: Box::new(scan("u")),
+            left_keys: vec![Expr::lit(1i64)],
+            right_keys: vec![Expr::lit(1i64)],
+            residual: None,
+            semi: true,
+            pass: Some(KeyPass {
+                into: Side::Right,
+                keys: vec![0],
+            }),
+        };
+        assert_eq!(
+            join.describe(),
+            "HashSemiJoin (1 keys) passes keys to right"
         );
     }
 }

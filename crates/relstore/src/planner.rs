@@ -2,7 +2,7 @@
 //!
 //! Compiles a parsed [`SelectStmt`] into a [`PlannedQuery`] in five
 //! stages — **qualify** (step 1), **order** (steps 2–4), **build**
-//! (step 5), **bind** (step 6) and the **leaf rules** (steps 7–8).
+//! (step 5), **bind** (step 6) and the **leaf rules** (steps 7–9).
 //! Planning mirrors the paper's workflow of shaping indexes until the
 //! optimizer picks them (§3.2):
 //!
@@ -36,7 +36,11 @@
 //!    full scan — and splits the predicate into what the method already
 //!    guarantees (dropped), what the segment kernels enforce (`pushed`)
 //!    and what is left to evaluate per row (`residual`);
-//! 8. `prune_columns` walks the tree once from the root and gives every
+//! 8. `pass_keys` lets a hash join pass one side's join keys sideways
+//!    to the other side's leaf, when that leaf has an index led by its
+//!    join-key columns and the passed keys are estimated to read far
+//!    fewer of its rows than its planned method (`KEY_PASS_MARGIN`);
+//! 9. `prune_columns` walks the tree once from the root and gives every
 //!    leaf — under joins too — the set of columns anything above it
 //!    reads, folding a bare-column `Project` directly over a
 //!    residual-free leaf into the leaf's output layout.
@@ -59,21 +63,23 @@ use std::ops::Bound;
 use crate::bind::{bind_plan, qualify, Qualified, Scope};
 use crate::error::RelResult;
 use crate::plan::{
-    Access, AccessMethod, IndexAccess, LeafOutput, Plan, PlanEstimate, PlannedQuery, ProjectItem,
-    SortKey,
+    Access, AccessMethod, IndexAccess, KeyPass, LeafOutput, Plan, PlanEstimate, PlannedQuery,
+    ProjectItem, Side, SortKey,
 };
 use crate::schema::Catalog;
 use crate::segment::{CmpOp, SimplePred};
 use crate::sql::ast::{BinOp, Expr, SelectStmt};
-use crate::stats::StatsCatalog;
+use crate::stats::{IndexCounts, StatsCatalog};
 use crate::value::Value;
 
-/// Plans a `SELECT` statement against the catalog, using `stats` for
-/// cardinality estimation and cost-based join ordering.
+/// Plans a `SELECT` statement against the catalog, using `stats` and the
+/// indexes' exact distinct-prefix `counts` for cardinality estimation,
+/// cost-based join ordering and sideways key passing.
 pub fn plan_select(
     stmt: &SelectStmt,
     catalog: &Catalog,
     stats: &StatsCatalog,
+    counts: &dyn IndexCounts,
 ) -> RelResult<PlannedQuery> {
     let scope = Scope::new(stmt.tables(), catalog)?;
     let Qualified {
@@ -181,6 +187,8 @@ pub fn plan_select(
         catalog,
         stats,
         aliases: &alias_map,
+        counts: Some(counts),
+        residuals: true,
     };
     let components = connected_components(inputs, &multi);
     let mut component_plans: Vec<Plan> = Vec::new();
@@ -261,6 +269,7 @@ pub fn plan_select(
                     right_keys,
                     residual,
                     semi,
+                    pass: None,
                 }
             };
         }
@@ -344,7 +353,7 @@ pub fn plan_select(
     }
     bind_plan(&mut plan, catalog)?;
     let everything = vec![true; width(&plan)];
-    finish_leaves(&mut plan, everything, catalog, stats);
+    finish_leaves(&mut plan, everything, &estimator);
     let estimate = estimator.estimate(&plan);
     Ok(PlannedQuery {
         plan,
@@ -485,16 +494,44 @@ const MIN_SEL: f64 = 1e-4;
 /// * `IS [NOT] NULL` — the measured null fraction;
 /// * equi-joins — `|L|·|R| / max(NDV(l), NDV(r))` per key pair;
 /// * everything else (and unbound parameters) — fixed defaults.
+///
+/// A table with no `ANALYZE`d column statistics still has exact index
+/// counts ([`IndexCounts`]): an exact index probe binding `k` key columns
+/// reads `rows / distinct_prefixes[k - 1]`, and a column that leads an
+/// index takes its NDV from `distinct_prefixes[0]`. `ANALYZE` wins where
+/// it ran.
+#[derive(Clone, Copy)]
 pub(crate) struct Estimator<'a> {
     pub(crate) catalog: &'a Catalog,
     pub(crate) stats: &'a StatsCatalog,
     /// Lowercase alias → table name for every table in scope.
     pub(crate) aliases: &'a BTreeMap<String, String>,
+    /// The live indexes' distinct-prefix counts, when planning a query.
+    pub(crate) counts: Option<&'a dyn IndexCounts>,
+    /// Whether a hash join's residual filters its estimated rows.
+    pub(crate) residuals: bool,
 }
 
 impl Estimator<'_> {
     fn table_rows(&self, table: &str) -> Option<f64> {
         Some(self.stats.table(table)?.row_count as f64)
+    }
+
+    /// `index`'s distinct-prefix counts, for a table without `ANALYZE`d
+    /// column statistics.
+    fn prefix_counts(&self, table: &str, index: &str) -> Option<&[usize]> {
+        let stats = self.stats.table(table);
+        if stats.is_some_and(crate::stats::TableStats::analyzed) {
+            return None;
+        }
+        self.counts?.distinct_prefixes(index)
+    }
+
+    /// The fraction of `table` an exact probe of `index` binding `k` key
+    /// columns returns, from the index's own counts.
+    fn probe_fraction(&self, table: &str, index: &str, k: usize) -> Option<f64> {
+        let distinct = *self.prefix_counts(table, index)?.get(k.checked_sub(1)?)?;
+        (distinct > 0).then(|| 1.0 / distinct as f64)
     }
 
     /// Whether the table bound under `alias` has ANALYZEd column stats.
@@ -521,10 +558,28 @@ impl Estimator<'_> {
         Some((ts.analyzed_rows, ts.column(name)?))
     }
 
-    /// NDV of a join-key expression (simple columns only).
+    /// NDV of a join-key expression (simple columns only): from `ANALYZE`,
+    /// else from the count of an index the column leads.
     fn key_ndv(&self, e: &Expr) -> Option<f64> {
-        let (_, col) = self.column_stats(e)?;
-        Some(col.ndv.max(1) as f64)
+        if let Some((_, col)) = self.column_stats(e) {
+            return Some(col.ndv.max(1) as f64);
+        }
+        let Expr::Column {
+            table: Some(alias),
+            name,
+            ..
+        } = e
+        else {
+            return None;
+        };
+        let table = self.aliases.get(&alias.to_ascii_lowercase())?;
+        let distinct = self
+            .catalog
+            .indexes_on(table)
+            .into_iter()
+            .filter(|def| !def.keyword && def.columns[0].eq_ignore_ascii_case(name))
+            .find_map(|def| self.prefix_counts(table, &def.name)?.first().copied())?;
+        Some(distinct.max(1) as f64)
     }
 
     /// Estimated selectivity of `predicate` in `[MIN_SEL, 1]`.
@@ -718,6 +773,11 @@ impl Estimator<'_> {
             name: name.to_string(),
             ordinal: None,
         };
+        if let IndexAccess::Exact(values) = access {
+            if let Some(fraction) = self.probe_fraction(table, &def.name, values.len()) {
+                return fraction;
+            }
+        }
         let (values, range) = match access {
             IndexAccess::Exact(values) => (values.as_slice(), None),
             IndexAccess::Range {
@@ -754,24 +814,7 @@ impl Estimator<'_> {
             .collect();
         let floor = |r: f64| r.max(1.0);
         let (rows, cost) = match plan {
-            Plan::Access(access) => {
-                // The predicate counts once, whatever enforces it; the
-                // method only decides how many rows are read to get there.
-                let table = self.table_rows(&access.table);
-                let rows = match &access.predicate {
-                    Some(predicate) => table.map(|r| floor(r * self.selectivity(predicate))),
-                    None => table,
-                };
-                let read = |fraction: f64| table.map(|r| floor(r * fraction));
-                let cost = match &access.method {
-                    AccessMethod::Full => table,
-                    AccessMethod::Index { index, access: how } => {
-                        read(self.index_selectivity(&access.table, index, how))
-                    }
-                    AccessMethod::Keyword { .. } => read(KEYWORD_SEL),
-                };
-                (rows, cost)
-            }
+            Plan::Access(access) => (self.leaf_rows(access), self.leaf_read(access)),
             Plan::Filter { predicate, .. } => {
                 let input = &children[0];
                 let rows = input.rows.map(|r| floor(r * self.selectivity(predicate)));
@@ -797,7 +840,7 @@ impl Estimator<'_> {
                     .zip(right_keys)
                     .map(|(lk, rk)| self.join_key_selectivity(lk, rk))
                     .product();
-                if let Some(res) = residual {
+                if let (true, Some(res)) = (self.residuals, residual) {
                     sel *= self.selectivity(res);
                 }
                 let mut rows = mul(l.rows, r.rows).map(|p| floor(p * sel.max(MIN_SEL)));
@@ -858,6 +901,75 @@ impl Estimator<'_> {
             cost,
             children,
         }
+    }
+}
+
+impl Estimator<'_> {
+    /// The method a leaf was planned with: a key-passing leaf falls back
+    /// to it, and is sized by it.
+    fn planned(access: &Access) -> &AccessMethod {
+        match &access.method {
+            AccessMethod::JoinKeys { planned, .. } => planned,
+            method => method,
+        }
+    }
+
+    /// The rows a leaf emits. The predicate counts once, whatever
+    /// enforces it; only an exact probe sized by its index's own counts
+    /// stands in for the `=` conjuncts that supplied its key.
+    fn leaf_rows(&self, access: &Access) -> Option<f64> {
+        let table = self.table_rows(&access.table)?;
+        let Some(predicate) = &access.predicate else {
+            return Some(table);
+        };
+        let mut sel = self.selectivity(predicate);
+        if let AccessMethod::Index {
+            index,
+            access: IndexAccess::Exact(values),
+        } = Self::planned(access)
+        {
+            if let Some(fraction) = self.probe_fraction(&access.table, index, values.len()) {
+                let def = self
+                    .catalog
+                    .indexes_on(&access.table)
+                    .into_iter()
+                    .find(|d| d.name.eq_ignore_ascii_case(index));
+                let bound: Vec<usize> = def
+                    .iter()
+                    .flat_map(|d| &d.columns[..values.len()])
+                    .filter_map(|c| {
+                        access
+                            .columns
+                            .iter()
+                            .position(|n| n.eq_ignore_ascii_case(c))
+                    })
+                    .collect();
+                let mut conjuncts = Vec::new();
+                split_conjuncts(predicate.clone(), &mut conjuncts);
+                sel = fraction;
+                for conjunct in &conjuncts {
+                    let binds_key = matches!(sargs_of(conjunct).as_deref(),
+                        Some([SimplePred { col, op: CmpOp::Eq, .. }]) if bound.contains(col));
+                    if !binds_key {
+                        sel *= self.selectivity(conjunct);
+                    }
+                }
+            }
+        }
+        Some((table * sel.clamp(MIN_SEL, 1.0)).max(1.0))
+    }
+
+    /// The rows a leaf reads by its planned method.
+    fn leaf_read(&self, access: &Access) -> Option<f64> {
+        let table = self.table_rows(&access.table)?;
+        let fraction = match Self::planned(access) {
+            AccessMethod::Full | AccessMethod::JoinKeys { .. } => return Some(table),
+            AccessMethod::Index { index, access: how } => {
+                self.index_selectivity(&access.table, index, how)
+            }
+            AccessMethod::Keyword { .. } => KEYWORD_SEL,
+        };
+        Some((table * fraction).max(1.0))
     }
 }
 
@@ -958,10 +1070,11 @@ fn order_component(members: &mut Vec<(String, Plan)>, multi: &[Expr], est: &Esti
 // The leaf rules: access path and column set
 // ---------------------------------------------------------------------------
 
-/// Runs the planner's last two rules over a bound plan: every leaf gets
-/// its access path, then its column set, where `needed` marks the columns
-/// of `plan`'s own output that its consumer reads.
-fn finish_leaves(plan: &mut Plan, needed: Vec<bool>, catalog: &Catalog, stats: &StatsCatalog) {
+/// Runs the planner's last rules over a bound plan: every leaf gets its
+/// access path, hash joins pass keys where that pays, and every leaf gets
+/// its column set, where `needed` marks the columns of `plan`'s own output
+/// that its consumer reads.
+fn finish_leaves(plan: &mut Plan, needed: Vec<bool>, est: &Estimator<'_>) {
     fn each_leaf(plan: &mut Plan, rule: &mut dyn FnMut(&mut Access)) {
         match plan {
             Plan::Access(access) => rule(access),
@@ -978,7 +1091,10 @@ fn finish_leaves(plan: &mut Plan, needed: Vec<bool>, catalog: &Catalog, stats: &
             }
         }
     }
-    each_leaf(plan, &mut |access| choose_access(access, catalog, stats));
+    each_leaf(plan, &mut |access| {
+        choose_access(access, est.catalog, est.stats)
+    });
+    pass_keys(plan, est);
     prune_columns(plan, needed);
 }
 
@@ -994,7 +1110,14 @@ pub(crate) fn plan_access(
     let mut plan = Plan::from(Access::new(table, table, filter.cloned()));
     bind_plan(&mut plan, catalog)?;
     let nothing = vec![false; width(&plan)];
-    finish_leaves(&mut plan, nothing, catalog, stats);
+    let est = Estimator {
+        catalog,
+        stats,
+        aliases: &BTreeMap::new(),
+        counts: None,
+        residuals: true,
+    };
+    finish_leaves(&mut plan, nothing, &est);
     match plan {
         Plan::Access(access) => Ok(*access),
         _ => unreachable!("the rules keep a leaf a leaf"),
@@ -1089,22 +1212,153 @@ fn choose_access(access: &mut Access, catalog: &Catalog, stats: &StatsCatalog) {
     let Some(predicate) = &access.predicate else {
         return;
     };
-    let pushable = expr_infallible(predicate);
     let mut conjuncts = Vec::new();
     split_conjuncts(predicate.clone(), &mut conjuncts);
     let sargs: Vec<_> = conjuncts.iter().map(sargs_of).collect();
     let (method, enforced) = choose_method(access, &conjuncts, &sargs, catalog, stats);
+    access.method = method;
+    split_predicate(access, &enforced);
+}
+
+/// Splits the leaf's predicate between the kernels (`pushed`) and the
+/// `residual`, leaving out the conjuncts at the positions in `enforced`,
+/// which the leaf's method guarantees by itself.
+fn split_predicate(access: &mut Access, enforced: &[usize]) {
+    let Some(predicate) = &access.predicate else {
+        return;
+    };
+    let pushable = expr_infallible(predicate);
+    let mut conjuncts = Vec::new();
+    split_conjuncts(predicate.clone(), &mut conjuncts);
     let mut residual = Vec::new();
     access.pushed.clear();
-    for (i, (conjunct, sargs)) in conjuncts.into_iter().zip(sargs).enumerate() {
-        match sargs {
+    for (i, conjunct) in conjuncts.into_iter().enumerate() {
+        match sargs_of(&conjunct) {
             _ if enforced.contains(&i) => {}
             Some(preds) if pushable => access.pushed.extend(preds),
             _ => residual.push(conjunct),
         }
     }
-    access.method = method;
     access.residual = (!residual.is_empty()).then(|| and_all(residual));
+}
+
+/// How much cheaper reading a leaf under passed keys must look than its
+/// planned read before a join passes it keys: the estimates behind both
+/// sides are rough, a keyed read pays one B-tree probe per key besides
+/// its rows, and the side that runs first is buffered whole. The exec
+/// bench's `join/key_passing` rows put one key's probe at about the cost
+/// of reading a few dozen rows in a scan (see CHANGES.md).
+const KEY_PASS_MARGIN: f64 = 4.0;
+
+/// Rule: sideways key passing. At each hash join, when one side `S` is
+/// estimated so small that the other side's leaf `O` would read
+/// `KEY_PASS_MARGIN` times fewer rows under `S`'s join keys than by its
+/// planned method, `O` becomes an [`AccessMethod::JoinKeys`] leaf over an
+/// index led by its join-key columns, and the join records the
+/// [`KeyPass`]. `O` must be unable to raise an error (its predicate and
+/// join keys are infallible), so reading fewer of its rows, or reading
+/// them after `S`, changes nothing the join emits or raises. Where both
+/// sides qualify, the larger saving wins.
+fn pass_keys(plan: &mut Plan, est: &Estimator<'_>) {
+    match plan {
+        Plan::Access(_) => {}
+        Plan::Filter { input, .. }
+        | Plan::Project { input, .. }
+        | Plan::Aggregate { input, .. }
+        | Plan::Sort { input, .. }
+        | Plan::TopK { input, .. }
+        | Plan::Distinct { input, .. }
+        | Plan::Limit { input, .. } => pass_keys(input, est),
+        Plan::NestedLoopJoin { left, right, .. } => {
+            pass_keys(left, est);
+            pass_keys(right, est);
+        }
+        Plan::HashJoin {
+            left,
+            right,
+            left_keys,
+            right_keys,
+            pass,
+            ..
+        } => {
+            pass_keys(left, est);
+            pass_keys(right, est);
+            let into_left = est.key_pass(left, left_keys, right);
+            let into_right = est.key_pass(right, right_keys, left);
+            let (side, target, choice) = match (into_left, into_right) {
+                (Some(l), Some(r)) if r.0 > l.0 => (Side::Right, right, r),
+                (Some(l), _) => (Side::Left, left, l),
+                (None, Some(r)) => (Side::Right, right, r),
+                (None, None) => return,
+            };
+            let Plan::Access(leaf) = &mut **target else {
+                unreachable!("only a leaf takes keys")
+            };
+            let (_, index, keys) = choice;
+            let planned = std::mem::take(&mut leaf.method);
+            leaf.method = AccessMethod::JoinKeys {
+                index,
+                columns: keys.len(),
+                planned: Box::new(planned),
+            };
+            split_predicate(leaf, &[]);
+            *pass = Some(KeyPass { into: side, keys });
+        }
+    }
+}
+
+impl Estimator<'_> {
+    /// Whether the join should pass `source`'s keys to `target`: if so,
+    /// the estimated rows saved, the index, and per leading index column
+    /// the position of the join key (in `keys`, `target`'s side) that
+    /// supplies it.
+    fn key_pass(
+        &self,
+        target: &Plan,
+        keys: &[Expr],
+        source: &Plan,
+    ) -> Option<(f64, String, Vec<usize>)> {
+        let Plan::Access(leaf) = target else {
+            return None;
+        };
+        let plannable = matches!(leaf.method, AccessMethod::Full | AccessMethod::Index { .. });
+        let infallible =
+            leaf.predicate.as_ref().is_none_or(expr_infallible) && keys.iter().all(expr_infallible);
+        if !plannable || !infallible {
+            return None;
+        }
+        let rows = self.table_rows(&leaf.table)?;
+        let column = |name: &String| {
+            let pos = leaf
+                .columns
+                .iter()
+                .position(|c| c.eq_ignore_ascii_case(name))?;
+            keys.iter()
+                .position(|k| matches!(k, Expr::Column { ordinal: Some(o), .. } if *o == pos))
+        };
+        let (rows_per_key, index, positions) = self
+            .catalog
+            .indexes_on(&leaf.table)
+            .into_iter()
+            .filter(|def| !def.keyword)
+            .filter_map(|def| {
+                let positions: Vec<usize> = def.columns.iter().map_while(column).collect();
+                let counts = self.counts?.distinct_prefixes(&def.name)?;
+                let distinct = *counts.get(positions.len().checked_sub(1)?)?;
+                Some((rows / distinct.max(1) as f64, def.name.clone(), positions))
+            })
+            .min_by(|a, b| a.0.total_cmp(&b.0))?;
+        // Residuals are left out of the side that runs first: their
+        // default selectivities compound over a join chain, while what
+        // counts here, its distinct join keys, they seldom thin out.
+        let unfiltered = Estimator {
+            residuals: false,
+            ..*self
+        };
+        let keyed = unfiltered.estimate(source).rows? * rows_per_key;
+        let planned = self.leaf_read(leaf)?;
+        (keyed * KEY_PASS_MARGIN <= planned).then_some((planned - keyed, index, positions))
+    }
 }
 
 /// The cheapest method for a leaf, and the positions of the conjuncts it
@@ -1231,6 +1485,8 @@ fn choose_method(
             catalog,
             stats,
             aliases: &aliases,
+            counts: None,
+            residuals: true,
         };
         if est.index_selectivity(&access.table, index, &how) > 0.5 {
             return (AccessMethod::Full, Vec::new());
@@ -1415,12 +1671,23 @@ mod tests {
         cat
     }
 
+    /// Index counts for planner tests, by index name.
+    struct Counts(BTreeMap<String, Vec<usize>>);
+
+    impl IndexCounts for Counts {
+        fn distinct_prefixes(&self, index: &str) -> Option<&[usize]> {
+            self.0.get(index).map(Vec::as_slice)
+        }
+    }
+
+    const NO_COUNTS: Counts = Counts(BTreeMap::new());
+
     fn plan(sql: &str) -> PlannedQuery {
         let stmt = match parse_statement(sql).unwrap() {
             Statement::Select(s) => s,
             other => panic!("{other:?}"),
         };
-        plan_select(&stmt, &catalog(), &StatsCatalog::default()).unwrap()
+        plan_select(&stmt, &catalog(), &StatsCatalog::default(), &NO_COUNTS).unwrap()
     }
 
     /// The leftmost leaf.
@@ -1743,7 +2010,7 @@ mod tests {
             _ => unreachable!(),
         };
         assert!(matches!(
-            plan_select(&stmt, &catalog(), &StatsCatalog::default()),
+            plan_select(&stmt, &catalog(), &StatsCatalog::default(), &NO_COUNTS),
             Err(RelError::AmbiguousColumn(_))
         ));
     }
@@ -1761,7 +2028,7 @@ mod tests {
                 _ => unreachable!(),
             };
             assert!(
-                plan_select(&stmt, &catalog(), &StatsCatalog::default()).is_err(),
+                plan_select(&stmt, &catalog(), &StatsCatalog::default(), &NO_COUNTS).is_err(),
                 "{sql}"
             );
         }
@@ -1874,7 +2141,8 @@ mod tests {
                 Statement::Select(s) => s,
                 _ => unreachable!(),
             };
-            let err = plan_select(&stmt, &catalog(), &StatsCatalog::default()).unwrap_err();
+            let err =
+                plan_select(&stmt, &catalog(), &StatsCatalog::default(), &NO_COUNTS).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -1892,12 +2160,123 @@ mod tests {
         );
     }
 
+    /// A shredded collection without `ANALYZE`: 2 000 documents of 19
+    /// nodes over 20 paths, indexed on `(path, val)` and `(doc_id)`; and
+    /// the same nodes in `loose`, whose only index leads with `path`.
+    fn shredded(sql: &str) -> PlannedQuery {
+        let mut cat = Catalog::new();
+        let mut stats = StatsCatalog::default();
+        for table in ["nodes", "loose"] {
+            let columns = ["doc_id", "path", "val"].map(|name| {
+                let ty = if name == "doc_id" {
+                    DataType::Int
+                } else {
+                    DataType::Text
+                };
+                Column::new(name, ty)
+            });
+            cat.create_table(TableSchema::new(table, columns.to_vec()))
+                .unwrap();
+            stats.table_mut(table).row_count = 38_000;
+        }
+        for (name, table, columns) in [
+            ("nodes_path", "nodes", ["path", "val"].as_slice()),
+            ("nodes_doc", "nodes", ["doc_id"].as_slice()),
+            ("loose_path", "loose", ["path", "doc_id"].as_slice()),
+        ] {
+            cat.create_index(IndexDef {
+                name: name.into(),
+                table: table.into(),
+                columns: columns.iter().map(|c| c.to_string()).collect(),
+                keyword: false,
+            })
+            .unwrap();
+        }
+        let counts = Counts(BTreeMap::from([
+            ("nodes_path".to_string(), vec![20, 30_000]),
+            ("nodes_doc".to_string(), vec![2_000]),
+            ("loose_path".to_string(), vec![20, 38_000]),
+        ]));
+        let stmt = match parse_statement(sql).unwrap() {
+            Statement::Select(s) => s,
+            other => panic!("{other:?}"),
+        };
+        plan_select(&stmt, &cat, &stats, &counts).unwrap()
+    }
+
+    /// The FLWR point lookup's shape on `table`: a binding leaf, a
+    /// `(path, val)` point probe and a RETURN path, joined on `doc_id`.
+    fn point_lookup(table: &str) -> String {
+        format!(
+            "SELECT DISTINCT n2.val FROM {table} n0, {table} n1, {table} n2 \
+             WHERE n0.path = '/e' AND n1.path = '/e/id' AND n1.val = '1.1.1.1' \
+             AND n2.path = '/e/desc' AND n0.doc_id = n1.doc_id AND n0.doc_id = n2.doc_id"
+        )
+    }
+
+    #[test]
+    fn a_point_probe_passes_its_keys_to_indexed_leaves() {
+        let p = shredded(&point_lookup("nodes"));
+        let text = p.plan.explain();
+        // n1's one key goes into n0, and the one joined row's key on into
+        // n2: each reads one document's nodes, not one path's.
+        assert!(
+            text.contains("HashSemiJoin (1 keys) passes keys to left"),
+            "{text}"
+        );
+        assert!(
+            text.contains("HashJoin (1 keys) passes keys to right"),
+            "{text}"
+        );
+        for alias in ["n0", "n2"] {
+            let leaf = format!(
+                "IndexScan nodes AS {alias} USING nodes_doc join keys(1 cols) \
+                 else USING nodes_path exact(1 cols) pushed=[{alias}.path = "
+            );
+            assert!(text.contains(&leaf), "{text}");
+        }
+        assert!(
+            text.contains("AS n1 USING nodes_path exact(2 cols)"),
+            "{text}"
+        );
+        // Only the probe's own `=` conjuncts left the predicate: a keyed
+        // leaf checks its whole predicate.
+        assert_eq!(text.matches("pushed=[]").count(), 1, "{text}");
+    }
+
+    #[test]
+    fn path_sized_leaves_pass_no_keys() {
+        // Figure 11's shape: both sides read a whole path.
+        let p = shredded(
+            "SELECT a.val, b.val FROM nodes a, nodes b \
+             WHERE a.path = '/e' AND b.path = '/e/desc' AND a.doc_id = b.doc_id",
+        );
+        let text = p.plan.explain();
+        assert!(!text.contains("passes keys"), "{text}");
+        assert!(!text.contains("join keys"), "{text}");
+    }
+
+    #[test]
+    fn keys_pass_only_into_an_index_led_by_the_join_key() {
+        let p = shredded(&point_lookup("loose"));
+        let text = p.plan.explain();
+        assert!(!text.contains("passes keys"), "{text}");
+        // Nor on a key that only follows `path` in the index.
+        let p = shredded(
+            "SELECT DISTINCT b.val FROM nodes a, nodes b \
+             WHERE a.path = '/e/id' AND a.val = '1.1.1.1' AND b.path = '/e' \
+             AND a.val = b.val",
+        );
+        let text = p.plan.explain();
+        assert!(!text.contains("passes keys"), "{text}");
+    }
+
     #[test]
     fn duplicate_alias_rejected() {
         let stmt = match parse_statement("SELECT 1 FROM elements x, attrs x").unwrap() {
             Statement::Select(s) => s,
             _ => unreachable!(),
         };
-        assert!(plan_select(&stmt, &catalog(), &StatsCatalog::default()).is_err());
+        assert!(plan_select(&stmt, &catalog(), &StatsCatalog::default(), &NO_COUNTS).is_err());
     }
 }

@@ -243,6 +243,16 @@ impl TableStats {
     }
 }
 
+/// The exact distinct-prefix counts of a snapshot's B-tree indexes
+/// ([`crate::index::BTreeIndex::distinct_prefixes`]), by index name: what
+/// the planner sizes index probes and join keys with on tables that have
+/// no `ANALYZE`d column statistics.
+pub trait IndexCounts {
+    /// `[k - 1]`: how many distinct values the first `k` key columns of
+    /// `index` take; `None` for an index it does not know.
+    fn distinct_prefixes(&self, index: &str) -> Option<&[usize]>;
+}
+
 /// All table statistics of one `Storage` snapshot.
 #[derive(Clone, Debug, Default)]
 pub struct StatsCatalog {

@@ -110,6 +110,12 @@ pub(crate) struct Change {
     pub(crate) after: Option<Row>,
 }
 
+impl crate::stats::IndexCounts for Storage {
+    fn distinct_prefixes(&self, index: &str) -> Option<&[usize]> {
+        Some(self.btree.get(&key(index))?.distinct_prefixes())
+    }
+}
+
 impl Storage {
     /// Borrows a table.
     pub fn table(&self, name: &str) -> RelResult<&Table> {
@@ -306,8 +312,7 @@ impl Storage {
 
     fn update(&mut self, table: &str, id: RowId, row: Row) -> RelResult<Change> {
         let t = self.stamped_mut(table)?;
-        let old = t.update(id, row)?;
-        let new = t.get(id).expect("just updated");
+        let (old, new) = t.update(id, row)?;
         self.index_remove(table, id, &old);
         self.index_insert(table, id, &new);
         self.note_mutation(table, 0);

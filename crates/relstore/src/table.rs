@@ -117,12 +117,14 @@ impl Table {
         })
     }
 
-    /// Replaces the row `id`, returning the previous value.
-    pub fn update(&mut self, id: RowId, row: Row) -> RelResult<Row> {
+    /// Validates, coerces and writes `row` over the row `id`, returning
+    /// the previous row and the row as stored.
+    pub fn update(&mut self, id: RowId, row: Row) -> RelResult<(Row, Row)> {
         let row = self.schema.check_row(row)?;
-        self.store.update(id.0, &row).ok_or_else(|| {
+        let old = self.store.update(id.0, &row).ok_or_else(|| {
             RelError::Internal(format!("row {id:?} not found in {}", self.schema.name))
-        })
+        })?;
+        Ok((old, row))
     }
 
     /// Materializes the row `id`.
@@ -192,7 +194,7 @@ mod tests {
             .insert(vec![Value::Int(1), Value::Text("x".into())])
             .unwrap()
             .0;
-        let old = t
+        let (old, _) = t
             .update(id, vec![Value::Int(9), Value::Text("y".into())])
             .unwrap();
         assert_eq!(old[0], Value::Int(1));
@@ -246,6 +248,37 @@ mod tests {
             assert_eq!(bits(&again), bits(&t.get(RowId(100 + id.0)).unwrap()));
         }
         assert_eq!(t.get(RowId(0)).unwrap()[0], Value::Float(3.0));
+    }
+
+    #[test]
+    fn update_returns_the_row_as_stored() {
+        let mut t = Table::new(TableSchema::new(
+            "t",
+            vec![
+                Column::new("f", DataType::Float),
+                Column::new("g", DataType::Float),
+                Column::new("s", DataType::Text),
+            ],
+        ));
+        let bits = |row: &Row| format!("{row:?}");
+        let first = vec![
+            Value::Float(1.0),
+            Value::Float(2.0),
+            Value::Text("a".into()),
+        ];
+        let (id, _) = t.insert(first.clone()).unwrap();
+        let mut before = first;
+        for row in [
+            vec![Value::Int(3), Value::Float(-0.0), Value::Text("é'x".into())],
+            vec![Value::Float(0.0), Value::Float(f64::NAN), Value::Null],
+            vec![Value::Null, Value::Int(-7), Value::Int(12)],
+        ] {
+            let (old, stored) = t.update(id, row).unwrap();
+            assert_eq!(bits(&old), bits(&before));
+            assert_eq!(bits(&stored), bits(&t.get(id).unwrap()));
+            before = stored;
+        }
+        assert_eq!(t.get(id).unwrap()[2], Value::Text("12".into()));
     }
 
     #[test]

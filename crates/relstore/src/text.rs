@@ -81,7 +81,7 @@ impl KeywordIndex {
             }
         }
         KeywordIndex {
-            postings: Postings::from_pairs(CHUNK_CAPACITY, pairs),
+            postings: Postings::from_pairs(CHUNK_CAPACITY, pairs, |_, _| {}),
             column,
         }
     }

@@ -253,6 +253,7 @@ fn hash_join(semi: bool) -> Plan {
         right_keys: vec![col("r", "k")],
         residual: Some(eq(col("l", "a"), col("r", "a"))),
         semi,
+        pass: None,
     }
 }
 
@@ -297,6 +298,7 @@ fn hash_join_keys_bind_per_side_and_residual_to_the_joined_row() {
         right_keys: vec![col("l", "k")],
         residual: None,
         semi: false,
+        pass: None,
     };
     assert_eq!(
         bind_plan(&mut crossed, &catalog()),

@@ -136,6 +136,17 @@ impl Model {
             .collect()
     }
 
+    /// Per prefix length `k` (at `[k - 1]`), the distinct prefixes of the
+    /// keys held.
+    fn distinct_prefixes(&self) -> Vec<usize> {
+        (1..=2)
+            .map(|k| {
+                let prefixes: BTreeSet<&[Value]> = self.keys.keys().map(|key| &key[..k]).collect();
+                prefixes.len()
+            })
+            .collect()
+    }
+
     fn keyword(&self, keyword: &str) -> Vec<RowId> {
         let tokens = tokenize(keyword);
         let Some((first, rest)) = tokens.split_first() else {
@@ -203,6 +214,7 @@ fn check(idx: &BTreeIndex, kw: &KeywordIndex, model: &Model) -> Result<(), TestC
         }
     }
     prop_assert_eq!(idx.distinct_keys(), model.keys.len());
+    prop_assert_eq!(idx.distinct_prefixes(), &model.distinct_prefixes()[..]);
     for w in WORDS
         .iter()
         .chain(["nope", "cell division", "hot cdc6 x", ""].iter())
@@ -245,6 +257,13 @@ fn run(ops: &[Op], cap: usize) -> Result<(), TestCaseError> {
     for (idx, kw, model) in &snapshots {
         check(idx, kw, model)?;
     }
+    // A build from the surviving rows counts in its one pass what the
+    // writes counted one by one.
+    let built = BTreeIndex::build(
+        vec![0, 1],
+        rows.iter().map(|(id, row)| (RowId(*id), row.clone())),
+    );
+    check(&built, &kw, &model)?;
     Ok(())
 }
 

@@ -18,6 +18,7 @@ fn build_db(t_rows: &[(i64, i64, String)], u_rows: &[(i64, String)]) -> Database
         .unwrap();
     db.query("CREATE TABLE u (a INT, name TEXT)").run().unwrap();
     db.query("CREATE INDEX idx_t_a ON t (a)").run().unwrap();
+    db.query("CREATE INDEX idx_u_a ON u (a)").run().unwrap();
     db.query("CREATE KEYWORD INDEX kw_t_s ON t (s)")
         .run()
         .unwrap();
@@ -162,6 +163,11 @@ proptest! {
             format!("SELECT t.a, u.name FROM t, u WHERE t.a = u.a ORDER BY t.b LIMIT {limit}"),
             "SELECT DISTINCT t.s FROM t, u WHERE t.a = u.a".to_string(),
             format!("SELECT t.a, u.a FROM t, u WHERE t.b < 2 AND u.a = {point}"),
+            // Point filters on one side of an equi-join on indexed keys:
+            // the shapes under which a join passes its keys sideways.
+            "SELECT t.a, t.b, u.name FROM t, u WHERE t.a = u.a AND u.name = 'x'".to_string(),
+            format!("SELECT t.b, u.name FROM t, u WHERE t.a = u.a AND t.a = {point}"),
+            format!("SELECT DISTINCT t.s FROM t, u WHERE t.a = u.a AND u.name = 'y' ORDER BY t.s LIMIT {limit}"),
             // Aggregates above a join and above a filter.
             "SELECT a, COUNT(*), SUM(b) FROM t GROUP BY a ORDER BY a".to_string(),
             "SELECT COUNT(*), MIN(a), MAX(b), AVG(b) FROM t".to_string(),
@@ -170,6 +176,59 @@ proptest! {
         for sql in &queries {
             assert_same(&db, sql)?;
         }
+    }
+
+    #[test]
+    fn key_passing_matches_reference(
+        t_rows in prop::collection::vec(t_row_strategy(), 0..18),
+        u_rows in prop::collection::vec(u_row_strategy(), 0..16),
+        point in 0i64..12,
+    ) {
+        // Sized so that the planner passes keys on every case: `t` holds
+        // every `a` in 0..12 and at most 30 rows, `u` at most 29 rows.
+        // `u`'s 13 padding rows are its only 'x' rows, with keys `t`
+        // lacks: the 'x' side passes 13 keys where `t` takes at most 12
+        // (its distinct `a`s), so that read falls back to a full scan.
+        let mut t_rows = t_rows;
+        t_rows.extend((0..12).map(|a| (a, a % 6, "plain".to_string())));
+        let mut u_rows: Vec<(i64, String)> = u_rows
+            .into_iter()
+            .map(|(a, name)| (a, if name == "x" { "z".into() } else { name }))
+            .collect();
+        u_rows.extend((20..33).map(|a| (a, "x".to_string())));
+        let db = build_db(&t_rows, &u_rows);
+        let passes = |sql: &str, into: &str| -> Result<(), TestCaseError> {
+            let plan = db.query(sql).explain().unwrap().render();
+            prop_assert!(plan.contains(&format!("passes keys to {into}")), "{}", plan);
+            Ok(())
+        };
+        let probes = |sql: &str| db.query(sql).with_stats().run().unwrap().stats.unwrap().index_probes;
+        // Into the left leaf: the keys of `u`'s filtered rows.
+        let keyed = "SELECT t.a, t.b, u.name FROM t, u WHERE t.a = u.a AND u.name = 'y'";
+        passes(keyed, "left")?;
+        assert_same(&db, keyed)?;
+        let y_keys: std::collections::BTreeSet<i64> =
+            u_rows.iter().filter(|(_, n)| n == "y").map(|(a, _)| *a).collect();
+        prop_assert_eq!(probes(keyed), y_keys.len() as u64);
+        // Over the run-time bound: the leaf scans as planned, no probe.
+        let over = "SELECT t.a, t.b, u.name FROM t, u WHERE t.a = u.a AND u.name = 'x'";
+        passes(over, "left")?;
+        assert_same(&db, over)?;
+        prop_assert_eq!(probes(over), 0);
+        // Into the right leaf: `t`'s point probe runs first.
+        let sql = format!("SELECT t.b, u.name FROM t, u WHERE t.a = u.a AND t.a = {point}");
+        passes(&sql, "right")?;
+        assert_same(&db, &sql)?;
+        prop_assert_eq!(probes(&sql), 2);
+        // An error met while the left side runs first is raised where the
+        // plain join raises it.
+        let sql = format!(
+            "SELECT t.b, u.name FROM t, u WHERE 6 / (t.b - 2) = u.a AND t.a = {point}"
+        );
+        passes(&sql, "right")?;
+        let streaming = db.query(&sql).run().map(|r| r.rows.rows().to_vec());
+        let reference = db.query(&sql).via_reference().run().map(|r| r.rows.rows().to_vec());
+        prop_assert_eq!(format!("{:?}", streaming), format!("{:?}", reference), "{}", sql);
     }
 
     #[test]

@@ -77,8 +77,9 @@ fn check(ops: &[Op], seg_capacity: usize) -> Result<(), TestCaseError> {
             Op::Update(id, row) => {
                 let expect = model.get(id).cloned();
                 match table.update(RowId(*id), row.clone()) {
-                    Ok(old) => {
+                    Ok((old, stored)) => {
                         prop_assert_eq!(Some(old), expect);
+                        prop_assert_eq!(Some(stored), table.get(RowId(*id)));
                         model.insert(*id, row.clone());
                     }
                     Err(_) => prop_assert!(expect.is_none()),

@@ -359,6 +359,33 @@ Distinct
 "#,
 ];
 
+/// The point lookup on the 1 000-entry collection `point_lookup_passes_its_keys`
+/// builds, under Edge and then Interval: the probe's document key passes
+/// into the binding leaf, and the joined row's key on into the RETURN
+/// path's leaf.
+const KEYED_POINT_LOOKUPS: [&str; 2] = [
+    r#"
+Distinct
+  Sort (1 keys)
+    Project [enzyme_description]
+      HashJoin (1 keys) passes keys to right
+        HashSemiJoin (1 keys) passes keys to left
+          IndexScan hlx_enzyme_default_nodes AS n0 USING hlx_enzyme_default_nodes_doc join keys(1 cols) else USING hlx_enzyme_default_nodes_path exact(1 cols) pushed=[n0.path = '/hlx_enzyme'] residual=[] cols=[doc_id]
+          IndexScan hlx_enzyme_default_nodes AS n1 USING hlx_enzyme_default_nodes_path exact(2 cols) pushed=[] residual=[] cols=[doc_id]
+        IndexScan hlx_enzyme_default_nodes AS n2 USING hlx_enzyme_default_nodes_doc join keys(1 cols) else USING hlx_enzyme_default_nodes_path exact(1 cols) pushed=[n2.path = '/hlx_enzyme/db_entry/enzyme_description'] residual=[] cols=[doc_id, val]
+"#,
+    r#"
+Distinct
+  Sort (1 keys)
+    Project [enzyme_description]
+      HashJoin (1 keys) passes keys to right
+        HashJoin (1 keys) passes keys to left
+          IndexScan hlx_enzyme_default_nodes AS n0 USING hlx_enzyme_default_nodes_doc join keys(1 cols) else USING hlx_enzyme_default_nodes_path exact(1 cols) pushed=[n0.path = '/hlx_enzyme'] residual=[] cols=[doc_id, start, stop]
+          IndexScan hlx_enzyme_default_nodes AS n1 USING hlx_enzyme_default_nodes_path exact(2 cols) pushed=[] residual=[] cols=[doc_id, start]
+        IndexScan hlx_enzyme_default_nodes AS n2 USING hlx_enzyme_default_nodes_doc join keys(1 cols) else USING hlx_enzyme_default_nodes_path exact(1 cols) pushed=[n2.path = '/hlx_enzyme/db_entry/enzyme_description'] residual=[] cols=[doc_id, start, val]
+"#,
+];
+
 /// The plan of a FLWR query as `EXPLAIN` renders it, estimates stripped
 /// (they move with the corpus; the structure must not).
 fn plan_structure(xq: &Xomatiq, flwr: &str) -> String {
@@ -375,7 +402,12 @@ fn plan_structure(xq: &Xomatiq, flwr: &str) -> String {
 /// shreddings — operators, each leaf's method, what the kernels were
 /// handed (`pushed`), what is re-checked per row (`residual`) and the
 /// columns materialized. A planner change that moves any of it shows up
-/// here as a reviewable diff.
+/// here as a reviewable diff. Sideways key passing shows as a join's
+/// `passes keys to left|right` and its leaf's `USING <index> join
+/// keys(n cols) else <planned method>`; on this 60-entry warehouse no
+/// join passes keys (a point probe's side is not small enough against
+/// one path of 60 documents), and `point_lookup_passes_its_keys` pins
+/// the point lookup where it does.
 #[test]
 fn paper_query_plans_are_pinned() {
     for (strategy, pinned) in [
@@ -401,6 +433,51 @@ fn paper_query_plans_are_pinned() {
                     assert!(line.contains(part), "{line}");
                 }
             }
+        }
+    }
+}
+
+/// The FLWR point lookup on a 1 000-entry ENZYME collection, where a
+/// document's nodes are far fewer than one path's: the plan passes the
+/// probe's key sideways (pinned above), and the lookup returns what the
+/// entry holds.
+#[test]
+fn point_lookup_passes_its_keys() {
+    let corpus = Corpus::generate(&CorpusSpec {
+        enzymes: 1_000,
+        embl: 0,
+        swissprot: 0,
+        keyword_rate: 0.15,
+        link_rate: 0.35,
+        ketone_rate: 0.2,
+        seed: 11,
+    });
+    for (strategy, pinned) in [
+        (ShreddingStrategy::Edge, KEYED_POINT_LOOKUPS[0]),
+        (ShreddingStrategy::Interval, KEYED_POINT_LOOKUPS[1]),
+    ] {
+        let xq = Xomatiq::in_memory();
+        let options = LoadOptions {
+            strategy,
+            ..LoadOptions::default()
+        };
+        xq.load_source_with(
+            "hlx_enzyme.DEFAULT",
+            SourceKind::Enzyme,
+            &corpus.enzyme_flat(),
+            options,
+        )
+        .unwrap();
+        let got = plan_structure(&xq, PAPER_QUERIES[3]);
+        assert_eq!(got, pinned.trim_start_matches('\n'), "{strategy:?}");
+        for entry in [&corpus.enzymes[0], &corpus.enzymes[617]] {
+            let flwr = PAPER_QUERIES[3].replace("1.1.1.1", &entry.id);
+            let rows = xq.query(&flwr).unwrap().rows;
+            let got: Vec<String> = rows.iter().map(|r| r[0].to_string()).collect();
+            let mut want = entry.descriptions.clone();
+            want.sort();
+            want.dedup();
+            assert_eq!(got, want, "{strategy:?} {}", entry.id);
         }
     }
 }
