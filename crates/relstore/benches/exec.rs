@@ -1,8 +1,8 @@
 //! Executor microbenchmarks: scan, limit-over-scan, Top-K, hash join and
 //! keyword query, each timed on the streaming executor and (where the
 //! comparison is meaningful) the materializing reference interpreter,
-//! plus morsel-parallel scaling (1/2/4 workers) and plan-cache hit/miss
-//! latency for the prepared-statement path.
+//! plus a scan-aggregate and plan-cache hit/miss latency for the
+//! prepared-statement path.
 //!
 //! Besides the usual console output, results are recorded to
 //! `BENCH_exec.json` at the workspace root so future PRs have a perf
@@ -95,7 +95,8 @@ impl Recorder {
             ));
         }
         // `cores` is part of the header so a recorded run says whether
-        // the multi-worker gates were live or self-skipped on this box.
+        // the core-gated checks (group commit) were live or self-skipped
+        // on the machine that ran it.
         let json = format!(
             "{{\n  \"bench\": \"exec\",\n  \"rows\": {rows},\n  \"cores\": {cores},\n  \"results\": [\n{entries}\n  ]\n}}\n"
         );
@@ -234,7 +235,7 @@ fn bench_exec(_c: &mut Criterion) {
     // gap, as for the overhead gates below.
     let (unpruned, pruned) = min_batch_pair(
         |on| db.set_zone_map_pruning(on),
-        || db.query(&sel_sql).with_workers(1).run().unwrap().rows.len(),
+        || db.query(&sel_sql).run().unwrap().rows.len(),
     );
     for (name, ns) in [("zone_maps_off", unpruned), ("zone_maps_on", pruned)] {
         println!("exec/scan_filter_selective/{name}: {ns:.0} ns/iter");
@@ -253,44 +254,12 @@ fn bench_exec(_c: &mut Criterion) {
         );
     }
 
-    // The tentpole number: morsel-parallel scan-aggregate scaling over the
-    // segment-aligned morsels. The same GROUP BY over `big` at 1, 2 and 4
-    // workers; with XOMATIQ_BENCH_ENFORCE (full scale, >= 4 cores) 4
-    // workers must beat sequential by >= 1.5x — and must never be slower.
+    // A full-scan GROUP BY over `big`: the aggregate's whole input is
+    // buffered, grouped and folded.
     let agg_sql = "SELECT b, COUNT(*), SUM(a) FROM big GROUP BY b";
-    let mut agg_ns = [0.0f64; 3];
-    for (slot, workers) in [1usize, 2, 4].into_iter().enumerate() {
-        agg_ns[slot] = rec.bench(&format!("scan_aggregate/workers_{workers}"), || {
-            db.query(agg_sql)
-                .with_workers(workers)
-                .run()
-                .unwrap()
-                .rows
-                .len()
-        });
-    }
-    let speedup = agg_ns[0] / agg_ns[2];
-    println!("exec/scan_aggregate: 4-worker speedup {speedup:.2}x over sequential");
-    if enforce && n >= 50_000 && cores < 4 {
-        println!(
-            "exec/scan_aggregate: gate SKIPPED — {cores} core(s) available, \
-             4-worker speedup needs >= 4"
-        );
-    }
-    if enforce && n >= 50_000 && cores >= 4 {
-        assert!(
-            agg_ns[2] <= agg_ns[0],
-            "parallel regression: 4 workers ({:.0} ns/iter) slower than \
-             sequential ({:.0} ns/iter)",
-            agg_ns[2],
-            agg_ns[0]
-        );
-        assert!(
-            speedup >= 1.5,
-            "parallel scan-aggregate too slow: 4 workers only {speedup:.2}x \
-             over sequential (need >= 1.5x)"
-        );
-    }
+    rec.bench("scan_aggregate", || {
+        db.query(agg_sql).run().unwrap().rows.len()
+    });
 
     // Plan cache: cold parse+plan vs a warm cache hit through a prepared
     // handle (whose normalized SQL is precomputed, so the hit is one LRU

@@ -55,7 +55,7 @@
 
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Condvar, Weak};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
@@ -65,11 +65,9 @@ use crate::colstore::COMPACT_DEAD_RATIO;
 use crate::commit::{Durability, Work};
 use crate::error::{RelError, RelResult};
 use crate::exec::{run_plan, ExecStats, PlanRun};
-use crate::exec_parallel;
 use crate::metrics;
 use crate::plan::PlannedQuery;
 use crate::planner::plan_select;
-use crate::pool::{StopSignal, WorkerPool};
 use crate::query::{ExecMode, PlanCache, QueryOutcome};
 use crate::recorder::FlightRecorder;
 use crate::schema::{Column, IndexDef, TableSchema};
@@ -223,13 +221,6 @@ impl ResultSet {
 /// Tuning knobs for a [`Database`].
 #[derive(Debug, Clone)]
 pub struct DatabaseOptions {
-    /// Total workers available to parallel-eligible `SELECT` plans (the
-    /// calling thread counts as one; `1` disables parallel execution).
-    /// Defaults to the `XOMATIQ_WORKERS` environment variable if set,
-    /// else the machine's available parallelism capped at 8.
-    pub workers: usize,
-    /// Rows per morsel handed to a worker by the parallel executor.
-    pub morsel_size: usize,
     /// Maximum number of cached `SELECT` plans (`0` disables the cache).
     pub plan_cache_capacity: usize,
     /// Statements at or above this latency are flagged slow in the
@@ -245,18 +236,7 @@ pub struct DatabaseOptions {
 
 impl Default for DatabaseOptions {
     fn default() -> DatabaseOptions {
-        let workers = std::env::var("XOMATIQ_WORKERS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get().min(8))
-                    .unwrap_or(1)
-            })
-            .max(1);
         DatabaseOptions {
-            workers,
-            morsel_size: 1024,
             plan_cache_capacity: 128,
             slow_query_ns: u64::MAX,
             flight_recorder_capacity: 512,
@@ -269,11 +249,38 @@ struct MaintenanceTask {
     handle: std::thread::JoinHandle<()>,
 }
 
+/// A one-shot stop flag with timed waits. The maintenance thread sleeps
+/// on it between passes and wakes as soon as [`StopSignal::stop`] fires,
+/// so shutdown never has to wait out a full interval.
+#[derive(Debug, Default)]
+struct StopSignal {
+    stopped: std::sync::Mutex<bool>,
+    changed: Condvar,
+}
+
+impl StopSignal {
+    /// Trips the flag and wakes every waiter.
+    fn stop(&self) {
+        *self.stopped.lock().expect("stop signal poisoned") = true;
+        self.changed.notify_all();
+    }
+
+    /// Sleeps up to `timeout`, returning early — with `true` — if the
+    /// signal stops. `false` means the timeout elapsed.
+    fn wait_timeout(&self, timeout: Duration) -> bool {
+        let stopped = self.stopped.lock().expect("stop signal poisoned");
+        let (stopped, _) = self
+            .changed
+            .wait_timeout_while(stopped, timeout, |stopped| !*stopped)
+            .expect("stop signal poisoned");
+        *stopped
+    }
+}
+
 /// Registry entry for one live [`crate::Session`] (the `sys_sessions`
 /// virtual table's backing state).
 #[derive(Debug, Clone)]
 pub(crate) struct SessionInfo {
-    pub(crate) workers: Option<usize>,
     pub(crate) prepared: usize,
     pub(crate) queries: u64,
     pub(crate) started: Instant,
@@ -282,7 +289,6 @@ pub(crate) struct SessionInfo {
 /// One `sys_sessions` row, flattened out of the registry.
 pub(crate) struct SessionInfoSnapshot {
     pub(crate) session_id: u64,
-    pub(crate) workers: Option<usize>,
     pub(crate) prepared: usize,
     pub(crate) queries: u64,
     pub(crate) uptime_ns: u64,
@@ -296,7 +302,6 @@ pub struct Database {
     pub(crate) snapshot: Mutex<Arc<Storage>>,
     pub(crate) durability: Option<Durability>,
     pub(crate) options: DatabaseOptions,
-    pub(crate) pool: WorkerPool,
     pub(crate) plan_cache: Mutex<PlanCache>,
     maintenance: Mutex<Option<MaintenanceTask>>,
     /// Recent-query ring buffer (the `sys_queries` backing store).
@@ -314,7 +319,6 @@ impl Database {
         durability: Option<Durability>,
         options: DatabaseOptions,
     ) -> Database {
-        let pool = WorkerPool::new(options.workers);
         let plan_cache = Mutex::new(PlanCache::new(options.plan_cache_capacity));
         let snapshot = Mutex::new(Arc::new(storage.clone()));
         let recorder = FlightRecorder::new(options.flight_recorder_capacity, options.slow_query_ns);
@@ -323,7 +327,6 @@ impl Database {
             snapshot,
             durability,
             options,
-            pool,
             plan_cache,
             maintenance: Mutex::new(None),
             recorder,
@@ -415,7 +418,6 @@ impl Database {
         self.sessions.lock().insert(
             id,
             SessionInfo {
-                workers: None,
                 prepared: 0,
                 queries: 0,
                 started: Instant::now(),
@@ -440,7 +442,6 @@ impl Database {
             .iter()
             .map(|(id, info)| SessionInfoSnapshot {
                 session_id: *id,
-                workers: info.workers,
                 prepared: info.prepared,
                 queries: info.queries,
                 uptime_ns: u64::try_from(info.started.elapsed().as_nanos()).unwrap_or(u64::MAX),
@@ -718,7 +719,7 @@ impl Database {
         if slot.is_some() {
             return;
         }
-        let stop = Arc::new(StopSignal::new());
+        let stop = Arc::new(StopSignal::default());
         let signal = Arc::clone(&stop);
         let weak: Weak<Database> = Arc::downgrade(self);
         let handle = std::thread::Builder::new()
@@ -743,18 +744,6 @@ impl Database {
         }
     }
 
-    /// Builds the typed explain tree for an already-planned query,
-    /// annotating the worker count the morsel-parallel executor would use
-    /// for this plan shape.
-    pub(crate) fn plan_explain_tree(&self, planned: &PlannedQuery) -> crate::plan::PlanExplain {
-        let workers = if exec_parallel::parallel_eligible(&planned.plan) {
-            self.options.workers
-        } else {
-            1
-        };
-        crate::plan::PlanExplain::from_planned(planned, workers)
-    }
-
     /// Plans one `SELECT` against a pinned snapshot, publishing plan
     /// latency (or an error count) to the global metrics registry.
     pub(crate) fn plan_select_stmt(
@@ -774,9 +763,8 @@ impl Database {
     }
 
     /// Executes a planned `SELECT` against a pinned snapshot in the given
-    /// mode — across the worker pool when the mode asks for more than one
-    /// worker and the plan shape and size allow it, under the
-    /// per-operator profiler, or on the reference interpreter — and
+    /// mode — on the streaming executor, under its per-operator profiler,
+    /// or on the reference interpreter — and
     /// publishes per-query aggregates (row counters, exec latency) to the
     /// metrics registry. The outcome always carries the counters; the
     /// caller decides whether the user asked to see them.
@@ -792,20 +780,7 @@ impl Database {
         let result = (|| {
             let exec_start = Instant::now();
             let mut run = match mode {
-                ExecMode::Workers(workers) => match exec_parallel::execute_plan_parallel(
-                    plan,
-                    storage,
-                    &self.pool,
-                    workers,
-                    self.options.morsel_size,
-                    planned.estimate.cost,
-                ) {
-                    Some(run) => {
-                        m.parallel_workers.add(workers as u64);
-                        run?
-                    }
-                    None => run_plan(plan, storage, false)?,
-                },
+                ExecMode::Streaming => run_plan(plan, storage, false)?,
                 ExecMode::Profiled => run_plan(plan, storage, true)?,
                 ExecMode::Reference => {
                     let rows = crate::exec_reference::execute_plan(plan, storage)?;
@@ -863,5 +838,25 @@ impl Drop for Database {
         if let Some(task) = self.maintenance.get_mut().take() {
             task.stop.stop();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stop_signal_wakes_waiters_early() {
+        let signal = Arc::new(StopSignal::default());
+        // Timeout path: nothing stopped it.
+        assert!(!signal.wait_timeout(Duration::from_millis(1)));
+        let waiter = {
+            let signal = Arc::clone(&signal);
+            std::thread::spawn(move || signal.wait_timeout(Duration::from_secs(60)))
+        };
+        signal.stop();
+        assert!(waiter.join().unwrap());
+        // Stopped signals return immediately.
+        assert!(signal.wait_timeout(Duration::from_secs(60)));
     }
 }

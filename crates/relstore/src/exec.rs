@@ -6,8 +6,8 @@
 //! side of `HashJoin` never materialize their inputs. Every table is read
 //! by the same leaf cursor (`AccessCursor`), which does what the plan's
 //! [`Access`] leaf says and decides nothing: it walks the spans of the
-//! leaf's method (zone-map-surviving segments, a worker's morsel, or an
-//! index probe's id list), narrows each with the vectorized kernels in
+//! leaf's method (zone-map-surviving segments, or an index probe's id
+//! list), narrows each with the vectorized kernels in
 //! [`crate::segment`] for the pushed predicates, materializes only the
 //! leaf's output columns, and checks the residual. The pipeline
 //! breakers — `Sort`, `Aggregate`, `TopK` and the build side of joins —
@@ -15,12 +15,8 @@
 //! which is how tests pin the O(k) memory bound of `LIMIT`/Top-K
 //! pushdown.
 //!
-//! This is the engine's only implementation of each operator. Profiled
-//! runs wrap the same cursors; the morsel driver in `crate::exec_parallel`
-//! runs the *same* cursor tree once per morsel: the `ExecCtx` it opens the
-//! tree under restricts the scan leaf to one slot `Span` and hands hash
-//! joins a build side the driver built once, so sequential execution is
-//! simply the case of one worker whose span is the whole table; and
+//! This is the engine's only implementation of each operator, and every
+//! `SELECT` runs on it. Profiled runs wrap the same cursors, and
 //! `UPDATE`/`DELETE` find their target rows through the leaf cursor's
 //! row-id variant, `matching_ids`.
 //!
@@ -34,7 +30,6 @@ use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
 use std::ops::Range;
 use std::rc::Rc;
-use std::sync::Arc;
 use std::time::Instant;
 
 use crate::colstore::ColStore;
@@ -78,7 +73,7 @@ pub struct ExecStats {
 
 /// Shared mutable counters threaded through every cursor of one execution.
 #[derive(Debug, Default)]
-pub(crate) struct StatsCell {
+struct StatsCell {
     scanned: Cell<u64>,
     buffered: Cell<u64>,
     buffered_peak: Cell<u64>,
@@ -118,16 +113,6 @@ impl StatsCell {
 
     fn postings_read(&self, n: u64) {
         self.keyword_postings.set(self.keyword_postings.get() + n);
-    }
-
-    /// Folds one finished morsel's counters into the driver's cell. What
-    /// a worker still buffers when it finishes (its share of the
-    /// aggregation groups) stays held until the merge, so its peak counts
-    /// as live buffer here; the shared join build side was charged once,
-    /// by the driver, and never shows up in a worker's cell.
-    pub(crate) fn absorb(&self, morsel: &ExecStats) {
-        self.scan_n(morsel.rows_scanned);
-        self.buffer_grow(morsel.buffered_peak);
     }
 
     fn snapshot(&self, rows_emitted: usize) -> ExecStats {
@@ -299,26 +284,12 @@ impl<'a> Cursor<'a> for ProfiledCursor<'a> {
     }
 }
 
-/// A contiguous slot range within one column-store segment: what a scan
-/// leaf walks, and the unit of work (a *morsel*) the parallel driver
-/// hands to a worker.
-pub(crate) type Span = (usize, Range<usize>);
-
-/// Execution context threaded through [`open`]: the shared stat cells,
-/// whether to wrap every operator in a [`ProfiledCursor`], and — for a
-/// morsel worker — which part of the plan's input this execution covers.
+/// Execution context threaded through [`open`]: the shared stat cells
+/// and whether to wrap every operator in a [`ProfiledCursor`].
 #[derive(Default)]
 struct ExecCtx {
     stats: Rc<StatsCell>,
     profile: bool,
-    /// When set, the scan leaf opened under this context walks only this
-    /// span instead of pruning and walking its whole table. The morsel
-    /// driver only runs plans that open exactly one scan leaf this way
-    /// (a join's other input arrives pre-built in `build`).
-    morsel: Option<Span>,
-    /// A hash join's build side, built once by the morsel driver and
-    /// probed by every worker instead of re-opening the right input.
-    build: Option<Arc<BuildSide>>,
     /// For a key-passing leaf: where its join hands over the keys.
     keys: Option<Rc<KeyChannel>>,
 }
@@ -370,43 +341,16 @@ pub fn run_plan(plan: &Plan, storage: &Storage, profile: bool) -> RelResult<Plan
         profile,
         ..ExecCtx::default()
     };
-    run_under(plan, storage, &ctx)
-}
-
-fn run_under(plan: &Plan, storage: &Storage, ctx: &ExecCtx) -> RelResult<PlanRun> {
-    let (cursor, root) = open(plan, storage, ctx)?;
-    let rows = drain(cursor)?;
+    let (mut cursor, root) = open(plan, storage, &ctx)?;
+    let mut rows = Vec::new();
+    while let Some(row) = cursor.next_row()? {
+        rows.push(row);
+    }
     Ok(PlanRun {
         stats: ctx.stats.snapshot(rows.len()),
         rows,
         profile: root.map(|n| n.to_profile()),
     })
-}
-
-fn drain(mut cursor: BoxCursor<'_>) -> RelResult<Vec<Row>> {
-    let mut rows = Vec::new();
-    while let Some(row) = cursor.next_row()? {
-        rows.push(row);
-    }
-    Ok(rows)
-}
-
-// --- the morsel driver's hooks (see `exec_parallel`) ---
-
-/// The spans a full-scan leaf walks after zone-map pruning, one per
-/// surviving segment, for the morsel driver to carve up; the prunes are
-/// charged to the driver's `stats`.
-pub(crate) fn access_spans(
-    access: &Access,
-    storage: &Storage,
-    stats: &Rc<StatsCell>,
-) -> RelResult<Vec<Span>> {
-    let ctx = ExecCtx {
-        stats: Rc::clone(stats),
-        ..ExecCtx::default()
-    };
-    let store = storage.table(&access.table)?.store();
-    Ok(leaf_spans(store, &access.pushed, storage, &ctx))
 }
 
 /// The ids of the rows `access` selects, in scan order: the leaf cursor's
@@ -418,86 +362,6 @@ pub(crate) fn matching_ids(access: &Access, storage: &Storage) -> RelResult<Vec<
         ids.push(RowId(cursor.store.segments()[seg].id_at(slot)));
     }
     Ok(ids)
-}
-
-/// Opens and drains a hash join's `right` input into the build side
-/// every morsel worker will probe, charging its scan and buffer counters
-/// to the driver's `stats`.
-pub(crate) fn build_side(
-    right: &Plan,
-    right_keys: &[Expr],
-    semi: bool,
-    storage: &Storage,
-    stats: &Rc<StatsCell>,
-) -> RelResult<Arc<BuildSide>> {
-    let ctx = ExecCtx {
-        stats: Rc::clone(stats),
-        ..ExecCtx::default()
-    };
-    let (input, _) = open(right, storage, &ctx)?;
-    BuildSide::build(right_keys, semi, input, stats).map(Arc::new)
-}
-
-/// Runs `plan` over one morsel of its driving scan: the same cursor tree
-/// [`run_plan`] opens, restricted to `morsel` and probing `build`.
-pub(crate) fn run_morsel(
-    plan: &Plan,
-    storage: &Storage,
-    morsel: Span,
-    build: Option<&Arc<BuildSide>>,
-) -> RelResult<PlanRun> {
-    let ctx = ExecCtx {
-        morsel: Some(morsel),
-        build: build.cloned(),
-        ..ExecCtx::default()
-    };
-    run_under(plan, storage, &ctx)
-}
-
-/// The grouping half of an `Aggregate` over one morsel of its input: the
-/// morsel's rows grouped by key. The driver merges the per-morsel groups
-/// in morsel order and finishes them with [`Groups::finish`].
-pub(crate) fn group_morsel(
-    input: &Plan,
-    group_by: &[Expr],
-    storage: &Storage,
-    morsel: Span,
-) -> RelResult<(Groups, ExecStats)> {
-    let ctx = ExecCtx {
-        morsel: Some(morsel),
-        ..ExecCtx::default()
-    };
-    let (input, _) = open(input, storage, &ctx)?;
-    let groups = group_rows(input, group_by, &ctx.stats)?;
-    Ok((groups, ctx.stats.snapshot(0)))
-}
-
-/// Emits the merged morsel outputs through whatever sits above the
-/// parallel part of the plan (an optional `Distinct` over the first
-/// `distinct` columns) on the calling thread, and closes the driver's
-/// counters. `buffered` marks rows still charged to an operator buffer
-/// (aggregate output), which drains as they are emitted.
-pub(crate) fn emit_merged(
-    rows: Vec<Row>,
-    buffered: bool,
-    distinct: Option<usize>,
-    stats: Rc<StatsCell>,
-) -> RelResult<(Vec<Row>, ExecStats)> {
-    let mut cursor: BoxCursor<'_> = Box::new(RowsCursor {
-        rows: rows.into_iter(),
-        buffered: buffered.then(|| Rc::clone(&stats)),
-    });
-    if let Some(visible) = distinct {
-        cursor = Box::new(DistinctCursor {
-            input: cursor,
-            visible,
-            seen: HashSet::new(),
-            stats: Rc::clone(&stats),
-        });
-    }
-    let rows = drain(cursor)?;
-    let stats = stats.snapshot(rows.len());
-    Ok((rows, stats))
 }
 
 /// Opens `plan` as a child operator, collecting its profile node (if
@@ -551,15 +415,13 @@ fn open<'a>(plan: &'a Plan, storage: &'a Storage, ctx: &ExecCtx) -> RelResult<Op
             pass,
         } => {
             // The leaf that takes passed keys opens with the channel its
-            // keys arrive through; a plan that passes keys never runs
-            // per morsel.
+            // keys arrive through.
             let channel = pass.as_ref().map(|_| Rc::new(KeyChannel::default()));
             let keyed = pass.as_ref().map(|pass| {
                 let keyed = ExecCtx {
                     stats: Rc::clone(stats),
                     profile: ctx.profile,
                     keys: channel.clone(),
-                    ..ExecCtx::default()
                 };
                 (pass.into, keyed)
             });
@@ -568,17 +430,7 @@ fn open<'a>(plan: &'a Plan, storage: &'a Storage, ctx: &ExecCtx) -> RelResult<Op
                 _ => ctx,
             };
             let left = open_child(left, storage, side_ctx(Side::Left), &mut kids)?;
-            // A morsel worker probes the side the driver already built
-            // instead of opening (and re-scanning) the right input.
-            let right_input = match &ctx.build {
-                Some(_) => None,
-                None => Some(open_child(
-                    right,
-                    storage,
-                    side_ctx(Side::Right),
-                    &mut kids,
-                )?),
-            };
+            let right_input = open_child(right, storage, side_ctx(Side::Right), &mut kids)?;
             // A semi join is existence-only: each matching left row passes
             // through once and the right side's columns are dropped (the
             // planner guaranteed nothing downstream references them).
@@ -587,8 +439,8 @@ fn open<'a>(plan: &'a Plan, storage: &'a Storage, ctx: &ExecCtx) -> RelResult<Op
                 left_keys,
                 residual: residual.as_ref(),
                 semi: *semi,
-                build: ctx.build.clone(),
-                right_input,
+                build: None,
+                right_input: Some(right_input),
                 right_keys,
                 pass: pass.as_ref().zip(channel),
                 ran_first: Vec::new().into_iter(),
@@ -684,25 +536,37 @@ pub(crate) fn index_ids(
     Ok(ids)
 }
 
-/// The spans of a leaf read by `method`: zone-map survivors (or the
-/// worker's morsel) for a full scan, else the probe's ids by segment.
+/// The spans of a leaf read by `method`. A full scan walks one
+/// whole-segment span per segment whose zone maps admit the leaf's pushed
+/// predicates (every non-empty segment when pruning is off or there is
+/// nothing to prune with), charging the prunes to `stats`: pruning is an
+/// execution-time act — it reads the data's zone maps and a runtime
+/// toggle — over predicates the planner chose. Any other method walks its
+/// probe's ids, by segment.
 fn method_spans(
     access: &Access,
     method: &AccessMethod,
     store: &ColStore,
     storage: &Storage,
-    ctx: &ExecCtx,
+    stats: &StatsCell,
 ) -> RelResult<Vec<(usize, Slots)>> {
     if *method == AccessMethod::Full {
-        return Ok(leaf_spans(store, &access.pushed, storage, ctx)
+        let prune_with: &[SimplePred] = if storage.zone_map_pruning() {
+            &access.pushed
+        } else {
+            &[]
+        };
+        let (visited, pruned) = store.prune_segments(prune_with);
+        stats.prune_n(pruned);
+        return Ok(visited
             .into_iter()
-            .map(|(seg, slots)| (seg, Slots::Range(slots)))
+            .map(|i| (i, Slots::Range(0..store.segments()[i].len())))
             .collect());
     }
     let ids = index_ids(&access.table, method, storage)?;
-    ctx.stats.index_probe();
+    stats.index_probe();
     if matches!(method, AccessMethod::Keyword { .. }) {
-        ctx.stats.postings_read(ids.len() as u64);
+        stats.postings_read(ids.len() as u64);
     }
     Ok(id_spans(store, ids))
 }
@@ -745,34 +609,6 @@ fn key_budget(access: &Access, storage: &Storage) -> RelResult<usize> {
     })
 }
 
-/// The spans a full-scan leaf opened under `ctx` walks: the worker's
-/// morsel, or one full-segment span per segment whose zone maps admit the
-/// `pushed` predicates (every non-empty segment when pruning is off or
-/// there is nothing to prune with), charging the prunes to this execution.
-/// Pruning is an execution-time act — it reads the data's zone maps and a
-/// runtime toggle — over predicates the planner chose.
-fn leaf_spans(
-    store: &ColStore,
-    pushed: &[SimplePred],
-    storage: &Storage,
-    ctx: &ExecCtx,
-) -> Vec<Span> {
-    if let Some(morsel) = &ctx.morsel {
-        return vec![morsel.clone()];
-    }
-    let prune_with: &[SimplePred] = if storage.zone_map_pruning() {
-        pushed
-    } else {
-        &[]
-    };
-    let (visited, pruned) = store.prune_segments(prune_with);
-    ctx.stats.prune_n(pruned);
-    visited
-        .into_iter()
-        .map(|i| (i, 0..store.segments()[i].len()))
-        .collect()
-}
-
 /// Wraps `cursor` in a [`ProfiledCursor`] when profiling is on.
 fn maybe_profile<'a>(
     cursor: BoxCursor<'a>,
@@ -798,7 +634,7 @@ fn maybe_profile<'a>(
 
 /// A leaf's candidate slots within one segment, ascending.
 enum Slots {
-    /// A contiguous run: a whole zone-map survivor, or a worker's morsel.
+    /// A contiguous run: a whole zone-map survivor.
     Range(Range<usize>),
     /// Picked slots: an index probe's result, or a kernel selection.
     List(std::vec::IntoIter<u32>),
@@ -821,9 +657,9 @@ type Hit = (usize, usize, Row);
 /// The one leaf cursor: span source → kernel selection → gather →
 /// residual, all as the plan's [`Access`] leaf dictates.
 ///
-/// The span source is fixed at open — the zone-map survivors (or the
-/// worker's morsel) of a full scan, or an index probe's sorted id list
-/// grouped by segment. With predicates pushed, entering a span runs their
+/// The span source is fixed at open — the zone-map survivors of a full
+/// scan, or an index probe's sorted id list grouped by segment. With
+/// predicates pushed, entering a span runs their
 /// kernels over its live candidates into a selection vector, gathers the
 /// survivors' output columns a column at a time and keeps the rows the
 /// residual accepts: one batch per span, still lazy under `LIMIT` at
@@ -875,7 +711,10 @@ impl<'a> AccessCursor<'a> {
                 channel.max_keys.set(key_budget(access, storage)?);
                 (Vec::new(), Some(channel))
             }
-            method => (method_spans(access, method, store, storage, ctx)?, None),
+            method => (
+                method_spans(access, method, store, storage, &ctx.stats)?,
+                None,
+            ),
         };
         Ok(AccessCursor {
             access,
@@ -921,13 +760,7 @@ impl<'a> AccessCursor<'a> {
                     ids.sort_unstable();
                     id_spans(self.store, ids)
                 }
-                None => {
-                    let ctx = ExecCtx {
-                        stats: Rc::clone(&self.stats),
-                        ..ExecCtx::default()
-                    };
-                    method_spans(self.access, planned, self.store, self.storage, &ctx)?
-                }
+                None => method_spans(self.access, planned, self.store, self.storage, &self.stats)?,
             };
             self.spans = spans.into_iter();
         }
@@ -1031,24 +864,6 @@ impl<'a> Cursor<'a> for AccessCursor<'a> {
     }
 }
 
-/// Yields rows computed elsewhere — the merged output of the morsel
-/// workers. When the rows are still charged to an operator buffer, each
-/// one releases its share as it is emitted.
-struct RowsCursor {
-    rows: std::vec::IntoIter<Row>,
-    buffered: Option<Rc<StatsCell>>,
-}
-
-impl<'a> Cursor<'a> for RowsCursor {
-    fn next_row(&mut self) -> RelResult<Option<Row>> {
-        let row = self.rows.next();
-        if let (Some(_), Some(stats)) = (&row, &self.buffered) {
-            stats.buffer_shrink(1);
-        }
-        Ok(row)
-    }
-}
-
 /// Streaming predicate filter.
 struct FilterCursor<'a> {
     input: BoxCursor<'a>,
@@ -1147,10 +962,9 @@ fn eval_join_keys(keys: &[Expr], row: &[Value]) -> RelResult<Option<Vec<Value>>>
     })
 }
 
-/// The buffered build side of a hash join: built lazily by the join
-/// cursor on its first pull, or once by the morsel driver and shared by
-/// every worker.
-pub(crate) struct BuildSide {
+/// The buffered build side of a hash join, built by the join cursor on
+/// its first pull.
+struct BuildSide {
     rows: Vec<Row>,
     /// Key → positions in `rows`, in arrival order. A semi join only asks
     /// whether a key exists, so it keeps the key set and no rows.
@@ -1211,7 +1025,7 @@ struct HashJoinCursor<'a> {
     left_keys: &'a [Expr],
     residual: Option<&'a Expr>,
     semi: bool,
-    build: Option<Arc<BuildSide>>,
+    build: Option<BuildSide>,
     /// Right input, drained into `build` on the first pull.
     right_input: Option<BoxCursor<'a>>,
     right_keys: &'a [Expr],
@@ -1281,11 +1095,11 @@ impl<'a> Cursor<'a> for HashJoinCursor<'a> {
                 let keys = built.index.keys().map(|k| passed_key(k, &into_left.keys));
                 channel.offer(keys.collect());
             }
-            self.build = Some(Arc::new(built));
+            self.build = Some(built);
         }
         loop {
             if let Some((lrow, matches, pos)) = &mut self.probe {
-                let build = self.build.as_deref().expect("built above");
+                let build = self.build.as_ref().expect("built above");
                 while *pos < matches.len() {
                     let rrow = &build.rows[matches[*pos]];
                     *pos += 1;
@@ -1307,7 +1121,7 @@ impl<'a> Cursor<'a> for HashJoinCursor<'a> {
             let Some(key) = eval_join_keys(self.left_keys, &lrow)? else {
                 continue;
             };
-            match self.build.as_deref().expect("built above").index.get(&key) {
+            match self.build.as_ref().expect("built above").index.get(&key) {
                 Some(_) if self.semi => return Ok(Some(lrow)),
                 Some(matches) => self.probe = Some((lrow, matches.clone(), 0)),
                 None => {}
@@ -1321,7 +1135,7 @@ type Group = (Vec<Value>, Vec<Row>);
 
 /// Input rows grouped by key, groups in first-seen order.
 #[derive(Default)]
-pub(crate) struct Groups {
+struct Groups {
     groups: Vec<Group>,
     index: HashMap<Vec<Value>, usize>,
 }
@@ -1341,31 +1155,30 @@ impl Groups {
         &mut self.groups[i].1
     }
 
-    /// Appends the groups of a *later* stretch of the same input. Folding
-    /// per-morsel groups in morsel order reproduces both the global
-    /// first-seen group order and each group's row order.
-    pub(crate) fn absorb(&mut self, later: Groups) {
-        for (key, rows) in later.groups {
-            self.rows_of(key).extend(rows);
-        }
-    }
-
-    /// Turns the groups into one output row each, in group order.
-    /// `aggregate` evaluates a slice of groups with [`aggregate_groups`] —
-    /// in place for the sequential cursor, fanned across the pool in
-    /// contiguous chunks by the morsel driver. The grouped rows leave the
-    /// operator's buffer here and the output rows enter it.
-    pub(crate) fn finish(
+    /// Turns the groups into one output row each, in group order,
+    /// evaluating the aggregate select `items` over each group;
+    /// non-aggregate parts read the group's first row. The grouped rows
+    /// leave the operator's buffer here and the output rows enter it.
+    fn finish(
         mut self,
         group_by: &[Expr],
+        items: &[ProjectItem],
         stats: &StatsCell,
-        aggregate: impl FnOnce(&[Group]) -> RelResult<Vec<Row>>,
     ) -> RelResult<Vec<Row>> {
         if self.groups.is_empty() && group_by.is_empty() {
             // Global aggregate over empty input yields one row.
             self.groups.push((Vec::new(), Vec::new()));
         }
-        let out = aggregate(&self.groups)?;
+        let mut out = Vec::with_capacity(self.groups.len());
+        for (_, group_rows) in &self.groups {
+            let representative: &[Value] = group_rows.first().map_or(&[], |r| r);
+            let mut result_row = Vec::with_capacity(items.len());
+            for item in items {
+                let materialized = materialize_aggregates(&item.expr, group_rows)?;
+                result_row.push(eval(&materialized, representative)?);
+            }
+            out.push(result_row);
+        }
         let grouped: usize = self.groups.iter().map(|(_, rows)| rows.len()).sum();
         stats.buffer_shrink(grouped as u64);
         stats.buffer_grow(out.len() as u64);
@@ -1388,22 +1201,6 @@ fn group_rows(mut input: BoxCursor<'_>, group_by: &[Expr], stats: &StatsCell) ->
     Ok(groups)
 }
 
-/// Evaluates the aggregate select `items` over each group, yielding one
-/// row per group. Non-aggregate parts read the group's first row.
-pub(crate) fn aggregate_groups(groups: &[Group], items: &[ProjectItem]) -> RelResult<Vec<Row>> {
-    let mut out = Vec::with_capacity(groups.len());
-    for (_, group_rows) in groups {
-        let representative: &[Value] = group_rows.first().map_or(&[], |r| r);
-        let mut result_row = Vec::with_capacity(items.len());
-        for item in items {
-            let materialized = materialize_aggregates(&item.expr, group_rows)?;
-            result_row.push(eval(&materialized, representative)?);
-        }
-        out.push(result_row);
-    }
-    Ok(out)
-}
-
 /// Grouped aggregation: a pipeline breaker that buffers each group's rows
 /// until the input is exhausted, then streams the per-group results.
 struct AggregateCursor<'a> {
@@ -1418,9 +1215,7 @@ impl<'a> Cursor<'a> for AggregateCursor<'a> {
     fn next_row(&mut self) -> RelResult<Option<Row>> {
         if let Some(input) = self.input.take() {
             let groups = group_rows(input, self.group_by, &self.stats)?;
-            let out = groups.finish(self.group_by, &self.stats, |groups| {
-                aggregate_groups(groups, self.items)
-            })?;
+            let out = groups.finish(self.group_by, self.items, &self.stats)?;
             self.output = out.into_iter();
         }
         if let Some(row) = self.output.next() {

@@ -14,8 +14,8 @@ use crate::text::tokenize;
 use crate::value::Value;
 
 /// Compiled patterns a thread keeps before starting over. A query uses a
-/// handful; the bound is for long-lived threads (embedded callers, morsel
-/// workers) that would otherwise hold every pattern they ever saw.
+/// handful; the bound is for long-lived threads (embedded callers, server
+/// sessions) that would otherwise hold every pattern they ever saw.
 const PATTERN_CACHE_CAP: usize = 64;
 
 thread_local! {

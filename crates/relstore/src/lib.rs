@@ -38,8 +38,7 @@
 //!   (`db.query(sql).bind(v).with_stats().run()`), prepared statements,
 //!   the LRU plan cache, and typed row access ([`ResultRow`]).
 //! * [`session`] — the per-connection [`Session`] state (prepared-
-//!   statement handles, worker overrides) the wire-protocol server
-//!   builds on.
+//!   statement handles) the wire-protocol server builds on.
 //! * [`vtab`] / [`recorder`] — the introspection layer: `sys_*` system
 //!   virtual tables over live engine telemetry, and the slow-query
 //!   flight recorder behind `sys_queries` / `sys_profiles`.
@@ -74,14 +73,12 @@ pub(crate) mod commit;
 pub mod db;
 pub mod error;
 pub mod exec;
-pub(crate) mod exec_parallel;
 pub mod exec_reference;
 pub mod expr;
 pub mod index;
 pub(crate) mod metrics;
 pub mod plan;
 pub mod planner;
-pub(crate) mod pool;
 pub mod query;
 pub mod recorder;
 pub(crate) mod recovery;

@@ -36,9 +36,6 @@ pub(crate) struct EngineMetrics {
     /// [`ExecStats::segments_pruned`]: column-store segments skipped via
     /// zone maps.
     pub segments_pruned: Counter,
-    /// `relstore.exec.parallel_workers` — workers used by parallel plan
-    /// executions (a sequential execution adds nothing).
-    pub parallel_workers: Counter,
     /// `relstore.plan.cache_hit` — prepared/plan-cache lookups that
     /// skipped parse+plan entirely.
     pub cache_hit: Counter,
@@ -89,7 +86,6 @@ pub(crate) fn engine() -> &'static EngineMetrics {
             index_probes: reg.counter("relstore.exec.index_probes"),
             keyword_postings: reg.counter("relstore.exec.keyword_postings_read"),
             segments_pruned: reg.counter("relstore.exec.segments_pruned"),
-            parallel_workers: reg.counter("relstore.exec.parallel_workers"),
             cache_hit: reg.counter("relstore.plan.cache_hit"),
             cache_miss: reg.counter("relstore.plan.cache_miss"),
             cache_evict: reg.counter("relstore.plan.cache_evict"),

@@ -489,7 +489,7 @@ pub struct PlanEstimate {
     pub rows: Option<f64>,
     /// Cumulative estimated rows *processed* by this subtree (scans,
     /// probes, builds and intermediate results) — the planner's cost
-    /// unit, also used for the parallel-execution cutover.
+    /// unit.
     pub cost: Option<f64>,
     /// Child estimates, in [`Plan::children`] order.
     pub children: Vec<PlanEstimate>,
@@ -530,9 +530,6 @@ pub struct PlannedQuery {
 pub struct PlanExplain {
     /// The root operator.
     pub root: PlanExplainNode,
-    /// Workers the morsel-parallel executor would use for this plan shape
-    /// (1 when the plan must run on the streaming executor).
-    pub workers: usize,
 }
 
 /// One operator of a [`PlanExplain`] tree.
@@ -552,7 +549,7 @@ pub struct PlanExplainNode {
 
 impl PlanExplain {
     /// Builds the explain tree for a planned query (no actuals).
-    pub fn from_planned(planned: &PlannedQuery, workers: usize) -> PlanExplain {
+    pub fn from_planned(planned: &PlannedQuery) -> PlanExplain {
         fn node(plan: &Plan, est: &PlanEstimate) -> PlanExplainNode {
             let unknown = PlanEstimate::unknown(plan);
             let children = plan.children();
@@ -576,7 +573,6 @@ impl PlanExplain {
         }
         PlanExplain {
             root: node(&planned.plan, &planned.estimate),
-            workers,
         }
     }
 
@@ -598,14 +594,12 @@ impl PlanExplain {
         walk(&mut self.root, profile);
     }
 
-    /// Renders the tree as indented text, one operator per line, followed
-    /// by the `parallel=N` summary line — the same shape the string
-    /// `EXPLAIN` surface always printed, now with row estimates (and,
-    /// when analyzed, actual rows and self-times) appended per operator.
+    /// Renders the tree as indented text, one operator per line, with
+    /// row estimates (and, when analyzed, actual rows and self-times)
+    /// appended per operator.
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.root.render_into(0, &mut out);
-        out.push_str(&format!("parallel={}\n", self.workers));
         out
     }
 }

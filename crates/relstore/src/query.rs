@@ -3,7 +3,7 @@
 //!
 //! One entry point runs every statement, and every `SELECT` takes the
 //! same two steps inside it — resolve (normalize, plan-cache lookup,
-//! parse, plan, cache insert) and execute in one mode (N workers,
+//! parse, plan, cache insert) and execute in one mode (streaming,
 //! profiled, or the reference oracle):
 //!
 //! ```
@@ -38,7 +38,7 @@ use crate::db::{Database, ResultSet};
 use crate::error::{RelError, RelResult};
 use crate::exec::{format_ns, run_plan, ExecStats, OpProfile};
 use crate::metrics;
-use crate::plan::PlannedQuery;
+use crate::plan::{PlanExplain, PlannedQuery};
 use crate::recorder::QueryRecord;
 use crate::schema::Catalog;
 use crate::sql::ast::{Expr, JoinClause, OrderKey, SelectItem, SelectStmt, Statement, TableRef};
@@ -574,14 +574,12 @@ enum QuerySource<'a> {
 }
 
 /// How a resolved `SELECT` plan is executed — the one knob
-/// [`Query::with_workers`], [`Query::with_profile`] and
-/// [`Query::via_reference`] each set.
+/// [`Query::with_profile`] and [`Query::via_reference`] each set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ExecMode {
-    /// The streaming executor, fanned over up to this many morsel workers
-    /// when the plan shape and size allow it (`1`: always sequential).
-    Workers(usize),
-    /// Sequential, every operator wrapped in the profiler.
+    /// The streaming executor.
+    Streaming,
+    /// The streaming executor, every operator wrapped in the profiler.
     Profiled,
     /// The materializing reference interpreter.
     Reference,
@@ -590,13 +588,12 @@ pub(crate) enum ExecMode {
 /// A fluent, single entry point for executing statements:
 /// `db.query(sql).bind(v).with_stats().run()`.
 ///
-/// `SELECT`s resolved through the builder use the plan cache and, when
-/// the plan shape allows it, the morsel-parallel executor. Profiled runs
-/// ([`Query::with_profile`]) and reference runs ([`Query::via_reference`])
-/// always execute sequentially; those two and [`Query::with_workers`]
-/// choose *how* the plan runs, so at most one of the three may be set —
-/// [`Query::run`] rejects a combination with [`RelError::Bind`] rather
-/// than silently honouring one of them.
+/// `SELECT`s resolved through the builder use the plan cache and run on
+/// the streaming executor. Profiled runs ([`Query::with_profile`]) and
+/// reference runs ([`Query::via_reference`]) choose *how* the plan runs
+/// instead, so at most one of the two may be set — [`Query::run`]
+/// rejects the combination with [`RelError::Bind`] rather than silently
+/// honouring one of them.
 pub struct Query<'a> {
     db: &'a Database,
     /// The MVCC snapshot this query is pinned to, captured when the
@@ -606,9 +603,8 @@ pub struct Query<'a> {
     source: QuerySource<'a>,
     params: Vec<Value>,
     with_stats: bool,
-    /// `None` runs with [`DatabaseOptions::workers`](crate::db::DatabaseOptions::workers).
-    mode: Option<ExecMode>,
-    /// Set when two different kinds of execution mode were requested.
+    mode: ExecMode,
+    /// Set when both execution modifiers were requested.
     mode_conflict: bool,
 }
 
@@ -687,15 +683,13 @@ impl<'a> Query<'a> {
     }
 
     fn with_mode(mut self, mode: ExecMode) -> Self {
-        if let Some(prev) = self.mode {
-            self.mode_conflict |= std::mem::discriminant(&prev) != std::mem::discriminant(&mode);
-        }
-        self.mode = Some(mode);
+        self.mode_conflict |= self.mode != ExecMode::Streaming && self.mode != mode;
+        self.mode = mode;
         self
     }
 
     /// Requests a per-operator runtime profile (SELECT only; runs on the
-    /// sequential streaming executor, as `EXPLAIN ANALYZE` does).
+    /// streaming executor, as `EXPLAIN ANALYZE` does).
     pub fn with_profile(self) -> Self {
         self.with_mode(ExecMode::Profiled)
     }
@@ -705,13 +699,6 @@ impl<'a> Query<'a> {
     /// property suite compares against. It keeps no executor counters.
     pub fn via_reference(self) -> Self {
         self.with_mode(ExecMode::Reference)
-    }
-
-    /// Overrides the worker count for this query only (capped below by 1;
-    /// `1` forces sequential execution). Defaults to
-    /// [`DatabaseOptions::workers`](crate::db::DatabaseOptions::workers).
-    pub fn with_workers(self, workers: usize) -> Self {
-        self.with_mode(ExecMode::Workers(workers.max(1)))
     }
 
     /// The normalized-SQL cache key prefix (when the source has SQL text)
@@ -846,33 +833,32 @@ impl<'a> Query<'a> {
     }
 
     /// Plans the statement (without executing it) and returns the typed
-    /// [`PlanExplain`](crate::plan::PlanExplain) tree — estimated rows per
-    /// operator, plus the worker count the parallel cutover would use;
-    /// call [`render`](crate::plan::PlanExplain::render) for the classic
+    /// [`PlanExplain`] tree — estimated rows per
+    /// operator; call [`render`](PlanExplain::render) for the classic
     /// indented text form. Accepts both a bare `SELECT` and an
     /// `EXPLAIN [ANALYZE] SELECT` wrapper.
     ///
     /// Unbound `?` placeholders are allowed here: they stay in the plan
     /// and are costed with placeholder (default) selectivities, so a
     /// prepared statement can be explained before any values are bound.
-    pub fn explain(&self) -> RelResult<crate::plan::PlanExplain> {
+    pub fn explain(&self) -> RelResult<PlanExplain> {
         match self.resolve(true)?.1 {
-            Resolved::Select { planned, .. } => Ok(self.db.plan_explain_tree(&planned)),
+            Resolved::Select { planned, .. } => Ok(PlanExplain::from_planned(&planned)),
             Resolved::Other(_) => Err(RelError::Parse("only SELECT can be explained".into())),
         }
     }
 
     /// Executes the statement under the profiler and returns the typed
-    /// [`PlanExplain`](crate::plan::PlanExplain) tree with *both*
+    /// [`PlanExplain`] tree with *both*
     /// estimated and actual rows (plus per-operator self time) — the
     /// typed form of `EXPLAIN ANALYZE`. All placeholders must be bound,
     /// since the statement really runs (and is recorded like any other
     /// run); the profile is attached to the tree of the plan that ran.
-    pub fn explain_analyzed(&self) -> RelResult<crate::plan::PlanExplain> {
-        let (outcome, planned) = self.run_as(Some(ExecMode::Profiled))?;
+    pub fn explain_analyzed(&self) -> RelResult<PlanExplain> {
+        let (outcome, planned) = self.run_as(ExecMode::Profiled)?;
         let planned = planned.expect("a profiled run is a SELECT");
         let profile = outcome.profile.expect("profiled mode profiles");
-        let mut tree = self.db.plan_explain_tree(&planned);
+        let mut tree = PlanExplain::from_planned(&planned);
         tree.attach_profile(&profile);
         Ok(tree)
     }
@@ -884,19 +870,15 @@ impl<'a> Query<'a> {
     pub fn run(self) -> RelResult<QueryOutcome> {
         if self.mode_conflict {
             return Err(RelError::Bind(
-                "with_workers, with_profile and via_reference are mutually exclusive".into(),
+                "with_profile and via_reference are mutually exclusive".into(),
             ));
         }
         Ok(self.run_as(self.mode)?.0)
     }
 
-    /// Resolves, executes in `mode` (`None`: the database's default
-    /// worker count) and records the statement; also hands back the plan
-    /// a `SELECT` ran.
-    fn run_as(
-        &self,
-        mode: Option<ExecMode>,
-    ) -> RelResult<(QueryOutcome, Option<Arc<PlannedQuery>>)> {
+    /// Resolves, executes in `mode` and records the statement; also hands
+    /// back the plan a `SELECT` ran.
+    fn run_as(&self, mode: ExecMode) -> RelResult<(QueryOutcome, Option<Arc<PlannedQuery>>)> {
         let (_root, trace_id) = ensure_trace();
         let _qspan = trace::span("relstore.query");
         let started = Instant::now();
@@ -912,7 +894,6 @@ impl<'a> Query<'a> {
             started,
             rows: 0,
             cache_hit: false,
-            workers: 1,
             select: None,
         };
         let text_outcome = |rows| QueryOutcome {
@@ -929,8 +910,7 @@ impl<'a> Query<'a> {
                 explain,
             } => (planned, storage, cache_hit, explain),
             Resolved::Other(stmt) => {
-                if self.with_stats || matches!(mode, Some(ExecMode::Profiled | ExecMode::Reference))
-                {
+                if self.with_stats || mode != ExecMode::Streaming {
                     return Err(RelError::Parse(
                         "only SELECT takes with_stats, with_profile or via_reference".into(),
                     ));
@@ -945,22 +925,19 @@ impl<'a> Query<'a> {
         // the SELECT itself; otherwise `EXPLAIN ANALYZE` runs profiled and
         // returns the rendered analysis, and a plain `EXPLAIN` renders the
         // plan without running it.
-        let explain = explain.filter(|_| mode != Some(ExecMode::Profiled));
+        let explain = explain.filter(|_| mode != ExecMode::Profiled);
         if explain == Some(false) {
-            let text = self.db.plan_explain_tree(&planned).render();
+            let text = PlanExplain::from_planned(&planned).render();
             record_statement(record);
             return Ok((text_outcome(ResultSet::plan_text(&text)), Some(planned)));
         }
         let mode = match explain {
             Some(_) => ExecMode::Profiled,
-            None => mode.unwrap_or(ExecMode::Workers(self.db.options.workers.max(1))),
+            None => mode,
         };
         let mut outcome = self.db.run_planned_query(&storage, &planned, mode)?;
         record.rows = outcome.rows.len() as u64;
         record.cache_hit = cache_hit;
-        if let ExecMode::Workers(workers) = mode {
-            record.workers = workers;
-        }
         record.select = Some((&outcome, &planned, &storage));
         record_statement(record);
         // The reference oracle keeps no counters worth reporting.
@@ -1023,7 +1000,6 @@ struct RecordArgs<'a> {
     started: Instant,
     rows: u64,
     cache_hit: bool,
-    workers: usize,
     /// An executed `SELECT`: its outcome (counters, any profile), plus the
     /// plan and pinned snapshot for re-profiling it should it turn out
     /// slow (MVCC guarantees the re-run sees identical rows).
@@ -1064,7 +1040,6 @@ fn record_statement(args: RecordArgs<'_>) {
         rows: args.rows,
         latency_ns,
         cache_hit: args.cache_hit,
-        workers: u32::try_from(args.workers).unwrap_or(u32::MAX),
         segments_pruned: stats.map_or(0, |s| s.segments_pruned),
         slow,
         profile,
@@ -1111,7 +1086,7 @@ impl Database {
             source,
             params: Vec::new(),
             with_stats: false,
-            mode: None,
+            mode: ExecMode::Streaming,
             mode_conflict: false,
         }
     }

@@ -3,7 +3,7 @@
 //!
 //! Every statement the [`crate::Database`] completes deposits one
 //! [`QueryRecord`] here — normalized SQL, trace id, row count, latency,
-//! plan-cache outcome, worker count, segments pruned. Records land in one
+//! plan-cache outcome, segments pruned. Records land in one
 //! of eight stripes keyed by query id, so concurrent sessions contend on
 //! an eighth of a mutex each and the hot path holds a lock only long
 //! enough to push one record and maybe pop one. Retention is by count,
@@ -38,8 +38,6 @@ pub struct QueryRecord {
     pub latency_ns: u64,
     /// Whether the plan came out of the plan cache.
     pub cache_hit: bool,
-    /// Worker count the query ran with.
-    pub workers: u32,
     /// Segments skipped by zone-map pruning (0 for DML).
     pub segments_pruned: u64,
     /// Whether the statement crossed the slow-query threshold.
@@ -128,7 +126,6 @@ mod tests {
             rows: 1,
             latency_ns: 100,
             cache_hit: false,
-            workers: 1,
             segments_pruned: 0,
             slow: false,
             profile: None,

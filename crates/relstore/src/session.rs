@@ -2,8 +2,7 @@
 //! owns on top of a shared [`Database`].
 //!
 //! A [`Session`] holds what must *not* leak between concurrent clients —
-//! prepared statements addressed by small integer handles, and
-//! session-local settings such as the worker count — while everything
+//! prepared statements addressed by small integer handles — while everything
 //! worth sharing (the plan cache, the MVCC storage root, indexes) stays
 //! in the `Database` it wraps. Dropping a session drops its prepared
 //! statements; nothing else needs cleanup, which is what makes an
@@ -39,12 +38,10 @@ pub struct Session {
     id: u64,
     prepared: HashMap<u32, Prepared>,
     next_stmt_id: u32,
-    workers: Option<usize>,
 }
 
 impl Session {
-    /// A fresh session over `db` with no prepared statements and the
-    /// database's default worker count.
+    /// A fresh session over `db` with no prepared statements.
     pub fn new(db: Arc<Database>) -> Session {
         let id = db.register_session();
         Session {
@@ -52,7 +49,6 @@ impl Session {
             id,
             prepared: HashMap::new(),
             next_stmt_id: 1,
-            workers: None,
         }
     }
 
@@ -67,28 +63,12 @@ impl Session {
         &self.db
     }
 
-    /// Overrides the worker count for every subsequent query in this
-    /// session (`None` restores the database default).
-    pub fn set_workers(&mut self, workers: Option<usize>) {
-        self.workers = workers.map(|w| w.max(1));
-        let workers = self.workers;
-        self.db.update_session(self.id, |s| s.workers = workers);
-    }
-
-    /// The session's worker override, if any.
-    pub fn workers(&self) -> Option<usize> {
-        self.workers
-    }
-
-    /// Runs one SQL statement with positional parameters, honoring the
-    /// session's worker override. The query pins its MVCC snapshot here.
+    /// Runs one SQL statement with positional parameters. The query pins
+    /// its MVCC snapshot here.
     pub fn run_sql(&self, sql: &str, params: Vec<Value>) -> RelResult<QueryOutcome> {
         let mut q = self.db.query(sql);
         for p in params {
             q = q.bind_value(p);
-        }
-        if let Some(w) = self.workers {
-            q = q.with_workers(w);
         }
         self.db.update_session(self.id, |s| s.queries += 1);
         q.run()
@@ -119,9 +99,6 @@ impl Session {
         let mut q = self.db.query_prepared(prepared);
         for p in params {
             q = q.bind_value(p);
-        }
-        if let Some(w) = self.workers {
-            q = q.with_workers(w);
         }
         self.db.update_session(self.id, |s| s.queries += 1);
         q.run()
@@ -196,16 +173,12 @@ mod tests {
     }
 
     #[test]
-    fn run_sql_binds_and_honors_workers() {
+    fn run_sql_binds() {
         let db = db_with_rows();
-        let mut s = Session::new(db);
-        s.set_workers(Some(2));
-        assert_eq!(s.workers(), Some(2));
+        let s = Session::new(db);
         let out = s
             .run_sql("SELECT COUNT(*) FROM t WHERE a < ?", vec![Value::Int(3)])
             .unwrap();
         assert_eq!(out.rows.rows()[0][0], Value::Int(3));
-        s.set_workers(Some(0)); // clamps to 1
-        assert_eq!(s.workers(), Some(1));
     }
 }

@@ -6,7 +6,7 @@
 //! That makes "order as a data value" (paper §2.2) cheap: the shredder
 //! stores ordinals, and the storage layer never reorders underneath them.
 //! Executors that want columnar access (zone-map pruning, vectorized
-//! predicate kernels, segment-aligned morsels) reach the segments through
+//! predicate kernels, column-at-a-time gathers) reach the segments through
 //! [`Table::store`]; everything else sees the same row-oriented API as
 //! before, with `get`/`scan` now materializing owned rows out of the
 //! column vectors.
@@ -59,7 +59,7 @@ impl Table {
         &self.schema
     }
 
-    /// The underlying segmented column store (scan cursors, morsels).
+    /// The underlying segmented column store (scan cursors).
     pub fn store(&self) -> &ColStore {
         &self.store
     }

@@ -5,10 +5,9 @@
 //! name, the query layer materializes the referenced providers into a
 //! private copy-on-write overlay of the query's pinned MVCC snapshot
 //! (see `Storage::overlay_virtual`), then plans and executes through the
-//! ordinary planner/executor — so filters, joins, aggregates, `ORDER BY`,
-//! streaming execution and the morsel-parallel fallback all work
-//! unchanged against `sys_*` tables, and joins between system tables and
-//! user tables are just joins.
+//! ordinary planner and streaming executor — so filters, joins,
+//! aggregates and `ORDER BY` all work unchanged against `sys_*` tables,
+//! and joins between system tables and user tables are just joins.
 //!
 //! Semantics are *snapshot at query start*, not MVCC: a provider reads
 //! whatever the telemetry source (metrics registry, flight recorder,
@@ -208,7 +207,6 @@ impl VirtualTableProvider for SysQueries {
                 ("rows", DataType::Int),
                 ("latency_ns", DataType::Int),
                 ("cache_hit", DataType::Int),
-                ("workers", DataType::Int),
                 ("segments_pruned", DataType::Int),
                 ("slow", DataType::Int),
             ]),
@@ -227,7 +225,6 @@ impl VirtualTableProvider for SysQueries {
                     int(r.rows),
                     int(r.latency_ns),
                     flag(r.cache_hit),
-                    Value::Int(i64::from(r.workers)),
                     int(r.segments_pruned),
                     flag(r.slow),
                 ]
@@ -495,7 +492,6 @@ impl VirtualTableProvider for SysSessions {
             "sys_sessions",
             cols(&[
                 ("session_id", DataType::Int),
-                ("workers", DataType::Int),
                 ("prepared", DataType::Int),
                 ("queries", DataType::Int),
                 ("uptime_ns", DataType::Int),
@@ -509,8 +505,6 @@ impl VirtualTableProvider for SysSessions {
             .map(|s| {
                 vec![
                     int(s.session_id),
-                    s.workers
-                        .map_or(Value::Null, |w| int(u64::try_from(w).unwrap_or(0))),
                     int(s.prepared as u64),
                     int(s.queries),
                     int(s.uptime_ns),

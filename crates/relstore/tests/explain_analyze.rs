@@ -7,7 +7,7 @@ use std::sync::{Arc, RwLock, RwLockReadGuard};
 
 use xomatiq_obs::trace::{self, TraceCtx};
 use xomatiq_obs::MemoryTraceSink;
-use xomatiq_relstore::{Database, DatabaseOptions, OpProfile, PlanExplainNode, Value};
+use xomatiq_relstore::{Database, OpProfile, PlanExplainNode, Value};
 
 /// The metrics registry is process-global and every test here plans
 /// queries. Tests hold this shared; the one test that asserts an exact
@@ -231,19 +231,15 @@ fn analyze_reports_index_and_keyword_counters() {
 }
 
 /// `EXPLAIN ANALYZE` is the run: a profiled execution opens the same
-/// cursors over the same plan as a plain one — sequential or
-/// morsel-parallel — so it reports the same rows and the same counters,
+/// cursors over the same plan as a plain one, so it reports the same rows
+/// and the same counters,
 /// and the leaf it prints is the leaf `EXPLAIN` prints. (Profiled runs
 /// used to skip the fused scan and print a `Filter` that "re-confirmed"
 /// rows a kernel had already selected.)
 #[test]
 fn a_profiled_run_is_the_plain_run() {
     let _planning = planning();
-    // Morsels of 64 rows, so four workers really split these scans.
-    let db = Database::in_memory_with_options(DatabaseOptions {
-        morsel_size: 64,
-        ..DatabaseOptions::default()
-    });
+    let db = Database::in_memory();
     db.query("CREATE TABLE big (a INT, b INT, s TEXT)")
         .run()
         .unwrap();
@@ -288,23 +284,16 @@ fn a_profiled_run_is_the_plain_run() {
             "IndexScan dims AS d USING dims_id exact(1 cols) pushed=[] residual=[] \
              cols=[id, name]",
         ),
-        // A parallel-eligible aggregate.
+        // An aggregate over a full scan.
         (
             "SELECT b, COUNT(*) FROM big GROUP BY b",
             "Scan big AS big pushed=[] residual=[] cols=[b]",
         ),
     ] {
         let profiled = db.query(sql).with_profile().run().unwrap();
-        for workers in [1, 4] {
-            let plain = db
-                .query(sql)
-                .with_stats()
-                .with_workers(workers)
-                .run()
-                .unwrap();
-            assert_eq!(plain.rows, profiled.rows, "{sql} at {workers} workers");
-            assert_eq!(plain.stats, profiled.stats, "{sql} at {workers} workers");
-        }
+        let plain = db.query(sql).with_stats().run().unwrap();
+        assert_eq!(plain.rows, profiled.rows, "{sql}");
+        assert_eq!(plain.stats, profiled.stats, "{sql}");
         let (mut explained, mut ran) = (Vec::new(), Vec::new());
         explained_leaves(&db.query(sql).explain().unwrap().root, &mut explained);
         profiled_leaves(profiled.profile.as_ref().unwrap(), &mut ran);
@@ -363,9 +352,9 @@ fn explain_analyzed_plans_once_and_annotates_the_plan_that_ran() {
     assert_eq!(tree.root.actual_rows, Some(7));
 }
 
-/// `with_workers`, `with_profile` and `via_reference` each choose how the
-/// plan runs; asking for two of them is a typed bind error, not a silent
-/// preference for one.
+/// `with_profile` and `via_reference` each choose how the plan runs;
+/// asking for both is a typed bind error, not a silent preference for
+/// one.
 #[test]
 fn conflicting_execution_modes_are_rejected() {
     let _planning = planning();
@@ -374,15 +363,13 @@ fn conflicting_execution_modes_are_rejected() {
     for conflicted in [
         db.query(sql).with_profile().via_reference(),
         db.query(sql).via_reference().with_profile(),
-        db.query(sql).with_profile().with_workers(4),
-        db.query(sql).with_workers(4).via_reference(),
     ] {
         let err = conflicted.run().unwrap_err();
         assert_eq!(err.code(), "bind", "{err}");
         assert!(err.to_string().contains("mutually exclusive"), "{err}");
     }
-    // Repeating one kind is not a conflict: the last value wins.
-    let out = db.query(sql).with_workers(4).with_workers(1).run().unwrap();
+    // Repeating one is not a conflict.
+    let out = db.query(sql).with_profile().with_profile().run().unwrap();
     assert_eq!(out.rows.len(), 10);
     // And a conflicted builder leaves nothing half-done behind it.
     assert_eq!(db.query(sql).run().unwrap().rows.len(), 10);

@@ -171,18 +171,17 @@ fn sys_segments_joins_against_user_tables() {
 fn sys_sessions_tracks_live_sessions() {
     let db = Arc::new(recording_db());
     let mut session = Session::new(Arc::clone(&db));
-    session.set_workers(Some(3));
     session.prepare("SELECT a FROM t WHERE a = ?").unwrap();
     session.run_sql("SELECT COUNT(*) FROM t", vec![]).unwrap();
     let id = i64::try_from(session.id()).unwrap();
     let out = db
-        .query("SELECT workers, prepared, queries FROM sys_sessions WHERE session_id = ?")
+        .query("SELECT session_id, prepared, queries FROM sys_sessions WHERE session_id = ?")
         .bind(id)
         .run()
         .unwrap();
     let rows = out.rows.rows();
     assert_eq!(rows.len(), 1);
-    assert_eq!(rows[0][0], Value::Int(3));
+    assert_eq!(rows[0][0], Value::Int(id));
     assert_eq!(rows[0][1], Value::Int(1));
     assert_eq!(rows[0][2], Value::Int(1));
     drop(session);

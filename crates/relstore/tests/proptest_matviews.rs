@@ -3,7 +3,7 @@
 //! The oracle is brutal and simple: after ANY sequence of committed DML,
 //! a view's stored contents must be identical to recomputing its
 //! defining query from scratch — and that equality must hold under every
-//! executor (streaming, morsel-parallel, reference). Every view shape
+//! executor (streaming, reference). Every view shape
 //! runs the same signed-delta algebra, so the views cover what it rests
 //! on: row views over one table, an equi-join, a theta join and a
 //! self-join; `*`, `t.*` and bare column names over a join whose `ON` and
@@ -200,7 +200,6 @@ fn render(v: &Value) -> String {
 
 enum Exec {
     Streaming,
-    Parallel,
     Reference,
 }
 
@@ -208,7 +207,6 @@ fn rows_via(db: &Database, sql: &str, exec: &Exec) -> Vec<Vec<String>> {
     let q = db.query(sql);
     let q = match exec {
         Exec::Streaming => q,
-        Exec::Parallel => q.with_workers(4),
         Exec::Reference => q.via_reference(),
     };
     let out = q.run().unwrap();
@@ -223,10 +221,10 @@ fn rows_via(db: &Database, sql: &str, exec: &Exec) -> Vec<Vec<String>> {
 }
 
 /// Asserts every view's contents equal a from-scratch recompute of its
-/// definition, under all three executors.
+/// definition, under both executors.
 fn check_all_views(db: &Database) -> Result<(), TestCaseError> {
     for (name, _, def) in VIEWS {
-        for exec in [Exec::Streaming, Exec::Parallel, Exec::Reference] {
+        for exec in [Exec::Streaming, Exec::Reference] {
             let stored = rows_via(db, &format!("SELECT * FROM {name}"), &exec);
             let truth = rows_via(db, def, &exec);
             prop_assert_eq!(&stored, &truth, "view {} diverged from recompute", name);

@@ -4,21 +4,36 @@
 //! never a semantic change: for any plan the planner can produce, its
 //! output must match the retained materializing interpreter
 //! ([`xomatiq_relstore::exec_reference`]) row for row, *including order* —
-//! same rows, same duplicates, same tie-breaking under Top-K.
+//! same rows, same duplicates, same tie-breaking under Top-K — and fail
+//! where it fails: at the first poisoned row in scan order.
+
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use xomatiq_relstore::{Database, Value};
 
 /// One database with two joinable tables, `t` (fact-like) and `u`
-/// (dimension-like), optionally indexed so index scans get exercised too.
+/// (dimension-like), indexed so index scans get exercised too.
 fn build_db(t_rows: &[(i64, i64, String)], u_rows: &[(i64, String)]) -> Database {
+    build_db_with(t_rows, u_rows, true)
+}
+
+/// [`build_db`], with `u` left unindexed when `index_u` is false: joins
+/// against it then hash-join two scans, keyed on nothing.
+fn build_db_with(
+    t_rows: &[(i64, i64, String)],
+    u_rows: &[(i64, String)],
+    index_u: bool,
+) -> Database {
     let db = Database::in_memory();
     db.query("CREATE TABLE t (a INT, b INT, s TEXT)")
         .run()
         .unwrap();
     db.query("CREATE TABLE u (a INT, name TEXT)").run().unwrap();
     db.query("CREATE INDEX idx_t_a ON t (a)").run().unwrap();
-    db.query("CREATE INDEX idx_u_a ON u (a)").run().unwrap();
+    if index_u {
+        db.query("CREATE INDEX idx_u_a ON u (a)").run().unwrap();
+    }
     db.query("CREATE KEYWORD INDEX kw_t_s ON t (s)")
         .run()
         .unwrap();
@@ -87,6 +102,32 @@ fn assert_same(db: &Database, sql: &str) -> Result<(), TestCaseError> {
         sql
     );
     Ok(())
+}
+
+/// A three-segment `w(k INT, g INT, s TEXT)` (2 500 rows, `k` ascending so
+/// zone maps can prune on it; a deleted stretch leaves dead slots inside
+/// the first segment) plus a small `v(g INT, name TEXT)` to join against.
+/// Built once; only `scan_shapes_match_reference` touches it (it toggles
+/// the database-wide pruning switch).
+fn segmented_db() -> &'static Database {
+    static DB: OnceLock<Database> = OnceLock::new();
+    DB.get_or_init(|| {
+        let db = Database::in_memory();
+        db.query("CREATE TABLE w (k INT, g INT, s TEXT)")
+            .run()
+            .unwrap();
+        db.query("CREATE TABLE v (g INT, name TEXT)").run().unwrap();
+        let mut stmts: Vec<String> = (0..2_500)
+            .map(|k| format!("INSERT INTO w VALUES ({k}, {}, 'row {k}')", k % 7))
+            .collect();
+        stmts.extend((0..5).map(|g| format!("INSERT INTO v VALUES ({g}, 'g{g}')")));
+        let refs: Vec<&str> = stmts.iter().map(|s| s.as_str()).collect();
+        db.execute_batch(&refs).unwrap();
+        db.query("DELETE FROM w WHERE k >= 150 AND k < 420")
+            .run()
+            .unwrap();
+        db
+    })
 }
 
 /// Integers clustered where Int↔Float comparison precision matters:
@@ -241,6 +282,141 @@ proptest! {
             let streaming = db.query(sql).run();
             let reference = db.query(sql).via_reference().run();
             prop_assert_eq!(streaming.is_err(), reference.is_err(), "{}", sql);
+        }
+    }
+
+    #[test]
+    fn scan_shapes_match_reference(
+        t_rows in prop::collection::vec(t_row_strategy(), 0..60),
+        u_rows in prop::collection::vec(u_row_strategy(), 0..20),
+        point in 0i64..12,
+        limit in 0u64..15,
+        pruning in any::<bool>(),
+        lo in 0i64..2_500,
+        width in 0i64..1_500,
+    ) {
+        // Scans, filter chains and projections over full-scan leaves,
+        // hash joins of two scans, and aggregates over both, with
+        // zone-map pruning on and off.
+        let db = build_db_with(&t_rows, &u_rows, false);
+        db.set_zone_map_pruning(pruning);
+        let queries = [
+            "SELECT a, b, s FROM t".to_string(),
+            format!("SELECT a, b FROM t WHERE a = {point}"),
+            format!("SELECT a + b, s FROM t WHERE a >= {point} AND b < 4"),
+            "SELECT a FROM t WHERE CONTAINS(s, 'beta')".to_string(),
+            "SELECT DISTINCT b FROM t".to_string(),
+            // Fused project-filter-scan (bare columns, fully sargable
+            // predicate), a partly sargable chain, and both under DISTINCT.
+            format!("SELECT a, b FROM t WHERE b < 4 AND a >= {point}"),
+            format!("SELECT DISTINCT a, b FROM t WHERE b < 4 AND a >= {point}"),
+            format!("SELECT a, s FROM t WHERE a >= {point} AND s LIKE '%beta%'"),
+            format!("SELECT DISTINCT a + b FROM t WHERE a >= {point}"),
+            // Escaped-quote literal predicates.
+            "SELECT a, b FROM t WHERE s = 'o''hara beta'".to_string(),
+            "SELECT a FROM t WHERE s = '5''-utr region'".to_string(),
+            // Hash join (build side u, probe side t) + residual.
+            "SELECT t.a, t.b, u.name FROM t, u WHERE t.a = u.a".to_string(),
+            "SELECT DISTINCT t.s FROM t, u WHERE t.a = u.a".to_string(),
+            "SELECT t.a, u.name FROM t, u WHERE t.a = u.a AND t.b > 2".to_string(),
+            "SELECT DISTINCT t.b, u.name FROM t, u WHERE t.a = u.a".to_string(),
+            // Aggregates, grouped and global.
+            "SELECT a, COUNT(*), SUM(b) FROM t GROUP BY a ORDER BY a".to_string(),
+            "SELECT COUNT(*), MIN(a), MAX(b), AVG(b) FROM t".to_string(),
+            "SELECT b, COUNT(*), SUM(a) FROM t GROUP BY b".to_string(),
+            format!("SELECT COUNT(*), MAX(a) FROM t WHERE a < {point}"),
+            "SELECT DISTINCT COUNT(*) FROM t GROUP BY a".to_string(),
+            "SELECT DISTINCT MIN(b) FROM t".to_string(),
+            // Order-requiring plans.
+            format!("SELECT a, b FROM t ORDER BY b DESC, a LIMIT {limit}"),
+            format!("SELECT a, b FROM t LIMIT {limit}"),
+            format!("SELECT u.name, COUNT(*) FROM t, u WHERE t.a = u.a GROUP BY u.name ORDER BY u.name LIMIT {limit}"),
+        ];
+        for sql in &queries {
+            assert_same(&db, sql)?;
+        }
+
+        // The same shapes over three segments: a range on the clustered
+        // key prunes whole segments (or none, with pruning off), and the
+        // first segment holds dead slots.
+        let wide = segmented_db();
+        wide.set_zone_map_pruning(pruning);
+        let hi = lo + width;
+        let wide_queries = [
+            format!("SELECT k, s FROM w WHERE k >= {lo} AND k < {hi}"),
+            format!("SELECT k + g, s FROM w WHERE k >= {lo} AND k < {hi} AND s LIKE '%7%'"),
+            format!("SELECT DISTINCT g FROM w WHERE k >= {lo} AND k < {hi}"),
+            format!("SELECT w.k, v.name FROM w, v WHERE w.g = v.g AND w.k >= {lo} AND w.k < {hi}"),
+            format!("SELECT DISTINCT w.g FROM w, v WHERE w.g = v.g AND w.k >= {lo} AND w.k < {hi}"),
+            format!("SELECT g, COUNT(*), SUM(k) FROM w WHERE k >= {lo} AND k < {hi} GROUP BY g"),
+            format!("SELECT COUNT(*), MIN(k), MAX(k) FROM w WHERE k >= {lo} AND k < {hi}"),
+            format!("SELECT DISTINCT COUNT(*) FROM w WHERE k >= {lo} AND k < {hi} GROUP BY g"),
+            "SELECT g, COUNT(*) FROM w GROUP BY g".to_string(),
+        ];
+        for sql in &wide_queries {
+            assert_same(wide, sql)?;
+        }
+    }
+
+    #[test]
+    fn errors_name_the_first_poisoned_row(
+        t_rows in prop::collection::vec(t_row_strategy(), 1..30),
+        filler in prop::collection::vec(t_row_strategy(), 24..60),
+        early in prop::option::of(0usize..8),
+        late in 0usize..8,
+    ) {
+        let db = build_db_with(&t_rows, &[], false);
+        for sql in ["SELECT SUM(s) FROM t", "SELECT a + s FROM t"] {
+            prop_assert!(db.query(sql).run().is_err(), "{}", sql);
+        }
+
+        // Position matters: `a + b` overflows only on poisoned rows, and
+        // the message names the row's `a`. One poisoned row always sits
+        // near the end (a = 2); optionally another near the start
+        // (a = 1). A run stops at the first in scan order — the late one
+        // only when it is alone — and the reference stops at the same.
+        let mut rows = filler;
+        let late_at = rows.len() - 1 - late;
+        rows[late_at] = (2, i64::MAX, "late".to_string());
+        if let Some(early_at) = early {
+            rows[early_at] = (1, i64::MAX, "early".to_string());
+        }
+        let db = build_db_with(&rows, &[(1, "x".to_string()), (2, "y".to_string())], false);
+        let first_bad = if early.is_some() { "1 Add" } else { "2 Add" };
+        for sql in [
+            "SELECT a + b FROM t",
+            "SELECT s FROM t WHERE a + b > 0",
+            "SELECT a + b, COUNT(*) FROM t GROUP BY a + b",
+            "SELECT DISTINCT a + b FROM t",
+            "SELECT t.a + t.b, u.name FROM t, u WHERE t.a = u.a",
+        ] {
+            let err = db.query(sql).run().expect_err("a poisoned row overflows").to_string();
+            prop_assert!(err.contains(first_bad), "{}: {}", sql, err);
+            let reference = db.query(sql).via_reference().run();
+            let reference = reference.map(|_| ()).map_err(|e| e.to_string());
+            prop_assert_eq!(reference, Err(err), "{}", sql);
+        }
+    }
+
+    #[test]
+    fn big_int_float_scans_match_reference(
+        vals in prop::collection::vec(big_int_strategy(), 1..50),
+    ) {
+        // The ±2^53 comparisons in scan order (the vectorized segment
+        // kernels, no sort on top), against the reference.
+        let db = Database::in_memory();
+        db.query("CREATE TABLE big (v INT)").run().unwrap();
+        let insert = db.prepare("INSERT INTO big VALUES (?)").unwrap();
+        for v in &vals {
+            db.query_prepared(&insert).bind(*v).run().unwrap();
+        }
+        for sql in [
+            "SELECT v FROM big WHERE v > 9007199254740992.0",
+            "SELECT v FROM big WHERE v = 9007199254740992.0",
+            "SELECT v FROM big WHERE v <= -9007199254740991.5",
+            "SELECT COUNT(*) FROM big WHERE v < 9223372036854775808.0",
+        ] {
+            assert_same(&db, sql)?;
         }
     }
 

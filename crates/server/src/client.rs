@@ -222,17 +222,6 @@ impl Client {
         }
     }
 
-    /// Applies a session-local setting, e.g. `set("workers", "4")`.
-    pub fn set(&mut self, name: &str, value: &str) -> ClientResult<String> {
-        match self.roundtrip(Request::Set {
-            name: name.to_string(),
-            value: value.to_string(),
-        })? {
-            Response::Text { body } => Ok(body),
-            other => Err(unexpected("Text", &other)),
-        }
-    }
-
     /// Ends the session gracefully, waiting for the server's `Bye`.
     pub fn goodbye(mut self) -> ClientResult<()> {
         match self.roundtrip(Request::Goodbye)? {

@@ -11,7 +11,8 @@
 //! to now the engine was embedded-only. This crate adds the missing
 //! serving layer while keeping the engine in charge of everything hard:
 //! each connection is a thin [`Session`](xomatiq_relstore::Session) over
-//! the shared plan cache, MVCC snapshots and morsel-parallel executor.
+//! the shared plan cache and MVCC snapshots, and the sessions are the
+//! concurrency: each runs its queries on its own thread.
 //!
 //! * [`proto`] — the frame codec ([`Request`], [`Response`]).
 //! * [`server`] — listener, admission control, session threads,

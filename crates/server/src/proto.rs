@@ -66,13 +66,6 @@ pub enum Request {
     Ping,
     /// Deterministic metrics snapshot (the `obs` text rendering).
     Metrics,
-    /// Session-local setting, e.g. `SET workers 4` / `SET workers default`.
-    Set {
-        /// Setting name.
-        name: String,
-        /// Setting value.
-        value: String,
-    },
     /// Graceful end of session; the server answers [`Response::Bye`].
     Goodbye,
     /// Metrics snapshot rendered as JSON (the `obs` JSON rendering).
@@ -284,7 +277,6 @@ impl Request {
             Request::Explain { .. } => 0x05,
             Request::Ping => 0x06,
             Request::Metrics => 0x07,
-            Request::Set { .. } => 0x08,
             Request::Goodbye => 0x09,
             Request::Traced { .. } => 0x0a,
             Request::MetricsJson => 0x0b,
@@ -310,10 +302,6 @@ impl Request {
                 payload.push(u8::from(*analyze));
             }
             Request::Ping | Request::Metrics | Request::MetricsJson | Request::Goodbye => {}
-            Request::Set { name, value } => {
-                put_str(&mut payload, name);
-                put_str(&mut payload, value);
-            }
             Request::Traced { trace_id, inner } => {
                 payload.extend_from_slice(&trace_id.to_le_bytes());
                 // Nested body = the inner frame minus its length prefix.
@@ -344,10 +332,6 @@ impl Request {
             },
             0x06 => Request::Ping,
             0x07 => Request::Metrics,
-            0x08 => Request::Set {
-                name: c.str()?,
-                value: c.str()?,
-            },
             0x09 => Request::Goodbye,
             0x0a => {
                 let trace_id = c.u64()?;
@@ -539,10 +523,6 @@ mod tests {
             },
             Request::Ping,
             Request::Metrics,
-            Request::Set {
-                name: "workers".into(),
-                value: "4".into(),
-            },
             Request::Goodbye,
             Request::MetricsJson,
             Request::Traced {

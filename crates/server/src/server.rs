@@ -1,9 +1,9 @@
 //! The TCP listener, admission control and per-session request loop.
 //!
 //! One OS thread per admitted session, which is the right shape here:
-//! the engine's own morsel-parallel executor supplies intra-query
-//! parallelism, so a session thread spends its life either blocked on
-//! the socket or inside one query. Admission control bounds the thread
+//! sessions are the concurrency — each query runs on its session's own
+//! thread, against its own MVCC snapshot — so a session thread spends its
+//! life either blocked on the socket or inside one query. Admission control bounds the thread
 //! count — a connection beyond [`ServerConfig::max_connections`] gets an
 //! explicit `Hello { admitted: false }` frame and a closed socket, never
 //! a silent hang.
@@ -304,9 +304,8 @@ fn is_timeout(e: &io::Error) -> bool {
 
 /// One connection's lifetime: greet, then serve request frames until the
 /// client says goodbye, disconnects, errors fatally, or shutdown drains
-/// it. Session state (prepared statements, worker override) lives on the
-/// stack, so every exit path — including a killed client — cleans up by
-/// simply returning.
+/// it. Session state (prepared statements) lives on the stack, so every
+/// exit path — including a killed client — cleans up by simply returning.
 fn run_session(mut stream: TcpStream, shared: &Shared) {
     if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
         return;
@@ -406,7 +405,6 @@ fn handle_request(session: &mut Session, request: Request) -> Response {
         Request::MetricsJson => Response::Text {
             body: xomatiq_obs::global().snapshot().render_json(),
         },
-        Request::Set { name, value } => apply_set(session, &name, &value),
         Request::Goodbye => Response::Bye,
         // The session loop unwraps envelopes before dispatch; one that
         // reaches here (wrappers do not nest) is a protocol violation.
@@ -441,36 +439,5 @@ fn error_response(e: &xomatiq_relstore::RelError) -> Response {
     Response::Error {
         code: e.code().to_string(),
         message: e.to_string(),
-    }
-}
-
-fn apply_set(session: &mut Session, name: &str, value: &str) -> Response {
-    match name.to_ascii_lowercase().as_str() {
-        "workers" => {
-            if value.eq_ignore_ascii_case("default") {
-                session.set_workers(None);
-                return Response::Text {
-                    body: "workers=default".to_string(),
-                };
-            }
-            match value.parse::<usize>() {
-                Ok(n) if n >= 1 => {
-                    session.set_workers(Some(n));
-                    Response::Text {
-                        body: format!("workers={n}"),
-                    }
-                }
-                _ => Response::Error {
-                    code: "proto".to_string(),
-                    message: format!(
-                        "invalid workers value {value:?} (positive integer or 'default')"
-                    ),
-                },
-            }
-        }
-        other => Response::Error {
-            code: "proto".to_string(),
-            message: format!("unknown setting {other:?} (supported: workers)"),
-        },
     }
 }

@@ -262,12 +262,48 @@ fn metrics_command_reports_server_instruments() {
     c.query("CREATE TABLE e (x INT)", vec![]).unwrap();
     let plan = c.explain("SELECT x FROM e WHERE x = 1", false).unwrap();
     assert!(!plan.is_empty());
-    // Session-local worker setting round-trips.
-    assert_eq!(c.set("workers", "2").unwrap(), "workers=2");
-    assert_eq!(c.set("workers", "default").unwrap(), "workers=default");
-    assert!(matches!(
-        c.set("workers", "zero"),
-        Err(ClientError::Server { .. })
-    ));
     c.goodbye().unwrap();
+}
+
+/// Opcode `0x08` once carried a session setting; the server now has none,
+/// so the frame is malformed like any unknown opcode: the session gets a
+/// `proto` error and is hung up, nothing panics, and the server goes on
+/// serving fresh connections.
+#[test]
+fn retired_set_opcode_is_a_malformed_frame() {
+    let db = Arc::new(Database::in_memory());
+    let server = serve(db, 2);
+    let addr = server.local_addr();
+
+    let mut raw = TcpStream::connect(addr).unwrap();
+    let hello = proto::read_frame(&mut &raw).unwrap().expect("hello frame");
+    assert!(matches!(
+        proto::Response::decode(&hello).unwrap(),
+        proto::Response::Hello { admitted: true }
+    ));
+    // A length-prefixed body: opcode 0x08, then `workers` and `4` as
+    // length-prefixed strings.
+    let mut body = vec![0x08];
+    for s in ["workers", "4"] {
+        body.extend_from_slice(&(s.len() as u32).to_le_bytes());
+        body.extend_from_slice(s.as_bytes());
+    }
+    raw.write_all(&(body.len() as u32).to_le_bytes()).unwrap();
+    raw.write_all(&body).unwrap();
+    raw.flush().unwrap();
+    let reply = proto::read_frame(&mut &raw).unwrap().expect("error frame");
+    match proto::Response::decode(&reply).unwrap() {
+        proto::Response::Error { code, message } => {
+            assert_eq!(code, "proto");
+            assert!(message.contains("unknown request opcode 0x8"), "{message}");
+        }
+        other => panic!("expected a proto error, got {other:?}"),
+    }
+    // The server hung up on the unsynchronized stream.
+    assert!(proto::read_frame(&mut &raw).unwrap().is_none());
+    wait_for("the session to be reaped", || server.active_sessions() == 0);
+
+    let mut fresh = Client::connect(addr).unwrap();
+    fresh.ping().unwrap();
+    fresh.goodbye().unwrap();
 }

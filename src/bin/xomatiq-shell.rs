@@ -299,7 +299,7 @@ fn main() {
 /// A thin REPL over the wire protocol: every plain line is SQL run on
 /// the server; dot-commands mirror the embedded shell where they make
 /// sense remotely (`.explain`, `.stats` via the `METRICS` frame) plus
-/// `set workers <n|default>` and `ping`.
+/// `ping`.
 fn remote_repl(addr: &str) {
     use xomatiq_server::{Client, ClientError};
 
@@ -374,16 +374,6 @@ fn remote_repl(addr: &str) {
                         print!("{}", render_result_set(&rs));
                     }
                     Ok(xomatiq_server::QueryReply::Affected(_)) => {}
-                    Err(e) => println!("{e}"),
-                }
-            }
-            Some(cmd) if cmd.eq_ignore_ascii_case("set") => {
-                let (Some(name), Some(value)) = (parts.next(), parts.next()) else {
-                    println!("usage: set workers <n|default>");
-                    continue;
-                };
-                match client.set(name, value) {
-                    Ok(ack) => println!("{ack}"),
                     Err(e) => println!("{e}"),
                 }
             }
@@ -561,7 +551,6 @@ const REMOTE_HELP: &str = r#"
 .stats [--json]                   the server's metrics snapshot (text or JSON)
 .top [n]                          the server's slowest recent queries (sys_queries)
 .views                            the server's materialized views (sys_views)
-set workers <n|default>           session-local worker override
 ping                              liveness probe
 quit                              graceful goodbye
 "#;

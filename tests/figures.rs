@@ -392,7 +392,6 @@ fn plan_structure(xq: &Xomatiq, flwr: &str) -> String {
     let explained = xq.explain_query(flwr).unwrap();
     let (_, plan) = explained.split_once("-- Plan\n").unwrap();
     plan.lines()
-        .filter(|line| !line.starts_with("parallel="))
         .map(|line| line.split("  [est=").next().unwrap().to_string() + "\n")
         .collect()
 }
