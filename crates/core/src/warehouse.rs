@@ -233,17 +233,17 @@ impl Xomatiq {
     }
 }
 
+/// The catalog comes from the paths Data Hounds registered, held in
+/// memory: translating a query sends the warehouse no SQL.
 impl CatalogProvider for Xomatiq {
     fn collection(&self, name: &str) -> Result<CollectionCatalog, QueryError> {
-        let prefix = self
-            .hounds
-            .prefix(name)
-            .map_err(|_| QueryError::UnknownCollection(name.to_string()))?;
-        let strategy: ShreddingStrategy = self
-            .hounds
-            .strategy(name)
-            .map_err(|_| QueryError::UnknownCollection(name.to_string()))?;
-        CollectionCatalog::from_warehouse(&self.db, name, &prefix, strategy)
+        let unknown = |_| QueryError::UnknownCollection(name.to_string());
+        let prefix = self.hounds.prefix(name).map_err(unknown)?;
+        let strategy: ShreddingStrategy = self.hounds.strategy(name).map_err(unknown)?;
+        let paths = self.hounds.paths(name).map_err(unknown)?;
+        Ok(CollectionCatalog::from_paths(
+            name, &prefix, strategy, paths,
+        ))
     }
 }
 

@@ -147,6 +147,7 @@ pub fn create_collection_indexes(db: &Database, prefix: &str) -> RelResult<()> {
         "INDEX {p}_attrs_path ON {p}_attrs (path, aval)",
         "INDEX {p}_attrs_doc ON {p}_attrs (doc_id)",
         "INDEX {p}_docs_doc ON {p}_docs (doc_id)",
+        "INDEX {p}_docs_key ON {p}_docs (entry_key)",
         "KEYWORD INDEX {p}_nodes_kw ON {p}_nodes (val)",
     ] {
         db.query(&format!("CREATE {}", index.replace("{p}", prefix)))
@@ -156,8 +157,8 @@ pub fn create_collection_indexes(db: &Database, prefix: &str) -> RelResult<()> {
 }
 
 /// The paths the collection under `prefix` has registered in its
-/// `_paths` catalog.
-pub(crate) fn registered_paths(db: &Database, prefix: &str) -> HoundResult<HashSet<String>> {
+/// `_paths` catalog, in the table's scan order.
+pub(crate) fn registered_paths(db: &Database, prefix: &str) -> HoundResult<Vec<String>> {
     let sql = format!("SELECT path FROM {prefix}_paths");
     let paths = db.query(&sql).run()?.rows.into_iter();
     Ok(paths
@@ -265,7 +266,7 @@ pub fn shred_statements(
     entry_key: &str,
     doc: &Document,
 ) -> HoundResult<(Vec<String>, ShredStats)> {
-    let known = registered_paths(db, prefix)?;
+    let known = registered_paths(db, prefix)?.into_iter().collect();
     let (statements, _, stats) = shred(prefix, strategy, doc_id, entry_key, doc, &known)?;
     let join = |items: Vec<String>| items.join(", ");
     let render = |stmt: Statement| {

@@ -182,8 +182,26 @@ struct CollectionMeta {
     strategy: ShreddingStrategy,
     next_doc_id: u64,
     dtd: Dtd,
-    /// The paths in `{prefix}_paths`: those of committed entries only.
-    paths: HashSet<String>,
+    paths: Paths,
+}
+
+/// A collection's registered paths: those in `{prefix}_paths`, of
+/// committed entries only. Kept as a set, and in registration order,
+/// which is the table's scan order.
+#[derive(Clone, Default)]
+struct Paths {
+    set: HashSet<String>,
+    order: Vec<String>,
+}
+
+impl Paths {
+    fn register(&mut self, paths: Vec<String>) {
+        for path in paths {
+            if self.set.insert(path.clone()) {
+                self.order.push(path);
+            }
+        }
+    }
 }
 
 /// Options controlling a source load.
@@ -257,8 +275,14 @@ impl Ingest<'_> {
             }
             let doc_id = self.meta.next_doc_id;
             let meta = &self.meta;
-            let (shredded, paths, stats) =
-                shred(prefix, meta.strategy, doc_id, &p.key, &p.doc, &meta.paths)?;
+            let (shredded, paths, stats) = shred(
+                prefix,
+                meta.strategy,
+                doc_id,
+                &p.key,
+                &p.doc,
+                &meta.paths.set,
+            )?;
             statements.extend(shredded);
             statements.push(Statement::Insert {
                 table: format!("{prefix}_src"),
@@ -276,7 +300,7 @@ impl Ingest<'_> {
         let m = metrics::ingest();
         m.wal_txn_ns.record(metrics::elapsed_ns(txn_start));
         // Only now that the batch committed are its paths registered.
-        self.meta.paths.extend(fresh);
+        self.meta.paths.register(fresh);
         if new.is_some() {
             m.entries.inc();
             self.meta.next_doc_id += 1;
@@ -311,6 +335,7 @@ impl DataHounds {
             .run()?;
         }
         let mut collections = BTreeMap::new();
+        let indexes = db.index_names();
         let rows = db
             .query("SELECT name, prefix, kind, strategy, dtd FROM hlx_collections")
             .run()?
@@ -337,7 +362,15 @@ impl DataHounds {
                 .and_then(|r| r[0].as_int())
                 .map(|m| m as u64 + 1)
                 .unwrap_or(0);
-            let paths = registered_paths(&db, &prefix)?;
+            let mut paths = Paths::default();
+            paths.register(registered_paths(&db, &prefix)?);
+            // The entry-key index came after the rest: build it for a
+            // collection loaded with indexes before it existed.
+            let index = |suffix: &str| format!("{prefix}_docs_{suffix}");
+            if indexes.contains(&index("doc")) && !indexes.contains(&index("key")) {
+                let create = format!("CREATE INDEX {} ON {prefix}_docs (entry_key)", index("key"));
+                db.query(&create).run()?;
+            }
             collections.insert(
                 text("name"),
                 CollectionMeta {
@@ -380,6 +413,12 @@ impl DataHounds {
     /// The shredding strategy of a collection.
     pub fn strategy(&self, collection: &str) -> HoundResult<ShreddingStrategy> {
         self.with_meta(collection, |m| m.strategy)
+    }
+
+    /// The paths registered for a collection, in registration order —
+    /// what XQ2SQL expands `//` steps against.
+    pub fn paths(&self, collection: &str) -> HoundResult<Vec<String>> {
+        self.with_meta(collection, |m| m.paths.order.clone())
     }
 
     /// The DTD of a collection (what the XomatiQ GUI's left panel shows).
@@ -489,7 +528,7 @@ impl DataHounds {
                 strategy: options.strategy,
                 next_doc_id: 0,
                 dtd,
-                paths: HashSet::new(),
+                paths: Paths::default(),
             },
             validate: options.validate,
             stats: ShredStats::default(),
@@ -778,6 +817,33 @@ mod tests {
     }
 
     #[test]
+    fn reopening_indexes_the_entry_key_of_indexed_collections() {
+        let dh = hounds();
+        let flat = small_corpus().enzyme_flat();
+        for (name, with_indexes) in [("a", true), ("b", false)] {
+            let options = LoadOptions {
+                with_indexes,
+                ..LoadOptions::default()
+            };
+            dh.load_source(name, SourceKind::Enzyme, &flat, options)
+                .unwrap();
+        }
+        let key_index =
+            |dh: &DataHounds, p: &str| dh.db().index_names().contains(&format!("{p}_docs_key"));
+        assert!(key_index(&dh, "a") && !key_index(&dh, "b"));
+        // A collection indexed before the entry-key index existed gets it
+        // when the warehouse is opened; one loaded without indexes does not.
+        dh.db().query("DROP INDEX a_docs_key").run().unwrap();
+        let reopened = DataHounds::new(Arc::clone(dh.db())).unwrap();
+        assert!(key_index(&reopened, "a") && !key_index(&reopened, "b"));
+        let key = &small_corpus().enzymes[3].id;
+        let sql = "EXPLAIN SELECT doc_id FROM a_docs WHERE entry_key = ?";
+        let plan = reopened.db().query(sql).bind(key.as_str()).run().unwrap();
+        assert!(plan.rows.to_table().contains("USING a_docs_key"));
+        reopened.reconstruct("a", key).unwrap();
+    }
+
+    #[test]
     fn entry_keys_are_the_primary_identifiers() {
         let corpus = Corpus::generate(&CorpusSpec::sized(3));
         let ids = |keys: Vec<&String>| keys.into_iter().cloned().collect::<Vec<_>>();
@@ -935,7 +1001,7 @@ mod tests {
 
     fn registered(dh: &DataHounds, collection: &str) -> BTreeSet<String> {
         let map = dh.collections.lock();
-        map[collection].paths.iter().cloned().collect()
+        map[collection].paths.set.iter().cloned().collect()
     }
 
     fn stored_paths(dh: &DataHounds, prefix: &str) -> BTreeSet<String> {

@@ -308,16 +308,35 @@ fn bench_exec(_c: &mut Criterion) {
             .plan
             .uses_index()
     });
+    // A shape hit: the same statement as SQL text carrying a new literal
+    // on every iteration, as XQ2SQL's point lookups arrive. The cache
+    // lifts the literal out of the text, finds the shape's plan and binds
+    // the value into it; with XOMATIQ_BENCH_ENFORCE that must be >= 10x
+    // faster than the cold side. (The texts are built before timing.)
+    let texts: Vec<String> = (0..=rec.samples)
+        .map(|i| cached_sql.replace("'dim%'", &format!("'dim{i}%'")))
+        .collect();
+    let mut next = texts.iter().cycle();
+    let shape_hit = rec.bench("plan_cache/shape_hit", || {
+        let sql = next.next().expect("cycle");
+        db.query(sql).planned().unwrap().plan.uses_index()
+    });
     rec.samples = samples;
     println!(
-        "exec/plan_cache: hit is {:.0}x faster than cold",
-        cold / warm
+        "exec/plan_cache: hit is {:.0}x faster than cold, shape hit {:.0}x",
+        cold / warm,
+        cold / shape_hit
     );
     if enforce {
         assert!(
             cold >= warm * 100.0,
             "plan-cache hit not cheap enough: cold {cold:.0} ns vs warm \
              {warm:.0} ns (need >= 100x)"
+        );
+        assert!(
+            cold >= shape_hit * 10.0,
+            "plan-cache shape hit not cheap enough: cold {cold:.0} ns vs \
+             {shape_hit:.0} ns (need >= 10x)"
         );
     }
 

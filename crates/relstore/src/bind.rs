@@ -25,6 +25,8 @@
 //! concatenated left-then-right row for join conditions and residuals. No
 //! operator looks a name up again.
 
+use std::sync::Arc;
+
 use crate::error::{RelError, RelResult};
 use crate::plan::{LeafOutput, Plan, ProjectItem};
 use crate::planner::split_conjuncts;
@@ -321,6 +323,7 @@ fn projected_schema(items: &[ProjectItem]) -> RowSchema {
 pub fn bind_plan(plan: &mut Plan, catalog: &Catalog) -> RelResult<RowSchema> {
     match plan {
         Plan::Access(access) => {
+            let access = Arc::make_mut(access);
             let columns = &catalog.table(&access.table)?.columns;
             access.columns = columns.iter().map(|c| c.name.clone()).collect();
             let mut schema = RowSchema::for_table(&access.alias, access.columns.iter().cloned());

@@ -744,17 +744,20 @@ impl Database {
         }
     }
 
-    /// Plans one `SELECT` against a pinned snapshot, publishing plan
-    /// latency (or an error count) to the global metrics registry.
+    /// Plans one `SELECT`, whose `?` slots hold `values`, against a pinned
+    /// snapshot (see [`plan_select`]), publishing plan latency (or an
+    /// error count) to the global metrics registry.
     pub(crate) fn plan_select_stmt(
         &self,
         storage: &Storage,
         select: &SelectStmt,
-    ) -> RelResult<PlannedQuery> {
+        values: &[Value],
+    ) -> RelResult<(PlannedQuery, bool)> {
         let m = metrics::engine();
         let _t = trace::span("relstore.query.plan");
         let plan_start = Instant::now();
-        let result = plan_select(select, &storage.catalog, &storage.stats, storage);
+        let (catalog, stats) = (&storage.catalog, &storage.stats);
+        let result = plan_select(select, catalog, stats, storage, values);
         match &result {
             Ok(_) => m.plan_ns.record(metrics::elapsed_ns(plan_start)),
             Err(_) => m.errors.inc(),
@@ -827,6 +830,12 @@ impl Database {
             .tables()
             .map(|t| t.name.clone())
             .collect()
+    }
+
+    /// Names of all indexes.
+    pub fn index_names(&self) -> Vec<String> {
+        let storage = self.snapshot();
+        storage.catalog.indexes().map(|i| i.name.clone()).collect()
     }
 }
 

@@ -14,6 +14,7 @@
 //! it — the plan `EXPLAIN` shows is the plan that runs.
 
 use std::ops::Bound;
+use std::sync::Arc;
 
 use crate::segment::{CmpOp, SimplePred};
 use crate::sql::ast::Expr;
@@ -104,6 +105,25 @@ impl AccessMethod {
     }
 }
 
+/// Where in an [`Access`] leaf the planner put the value of a statement
+/// parameter: the sites [`PlannedQuery::bind`] writes a new value to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Site {
+    /// The literal of `pushed[i]`.
+    Pushed(usize),
+    /// Key column `i` of the index probe (of its prefix, for a range).
+    Key(usize),
+    /// The range probe's lower bound.
+    Lower,
+    /// The range probe's upper bound.
+    Upper,
+    /// The keyword of a keyword probe.
+    Keyword,
+    /// Only the leaf's predicate (and so perhaps its residual) reads the
+    /// parameter, as an [`Expr::Param`].
+    Predicate,
+}
+
 /// Which input of a join.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Side {
@@ -157,7 +177,7 @@ pub struct Access {
     pub alias: String,
     /// The table's column names in schema order, filled in by
     /// [`crate::bind::bind_plan`]; what `describe` names columns by.
-    pub columns: Vec<String>,
+    pub columns: Arc<[String]>,
     /// How candidate rows are found.
     pub method: AccessMethod,
     /// The table's whole predicate, bound to table positions. The
@@ -170,6 +190,10 @@ pub struct Access {
     pub residual: Option<Expr>,
     /// The columns materialized, and their layout.
     pub output: LeafOutput,
+    /// Each site that holds a parameter's value, with the parameter's
+    /// number: empty exactly when the leaf reads no parameter, and once
+    /// the plan is bound.
+    pub slots: Vec<(Site, usize)>,
 }
 
 impl Access {
@@ -182,6 +206,46 @@ impl Access {
             residual: predicate.clone(),
             predicate,
             ..Access::default()
+        }
+    }
+
+    /// Fills the leaf's parameter sites and expressions from `values`.
+    fn bind(&mut self, values: &[Value]) {
+        for expr in self.predicate.iter_mut().chain(&mut self.residual) {
+            expr.bind_params(values);
+        }
+        let method = match &mut self.method {
+            AccessMethod::JoinKeys { planned, .. } => &mut **planned,
+            method => method,
+        };
+        for (site, param) in std::mem::take(&mut self.slots) {
+            let Some(value) = values.get(param).cloned() else {
+                continue;
+            };
+            let target = match (site, &mut *method) {
+                (Site::Pushed(i), _) => &mut self.pushed[i].lit,
+                (Site::Key(i), AccessMethod::Index { access, .. }) => match access {
+                    IndexAccess::Exact(keys) | IndexAccess::Range { prefix: keys, .. } => {
+                        &mut keys[i]
+                    }
+                },
+                (Site::Lower | Site::Upper, AccessMethod::Index { access, .. }) => {
+                    let IndexAccess::Range { lower, upper, .. } = access else {
+                        continue;
+                    };
+                    match if site == Site::Lower { lower } else { upper } {
+                        Bound::Included(v) | Bound::Excluded(v) => v,
+                        Bound::Unbounded => continue,
+                    }
+                }
+                (Site::Keyword, AccessMethod::Keyword { keyword, .. }) => {
+                    *keyword = value.as_text().unwrap_or_default().to_string();
+                    continue;
+                }
+                // `Site::Predicate`: the expressions above held it.
+                _ => continue,
+            };
+            *target = value;
         }
     }
 
@@ -250,8 +314,9 @@ pub struct ProjectItem {
 /// A plan operator.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Plan {
-    /// The leaf: one table read, with its single-table predicate.
-    Access(Box<Access>),
+    /// The leaf: one table read, with its single-table predicate. Shared,
+    /// so that binding a plan copies only the leaves that hold parameters.
+    Access(Arc<Access>),
     /// Predicate filter over a non-leaf input (a leaf carries its own).
     Filter {
         /// Input operator.
@@ -354,7 +419,7 @@ pub enum Plan {
 
 impl From<Access> for Plan {
     fn from(access: Access) -> Plan {
-        Plan::Access(Box::new(access))
+        Plan::Access(Arc::new(access))
     }
 }
 
@@ -368,6 +433,63 @@ pub struct SortKey {
 }
 
 impl Plan {
+    /// Fills every parameter of the tree from `values` (see
+    /// [`PlannedQuery::bind`]); a leaf that reads none stays shared.
+    fn bind(&mut self, values: &[Value]) {
+        let bind = |e: &mut Expr| e.bind_params(values);
+        match self {
+            Plan::Access(access) if access.slots.is_empty() => {}
+            Plan::Access(access) => Arc::make_mut(access).bind(values),
+            Plan::Filter { input, predicate } => {
+                bind(predicate);
+                input.bind(values);
+            }
+            Plan::Project { input, items, .. } => {
+                items.iter_mut().for_each(|i| bind(&mut i.expr));
+                input.bind(values);
+            }
+            Plan::Aggregate {
+                input,
+                group_by,
+                items,
+                ..
+            } => {
+                group_by.iter_mut().for_each(bind);
+                items.iter_mut().for_each(|i| bind(&mut i.expr));
+                input.bind(values);
+            }
+            Plan::NestedLoopJoin {
+                left,
+                right,
+                condition,
+            } => {
+                condition.iter_mut().for_each(bind);
+                left.bind(values);
+                right.bind(values);
+            }
+            Plan::HashJoin {
+                left,
+                right,
+                left_keys,
+                right_keys,
+                residual,
+                ..
+            } => {
+                left_keys
+                    .iter_mut()
+                    .chain(right_keys)
+                    .chain(residual)
+                    .for_each(bind);
+                left.bind(values);
+                right.bind(values);
+            }
+            Plan::Sort { input, .. }
+            | Plan::TopK { input, .. }
+            | Plan::Distinct { input, .. }
+            | Plan::Limit { input, .. } => input.bind(values),
+        }
+    }
+
     /// A one-line-per-operator rendering for plan inspection (the moral
     /// equivalent of `EXPLAIN`, which §3.2 leans on for index design).
     pub fn explain(&self) -> String {
@@ -517,7 +639,22 @@ pub struct PlannedQuery {
     /// The names of those `visible` columns — the result set's header.
     pub columns: Vec<String>,
     /// Estimated cardinality per operator, parallel to `plan`.
-    pub estimate: PlanEstimate,
+    /// Shared, as a bound plan's estimates are its template's.
+    pub estimate: Arc<PlanEstimate>,
+}
+
+impl PlannedQuery {
+    /// This plan with its parameters bound to `values`: every
+    /// [`Expr::Param`] becomes its value's literal, and every leaf site the
+    /// planner recorded ([`Access::slots`]) takes its parameter's value. A
+    /// parameter with no value stays a placeholder. The planner records
+    /// the sites so that a plan made for some values serves any other
+    /// values of the same classes without being planned again.
+    pub fn bind(&self, values: &[Value]) -> PlannedQuery {
+        let mut bound = self.clone();
+        bound.plan.bind(values);
+        bound
+    }
 }
 
 /// The typed `EXPLAIN` surface: one node per plan operator carrying the
@@ -698,7 +835,7 @@ mod tests {
             negated: false,
         };
         let leaf = Access {
-            columns: vec!["a".into(), "b".into(), "s".into()],
+            columns: ["a".into(), "b".into(), "s".into()].into(),
             method: AccessMethod::Index {
                 index: "i".into(),
                 access: IndexAccess::Exact(vec![Value::Int(1)]),

@@ -57,14 +57,16 @@
 //! placeholder selectivities, so prepared statements can be explained
 //! before binding.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashSet};
 use std::ops::Bound;
+use std::sync::Arc;
 
 use crate::bind::{bind_plan, qualify, Qualified, Scope};
 use crate::error::RelResult;
 use crate::plan::{
     Access, AccessMethod, IndexAccess, KeyPass, LeafOutput, Plan, PlanEstimate, PlannedQuery,
-    ProjectItem, Side, SortKey,
+    ProjectItem, Side, Site, SortKey,
 };
 use crate::schema::Catalog;
 use crate::segment::{CmpOp, SimplePred};
@@ -75,12 +77,20 @@ use crate::value::Value;
 /// Plans a `SELECT` statement against the catalog, using `stats` and the
 /// indexes' exact distinct-prefix `counts` for cardinality estimation,
 /// cost-based join ordering and sideways key passing.
+///
+/// The statement's `?` slots hold `values`. A slot with a value plans
+/// exactly as that literal would, and the plan records which leaf sites
+/// the slot fed ([`Access::slots`]), so that [`PlannedQuery::bind`] can
+/// serve any values of the same classes. Also says whether the estimates
+/// read a slot's value beyond its class (against `ANALYZE` bounds): such a
+/// plan holds for these values only.
 pub fn plan_select(
     stmt: &SelectStmt,
     catalog: &Catalog,
     stats: &StatsCatalog,
     counts: &dyn IndexCounts,
-) -> RelResult<PlannedQuery> {
+    values: &[Value],
+) -> RelResult<(PlannedQuery, bool)> {
     let scope = Scope::new(stmt.tables(), catalog)?;
     let Qualified {
         mut items,
@@ -183,12 +193,15 @@ pub fn plan_select(
     // join output, and the cheapest completion (by total estimated rows
     // processed) wins. The construction loop below then consumes the
     // members in exactly that order.
+    let value_reads = Cell::new(false);
     let estimator = Estimator {
         catalog,
         stats,
         aliases: &alias_map,
         counts: Some(counts),
         residuals: true,
+        params: values,
+        value_reads: &value_reads,
     };
     let components = connected_components(inputs, &multi);
     let mut component_plans: Vec<Plan> = Vec::new();
@@ -354,13 +367,14 @@ pub fn plan_select(
     bind_plan(&mut plan, catalog)?;
     let everything = vec![true; width(&plan)];
     finish_leaves(&mut plan, everything, &estimator);
-    let estimate = estimator.estimate(&plan);
-    Ok(PlannedQuery {
+    let estimate = Arc::new(estimator.estimate(&plan));
+    let planned = PlannedQuery {
         plan,
         visible,
         columns,
         estimate,
-    })
+    };
+    Ok((planned, value_reads.get()))
 }
 
 pub(crate) fn split_conjuncts(expr: Expr, out: &mut Vec<Expr>) {
@@ -510,6 +524,10 @@ pub(crate) struct Estimator<'a> {
     pub(crate) counts: Option<&'a dyn IndexCounts>,
     /// Whether a hash join's residual filters its estimated rows.
     pub(crate) residuals: bool,
+    /// The values of the statement's `?` slots.
+    pub(crate) params: &'a [Value],
+    /// Set once an estimate reads a slot's value against `ANALYZE` bounds.
+    pub(crate) value_reads: &'a Cell<bool>,
 }
 
 impl Estimator<'_> {
@@ -634,8 +652,8 @@ impl Estimator<'_> {
             } => {
                 let sel = self.range_selectivity(
                     expr,
-                    literal_value(low).map(Bound::Included),
-                    literal_value(high).map(Bound::Included),
+                    self.value_of(expr, low).map(Bound::Included),
+                    self.value_of(expr, high).map(Bound::Included),
                 );
                 if *negated {
                     1.0 - sel
@@ -648,6 +666,7 @@ impl Estimator<'_> {
             // A constant predicate filters everything or nothing; assume
             // the common `WHERE 1 = 1`-style tautology shape.
             Expr::Literal(_) => 1.0,
+            Expr::Param(i) if *i < self.params.len() => 1.0,
             _ => DEFAULT_SEL,
         };
         raw.clamp(MIN_SEL, 1.0)
@@ -671,21 +690,14 @@ impl Estimator<'_> {
         } else {
             return DEFAULT_SEL;
         };
+        let value = self.value_of(col, value);
         match op {
-            BinOp::Eq => self.eq_selectivity(col, literal_value(value)),
-            BinOp::Ne => 1.0 - self.eq_selectivity(col, literal_value(value)),
-            BinOp::Lt => {
-                self.range_selectivity(col, None, literal_value(value).map(Bound::Excluded))
-            }
-            BinOp::Le => {
-                self.range_selectivity(col, None, literal_value(value).map(Bound::Included))
-            }
-            BinOp::Gt => {
-                self.range_selectivity(col, literal_value(value).map(Bound::Excluded), None)
-            }
-            BinOp::Ge => {
-                self.range_selectivity(col, literal_value(value).map(Bound::Included), None)
-            }
+            BinOp::Eq => self.eq_selectivity(col, value),
+            BinOp::Ne => 1.0 - self.eq_selectivity(col, value),
+            BinOp::Lt => self.range_selectivity(col, None, value.map(Bound::Excluded)),
+            BinOp::Le => self.range_selectivity(col, None, value.map(Bound::Included)),
+            BinOp::Gt => self.range_selectivity(col, value.map(Bound::Excluded), None),
+            BinOp::Ge => self.range_selectivity(col, value.map(Bound::Included), None),
             _ => DEFAULT_SEL,
         }
     }
@@ -948,8 +960,8 @@ impl Estimator<'_> {
                 split_conjuncts(predicate.clone(), &mut conjuncts);
                 sel = fraction;
                 for conjunct in &conjuncts {
-                    let binds_key = matches!(sargs_of(conjunct).as_deref(),
-                        Some([SimplePred { col, op: CmpOp::Eq, .. }]) if bound.contains(col));
+                    let binds_key = matches!(sargs_of(conjunct, self.params).as_deref(),
+                        Some([(SimplePred { col, op: CmpOp::Eq, .. }, _)]) if bound.contains(col));
                     if !binds_key {
                         sel *= self.selectivity(conjunct);
                     }
@@ -983,9 +995,37 @@ fn mul(a: Option<f64>, b: Option<f64>) -> Option<f64> {
     Some(a? * b?)
 }
 
-fn literal_value(e: &Expr) -> Option<&Value> {
+impl<'a> Estimator<'a> {
+    /// The non-NULL value `e` compares `col` against: a literal's, or a
+    /// bound slot's. A slot's value read against `col`'s `ANALYZE` bounds
+    /// is noted in `value_reads`.
+    fn value_of<'e>(&self, col: &Expr, e: &'e Expr) -> Option<&'e Value>
+    where
+        'a: 'e,
+    {
+        let value = match e {
+            Expr::Literal(v) => v,
+            Expr::Param(i) => {
+                let v = self.params.get(*i)?;
+                let bounded = self.column_stats(col);
+                if !v.is_null() && bounded.is_some_and(|(_, c)| c.min.is_some() && c.max.is_some())
+                {
+                    self.value_reads.set(true);
+                }
+                v
+            }
+            _ => return None,
+        };
+        (!value.is_null()).then_some(value)
+    }
+}
+
+/// A literal operand's value, and the slot it came from when it is a
+/// bound `?`: the planner treats the two alike.
+fn operand<'e>(e: &'e Expr, params: &'e [Value]) -> Option<(&'e Value, Option<usize>)> {
     match e {
-        Expr::Literal(v) if !v.is_null() => Some(v),
+        Expr::Literal(v) => Some((v, None)),
+        Expr::Param(i) => params.get(*i).map(|v| (v, Some(*i))),
         _ => None,
     }
 }
@@ -1077,7 +1117,7 @@ fn order_component(members: &mut Vec<(String, Plan)>, multi: &[Expr], est: &Esti
 fn finish_leaves(plan: &mut Plan, needed: Vec<bool>, est: &Estimator<'_>) {
     fn each_leaf(plan: &mut Plan, rule: &mut dyn FnMut(&mut Access)) {
         match plan {
-            Plan::Access(access) => rule(access),
+            Plan::Access(access) => rule(Arc::make_mut(access)),
             Plan::Filter { input, .. }
             | Plan::Project { input, .. }
             | Plan::Aggregate { input, .. }
@@ -1092,7 +1132,7 @@ fn finish_leaves(plan: &mut Plan, needed: Vec<bool>, est: &Estimator<'_>) {
         }
     }
     each_leaf(plan, &mut |access| {
-        choose_access(access, est.catalog, est.stats)
+        choose_access(access, est.catalog, est.stats, est.params)
     });
     pass_keys(plan, est);
     prune_columns(plan, needed);
@@ -1116,24 +1156,28 @@ pub(crate) fn plan_access(
         aliases: &BTreeMap::new(),
         counts: None,
         residuals: true,
+        params: &[],
+        value_reads: &Cell::new(false),
     };
     finish_leaves(&mut plan, nothing, &est);
     match plan {
-        Plan::Access(access) => Ok(*access),
+        Plan::Access(access) => Ok(Arc::unwrap_or_clone(access)),
         _ => unreachable!("the rules keep a leaf a leaf"),
     }
 }
 
 /// Whether evaluating `expr` can never return an error: only literals,
-/// bound column references, comparisons, `AND`/`OR`/`NOT`,
-/// `IS NULL`, `IN` and `BETWEEN`. Arithmetic (overflow, division),
-/// `LIKE`/`CONTAINS`/`MATCHES` (type errors), parameters and aggregates
-/// are all fallible. Kernels may pre-filter only under a predicate that is
+/// parameters with a value in `params` (the plan is bound before it runs),
+/// bound column references, comparisons, `AND`/`OR`/`NOT`, `IS NULL`, `IN`
+/// and `BETWEEN`. Arithmetic (overflow, division), `LIKE`/`CONTAINS`/
+/// `MATCHES` (type errors), unbound parameters and aggregates are all
+/// fallible. Kernels may pre-filter only under a predicate that is
 /// infallible as a whole: early-dropping a row must not suppress an error
 /// the reference executor would raise.
-fn expr_infallible(expr: &Expr) -> bool {
+fn expr_infallible(expr: &Expr, params: &[Value]) -> bool {
     match expr {
         Expr::Literal(_) => true,
+        Expr::Param(i) => *i < params.len(),
         Expr::Column { ordinal, .. } => ordinal.is_some(),
         Expr::Binary { op, .. }
             if !(op.is_comparison() || matches!(op, BinOp::And | BinOp::Or)) =>
@@ -1144,7 +1188,10 @@ fn expr_infallible(expr: &Expr) -> bool {
         | Expr::Not(_)
         | Expr::IsNull { .. }
         | Expr::InList { .. }
-        | Expr::Between { .. } => expr.children().into_iter().all(expr_infallible),
+        | Expr::Between { .. } => expr
+            .children()
+            .into_iter()
+            .all(|e| expr_infallible(e, params)),
         _ => false,
     }
 }
@@ -1160,15 +1207,14 @@ fn expr_infallible(expr: &Expr) -> bool {
 /// three-valued logic drops false-or-unknown), so a conjunct that
 /// classifies is enforced row-exactly by its kernels and needs no
 /// re-evaluation.
-fn sargs_of(conjunct: &Expr) -> Option<Vec<SimplePred>> {
+fn sargs_of(conjunct: &Expr, params: &[Value]) -> Option<Vec<Sarg>> {
     let column = |e: &Expr| match e {
         Expr::Column { ordinal, .. } => *ordinal,
         _ => None,
     };
-    let pred = |col, op, lit: &Value| SimplePred {
-        col,
-        op,
-        lit: lit.clone(),
+    let pred = |col, op, (lit, slot): (&Value, _)| {
+        let lit = lit.clone();
+        (SimplePred { col, op, lit }, slot)
     };
     match conjunct {
         Expr::Binary { op, left, right } if op.is_comparison() => {
@@ -1180,10 +1226,10 @@ fn sargs_of(conjunct: &Expr) -> Option<Vec<SimplePred>> {
                 BinOp::Gt => CmpOp::Gt,
                 _ => CmpOp::Ge,
             };
-            match (&**left, &**right) {
-                (col, Expr::Literal(lit)) => Some(vec![pred(column(col)?, op, lit)]),
-                (Expr::Literal(lit), col) => Some(vec![pred(column(col)?, op.flip(), lit)]),
-                _ => None,
+            match (operand(left, params), operand(right, params)) {
+                (_, Some(lit)) => Some(vec![pred(column(left)?, op, lit)]),
+                (Some(lit), None) => Some(vec![pred(column(right)?, op.flip(), lit)]),
+                (None, None) => None,
             }
         }
         Expr::Between {
@@ -1191,8 +1237,8 @@ fn sargs_of(conjunct: &Expr) -> Option<Vec<SimplePred>> {
             low,
             high,
             negated: false,
-        } => match (&**low, &**high) {
-            (Expr::Literal(lo), Expr::Literal(hi)) => {
+        } => match (operand(low, params), operand(high, params)) {
+            (Some(lo), Some(hi)) => {
                 let col = column(expr)?;
                 Some(vec![pred(col, CmpOp::Ge, lo), pred(col, CmpOp::Le, hi)])
             }
@@ -1202,40 +1248,61 @@ fn sargs_of(conjunct: &Expr) -> Option<Vec<SimplePred>> {
     }
 }
 
+/// One conjunct's [`SimplePred`], and the slot its literal came from.
+type Sarg = (SimplePred, Option<usize>);
+
+/// Leaf sites and the slots that fed them ([`Access::slots`]).
+type Slots = Vec<(Site, usize)>;
+
 /// Rule: the access path. Reads each conjunct of the leaf's bound
 /// predicate once ([`sargs_of`]), picks the method ([`choose_method`]),
 /// and splits the predicate three ways: conjuncts the method enforces by
 /// itself are dropped; the rest go to the kernels where they classify —
 /// and only if the predicate as a whole is infallible — and to the
 /// residual otherwise, in their original order.
-fn choose_access(access: &mut Access, catalog: &Catalog, stats: &StatsCatalog) {
+fn choose_access(access: &mut Access, catalog: &Catalog, stats: &StatsCatalog, params: &[Value]) {
     let Some(predicate) = &access.predicate else {
         return;
     };
     let mut conjuncts = Vec::new();
     split_conjuncts(predicate.clone(), &mut conjuncts);
-    let sargs: Vec<_> = conjuncts.iter().map(sargs_of).collect();
-    let (method, enforced) = choose_method(access, &conjuncts, &sargs, catalog, stats);
+    let sargs: Vec<_> = conjuncts.iter().map(|c| sargs_of(c, params)).collect();
+    let (method, enforced, slots) =
+        choose_method(access, &conjuncts, &sargs, catalog, stats, params);
     access.method = method;
-    split_predicate(access, &enforced);
+    access.slots = slots;
+    split_predicate(access, &enforced, params);
+    if access.slots.is_empty() {
+        let param = access.predicate.as_ref().and_then(Expr::first_param);
+        access.slots.extend(param.map(|p| (Site::Predicate, p)));
+    }
 }
 
 /// Splits the leaf's predicate between the kernels (`pushed`) and the
 /// `residual`, leaving out the conjuncts at the positions in `enforced`,
 /// which the leaf's method guarantees by itself.
-fn split_predicate(access: &mut Access, enforced: &[usize]) {
+fn split_predicate(access: &mut Access, enforced: &[usize], params: &[Value]) {
     let Some(predicate) = &access.predicate else {
         return;
     };
-    let pushable = expr_infallible(predicate);
+    let pushable = expr_infallible(predicate, params);
     let mut conjuncts = Vec::new();
     split_conjuncts(predicate.clone(), &mut conjuncts);
     let mut residual = Vec::new();
     access.pushed.clear();
+    access
+        .slots
+        .retain(|(site, _)| !matches!(site, Site::Pushed(_)));
     for (i, conjunct) in conjuncts.into_iter().enumerate() {
-        match sargs_of(&conjunct) {
+        match sargs_of(&conjunct, params) {
             _ if enforced.contains(&i) => {}
-            Some(preds) if pushable => access.pushed.extend(preds),
+            Some(preds) if pushable => {
+                for (pred, slot) in preds {
+                    let site = Site::Pushed(access.pushed.len());
+                    access.slots.extend(slot.map(|slot| (site, slot)));
+                    access.pushed.push(pred);
+                }
+            }
             _ => residual.push(conjunct),
         }
     }
@@ -1294,6 +1361,7 @@ fn pass_keys(plan: &mut Plan, est: &Estimator<'_>) {
             let Plan::Access(leaf) = &mut **target else {
                 unreachable!("only a leaf takes keys")
             };
+            let leaf = Arc::make_mut(leaf);
             let (_, index, keys) = choice;
             let planned = std::mem::take(&mut leaf.method);
             leaf.method = AccessMethod::JoinKeys {
@@ -1301,7 +1369,7 @@ fn pass_keys(plan: &mut Plan, est: &Estimator<'_>) {
                 columns: keys.len(),
                 planned: Box::new(planned),
             };
-            split_predicate(leaf, &[]);
+            split_predicate(leaf, &[], est.params);
             *pass = Some(KeyPass { into: side, keys });
         }
     }
@@ -1322,8 +1390,9 @@ impl Estimator<'_> {
             return None;
         };
         let plannable = matches!(leaf.method, AccessMethod::Full | AccessMethod::Index { .. });
+        let infallible = |e: &Expr| expr_infallible(e, self.params);
         let infallible =
-            leaf.predicate.as_ref().is_none_or(expr_infallible) && keys.iter().all(expr_infallible);
+            leaf.predicate.as_ref().is_none_or(infallible) && keys.iter().all(infallible);
         if !plannable || !infallible {
             return None;
         }
@@ -1361,11 +1430,12 @@ impl Estimator<'_> {
     }
 }
 
-/// The cheapest method for a leaf, and the positions of the conjuncts it
-/// enforces by itself: the `column = literal` conjuncts whose literals
-/// became the key of an index probe. The index compares keys by
-/// [`Value::total_cmp`], which equates exactly what SQL `=` equates as
-/// long as the literal is neither NULL nor NaN, so those are never keys.
+/// The cheapest method for a leaf, the positions of the conjuncts it
+/// enforces by itself — the `column = literal` conjuncts whose literals
+/// became the key of an index probe — and the sites of the method that
+/// slots fed. The index compares keys by [`Value::total_cmp`], which
+/// equates exactly what SQL `=` equates as long as the literal is neither
+/// NULL nor NaN, so those are never keys.
 /// Range conjuncts bound a probe but stay in the predicate.
 ///
 /// When the table carries `ANALYZE`d statistics, a partially-bound index
@@ -1374,10 +1444,11 @@ impl Estimator<'_> {
 fn choose_method(
     access: &Access,
     conjuncts: &[Expr],
-    sargs: &[Option<Vec<SimplePred>>],
+    sargs: &[Option<Vec<Sarg>>],
     catalog: &Catalog,
     stats: &StatsCatalog,
-) -> (AccessMethod, Vec<usize>) {
+    params: &[Value],
+) -> (AccessMethod, Vec<usize>, Slots) {
     let indexes = catalog.indexes_on(&access.table);
     let position = |name: &String| {
         access
@@ -1392,8 +1463,8 @@ fn choose_method(
         let Expr::Contains { column, keyword } = conjunct else {
             continue;
         };
-        let (Expr::Column { ordinal, .. }, Expr::Literal(Value::Text(keyword))) =
-            (&**column, &**keyword)
+        let (Expr::Column { ordinal, .. }, Some((Value::Text(keyword), slot))) =
+            (&**column, operand(keyword, params))
         else {
             continue;
         };
@@ -1405,35 +1476,39 @@ fn choose_method(
                 index: def.name.clone(),
                 keyword: keyword.clone(),
             };
-            return (method, Vec::new());
+            let slots = slot.map(|s| (Site::Keyword, s)).into_iter().collect();
+            return (method, Vec::new(), slots);
         }
     }
 
     // What an index can use, per column: the literal of the last `=` (and
-    // which conjunct supplied it), and the bounds of the range conjuncts,
-    // a later one overriding an earlier one on the same side.
-    let mut eq: BTreeMap<usize, (&Value, usize)> = BTreeMap::new();
-    let mut ranges: BTreeMap<usize, (Bound<Value>, Bound<Value>)> = BTreeMap::new();
+    // which conjunct and slot supplied it), and the bounds of the range
+    // conjuncts (with their slots), a later one overriding an earlier one
+    // on the same side.
+    type End = (Bound<Value>, Option<usize>);
+    let mut eq: BTreeMap<usize, (&Value, usize, Option<usize>)> = BTreeMap::new();
+    let mut ranges: BTreeMap<usize, (End, End)> = BTreeMap::new();
     for (i, preds) in sargs.iter().enumerate() {
-        for pred in preds.iter().flatten() {
+        for (pred, slot) in preds.iter().flatten() {
             if pred.lit.is_null() || matches!(pred.lit, Value::Float(f) if f.is_nan()) {
                 continue;
             }
             match pred.op {
                 CmpOp::Eq => {
-                    eq.insert(pred.col, (&pred.lit, i));
+                    eq.insert(pred.col, (&pred.lit, i, *slot));
                 }
                 CmpOp::Ne => {}
                 op => {
+                    let unbounded = (Bound::Unbounded, None);
                     let range = ranges
                         .entry(pred.col)
-                        .or_insert((Bound::Unbounded, Bound::Unbounded));
+                        .or_insert((unbounded.clone(), unbounded));
                     let lit = pred.lit.clone();
                     match op {
-                        CmpOp::Lt => range.1 = Bound::Excluded(lit),
-                        CmpOp::Le => range.1 = Bound::Included(lit),
-                        CmpOp::Gt => range.0 = Bound::Excluded(lit),
-                        _ => range.0 = Bound::Included(lit),
+                        CmpOp::Lt => range.1 = (Bound::Excluded(lit), *slot),
+                        CmpOp::Le => range.1 = (Bound::Included(lit), *slot),
+                        CmpOp::Gt => range.0 = (Bound::Excluded(lit), *slot),
+                        _ => range.0 = (Bound::Included(lit), *slot),
                     }
                 }
             }
@@ -1441,11 +1516,13 @@ fn choose_method(
     }
 
     // Best B-tree index: longest equality prefix, range extension breaks ties.
-    let mut best: Option<(usize, bool, &str, IndexAccess, Vec<usize>)> = None;
+    type Choice<'d> = (usize, bool, &'d str, IndexAccess, Vec<usize>, Slots);
+    let mut best: Option<Choice> = None;
     for def in indexes.iter().filter(|def| !def.keyword) {
         let key: Vec<Option<usize>> = def.columns.iter().map(position).collect();
-        let (mut prefix, mut enforced) = (Vec::new(), Vec::new());
-        for (value, conjunct) in key.iter().map_while(|col| eq.get(&(*col)?)) {
+        let (mut prefix, mut enforced, mut slots) = (Vec::new(), Vec::new(), Vec::new());
+        for (value, conjunct, slot) in key.iter().map_while(|col| eq.get(&(*col)?)) {
+            slots.extend(slot.map(|s| (Site::Key(prefix.len()), s)));
             prefix.push((*value).clone());
             enforced.push(*conjunct);
         }
@@ -1459,18 +1536,22 @@ fn choose_method(
         });
         if better {
             let how = match range.cloned() {
-                Some((lower, upper)) => IndexAccess::Range {
-                    prefix,
-                    lower,
-                    upper,
-                },
+                Some(((lower, lower_slot), (upper, upper_slot))) => {
+                    slots.extend(lower_slot.map(|s| (Site::Lower, s)));
+                    slots.extend(upper_slot.map(|s| (Site::Upper, s)));
+                    IndexAccess::Range {
+                        prefix,
+                        lower,
+                        upper,
+                    }
+                }
                 None => IndexAccess::Exact(prefix),
             };
-            best = Some((matched, range.is_some(), &def.name, how, enforced));
+            best = Some((matched, range.is_some(), &def.name, how, enforced, slots));
         }
     }
-    let Some((_, _, index, how, enforced)) = best else {
-        return (AccessMethod::Full, Vec::new());
+    let Some((_, _, index, how, enforced, slots)) = best else {
+        return (AccessMethod::Full, Vec::new(), Vec::new());
     };
     // Index-vs-scan cost check: a partially-bound composite index can be
     // less selective than it looks structurally. With statistics, estimate
@@ -1487,16 +1568,21 @@ fn choose_method(
             aliases: &aliases,
             counts: None,
             residuals: true,
+            params,
+            // Any slot value this reads, the plan's own estimator reads
+            // again in `leaf_rows`, whose predicate holds the same
+            // conjuncts, and notes there.
+            value_reads: &Cell::new(false),
         };
         if est.index_selectivity(&access.table, index, &how) > 0.5 {
-            return (AccessMethod::Full, Vec::new());
+            return (AccessMethod::Full, Vec::new(), Vec::new());
         }
     }
     let method = AccessMethod::Index {
         index: index.to_string(),
         access: how,
     };
-    (method, enforced)
+    (method, enforced, slots)
 }
 
 /// The width of the rows `plan` emits.
@@ -1550,7 +1636,7 @@ fn prune_columns(plan: &mut Plan, mut needed: Vec<bool>) {
                 reads(residual, &mut needed);
             }
             let cols = (0..needed.len()).filter(|&c| needed[c]).collect();
-            access.output = LeafOutput::Pruned(cols);
+            Arc::make_mut(access).output = LeafOutput::Pruned(cols);
         }
         Plan::Project { input, items, .. } => {
             let bare: Option<Vec<usize>> = items
@@ -1563,7 +1649,7 @@ fn prune_columns(plan: &mut Plan, mut needed: Vec<bool>) {
             if let (Plan::Access(access), Some(cols)) = (&mut **input, bare) {
                 if access.residual.is_none() {
                     let mut access = std::mem::take(access);
-                    access.output = LeafOutput::Projected(cols);
+                    Arc::make_mut(&mut access).output = LeafOutput::Projected(cols);
                     *plan = Plan::Access(access);
                     return;
                 }
@@ -1687,7 +1773,9 @@ mod tests {
             Statement::Select(s) => s,
             other => panic!("{other:?}"),
         };
-        plan_select(&stmt, &catalog(), &StatsCatalog::default(), &NO_COUNTS).unwrap()
+        plan_select(&stmt, &catalog(), &StatsCatalog::default(), &NO_COUNTS, &[])
+            .unwrap()
+            .0
     }
 
     /// The leftmost leaf.
@@ -2010,7 +2098,7 @@ mod tests {
             _ => unreachable!(),
         };
         assert!(matches!(
-            plan_select(&stmt, &catalog(), &StatsCatalog::default(), &NO_COUNTS),
+            plan_select(&stmt, &catalog(), &StatsCatalog::default(), &NO_COUNTS, &[]),
             Err(RelError::AmbiguousColumn(_))
         ));
     }
@@ -2028,7 +2116,7 @@ mod tests {
                 _ => unreachable!(),
             };
             assert!(
-                plan_select(&stmt, &catalog(), &StatsCatalog::default(), &NO_COUNTS).is_err(),
+                plan_select(&stmt, &catalog(), &StatsCatalog::default(), &NO_COUNTS, &[]).is_err(),
                 "{sql}"
             );
         }
@@ -2141,8 +2229,8 @@ mod tests {
                 Statement::Select(s) => s,
                 _ => unreachable!(),
             };
-            let err =
-                plan_select(&stmt, &catalog(), &StatsCatalog::default(), &NO_COUNTS).unwrap_err();
+            let err = plan_select(&stmt, &catalog(), &StatsCatalog::default(), &NO_COUNTS, &[])
+                .unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -2201,7 +2289,7 @@ mod tests {
             Statement::Select(s) => s,
             other => panic!("{other:?}"),
         };
-        plan_select(&stmt, &cat, &stats, &counts).unwrap()
+        plan_select(&stmt, &cat, &stats, &counts, &[]).unwrap().0
     }
 
     /// The FLWR point lookup's shape on `table`: a binding leaf, a
@@ -2277,6 +2365,6 @@ mod tests {
             Statement::Select(s) => s,
             _ => unreachable!(),
         };
-        assert!(plan_select(&stmt, &catalog(), &StatsCatalog::default(), &NO_COUNTS).is_err());
+        assert!(plan_select(&stmt, &catalog(), &StatsCatalog::default(), &NO_COUNTS, &[]).is_err());
     }
 }

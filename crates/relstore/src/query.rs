@@ -18,13 +18,18 @@
 //! ```
 //!
 //! `SELECT` plans resolved through the builder go through a per-database
-//! LRU plan cache keyed by *(normalized SQL, bound parameter values)*; a
-//! hit skips parse and plan entirely. Parameters are part of the key
-//! because they are substituted into the statement as literals *before*
-//! planning — that is what lets a bound `WHERE doc_id = ?` use the same
-//! index-selection (sargability) analysis as its literal counterpart.
-//! DDL invalidates the whole cache; hits, misses and evictions are
-//! published as `relstore.plan.cache_{hit,miss,evict}`.
+//! LRU plan cache keyed by a statement's *shape*: its normalized SQL with
+//! every string literal lifted out and left as a `?`, plus the *class*
+//! (the [`Value`] variant, NULL, or a NaN float) of each lifted literal
+//! and bound parameter. A hit binds the values into the cached plan
+//! ([`PlannedQuery::bind`]) and skips lexing, parsing and planning. On a
+//! miss the shape is planned with its values in hand, each slot treated
+//! exactly as the literal it holds — that is what lets `WHERE doc_id = ?`
+//! use the same index selection as its literal counterpart. A plan whose
+//! estimates read a slot's value beyond its class (against `ANALYZE`
+//! bounds) is cached under its values too. DDL invalidates the whole
+//! cache; hits, misses and evictions are published as
+//! `relstore.plan.cache_{hit,miss,evict}`.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -41,8 +46,8 @@ use crate::metrics;
 use crate::plan::{PlanExplain, PlannedQuery};
 use crate::recorder::QueryRecord;
 use crate::schema::Catalog;
-use crate::sql::ast::{Expr, JoinClause, OrderKey, SelectItem, SelectStmt, Statement, TableRef};
-use crate::sql::parser::parse_statement_with_params;
+use crate::sql::ast::{Expr, SelectItem, Statement, TableRef};
+use crate::sql::parser::{parse_shape, parse_statement_with_params};
 use crate::table::Row;
 use crate::value::{DataType, Value};
 use crate::vtab::SYS_PREFIX;
@@ -168,6 +173,7 @@ impl PlanCache {
 /// whitespace runs *outside* single-quoted string literals, and strips
 /// `--` line comments the same way the lexer does. `SELECT  A` and
 /// `select a` share a cache entry while `'CaSe'` keeps its meaning.
+/// [`shape_of`] makes the same walk and also lifts the literals out.
 ///
 /// The two tokenizer subtleties matter for key *correctness*, not just
 /// hit rate:
@@ -180,79 +186,128 @@ impl PlanCache {
 ///   a *different statement*) would collide once the newline is
 ///   collapsed to a space.
 pub(crate) fn normalize_sql(sql: &str) -> String {
-    let mut out = String::with_capacity(sql.len());
-    let mut chars = sql.chars().peekable();
-    let mut pending_space = false;
-    while let Some(ch) = chars.next() {
-        if ch == '-' && chars.peek() == Some(&'-') {
+    normalize(sql, None).text
+}
+
+/// A statement's shape: its normalized SQL with each string literal
+/// lifted out and left as a `?`, and the values of all its `?`s in text
+/// order — lifted literals and bound parameters alike.
+pub(crate) struct Shape {
+    pub(crate) text: String,
+    pub(crate) values: Vec<Value>,
+    /// How many of the `?`s the statement itself wrote.
+    pub(crate) explicit: usize,
+    /// Whether every literal was closed; an open one never parses.
+    terminated: bool,
+}
+
+/// The [`Shape`] of `sql`, its own `?`s taking `params` in order.
+pub(crate) fn shape_of(sql: &str, params: &[Value]) -> Shape {
+    normalize(sql, Some(params))
+}
+
+/// The walk behind [`normalize_sql`] and, with `lift`, [`shape_of`].
+fn normalize(sql: &str, lift: Option<&[Value]>) -> Shape {
+    // Bytes, not chars: every byte the walk looks at is ASCII, and a
+    // UTF-8 sequence never contains one.
+    let bytes = sql.as_bytes();
+    let mut out = Vec::with_capacity(bytes.len());
+    let (mut values, mut explicit, mut terminated) = (Vec::new(), 0, true);
+    let (mut i, mut pending_space) = (0, false);
+    while let Some(&b) = bytes.get(i) {
+        if b == b'-' && bytes.get(i + 1) == Some(&b'-') {
             // `--` line comment: skip to the newline, which then counts
             // as ordinary whitespace (mirrors tokenize_sql).
-            for c in chars.by_ref() {
-                if c == '\n' {
-                    break;
-                }
-            }
+            let rest = &bytes[i..];
+            i += rest.iter().position(|&c| c == b'\n').unwrap_or(rest.len());
             pending_space = true;
             continue;
         }
-        if ch.is_whitespace() {
+        i += 1;
+        if b.is_ascii_whitespace() {
             pending_space = true;
             continue;
         }
         if pending_space && !out.is_empty() {
-            out.push(' ');
+            out.push(b' ');
         }
         pending_space = false;
-        if ch == '\'' {
-            // String literal: copied verbatim. A doubled quote is the
-            // `''` escape and keeps the literal open.
-            out.push('\'');
-            while let Some(c) = chars.next() {
-                out.push(c);
-                if c == '\'' {
-                    match chars.peek() {
-                        Some('\'') => {
-                            out.push('\'');
-                            chars.next();
-                        }
-                        // Closing quote (or unterminated literal at end
-                        // of input, which the parser will reject anyway).
-                        _ => break,
+        if b == b'\'' {
+            // String literal: copied verbatim, or lifted as its value. A
+            // doubled quote is the `''` escape and keeps the literal open.
+            let start = i;
+            terminated = false;
+            while let Some(&c) = bytes.get(i) {
+                i += 1;
+                if c == b'\'' {
+                    if bytes.get(i) != Some(&b'\'') {
+                        terminated = true;
+                        break;
                     }
+                    i += 1;
                 }
             }
+            let end = i - usize::from(terminated);
+            match lift {
+                Some(_) => {
+                    out.push(b'?');
+                    values.push(Value::Text(sql[start..end].replace("''", "'")));
+                }
+                None => out.extend_from_slice(&bytes[start - 1..i]),
+            }
         } else {
-            out.push(ch.to_ascii_lowercase());
+            if let (Some(params), b'?') = (lift, b) {
+                values.extend(params.get(explicit).cloned());
+                explicit += 1;
+            }
+            out.push(b.to_ascii_lowercase());
         }
     }
-    out
+    Shape {
+        text: String::from_utf8(out).expect("the walk edits ASCII bytes only"),
+        values,
+        explicit,
+        terminated,
+    }
 }
 
-/// The cache key: normalized SQL, then each bound parameter value
-/// rendered after a `\0` separator (`Debug` keeps `Int(3)` and
-/// `Float(3.0)` distinct, which matters because parameters are planned as
-/// literals). A param-less key borrows the normalized SQL unchanged, so
-/// the prepared-statement hit path never allocates.
-pub(crate) fn cache_key<'a>(sql_norm: Cow<'a, str>, params: &[Value]) -> Cow<'a, str> {
-    if params.is_empty() {
+/// The cache key: the normalized shape, then after a `\0` one letter per
+/// slot value naming its class — the only fact about a value a plan that
+/// holds for its whole class reads: `choose_method` probes no index with
+/// NULL or NaN, a keyword probe needs text, and the kernels dispatch on
+/// the literal's type. A value-less key borrows the normalized SQL
+/// unchanged, so the prepared-statement hit path never allocates.
+pub(crate) fn cache_key<'a>(sql_norm: Cow<'a, str>, values: &[Value]) -> Cow<'a, str> {
+    if values.is_empty() {
         return sql_norm;
     }
-    let mut key = String::with_capacity(sql_norm.len() + 16 * params.len());
+    let mut key = String::with_capacity(sql_norm.len() + 1 + values.len());
     key.push_str(&sql_norm);
-    for p in params {
-        key.push('\0');
-        key.push_str(&format!("{p:?}"));
-    }
+    key.push('\0');
+    key.extend(values.iter().map(|v| match v {
+        Value::Null => 'n',
+        Value::Int(_) => 'i',
+        Value::Float(f) if f.is_nan() => 'N',
+        Value::Float(_) => 'f',
+        Value::Text(_) => 't',
+    }));
     Cow::Owned(key)
+}
+
+/// The key of a plan that holds only for the values it was made for:
+/// the class key, then each value rendered (`Debug`).
+fn value_key(key: &str, values: &[Value]) -> String {
+    let mut key = key.to_string();
+    for v in values {
+        key.push('\0');
+        key.push_str(&format!("{v:?}"));
+    }
+    key
 }
 
 // ---------------------------------------------------------------------------
 // Parameter substitution and type inference
 // ---------------------------------------------------------------------------
-
-fn bind_missing(i: usize) -> RelError {
-    RelError::Bind(format!("no value bound for parameter ?{}", i + 1))
-}
 
 fn check_count(expected: usize, got: usize) -> RelResult<()> {
     if expected == got {
@@ -264,102 +319,26 @@ fn check_count(expected: usize, got: usize) -> RelResult<()> {
     }
 }
 
-fn subst_expr(expr: &Expr, params: &[Value], lenient: bool) -> RelResult<Expr> {
-    match expr {
-        Expr::Param(i) => match params.get(*i) {
-            Some(v) => Ok(Expr::Literal(v.clone())),
-            // Lenient mode (EXPLAIN of a prepared statement with unbound
-            // placeholders): keep the `?` in place so the planner can
-            // estimate with placeholder selectivities instead of erroring.
-            None if lenient => Ok(Expr::Param(*i)),
-            None => Err(bind_missing(*i)),
-        },
-        other => other.try_map_children(|e| subst_expr(e, params, lenient)),
-    }
-}
-
-fn subst_select(s: &SelectStmt, params: &[Value], lenient: bool) -> RelResult<SelectStmt> {
-    Ok(SelectStmt {
-        distinct: s.distinct,
-        items: s
-            .items
-            .iter()
-            .map(|item| {
-                Ok(match item {
-                    SelectItem::Expr { expr, alias } => SelectItem::Expr {
-                        expr: subst_expr(expr, params, lenient)?,
-                        alias: alias.clone(),
-                    },
-                    other => other.clone(),
-                })
-            })
-            .collect::<RelResult<_>>()?,
-        from: s.from.clone(),
-        joins: s
-            .joins
-            .iter()
-            .map(|j| {
-                Ok(JoinClause {
-                    table: j.table.clone(),
-                    on: subst_expr(&j.on, params, lenient)?,
-                })
-            })
-            .collect::<RelResult<_>>()?,
-        filter: s
-            .filter
-            .as_ref()
-            .map(|f| subst_expr(f, params, lenient))
-            .transpose()?,
-        group_by: s
-            .group_by
-            .iter()
-            .map(|e| subst_expr(e, params, lenient))
-            .collect::<RelResult<_>>()?,
-        order_by: s
-            .order_by
-            .iter()
-            .map(|k| {
-                Ok(OrderKey {
-                    expr: subst_expr(&k.expr, params, lenient)?,
-                    descending: k.descending,
-                })
-            })
-            .collect::<RelResult<_>>()?,
-        limit: s.limit,
-        offset: s.offset,
-    })
-}
-
-/// Replaces every `?` placeholder with its bound value as a literal —
-/// done *before* planning, so bound parameters stay sargable. With
-/// `lenient`, an *unbound* placeholder stays an [`Expr::Param`] instead of
-/// erroring: [`Query::explain`] can explain a prepared statement before
-/// any values are bound, and the planner costs the remaining `?`s with
-/// placeholder selectivities.
-pub(crate) fn substitute_params(
-    stmt: &Statement,
-    params: &[Value],
-    lenient: bool,
-) -> RelResult<Statement> {
-    Ok(match stmt {
-        Statement::Select(s) => Statement::Select(subst_select(s, params, lenient)?),
-        Statement::Explain { analyze, inner } => Statement::Explain {
-            analyze: *analyze,
-            inner: Box::new(substitute_params(inner, params, lenient)?),
-        },
+/// Replaces every `?` placeholder of a DML statement with its bound value
+/// as a literal; one without a value stays an [`Expr::Param`]. `SELECT`s
+/// are planned with their values instead ([`PlannedQuery::bind`]).
+pub(crate) fn substitute_params(stmt: &Statement, params: &[Value]) -> Statement {
+    let bind = |e: &Expr| {
+        let mut e = e.clone();
+        e.bind_params(params);
+        e
+    };
+    match stmt {
         Statement::Insert { table, rows } => Statement::Insert {
             table: table.clone(),
             rows: rows
                 .iter()
-                .map(|row| row.iter().map(|e| subst_expr(e, params, lenient)).collect())
-                .collect::<RelResult<_>>()?,
+                .map(|row| row.iter().map(bind).collect())
+                .collect(),
         },
         Statement::Delete { table, filter } => Statement::Delete {
             table: table.clone(),
-            filter: filter
-                .as_ref()
-                .map(|f| subst_expr(f, params, lenient))
-                .transpose()?,
+            filter: filter.as_ref().map(bind),
         },
         Statement::Update {
             table,
@@ -369,15 +348,12 @@ pub(crate) fn substitute_params(
             table: table.clone(),
             assignments: assignments
                 .iter()
-                .map(|(c, e)| Ok((c.clone(), subst_expr(e, params, lenient)?)))
-                .collect::<RelResult<_>>()?,
-            filter: filter
-                .as_ref()
-                .map(|f| subst_expr(f, params, lenient))
-                .transpose()?,
+                .map(|(c, e)| (c.clone(), bind(e)))
+                .collect(),
+            filter: filter.as_ref().map(bind),
         },
-        ddl => ddl.clone(),
-    })
+        other => other.clone(),
+    }
 }
 
 /// Best-effort parameter type inference: a parameter compared against a
@@ -646,6 +622,9 @@ impl QueryOutcome {
     }
 }
 
+/// What [`Query::resolve`] looks a statement up by: see [`Query::keyed`].
+type Keyed<'a> = (Option<Cow<'a, str>>, Vec<Value>, bool, bool);
+
 /// A statement resolved to the point where it can run.
 enum Resolved {
     /// A `SELECT` — bare, or the subject of an `EXPLAIN [ANALYZE]` — with
@@ -701,16 +680,36 @@ impl<'a> Query<'a> {
         self.with_mode(ExecMode::Reference)
     }
 
-    /// The normalized-SQL cache key prefix (when the source has SQL text)
-    /// plus the (coerced) parameters. A prepared source borrows its
-    /// precomputed normalization — the hit path must not copy the SQL text.
-    /// `lenient` tolerates a short parameter list (see [`Query::explain`]).
-    fn norm_and_params(&self, lenient: bool) -> RelResult<(Option<Cow<'a, str>>, Vec<Value>)> {
-        match &self.source {
-            QuerySource::Sql(sql) => {
-                Ok((Some(Cow::Owned(normalize_sql(sql))), self.params.clone()))
+    /// The normalized SQL (when the source has SQL text), the values of
+    /// the statement's `?` slots, whether the plan cache serves it, and
+    /// whether the statement is to be parsed as its shape. A cacheable
+    /// SQL `SELECT` is keyed on its [`Shape`], its literals lifted into the
+    /// values; a prepared source keeps its literals and borrows its
+    /// precomputed normalization — the hit path must not copy the SQL
+    /// text. `lenient` tolerates a short parameter list (see
+    /// [`Query::explain`]) and bypasses the cache.
+    fn keyed(&self, lenient: bool) -> RelResult<Keyed<'a>> {
+        let cacheable = !lenient && self.db.options().plan_cache_capacity > 0;
+        let (norm, values, lifted) = match &self.source {
+            QuerySource::Sql(sql) if cacheable => {
+                let shape = shape_of(sql, &self.params);
+                check_count(shape.explicit, self.params.len())?;
+                // Only a `SELECT` runs as its shape; anything else is
+                // parsed as written, its own `?`s its only slots.
+                let lifted = shape.terminated && shape.text.starts_with("select");
+                let values = if lifted {
+                    shape.values
+                } else {
+                    self.params.clone()
+                };
+                (Some(Cow::Owned(shape.text)), values, lifted)
             }
-            QuerySource::Parsed(_) => Ok((None, self.params.clone())),
+            QuerySource::Sql(sql) => (
+                Some(Cow::Owned(normalize_sql(sql))),
+                self.params.clone(),
+                false,
+            ),
+            QuerySource::Parsed(_) => (None, self.params.clone(), false),
             QuerySource::Prepared(p) => {
                 if !lenient {
                     check_count(p.param_count, self.params.len())?;
@@ -730,87 +729,107 @@ impl<'a> Query<'a> {
                         None => Ok(v.clone()),
                     })
                     .collect::<RelResult<Vec<_>>>()?;
-                Ok((Some(Cow::Borrowed(p.sql_norm.as_str())), coerced))
+                let select = cacheable && matches!(p.stmt, Statement::Select(_));
+                (Some(Cow::Borrowed(p.sql_norm.as_str())), coerced, select)
             }
-        }
-    }
-
-    /// Parses (if needed) and substitutes parameters into the statement.
-    /// `lenient` leaves unbound `?`s in place (see [`Query::explain`]).
-    fn statement(&self, params: &[Value], lenient: bool) -> RelResult<Statement> {
-        let parsed;
-        let stmt = match &self.source {
-            QuerySource::Sql(sql) => {
-                let (stmt, count) = parse_statement_with_params(sql)?;
-                if !lenient {
-                    check_count(count, params.len())?;
-                }
-                parsed = stmt;
-                &parsed
-            }
-            QuerySource::Prepared(p) => &p.stmt,
-            QuerySource::Parsed(stmt) => stmt,
         };
-        substitute_params(stmt, params, lenient)
+        let cached = lifted && norm.as_deref().is_some_and(|n| !may_reference_system(n));
+        let lifted = lifted && matches!(self.source, QuerySource::Sql(_));
+        Ok((norm, values, cached, lifted))
     }
 
-    /// The one way a statement becomes runnable: normalize → plan-cache
-    /// lookup → parse and substitute parameters → plan → cache insert.
-    /// Returns the normalized SQL (for the flight recorder) alongside.
+    /// Parses the statement (as its shape when `lifted`) if the source
+    /// has not, checking the number of bound parameters unless `lenient`.
+    fn statement(&self, lifted: bool, lenient: bool) -> RelResult<Cow<'_, Statement>> {
+        let (stmt, count) = match &self.source {
+            QuerySource::Sql(sql) if lifted => return Ok(Cow::Owned(parse_shape(sql)?.0)),
+            QuerySource::Sql(sql) => parse_statement_with_params(sql)?,
+            QuerySource::Prepared(p) => return Ok(Cow::Borrowed(&p.stmt)),
+            QuerySource::Parsed(stmt) => return Ok(Cow::Borrowed(stmt)),
+        };
+        if !lenient {
+            check_count(count, self.params.len())?;
+        }
+        Ok(Cow::Owned(stmt))
+    }
+
+    /// The one way a statement becomes runnable: key → plan-cache lookup →
+    /// parse → plan → cache insert, and for a `SELECT` the plan bound to
+    /// the statement's values. Returns the normalized SQL (for the flight
+    /// recorder) alongside.
     ///
-    /// A warm cache skips parse and plan entirely. The cache is bypassed,
-    /// in both directions, by statements that reference system virtual
-    /// tables (their contents change per query, so a cached plan would
-    /// pin dead snapshot state), by `lenient` resolution (a plan with
-    /// unbound `?`s must never serve a real run), and by sources without
-    /// SQL text; an `EXPLAIN` is looked up (it never hits) but not
-    /// inserted, so its key can never serve the statement it explains.
+    /// A warm cache skips parse and plan entirely: a plan made for other
+    /// values of the same classes is bound to these. A plan tied to its
+    /// values is looked up under them ([`value_key`]). The cache is
+    /// bypassed, in both directions, by statements that reference system
+    /// virtual tables (their contents change per query, so a cached plan
+    /// would pin dead snapshot state), by `lenient` resolution (a plan
+    /// with unbound `?`s must never serve a real run), by every statement
+    /// but a `SELECT` (an `EXPLAIN` included), and by sources without SQL
+    /// text.
     fn resolve(&self, lenient: bool) -> RelResult<(Option<Cow<'a, str>>, Resolved)> {
         let m = metrics::engine();
-        let (norm, params) = self.norm_and_params(lenient)?;
+        let (norm, values, cached, lifted) = self.keyed(lenient)?;
+        let generation = self.snapshot.generation;
+        let bind = |plan: Arc<PlannedQuery>| match values.is_empty() {
+            true => plan,
+            false => Arc::new(plan.bind(&values)),
+        };
         let key = norm
             .as_deref()
-            .filter(|norm| !lenient && !may_reference_system(norm))
-            .map(|norm| cache_key(Cow::Borrowed(norm), &params));
-        let generation = self.snapshot.generation;
-        if let Some(key) = &key {
-            let cached = self.db.plan_cache.lock().get(key, generation);
-            if let Some(planned) = cached {
-                m.cache_hit.inc();
-                trace_mark("relstore.query.cache_hit");
-                let resolved = Resolved::Select {
-                    planned,
-                    storage: Arc::clone(&self.snapshot),
-                    cache_hit: true,
-                    explain: None,
-                };
-                return Ok((norm, resolved));
+            .filter(|_| cached)
+            .map(|norm| cache_key(Cow::Borrowed(norm), &values));
+        let mut by_value = None;
+        let hit = key.as_deref().and_then(|key| {
+            let mut cache = self.db.plan_cache.lock();
+            let hit = cache.get(key, generation);
+            if hit.is_some() || values.is_empty() {
+                return hit;
             }
+            let specific = by_value.insert(value_key(key, &values));
+            cache.get(specific, generation)
+        });
+        if let Some(plan) = hit {
+            m.cache_hit.inc();
+            trace_mark("relstore.query.cache_hit");
+            let resolved = Resolved::Select {
+                planned: bind(plan),
+                storage: Arc::clone(&self.snapshot),
+                cache_hit: true,
+                explain: None,
+            };
+            return Ok((norm, resolved));
         }
         let stmt = {
             let _t = trace::span("relstore.query.parse");
-            self.statement(&params, lenient)?
+            self.statement(lifted, lenient)?
         };
-        let (select, explain) = match stmt {
+        let (select, explain) = match &*stmt {
             Statement::Select(select) => (select, None),
-            Statement::Explain { analyze, inner } => match *inner {
-                Statement::Select(select) => (select, Some(analyze)),
+            Statement::Explain { analyze, inner } => match &**inner {
+                Statement::Select(select) => (select, Some(*analyze)),
                 _ => return Err(RelError::Parse("EXPLAIN supports SELECT only".into())),
             },
-            other => return Ok((norm, Resolved::Other(Box::new(other)))),
+            other => {
+                let stmt = substitute_params(other, &values);
+                return Ok((norm, Resolved::Other(Box::new(stmt))));
+            }
         };
         m.cache_miss.inc();
         trace_mark("relstore.query.cache_miss");
-        let storage = self.db.storage_for_select(&self.snapshot, &select)?;
-        let planned = Arc::new(self.db.plan_select_stmt(&storage, &select)?);
+        let storage = self.db.storage_for_select(&self.snapshot, select)?;
+        let (planned, specific) = self.db.plan_select_stmt(&storage, select, &values)?;
+        let planned = Arc::new(planned);
         if let (Some(key), None) = (key, explain) {
-            self.db
-                .plan_cache
-                .lock()
-                .insert(key.into_owned(), Arc::clone(&planned), generation);
+            let key = match specific {
+                false => key.into_owned(),
+                true => by_value.unwrap_or_else(|| value_key(&key, &values)),
+            };
+            let mut cache = self.db.plan_cache.lock();
+            cache.insert(key, Arc::clone(&planned), generation);
         }
         let resolved = Resolved::Select {
-            planned,
+            planned: bind(planned),
             storage,
             cache_hit: false,
             explain,
@@ -1308,9 +1327,10 @@ mod tests {
 
     #[test]
     fn normalize_keeps_escaped_literals_distinct() {
-        // Different literals must produce different keys: everything
-        // after the `''` escape is still *inside* the string and must
-        // keep its case and spacing.
+        // Statements differing only inside literals share a shape and
+        // differ in the values lifted out of it: everything after the
+        // `''` escape is still *inside* the string and keeps its case and
+        // spacing.
         let pairs = [
             ("SELECT 'O''Hara'", "select 'O''hara'"),
             ("SELECT 'O''Hara  X' FROM T", "SELECT 'O''Hara X' FROM T"),
@@ -1320,8 +1340,14 @@ mod tests {
             ("SELECT '''', 'UP'", "SELECT '''', 'up'"),
         ];
         for (a, b) in pairs {
-            assert_ne!(normalize_sql(a), normalize_sql(b), "{a} vs {b}");
+            let (sa, sb) = (shape_of(a, &[]), shape_of(b, &[]));
+            assert_eq!(sa.text, sb.text, "{a} vs {b}");
+            assert_ne!(sa.values, sb.values, "{a} vs {b}");
         }
+        assert_eq!(
+            shape_of("SELECT '''', 'UP'", &[]).values,
+            [Value::from("'"), Value::from("UP")]
+        );
         // While the same statement differing only outside literals —
         // case, whitespace — still collapses onto one key.
         assert_eq!(
@@ -1367,7 +1393,7 @@ mod tests {
     fn scan_plan() -> Arc<PlannedQuery> {
         use crate::plan::{Access, Plan, PlanEstimate};
         let plan = Plan::from(Access::new("t", "t", None));
-        let estimate = PlanEstimate::unknown(&plan);
+        let estimate = Arc::new(PlanEstimate::unknown(&plan));
         Arc::new(PlannedQuery {
             plan,
             visible: 1,

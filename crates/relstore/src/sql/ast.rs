@@ -7,8 +7,9 @@ use crate::value::{DataType, Value};
 pub enum Expr {
     /// A literal value.
     Literal(Value),
-    /// A `?` placeholder, numbered left-to-right from zero. Parameters
-    /// are substituted with bound literals before planning; evaluating an
+    /// A `?` placeholder, numbered left-to-right from zero. A bound
+    /// parameter plans as the literal it holds, and a plan is bound
+    /// ([`crate::plan::PlannedQuery::bind`]) before it runs; evaluating an
     /// unbound parameter is an error.
     Param(usize),
     /// A column reference, optionally qualified by a table alias.
@@ -196,6 +197,49 @@ impl Expr {
         })
     }
 
+    /// Replaces each `?` that has a value in `values` by that value's
+    /// literal, in place.
+    pub fn bind_params(&mut self, values: &[Value]) {
+        match self {
+            Expr::Param(i) => {
+                if let Some(v) = values.get(*i) {
+                    *self = Expr::Literal(v.clone());
+                }
+            }
+            Expr::Literal(_) | Expr::Column { .. } => {}
+            Expr::Not(e) | Expr::Neg(e) | Expr::IsNull { expr: e, .. } => e.bind_params(values),
+            Expr::Binary {
+                left: a, right: b, ..
+            }
+            | Expr::Like {
+                expr: a,
+                pattern: b,
+                ..
+            }
+            | Expr::Contains {
+                column: a,
+                keyword: b,
+            }
+            | Expr::Matches {
+                column: a,
+                pattern: b,
+            } => {
+                a.bind_params(values);
+                b.bind_params(values);
+            }
+            Expr::InList { expr, list, .. } => {
+                expr.bind_params(values);
+                list.iter_mut().for_each(|e| e.bind_params(values));
+            }
+            Expr::Between {
+                expr, low, high, ..
+            } => [expr, low, high]
+                .into_iter()
+                .for_each(|e| e.bind_params(values)),
+            Expr::Aggregate { arg, .. } => arg.iter_mut().for_each(|e| e.bind_params(values)),
+        }
+    }
+
     /// The node's direct sub-expressions, in evaluation order.
     pub fn children(&self) -> Vec<&Expr> {
         match self {
@@ -218,6 +262,14 @@ impl Expr {
                 expr, low, high, ..
             } => vec![expr, low, high],
             Expr::Aggregate { arg, .. } => arg.as_deref().into_iter().collect(),
+        }
+    }
+
+    /// The number of the first `?` placeholder in the (sub)tree, if any.
+    pub fn first_param(&self) -> Option<usize> {
+        match self {
+            Expr::Param(i) => Some(*i),
+            _ => self.children().into_iter().find_map(Expr::first_param),
         }
     }
 

@@ -15,8 +15,23 @@ pub fn parse_statement(sql: &str) -> RelResult<Statement> {
 /// Parses one SQL statement, also returning the number of `?` placeholders
 /// it contains (numbered left to right). Used by [`crate::Database::prepare`].
 pub fn parse_statement_with_params(sql: &str) -> RelResult<(Statement, usize)> {
-    let sql = sql.trim().trim_end_matches(';');
-    let tokens = tokenize_sql(sql)?;
+    parse_tokens(tokenize_sql(sql.trim().trim_end_matches(';'))?)
+}
+
+/// Parses a statement's *shape*: every string literal becomes a `?`
+/// placeholder, numbered left to right together with the statement's own
+/// `?`s — the slots the plan cache binds its lifted values into.
+pub(crate) fn parse_shape(sql: &str) -> RelResult<(Statement, usize)> {
+    let mut tokens = tokenize_sql(sql.trim().trim_end_matches(';'))?;
+    for token in &mut tokens {
+        if let Token::Str(_) = token {
+            *token = Token::Sym("?");
+        }
+    }
+    parse_tokens(tokens)
+}
+
+fn parse_tokens(tokens: Vec<Token>) -> RelResult<(Statement, usize)> {
     let mut p = SqlParser {
         tokens,
         pos: 0,

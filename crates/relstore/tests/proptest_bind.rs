@@ -206,7 +206,7 @@ fn leaf_predicate_binds_to_the_table_row_under_its_alias() {
         [Some(1), Some(2)]
     );
     assert_eq!(leaf.residual, leaf.predicate);
-    assert_eq!(leaf.columns, ["k", "b", "a"]);
+    assert_eq!(*leaf.columns, ["k", "b", "a"]);
     assert_eq!(names(&out), ["x.k", "x.b", "x.a"]);
     // The table's own name is not in scope once aliased.
     let mut bad = Plan::from(Access::new(

@@ -40,24 +40,26 @@ impl CollectionCatalog {
             .run()
             .map_err(|_| QueryError::UnknownCollection(name.to_string()))?
             .rows;
-        let mut element_paths = Vec::new();
-        let mut attribute_paths = Vec::new();
-        for row in rows {
-            if let Ok(path) = row.get::<String>("path") {
-                if path.contains("/@") {
-                    attribute_paths.push(path);
-                } else {
-                    element_paths.push(path);
-                }
-            }
-        }
-        Ok(CollectionCatalog {
+        let paths = rows.into_iter().filter_map(|row| row.get("path").ok());
+        Ok(CollectionCatalog::from_paths(name, prefix, strategy, paths))
+    }
+
+    /// A collection's catalog over its paths, which keep their order: the
+    /// `//` expansions, and so the SQL, follow it.
+    pub fn from_paths(
+        name: &str,
+        prefix: &str,
+        strategy: ShreddingStrategy,
+        paths: impl IntoIterator<Item = String>,
+    ) -> CollectionCatalog {
+        let (attribute_paths, element_paths) = paths.into_iter().partition(|p| p.contains("/@"));
+        CollectionCatalog {
             name: name.to_string(),
             prefix: prefix.to_string(),
             strategy,
             element_paths,
             attribute_paths,
-        })
+        }
     }
 }
 

@@ -22,6 +22,7 @@
 //! The paper's published queries (Figures 8, 9, 11) are unaffected.
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use xomatiq_datahounds::ShreddingStrategy;
 use xomatiq_xml::LabelPath;
@@ -204,7 +205,8 @@ struct ValueRef {
 }
 
 struct BindingInfo {
-    catalog: CollectionCatalog,
+    /// Shared by every path step the binding takes.
+    catalog: Rc<CollectionCatalog>,
     /// SQL alias of the binding's node-table instance.
     alias: String,
     /// The binding's rooted path pattern (relative steps join onto it).
@@ -252,7 +254,7 @@ impl<'a> Translator<'a> {
     fn run(&mut self, query: &FlwrQuery) -> QueryResult<TranslatedQuery> {
         // 1. Bind FOR variables to base instances.
         for binding in &query.bindings {
-            let catalog = self.provider.collection(&binding.collection)?;
+            let catalog = Rc::new(self.provider.collection(&binding.collection)?);
             let matched = expand(&catalog, &binding.path);
             if matched.is_empty() {
                 return Err(QueryError::EmptyPath {
@@ -333,7 +335,7 @@ impl<'a> Translator<'a> {
     fn elem_instance(&mut self, pe: &PathExpr) -> QueryResult<String> {
         let base = {
             let b = self.binding(&pe.var)?;
-            (b.alias.clone(), b.catalog.clone())
+            (b.alias.clone(), Rc::clone(&b.catalog))
         };
         let (base_alias, catalog) = base;
         let elem_alias = if let Some(steps) = &pe.steps {
@@ -378,7 +380,7 @@ impl<'a> Translator<'a> {
     /// Resolves a path expression to a value reference, materializing node
     /// and attribute instances (cached by expression shape) as needed.
     fn resolve(&mut self, pe: &PathExpr) -> QueryResult<ValueRef> {
-        let catalog = self.binding(&pe.var)?.catalog.clone();
+        let catalog = Rc::clone(&self.binding(&pe.var)?.catalog);
         let elem_alias = self.elem_instance(pe)?;
 
         // Attribute predicate: join the attrs table on the owner.
@@ -478,7 +480,7 @@ impl<'a> Translator<'a> {
                     // Whole-document search: a fresh node instance scoped
                     // only by doc_id, matched by the keyword index.
                     let base_alias = self.binding(&target.var)?.alias.clone();
-                    let catalog = self.binding(&target.var)?.catalog.clone();
+                    let catalog = Rc::clone(&self.binding(&target.var)?.catalog);
                     let key = format!("{}|contains-any|{}", target.var, keyword);
                     let alias = if let Some(existing) = self.instances.get(&key) {
                         existing.clone()
@@ -501,7 +503,7 @@ impl<'a> Translator<'a> {
                     // witness instance's path set covers the whole
                     // sub-tree, not just the target's own text.
                     let base_alias = self.binding(&target.var)?.alias.clone();
-                    let catalog = self.binding(&target.var)?.catalog.clone();
+                    let catalog = Rc::clone(&self.binding(&target.var)?.catalog);
                     let full = match &target.steps {
                         Some(steps) => self.binding(&target.var)?.path.join(steps),
                         None => self.binding(&target.var)?.path.clone(),
